@@ -2,9 +2,6 @@ package pcomb
 
 import (
 	"pcomb/internal/core"
-	"pcomb/internal/heap"
-	"pcomb/internal/queue"
-	"pcomb/internal/stack"
 	"pcomb/internal/vecbatch"
 )
 
@@ -15,38 +12,6 @@ import (
 // submitting thread and expire once two further flushes have completed.
 type Future = vecbatch.Future
 
-// vecMark flags a sysArea in-progress record as a vectorized batch: the low
-// bits hold the op class (queue: 0 = enqueues, 1 = dequeues), a0 the vector
-// length, and the arguments live in the combining instance's persistent
-// argument ring, durable before the record was written. Object op codes
-// passed to Recoverable.Submit must therefore stay below 2^63.
-const vecMark = uint64(1) << 63
-
-// BatchOp is one operation of a recovered batch (RecoverBatch).
-type BatchOp struct {
-	// Op is the operation's type; OpInvoke for Recoverable batches.
-	Op Op
-	// Code is the raw object op code (Recoverable batches only).
-	Code uint64
-	// Arg and Arg2 are the operation's arguments (enqueued/pushed value,
-	// inserted key, or the Object's a0/a1).
-	Arg  uint64
-	Arg2 uint64
-	// Result is the operation's response (Empty for an empty Dequeue, Pop,
-	// DeleteMin or GetMin).
-	Result uint64
-}
-
-// mustVec asserts that a structure's combining instance supports vectorized
-// announcements (it was created with VecCap > 1).
-func mustVec(p core.Protocol, what string) core.VecProtocol {
-	vp, ok := p.(core.VecProtocol)
-	if !ok || vp.VecCap() < 2 {
-		panic("pcomb: " + what + " was created without VecCap > 1; the async Submit/Flush API is unavailable")
-	}
-	return vp
-}
-
 // ---- Queue ----
 
 // SubmitEnqueue stages an enqueue of v on the async pipelined path
@@ -54,12 +19,14 @@ func mustVec(p core.Protocol, what string) core.VecProtocol {
 // reaches VecCap operations, on Flush/Wait, or — to preserve the thread's
 // program order — when a dequeue is submitted. Until its batch's Flush has
 // recorded it durably, a staged op is lost wholesale by a crash: pipelining
-// trades per-op commit for per-batch commit.
+// trades per-op commit for per-batch commit. A flushed batch is one
+// vectorized announcement under one system-area record, so Recover resolves
+// an interrupted one as a whole, one Resolved per op in submission order.
 func (q *Queue) SubmitEnqueue(tid int, v uint64) Future {
 	if q.deqPipe.Pending(tid) > 0 {
 		q.deqPipe.Flush(tid)
 	}
-	return q.enqPipe.Submit(tid, core.VecOp{Op: queue.OpEnq, A0: v})
+	return q.enqPipe.Submit(tid, core.VecOp{Op: OpEnqueue, A0: v})
 }
 
 // SubmitDequeue stages a dequeue (requires QueueOptions.VecCap > 1); the
@@ -69,7 +36,7 @@ func (q *Queue) SubmitDequeue(tid int) Future {
 	if q.enqPipe.Pending(tid) > 0 {
 		q.enqPipe.Flush(tid)
 	}
-	return q.deqPipe.Submit(tid, core.VecOp{Op: queue.OpDeq})
+	return q.deqPipe.Submit(tid, core.VecOp{Op: OpDequeue})
 }
 
 // Flush commits thread tid's staged operations durably.
@@ -104,125 +71,23 @@ func (q *Queue) PendingDequeues(tid int) int {
 	return q.deqPipe.Pending(tid)
 }
 
-func (q *Queue) flushEnq(tid int, ops []core.VecOp, rets []uint64) {
-	vp := mustVec(q.q.EnqProtocol(), "queue")
-	h := q.q.History()
-	if h != nil {
-		// One invocation per op, in ring order, before the batch's first
-		// persistence event (mirrors the map's flushBatch recording).
-		for _, o := range ops {
-			h.Begin(tid, queue.OpEnq, o.A0, 0)
-		}
-	}
-	// Ring first, then the in-progress record: recovery may trust the ring
-	// only because the record is ordered after the ring's pfence.
-	vp.PublishVec(tid, ops)
-	seq := q.sys.begin(tid, 0, vecMark|0, uint64(len(ops)), 0)
-	vp.PerformVec(tid, len(ops), seq, rets)
-	q.sys.end(tid)
-	if h != nil {
-		for _, r := range rets[:len(ops)] {
-			h.End(tid, r)
-		}
-	}
-}
-
-func (q *Queue) flushDeq(tid int, ops []core.VecOp, rets []uint64) {
-	vp := mustVec(q.q.DeqProtocol(), "queue")
-	h := q.q.History()
-	if h != nil {
-		for range ops {
-			h.Begin(tid, queue.OpDeq, 0, 0)
-		}
-	}
-	vp.PublishVec(tid, ops)
-	seq := q.sys.begin(tid, 1, vecMark|1, uint64(len(ops)), 0)
-	vp.PerformVec(tid, len(ops), seq, rets)
-	q.sys.end(tid)
-	if h != nil {
-		for _, r := range rets[:len(ops)] {
-			h.End(tid, r)
-		}
-	}
-}
-
-// RecoverBatch resolves thread tid's interrupted batch after a crash —
-// exactly once — and reports every operation's result in submission order.
-// A pending scalar operation is reported as a one-op batch, so async
-// callers need only this entry point. pending is false when tid had nothing
-// in flight. Ops submitted but not yet flushed at the crash are lost
-// wholesale and not reported (the async API's commit-point contract).
-func (q *Queue) RecoverBatch(tid int) ([]BatchOp, bool) {
-	opc, a0, _, seq, ok := q.sys.pending(tid)
-	if !ok {
-		return nil, false
-	}
-	if opc&vecMark == 0 {
-		op, res, _ := q.Recover(tid)
-		return []BatchOp{{Op: op, Arg: a0, Result: res}}, true
-	}
-	var vp core.VecProtocol
-	var uop Op
-	if opc&^vecMark == 0 {
-		vp, uop = mustVec(q.q.EnqProtocol(), "queue"), OpEnqueue
-	} else {
-		vp, uop = mustVec(q.q.DeqProtocol(), "queue"), OpDequeue
-	}
-	out := recoverVecBatch(vp, tid, int(a0), seq, func(o core.VecOp, ret uint64) BatchOp {
-		return BatchOp{Op: uop, Arg: o.A0, Result: ret}
-	})
-	q.sys.end(tid)
-	return out, true
-}
-
 // ---- Stack ----
 
 // SubmitPush stages a push of v (requires StackOptions.VecCap > 1); see
 // Queue.SubmitEnqueue for the async path's commit-point contract.
 func (st *Stack) SubmitPush(tid int, v uint64) Future {
-	return st.pipe.Submit(tid, core.VecOp{Op: stack.OpPush, A0: v})
+	return st.pipe.Submit(tid, core.VecOp{Op: OpPush, A0: v})
 }
 
 // SubmitPop stages a pop; the Future's Wait returns the popped value or
 // Empty. Pushes and pops share one staged vector, so the combiner can run
 // elimination inside the batch.
 func (st *Stack) SubmitPop(tid int) Future {
-	return st.pipe.Submit(tid, core.VecOp{Op: stack.OpPop})
+	return st.pipe.Submit(tid, core.VecOp{Op: OpPop})
 }
 
 // Flush commits thread tid's staged operations durably.
 func (st *Stack) Flush(tid int) { st.pipe.Flush(tid) }
-
-func (st *Stack) flushVec(tid int, ops []core.VecOp, rets []uint64) {
-	vp := mustVec(st.s.Protocol(), "stack")
-	vp.PublishVec(tid, ops)
-	seq := st.sys.begin(tid, 0, vecMark|0, uint64(len(ops)), 0)
-	vp.PerformVec(tid, len(ops), seq, rets)
-	st.sys.end(tid)
-}
-
-// RecoverBatch resolves thread tid's interrupted batch, as
-// Queue.RecoverBatch.
-func (st *Stack) RecoverBatch(tid int) ([]BatchOp, bool) {
-	opc, a0, _, seq, ok := st.sys.pending(tid)
-	if !ok {
-		return nil, false
-	}
-	if opc&vecMark == 0 {
-		op, res, _ := st.Recover(tid)
-		return []BatchOp{{Op: op, Arg: a0, Result: res}}, true
-	}
-	vp := mustVec(st.s.Protocol(), "stack")
-	out := recoverVecBatch(vp, tid, int(a0), seq, func(o core.VecOp, ret uint64) BatchOp {
-		uop := OpPush
-		if o.Op == stack.OpPop {
-			uop = OpPop
-		}
-		return BatchOp{Op: uop, Arg: o.A0, Result: ret}
-	})
-	st.sys.end(tid)
-	return out, true
-}
 
 // ---- Heap ----
 
@@ -230,55 +95,21 @@ func (st *Stack) RecoverBatch(tid int) ([]BatchOp, bool) {
 // the Future's Wait returns 0 on success or Full. See Queue.SubmitEnqueue
 // for the async path's commit-point contract.
 func (h *Heap) SubmitInsert(tid int, key uint64) Future {
-	return h.pipe.Submit(tid, core.VecOp{Op: heap.OpInsert, A0: key})
+	return h.pipe.Submit(tid, core.VecOp{Op: OpInsert, A0: key})
 }
 
 // SubmitDeleteMin stages a delete-min; Wait returns the key or Empty.
 func (h *Heap) SubmitDeleteMin(tid int) Future {
-	return h.pipe.Submit(tid, core.VecOp{Op: heap.OpDeleteMin})
+	return h.pipe.Submit(tid, core.VecOp{Op: OpDeleteMin})
 }
 
 // SubmitGetMin stages a get-min; Wait returns the key or Empty.
 func (h *Heap) SubmitGetMin(tid int) Future {
-	return h.pipe.Submit(tid, core.VecOp{Op: heap.OpGetMin})
+	return h.pipe.Submit(tid, core.VecOp{Op: OpGetMin})
 }
 
 // Flush commits thread tid's staged operations durably.
 func (h *Heap) Flush(tid int) { h.pipe.Flush(tid) }
-
-func (h *Heap) flushVec(tid int, ops []core.VecOp, rets []uint64) {
-	vp := mustVec(h.h.Protocol(), "heap")
-	vp.PublishVec(tid, ops)
-	seq := h.sys.begin(tid, 0, vecMark|0, uint64(len(ops)), 0)
-	vp.PerformVec(tid, len(ops), seq, rets)
-	h.sys.end(tid)
-}
-
-// RecoverBatch resolves thread tid's interrupted batch, as
-// Queue.RecoverBatch.
-func (h *Heap) RecoverBatch(tid int) ([]BatchOp, bool) {
-	opc, a0, _, seq, ok := h.sys.pending(tid)
-	if !ok {
-		return nil, false
-	}
-	if opc&vecMark == 0 {
-		op, res, _ := h.Recover(tid)
-		return []BatchOp{{Op: op, Arg: a0, Result: res}}, true
-	}
-	vp := mustVec(h.h.Protocol(), "heap")
-	out := recoverVecBatch(vp, tid, int(a0), seq, func(o core.VecOp, ret uint64) BatchOp {
-		uop := OpInsert
-		switch o.Op {
-		case heap.OpDeleteMin:
-			uop = OpDeleteMin
-		case heap.OpGetMin:
-			uop = OpGetMin
-		}
-		return BatchOp{Op: uop, Arg: o.A0, Result: ret}
-	})
-	h.sys.end(tid)
-	return out, true
-}
 
 // ---- Recoverable ----
 
@@ -291,47 +122,3 @@ func (r *Recoverable) Submit(tid int, op, a0, a1 uint64) Future {
 
 // Flush commits thread tid's staged operations durably.
 func (r *Recoverable) Flush(tid int) { r.pipe.Flush(tid) }
-
-func (r *Recoverable) flushVec(tid int, ops []core.VecOp, rets []uint64) {
-	vp := mustVec(r.c, "object")
-	vp.PublishVec(tid, ops)
-	seq := r.sys.begin(tid, 0, vecMark|0, uint64(len(ops)), 0)
-	vp.PerformVec(tid, len(ops), seq, rets)
-	r.sys.end(tid)
-}
-
-// RecoverBatch resolves thread tid's interrupted batch, as
-// Queue.RecoverBatch; each BatchOp carries the raw object op in Code.
-func (r *Recoverable) RecoverBatch(tid int) ([]BatchOp, bool) {
-	opc, a0, a1, seq, ok := r.sys.pending(tid)
-	if !ok {
-		return nil, false
-	}
-	if opc&vecMark == 0 {
-		_, res, _ := r.Recover(tid)
-		return []BatchOp{{Op: OpInvoke, Code: opc, Arg: a0, Arg2: a1, Result: res}}, true
-	}
-	vp := mustVec(r.c, "object")
-	out := recoverVecBatch(vp, tid, int(a0), seq, func(o core.VecOp, ret uint64) BatchOp {
-		return BatchOp{Op: OpInvoke, Code: o.Op, Arg: o.A0, Arg2: o.A1, Result: ret}
-	})
-	r.sys.end(tid)
-	return out, true
-}
-
-// recoverVecBatch re-supplies the argument ring's contents (intact: the
-// sysArea record was ordered after the ring's pfence) to RecoverVec and
-// maps the per-op responses through conv.
-func recoverVecBatch(vp core.VecProtocol, tid, cnt int, seq uint64, conv func(core.VecOp, uint64) BatchOp) []BatchOp {
-	ops := make([]core.VecOp, cnt)
-	for i := range ops {
-		ops[i] = vp.VecArg(tid, i)
-	}
-	rets := make([]uint64, cnt)
-	vp.RecoverVec(tid, ops, seq, rets)
-	out := make([]BatchOp, cnt)
-	for i := range out {
-		out[i] = conv(ops[i], rets[i])
-	}
-	return out
-}

@@ -9,6 +9,7 @@ import (
 	"pcomb/internal/hashmap"
 	"pcomb/internal/linearizability"
 	"pcomb/internal/queue"
+	"pcomb/internal/sysarea"
 )
 
 func TestBatchQueueAsyncRoundTrip(t *testing.T) {
@@ -147,9 +148,9 @@ func TestBatchMapAsync(t *testing.T) {
 // interruptBatch publishes ops on vp and records the batch as in progress in
 // sys without performing it, emulating a crash after the commit point but
 // before (or during) the combiner's work.
-func interruptBatch(vp core.VecProtocol, sa *sysArea, tid int, class uint64, ops []core.VecOp) uint64 {
-	vp.PublishVec(tid, ops)
-	return sa.begin(tid, int(class), vecMark|class, uint64(len(ops)), 0)
+func interruptBatch(p core.Protocol, sa *sysarea.Area, tid, class int, ops []core.VecOp) uint64 {
+	p.(core.VecProtocol).PublishVec(tid, ops)
+	return sa.Begin(tid, class, sysarea.VecMark, uint64(len(ops)), 0)
 }
 
 func TestBatchQueueCrashBeforePerform(t *testing.T) {
@@ -160,21 +161,21 @@ func TestBatchQueueCrashBeforePerform(t *testing.T) {
 	ops := []core.VecOp{
 		{Op: queue.OpEnq, A0: 10}, {Op: queue.OpEnq, A0: 11}, {Op: queue.OpEnq, A0: 12},
 	}
-	interruptBatch(mustVec(q.q.EnqProtocol(), "queue"), q.sys, 0, 0, ops)
+	interruptBatch(q.q.EnqProtocol(), q.sys, 0, 0, ops)
 	sys.Crash(DropUnfenced, 1)
 
 	q = sys.NewQueue("q", 2, Blocking, o)
-	out, ok := q.RecoverBatch(0)
-	if !ok || len(out) != 3 {
-		t.Fatalf("RecoverBatch = %v,%v, want 3 ops", out, ok)
+	out := q.Recover(0)
+	if len(out) != 3 {
+		t.Fatalf("Recover = %v, want 3 ops", out)
 	}
 	for i, b := range out {
-		if b.Op != OpEnqueue || b.Arg != 10+uint64(i) || b.Result != 0 {
+		if b.Op != OpEnqueue || b.A0 != 10+uint64(i) || b.Result != 0 || !b.Certain {
 			t.Fatalf("op %d = %+v", i, b)
 		}
 	}
-	if _, again := q.RecoverBatch(0); again {
-		t.Fatal("RecoverBatch must resolve exactly once")
+	if again := q.Recover(0); again != nil {
+		t.Fatal("Recover must resolve exactly once")
 	}
 	if got := q.Snapshot(); len(got) != 4 || got[1] != 10 || got[3] != 12 {
 		t.Fatalf("snapshot = %v, want [1 10 11 12]", got)
@@ -189,16 +190,14 @@ func TestBatchQueueCrashAfterPerform(t *testing.T) {
 	o := QueueOptions{VecCap: 4}
 	q := sys.NewQueue("q", 1, WaitFree, o)
 	ops := []core.VecOp{{Op: queue.OpEnq, A0: 20}, {Op: queue.OpEnq, A0: 21}}
-	vp := mustVec(q.q.EnqProtocol(), "queue")
-	seq := interruptBatch(vp, q.sys, 0, 0, ops)
+	seq := interruptBatch(q.q.EnqProtocol(), q.sys, 0, 0, ops)
 	rets := make([]uint64, len(ops))
-	vp.PerformVec(0, len(ops), seq, rets) // applied; sys.end never runs
+	q.q.EnqProtocol().(core.VecProtocol).PerformVec(0, len(ops), seq, rets) // applied; the record never closes
 	sys.Crash(DropUnfenced, 1)
 
 	q = sys.NewQueue("q", 1, WaitFree, o)
-	out, ok := q.RecoverBatch(0)
-	if !ok || len(out) != 2 {
-		t.Fatalf("RecoverBatch = %v,%v", out, ok)
+	if out := q.Recover(0); len(out) != 2 {
+		t.Fatalf("Recover = %v", out)
 	}
 	if got := q.Snapshot(); len(got) != 2 || got[0] != 20 || got[1] != 21 {
 		t.Fatalf("snapshot = %v, want [20 21] (no duplicates)", got)
@@ -206,20 +205,18 @@ func TestBatchQueueCrashAfterPerform(t *testing.T) {
 }
 
 func TestBatchScalarRecoverDelegates(t *testing.T) {
-	// The scalar Recover entry point must resolve a pending vectorized
-	// batch too (reporting OpBatch), so pre-batching recovery loops keep
-	// working unchanged.
+	// The one Recover entry point resolves a pending vectorized batch as its
+	// ops, so recovery loops need no per-mode call.
 	sys := New(Options{CrashTesting: true, NoCost: true})
 	o := StackOptions{VecCap: 4}
 	st := sys.NewStack("s", 1, Blocking, o)
 	ops := []core.VecOp{{Op: 1 /* push */, A0: 5}, {Op: 1, A0: 6}}
-	interruptBatch(mustVec(st.s.Protocol(), "stack"), st.sys, 0, 0, ops)
+	interruptBatch(st.s.Protocol(), st.sys, 0, 0, ops)
 	sys.Crash(DropUnfenced, 1)
 
 	st = sys.NewStack("s", 1, Blocking, o)
-	op, res, pending := st.Recover(0)
-	if !pending || op != OpBatch || res != 2 {
-		t.Fatalf("Recover = %v,%d,%v, want OpBatch,2,true", op, res, pending)
+	if out := st.Recover(0); len(out) != 2 || out[0].Op != OpPush || out[1].A0 != 6 {
+		t.Fatalf("Recover = %+v, want pushes of 5 and 6", out)
 	}
 	if v, ok := st.Pop(0); !ok || v != 6 {
 		t.Fatalf("pop = %d,%v, want 6", v, ok)
@@ -227,17 +224,16 @@ func TestBatchScalarRecoverDelegates(t *testing.T) {
 }
 
 func TestBatchRecoverScalarAsOneOpBatch(t *testing.T) {
-	// RecoverBatch must also resolve a pending *scalar* op (as a one-op
-	// batch) so async callers need a single recovery entry point.
+	// A pending *scalar* op on a vector-capable structure is a batch of one.
 	sys := New(Options{CrashTesting: true, NoCost: true})
 	q := sys.NewQueue("q", 1, Blocking, QueueOptions{VecCap: 4})
-	q.sys.begin(0, 0, uint64(OpEnqueue), 99, 0)
+	q.sys.Begin(0, 0, OpEnqueue, 99, 0)
 	sys.Crash(DropUnfenced, 1)
 
 	q = sys.NewQueue("q", 1, Blocking, QueueOptions{VecCap: 4})
-	out, ok := q.RecoverBatch(0)
-	if !ok || len(out) != 1 || out[0].Op != OpEnqueue || out[0].Arg != 99 {
-		t.Fatalf("RecoverBatch = %v,%v, want one enqueue of 99", out, ok)
+	out := q.Recover(0)
+	if len(out) != 1 || out[0].Op != OpEnqueue || out[0].A0 != 99 {
+		t.Fatalf("Recover = %v, want one enqueue of 99", out)
 	}
 	if got := q.Snapshot(); len(got) != 1 || got[0] != 99 {
 		t.Fatalf("snapshot = %v, want [99]", got)
@@ -250,19 +246,19 @@ func TestBatchObjectCrashRecoverBatch(t *testing.T) {
 	c := sys.NewObject("c", 1, WaitFree, counterObj{}, oo)
 	c.Invoke(0, 1, 5, 0)
 	ops := []core.VecOp{{Op: 1, A0: 7}, {Op: 1, A0: 8}, {Op: 1, A0: 9}}
-	interruptBatch(mustVec(c.c, "object"), c.sys, 0, 0, ops)
+	interruptBatch(c.c, c.sys, 0, 0, ops)
 	sys.Crash(DropUnfenced, 1)
 
 	c = sys.NewObject("c", 1, WaitFree, counterObj{}, oo)
-	out, ok := c.RecoverBatch(0)
-	if !ok || len(out) != 3 {
-		t.Fatalf("RecoverBatch = %v,%v", out, ok)
+	out := c.Recover(0)
+	if len(out) != 3 {
+		t.Fatalf("Recover = %v", out)
 	}
 	// counterObj returns the previous value: recovery must report each
 	// op's individual response, not just the batch's.
 	want := []uint64{5, 12, 20}
 	for i, b := range out {
-		if b.Op != OpInvoke || b.Code != 1 || b.Result != want[i] {
+		if b.Op != 1 || b.Result != want[i] {
 			t.Fatalf("op %d = %+v, want result %d", i, b, want[i])
 		}
 	}

@@ -186,7 +186,7 @@ func main() {
 	if jsonW != nil {
 		// First line of every export: the knobs the numbers depend on, so a
 		// committed artifact is self-describing. Consumers keyed on
-		// (figure, algorithm, threads) — perfgate included — skip it.
+		// (figure, algorithm, threads) skip it.
 		meta := struct {
 			Meta     string `json:"meta"`
 			Ops      uint64 `json:"ops"`

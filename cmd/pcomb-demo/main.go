@@ -57,9 +57,13 @@ func main() {
 	q = sys.NewQueue("demo", *threads, pcomb.Blocking)
 	pendingOps := 0
 	for tid := 0; tid < *threads; tid++ {
-		if op, res, pending := q.Recover(tid); pending {
+		for _, r := range q.Recover(tid) {
 			pendingOps++
-			fmt.Printf("   thread %d: interrupted op %v resolved, result %d\n", tid, op, res)
+			name := "Enqueue"
+			if r.Op == pcomb.OpDequeue {
+				name = "Dequeue"
+			}
+			fmt.Printf("   thread %d: interrupted %s resolved, result %d\n", tid, name, r.Result)
 		}
 	}
 	fmt.Printf("   %d interrupted operations resolved exactly once\n", pendingOps)

@@ -7,7 +7,7 @@ import (
 
 // TestQueueEpochCrashRecover drives the public epoch-mode queue API through
 // a crash: operations covered by a Sync survive, the open epoch's operations
-// vanish wholesale, and RecoverEpoch makes the reopened queue usable again.
+// vanish wholesale, and Recover makes the reopened queue usable again.
 func TestQueueEpochCrashRecover(t *testing.T) {
 	for _, kind := range []Kind{Blocking, WaitFree} {
 		sys := New(Options{CrashTesting: true, NoCost: true})
@@ -24,8 +24,10 @@ func TestQueueEpochCrashRecover(t *testing.T) {
 		sys.Crash(DropUnfenced, 1)
 		q = sys.NewQueue("q", 2, kind, QueueOptions{Epoch: true})
 		for tid := 0; tid < 2; tid++ {
-			if _, _, pending, certain := q.RecoverEpoch(tid); pending && certain {
-				t.Fatalf("kind %d: tid %d reported a certainly-unserved op; all ops completed", kind, tid)
+			for _, r := range q.Recover(tid) {
+				if r.Certain {
+					t.Fatalf("kind %d: tid %d reported a certainly-unserved op; all ops completed", kind, tid)
+				}
 			}
 		}
 		q.Sync()
@@ -85,7 +87,7 @@ func TestMapEpochCrashRecover(t *testing.T) {
 		sys.Crash(DropUnfenced, 1)
 		m = sys.NewMap("m", 2, kind, MapOptions{Epoch: true})
 		for tid := 0; tid < 2; tid++ {
-			m.RecoverEpoch(tid)
+			m.Recover(tid)
 		}
 		m.Sync()
 

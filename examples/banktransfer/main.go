@@ -103,12 +103,12 @@ func main() {
 	fmt.Println("== restart: audit the recovered ledger")
 	bank = sys.NewObject("bank", threads, pcomb.WaitFree, ledger{})
 	for tid := 0; tid < threads; tid++ {
-		if op, res, pending := bank.Recover(tid); pending {
+		for _, r := range bank.Recover(tid) {
 			verdict := "declined"
-			if res == 1 {
+			if r.Result == 1 {
 				verdict = "committed"
 			}
-			fmt.Printf("   thread %d: interrupted transfer (op %d) resolved: %s\n", tid, op, verdict)
+			fmt.Printf("   thread %d: interrupted transfer (op %d) resolved: %s\n", tid, r.Op, verdict)
 		}
 	}
 	got := total(bank)
@@ -165,7 +165,9 @@ func main() {
 	fab = sys.NewShardedMap("fbank", threads, pcomb.WaitFree, pcomb.ShardedMapOptions{Fabric: 4})
 	defer fab.Close()
 	for tid := 0; tid < threads; tid++ {
-		if op, _, _, pending := fab.Recover(tid); pending && op == pcomb.OpTxn {
+		// A transfer that had committed comes back as its two legs, replayed;
+		// one the crash hit before its commit point reports nothing.
+		if legs := fab.Recover(tid); len(legs) == 2 {
 			fmt.Printf("   thread %d: interrupted cross-shard transfer replayed to completion\n", tid)
 		}
 	}

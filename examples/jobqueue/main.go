@@ -3,7 +3,7 @@
 // consumers dequeue them through the async pipelined API — operations are
 // staged per thread and committed a whole vector at a time, so the announce
 // handshake and the record persist amortize over the batch. The machine dies
-// mid-stream; after restart, RecoverBatch resolves every operation of each
+// mid-stream; after restart, Recover resolves every operation of each
 // interrupted batch exactly once, staged-but-uncommitted jobs are dropped
 // wholesale (the async API's commit-point contract), and the accounting
 // proves that no committed job was lost or executed twice.
@@ -120,8 +120,8 @@ func main() {
 	fmt.Println("== restart: re-open the queue, resolve interrupted batches")
 	q = open()
 	for tid := 0; tid < threads; tid++ {
-		ops, pending := q.RecoverBatch(tid)
-		if !pending {
+		ops := q.Recover(tid)
+		if len(ops) == 0 {
 			continue
 		}
 		for _, op := range ops {
@@ -130,7 +130,7 @@ func main() {
 				// The batch's record was durable, so recovery re-ran (or
 				// found) the whole vector: each of its jobs is in the queue
 				// exactly once — confirm it as produced.
-				produced[op.Arg] = true
+				produced[op.A0] = true
 			case pcomb.OpDequeue:
 				if op.Result != pcomb.Empty {
 					if executed[op.Result] {
@@ -161,7 +161,7 @@ func main() {
 	}
 	if lost > 0 {
 		// Every committed batch either completed or was resolved by
-		// RecoverBatch, so a lost job would be a detectability violation.
+		// Recover, so a lost job would be a detectability violation.
 		fmt.Printf("FATAL: %d committed jobs lost\n", lost)
 		os.Exit(1)
 	}

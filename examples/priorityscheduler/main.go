@@ -78,8 +78,8 @@ func main() {
 	sys.Crash(pcomb.DropUnfenced, 3)
 	sched = sys.NewHeap("sched", threads, pcomb.Blocking, bound)
 	for tid := 0; tid < threads; tid++ {
-		if op, res, pending := sched.Recover(tid); pending {
-			fmt.Printf("thread %d: recovered op %v -> %d\n", tid, op, res)
+		for _, r := range sched.Recover(tid) {
+			fmt.Printf("thread %d: recovered op %d -> %d\n", tid, r.Op, r.Result)
 		}
 	}
 	fmt.Printf("after recovery: %d tasks still scheduled\n", sched.Len())

@@ -66,11 +66,11 @@ func main() {
 	st = sys.NewStack("demo-stack", threads, pcomb.Blocking)
 	cnt = sys.NewObject("demo-counter", threads, pcomb.WaitFree, counter{})
 	for tid := 0; tid < threads; tid++ {
-		if op, res, pending := st.Recover(tid); pending {
-			fmt.Printf("thread %d: recovered stack op %v -> %d\n", tid, op, res)
+		for _, r := range st.Recover(tid) {
+			fmt.Printf("thread %d: recovered stack op %d -> %d\n", tid, r.Op, r.Result)
 		}
-		if op, res, pending := cnt.Recover(tid); pending {
-			fmt.Printf("thread %d: recovered counter op %d -> %d\n", tid, op, res)
+		for _, r := range cnt.Recover(tid) {
+			fmt.Printf("thread %d: recovered counter op %d -> %d\n", tid, r.Op, r.Result)
 		}
 	}
 

@@ -86,8 +86,8 @@ func main() {
 	store = sys.NewMap("sessions", workers, pcomb.Blocking,
 		pcomb.MapOptions{Shards: shards, Capacity: 1 << 14})
 	for w := 0; w < workers; w++ {
-		if op, sid, _, p := store.Recover(w); p {
-			fmt.Printf("   worker %d: interrupted op %d on session %x resolved\n", w, op, sid)
+		for _, r := range store.Recover(w) {
+			fmt.Printf("   worker %d: interrupted op %d on session %x resolved\n", w, r.Op, r.A0)
 			if pendingSet[w] {
 				logs[w] = append(logs[w], pending[w]) // it took effect exactly once
 			}

@@ -51,10 +51,6 @@ type TxnLeg struct {
 	Val uint64
 }
 
-// OpTxn is the op code ShardedMap.Recover reports for a resolved cross-shard
-// transaction.
-const OpTxn = fabric.OpTxn
-
 // NewShardedMap creates — or, after Crash, re-opens — a sharded combining
 // fabric for threads client threads. Call Close before discarding the
 // instance (it stops the per-shard combiner goroutines).
@@ -121,11 +117,13 @@ func (m *ShardedMap) Txn(tid int, legs []TxnLeg) []uint64 {
 	return m.f.Txn(tid, fl)
 }
 
-// Recover resolves thread tid's interrupted operation (or whole transaction,
-// reported as op=OpTxn) exactly once. Call for every tid after re-opening.
-func (m *ShardedMap) Recover(tid int) (op, key, result uint64, pending bool) {
-	return m.f.Recover(tid)
-}
+// Recover resolves what thread tid had in flight at the crash, exactly once:
+// an interrupted scalar operation is one Resolved, a committed cross-shard
+// transaction is replayed on every shard and reported as its legs (in the
+// order they were durably logged), and a transaction the crash hit before its
+// commit point is discarded wholesale and reports nothing. Call for every
+// tid after re-opening.
+func (m *ShardedMap) Recover(tid int) []Resolved { return m.f.Recover(tid) }
 
 // Close stops the per-shard combiner goroutines; call while quiescent.
 func (m *ShardedMap) Close() { m.f.Close() }

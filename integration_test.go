@@ -229,9 +229,11 @@ func TestSoak(t *testing.T) {
 			q = sys.NewQueue("soak-q", threads, Blocking)
 			m = sys.NewMap("soak-m", threads, WaitFree, MapOptions{Shards: 4, Capacity: 1 << 14})
 			for tid := 0; tid < threads; tid++ {
-				if op, res, pending := q.Recover(tid); pending && op == OpDequeue && res != Empty {
-					if _, was := inQueue.LoadAndDelete(res); !was {
-						t.Errorf("gen %d: recovered dequeue of unknown value %x", gen, res)
+				for _, r := range q.Recover(tid) {
+					if r.Op == OpDequeue && r.Result != Empty {
+						if _, was := inQueue.LoadAndDelete(r.Result); !was {
+							t.Errorf("gen %d: recovered dequeue of unknown value %x", gen, r.Result)
+						}
 					}
 				}
 				m.Recover(tid)

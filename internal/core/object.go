@@ -146,7 +146,7 @@ type VecProtocol interface {
 	// PublishVec writes ops into tid's persistent argument ring and makes
 	// them durable (pwb+pfence) without announcing. Callers that must order
 	// an external in-progress record between argument durability and the
-	// announcement (the sysArea pattern) use PublishVec + PerformVec;
+	// announcement (internal/sysarea does) use PublishVec + PerformVec;
 	// everyone else calls InvokeVec.
 	PublishVec(tid int, ops []VecOp)
 	// PerformVec announces the cnt ring operations published by PublishVec
@@ -328,16 +328,6 @@ func (s *reqSlot) announce(op, a0, a1, activate uint64) {
 // single atomic store transfers (activate, count) consistently to combiners.
 func (s *reqSlot) announceVec(cnt int, activate uint64) {
 	s.ctl.Store(packCtl(activate, true) | uint64(cnt)<<ctlCountShift)
-}
-
-// roundUpLine rounds n up to a whole number of cache lines so consecutive
-// StateRecs never share a line.
-func roundUpLine(n int) int {
-	r := n % pmem.LineWords
-	if r == 0 {
-		return n
-	}
-	return n + pmem.LineWords - r
 }
 
 // initMagic marks a protocol instance's persistent header as initialized.

@@ -32,29 +32,22 @@ type PBComb struct {
 	state *pmem.Region // 2 records
 	meta  *pmem.Region // word 0: MIndex; word LineWords: init magic
 
-	// Vectorized announcements (CombOpts.VecCap > 1): vec is the per-thread
-	// persistent argument ring — vcap (op, a0, a1) triples per thread,
-	// line-aligned — published and persisted by the owner before the slot
-	// toggle, so a combiner can drain the whole vector and recovery can
-	// re-read the arguments. The ReturnVal block widens to vcap words per
-	// thread so every op of a served vector has a persistent response slot.
-	vcap      int
-	vec       *pmem.Region
-	vecStride int
+	// Vectorized announcements (CombOpts.VecCap > 1): the argument ring. The
+	// ReturnVal block widens to vcap words per thread so every op of a served
+	// vector has a persistent response slot.
+	vecRing
 
 	// Delegation (CombOpts.Delegate): ring entries widen to four words, the
 	// fourth naming the originating thread and parity (see DelOp). delTogs is
 	// per-thread combiner scratch for the announcer toggles a round owes to
 	// delegating announcements, packed q<<1|act.
 	delegate bool
-	entWords int // ring words per vector entry: 3, or 4 with delegation
 	delTogs  [][]uint64
 
 	req     []reqSlot
 	lock    atomic.Uint64
 	lockVal atomic.Uint64
 
-	ctxs    []*pmem.Ctx
 	scratch [][]Request
 
 	// Adaptive announce backoff (see Invoke): per-thread bounded exponential
@@ -100,7 +93,6 @@ type PBComb struct {
 	track *memmodel.Hooks
 	cstat CombTracker
 	vstat VecTracker
-	spans *obs.SpanLog // per-op lifecycle spans; nil = tracing disabled
 }
 
 // NewPBComb creates (or, after a crash, re-opens) a PBComb instance for n
@@ -150,12 +142,12 @@ func NewPBCombWith(h *pmem.Heap, name string, n int, obj Object, o CombOpts) *PB
 	}
 	c.retOff = c.stWords
 	c.deactOff = c.stWords + n*c.vcap
-	c.recWords = roundUpLine(c.deactOff + n)
+	c.recWords = pmem.RoundUpLine(c.deactOff + n)
 
 	c.state = h.AllocOrGet(name+"/pbcomb.state", 2*c.recWords)
 	c.meta = h.AllocOrGet(name+"/pbcomb.meta", 2*pmem.LineWords)
 	if c.vcap > 1 {
-		c.vecStride = roundUpLine(c.entWords * c.vcap)
+		c.vecStride = pmem.RoundUpLine(c.entWords * c.vcap)
 		c.vec = h.AllocOrGet(name+"/pbcomb.vec", n*c.vecStride)
 	}
 
@@ -215,9 +207,6 @@ func (c *PBComb) recOff(i uint64) int { return int(i) * c.recWords }
 // retSlot returns the record-relative offset of thread q's first ReturnVal
 // word; a vector's i-th response lands at retSlot(q)+i.
 func (c *PBComb) retSlot(q int) int { return c.retOff + q*c.vcap }
-
-// vecBase returns the ring offset of thread q's argument vector.
-func (c *PBComb) vecBase(q int) int { return q * c.vecStride }
 
 func (c *PBComb) recState(i uint64) State {
 	return State{r: c.state, off: c.recOff(i), n: c.stWords}

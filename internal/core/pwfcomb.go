@@ -36,28 +36,23 @@ type PWFComb struct {
 	sreg  *pmem.Region // word 0: versioned S; word LineWords: init magic
 	sv    pmem.Versioned
 
-	// Vectorized announcements (CombOpts.VecCap > 1): the same per-thread
-	// persistent argument ring as PBComb's. Combiners read it only for
-	// announcements whose ctl carries a count; a stale read (the owner
-	// republishing for its next vector) can only happen in a round whose
-	// SC/validation is already doomed, and such a round's writes stay in the
-	// loser's private buffer.
-	vcap      int
-	vec       *pmem.Region
-	vecStride int
+	// Vectorized announcements (CombOpts.VecCap > 1): the same argument
+	// ring as PBComb's. Combiners read it only for announcements whose ctl
+	// carries a count; a stale read (the owner republishing for its next
+	// vector) can only happen in a round whose SC/validation is already
+	// doomed, and such a round's writes stay in the loser's private buffer.
+	vecRing
 
 	// Delegation (CombOpts.Delegate): see PBComb — four-word ring entries
 	// whose meta word credits each op to its originator; delTogs is combiner
 	// scratch for the deferred announcer toggles, packed q<<1|act.
 	delegate bool
-	entWords int
 	delTogs  [][]uint64
 
 	req       []reqSlot
 	flush     []prim.PaddedUint64
 	combRound []uint64 // [p*n+q], accessed atomically
 
-	ctxs     []*pmem.Ctx
 	scratch  [][]Request
 	backoffs []*prim.Backoff
 
@@ -123,7 +118,6 @@ type PWFComb struct {
 	track *memmodel.Hooks
 	cstat CombTracker
 	vstat VecTracker
-	spans *obs.SpanLog // per-op lifecycle spans; nil = tracing disabled
 }
 
 // NewPWFComb creates (or re-opens after a crash) a PWFComb instance for n
@@ -174,13 +168,13 @@ func NewPWFCombWith(h *pmem.Heap, name string, n int, obj Object, o CombOpts) *P
 	c.deactOff = c.stWords + n*c.vcap
 	c.idxOff = c.deactOff + n
 	c.pidOff = c.idxOff + n
-	c.recWords = roundUpLine(c.pidOff + 1)
+	c.recWords = pmem.RoundUpLine(c.pidOff + 1)
 
 	c.state = h.AllocOrGet(name+"/pwfcomb.state", (2*n+1)*c.recWords)
 	c.sreg = h.AllocOrGet(name+"/pwfcomb.s", 2*pmem.LineWords)
 	c.sv = pmem.Versioned{R: c.sreg, I: 0}
 	if c.vcap > 1 {
-		c.vecStride = roundUpLine(c.entWords * c.vcap)
+		c.vecStride = pmem.RoundUpLine(c.entWords * c.vcap)
 		c.vec = h.AllocOrGet(name+"/pwfcomb.vec", n*c.vecStride)
 	}
 
@@ -274,9 +268,6 @@ func (c *PWFComb) recOff(slot int) int { return slot * c.recWords }
 // retSlot returns the record-relative offset of thread q's first ReturnVal
 // word; a vector's i-th response lands at retSlot(q)+i.
 func (c *PWFComb) retSlot(q int) int { return c.retOff + q*c.vcap }
-
-// vecBase returns the ring offset of thread q's argument vector.
-func (c *PWFComb) vecBase(q int) int { return q * c.vecStride }
 
 // CurrentState returns a view of the currently valid object state. It is
 // safe only when no operations are in flight.

@@ -9,7 +9,7 @@
 // Durability ordering is the contract that makes recovery exact-once: the
 // arguments are durable (PublishVec fences) before the vector can be
 // announced, so any external in-progress record written between PublishVec
-// and PerformVec (the sysArea pattern) implies an intact ring. Recovery
+// and PerformVec (as internal/sysarea does) implies an intact ring. Recovery
 // callers that kept their own copy of the arguments pass them to RecoverVec,
 // which republishes first — covering crashes that tore a half-written ring
 // before the announcement committed anywhere.
@@ -17,28 +17,33 @@ package core
 
 import (
 	"pcomb/internal/obs"
+	"pcomb/internal/pmem"
 	"pcomb/internal/prim"
 )
 
-// VecCap returns the instance's vector capacity (1 for scalar-only).
-func (c *PBComb) VecCap() int { return c.vcap }
+// vecRing is the per-thread persistent argument ring of a protocol instance —
+// vcap (op, a0, a1[, meta]) entries per thread, line-aligned, published and
+// persisted by the owner before the slot toggle, so a combiner can drain the
+// whole vector and recovery can re-read the arguments — together with what
+// publishing into it needs. PBComb and PWFComb embed it: the ring half of the
+// vector API is the same code for both.
+type vecRing struct {
+	vcap      int // max ops per announcement (1 = scalar-only, no ring)
+	vec       *pmem.Region
+	vecStride int
+	entWords  int // ring words per entry: 3, or 4 with delegation
 
-// VecCap returns the instance's vector capacity (1 for scalar-only).
-func (c *PWFComb) VecCap() int { return c.vcap }
-
-func (c *PBComb) checkVec(cnt int, rets []uint64) {
-	if c.vec == nil {
-		panic("core: instance built without CombOpts.VecCap > 1")
-	}
-	if cnt > c.vcap {
-		panic("core: vector exceeds the instance's VecCap")
-	}
-	if rets != nil && len(rets) < cnt {
-		panic("core: rets shorter than the vector")
-	}
+	ctxs  []*pmem.Ctx
+	spans *obs.SpanLog // per-op lifecycle spans; nil = tracing disabled
 }
 
-func (c *PWFComb) checkVec(cnt int, rets []uint64) {
+// VecCap returns the instance's vector capacity (1 for scalar-only).
+func (c *vecRing) VecCap() int { return c.vcap }
+
+// vecBase returns the ring offset of thread q's argument vector.
+func (c *vecRing) vecBase(q int) int { return q * c.vecStride }
+
+func (c *vecRing) checkVec(cnt int, rets []uint64) {
 	if c.vec == nil {
 		panic("core: instance built without CombOpts.VecCap > 1")
 	}
@@ -52,29 +57,7 @@ func (c *PWFComb) checkVec(cnt int, rets []uint64) {
 
 // PublishVec writes ops into tid's argument ring and makes them durable.
 // See VecProtocol.PublishVec for the ordering contract.
-func (c *PBComb) PublishVec(tid int, ops []VecOp) {
-	c.checkVec(len(ops), nil)
-	var t0 int64
-	if c.spans != nil {
-		t0 = obs.Now()
-	}
-	b := c.vecBase(tid)
-	for i, op := range ops {
-		e := b + c.entWords*i
-		c.vec.Store(e, op.Op)
-		c.vec.Store(e+1, op.A0)
-		c.vec.Store(e+2, op.A1)
-	}
-	ctx := c.ctxs[tid]
-	ctx.PWB(c.vec, b, c.entWords*len(ops))
-	ctx.PFence()
-	if c.spans != nil {
-		c.spans.Record(tid, obs.PhasePublish, t0, obs.Now(), uint64(len(ops)))
-	}
-}
-
-// PublishVec writes ops into tid's argument ring and makes them durable.
-func (c *PWFComb) PublishVec(tid int, ops []VecOp) {
+func (c *vecRing) PublishVec(tid int, ops []VecOp) {
 	c.checkVec(len(ops), nil)
 	var t0 int64
 	if c.spans != nil {
@@ -100,14 +83,7 @@ func (c *PWFComb) PublishVec(tid int, ops []VecOp) {
 // announcement's parity. The stores are plain region writes — the meta word
 // is consumed only by in-process combiners (ordered by the ctl store that
 // follows) and never read by post-crash recovery, which republishes.
-func (c *PBComb) stampMetas(tid, cnt int, seq uint64) {
-	b := c.vecBase(tid)
-	for i := 0; i < cnt; i++ {
-		c.vec.Store(b+4*i+3, packDelMeta(tid, seq))
-	}
-}
-
-func (c *PWFComb) stampMetas(tid, cnt int, seq uint64) {
+func (c *vecRing) stampMetas(tid, cnt int, seq uint64) {
 	b := c.vecBase(tid)
 	for i := 0; i < cnt; i++ {
 		c.vec.Store(b+4*i+3, packDelMeta(tid, seq))
@@ -115,13 +91,7 @@ func (c *PWFComb) stampMetas(tid, cnt int, seq uint64) {
 }
 
 // VecArg reads entry i of tid's argument ring.
-func (c *PBComb) VecArg(tid, i int) VecOp {
-	b := c.vecBase(tid) + c.entWords*i
-	return VecOp{Op: c.vec.Load(b), A0: c.vec.Load(b + 1), A1: c.vec.Load(b + 2)}
-}
-
-// VecArg reads entry i of tid's argument ring.
-func (c *PWFComb) VecArg(tid, i int) VecOp {
+func (c *vecRing) VecArg(tid, i int) VecOp {
 	b := c.vecBase(tid) + c.entWords*i
 	return VecOp{Op: c.vec.Load(b), A0: c.vec.Load(b + 1), A1: c.vec.Load(b + 2)}
 }

@@ -199,21 +199,18 @@ func (d *fabricDriver) Recover() (int, error) {
 		}
 		switch {
 		case d.pendTxnOn[tid]:
-			op, _, nlegs, pending := d.m.Recover(tid)
+			legs := d.m.Recover(tid)
 			d.resolved[tid] = true
 			d.recovered++
-			if !pending {
+			if len(legs) == 0 {
 				// The crash hit before the commit word: the transaction is
 				// discarded wholesale — no shard was invoked, no counter
 				// moved, and the oracle must not see any leg.
 				continue
 			}
-			if op != fabric.OpTxn {
-				return d.recovered, fmt.Errorf("tid %d: txn in flight but recovered scalar op %d", tid, op)
-			}
-			if int(nlegs) != len(d.pendTxn[tid]) {
+			if len(legs) != len(d.pendTxn[tid]) {
 				return d.recovered, fmt.Errorf("tid %d: recovered txn with %d legs, want %d",
-					tid, nlegs, len(d.pendTxn[tid]))
+					tid, len(legs), len(d.pendTxn[tid]))
 			}
 			// Committed before the crash: recovery replayed every shard group
 			// exactly once, so all legs take effect atomically.
@@ -221,15 +218,15 @@ func (d *fabricDriver) Recover() (int, error) {
 				applyFabOracle(d.oracle, l.Op, l.Key, l.Val)
 			}
 		case d.pendActive[tid]:
-			op, key, _, pending := d.m.Recover(tid)
+			rs := d.m.Recover(tid)
 			d.resolved[tid] = true
 			d.recovered++
-			if !pending {
-				return d.recovered, fmt.Errorf("in-flight op of tid %d not pending", tid)
+			if len(rs) != 1 {
+				return d.recovered, fmt.Errorf("in-flight op of tid %d: %d ops pending, want 1", tid, len(rs))
 			}
-			if op != d.pendOp[tid].op || key != d.pendOp[tid].key {
+			if rs[0].Op != d.pendOp[tid].op || rs[0].A0 != d.pendOp[tid].key {
 				return d.recovered, fmt.Errorf("recovered wrong op (%d,%x) want (%d,%x)",
-					op, key, d.pendOp[tid].op, d.pendOp[tid].key)
+					rs[0].Op, rs[0].A0, d.pendOp[tid].op, d.pendOp[tid].key)
 			}
 			applyFabOracle(d.oracle, d.pendOp[tid].op, d.pendOp[tid].key, d.pendOp[tid].val)
 		}

@@ -22,7 +22,7 @@ import (
 // per-thread announcement/sequence state the paper's system model assumes
 // the platform persists on the algorithms' behalf (detectable
 // recoverability is impossible without it), so it is durable without
-// fences and exempt from pwb accounting, like the structures' own sysAreas.
+// fences and exempt from pwb accounting, like the structures' own system areas.
 //
 // Layout (words): one header line [magic, threads, cap, round, cutRound,
 // cutStamp] (the cut pair backs EpochCut), then per thread one line

@@ -386,22 +386,21 @@ func (t *mapKT) Step(j *Journal, tid, i int, round uint64, rng *rand.Rand) {
 }
 
 func (t *mapKT) Resolve(j *Journal, tid int) error {
-	op, key, result, pending := t.m.Recover(tid)
 	rec, hasOpen := j.Open(tid)
-	if pending {
-		// The map's own sysArea had the op in flight: the journal must have
+	for _, r := range t.m.Recover(tid) {
+		// The map's own system area had the op in flight: the journal must have
 		// committed its record first (Begin precedes invocation).
 		if !hasOpen {
 			return fmt.Errorf("%s: tid %d pending in structure but journal has no open record", t.name, tid)
 		}
-		if op != rec.Kind || key != rec.A0 {
+		if r.Op != rec.Kind || r.A0 != rec.A0 {
 			return fmt.Errorf("%s: tid %d recovered (%d,%x), journal says (%d,%x)",
-				t.name, tid, op, key, rec.Kind, rec.A0)
+				t.name, tid, r.Op, r.A0, rec.Kind, rec.A0)
 		}
-		j.MarkRecovered(tid, rec.Idx, result)
+		j.MarkRecovered(tid, rec.Idx, r.Result)
 	}
 	// !pending with an open journal record: the kill landed before the
-	// sysArea record was written (no effect) or after the operation
+	// system-area record was written (no effect) or after the operation
 	// completed in-structure but before the journal response (effect
 	// applied, response lost). Either way the record stays pending — the
 	// checker lets it take effect or vanish, both of which are real

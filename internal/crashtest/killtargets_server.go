@@ -265,17 +265,17 @@ func (t *srvKT) Resolve(j *Journal, tid int) error {
 	}
 	owners := t.keyOwners()
 	for stid := 0; stid < t.n; stid++ {
-		if ops, pending := t.st.Queue().RecoverBatch(stid); pending {
+		if ops := t.st.Queue().Recover(stid); len(ops) > 0 {
 			return fmt.Errorf("%s: server tid %d has %d pending queue ops (workload sends none)",
 				t.name, stid, len(ops))
 		}
-		recops, pending := t.st.Map().RecoverBatch(stid)
-		if !pending {
+		recops := t.st.Map().Recover(stid)
+		if len(recops) == 0 {
 			continue
 		}
-		ctid, ok := owners[recops[0].Key]
+		ctid, ok := owners[recops[0].A0]
 		if !ok {
-			return fmt.Errorf("%s: recovered key %#x has no owner", t.name, recops[0].Key)
+			return fmt.Errorf("%s: recovered key %#x has no owner", t.name, recops[0].A0)
 		}
 		// The interrupted window must be a contiguous run of the owning
 		// client's open records (older open records are completed flushes
@@ -290,12 +290,12 @@ func (t *srvKT) Resolve(j *Journal, tid int) error {
 		for s := 0; s+len(recops) <= len(open); s++ {
 			match := true
 			for k, ro := range recops {
-				if ro.Key != recops[0].Key && owners[ro.Key] != ctid {
+				if ro.A0 != recops[0].A0 && owners[ro.A0] != ctid {
 					return fmt.Errorf("%s: server tid %d window mixes clients %d and %d",
-						t.name, stid, ctid, owners[ro.Key])
+						t.name, stid, ctid, owners[ro.A0])
 				}
 				rec := open[s+k]
-				if rec.Kind != ro.Op || rec.A0 != ro.Key || rec.A1 != ro.Val {
+				if rec.Kind != ro.Op || rec.A0 != ro.A0 || rec.A1 != ro.A1 {
 					match = false
 					break
 				}
@@ -323,11 +323,12 @@ func (t *srvKT) Resolve(j *Journal, tid int) error {
 func (t *srvKT) resolveEpoch(j *Journal) error {
 	owners := t.keyOwners()
 	for stid := 0; stid < t.n; stid++ {
-		t.st.Queue().RecoverEpoch(stid)
-		op, key, result, pending, certain := t.st.Map().RecoverEpoch(stid)
-		if !pending || !certain {
+		t.st.Queue().Recover(stid)
+		rs := t.st.Map().Recover(stid)
+		if len(rs) == 0 || !rs[0].Certain {
 			continue
 		}
+		op, key, result := rs[0].Op, rs[0].A0, rs[0].Result
 		ctid, ok := owners[key]
 		if !ok {
 			return fmt.Errorf("%s: recovered key %#x has no owner", t.name, key)

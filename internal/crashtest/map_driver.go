@@ -25,7 +25,7 @@ func mapCapacity(shards int) int { return shards * 128 }
 // With opts.VecCap > 1 the driver exercises the async Submit/Flush path:
 // each step stages one vector of shard-homogeneous operations (all keys of
 // one flush hash to the same shard, so a flush is exactly one sub-batch and
-// a crash resolves unambiguously through RecoverBatch).
+// a crash resolves unambiguously through one Recover).
 type mapDriver struct {
 	durlin
 	kind hashmap.Kind
@@ -248,30 +248,29 @@ func (d *mapDriver) Recover() (int, error) {
 		}
 		switch {
 		case d.vec() && d.pendVecActive[tid]:
-			recops, pending := d.m.RecoverBatch(tid)
+			recops := d.m.Recover(tid)
 			d.resolved[tid] = true
 			d.recovered++
-			if pending {
-				// The interrupted flush had durably recorded its (single,
-				// shard-homogeneous) sub-batch; its effects are now applied
-				// exactly once — fold them into the oracle in ring order.
-				for _, ro := range recops {
-					applyOracle(d.oracle, ro.Op, ro.Key, ro.Val)
-				}
+			// The interrupted flush had durably recorded its (single,
+			// shard-homogeneous) sub-batch; its effects are now applied
+			// exactly once — fold them into the oracle in ring order.
+			for _, ro := range recops {
+				applyOracle(d.oracle, ro.Op, ro.A0, ro.A1)
 			}
-			// !pending: the crash hit before the sub-batch record was durable;
-			// the staged ops are lost wholesale (and their history entries, if
-			// any, stay pending — free to vanish under the crash-cut checker).
+			// Nothing recovered: the crash hit before the sub-batch record was
+			// durable; the staged ops are lost wholesale (and their history
+			// entries, if any, stay pending — free to vanish under the
+			// crash-cut checker).
 		case !d.vec() && d.pendActive[tid]:
-			op, key, _, pending := d.m.Recover(tid)
+			rs := d.m.Recover(tid)
 			d.resolved[tid] = true
 			d.recovered++
-			if !pending {
-				return d.recovered, fmt.Errorf("in-flight op of tid %d not pending", tid)
+			if len(rs) != 1 {
+				return d.recovered, fmt.Errorf("in-flight op of tid %d: %d ops pending, want 1", tid, len(rs))
 			}
-			if op != d.pendOp[tid].op || key != d.pendOp[tid].key {
+			if rs[0].Op != d.pendOp[tid].op || rs[0].A0 != d.pendOp[tid].key {
 				return d.recovered, fmt.Errorf("recovered wrong op (%d,%x) want (%d,%x)",
-					op, key, d.pendOp[tid].op, d.pendOp[tid].key)
+					rs[0].Op, rs[0].A0, d.pendOp[tid].op, d.pendOp[tid].key)
 			}
 			applyOracle(d.oracle, d.pendOp[tid].op, d.pendOp[tid].key, d.pendOp[tid].val)
 		}
@@ -289,7 +288,7 @@ func (d *mapDriver) notePut(key, val uint64) {
 }
 
 // recoverEpoch resolves the round under epoch-mode semantics via the map's
-// own RecoverEpoch: certain interruptions are re-performed and persisted
+// own Recover: certain interruptions are re-performed and persisted
 // before their record closes, ambiguous ones are closed untouched (their
 // fate is the history checker's call), and every thread's per-shard sequence
 // counters are realigned past parity collisions with the durable deactivate
@@ -313,18 +312,18 @@ func (d *mapDriver) recoverEpoch() (int, error) {
 		}
 		if !d.pendActive[tid] {
 			// Nothing in flight, but trailing completions may have vanished:
-			// RecoverEpoch still realigns the thread's sequence counters.
-			d.m.RecoverEpoch(tid)
+			// Recover still realigns the thread's sequence counters.
+			d.m.Recover(tid)
 			d.resolved[tid] = true
 			continue
 		}
-		op, key, _, pending, certain := d.m.RecoverEpoch(tid)
+		rs := d.m.Recover(tid)
 		d.resolved[tid] = true
 		d.recovered++
-		if pending && certain {
-			if op != d.pendOp[tid].op || key != d.pendOp[tid].key {
+		if len(rs) == 1 && rs[0].Certain {
+			if rs[0].Op != d.pendOp[tid].op || rs[0].A0 != d.pendOp[tid].key {
 				return d.recovered, fmt.Errorf("recovered wrong op (%d,%x) want (%d,%x)",
-					op, key, d.pendOp[tid].op, d.pendOp[tid].key)
+					rs[0].Op, rs[0].A0, d.pendOp[tid].op, d.pendOp[tid].key)
 			}
 		}
 		// Whether re-performed, ambiguous, or completed-then-interrupted, an

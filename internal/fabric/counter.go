@@ -5,27 +5,19 @@ import (
 
 	"pcomb/internal/core"
 	"pcomb/internal/pmem"
+	"pcomb/internal/sysarea"
 )
 
 // Counter is a sharded recoverable fetch&add counter behind the fabric
 // router: thread tid's adds always land on shard tid mod S, so different
 // threads contend only within their stripe and the aggregate value is the
-// quiescent sum of the stripes. The per-thread system area uses the fabric's
-// record-before-counter ordering.
+// quiescent sum of the stripes. The system area has one class per stripe; a
+// thread only ever uses its own stripe's.
 type Counter struct {
 	n, nsh int
 	shards []core.Protocol
-	// Per-thread block: [seq counter, delta, seq, done].
-	sys *pmem.Region
+	sys    *sysarea.Area
 }
-
-const (
-	fcCnt = iota
-	fcDelta
-	fcSeq
-	fcDone
-	fcStride
-)
 
 // NewCounter creates (or re-opens) a sharded counter for n threads across
 // nsh shard stripes (0 = 4).
@@ -37,7 +29,6 @@ func NewCounter(h *pmem.Heap, name string, n int, kind Kind, nsh int) *Counter {
 		nsh = n
 	}
 	c := &Counter{n: n, nsh: nsh}
-	c.sys = h.AllocOrGet(name+"/fabcnt.sys", n*fcStride)
 	obj := core.Counter{}
 	for s := 0; s < nsh; s++ {
 		sname := fmt.Sprintf("%s/cshard%d", name, s)
@@ -47,6 +38,7 @@ func NewCounter(h *pmem.Heap, name string, n int, kind Kind, nsh int) *Counter {
 			c.shards = append(c.shards, core.NewPBCombWith(h, sname, n, obj, core.CombOpts{}))
 		}
 	}
+	c.sys = sysarea.New(h, name+"/fabcnt.sys", n, c.shards, nil)
 	return c
 }
 
@@ -58,33 +50,12 @@ func (c *Counter) stripe(tid int) int { return tid % c.nsh }
 // Add adds delta to the counter and returns the previous value of tid's
 // stripe (a fetch&add within the stripe).
 func (c *Counter) Add(tid int, delta uint64) uint64 {
-	base := tid * fcStride
-	seq := c.sys.Load(base+fcCnt) + 1
-	c.sys.DirectStore(base+fcDelta, delta)
-	c.sys.DirectStore(base+fcSeq, seq)
-	c.sys.DirectStore(base+fcDone, 0)
-	c.sys.DirectStore(base+fcCnt, seq)
-	ret := c.shards[c.stripe(tid)].Invoke(tid, core.OpCounterAdd, delta, 0, seq)
-	c.sys.DirectStore(base+fcDone, 1)
-	return ret
+	return c.sys.Invoke(tid, c.stripe(tid), core.OpCounterAdd, delta, 0)
 }
 
 // Recover resolves tid's interrupted add — exactly once — and repairs the
-// sequence counter. pending is false when nothing was in flight.
-func (c *Counter) Recover(tid int) (delta, result uint64, pending bool) {
-	base := tid * fcStride
-	seq := c.sys.Load(base + fcSeq)
-	if seq == 0 || c.sys.Load(base+fcDone) == 1 {
-		return 0, 0, false
-	}
-	delta = c.sys.Load(base + fcDelta)
-	if c.sys.Load(base+fcCnt) < seq {
-		c.sys.DirectStore(base+fcCnt, seq)
-	}
-	result = c.shards[c.stripe(tid)].Recover(tid, core.OpCounterAdd, delta, 0, seq)
-	c.sys.DirectStore(base+fcDone, 1)
-	return delta, result, true
-}
+// sequence counter (sysarea.Area.Recover); A0 is the delta.
+func (c *Counter) Recover(tid int) []sysarea.Resolved { return c.sys.Recover(tid) }
 
 // Value returns the aggregate counter value (sum of stripes). Quiescent use
 // only.

@@ -38,6 +38,7 @@ import (
 	"pcomb/internal/obs"
 	"pcomb/internal/pmem"
 	"pcomb/internal/prim"
+	"pcomb/internal/sysarea"
 )
 
 // Re-exported map operation codes and sentinels (the fabric's shards run the
@@ -51,10 +52,6 @@ const (
 	NotFound = hashmap.NotFound
 	Full     = hashmap.Full
 )
-
-// OpTxn is the op code Recover reports for a resolved cross-shard
-// transaction (result = number of legs; per-leg results via RecoverTxn).
-const OpTxn = uint64(1) << 62
 
 // Kind selects the underlying combining protocol of every shard.
 type Kind int
@@ -94,29 +91,6 @@ type Options struct {
 	// EpochInterval is the background close cadence (Epoch mode).
 	EpochInterval time.Duration
 }
-
-// Per-thread scalar in-flight record, after the nsh sequence counters.
-const (
-	fsOp = iota
-	fsKey
-	fsVal
-	fsShard
-	fsSeq
-	fsDone
-	fsRecWords
-)
-
-// Per-thread transaction record, after the scalar record:
-// [txOp, txDone, (shard,seq,cnt) x maxGroups, (op,key,val) x maxLegs].
-const (
-	txOpW = iota
-	txDoneW
-	txHdrWords
-)
-
-// txnMark in the txOp word marks a committed, possibly unfinished
-// transaction; the low bits carry the group count.
-const txnMark = uint64(1) << 63
 
 // Board slot states for hierarchical combining.
 const (
@@ -170,24 +144,17 @@ type Map struct {
 
 	shards []core.DelegateProtocol
 
-	// sys is the per-thread system area. Layout per thread (stride words):
-	// [nsh shard-seq counters | scalar record fsRecWords | txn record].
-	// Unlike the flat hashmap, the in-flight record is completed (done=0
-	// stored last) BEFORE the sequence counter moves, so a crash can never
-	// leave a counter ahead of a record recovery cannot see; Recover repairs
-	// the counter forward from the record instead.
-	sys    *pmem.Region
-	stride int
-	recOff int // scalar record offset within a thread block
-	txOff  int // txn record offset
-	grpOff int // groups offset within txn record
-	legOff int // legs offset within txn record
+	// sys is the fabric's system area (one sequence-counter class per shard);
+	// txn is the per-thread transaction redo log beside it (txn.go).
+	sys      *sysarea.Area
+	txn      *pmem.Region
+	txStride int
+	legOff   int // legs offset within a thread's txn record
 
 	boards []*board
 	combs  []*combiner
 
 	epoch *pmem.Epoch
-	hist  *history.Recorder
 }
 
 // New creates (or re-opens after a crash) a fabric map for n client threads.
@@ -230,12 +197,10 @@ func New(h *pmem.Heap, name string, n int, o Options) *Map {
 	if m.maxGrps > maxLegs {
 		m.maxGrps = maxLegs
 	}
-	m.recOff = nsh
-	m.txOff = m.recOff + fsRecWords
-	m.grpOff = m.txOff + txHdrWords
-	m.legOff = m.grpOff + 3*m.maxGrps
-	m.stride = m.legOff + 3*m.maxLegs
-	m.sys = h.AllocOrGet(name+"/fabric.sys", n*m.stride)
+	m.legOff = txHdrWords + 3*m.maxGrps
+	// Whole cache lines per thread, so neighbours' logs never share one.
+	m.txStride = pmem.RoundUpLine(m.legOff + 3*m.maxLegs)
+	m.txn = h.AllocOrGet(name+"/fabric.txn", n*m.txStride)
 
 	obj := hashmap.NewShardObject(m.slots)
 	co := core.CombOpts{Sparse: true, VecCap: vcap, Delegate: true}
@@ -255,6 +220,11 @@ func New(h *pmem.Heap, name string, n int, o Options) *Map {
 			sh.(core.EpochCapable).AttachEpoch(m.epoch)
 		}
 	}
+	protos := make([]core.Protocol, nsh)
+	for s, sh := range m.shards {
+		protos[s] = sh
+	}
+	m.sys = sysarea.New(h, name+"/fabric.sys", n, protos, m.epoch)
 	if !m.flat {
 		m.boards = make([]*board, nsh)
 		m.combs = make([]*combiner, nsh)
@@ -395,12 +365,7 @@ func (m *Map) ShardOf(key uint64) int { return m.shardOf(key) }
 
 // SetHistory installs (or removes, with nil) a durable-linearizability
 // history recorder. Install while quiescent.
-func (m *Map) SetHistory(h *history.Recorder) {
-	if h != nil && m.epoch != nil {
-		h.SetEpochClock(m.epoch.Now)
-	}
-	m.hist = h
-}
+func (m *Map) SetHistory(h *history.Recorder) { m.sys.SetHistory(h) }
 
 // tidClamp adapts an external per-thread stats sink sized for the n client
 // threads to the fabric's extra combiner tid (ctid = n): the service
@@ -419,11 +384,11 @@ func (c tidClamp) tid(t int) int {
 	}
 	return t
 }
-func (c tidClamp) Round(tid, degree int)  { c.t.Round(c.tid(tid), degree) }
-func (c tidClamp) Helped(tid int)         { c.t.Helped(c.tid(tid)) }
-func (c tidClamp) LockFail(tid int)       { c.t.LockFail(c.tid(tid)) }
-func (c tidClamp) SCFail(tid int)         { c.t.SCFail(c.tid(tid)) }
-func (c tidClamp) Copied(tid, words int)  { c.t.Copied(c.tid(tid), words) }
+func (c tidClamp) Round(tid, degree int) { c.t.Round(c.tid(tid), degree) }
+func (c tidClamp) Helped(tid int)        { c.t.Helped(c.tid(tid)) }
+func (c tidClamp) LockFail(tid int)      { c.t.LockFail(c.tid(tid)) }
+func (c tidClamp) SCFail(tid int)        { c.t.SCFail(c.tid(tid)) }
+func (c tidClamp) Copied(tid, words int) { c.t.Copied(c.tid(tid), words) }
 func (c tidClamp) BatchSize(tid, sz int) {
 	if c.v != nil {
 		c.v.BatchSize(c.tid(tid), sz)
@@ -532,32 +497,10 @@ func (m *Map) Sync() {
 
 // invoke records the op durably, routes it, and marks it done.
 func (m *Map) invoke(tid int, op, key, val uint64) uint64 {
-	if h := m.hist; h != nil {
-		h.Begin(tid, op, key, val)
-		ret := m.invokeInner(tid, op, key, val)
-		h.End(tid, ret)
-		return ret
-	}
-	return m.invokeInner(tid, op, key, val)
-}
-
-func (m *Map) invokeInner(tid int, op, key, val uint64) uint64 {
 	sh := m.shardOf(key)
-	base := tid * m.stride
-	seq := m.sys.Load(base+sh) + 1
-	// Record first — done=0 is the last record word stored — THEN the
-	// counter: recovery reads the record whenever done==0 and repairs the
-	// counter forward from it, so no crash point leaves the counter and the
-	// record's parity misaligned.
-	m.sys.DirectStore(base+m.recOff+fsOp, op)
-	m.sys.DirectStore(base+m.recOff+fsKey, key)
-	m.sys.DirectStore(base+m.recOff+fsVal, val)
-	m.sys.DirectStore(base+m.recOff+fsShard, uint64(sh))
-	m.sys.DirectStore(base+m.recOff+fsSeq, seq)
-	m.sys.DirectStore(base+m.recOff+fsDone, 0)
-	m.sys.DirectStore(base+sh, seq)
+	seq := m.sys.Begin(tid, sh, op, key, val)
 	ret := m.perform(tid, sh, op, key, val, seq)
-	m.sys.DirectStore(base+m.recOff+fsDone, 1)
+	m.sys.End(tid, ret)
 	return ret
 }
 
@@ -638,35 +581,18 @@ func (m *Map) Add(tid int, key, delta uint64) uint64 {
 	return m.invoke(tid, OpAdd, key, delta)
 }
 
-// Recover resolves thread tid's interrupted operation after a crash — re-run
-// or fetch, exactly once — and repairs tid's sequence counters. pending is
-// false when tid had nothing in flight. An interrupted cross-shard
-// transaction reports op=OpTxn and result=len(legs); use RecoverTxn for its
-// per-leg results. Call for every tid in [0, n) after re-opening.
-func (m *Map) Recover(tid int) (op, key, result uint64, pending bool) {
-	if legs, ok := m.RecoverTxn(tid); ok {
-		return OpTxn, 0, uint64(len(legs)), true
+// Recover resolves what thread tid had in flight at the crash — exactly
+// once — and repairs tid's sequence counters: a committed cross-shard
+// transaction is replayed and reported as its legs, in durable (group) order;
+// otherwise the interrupted scalar operation, if any, is re-run or fetched
+// (sysarea.Area.Recover). A transaction the crash hit before its commit word
+// is discarded wholesale and reports nothing. Call for every tid in [0, n)
+// after re-opening.
+func (m *Map) Recover(tid int) []sysarea.Resolved {
+	if legs, ok := m.recoverTxn(tid); ok {
+		return m.sys.Recorded(tid, legs)
 	}
-	base := tid * m.stride
-	if m.sys.Load(base+m.recOff+fsOp) == 0 || m.sys.Load(base+m.recOff+fsDone) == 1 {
-		return 0, 0, 0, false
-	}
-	op = m.sys.Load(base + m.recOff + fsOp)
-	key = m.sys.Load(base + m.recOff + fsKey)
-	val := m.sys.Load(base + m.recOff + fsVal)
-	sh := int(m.sys.Load(base + m.recOff + fsShard))
-	seq := m.sys.Load(base + m.recOff + fsSeq)
-	if m.sys.Load(base+sh) < seq {
-		// The crash hit between the record completing and the counter
-		// moving; roll the counter forward so the next op draws seq+1.
-		m.sys.DirectStore(base+sh, seq)
-	}
-	result = m.shards[sh].Recover(tid, op, key, val, seq)
-	m.sys.DirectStore(base+m.recOff+fsDone, 1)
-	if h := m.hist; h != nil {
-		h.Resolve(tid, result)
-	}
-	return op, key, result, true
+	return m.sys.Recover(tid)
 }
 
 // Len returns the number of live keys. Quiescent use only.

@@ -218,9 +218,9 @@ func TestFabricScalarCrashExactlyOnce(t *testing.T) {
 				h.FinishCrash(pmem.RandomCut, int64(gen))
 				m = New(h, "m", threads, v.opts)
 				for tid := 0; tid < threads; tid++ {
-					if op, _, _, pending := m.Recover(tid); pending {
-						if op != OpAdd {
-							t.Fatalf("recovered op %x, want OpAdd", op)
+					for _, r := range m.Recover(tid) {
+						if r.Op != OpAdd {
+							t.Fatalf("recovered op %x, want OpAdd", r.Op)
 						}
 						applied[tid]++
 					}
@@ -259,7 +259,7 @@ func TestFabricCounter(t *testing.T) {
 	h.Crash(pmem.RandomCut, 1)
 	c = NewCounter(h, "c", threads, Blocking, 2)
 	for tid := 0; tid < threads; tid++ {
-		if _, _, pending := c.Recover(tid); pending {
+		if c.Recover(tid) != nil {
 			t.Fatalf("tid %d pending after quiescent crash", tid)
 		}
 	}
@@ -303,9 +303,7 @@ func TestFabricCounterCrashExactlyOnce(t *testing.T) {
 		c = NewCounter(h, "c", threads, Blocking, 2)
 		for tid := 0; tid < threads; tid++ {
 			applied += done[tid]
-			if _, _, pending := c.Recover(tid); pending {
-				applied++
-			}
+			applied += uint64(len(c.Recover(tid)))
 		}
 		if v := c.Value(); v != applied {
 			t.Fatalf("gen %d: value %d, want %d", gen, v, applied)

@@ -3,8 +3,10 @@ package fabric
 import (
 	"fmt"
 
+	"pcomb/internal/core"
 	"pcomb/internal/pmem"
 	"pcomb/internal/queue"
+	"pcomb/internal/sysarea"
 )
 
 // Queue is a sharded relaxed-FIFO queue behind the fabric router: S
@@ -13,18 +15,13 @@ import (
 // sub-queue is found. Elements of one sub-queue stay FIFO; across
 // sub-queues ordering is relaxed (the usual k-FIFO trade: S-way more
 // combining parallelism for bounded reordering). Every operation remains
-// detectably recoverable via the per-thread record + per-(thread, shard,
-// side) sequence counters, with the fabric's record-before-counter
-// ordering.
+// detectably recoverable through the system area, with one sequence-counter
+// class per (sub-queue, side): sub-queue sh enqueues on class sh and dequeues
+// on class nsh+sh.
 type Queue struct {
 	n, nsh int
 	shards []*queue.Queue
-
-	// Per-thread block: [enq seqs x nsh, deq seqs x nsh,
-	// op, val, shard, seq, done].
-	sys    *pmem.Region
-	stride int
-	recOff int
+	sys    *sysarea.Area
 
 	cursor []paddedInt // volatile per-thread round-robin cursor
 }
@@ -34,15 +31,6 @@ type paddedInt struct {
 	_ [7]uint64
 }
 
-const (
-	fqOp = iota
-	fqVal
-	fqShard
-	fqSeq
-	fqDone
-	fqRecWords
-)
-
 // NewQueue creates (or re-opens) a sharded queue for n threads across nsh
 // sub-queues (0 = 4).
 func NewQueue(h *pmem.Heap, name string, n int, kind queue.Kind, nsh int, opt queue.Options) *Queue {
@@ -50,12 +38,13 @@ func NewQueue(h *pmem.Heap, name string, n int, kind queue.Kind, nsh int, opt qu
 		nsh = 4
 	}
 	q := &Queue{n: n, nsh: nsh}
-	q.recOff = 2 * nsh
-	q.stride = q.recOff + fqRecWords
-	q.sys = h.AllocOrGet(name+"/fabq.sys", n*q.stride)
+	insts := make([]core.Protocol, 2*nsh)
 	for s := 0; s < nsh; s++ {
-		q.shards = append(q.shards, queue.New(h, fmt.Sprintf("%s/qshard%d", name, s), n, kind, opt))
+		sh := queue.New(h, fmt.Sprintf("%s/qshard%d", name, s), n, kind, opt)
+		q.shards = append(q.shards, sh)
+		insts[s], insts[nsh+s] = sh.EnqProtocol(), sh.DeqProtocol()
 	}
+	q.sys = sysarea.New(h, name+"/fabq.sys", n, insts, nil)
 	q.cursor = make([]paddedInt, n)
 	for i := range q.cursor {
 		q.cursor[i].v = i % nsh // stagger starting shards across threads
@@ -66,42 +55,21 @@ func NewQueue(h *pmem.Heap, name string, n int, kind queue.Kind, nsh int, opt qu
 // Shards returns the sub-queue count.
 func (q *Queue) Shards() int { return q.nsh }
 
-func (q *Queue) record(tid int, op uint64, val uint64, sh int, seq uint64) {
-	base := tid * q.stride
-	m := q.sys
-	m.DirectStore(base+q.recOff+fqOp, op)
-	m.DirectStore(base+q.recOff+fqVal, val)
-	m.DirectStore(base+q.recOff+fqShard, uint64(sh))
-	m.DirectStore(base+q.recOff+fqSeq, seq)
-	m.DirectStore(base+q.recOff+fqDone, 0)
-}
-
 // Enqueue appends v to the next sub-queue of tid's round-robin cursor.
 func (q *Queue) Enqueue(tid int, v uint64) {
 	sh := q.cursor[tid].v
 	q.cursor[tid].v = (sh + 1) % q.nsh
-	base := tid * q.stride
-	seq := q.sys.Load(base+sh) + 1
-	q.record(tid, queue.OpEnq, v, sh, seq)
-	q.sys.DirectStore(base+sh, seq)
-	q.shards[sh].Enqueue(tid, v, seq)
-	q.sys.DirectStore(base+q.recOff+fqDone, 1)
+	q.sys.Invoke(tid, sh, queue.OpEnq, v, 0)
 }
 
 // Dequeue removes and returns an element, scanning sub-queues from tid's
 // cursor; ok is false only when every sub-queue reported empty in one pass.
 // Each probe is a real recoverable dequeue on its sub-queue.
 func (q *Queue) Dequeue(tid int) (uint64, bool) {
-	base := tid * q.stride
 	start := q.cursor[tid].v
 	for i := 0; i < q.nsh; i++ {
 		sh := (start + i) % q.nsh
-		seq := q.sys.Load(base+q.nsh+sh) + 1
-		q.record(tid, queue.OpDeq, 0, sh, seq)
-		q.sys.DirectStore(base+q.nsh+sh, seq)
-		v, ok := q.shards[sh].Dequeue(tid, seq)
-		q.sys.DirectStore(base+q.recOff+fqDone, 1)
-		if ok {
+		if v := q.sys.Invoke(tid, q.nsh+sh, queue.OpDeq, 0, 0); v != queue.Empty {
 			q.cursor[tid].v = sh
 			return v, true
 		}
@@ -110,32 +78,9 @@ func (q *Queue) Dequeue(tid int) (uint64, bool) {
 }
 
 // Recover resolves tid's interrupted operation — exactly once — and repairs
-// the touched sequence counter. op is queue.OpEnq or queue.OpDeq; for a
-// dequeue, val/ok report the recovered element.
-func (q *Queue) Recover(tid int) (op, val uint64, ok, pending bool) {
-	base := tid * q.stride
-	op = q.sys.Load(base + q.recOff + fqOp)
-	if op == 0 || q.sys.Load(base+q.recOff+fqDone) == 1 {
-		return 0, 0, false, false
-	}
-	sh := int(q.sys.Load(base + q.recOff + fqShard))
-	seq := q.sys.Load(base + q.recOff + fqSeq)
-	if op == queue.OpEnq {
-		if q.sys.Load(base+sh) < seq {
-			q.sys.DirectStore(base+sh, seq)
-		}
-		v := q.sys.Load(base + q.recOff + fqVal)
-		q.shards[sh].RecoverEnqueue(tid, v, seq)
-		q.sys.DirectStore(base+q.recOff+fqDone, 1)
-		return op, v, true, true
-	}
-	if q.sys.Load(base+q.nsh+sh) < seq {
-		q.sys.DirectStore(base+q.nsh+sh, seq)
-	}
-	v, got := q.shards[sh].RecoverDequeue(tid, seq)
-	q.sys.DirectStore(base+q.recOff+fqDone, 1)
-	return op, v, got, true
-}
+// the touched sequence counter (sysarea.Area.Recover). Op is queue.OpEnq or
+// queue.OpDeq; a dequeue's Result is the element or queue.Empty.
+func (q *Queue) Recover(tid int) []sysarea.Resolved { return q.sys.Recover(tid) }
 
 // Len returns the total element count across sub-queues. Quiescent use only.
 func (q *Queue) Len() int {

@@ -4,7 +4,21 @@ import (
 	"fmt"
 
 	"pcomb/internal/core"
+	"pcomb/internal/sysarea"
 )
+
+// Per-thread transaction record — the redo log, in its own region beside the
+// system area: [txOp, txDone, (shard,seq,cnt) x maxGroups, (op,key,val) x
+// maxLegs]. Its stores are system-persisted like the system area's.
+const (
+	txOpW = iota
+	txDoneW
+	txHdrWords
+)
+
+// txnMark in the txOp word marks a committed, possibly unfinished
+// transaction; the low bits carry the group count.
+const txnMark = uint64(1) << 63
 
 // Leg is one operation of a cross-shard transaction.
 type Leg struct {
@@ -39,8 +53,7 @@ func (m *Map) Txn(tid int, legs []Leg) []uint64 {
 	if len(legs) > m.maxLegs {
 		panic(fmt.Sprintf("fabric: %d legs exceed MaxLegs %d", len(legs), m.maxLegs))
 	}
-	base := tid * m.stride
-	txb := base + m.txOff
+	txb := tid * m.txStride
 
 	// Group legs by shard in first-appearance order, preserving program
 	// order within a shard.
@@ -56,7 +69,7 @@ func (m *Map) Txn(tid int, legs []Leg) []uint64 {
 		sh := m.shardOf(l.Key)
 		g := byShard[sh]
 		if g == nil {
-			g = &group{sh: sh, seq: m.sys.Load(base+sh) + 1}
+			g = &group{sh: sh, seq: m.sys.Seq(tid, sh) + 1}
 			byShard[sh] = g
 			groups = append(groups, g)
 		}
@@ -69,7 +82,8 @@ func (m *Map) Txn(tid int, legs []Leg) []uint64 {
 		}
 	}
 
-	if h := m.hist; h != nil {
+	h := m.sys.History()
+	if h != nil {
 		// One invocation per leg, before the transaction's first persistence
 		// event: a crash anywhere inside leaves exactly these legs pending.
 		// Begins follow GROUP order — the order the legs are durably laid
@@ -83,30 +97,30 @@ func (m *Map) Txn(tid int, legs []Leg) []uint64 {
 
 	// Prepare. Disarm the commit word first: a crash while the record is
 	// being rebuilt must read as "no transaction in flight".
-	m.sys.DirectStore(txb+txOpW, 0)
+	m.txn.DirectStore(txb+txOpW, 0)
 	li := 0
 	for gi, g := range groups {
 		for _, op := range g.ops {
-			lb := base + m.legOff + 3*li
-			m.sys.DirectStore(lb, op.Op)
-			m.sys.DirectStore(lb+1, op.A0)
-			m.sys.DirectStore(lb+2, op.A1)
+			lb := txb + m.legOff + 3*li
+			m.txn.DirectStore(lb, op.Op)
+			m.txn.DirectStore(lb+1, op.A0)
+			m.txn.DirectStore(lb+2, op.A1)
 			li++
 		}
-		gb := base + m.grpOff + 3*gi
-		m.sys.DirectStore(gb, uint64(g.sh))
-		m.sys.DirectStore(gb+1, g.seq)
-		m.sys.DirectStore(gb+2, uint64(len(g.ops)))
+		gb := txb + txHdrWords + 3*gi
+		m.txn.DirectStore(gb, uint64(g.sh))
+		m.txn.DirectStore(gb+1, g.seq)
+		m.txn.DirectStore(gb+2, uint64(len(g.ops)))
 	}
-	m.sys.DirectStore(txb+txDoneW, 0)
+	m.txn.DirectStore(txb+txDoneW, 0)
 
 	// Commit point: one durable word flip.
-	m.sys.DirectStore(txb+txOpW, txnMark|uint64(len(groups)))
+	m.txn.DirectStore(txb+txOpW, txnMark|uint64(len(groups)))
 
 	// Apply: counters move only after the commit word, so recovery can
 	// always re-derive them from the group records.
 	for _, g := range groups {
-		m.sys.DirectStore(base+g.sh, g.seq)
+		m.sys.RollSeq(tid, g.sh, g.seq)
 	}
 	rets := make([]uint64, len(legs))
 	tmp := make([]uint64, m.maxLegs)
@@ -118,12 +132,12 @@ func (m *Map) Txn(tid int, legs []Leg) []uint64 {
 		}
 		grpRets = append(grpRets, tmp[:len(g.ops)]...)
 	}
-	m.sys.DirectStore(txb+txDoneW, 1)
-	if h := m.hist; h != nil {
+	m.txn.DirectStore(txb+txDoneW, 1)
+	if h != nil {
 		// Ends in Begin (= group) order, matching the recorder's pending
 		// queue — and only after txDone, past the last crashable point: a
 		// crash between group applications must leave EVERY leg pending, so
-		// the restarted RecoverTxn's Resolves meet an all-pending queue
+		// the restarted recovery's Resolves meet an all-pending queue
 		// instead of re-completing legs an earlier pass already closed.
 		for _, r := range grpRets {
 			h.End(tid, r)
@@ -154,40 +168,35 @@ func (m *Map) PutAll(tid int, pairs []Leg) []uint64 {
 	return m.Txn(tid, legs)
 }
 
-// RecLeg is one recovered transaction leg with its result.
-type RecLeg struct {
-	Op     uint64
-	Key    uint64
-	Val    uint64
-	Result uint64
-}
-
-// RecoverTxn resolves thread tid's interrupted cross-shard transaction —
+// recoverTxn resolves thread tid's interrupted cross-shard transaction —
 // exactly once — and reports every leg's result in durable (group) order.
 // ok is false when no committed transaction was in flight: either none was
 // running, or the crash hit before the commit word, in which case the
 // transaction is discarded wholesale (no shard ever saw it).
-func (m *Map) RecoverTxn(tid int) (legs []RecLeg, ok bool) {
-	base := tid * m.stride
-	txb := base + m.txOff
-	txop := m.sys.Load(txb + txOpW)
-	if txop&txnMark == 0 || m.sys.Load(txb+txDoneW) == 1 {
+//
+// The legs are NOT reported to the history here but by the caller, after
+// txDone and so past the last crashable point: if a second crash unwinds a
+// RecoverVec below, the retried pass replays every group and must find all
+// legs still pending (restartability — a half-resolved queue would mis-attach
+// responses to later legs).
+func (m *Map) recoverTxn(tid int) (legs []sysarea.Resolved, ok bool) {
+	txb := tid * m.txStride
+	txop := m.txn.Load(txb + txOpW)
+	if txop&txnMark == 0 || m.txn.Load(txb+txDoneW) == 1 {
 		return nil, false
 	}
 	ngroups := int(txop &^ txnMark)
 	li := 0
 	for gi := 0; gi < ngroups; gi++ {
-		gb := base + m.grpOff + 3*gi
-		sh := int(m.sys.Load(gb))
-		seq := m.sys.Load(gb + 1)
-		cnt := int(m.sys.Load(gb + 2))
-		if m.sys.Load(base+sh) < seq {
-			m.sys.DirectStore(base+sh, seq)
-		}
+		gb := txb + txHdrWords + 3*gi
+		sh := int(m.txn.Load(gb))
+		seq := m.txn.Load(gb + 1)
+		cnt := int(m.txn.Load(gb + 2))
+		m.sys.RollSeq(tid, sh, seq)
 		ops := make([]core.VecOp, cnt)
 		for i := range ops {
-			lb := base + m.legOff + 3*(li+i)
-			ops[i] = core.VecOp{Op: m.sys.Load(lb), A0: m.sys.Load(lb + 1), A1: m.sys.Load(lb + 2)}
+			lb := txb + m.legOff + 3*(li+i)
+			ops[i] = core.VecOp{Op: m.txn.Load(lb), A0: m.txn.Load(lb + 1), A1: m.txn.Load(lb + 2)}
 		}
 		rets := make([]uint64, cnt)
 		// RecoverVec is parity-gated: a group the crash already applied
@@ -195,19 +204,10 @@ func (m *Map) RecoverTxn(tid int) (legs []RecLeg, ok bool) {
 		// replay converges to exactly-once whatever the crash point.
 		m.shards[sh].RecoverVec(tid, ops, seq, rets)
 		for i := range ops {
-			legs = append(legs, RecLeg{Op: ops[i].Op, Key: ops[i].A0, Val: ops[i].A1, Result: rets[i]})
+			legs = append(legs, sysarea.Resolved{Op: ops[i].Op, A0: ops[i].A0, A1: ops[i].A1, Result: rets[i], Certain: true})
 		}
 		li += cnt
 	}
-	m.sys.DirectStore(txb+txDoneW, 1)
-	if h := m.hist; h != nil {
-		// Resolves only after txDone, past the last crashable point: if a
-		// second crash unwinds a RecoverVec above, the retried pass replays
-		// every group and must find all legs still pending (restartability —
-		// a half-resolved queue would mis-attach responses to later legs).
-		for _, l := range legs {
-			h.Resolve(tid, l.Result)
-		}
-	}
+	m.txn.DirectStore(txb+txDoneW, 1)
 	return legs, true
 }

@@ -99,15 +99,16 @@ func TestTxnCrashEnumeration(t *testing.T) {
 				crashes++
 				h.FinishCrash(pmem.RandomCut, crashAt)
 				m2 := New(h, "m", 1, opts)
-				op, _, _, pending := m2.Recover(0)
-				if pending && op != OpTxn && op != OpAdd {
-					t.Fatalf("crashAt %d: recovered op %x", crashAt, op)
+				for _, r := range m2.Recover(0) {
+					if r.Op != OpAdd {
+						t.Fatalf("crashAt %d: recovered op %x", crashAt, r.Op)
+					}
 				}
 				if got := m2.SumValues(); got != sum {
 					t.Fatalf("crashAt %d: sum = %d, want %d (atomicity violated)", crashAt, got, sum)
 				}
 				// Recovery must be idempotent and terminal.
-				if _, _, _, p2 := m2.Recover(0); p2 {
+				if m2.Recover(0) != nil {
 					t.Fatalf("crashAt %d: second Recover still pending", crashAt)
 				}
 				if crashAt > 100000 {

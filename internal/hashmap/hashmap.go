@@ -23,6 +23,7 @@ import (
 	"pcomb/internal/obs"
 	"pcomb/internal/pmem"
 	"pcomb/internal/prim"
+	"pcomb/internal/sysarea"
 	"pcomb/internal/vecbatch"
 )
 
@@ -170,13 +171,9 @@ type Map struct {
 	slots  int
 	n      int
 
-	// sys is the per-structure system area: per-thread per-shard sequence
-	// counters plus the in-progress operation record, persisted out of band
-	// as the paper's system model prescribes.
-	// Layout: shard seqs at [tid*stride .. tid*stride+nsh), then
-	// [op, key, val, shard, seq, done].
-	sys    *pmem.Region
-	stride int
+	// sys is the map's system area: one sequence-counter class per shard,
+	// persisted out of band as the paper's system model prescribes.
+	sys *sysarea.Area
 
 	// pipe stages Submit-ed operations (nil unless built with VecCap > 1);
 	// taken and tmp are per-thread scratch for the per-shard grouping in
@@ -186,25 +183,7 @@ type Map struct {
 	tmp   [][]uint64
 
 	epoch *pmem.Epoch // non-nil in epoch-mode relaxed durability
-
-	hist *history.Recorder // optional durable-linearizability recorder
 }
-
-// sysVecMark in the sys op word marks an in-flight vectorized sub-batch:
-// the shard/seq fields are as for a scalar record, the val field holds the
-// vector length, and the arguments live in the shard instance's argument
-// ring (durable before the record is written).
-const sysVecMark = uint64(1) << 63
-
-const (
-	sysOp = iota
-	sysKey
-	sysVal
-	sysShard
-	sysSeq
-	sysDone
-	sysRecWords
-)
 
 // Options configures a map instance beyond the New/NewDense defaults.
 type Options struct {
@@ -221,8 +200,9 @@ type Options struct {
 	// Epoch switches the map to epoch-mode relaxed durability: shard rounds
 	// apply and return volatile-fast, one shared epoch closer persists them
 	// in the background, and a crash may lose the last open epoch's
-	// operations (and only those). Use Sync/WaitDurable for per-operation
-	// durability and RecoverEpoch (not Recover) after a crash.
+	// operations (and only those; Recover reports an interrupted one of that
+	// window with Certain=false). Use Sync/WaitDurable for per-operation
+	// durability.
 	Epoch bool
 	// EpochInterval is the background close cadence (Epoch mode; 0 = no
 	// ticker, epochs close only via Sync/CloseNow).
@@ -255,8 +235,6 @@ func NewWith(h *pmem.Heap, name string, n int, kind Kind, o Options) *Map {
 		capacity = nshards * 64
 	}
 	m := &Map{nsh: nshards, slots: (capacity + nshards - 1) / nshards, n: n}
-	m.stride = nshards + sysRecWords
-	m.sys = h.AllocOrGet(name+"/hashmap.sys", n*m.stride)
 	obj := shardObj{slots: m.slots}
 	co := core.CombOpts{Sparse: !o.Dense, VecCap: o.VecCap}
 	for s := 0; s < nshards; s++ {
@@ -285,6 +263,7 @@ func NewWith(h *pmem.Heap, name string, n int, kind Kind, o Options) *Map {
 			sh.(core.EpochCapable).AttachEpoch(m.epoch)
 		}
 	}
+	m.sys = sysarea.New(h, name+"/hashmap.sys", n, m.shards, m.epoch)
 	return m
 }
 
@@ -354,41 +333,11 @@ func (m *Map) ShardOf(key uint64) int { return m.shardOf(key) }
 // SetHistory installs (or removes, with nil) a durable-linearizability
 // history recorder on the scalar, batched, and recovery paths. Install while
 // quiescent.
-func (m *Map) SetHistory(h *history.Recorder) {
-	if h != nil && m.epoch != nil {
-		h.SetEpochClock(m.epoch.Now)
-	}
-	m.hist = h
-}
+func (m *Map) SetHistory(h *history.Recorder) { m.sys.SetHistory(h) }
 
-// invoke records the op in the system area, draws the shard-local sequence
-// number, runs the op, and marks it done.
+// invoke runs one operation on its key's shard through the system area.
 func (m *Map) invoke(tid int, op, key, val uint64) uint64 {
-	if h := m.hist; h != nil {
-		// Begin precedes the first persistence event so a crash anywhere in
-		// the op leaves it pending in the history.
-		h.Begin(tid, op, key, val)
-		ret := m.invokeInner(tid, op, key, val)
-		h.End(tid, ret)
-		return ret
-	}
-	return m.invokeInner(tid, op, key, val)
-}
-
-func (m *Map) invokeInner(tid int, op, key, val uint64) uint64 {
-	sh := m.shardOf(key)
-	base := tid * m.stride
-	seq := m.sys.Load(base+sh) + 1
-	m.sys.DirectStore(base+sh, seq)
-	m.sys.DirectStore(base+m.nsh+sysOp, op)
-	m.sys.DirectStore(base+m.nsh+sysKey, key)
-	m.sys.DirectStore(base+m.nsh+sysVal, val)
-	m.sys.DirectStore(base+m.nsh+sysShard, uint64(sh))
-	m.sys.DirectStore(base+m.nsh+sysSeq, seq)
-	m.sys.DirectStore(base+m.nsh+sysDone, 0)
-	ret := m.shards[sh].Invoke(tid, op, key, val, seq)
-	m.sys.DirectStore(base+m.nsh+sysDone, 1)
-	return ret
+	return m.sys.Invoke(tid, m.shardOf(key), op, key, val)
 }
 
 // Put maps key to val, returning the previous value and whether one
@@ -426,160 +375,17 @@ func (m *Map) Add(tid int, key, delta uint64) uint64 {
 	return m.invoke(tid, OpAdd, key, delta)
 }
 
-// Recover resolves thread tid's interrupted operation after a crash: it
-// re-runs it or fetches its response — exactly once. pending is false when
-// tid had no operation in flight. An interrupted vectorized sub-batch is
-// resolved as a whole (use RecoverBatch for its per-op results): op then
-// reports the batch marker and result the vector length.
-func (m *Map) Recover(tid int) (op, key, result uint64, pending bool) {
-	base := tid * m.stride
-	if m.sys.Load(base+m.nsh+sysOp) == 0 || m.sys.Load(base+m.nsh+sysDone) == 1 {
-		return 0, 0, 0, false
-	}
-	op = m.sys.Load(base + m.nsh + sysOp)
-	if op&sysVecMark != 0 {
-		ops, _ := m.RecoverBatch(tid)
-		return op, 0, uint64(len(ops)), true
-	}
-	key = m.sys.Load(base + m.nsh + sysKey)
-	val := m.sys.Load(base + m.nsh + sysVal)
-	sh := int(m.sys.Load(base + m.nsh + sysShard))
-	seq := m.sys.Load(base + m.nsh + sysSeq)
-	result = m.shards[sh].Recover(tid, op, key, val, seq)
-	m.sys.DirectStore(base+m.nsh+sysDone, 1)
-	if h := m.hist; h != nil {
-		h.Resolve(tid, result)
-	}
-	return op, key, result, true
-}
-
-// RecoverEpoch is Recover under epoch-mode semantics. The in-flight record
-// may belong to an epoch that vanished at the crash, and the deactivate
-// parity scheme cannot always tell "this op was durably served" from "an
-// earlier op with the same parity was" — fetching the return slot in that
-// ambiguous case would hand back a stale response. So:
-//
-//   - parity differs from the in-flight seq's low bit: the op certainly did
-//     not commit durably; it is re-performed and (op,key,result,true,true)
-//     returned.
-//   - parity matches: ambiguous — durably served, or vanished along with an
-//     odd run of later completions. The record is closed WITHOUT touching
-//     the protocol (the durable state is consistent either way; the checker
-//     treats the op as free to take effect or vanish) and certain=false.
-//
-// Either way the per-shard sequence counters are realigned so the next
-// invocation's parity differs from the durable deactivate bit (vanished
-// completions consumed counter values the durable state never saw). Call
-// RecoverEpoch for every thread after reopening an epoch-mode map, then
-// Sync() before trusting the recovered state durable.
-func (m *Map) RecoverEpoch(tid int) (op, key, result uint64, pending, certain bool) {
-	base := tid * m.stride
-	if m.sys.Load(base+m.nsh+sysOp) == 0 || m.sys.Load(base+m.nsh+sysDone) == 1 {
-		m.realignSeqs(tid)
-		return 0, 0, 0, false, false
-	}
-	op = m.sys.Load(base + m.nsh + sysOp)
-	sh := int(m.sys.Load(base + m.nsh + sysShard))
-	seq := m.sys.Load(base + m.nsh + sysSeq)
-	parity := m.shards[sh].(core.EpochCapable).DeactParity(tid)
-	if parity == seq&1 {
-		// Ambiguous: leave the operation's fate to the checker.
-		m.sys.DirectStore(base+m.nsh+sysDone, 1)
-		key = m.sys.Load(base + m.nsh + sysKey)
-		m.realignSeqs(tid)
-		return op, key, 0, true, false
-	}
-	if op&sysVecMark != 0 {
-		ops, _ := m.RecoverBatch(tid)
-		m.epoch.CloseNow()
-		m.realignSeqs(tid)
-		return op, 0, uint64(len(ops)), true, true
-	}
-	key = m.sys.Load(base + m.nsh + sysKey)
-	val := m.sys.Load(base + m.nsh + sysVal)
-	result = m.shards[sh].Recover(tid, op, key, val, seq)
-	// Persist the re-performed effect before the record closes and the
-	// history resolves: a nested crash inside the close retries with the
-	// record still open (the re-performance was rolled back with everything
-	// else), so no resolution is ever lost or doubled. Realignment is skipped
-	// on that panic path deliberately — it writes durable words and must not
-	// run against mid-crash state.
-	m.epoch.CloseNow()
-	m.sys.DirectStore(base+m.nsh+sysDone, 1)
-	if h := m.hist; h != nil {
-		h.Resolve(tid, result)
-	}
-	m.realignSeqs(tid)
-	return op, key, result, true, true
-}
-
-// realignSeqs bumps tid's per-shard sequence counters past parity
-// collisions with the durable deactivate bits (epoch mode only; the skipped
-// numbers are harmless — the protocols only consume the low bit).
-func (m *Map) realignSeqs(tid int) {
-	if m.epoch == nil {
-		return
-	}
-	base := tid * m.stride
-	for sh, inst := range m.shards {
-		parity := inst.(core.EpochCapable).DeactParity(tid)
-		if cnt := m.sys.Load(base + sh); (cnt+1)&1 == parity {
-			m.sys.DirectStore(base+sh, cnt+1)
-		}
-	}
-}
-
-// RecOp is one operation of a recovered sub-batch.
-type RecOp struct {
-	Op     uint64
-	Key    uint64
-	Val    uint64
-	Result uint64
-}
-
-// RecoverBatch resolves thread tid's interrupted vectorized sub-batch after
-// a crash — exactly once — and reports every op's result. When the pending
-// record is a scalar operation it is resolved too (as a one-op batch), so
-// callers on the async path need only this entry point. pending is false
-// when nothing was in flight.
+// Recover resolves what thread tid had in flight at the crash — a scalar
+// operation or one shard group of a Flush — exactly once, and reports each
+// operation with its response (sysarea.Area.Recover has the contract,
+// epoch-mode ambiguity included). Call it for every thread after re-opening;
+// under an epoch, Sync() afterwards before trusting the recovered state
+// durable.
 //
 // Commit-point caveat: Submit-ed operations whose Flush had not yet recorded
-// their sub-batch durably are lost wholesale by a crash and will NOT be
+// their shard group durably are lost wholesale by a crash and are NOT
 // reported here — the async API's documented contract.
-func (m *Map) RecoverBatch(tid int) ([]RecOp, bool) {
-	base := tid * m.stride
-	op := m.sys.Load(base + m.nsh + sysOp)
-	if op == 0 || m.sys.Load(base+m.nsh+sysDone) == 1 {
-		return nil, false
-	}
-	if op&sysVecMark == 0 {
-		o, k, r, _ := m.Recover(tid)
-		return []RecOp{{Op: o, Key: k, Val: m.sys.Load(base + m.nsh + sysVal), Result: r}}, true
-	}
-	cnt := int(m.sys.Load(base + m.nsh + sysVal))
-	sh := int(m.sys.Load(base + m.nsh + sysShard))
-	seq := m.sys.Load(base + m.nsh + sysSeq)
-	vp := m.shards[sh].(core.VecProtocol)
-	// The record was written after the argument ring's pfence, so the ring
-	// is intact; re-supply its contents to RecoverVec.
-	ops := make([]core.VecOp, cnt)
-	for i := range ops {
-		ops[i] = vp.VecArg(tid, i)
-	}
-	rets := make([]uint64, cnt)
-	vp.RecoverVec(tid, ops, seq, rets)
-	m.sys.DirectStore(base+m.nsh+sysDone, 1)
-	out := make([]RecOp, cnt)
-	for i := range out {
-		out[i] = RecOp{Op: ops[i].Op, Key: ops[i].A0, Val: ops[i].A1, Result: rets[i]}
-		if h := m.hist; h != nil {
-			// The interrupted group's Begins were recorded in ring order, so
-			// resolving oldest-first matches op i with rets[i].
-			h.Resolve(tid, rets[i])
-		}
-	}
-	return out, true
-}
+func (m *Map) Recover(tid int) []sysarea.Resolved { return m.sys.Recover(tid) }
 
 // SubmitPut stages a Put for the async pipelined path (requires VecCap > 1);
 // the result arrives through the Future (same encoding as invoke: previous
@@ -607,7 +413,7 @@ func (m *Map) SubmitAdd(tid int, key, delta uint64) vecbatch.Future {
 // Flush commits tid's staged operations. Ops are grouped by shard and each
 // group announced as one vector; groups commit one at a time through the
 // system area, so a crash can interrupt at most one sub-batch (resolved by
-// RecoverBatch) — later groups of the same Flush are lost wholesale, earlier
+// Recover) — later groups of the same Flush are lost wholesale, earlier
 // ones are durable.
 func (m *Map) Flush(tid int) { m.pipe.Flush(tid) }
 
@@ -628,7 +434,6 @@ func (m *Map) VecCap() int {
 // the intra-thread reordering across shards is unobservable, as the ops
 // commute) and each group runs as one vectorized announcement.
 func (m *Map) flushBatch(tid int, ops []core.VecOp, rets []uint64) {
-	base := tid * m.stride
 	taken := m.taken[tid]
 	var group []core.VecOp
 	var idxs []int
@@ -645,47 +450,16 @@ func (m *Map) flushBatch(tid int, ops []core.VecOp, rets []uint64) {
 				idxs = append(idxs, j)
 			}
 		}
-		vp := m.shards[sh].(core.VecProtocol)
-		if h := m.hist; h != nil {
-			// One invocation per op, in ring order, before the group's first
-			// persistence event: a crash mid-group leaves exactly this
-			// group's ops pending (later groups were never begun — lost
-			// wholesale per the async contract, so they stay unrecorded).
-			for _, op := range group {
-				h.Begin(tid, op.Op, op.A0, op.A1)
-			}
-		}
-		// Ring first, then the in-progress record: recovery may trust the
-		// ring only because the record is ordered after the ring's pfence.
-		vp.PublishVec(tid, group)
-		seq := m.sys.Load(base+sh) + 1
-		m.sys.DirectStore(base+sh, seq)
-		m.sys.DirectStore(base+m.nsh+sysOp, sysVecMark)
-		m.sys.DirectStore(base+m.nsh+sysKey, 0)
-		m.sys.DirectStore(base+m.nsh+sysVal, uint64(len(group)))
-		m.sys.DirectStore(base+m.nsh+sysShard, uint64(sh))
-		m.sys.DirectStore(base+m.nsh+sysSeq, seq)
-		m.sys.DirectStore(base+m.nsh+sysDone, 0)
-		m.scatter(tid, vp, len(group), seq, idxs, rets)
-		m.sys.DirectStore(base+m.nsh+sysDone, 1)
-		if h := m.hist; h != nil {
-			for i := range group {
-				h.End(tid, m.tmp[tid][i])
-			}
+		// A crash mid-group leaves exactly this group's record open; later
+		// groups were never begun (lost wholesale per the async contract).
+		tmp := m.tmp[tid][:len(group)]
+		m.sys.InvokeVec(tid, sh, group, tmp)
+		for k, j := range idxs {
+			rets[j] = tmp[k]
 		}
 	}
 	for i := range ops {
 		taken[i] = false
-	}
-}
-
-// scatter performs the announced group and spreads its responses back to
-// the submission-order positions.
-func (m *Map) scatter(tid int, vp core.VecProtocol, cnt int, seq uint64, idxs []int, rets []uint64) {
-	tmp := m.tmp[tid][:cnt]
-	vp.PerformVec(tid, cnt, seq, tmp)
-	for i, j := range idxs {
-		rets[j] = tmp[i]
 	}
 }
 

@@ -239,7 +239,7 @@ func TestDurabilityAfterCrash(t *testing.T) {
 			h.Crash(pmem.DropUnfenced, 1)
 			m2 := New(h, "m", 2, k.kind, 4, 256)
 			for tid := 0; tid < 2; tid++ {
-				if _, _, _, pending := m2.Recover(tid); pending {
+				if m2.Recover(tid) != nil {
 					t.Fatalf("tid %d: nothing was in flight", tid)
 				}
 			}
@@ -289,9 +289,8 @@ func TestCrashPointSweepPut(t *testing.T) {
 		}
 		h.Crash(pmem.DropUnfenced, kk)
 		m2 := New(h, "m", 1, Blocking, 2, 64)
-		op, key, _, pending := m2.Recover(0)
-		if !pending || op != OpPut || key != 9 {
-			t.Fatalf("crash@%d: Recover = op %d key %d pending %v", kk, op, key, pending)
+		if rs := m2.Recover(0); len(rs) != 1 || rs[0].Op != OpPut || rs[0].A0 != 9 {
+			t.Fatalf("crash@%d: Recover = %+v, want the Put of key 9", kk, rs)
 		}
 		if v, ok := m2.Get(0, 9); !ok || v != 90 {
 			t.Fatalf("crash@%d: key 9 = %d,%v", kk, v, ok)
@@ -350,17 +349,17 @@ func TestRecoverIdempotent(t *testing.T) {
 		}
 		h.Crash(pmem.DropUnfenced, kk)
 		m2 := New(h, "m", 1, Blocking, 2, 64)
-		if _, _, _, pending := m2.Recover(0); !pending {
+		if m2.Recover(0) == nil {
 			t.Fatalf("crash@%d: interrupted Put not pending", kk)
 		}
-		if _, _, _, pending := m2.Recover(0); pending {
+		if m2.Recover(0) != nil {
 			t.Fatalf("crash@%d: resolved op still pending on second Recover", kk)
 		}
 		if v, ok := m2.Get(0, 9); !ok || v != 90 {
 			t.Fatalf("crash@%d: key 9 = %d,%v", kk, v, ok)
 		}
 		m3 := New(h, "m", 1, Blocking, 2, 64)
-		if _, _, _, pending := m3.Recover(0); pending {
+		if m3.Recover(0) != nil {
 			t.Fatalf("crash@%d: resolved op pending again after re-open", kk)
 		}
 		if m3.Len() != 2 {

@@ -151,7 +151,7 @@ func applyCrashPolicy(c *Ctx, policy CrashPolicy, rng *rand.Rand, out *CrashOutc
 	case RandomCut:
 		for _, f := range c.pending {
 			if rng.Intn(2) == 0 {
-				f.r.applyShadowLine(f.line, f.data)
+				f.r.applyShadowLine(f.line, f.data, f.seq)
 				out.Applied++
 			}
 		}
@@ -161,18 +161,18 @@ func applyCrashPolicy(c *Ctx, policy CrashPolicy, rng *rand.Rand, out *CrashOutc
 			case 0:
 				// dropped entirely
 			case 1:
-				f.r.applyShadowLine(f.line, f.data)
+				f.r.applyShadowLine(f.line, f.data, f.seq)
 				out.Applied++
 			case 2:
 				// torn prefix: the line's write-back was cut off mid-line
 				k := rng.Intn(len(f.data))
-				f.r.applyShadowWords(f.line, f.data, uint64(1)<<uint(k)-1)
+				f.r.applyShadowWords(f.line, f.data, uint64(1)<<uint(k)-1, f.seq)
 				out.Torn++
 			default:
 				// arbitrary word subset: word persists are unordered within
 				// an unfenced line
 				mask := rng.Uint64() & (uint64(1)<<uint(len(f.data)) - 1)
-				f.r.applyShadowWords(f.line, f.data, mask)
+				f.r.applyShadowWords(f.line, f.data, mask, f.seq)
 				out.Torn++
 			}
 		}

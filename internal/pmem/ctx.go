@@ -15,6 +15,7 @@ type flushRec struct {
 	r    *Region
 	line int
 	data []uint64
+	seq  uint64 // the capture's number among the line's captures
 }
 
 // Ctx is a per-thread persistence context: it owns the thread's
@@ -177,7 +178,8 @@ func (c *Ctx) PWB(r *Region, off, n int) {
 	}
 	if c.h.cfg.Mode == ModeShadow {
 		for li := lo; li <= hi; li++ {
-			c.pending = append(c.pending, flushRec{r: r, line: li, data: r.captureLine(li)})
+			data, seq := r.captureLine(li)
+			c.pending = append(c.pending, flushRec{r: r, line: li, data: data, seq: seq})
 		}
 	}
 	c.charge(c.h.pwbCost, hi-lo+1)
@@ -263,7 +265,7 @@ func (c *Ctx) drainAll() {
 	syncing := fs != nil && fs.sync != SyncNone
 	loW, hiW := 0, 0
 	for _, f := range c.pending {
-		f.r.applyShadowLine(f.line, f.data)
+		f.r.applyShadowLine(f.line, f.data, f.seq)
 		if syncing {
 			lo := f.r.fileOff + f.line*LineWords
 			hi := lo + len(f.data)

@@ -33,6 +33,7 @@ type epochRec struct {
 	r    *Region // nil for fence/psync markers
 	line int
 	data []uint64
+	seq  uint64
 	kind int
 }
 
@@ -80,7 +81,8 @@ func (b *EpochBuf) capture(r *Region, lo, hi int) {
 		b.insertLocked(r, lo, hi)
 	} else {
 		for li := lo; li <= hi; li++ {
-			b.recs = append(b.recs, epochRec{r: r, line: li, data: r.captureLine(li), kind: epLine})
+			data, seq := r.captureLine(li)
+			b.recs = append(b.recs, epochRec{r: r, line: li, data: data, seq: seq, kind: epLine})
 		}
 	}
 	b.mu.Unlock()
@@ -396,7 +398,7 @@ func (e *Epoch) closePass() {
 				default:
 					ctx.event()
 					ctx.pwbs++
-					ctx.pending = append(ctx.pending, flushRec{r: rec.r, line: rec.line, data: rec.data})
+					ctx.pending = append(ctx.pending, flushRec{r: rec.r, line: rec.line, data: rec.data, seq: rec.seq})
 					ctx.charge(e.h.pwbCost, 1)
 					lines++
 				}

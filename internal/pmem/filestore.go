@@ -82,8 +82,12 @@ func ParseSyncMode(s string) (SyncMode, bool) {
 }
 
 const (
-	fileMagic      = 0x50434f4d_42465331 // "PCOMB" file store v1
-	fileVersion    = 1
+	fileMagic = 0x50434f4d_42465331 // "PCOMB" file store v1
+	// fileVersion covers the layout of everything the structures keep in the
+	// file, not only the header: 2 = the system areas of internal/sysarea
+	// (line-rounded per-thread blocks, the fabric's redo log in a region of
+	// its own). A file of another version is refused, never reinterpreted.
+	fileVersion    = 2
 	fileSlotA      = 8  // header slot A word offset
 	fileSlotB      = 16 // header slot B word offset
 	fileCatStart   = 64
@@ -196,13 +200,14 @@ func fsOpen(path string, sync SyncMode) (*fileStore, []fileEntry, error) {
 	}
 	fs := &fileStore{f: f, data: data, words: wordsOf(data), sync: sync, dataStart: ds}
 	w := fs.words
-	if w[0] != fileMagic {
+	// Copy the words out: the error is built after close() unmapped them.
+	if magic := w[0]; magic != fileMagic {
 		fs.close()
-		return nil, nil, fmt.Errorf("%w: bad magic %#x", ErrBadFile, w[0])
+		return nil, nil, fmt.Errorf("%w: bad magic %#x", ErrBadFile, magic)
 	}
-	if w[1] != fileVersion {
+	if version := w[1]; version != fileVersion {
 		fs.close()
-		return nil, nil, fmt.Errorf("%w: version %d, want %d", ErrBadFile, w[1], fileVersion)
+		return nil, nil, fmt.Errorf("%w: version %d, want %d", ErrBadFile, version, fileVersion)
 	}
 	fs.capWords = int(w[2])
 	if int(w[3]) != ds || (ds+fs.capWords)*8 != size {
@@ -396,9 +401,9 @@ func OpenFile(path string, o FileOpts) (*Heap, bool, error) {
 				name:    e.name,
 				id:      len(h.byID),
 				words:   make([]uint64, e.len),
-				shadow:  fs.words[e.off : e.off+e.len : e.off+e.len],
 				fileOff: e.off,
 			}
+			r.attachShadow(fs.words[e.off : e.off+e.len : e.off+e.len])
 			r.restoreFromShadow()
 			h.regions[e.name] = r
 			h.byID = append(h.byID, r)

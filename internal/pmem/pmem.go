@@ -20,8 +20,11 @@
 //     durable when the issuing thread's next pfence or psync retires (the
 //     guarantee CLWB+SFENCE gives on an ADR platform), while write-backs
 //     still pending at a crash survive only at the adversary's discretion.
-//     Crash() discards volatile contents and reconstructs each region from
-//     its shadow. This is the correctness-testing mode.
+//     Write-backs of one line land in issue order across threads (an older
+//     capture arriving after a newer one is dropped), as hardware orders
+//     same-address write-backs. Crash() discards volatile contents and
+//     reconstructs each region from its shadow. This is the
+//     correctness-testing mode.
 //   - ModeVolatile: pwb/pfence/psync are free no-ops (the paper's "volatile
 //     version" used in Figure 4).
 package pmem
@@ -228,7 +231,7 @@ func (h *Heap) allocLocked(name string, words int) *Region {
 			if err != nil {
 				panic(err)
 			}
-			r.shadow = h.fs.words[off : off+words : off+words]
+			r.attachShadow(h.fs.words[off : off+words : off+words])
 			r.fileOff = off
 			// The file is zero-filled at creation, but a slot abandoned by a
 			// killed, uncommitted allocation may hold stale bytes: a fresh
@@ -237,7 +240,7 @@ func (h *Heap) allocLocked(name string, words int) *Region {
 				r.shadow[i] = 0
 			}
 		} else {
-			r.shadow = make([]uint64, words)
+			r.attachShadow(make([]uint64, words))
 		}
 	}
 	h.regions[name] = r

@@ -177,6 +177,33 @@ func TestSameLineProgramOrderPreserved(t *testing.T) {
 	}
 }
 
+// TestSameLineOrderAcrossContexts: two threads write back the same line, the
+// one that issued its pwb first fences last. The durable line must hold the
+// newer image — same-address write-backs are ordered, a line never goes back
+// in time — whether the older capture arrives at a fence or is a pending
+// tail the crash adversary chooses to apply.
+func TestSameLineOrderAcrossContexts(t *testing.T) {
+	for _, lateArrival := range []string{"fence", "crash-tail"} {
+		h := newShadowHeap()
+		r := h.Alloc("a", LineWords)
+		a, b := h.NewCtx(), h.NewCtx()
+		r.Store(0, 1)
+		a.PWB(r, 0, 1) // captures 1
+		r.Store(0, 2)
+		b.PWB(r, 0, 1) // captures 2
+		b.PSync()
+		if lateArrival == "fence" {
+			a.PSync()
+			h.Crash(DropUnfenced, 1)
+		} else {
+			h.Crash(ApplyAll, 1)
+		}
+		if got := r.Load(0); got != 2 {
+			t.Fatalf("%s: durable line went back in time: got %d want 2", lateArrival, got)
+		}
+	}
+}
+
 func TestCountersAndStats(t *testing.T) {
 	h := NewHeap(Config{Mode: ModeCount, NoCost: true})
 	r := h.Alloc("a", 64)

@@ -12,7 +12,22 @@ type Region struct {
 	id     int
 	words  []uint64
 	shadow []uint64 // durable contents; present only in ModeShadow
-	shadMu sync64   // guards shadow
+	shadMu sync64   // guards shadow and the seq chunks' durable numbers
+
+	// Write-backs of one cache line reach the durable domain in the order
+	// they were issued, whichever thread issued them: hardware orders
+	// same-address write-backs, so a line's durable image never goes back in
+	// time. The simulator captures a line at pwb and applies the capture at
+	// its issuer's fence, so it has to enforce that itself: each line's
+	// captures are numbered in issue order, the durable line remembers the
+	// number it holds, and a capture numbered at or below that is stale (a
+	// newer image, which contains everything the stale one promised, is
+	// already durable) and is dropped. Without this, two threads flushing the
+	// same line — PWFcomb's S, the pool's chunk cursor — can leave the OLDER
+	// image durable after both fences retired. The numbers live in chunks
+	// allocated when a line of the chunk is first written back, so a large
+	// region costs only what it flushes.
+	seq []atomic.Pointer[seqChunk]
 
 	// fileOff is the shadow's word offset inside the heap's backing file
 	// (meaningful only when the heap is file-backed; used to msync the
@@ -88,6 +103,12 @@ func (r *Region) Snapshot(dst []uint64, off, n int) {
 	}
 }
 
+// RoundUpLine rounds a word count up to a whole number of cache lines, the
+// stride at which consecutive records or per-thread blocks never share one.
+func RoundUpLine(words int) int {
+	return (words + LineWords - 1) / LineWords * LineWords
+}
+
 // lineRange returns the [first,last] inclusive cache-line indices covering
 // words [off, off+n).
 func lineRange(off, n int) (int, int) {
@@ -97,8 +118,37 @@ func lineRange(off, n int) (int, int) {
 	return off / LineWords, (off + n - 1) / LineWords
 }
 
-// captureLine copies the current volatile contents of cache line li.
-func (r *Region) captureLine(li int) []uint64 {
+// seqChunk holds the write-back ordering state of seqChunkLines consecutive
+// lines: per line, the number of captures issued (atomic) and the number of
+// the capture the durable line holds (guarded by shadMu).
+type seqChunk struct{ issued, durable [seqChunkLines]uint64 }
+
+const seqChunkLines = 512
+
+// attachShadow installs the durable image and its per-line ordering state.
+func (r *Region) attachShadow(shadow []uint64) {
+	lines := RoundUpLine(len(shadow)) / LineWords
+	r.shadow = shadow
+	r.seq = make([]atomic.Pointer[seqChunk], (lines+seqChunkLines-1)/seqChunkLines)
+}
+
+// lineSeq returns the ordering state of line li's chunk, creating it on the
+// chunk's first write-back.
+func (r *Region) lineSeq(li int) *seqChunk {
+	p := &r.seq[li/seqChunkLines]
+	if c := p.Load(); c != nil {
+		return c
+	}
+	p.CompareAndSwap(nil, new(seqChunk))
+	return p.Load()
+}
+
+// captureLine copies the current volatile contents of cache line li and
+// numbers the capture. The number is drawn BEFORE the words are read, so a
+// higher-numbered capture read every word no earlier than a lower-numbered
+// one was issued: it covers every store the lower one's pwb promised.
+func (r *Region) captureLine(li int) ([]uint64, uint64) {
+	seq := atomic.AddUint64(&r.lineSeq(li).issued[li%seqChunkLines], 1)
 	lo := li * LineWords
 	hi := lo + LineWords
 	if hi > len(r.words) {
@@ -108,28 +158,45 @@ func (r *Region) captureLine(li int) []uint64 {
 	for i := lo; i < hi; i++ {
 		buf[i-lo] = atomic.LoadUint64(&r.words[i])
 	}
-	return buf
+	return buf, seq
 }
 
-// applyShadowLine makes the captured contents of line li durable.
-func (r *Region) applyShadowLine(li int, data []uint64) {
+// landing reports whether capture seq of line li is newer than what the
+// durable line holds, and if so records it as the line's durable capture.
+// Caller holds shadMu.
+func (r *Region) landing(li int, seq uint64) bool {
+	durable := &r.lineSeq(li).durable[li%seqChunkLines]
+	if seq <= *durable {
+		return false
+	}
+	*durable = seq
+	return true
+}
+
+// applyShadowLine makes capture seq of line li durable, unless a newer
+// capture of the line already is.
+func (r *Region) applyShadowLine(li int, data []uint64, seq uint64) {
 	lo := li * LineWords
 	r.shadMu.lock()
-	copy(r.shadow[lo:lo+len(data)], data)
+	if r.landing(li, seq) {
+		copy(r.shadow[lo:lo+len(data)], data)
+	}
 	r.shadMu.unlock()
 }
 
-// applyShadowWords makes a word-granular subset of the captured contents of
-// line li durable: word j of the capture is applied iff bit j of mask is
-// set. This models a torn cache-line write-back — persistence is atomic at
-// word granularity only, so a line pending at the crash may reach the
-// durable domain partially.
-func (r *Region) applyShadowWords(li int, data []uint64, mask uint64) {
+// applyShadowWords makes a word-granular subset of capture seq of line li
+// durable (unless a newer capture already is): word j of the capture is
+// applied iff bit j of mask is set. This models a torn cache-line write-back
+// — persistence is atomic at word granularity only, so a line pending at the
+// crash may reach the durable domain partially.
+func (r *Region) applyShadowWords(li int, data []uint64, mask, seq uint64) {
 	lo := li * LineWords
 	r.shadMu.lock()
-	for j := range data {
-		if mask&(1<<uint(j)) != 0 {
-			r.shadow[lo+j] = data[j]
+	if r.landing(li, seq) {
+		for j := range data {
+			if mask&(1<<uint(j)) != 0 {
+				r.shadow[lo+j] = data[j]
+			}
 		}
 	}
 	r.shadMu.unlock()

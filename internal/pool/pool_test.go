@@ -106,6 +106,45 @@ func TestChunkCursorSurvivesCrash(t *testing.T) {
 	}
 }
 
+// TestChunkCursorDurableUnderConcurrentAcquisition: threads acquiring chunks
+// at the same moment (PWFcomb's competing combiners all allocate) must leave
+// a durable cursor that covers every node handed out. Each acquisition
+// flushes the cursor's line; if the older of two overlapping flushes could
+// land last — as it did before pmem ordered a line's write-backs — a crash
+// would hand a live chunk out a second time.
+func TestChunkCursorDurableUnderConcurrentAcquisition(t *testing.T) {
+	const n, trials = 4, 300
+	for trial := 0; trial < trials; trial++ {
+		// Charged instructions: the pwb's cost sits between its capture and
+		// the fence, which is where a second acquisition has to land.
+		h := pmem.NewHeap(pmem.Config{Mode: pmem.ModeShadow})
+		p := New(h, "q", n, 2, 1<<10, 8)
+		last := make([]uint64, n)
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for tid := 0; tid < n; tid++ {
+			wg.Add(1)
+			go func(tid int) {
+				defer wg.Done()
+				ctx := h.NewCtx()
+				<-start
+				for i := 0; i < 3*8; i++ { // three chunk acquisitions each
+					last[tid] = p.AllocFresh(ctx, tid)
+				}
+			}(tid)
+		}
+		close(start)
+		wg.Wait()
+		h.Crash(pmem.DropUnfenced, int64(trial))
+		cursor := New(h, "q", n, 2, 1<<10, 8).Allocated()
+		for tid, idx := range last {
+			if idx >= cursor {
+				t.Fatalf("trial %d: durable cursor %d does not cover node %d handed to thread %d", trial, cursor, idx, tid)
+			}
+		}
+	}
+}
+
 func TestChunkCursorDurableBeforeUse(t *testing.T) {
 	// The cursor pwb is followed by a pfence inside AllocFresh, so the new
 	// cursor is durable before any node of the chunk can be handed out.

@@ -312,11 +312,6 @@ func (q *Queue) SetHistory(h *history.Recorder) {
 	q.hist = h
 }
 
-// History returns the installed recorder (nil when none). The wrapper's
-// vectorized flush paths record their per-op events through it, since they
-// bypass Enqueue/Dequeue.
-func (q *Queue) History() *history.Recorder { return q.hist }
-
 // SetCombTracker installs combining-level instrumentation on both the
 // enqueue and dequeue combining instances (they share one sink, so reported
 // rounds/degrees cover the whole queue).
@@ -352,11 +347,10 @@ func (q *Queue) Snapshot() []uint64 {
 	head := q.deq.CurrentState().Load(0)
 	est := q.enq.CurrentState()
 	tail := est.Load(0)
-	var pendH, pendT uint64 = pool.Nil, pool.Nil
+	pendH := pool.Nil
 	if q.kind == WaitFree {
-		pendH, pendT = est.Load(1), est.Load(2)
+		pendH = est.Load(1)
 	}
-	_ = pendT
 	var out []uint64
 	cur := head
 	for {

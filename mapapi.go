@@ -31,9 +31,10 @@ type MapOptions struct {
 	// commit): operations apply and return without persistence instructions
 	// on their critical path, one shared background closer makes whole
 	// epochs durable at once, and a crash may lose the operations of the
-	// last open epoch — and only those. Use Sync/WaitDurable for
-	// per-operation durability and RecoverEpoch (not Recover) after a
-	// crash. Part of the persistent layout — re-open with the same value.
+	// last open epoch — and only those (Recover reports an interrupted
+	// operation of that window with Certain=false). Use Sync/WaitDurable for
+	// per-operation durability. Part of the persistent layout — re-open with
+	// the same value.
 	Epoch bool
 	// EpochInterval is the background close cadence (Epoch mode; 0 = no
 	// ticker, epochs close only via Sync).
@@ -77,10 +78,11 @@ func (m *Map) Delete(tid int, key uint64) (uint64, bool) { return m.m.Delete(tid
 // map's fetch&add (Full when the shard had no room).
 func (m *Map) Add(tid int, key, delta uint64) uint64 { return m.m.Add(tid, key, delta) }
 
-// Recover resolves thread tid's interrupted operation exactly once.
-func (m *Map) Recover(tid int) (op, key, result uint64, pending bool) {
-	return m.m.Recover(tid)
-}
+// Recover resolves what thread tid had in flight at the crash — a scalar
+// operation or one shard group of a Flush — exactly once, as Queue.Recover.
+// On an Epoch map, Sync afterwards before trusting the recovered state
+// durable.
+func (m *Map) Recover(tid int) []Resolved { return m.m.Recover(tid) }
 
 // Sync forces an epoch close: everything applied before the call is durable
 // when it returns. No-op in strict mode.
@@ -101,16 +103,6 @@ func (m *Map) WaitDurable(target uint64) bool { return m.m.WaitDurable(target) }
 // StopEpoch halts the background closer (if any) after a final close.
 func (m *Map) StopEpoch() { m.m.StopEpoch() }
 
-// RecoverEpoch is Recover under epoch-mode semantics: an operation the
-// durable deactivate parity PROVES unserved is re-performed and reported
-// with certain=true; an ambiguous one (durably served, or vanished with the
-// open epoch) is closed untouched with certain=false — the caller must
-// treat it as either applied or lost, like any other open-epoch operation.
-// Call RecoverEpoch for every thread after re-opening an epoch-mode map.
-func (m *Map) RecoverEpoch(tid int) (op, key, result uint64, pending, certain bool) {
-	return m.m.RecoverEpoch(tid)
-}
-
 // SubmitPut stages a Put on the async pipelined path (requires
 // MapOptions.VecCap > 1); the Future's Wait returns the previous value (or
 // the map's not-found/full sentinels). The staged batch commits on Flush,
@@ -130,36 +122,11 @@ func (m *Map) SubmitAdd(tid int, key, delta uint64) Future { return m.m.SubmitAd
 
 // Flush commits thread tid's staged operations durably. Ops are grouped by
 // shard; each group is one vectorized announcement, and groups commit one at
-// a time, so a crash interrupts at most one group (resolved by
-// RecoverBatch).
+// a time, so a crash interrupts at most one group (resolved by Recover).
 func (m *Map) Flush(tid int) { m.m.Flush(tid) }
 
 // Pending returns the number of staged, unflushed ops of tid.
 func (m *Map) Pending(tid int) int { return m.m.Pending(tid) }
-
-// MapBatchOp is one operation of a recovered map batch.
-type MapBatchOp struct {
-	Op     uint64 // hashmap op code (Put/Get/Delete)
-	Key    uint64
-	Val    uint64
-	Result uint64
-}
-
-// RecoverBatch resolves thread tid's interrupted (sub-)batch after a crash —
-// exactly once — reporting every operation's result. Scalar pending ops are
-// resolved too, as one-op batches, so async callers need only this entry
-// point.
-func (m *Map) RecoverBatch(tid int) ([]MapBatchOp, bool) {
-	ops, ok := m.m.RecoverBatch(tid)
-	if !ok {
-		return nil, false
-	}
-	out := make([]MapBatchOp, len(ops))
-	for i, o := range ops {
-		out[i] = MapBatchOp{Op: o.Op, Key: o.Key, Val: o.Val, Result: o.Result}
-	}
-	return out, true
-}
 
 // Len returns the number of live keys (quiescent use only).
 func (m *Map) Len() int { return m.m.Len() }

@@ -20,20 +20,22 @@
 //
 //	sys.Crash(pcomb.DropUnfenced, 1) // simulated power failure
 //	q = sys.NewQueue("jobs", 4, pcomb.Blocking) // re-open: durable state
-//	op, res, pending := q.Recover(0) // resolve thread 0's interrupted op
+//	resolved := q.Recover(0) // resolve thread 0's interrupted op(s)
 //
 // Thread ids are fixed in [0, threads); each goroutine must use its own id.
 // Sequence numbers and the recovery arguments the paper's system model
 // provides are managed internally and persisted in a per-structure system
-// area.
+// area (internal/sysarea; DESIGN.md "System area and recovery contract").
 package pcomb
 
 import (
 	"pcomb/internal/core"
+	"pcomb/internal/hashmap"
 	"pcomb/internal/heap"
 	"pcomb/internal/pmem"
 	"pcomb/internal/queue"
 	"pcomb/internal/stack"
+	"pcomb/internal/sysarea"
 )
 
 // Kind selects the combining protocol a structure is built on.
@@ -133,24 +135,27 @@ func (s *System) Crash(policy CrashPolicy, seed int64) {
 	s.heap.Crash(policy, seed)
 }
 
-// Op identifies a recovered operation's type in Recover results.
-type Op int
+// Resolved is one operation a structure's Recover settled after a crash: its
+// code (one of the structure's Op* constants, or the Object's own code for a
+// Recoverable) and arguments as invoked, and its response — Empty for a
+// Dequeue, Pop, DeleteMin or GetMin that found nothing. Every structure has
+// exactly one Recover(tid) []Resolved: no entry when tid had nothing in
+// flight, one for an interrupted scalar operation, one per operation for an
+// interrupted batch or transaction. Certain is false only on an Epoch
+// structure, for an operation that either became durable or vanished with the
+// open epoch (Result is then meaningless).
+type Resolved = sysarea.Resolved
 
-// Operation identifiers reported by Recover.
+// Operation codes reported in Resolved.Op. Each structure has its own code
+// space; read a code against the structure whose Recover returned it.
 const (
-	OpNone Op = iota
-	OpEnqueue
-	OpDequeue
-	OpPush
-	OpPop
-	OpInsert
-	OpDeleteMin
-	OpGetMin
-	OpInvoke
-	// OpBatch reports that Recover resolved an interrupted vectorized batch
-	// as a whole (result holds the batch length); RecoverBatch yields the
-	// per-op results.
-	OpBatch
+	OpEnqueue, OpDequeue = queue.OpEnq, queue.OpDeq
+
+	OpPush, OpPop = stack.OpPush, stack.OpPop
+
+	OpInsert, OpDeleteMin, OpGetMin = heap.OpInsert, heap.OpDeleteMin, heap.OpGetMin
+
+	OpPut, OpGet, OpDelete, OpAdd = hashmap.OpPut, hashmap.OpGet, hashmap.OpDel, hashmap.OpAdd
 )
 
 func kindQueue(k Kind) queue.Kind {
@@ -172,31 +177,4 @@ func kindHeap(k Kind) heap.Kind {
 		return heap.WaitFree
 	}
 	return heap.Blocking
-}
-
-// String names the operation for logs and recovery reports.
-func (o Op) String() string {
-	switch o {
-	case OpNone:
-		return "none"
-	case OpEnqueue:
-		return "Enqueue"
-	case OpDequeue:
-		return "Dequeue"
-	case OpPush:
-		return "Push"
-	case OpPop:
-		return "Pop"
-	case OpInsert:
-		return "Insert"
-	case OpDeleteMin:
-		return "DeleteMin"
-	case OpGetMin:
-		return "GetMin"
-	case OpInvoke:
-		return "Invoke"
-	case OpBatch:
-		return "Batch"
-	}
-	return "unknown"
 }

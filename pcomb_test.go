@@ -32,7 +32,7 @@ func TestPublicQueueCrashRecover(t *testing.T) {
 	sys.Crash(DropUnfenced, 1)
 	q = sys.NewQueue("q", 2, Blocking)
 	for tid := 0; tid < 2; tid++ {
-		if _, _, pending := q.Recover(tid); pending {
+		if rs := q.Recover(tid); rs != nil {
 			t.Fatalf("tid %d: no op was in flight, none should be pending", tid)
 		}
 	}
@@ -49,8 +49,8 @@ func TestPublicStackCrashRecover(t *testing.T) {
 	st.Push(0, 8)
 	sys.Crash(DropUnfenced, 1)
 	st = sys.NewStack("s", 1, WaitFree)
-	if op, _, pending := st.Recover(0); pending {
-		t.Fatalf("unexpected pending op %v", op)
+	if rs := st.Recover(0); rs != nil {
+		t.Fatalf("unexpected pending ops %v", rs)
 	}
 	if v, ok := st.Pop(0); !ok || v != 8 {
 		t.Fatalf("pop after recovery = %d,%v", v, ok)
@@ -115,19 +115,18 @@ func TestSysAreaDetectsInterruptedOp(t *testing.T) {
 	q.Enqueue(0, 1)
 	// Mark an enqueue of 99 as in progress but never run it (as if the
 	// crash hit right after the system recorded the invocation).
-	q.sys.begin(0, 0, uint64(OpEnqueue), 99, 0)
+	q.sys.Begin(0, 0, OpEnqueue, 99, 0)
 	sys.Crash(DropUnfenced, 1)
 	q = sys.NewQueue("q", 1, Blocking)
-	op, _, pending := q.Recover(0)
-	if !pending || op != OpEnqueue {
-		t.Fatalf("Recover = %v,%v", op, pending)
+	if rs := q.Recover(0); len(rs) != 1 || rs[0].Op != OpEnqueue || rs[0].A0 != 99 || !rs[0].Certain {
+		t.Fatalf("Recover = %+v", rs)
 	}
 	snap := q.Snapshot()
 	if len(snap) != 2 || snap[1] != 99 {
 		t.Fatalf("snapshot %v, want [1 99]", snap)
 	}
 	// Recovering again must be a no-op (the op is resolved).
-	if _, _, pending := q.Recover(0); pending {
+	if q.Recover(0) != nil {
 		t.Fatal("op resolved twice")
 	}
 }
@@ -163,7 +162,7 @@ func TestPublicMap(t *testing.T) {
 	sys.Crash(DropUnfenced, 5)
 	m = sys.NewMap("kv", 2, Blocking, MapOptions{Shards: 4, Capacity: 256})
 	for tid := 0; tid < 2; tid++ {
-		if _, _, _, pending := m.Recover(tid); pending {
+		if m.Recover(tid) != nil {
 			t.Fatalf("tid %d: nothing was in flight", tid)
 		}
 	}

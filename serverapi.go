@@ -141,32 +141,15 @@ func OpenServerStore(o ServerOptions) (s *ServerStore, restart bool, err error) 
 }
 
 // Recover resolves every thread's interrupted operations after a restart
-// and returns how many were resolved. Strict mode resolves pending
-// (sub-)batches exactly once; epoch mode re-performs provably unserved
-// operations, realigns sequence counters, and closes a fresh epoch.
+// and returns how many were resolved (see Queue.Recover), then makes the
+// recovered state durable (an epoch close; nothing to do in strict mode).
 func (s *ServerStore) Recover() int {
 	n := 0
 	for tid := 0; tid < s.opts.Threads; tid++ {
-		if s.opts.Epoch {
-			if _, _, _, pending, _ := s.m.RecoverEpoch(tid); pending {
-				n++
-			}
-			if _, _, pending, _ := s.q.RecoverEpoch(tid); pending {
-				n++
-			}
-			continue
-		}
-		if ops, ok := s.m.RecoverBatch(tid); ok {
-			n += len(ops)
-		}
-		if ops, ok := s.q.RecoverBatch(tid); ok {
-			n += len(ops)
-		}
+		n += len(s.m.Recover(tid)) + len(s.q.Recover(tid))
 	}
-	if s.opts.Epoch {
-		s.m.Sync()
-		s.q.Sync()
-	}
+	s.m.Sync()
+	s.q.Sync()
 	return n
 }
 

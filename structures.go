@@ -6,8 +6,10 @@ import (
 	"pcomb/internal/core"
 	"pcomb/internal/heap"
 	"pcomb/internal/history"
+	"pcomb/internal/pmem"
 	"pcomb/internal/queue"
 	"pcomb/internal/stack"
+	"pcomb/internal/sysarea"
 	"pcomb/internal/vecbatch"
 )
 
@@ -16,7 +18,7 @@ import (
 // empty sentinel).
 type Queue struct {
 	q   *queue.Queue
-	sys *sysArea
+	sys *sysarea.Area // class 0 = enqueues, class 1 = dequeues
 
 	// Async pipelined submission (nil unless QueueOptions.VecCap > 1).
 	// Enqueues and dequeues stage separately — they run on separate
@@ -41,9 +43,10 @@ type QueueOptions struct {
 	// commit): operations apply and return without touching the persistence
 	// instructions on their critical path, a background closer makes whole
 	// epochs durable at once, and a crash may lose the operations of the
-	// last open epoch — and only those. Use Sync/WaitDurable for
-	// per-operation durability and RecoverEpoch (not Recover) after a
-	// crash. Part of the persistent layout — re-open with the same value.
+	// last open epoch — and only those (Recover reports an interrupted
+	// operation of that window with Certain=false). Use Sync/WaitDurable for
+	// per-operation durability. Part of the persistent layout — re-open with
+	// the same value.
 	Epoch bool
 	// EpochInterval is the background close cadence (Epoch mode; 0 = no
 	// ticker, epochs close only via Sync).
@@ -57,64 +60,49 @@ func (s *System) NewQueue(name string, threads int, kind Kind, opts ...QueueOpti
 	if len(opts) > 0 {
 		o = opts[0]
 	}
-	q := &Queue{
-		q: queue.New(s.heap, name, threads, kindQueue(kind), queue.Options{
-			Recycling:     kind == Blocking && !o.NoRecycling,
-			Capacity:      o.Capacity,
-			VecCap:        o.VecCap,
-			Epoch:         o.Epoch,
-			EpochInterval: o.EpochInterval,
-		}),
-		sys: newSysArea(s.heap, name, threads),
-	}
+	in := queue.New(s.heap, name, threads, kindQueue(kind), queue.Options{
+		Recycling:     kind == Blocking && !o.NoRecycling,
+		Capacity:      o.Capacity,
+		VecCap:        o.VecCap,
+		Epoch:         o.Epoch,
+		EpochInterval: o.EpochInterval,
+	})
+	q := &Queue{q: in, sys: s.sysArea(name, threads, in.Epoch(), in.EnqProtocol(), in.DeqProtocol())}
 	if o.VecCap > 1 {
-		q.enqPipe = vecbatch.New(threads, o.VecCap, q.flushEnq)
-		q.deqPipe = vecbatch.New(threads, o.VecCap, q.flushDeq)
+		q.enqPipe = vecbatch.New(threads, o.VecCap, q.sys.Flusher(0))
+		q.deqPipe = vecbatch.New(threads, o.VecCap, q.sys.Flusher(1))
 	}
 	return q
 }
 
-// Enqueue appends v for thread tid.
-func (q *Queue) Enqueue(tid int, v uint64) {
-	seq := q.sys.begin(tid, 0, uint64(OpEnqueue), v, 0)
-	q.q.Enqueue(tid, v, seq)
-	q.sys.end(tid)
+// sysArea opens the system area of the structure called name over its
+// combining instances (one sequence-counter class each).
+func (s *System) sysArea(name string, threads int, epoch *pmem.Epoch, insts ...core.Protocol) *sysarea.Area {
+	return sysarea.New(s.heap, name+"/sysarea", threads, insts, epoch)
 }
+
+// Enqueue appends v for thread tid.
+func (q *Queue) Enqueue(tid int, v uint64) { q.sys.Invoke(tid, 0, OpEnqueue, v, 0) }
 
 // Dequeue removes the oldest value for thread tid; ok is false when empty.
 func (q *Queue) Dequeue(tid int) (v uint64, ok bool) {
-	seq := q.sys.begin(tid, 1, uint64(OpDequeue), 0, 0)
-	v, ok = q.q.Dequeue(tid, seq)
-	q.sys.end(tid)
-	return v, ok
+	return orEmpty(q.sys.Invoke(tid, 1, OpDequeue, 0, 0))
 }
 
-// Recover resolves thread tid's operation that was interrupted by a crash:
-// it re-runs it (or fetches its response, if it had already taken effect —
-// never both) and reports which operation it was and its result. pending is
-// false if tid had no interrupted operation.
-func (q *Queue) Recover(tid int) (op Op, result uint64, pending bool) {
-	opc, a0, _, seq, ok := q.sys.pending(tid)
-	if !ok {
-		return OpNone, 0, false
+// orEmpty splits a removal's response into (value, true) or (0, false).
+func orEmpty(r uint64) (uint64, bool) {
+	if r == Empty {
+		return 0, false
 	}
-	if opc&vecMark != 0 {
-		ops, _ := q.RecoverBatch(tid)
-		return OpBatch, uint64(len(ops)), true
-	}
-	switch Op(opc) {
-	case OpEnqueue:
-		result = q.q.RecoverEnqueue(tid, a0, seq)
-	case OpDequeue:
-		if v, got := q.q.RecoverDequeue(tid, seq); got {
-			result = v
-		} else {
-			result = queue.Empty
-		}
-	}
-	q.sys.end(tid)
-	return Op(opc), result, true
+	return r, true
 }
+
+// Recover resolves what thread tid had in flight when the system crashed —
+// a scalar operation or a flushed batch — exactly once: each operation is
+// re-run or its response fetched, never both. Call it for every thread after
+// re-opening the queue. Ops submitted but not yet flushed at the crash are
+// lost wholesale and not reported (the async API's commit-point contract).
+func (q *Queue) Recover(tid int) []Resolved { return q.sys.Recover(tid) }
 
 // Sync forces an epoch close: everything applied before the call is durable
 // when it returns. No-op in strict mode (every operation is already durable
@@ -136,83 +124,6 @@ func (q *Queue) WaitDurable(target uint64) bool { return q.q.WaitDurable(target)
 // StopEpoch halts the background closer (if any) after a final close.
 func (q *Queue) StopEpoch() { q.q.StopEpoch() }
 
-// RecoverEpoch is Recover under epoch-mode semantics. The interrupted
-// operation may belong to an epoch that vanished at the crash, and the
-// protocols' deactivate-parity scheme cannot always tell "this op was
-// durably served" from "an earlier op with the same parity was" — fetching
-// the return slot in that ambiguous case would hand back a stale response.
-// So:
-//
-//   - the durable parity differs from the in-flight seq's low bit: the op
-//     certainly did not commit durably; it is re-performed, made durable,
-//     and reported with certain=true.
-//   - the parity matches: ambiguous — durably served, or vanished along
-//     with an odd run of later completions. The record is closed without
-//     touching the structure (its durable state is consistent either way)
-//     and certain=false: the caller must treat the op as either applied or
-//     lost, like any other open-epoch operation.
-//
-// Either way the sequence counters are realigned past parity collisions
-// left by vanished completions. Call RecoverEpoch for every thread after
-// re-opening an epoch-mode queue.
-func (q *Queue) RecoverEpoch(tid int) (op Op, result uint64, pending, certain bool) {
-	opc, a0, _, seq, ok := q.sys.pending(tid)
-	if !ok {
-		q.realignSeqs(tid)
-		return OpNone, 0, false, false
-	}
-	var parity uint64
-	if opc == uint64(OpEnqueue) || opc&vecMark != 0 && opc&^vecMark == 0 {
-		parity = q.q.EnqDeactParity(tid)
-	} else {
-		parity = q.q.DeqDeactParity(tid)
-	}
-	if parity == seq&1 {
-		q.sys.end(tid)
-		q.realignSeqs(tid)
-		if opc&vecMark != 0 {
-			return OpBatch, a0, true, false
-		}
-		return Op(opc), 0, true, false
-	}
-	if opc&vecMark != 0 {
-		ops, _ := q.RecoverBatch(tid)
-		q.q.Sync()
-		q.realignSeqs(tid)
-		return OpBatch, uint64(len(ops)), true, true
-	}
-	switch Op(opc) {
-	case OpEnqueue:
-		result = q.q.RecoverEnqueue(tid, a0, seq)
-	case OpDequeue:
-		if v, got := q.q.RecoverDequeue(tid, seq); got {
-			result = v
-		} else {
-			result = queue.Empty
-		}
-	}
-	// Persist the re-performed effect before the record closes: a crash
-	// inside the close retries with the record still open, so no resolution
-	// is lost or doubled.
-	q.q.Sync()
-	q.sys.end(tid)
-	q.realignSeqs(tid)
-	return Op(opc), result, true, true
-}
-
-// realignSeqs bumps tid's sequence counters past parity collisions with the
-// durable deactivate bits (epoch mode only): completions that vanished with
-// an open epoch consumed counter values the durable state never saw, and
-// the protocols' parity checks only work when the next sequence number's
-// low bit differs from the durable deactivate bit.
-func (q *Queue) realignSeqs(tid int) {
-	if q.q.Epoch() == nil {
-		return
-	}
-	q.sys.realign(tid, 0, q.q.EnqDeactParity(tid))
-	q.sys.realign(tid, 1, q.q.DeqDeactParity(tid))
-}
-
 // Snapshot returns the queue contents head-to-tail (quiescent use only).
 func (q *Queue) Snapshot() []uint64 { return q.q.Snapshot() }
 
@@ -222,7 +133,7 @@ func (q *Queue) Len() int { return q.q.Len() }
 // Stack is a detectably recoverable concurrent stack (PBstack/PWFstack).
 type Stack struct {
 	s   *stack.Stack
-	sys *sysArea
+	sys *sysarea.Area
 
 	// pipe stages async submissions (nil unless StackOptions.VecCap > 1).
 	pipe *vecbatch.Pipe
@@ -248,57 +159,30 @@ func (s *System) NewStack(name string, threads int, kind Kind, opts ...StackOpti
 	if len(opts) > 0 {
 		o = opts[0]
 	}
-	st := &Stack{
-		s: stack.New(s.heap, name, threads, kindStack(kind), stack.Options{
-			Elimination: !o.NoElimination,
-			Recycling:   !o.NoRecycling,
-			Capacity:    o.Capacity,
-			VecCap:      o.VecCap,
-		}),
-		sys: newSysArea(s.heap, name, threads),
-	}
+	in := stack.New(s.heap, name, threads, kindStack(kind), stack.Options{
+		Elimination: !o.NoElimination,
+		Recycling:   !o.NoRecycling,
+		Capacity:    o.Capacity,
+		VecCap:      o.VecCap,
+	})
+	st := &Stack{s: in, sys: s.sysArea(name, threads, nil, in.Protocol())}
 	if o.VecCap > 1 {
-		st.pipe = vecbatch.New(threads, o.VecCap, st.flushVec)
+		st.pipe = vecbatch.New(threads, o.VecCap, st.sys.Flusher(0))
 	}
 	return st
 }
 
 // Push pushes v for thread tid.
-func (st *Stack) Push(tid int, v uint64) {
-	seq := st.sys.begin(tid, 0, uint64(OpPush), v, 0)
-	st.s.Push(tid, v, seq)
-	st.sys.end(tid)
-}
+func (st *Stack) Push(tid int, v uint64) { st.sys.Invoke(tid, 0, OpPush, v, 0) }
 
 // Pop removes the top value for thread tid; ok is false when empty.
 func (st *Stack) Pop(tid int) (v uint64, ok bool) {
-	seq := st.sys.begin(tid, 0, uint64(OpPop), 0, 0)
-	v, ok = st.s.Pop(tid, seq)
-	st.sys.end(tid)
-	return v, ok
+	return orEmpty(st.sys.Invoke(tid, 0, OpPop, 0, 0))
 }
 
-// Recover resolves thread tid's interrupted operation, as Queue.Recover.
-func (st *Stack) Recover(tid int) (op Op, result uint64, pending bool) {
-	opc, a0, _, seq, ok := st.sys.pending(tid)
-	if !ok {
-		return OpNone, 0, false
-	}
-	if opc&vecMark != 0 {
-		ops, _ := st.RecoverBatch(tid)
-		return OpBatch, uint64(len(ops)), true
-	}
-	var inner uint64
-	switch Op(opc) {
-	case OpPush:
-		inner = stack.OpPush
-	case OpPop:
-		inner = stack.OpPop
-	}
-	result = st.s.Recover(tid, inner, a0, seq)
-	st.sys.end(tid)
-	return Op(opc), result, true
-}
+// Recover resolves what thread tid had in flight at the crash, as
+// Queue.Recover.
+func (st *Stack) Recover(tid int) []Resolved { return st.sys.Recover(tid) }
 
 // Snapshot returns the stack contents top-to-bottom (quiescent use only).
 func (st *Stack) Snapshot() []uint64 { return st.s.Snapshot() }
@@ -310,7 +194,7 @@ func (st *Stack) Len() int { return st.s.Len() }
 // the wait-free PWFheap extension).
 type Heap struct {
 	h   *heap.Heap
-	sys *sysArea
+	sys *sysarea.Area
 
 	// pipe stages async submissions (nil unless HeapOptions.VecCap > 1).
 	pipe *vecbatch.Pipe
@@ -333,64 +217,33 @@ func (s *System) NewHeap(name string, threads int, kind Kind, bound int, opts ..
 	if len(opts) > 0 {
 		o = opts[0]
 	}
-	h := &Heap{
-		h: heap.NewWith(s.heap, name, threads, kindHeap(kind), bound,
-			core.CombOpts{Sparse: o.Sparse, VecCap: o.VecCap}),
-		sys: newSysArea(s.heap, name, threads),
-	}
+	in := heap.NewWith(s.heap, name, threads, kindHeap(kind), bound,
+		core.CombOpts{Sparse: o.Sparse, VecCap: o.VecCap})
+	h := &Heap{h: in, sys: s.sysArea(name, threads, nil, in.Protocol())}
 	if o.VecCap > 1 {
-		h.pipe = vecbatch.New(threads, o.VecCap, h.flushVec)
+		h.pipe = vecbatch.New(threads, o.VecCap, h.sys.Flusher(0))
 	}
 	return h
 }
 
 // Insert adds key; it reports false when the heap is full.
 func (h *Heap) Insert(tid int, key uint64) bool {
-	seq := h.sys.begin(tid, 0, uint64(OpInsert), key, 0)
-	ok := h.h.Insert(tid, key, seq)
-	h.sys.end(tid)
-	return ok
+	return h.sys.Invoke(tid, 0, OpInsert, key, 0) == heap.InsertOK
 }
 
 // DeleteMin removes and returns the smallest key; ok is false when empty.
 func (h *Heap) DeleteMin(tid int) (key uint64, ok bool) {
-	seq := h.sys.begin(tid, 0, uint64(OpDeleteMin), 0, 0)
-	key, ok = h.h.DeleteMin(tid, seq)
-	h.sys.end(tid)
-	return key, ok
+	return orEmpty(h.sys.Invoke(tid, 0, OpDeleteMin, 0, 0))
 }
 
 // GetMin returns the smallest key without removing it.
 func (h *Heap) GetMin(tid int) (key uint64, ok bool) {
-	seq := h.sys.begin(tid, 0, uint64(OpGetMin), 0, 0)
-	key, ok = h.h.GetMin(tid, seq)
-	h.sys.end(tid)
-	return key, ok
+	return orEmpty(h.sys.Invoke(tid, 0, OpGetMin, 0, 0))
 }
 
-// Recover resolves thread tid's interrupted operation, as Queue.Recover.
-func (h *Heap) Recover(tid int) (op Op, result uint64, pending bool) {
-	opc, a0, _, seq, ok := h.sys.pending(tid)
-	if !ok {
-		return OpNone, 0, false
-	}
-	if opc&vecMark != 0 {
-		ops, _ := h.RecoverBatch(tid)
-		return OpBatch, uint64(len(ops)), true
-	}
-	var inner uint64
-	switch Op(opc) {
-	case OpInsert:
-		inner = heap.OpInsert
-	case OpDeleteMin:
-		inner = heap.OpDeleteMin
-	case OpGetMin:
-		inner = heap.OpGetMin
-	}
-	result = h.h.Recover(tid, inner, a0, seq)
-	h.sys.end(tid)
-	return Op(opc), result, true
-}
+// Recover resolves what thread tid had in flight at the crash, as
+// Queue.Recover.
+func (h *Heap) Recover(tid int) []Resolved { return h.sys.Recover(tid) }
 
 // Len returns the number of keys (quiescent use only).
 func (h *Heap) Len() int { return h.h.Len() }
@@ -402,7 +255,7 @@ func (h *Heap) Keys() []uint64 { return h.h.Keys() }
 // combining protocol — the paper's universal-construction usage.
 type Recoverable struct {
 	c   core.Protocol
-	sys *sysArea
+	sys *sysarea.Area
 
 	// pipe stages async submissions (nil unless ObjectOptions.VecCap > 1).
 	pipe *vecbatch.Pipe
@@ -431,36 +284,22 @@ func (s *System) NewObject(name string, threads int, kind Kind, obj Object, opts
 	} else {
 		c = core.NewPBCombWith(s.heap, name, threads, obj, co)
 	}
-	r := &Recoverable{c: c, sys: newSysArea(s.heap, name, threads)}
+	r := &Recoverable{c: c, sys: s.sysArea(name, threads, nil, c)}
 	if o.VecCap > 1 {
-		r.pipe = vecbatch.New(threads, o.VecCap, r.flushVec)
+		r.pipe = vecbatch.New(threads, o.VecCap, r.sys.Flusher(0))
 	}
 	return r
 }
 
-// Invoke runs one operation (op, a0, a1 are interpreted by the Object).
+// Invoke runs one operation (op, a0, a1 are interpreted by the Object; op
+// must be in [1, 2^63)).
 func (r *Recoverable) Invoke(tid int, op, a0, a1 uint64) uint64 {
-	seq := r.sys.begin(tid, 0, op, a0, a1)
-	ret := r.c.Invoke(tid, op, a0, a1, seq)
-	r.sys.end(tid)
-	return ret
+	return r.sys.Invoke(tid, 0, op, a0, a1)
 }
 
-// Recover resolves thread tid's interrupted operation and returns its
-// response.
-func (r *Recoverable) Recover(tid int) (op uint64, result uint64, pending bool) {
-	opc, a0, a1, seq, ok := r.sys.pending(tid)
-	if !ok {
-		return 0, 0, false
-	}
-	if opc&vecMark != 0 {
-		ops, _ := r.RecoverBatch(tid)
-		return opc, uint64(len(ops)), true
-	}
-	result = r.c.Recover(tid, opc, a0, a1, seq)
-	r.sys.end(tid)
-	return opc, result, true
-}
+// Recover resolves what thread tid had in flight at the crash, as
+// Queue.Recover; Resolved.Op is the Object's own op code.
+func (r *Recoverable) Recover(tid int) []Resolved { return r.sys.Recover(tid) }
 
 // State views the current object state (quiescent use only).
 func (r *Recoverable) State() State { return r.c.CurrentState() }
@@ -477,10 +316,10 @@ type History = history.Recorder
 func NewHistory(threads int) *History { return history.New(threads) }
 
 // SetHistory installs (or, with nil, removes) an operation recorder.
-func (q *Queue) SetHistory(h *History) { q.q.SetHistory(h) }
+func (q *Queue) SetHistory(h *History) { q.sys.SetHistory(h) }
 
 // SetHistory installs (or, with nil, removes) an operation recorder.
-func (st *Stack) SetHistory(h *History) { st.s.SetHistory(h) }
+func (st *Stack) SetHistory(h *History) { st.sys.SetHistory(h) }
 
 // SetHistory installs (or, with nil, removes) an operation recorder.
-func (h *Heap) SetHistory(r *History) { h.h.SetHistory(r) }
+func (h *Heap) SetHistory(r *History) { h.sys.SetHistory(r) }
