@@ -3,8 +3,9 @@
 // map and FIFO queue on an mmap file-backed heap. Each connection binds one
 // combining thread id and stages its commands into a per-connection window
 // that commits — one combining round, one durability point, all replies — at
-// the size cap or the flush deadline. Restarting the server on the same file
-// recovers every acknowledged operation.
+// the size cap, or as soon as the client has nothing more in flight: the
+// server never holds a window open while it waits on the socket. Restarting
+// the server on the same file recovers every acknowledged operation.
 //
 //	pcomb-server -path /var/tmp/pcomb.heap -addr :6380
 //	redis-cli -p 6380 SET k 41; redis-cli -p 6380 INCRBY k 1
@@ -42,8 +43,7 @@ func main() {
 		path     = flag.String("path", "", "backing heap file (required unless -smoke, which defaults to a temp file)")
 		threads  = flag.Int("threads", 16, "max concurrent connections (combining slots; part of the persistent layout)")
 		kindName = flag.String("kind", "pb", "combining protocol: pb (blocking) or pwf (wait-free)")
-		flushOps = flag.Int("flush-ops", 16, "per-connection batch window size (1 = flush per command; part of the persistent layout in strict mode)")
-		flushUs  = flag.Int("flush-us", 500, "flush deadline (µs): a non-empty window commits at latest this long after its first command")
+		flushOps = flag.Int("flush-ops", 16, "per-connection batch window cap; a window also commits as soon as the client has nothing more in flight (1 = flush per command; part of the persistent layout in strict mode)")
 		epoch    = flag.Bool("epoch", false, "epoch-mode relaxed durability: acknowledge fast, group-commit at epoch closes, WAIT = sync (part of the persistent layout)")
 		epochUs  = flag.Int("epoch-us", 1000, "background epoch close cadence (µs; with -epoch)")
 		syncName = flag.String("sync", "none", "msync on fences: none, async, or fence")
@@ -74,10 +74,7 @@ func main() {
 		EpochInterval: time.Duration(*epochUs) * time.Microsecond,
 		Sync:          sync,
 	}
-	popts := server.Options{
-		FlushOps:      *flushOps,
-		FlushDeadline: time.Duration(*flushUs) * time.Microsecond,
-	}
+	popts := server.Options{FlushOps: *flushOps}
 
 	if *smoke > 0 {
 		if err := runSmoke(sopts, popts, *smoke); err != nil {

@@ -49,6 +49,7 @@ type PBComb struct {
 	lockVal atomic.Uint64
 
 	scratch [][]Request
+	envs    []Env // per-thread combiner environment, reused from round to round
 
 	// Adaptive announce backoff (see Invoke): per-thread bounded exponential
 	// waits between announcing and competing for the lock, tuned by the
@@ -155,6 +156,7 @@ func NewPBCombWith(h *pmem.Heap, name string, n int, obj Object, o CombOpts) *PB
 	c.hotReq = make([]pmem.HotWord, n)
 	c.ctxs = make([]*pmem.Ctx, n)
 	c.scratch = make([][]Request, n)
+	c.envs = make([]Env, n)
 	c.adaptive = true
 	c.annYld = make([]prim.PaddedUint64, n)
 	c.annHot = make([]prim.PaddedUint64, n)
@@ -591,7 +593,8 @@ func (c *PBComb) combine(tid int, lockHeld uint64) uint64 {
 		c.degEMA.Store(old - old/emaAlpha + (uint64(anns)<<emaShift)/emaAlpha)
 	}
 
-	env := &Env{Ctx: ctx, State: State{r: c.state, off: dst, n: c.stWords}, Combiner: tid}
+	env := &c.envs[tid]
+	*env = Env{Ctx: ctx, State: State{r: c.state, off: dst, n: c.stWords}, Combiner: tid}
 	if c.sparse {
 		env.dirty = c.dirtyCur
 	}

@@ -54,6 +54,7 @@ type PWFComb struct {
 	combRound []uint64 // [p*n+q], accessed atomically
 
 	scratch  [][]Request
+	envs     []Env // per-thread combiner environment, reused from attempt to attempt
 	backoffs []*prim.Backoff
 
 	// Adaptive announce backoff (see Invoke): the same degree-tuned yield
@@ -185,6 +186,7 @@ func NewPWFCombWith(h *pmem.Heap, name string, n int, obj Object, o CombOpts) *P
 	c.combRound = make([]uint64, n*n)
 	c.ctxs = make([]*pmem.Ctx, n)
 	c.scratch = make([][]Request, n)
+	c.envs = make([]Env, n)
 	c.backoffs = make([]*prim.Backoff, n)
 	c.adaptive = true
 	c.annYld = make([]prim.PaddedUint64, n)
@@ -463,7 +465,8 @@ func (c *PWFComb) perform(tid int) uint64 {
 			continue
 		}
 
-		env := &Env{Ctx: ctx, State: State{r: c.state, off: dst, n: c.stWords}, Combiner: tid}
+		env := &c.envs[tid]
+		*env = Env{Ctx: ctx, State: State{r: c.state, off: dst, n: c.stWords}, Combiner: tid}
 		if c.sparse {
 			// The validated fill proved the buffer now matches version
 			// `stamp` exactly: record the sync and clear the divergence set,

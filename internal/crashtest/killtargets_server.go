@@ -26,7 +26,6 @@ import (
 	"net"
 	"strconv"
 	"sync"
-	"time"
 
 	"pcomb"
 	"pcomb/internal/hashmap"
@@ -104,10 +103,7 @@ func (t *srvKT) Attach(h *pmem.Heap, n int) {
 // startChild brings up the in-process server and dials one connection per
 // thread (child side only, first Step).
 func (t *srvKT) startChild() {
-	t.srv = server.New(t.st, server.Options{
-		FlushOps:      srvKillFlushOps,
-		FlushDeadline: 2 * time.Millisecond,
-	})
+	t.srv = server.New(t.st, server.Options{FlushOps: srvKillFlushOps})
 	addr, err := t.srv.Start("127.0.0.1:0")
 	if err != nil {
 		t.startErr = err

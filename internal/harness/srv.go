@@ -7,7 +7,8 @@ package harness
 // included. Two server policies run on identical workloads: the naive
 // baseline commits (flushes + replies) after every command, the batched
 // server stages up to FlushOps commands per window and commits at the size
-// cap or the flush deadline, whichever comes first. The figure is the
+// cap or when the connection has nothing more buffered, whichever comes
+// first. The figure is the
 // server-layer restatement of the paper's combining argument: one combining
 // round per window amortizes the persistence cost across the whole pipeline.
 

@@ -176,11 +176,13 @@ type Map struct {
 	sys *sysarea.Area
 
 	// pipe stages Submit-ed operations (nil unless built with VecCap > 1);
-	// taken and tmp are per-thread scratch for the per-shard grouping in
-	// flushBatch.
+	// taken, tmp, group and idxs are per-thread scratch for the per-shard
+	// grouping in flushBatch, each VecCap long.
 	pipe  *vecbatch.Pipe
 	taken [][]bool
 	tmp   [][]uint64
+	group [][]core.VecOp
+	idxs  [][]int
 
 	epoch *pmem.Epoch // non-nil in epoch-mode relaxed durability
 }
@@ -249,9 +251,13 @@ func NewWith(h *pmem.Heap, name string, n int, kind Kind, o Options) *Map {
 		m.pipe = vecbatch.New(n, o.VecCap, m.flushBatch)
 		m.taken = make([][]bool, n)
 		m.tmp = make([][]uint64, n)
+		m.group = make([][]core.VecOp, n)
+		m.idxs = make([][]int, n)
 		for i := range m.taken {
 			m.taken[i] = make([]bool, o.VecCap)
 			m.tmp[i] = make([]uint64, o.VecCap)
+			m.group[i] = make([]core.VecOp, 0, o.VecCap)
+			m.idxs[i] = make([]int, 0, o.VecCap)
 		}
 	}
 	if o.Epoch {
@@ -434,9 +440,7 @@ func (m *Map) VecCap() int {
 // the intra-thread reordering across shards is unobservable, as the ops
 // commute) and each group runs as one vectorized announcement.
 func (m *Map) flushBatch(tid int, ops []core.VecOp, rets []uint64) {
-	taken := m.taken[tid]
-	var group []core.VecOp
-	var idxs []int
+	taken, group, idxs := m.taken[tid], m.group[tid], m.idxs[tid]
 	for i := range ops {
 		if taken[i] {
 			continue

@@ -149,30 +149,31 @@ func applyCrashPolicy(c *Ctx, policy CrashPolicy, rng *rand.Rand, out *CrashOutc
 		out.Applied += len(c.pending)
 		c.drainAll()
 	case RandomCut:
-		for _, f := range c.pending {
-			if rng.Intn(2) == 0 {
-				f.r.applyShadowLine(f.line, f.data, f.seq)
+		for i := range c.pending {
+			if f := &c.pending[i]; rng.Intn(2) == 0 {
+				f.r.applyShadowLine(f.line, f.words(), f.seq)
 				out.Applied++
 			}
 		}
 	case TornLine:
-		for _, f := range c.pending {
+		for i := range c.pending {
+			f := &c.pending[i]
 			switch rng.Intn(4) {
 			case 0:
 				// dropped entirely
 			case 1:
-				f.r.applyShadowLine(f.line, f.data, f.seq)
+				f.r.applyShadowLine(f.line, f.words(), f.seq)
 				out.Applied++
 			case 2:
 				// torn prefix: the line's write-back was cut off mid-line
-				k := rng.Intn(len(f.data))
-				f.r.applyShadowWords(f.line, f.data, uint64(1)<<uint(k)-1, f.seq)
+				k := rng.Intn(f.n)
+				f.r.applyShadowWords(f.line, f.words(), uint64(1)<<uint(k)-1, f.seq)
 				out.Torn++
 			default:
 				// arbitrary word subset: word persists are unordered within
 				// an unfenced line
-				mask := rng.Uint64() & (uint64(1)<<uint(len(f.data)) - 1)
-				f.r.applyShadowWords(f.line, f.data, mask, f.seq)
+				mask := rng.Uint64() & (uint64(1)<<uint(f.n) - 1)
+				f.r.applyShadowWords(f.line, f.words(), mask, f.seq)
 				out.Torn++
 			}
 		}

@@ -10,13 +10,20 @@ type CrashError struct{}
 func (CrashError) Error() string { return "pmem: simulated system crash" }
 
 // flushRec is one scheduled cache-line write-back: the line's contents as
-// captured when pwb executed.
+// captured when pwb executed. The image is held inline, so a context's
+// pending queue (and the epoch buffer's stream) is the only storage a
+// capture needs and is reused from fence to fence; the record stays valid
+// until drainAll or FinishCrash has consumed it.
 type flushRec struct {
 	r    *Region
 	line int
-	data []uint64
 	seq  uint64 // the capture's number among the line's captures
+	n    int    // words captured (LineWords, less on a region's short last line)
+	data [LineWords]uint64
 }
+
+// words returns the captured image.
+func (f *flushRec) words() []uint64 { return f.data[:f.n] }
 
 // Ctx is a per-thread persistence context: it owns the thread's
 // persistence-instruction counters, its queue of scheduled-but-not-yet
@@ -178,8 +185,8 @@ func (c *Ctx) PWB(r *Region, off, n int) {
 	}
 	if c.h.cfg.Mode == ModeShadow {
 		for li := lo; li <= hi; li++ {
-			data, seq := r.captureLine(li)
-			c.pending = append(c.pending, flushRec{r: r, line: li, data: data, seq: seq})
+			c.pending = append(c.pending, flushRec{})
+			r.captureLine(li, &c.pending[len(c.pending)-1])
 		}
 	}
 	c.charge(c.h.pwbCost, hi-lo+1)
@@ -264,11 +271,12 @@ func (c *Ctx) drainAll() {
 	fs := c.h.fs
 	syncing := fs != nil && fs.sync != SyncNone
 	loW, hiW := 0, 0
-	for _, f := range c.pending {
-		f.r.applyShadowLine(f.line, f.data, f.seq)
+	for i := range c.pending {
+		f := &c.pending[i]
+		f.r.applyShadowLine(f.line, f.words(), f.seq)
 		if syncing {
 			lo := f.r.fileOff + f.line*LineWords
-			hi := lo + len(f.data)
+			hi := lo + f.n
 			if hiW == 0 || lo < loW {
 				loW = lo
 			}

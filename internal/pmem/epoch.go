@@ -28,13 +28,11 @@ const (
 )
 
 // epochRec is one deferred persistence instruction: a captured cache-line
-// write-back, or a fence/psync marker holding its place in issue order.
+// write-back (image inline, as in a context's pending queue), or a
+// fence/psync marker holding its place in issue order.
 type epochRec struct {
-	r    *Region // nil for fence/psync markers
-	line int
-	data []uint64
-	seq  uint64
-	kind int
+	flushRec // r is nil for fence/psync markers
+	kind     int
 }
 
 // dirtyLine identifies one coalesced cache line a close must write back.
@@ -64,6 +62,7 @@ type EpochBuf struct {
 	mu    sync.Mutex
 	count bool // ModeCount: coalesce instead of capturing
 	recs  []epochRec
+	spare []epochRec // the stream the last take handed out; the next take reuses it
 	regs  map[*Region]*regionDirty
 	last  *regionDirty // capture's 1-entry region cache (guarded by mu)
 }
@@ -81,8 +80,8 @@ func (b *EpochBuf) capture(r *Region, lo, hi int) {
 		b.insertLocked(r, lo, hi)
 	} else {
 		for li := lo; li <= hi; li++ {
-			data, seq := r.captureLine(li)
-			b.recs = append(b.recs, epochRec{r: r, line: li, data: data, seq: seq, kind: epLine})
+			b.recs = append(b.recs, epochRec{kind: epLine})
+			r.captureLine(li, &b.recs[len(b.recs)-1].flushRec)
 		}
 	}
 	b.mu.Unlock()
@@ -147,11 +146,13 @@ func (b *EpochBuf) mark(kind int) {
 	b.mu.Unlock()
 }
 
-// take atomically drains the buffer for a close.
+// take atomically drains the buffer for a close. The returned stream is
+// valid until the next take, which reuses its storage: closes are serialized
+// and each has replayed its stream before the next one starts.
 func (b *EpochBuf) take() ([]epochRec, []dirtyLine) {
 	b.mu.Lock()
 	recs := b.recs
-	b.recs = nil
+	b.recs, b.spare = b.spare[:0], recs
 	var dirty []dirtyLine
 	if b.count {
 		n := 0
@@ -389,8 +390,8 @@ func (e *Epoch) closePass() {
 			// crash adversary (random-cut, torn-line) could durably apply a
 			// commit line without the record lines it orders after, a state
 			// the strict stream can never produce.
-			for _, rec := range recs {
-				switch rec.kind {
+			for i := range recs {
+				switch rec := &recs[i]; rec.kind {
 				case epFence:
 					ctx.PFence()
 				case epPsync:
@@ -398,7 +399,7 @@ func (e *Epoch) closePass() {
 				default:
 					ctx.event()
 					ctx.pwbs++
-					ctx.pending = append(ctx.pending, flushRec{r: rec.r, line: rec.line, data: rec.data, seq: rec.seq})
+					ctx.pending = append(ctx.pending, rec.flushRec)
 					ctx.charge(e.h.pwbCost, 1)
 					lines++
 				}

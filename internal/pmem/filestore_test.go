@@ -104,6 +104,21 @@ func TestFileHeapSyncModes(t *testing.T) {
 	}
 }
 
+// TestFilePersistAllocFree: the same gate on a file heap, in the mode the
+// server runs (no msync) and with a blocking msync at every fence.
+func TestFilePersistAllocFree(t *testing.T) {
+	for _, mode := range []SyncMode{SyncNone, SyncFence} {
+		h, _, err := OpenFile(tmpHeapPath(t), FileOpts{Sync: mode, Cfg: Config{NoCost: true}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkPersistAllocFree(t, h)
+		if err := h.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 func TestRegionCheckedNotFound(t *testing.T) {
 	h := NewHeap(Config{Mode: ModeShadow, NoCost: true})
 	if _, err := h.RegionChecked("nope"); !errors.Is(err, ErrRegionNotFound) {

@@ -204,6 +204,38 @@ func TestSameLineOrderAcrossContexts(t *testing.T) {
 	}
 }
 
+// checkPersistAllocFree is the allocation gate on the persistence
+// instructions: a multi-line PWB, a PFence, a single-line PWB and a PSync on
+// a capturing heap must allocate nothing once the context's pending queue
+// has grown to its working size, and must still persist what they promised.
+func checkPersistAllocFree(t *testing.T, h *Heap) {
+	t.Helper()
+	r := h.AllocOrGet("allocgate", 4*LineWords+3) // short last line
+	c := h.NewCtx()
+	v := uint64(0)
+	round := func() {
+		v++
+		r.Store(0, v)
+		r.Store(r.Len()-1, v)
+		c.PWB(r, 0, r.Len())
+		c.PFence()
+		r.Store(LineWords, v)
+		c.PWBLine(r, LineWords)
+		c.PSync()
+	}
+	round() // warm-up: pending grows, the lines' seq chunk is created
+	if n := testing.AllocsPerRun(200, round); n != 0 {
+		t.Fatalf("PWB+PFence+PSync allocate %.1f times per round, want 0", n)
+	}
+	for _, i := range []int{0, LineWords, r.Len() - 1} {
+		if got := r.ShadowLoad(i); got != v {
+			t.Fatalf("word %d durable as %d after the last psync, want %d", i, got, v)
+		}
+	}
+}
+
+func TestShadowPersistAllocFree(t *testing.T) { checkPersistAllocFree(t, newShadowHeap()) }
+
 func TestCountersAndStats(t *testing.T) {
 	h := NewHeap(Config{Mode: ModeCount, NoCost: true})
 	r := h.Alloc("a", 64)

@@ -143,22 +143,22 @@ func (r *Region) lineSeq(li int) *seqChunk {
 	return p.Load()
 }
 
-// captureLine copies the current volatile contents of cache line li and
-// numbers the capture. The number is drawn BEFORE the words are read, so a
-// higher-numbered capture read every word no earlier than a lower-numbered
-// one was issued: it covers every store the lower one's pwb promised.
-func (r *Region) captureLine(li int) ([]uint64, uint64) {
-	seq := atomic.AddUint64(&r.lineSeq(li).issued[li%seqChunkLines], 1)
+// captureLine fills f with the write-back of cache line li as issued right
+// now: the line's current volatile contents (the region's last line may be
+// short) and the capture's number. The number is drawn BEFORE the words are
+// read, so a higher-numbered capture read every word no earlier than a
+// lower-numbered one was issued: it covers every store the lower one's pwb
+// promised. The image lands in the caller's record, already in its queue,
+// not in a buffer of its own: a pwb sits on every operation's path and must
+// not allocate.
+func (r *Region) captureLine(li int, f *flushRec) {
+	f.r, f.line = r, li
+	f.seq = atomic.AddUint64(&r.lineSeq(li).issued[li%seqChunkLines], 1)
 	lo := li * LineWords
-	hi := lo + LineWords
-	if hi > len(r.words) {
-		hi = len(r.words)
+	f.n = min(LineWords, len(r.words)-lo)
+	for i := 0; i < f.n; i++ {
+		f.data[i] = atomic.LoadUint64(&r.words[lo+i])
 	}
-	buf := make([]uint64, hi-lo)
-	for i := lo; i < hi; i++ {
-		buf[i-lo] = atomic.LoadUint64(&r.words[i])
-	}
-	return buf, seq
 }
 
 // landing reports whether capture seq of line li is newer than what the

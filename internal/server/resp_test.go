@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"slices"
 	"strings"
 	"testing"
 	"testing/iotest"
@@ -30,6 +31,10 @@ var respCorpus = []struct {
 	{"inline LF only", "PING\n", []string{"PING"}, false},
 	{"blank line skipped", "\r\nPING\r\n", []string{"PING"}, false},
 	{"empty array skipped", "*0\r\nPING\r\n", []string{"PING"}, false},
+	// The second and third words outgrow a decoder's word buffer after
+	// earlier words were already placed in it.
+	{"args grow the buffer mid-command", "*4\r\n$3\r\nSET\r\n$1\r\nk\r\n$40\r\n" + strings.Repeat("a", 40) + "\r\n$200\r\n" + strings.Repeat("b", 200) + "\r\n",
+		[]string{"SET", "k", strings.Repeat("a", 40), strings.Repeat("b", 200)}, false},
 
 	{"negative multibulk", "*-1\r\n", nil, true},
 	{"oversized multibulk", "*129\r\n", nil, true},
@@ -61,14 +66,8 @@ func TestReadCommandCorpus(t *testing.T) {
 			if err != nil {
 				t.Fatalf("ReadCommand(%q): %v", tc.in, err)
 			}
-			got := append([]string{cmd.Name}, argStrings(cmd.Args)...)
-			if len(got) != len(tc.want) {
+			if got := flat(cmd); !slices.Equal(got, tc.want) {
 				t.Fatalf("got %q, want %q", got, tc.want)
-			}
-			for i := range got {
-				if got[i] != tc.want[i] {
-					t.Fatalf("arg %d: got %q, want %q", i, got, tc.want)
-				}
 			}
 		})
 	}
@@ -82,22 +81,60 @@ func argStrings(args [][]byte) []string {
 	return out
 }
 
-// TestReadCommandSplitReads re-parses every accepted corpus entry through a
-// one-byte-at-a-time reader: frame decoding must be oblivious to how the
-// kernel fragments the stream.
+// flat flattens a command for comparison.
+func flat(cmd Command) []string {
+	return append([]string{cmd.Name}, argStrings(cmd.Args)...)
+}
+
+// TestReadCommandSplitReads re-parses every accepted corpus entry, twice in a
+// row on one Decoder, through a one-byte-at-a-time reader: frame decoding
+// must be oblivious to how the kernel fragments the stream, and a command
+// must not see what the previous one left in the decoder's storage.
 func TestReadCommandSplitReads(t *testing.T) {
 	for _, tc := range respCorpus {
 		if tc.err {
 			continue
 		}
-		br := bufio.NewReader(iotest.OneByteReader(strings.NewReader(tc.in)))
-		cmd, err := ReadCommand(br)
-		if err != nil {
-			t.Fatalf("%s: split read: %v", tc.name, err)
+		d := NewDecoder(bufio.NewReader(iotest.OneByteReader(strings.NewReader(tc.in + tc.in))))
+		for i := 0; i < 2; i++ {
+			words, err := d.Read()
+			if err != nil {
+				t.Fatalf("%s: split read %d: %v", tc.name, i, err)
+			}
+			if got := argStrings(words); !slices.Equal(got, tc.want) {
+				t.Fatalf("%s: split read %d decoded %q, want %q", tc.name, i, got, tc.want)
+			}
 		}
-		if cmd.Name != tc.want[0] {
-			t.Fatalf("%s: split read decoded %q, want %q", tc.name, cmd.Name, tc.want[0])
+	}
+}
+
+// TestDecoderAllocFree is the decoder's allocation gate: over the accepted
+// corpus, back to back on one Decoder, a command costs no allocation once
+// the storage has reached its working size.
+func TestDecoderAllocFree(t *testing.T) {
+	var stream []byte
+	cmds := 0
+	for _, tc := range respCorpus {
+		if !tc.err {
+			stream = append(stream, tc.in...)
+			cmds++
 		}
+	}
+	src := bytes.NewReader(stream)
+	br := bufio.NewReader(src)
+	d := NewDecoder(br)
+	pass := func() {
+		src.Reset(stream)
+		br.Reset(src)
+		for i := 0; i < cmds; i++ {
+			if _, err := d.Read(); err != nil {
+				t.Fatalf("command %d: %v", i, err)
+			}
+		}
+	}
+	pass()
+	if n := testing.AllocsPerRun(50, pass); n != 0 {
+		t.Fatalf("%.1f allocations per pass of %d commands, want 0", n, cmds)
 	}
 }
 
@@ -151,9 +188,13 @@ func TestHashKeyDomain(t *testing.T) {
 	}
 }
 
-// FuzzRESPParse drains arbitrary bytes through the command reader: it must
-// terminate, never panic, and classify every outcome as a command, a clean
-// EOF, or an error — the "malformed input never wedges the loop" contract.
+// FuzzRESPParse drains arbitrary bytes, doubled so that an input holding one
+// command yields two in a row, through a Decoder: it must terminate, never
+// panic, and classify every outcome as a command, a clean EOF, or an error —
+// the "malformed input never wedges the loop" contract. Each command is
+// checked against a fresh one-shot decode of the same stream, whose storage
+// nothing reuses: a word that aliases the previous command's bytes, or its
+// neighbour's, shows up as a difference.
 func FuzzRESPParse(f *testing.F) {
 	for _, tc := range respCorpus {
 		f.Add([]byte(tc.in))
@@ -163,14 +204,25 @@ func FuzzRESPParse(f *testing.F) {
 	f.Add([]byte("*1\r\n*1\r\n$4\r\nPING\r\n"))
 	f.Add(bytes.Repeat([]byte("*0\r\n"), 50))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		br := bufio.NewReader(bytes.NewReader(data))
+		stream := append(append([]byte(nil), data...), data...)
+		d := NewDecoder(bufio.NewReader(bytes.NewReader(stream)))
+		ref := bufio.NewReader(bytes.NewReader(stream))
 		for i := 0; i < 1000; i++ {
-			cmd, err := ReadCommand(br)
+			words, err := d.Read()
+			want, wantErr := ReadCommand(ref)
+			if (err == nil) != (wantErr == nil) || errors.Is(err, io.EOF) != errors.Is(wantErr, io.EOF) {
+				t.Fatalf("command %d: reusing decoder: %v, one-shot: %v", i, err, wantErr)
+			}
 			if err != nil {
 				return // EOF or a reported error: both fine, loop ended
 			}
-			if cmd.Name == "" {
-				t.Fatalf("ReadCommand returned an empty command without error")
+			if !slices.Equal(argStrings(words), flat(want)) {
+				t.Fatalf("command %d: reusing decoder read %q, one-shot %q", i, words, flat(want))
+			}
+			for j, w := range words {
+				if cap(w) != len(w) {
+					t.Fatalf("command %d: word %d can be appended into its neighbour", i, j)
+				}
 			}
 		}
 		// 1000 commands from a fuzz input is fine too — just bounded.

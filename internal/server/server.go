@@ -2,6 +2,7 @@ package server
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"net"
 	"strconv"
@@ -71,21 +72,16 @@ type Store interface {
 
 // Options tunes a Server; the zero value is sensible.
 type Options struct {
-	// FlushOps commits a connection's staged window when it reaches this
-	// many store operations (0 = 16). 1 is the naive flush-per-command
-	// baseline.
+	// FlushOps caps a connection's window: the staged operations commit when
+	// they reach this many (0 = 16), and otherwise the moment the client has
+	// nothing more in flight — before the server would wait on the socket.
+	// 1 is the naive flush-per-command baseline.
 	FlushOps int
-	// FlushDeadline commits a non-empty window this long after its first
-	// operation, bounding the latency a batch can add (0 = 500µs).
-	FlushDeadline time.Duration
 }
 
 func (o Options) withDefaults() Options {
 	if o.FlushOps <= 0 {
 		o.FlushOps = 16
-	}
-	if o.FlushDeadline <= 0 {
-		o.FlushDeadline = 500 * time.Microsecond
 	}
 	return o
 }
@@ -237,15 +233,19 @@ type sconn struct {
 	srv  *Server
 	st   Store
 	conn net.Conn
-	br   *bufio.Reader
+	dec  *Decoder
 	bw   *bufio.Writer
 	tid  int
 	fo   int // effective FlushOps (1 in epoch mode: ops are scalar there)
 
-	pend      []pendingReply
-	nstore    int // store ops in pend
-	windowEnd time.Time
+	pend   []pendingReply
+	nstore int // store ops in pend
+
+	frame    int       // the decoder frame frameEnd belongs to
+	frameEnd time.Time // when the client must have sent the rest of it
 }
+
+var errClosing = errors.New("server closing")
 
 func (s *Server) serveConn(conn net.Conn, tid int) {
 	defer conn.Close()
@@ -253,61 +253,83 @@ func (s *Server) serveConn(conn net.Conn, tid int) {
 		srv:  s,
 		st:   s.st,
 		conn: conn,
-		br:   bufio.NewReader(conn),
 		bw:   bufio.NewWriter(conn),
 		tid:  tid,
 		fo:   s.opts.FlushOps,
 	}
+	c.dec = NewDecoder(bufio.NewReader(c)) // socket reads go through c.Read
 	if s.st.Epoch() {
 		// Epoch mode's group commit happens at epoch closes, not flushes;
 		// replies are immediate and WAIT is the durability point.
 		c.fo = 1
 	}
 	for {
-		if len(c.pend) > 0 {
-			conn.SetReadDeadline(c.windowEnd)
-		} else {
-			conn.SetReadDeadline(time.Now().Add(idlePoll))
-		}
-		_, err := c.br.Peek(1)
+		words, err := c.dec.Read()
 		if err != nil {
-			if ne, ok := err.(net.Error); ok && ne.Timeout() {
-				if c.commit() != nil {
-					return
-				}
-				if s.closing() {
-					return
-				}
-				continue
-			}
-			c.commit() // EOF or reset: deliver what we owe, best effort
-			return
-		}
-		conn.SetReadDeadline(time.Now().Add(frameTimeout))
-		cmd, err := ReadCommand(c.br)
-		if err != nil {
-			// Framing is unrecoverable: settle the window, report, close.
-			if c.commit() == nil {
+			// An error that came from the socket found the window already
+			// committed, but a framing error can sit in bytes that arrived
+			// together with good commands: those are still owed their commit
+			// and their replies. Framing is unrecoverable: report it and
+			// close. EOF, a frame timeout, shutdown and a failed write just
+			// close.
+			c.commit()
+			if errors.Is(err, ErrProtocol) {
 				writeError(c.bw, err.Error())
 				c.bw.Flush()
 			}
 			return
 		}
-		if c.handle(cmd) != nil {
+		if c.handle(words[0], words[1:]) != nil {
 			return
 		}
 	}
 }
 
-// handle dispatches one command and applies the flush policy. A non-nil
-// error means the connection is unusable (write failure).
-func (c *sconn) handle(cmd Command) error {
-	commitNow, err := c.dispatch(cmd)
+// Read is the connection's only way to the socket, and the window policy:
+// the decoder comes here exactly when it has used up every byte the client
+// has sent, so the window commits now — one store flush, every owed reply,
+// one write — rather than after a wait. No window is ever open while the
+// server blocks, whether between frames or inside one, and no reply waits on
+// bytes the client has not sent. A pipelining client still fills its window,
+// because its commands arrive together and are decoded from the buffer
+// without coming back here.
+//
+// Between frames the read polls for shutdown every idlePoll; inside a frame
+// the client has frameTimeout, counted from the frame's first blocking read,
+// to send the rest.
+func (c *sconn) Read(p []byte) (int, error) {
+	if err := c.commit(); err != nil {
+		return 0, err
+	}
+	for {
+		deadline := time.Now().Add(idlePoll)
+		if c.dec.inFrame {
+			if c.frame != c.dec.frames {
+				c.frame, c.frameEnd = c.dec.frames, time.Now().Add(frameTimeout)
+			}
+			deadline = c.frameEnd
+		}
+		c.conn.SetReadDeadline(deadline)
+		// Close sets quit and then an immediate deadline. Checking after
+		// arming means either this sees quit, or Close's deadline lands
+		// after ours and wakes the read.
+		if c.srv.closing() {
+			return 0, errClosing
+		}
+		n, err := c.conn.Read(p)
+		if ne, ok := err.(net.Error); ok && ne.Timeout() && n == 0 && !c.dec.inFrame {
+			continue // idle: poll again
+		}
+		return n, err
+	}
+}
+
+// handle dispatches one command and applies the size cap. A non-nil error
+// means the connection is unusable (write failure).
+func (c *sconn) handle(name []byte, args [][]byte) error {
+	commitNow, err := c.dispatch(name, args)
 	if err != nil {
 		return err
-	}
-	if len(c.pend) == 1 {
-		c.windowEnd = time.Now().Add(c.srv.opts.FlushDeadline)
 	}
 	if commitNow || c.nstore >= c.fo || c.st.Pending(c.tid) >= c.fo {
 		return c.commit()
@@ -317,69 +339,70 @@ func (c *sconn) handle(cmd Command) error {
 
 // dispatch stages one command's store operation and queues its reply.
 // commitNow requests an immediate window commit (control commands, errors,
-// and everything in naive/epoch mode via the fo check in handle).
-func (c *sconn) dispatch(cmd Command) (commitNow bool, err error) {
-	switch cmd.Name {
+// and everything in naive/epoch mode via the fo check in handle). The switch
+// is the served command set; it compares the name where the decoder left it.
+func (c *sconn) dispatch(name []byte, args [][]byte) (commitNow bool, err error) {
+	switch string(name) {
 	case "PING":
-		if len(cmd.Args) > 1 {
-			return true, c.argErr(cmd)
+		if len(args) > 1 {
+			return true, c.argErr(name)
 		}
 		msg := ""
-		if len(cmd.Args) == 1 {
-			msg = string(cmd.Args[0])
+		if len(args) == 1 {
+			msg = string(args[0])
 		}
 		c.push(pendingReply{k: rPong, msg: msg})
 		return true, nil
 
 	case "GET":
-		if len(cmd.Args) != 1 {
-			return true, c.argErr(cmd)
+		if len(args) != 1 {
+			return true, c.argErr(name)
 		}
-		c.pushStore(rBulk, c.st.Get(c.tid, HashKey(string(cmd.Args[0]))))
+		c.pushStore(rBulk, c.st.Get(c.tid, hashKey(args[0])))
 		return false, nil
 
 	case "SET", "GETSET":
-		if len(cmd.Args) != 2 {
-			return true, c.argErr(cmd)
+		if len(args) != 2 {
+			return true, c.argErr(name)
 		}
-		v, ok := parseValue(cmd.Args[1])
+		v, ok := parseValue(args[1])
 		if !ok {
 			return true, c.pushErr("value is not an integer or out of range")
 		}
 		k := rOK
-		if cmd.Name == "GETSET" {
+		if string(name) == "GETSET" {
 			k = rBulk
 		}
-		c.pushStore(k, c.st.Set(c.tid, HashKey(string(cmd.Args[0])), v))
+		c.pushStore(k, c.st.Set(c.tid, hashKey(args[0]), v))
 		return false, nil
 
 	case "DEL", "GETDEL":
-		if len(cmd.Args) != 1 {
-			return true, c.argErr(cmd)
+		if len(args) != 1 {
+			return true, c.argErr(name)
 		}
 		k := rInt01
-		if cmd.Name == "GETDEL" {
+		if string(name) == "GETDEL" {
 			k = rBulk
 		}
-		c.pushStore(k, c.st.Del(c.tid, HashKey(string(cmd.Args[0]))))
+		c.pushStore(k, c.st.Del(c.tid, hashKey(args[0])))
 		return false, nil
 
 	case "INCRBY":
-		if len(cmd.Args) != 2 {
-			return true, c.argErr(cmd)
+		if len(args) != 2 {
+			return true, c.argErr(name)
 		}
-		d, ok := parseDelta(cmd.Args[1])
+		d, ok := parseDelta(args[1])
 		if !ok {
 			return true, c.pushErr("value is not an integer or out of range")
 		}
-		c.pushStore(rIntVal, c.st.IncrBy(c.tid, HashKey(string(cmd.Args[0])), d))
+		c.pushStore(rIntVal, c.st.IncrBy(c.tid, hashKey(args[0]), d))
 		return false, nil
 
 	case "LPUSH":
-		if len(cmd.Args) != 2 {
-			return true, c.argErr(cmd)
+		if len(args) != 2 {
+			return true, c.argErr(name)
 		}
-		v, ok := parseValue(cmd.Args[1])
+		v, ok := parseValue(args[1])
 		if !ok {
 			return true, c.pushErr("value is not an integer or out of range")
 		}
@@ -394,8 +417,8 @@ func (c *sconn) dispatch(cmd Command) (commitNow bool, err error) {
 		return false, nil
 
 	case "RPOP":
-		if len(cmd.Args) != 1 {
-			return true, c.argErr(cmd)
+		if len(args) != 1 {
+			return true, c.argErr(name)
 		}
 		if c.st.PendingQueueClass(c.tid) == 1 {
 			if err := c.commit(); err != nil {
@@ -406,8 +429,8 @@ func (c *sconn) dispatch(cmd Command) (commitNow bool, err error) {
 		return false, nil
 
 	case "WAIT":
-		if len(cmd.Args) > 2 {
-			return true, c.argErr(cmd)
+		if len(args) > 2 {
+			return true, c.argErr(name)
 		}
 		// Settle the window first so WAIT's durability point covers every
 		// previously acknowledged operation of this connection.
@@ -419,7 +442,7 @@ func (c *sconn) dispatch(cmd Command) (commitNow bool, err error) {
 		return false, c.bw.Flush()
 
 	default:
-		return true, c.pushErr(fmt.Sprintf("unknown command '%s'", cmd.Name))
+		return true, c.pushErr(fmt.Sprintf("unknown command '%s'", name))
 	}
 }
 
@@ -437,8 +460,8 @@ func (c *sconn) pushErr(msg string) error {
 	return nil
 }
 
-func (c *sconn) argErr(cmd Command) error {
-	return c.pushErr(fmt.Sprintf("wrong number of arguments for '%s' command", cmd.Name))
+func (c *sconn) argErr(name []byte) error {
+	return c.pushErr(fmt.Sprintf("wrong number of arguments for '%s' command", name))
 }
 
 // commit flushes the connection's staged store operations and writes every
@@ -505,7 +528,11 @@ func (c *sconn) commit() error {
 // HashKey maps an arbitrary client key to the map's key domain [1, 2^64-3]
 // (FNV-64a folded away from zero and the sentinel space). Distinct keys may
 // collide, as in any fixed-width hash addressing.
-func HashKey(key string) uint64 {
+func HashKey(key string) uint64 { return hashKey(key) }
+
+// hashKey is HashKey over either form a key arrives in; a decoded argument
+// is hashed where it lies.
+func hashKey[K string | []byte](key K) uint64 {
 	const (
 		offset64 = 14695981039346656037
 		prime64  = 1099511628211

@@ -58,12 +58,7 @@ func dial(t *testing.T, addr string) *client {
 }
 
 // send stages one RESP array command (call flush to put it on the wire).
-func (cl *client) send(args ...string) {
-	fmt.Fprintf(cl.bw, "*%d\r\n", len(args))
-	for _, a := range args {
-		fmt.Fprintf(cl.bw, "$%d\r\n%s\r\n", len(a), a)
-	}
-}
+func (cl *client) send(args ...string) { cl.bw.Write(respFrame(args...)) }
 
 func (cl *client) flush(t *testing.T) {
 	t.Helper()
@@ -114,7 +109,7 @@ func (cl *client) do(t *testing.T, args ...string) string {
 func TestServerConformance(t *testing.T) {
 	srv, _, addr, _ := startServer(t,
 		pcomb.ServerOptions{Threads: 4, FlushOps: 4},
-		server.Options{FlushOps: 4, FlushDeadline: 200 * time.Microsecond})
+		server.Options{FlushOps: 4})
 	cl := dial(t, addr)
 
 	steps := []struct {
@@ -185,7 +180,7 @@ func TestServerConformance(t *testing.T) {
 func TestServerProtocolErrorCloses(t *testing.T) {
 	_, _, addr, _ := startServer(t,
 		pcomb.ServerOptions{Threads: 2},
-		server.Options{FlushDeadline: 200 * time.Microsecond})
+		server.Options{})
 	cl := dial(t, addr)
 	if _, err := cl.bw.WriteString("*1\r\n$-5\r\n"); err != nil {
 		t.Fatal(err)
@@ -208,7 +203,7 @@ func TestServerProtocolErrorCloses(t *testing.T) {
 func TestServerConnLimit(t *testing.T) {
 	_, _, addr, _ := startServer(t,
 		pcomb.ServerOptions{Threads: 1},
-		server.Options{FlushDeadline: 200 * time.Microsecond})
+		server.Options{})
 	cl := dial(t, addr)
 	if got := cl.do(t, "PING"); got != "+PONG" {
 		t.Fatalf("first connection: %q", got)
@@ -230,7 +225,7 @@ func TestServerRestartRecovery(t *testing.T) {
 	if restart {
 		t.Fatal("fresh file reported restart")
 	}
-	srv := server.New(st, server.Options{FlushOps: 4, FlushDeadline: 200 * time.Microsecond})
+	srv := server.New(st, server.Options{FlushOps: 4})
 	addr, err := srv.Start("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -255,7 +250,7 @@ func TestServerRestartRecovery(t *testing.T) {
 	if !restart2 {
 		t.Fatal("reopen did not report restart")
 	}
-	srv2 := server.New(st2, server.Options{FlushOps: 4, FlushDeadline: 200 * time.Microsecond})
+	srv2 := server.New(st2, server.Options{FlushOps: 4})
 	addr2, err := srv2.Start("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -285,7 +280,7 @@ func TestServerEpochWait(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := server.New(st, server.Options{FlushDeadline: 200 * time.Microsecond})
+	srv := server.New(st, server.Options{})
 	addr, err := srv.Start("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -343,7 +338,7 @@ func TestServerConcurrentMixed(t *testing.T) {
 	qh := pcomb.NewHistory(conns)
 	st.Map().SetHistory(mh)
 	st.Queue().SetHistory(qh)
-	srv := server.New(st, server.Options{FlushOps: 8, FlushDeadline: 100 * time.Microsecond})
+	srv := server.New(st, server.Options{FlushOps: 8})
 	addr, err := srv.Start("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

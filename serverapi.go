@@ -39,9 +39,11 @@ type ServerOptions struct {
 	// default).
 	Kind Kind
 	// FlushOps sizes the per-connection batch window: the server commits a
-	// connection's staged vector when it reaches FlushOps operations or at
-	// the flush deadline (0 = 16; 1 = naive flush-per-command). Part of the
-	// persistent layout in strict mode — re-open with the same value.
+	// connection's staged vector when it reaches FlushOps operations, or
+	// sooner, the moment the client has nothing more in flight — a window is
+	// never held open while the server waits on the socket (0 = 16; 1 =
+	// naive flush-per-command). Part of the persistent layout in strict
+	// mode — re-open with the same value.
 	FlushOps int
 	// Epoch switches both structures to epoch-mode relaxed durability
 	// (group commit): operations acknowledge immediately, a background
