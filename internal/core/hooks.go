@@ -3,6 +3,7 @@ package core
 import (
 	"sync/atomic"
 
+	"pcomb/internal/memmodel"
 	"pcomb/internal/obs"
 	"pcomb/internal/pmem"
 )
@@ -26,11 +27,28 @@ var recoverSabotage atomic.Bool
 // (mutation tests verify the history checker rejects the sabotaged run).
 func SetRecoverSabotage(on bool) { recoverSabotage.Store(on) }
 
+// Probe is everything that can watch a protocol instance, installed with one
+// SetProbe call — on the instance, or on a data structure, which forwards it
+// to every instance it is built from. The zero Probe watches nothing. Every
+// hook site is guarded by one nil check of the field it reports to, so the
+// uninstrumented fast path stays unperturbed: no timestamps are read, nothing
+// is counted.
+type Probe struct {
+	// Mem counts shared-memory accesses on the instance's logical cache
+	// lines (Table 1).
+	Mem *memmodel.Tracker
+	// Comb receives combining-level events; obs.CombStats implements it.
+	Comb CombTracker
+	// Spans records per-op lifecycle spans: publish, backoff, wait-serve,
+	// combine and persist phases for every operation. A concrete type, not an
+	// interface: the hook sites sit on sub-microsecond paths, and a nil
+	// pointer check is the cheapest possible disabled guard.
+	Spans *obs.SpanLog
+}
+
 // CombTracker observes combining-protocol-level events: rounds and their
 // combining degree, operations completed by helping, failed acquisitions,
-// and StateRec copy churn. obs.CombStats implements it; install one with
-// SetCombTracker. Like the memmodel hooks below, every call site is guarded
-// by a nil check so the uninstrumented fast path stays unperturbed.
+// StateRec copy churn, and vector sizes.
 type CombTracker interface {
 	// Round reports a successful combining round by tid serving degree ops.
 	Round(tid, degree int)
@@ -43,161 +61,99 @@ type CombTracker interface {
 	SCFail(tid int)
 	// Copied reports a StateRec copy of the given word count by tid.
 	Copied(tid, words int)
-}
-
-// VecTracker is an optional extension of CombTracker: implementations also
-// see the size of every vectorized announcement (recorded once per
-// announcement, on the announcing side — combiner-side gathers may observe
-// the same vector several times under PWFcomb's pretend-combiner races).
-type VecTracker interface {
-	// BatchSize reports that tid announced a vector of the given size.
+	// BatchSize reports that tid announced a vector of the given size
+	// (once per announcement, on the announcing side — combiner-side gathers
+	// may observe the same vector several times under PWFcomb's
+	// pretend-combiner races).
 	BatchSize(tid, size int)
 }
 
-// CombTrackable is satisfied by protocol instances (and data structures
-// forwarding to them) that can report combining statistics.
-type CombTrackable interface {
-	SetCombTracker(CombTracker)
+// SetProbe installs p in place of whatever was installed before; the zero
+// Probe uninstalls. Install while quiescent.
+func (c *comb) SetProbe(p Probe) {
+	c.mem = nil
+	if p.Mem != nil {
+		c.mem = memmodel.NewHooks(p.Mem, c.n, c.stWords, c.recWords, len(c.req))
+	}
+	c.cstat, c.spans = p.Comb, p.Spans
 }
 
-// SpanTrackable is satisfied by protocol instances (and data structures
-// forwarding to them) that can record per-operation lifecycle spans into an
-// obs.SpanLog. Unlike CombTracker this is a concrete type, not an interface:
-// the hook sites sit on sub-microsecond paths, and a nil pointer check is
-// the cheapest possible disabled guard.
-type SpanTrackable interface {
-	SetSpanLog(*obs.SpanLog)
-}
-
-// SetSpanLog installs per-op lifecycle span recording on a PBComb instance;
-// nil uninstalls it. While installed, Invoke/PerformVec record publish,
-// backoff, wait-serve, combine, and persist phase spans for every operation;
-// uninstalled, the hook sites reduce to nil checks and no timestamps are
-// read.
-func (c *PBComb) SetSpanLog(l *obs.SpanLog) { c.spans = l }
-
-// SetSpanLog installs per-op lifecycle span recording on a PWFComb instance;
-// nil uninstalls it (see PBComb.SetSpanLog).
-func (c *PWFComb) SetSpanLog(l *obs.SpanLog) { c.spans = l }
-
-// SetCombTracker installs combining-level instrumentation on a PBComb
-// instance; nil uninstalls it. Trackers that also implement VecTracker
-// additionally receive per-announcement batch sizes.
-func (c *PBComb) SetCombTracker(t CombTracker) {
-	c.cstat = t
-	c.vstat, _ = t.(VecTracker)
-}
-
-// SetCombTracker installs combining-level instrumentation on a PWFComb
-// instance; nil uninstalls it. Trackers that also implement VecTracker
-// additionally receive per-announcement batch sizes.
-func (c *PWFComb) SetCombTracker(t CombTracker) {
-	c.cstat = t
-	c.vstat, _ = t.(VecTracker)
-}
-
-func (c *PBComb) onBatchSize(tid, size int) {
-	if c.vstat != nil {
-		c.vstat.BatchSize(tid, size)
+func (c *comb) onBatchSize(tid, size int) {
+	if c.cstat != nil {
+		c.cstat.BatchSize(tid, size)
 	}
 }
 
-func (c *PWFComb) onBatchSize(tid, size int) {
-	if c.vstat != nil {
-		c.vstat.BatchSize(tid, size)
-	}
-}
-
-func (c *PBComb) onRound(tid, degree int) {
+func (c *comb) onRound(tid, degree int) {
 	if c.cstat != nil {
 		c.cstat.Round(tid, degree)
 	}
 }
 
-func (c *PBComb) onHelped(tid int) {
+func (c *comb) onHelped(tid int) {
 	if c.cstat != nil {
 		c.cstat.Helped(tid)
 	}
 }
 
-func (c *PBComb) onLockFail(tid int) {
+func (c *comb) onLockFail(tid int) {
 	if c.cstat != nil {
 		c.cstat.LockFail(tid)
 	}
 }
 
-func (c *PBComb) onCopied(tid, words int) {
-	if c.cstat != nil {
-		c.cstat.Copied(tid, words)
-	}
-}
-
-func (c *PWFComb) onRoundW(tid, degree int) {
-	if c.cstat != nil {
-		c.cstat.Round(tid, degree)
-	}
-}
-
-func (c *PWFComb) onHelpedW(tid int) {
-	if c.cstat != nil {
-		c.cstat.Helped(tid)
-	}
-}
-
-func (c *PWFComb) onSCFailW(tid int) {
+func (c *comb) onSCFail(tid int) {
 	if c.cstat != nil {
 		c.cstat.SCFail(tid)
 	}
 }
 
-func (c *PWFComb) onCopiedW(tid, words int) {
+func (c *comb) onCopied(tid, words int) {
 	if c.cstat != nil {
 		c.cstat.Copied(tid, words)
 	}
 }
 
-// Instrumentation forwarders: no-ops unless a memmodel.Tracker is installed
-// via SetTracker. They let Table 1's shared-memory counters be collected
-// without perturbing the uninstrumented fast path.
-
-func (c *PBComb) onLockRead(tid int) {
-	if c.track != nil {
-		c.track.LockRead(tid)
+func (c *comb) onLockRead(tid int) {
+	if c.mem != nil {
+		c.mem.LockRead(tid)
 	}
 }
 
-func (c *PBComb) onLockWrite(tid int) {
-	if c.track != nil {
-		c.track.LockWrite(tid)
+func (c *comb) onLockWrite(tid int) {
+	if c.mem != nil {
+		c.mem.LockWrite(tid)
 	}
 }
 
-func (c *PBComb) onReqRead(tid, q int) {
-	if c.track != nil {
-		c.track.ReqRead(tid, q)
+func (c *comb) onReqRead(tid, q int) {
+	if c.mem != nil {
+		c.mem.ReqRead(tid, q)
 	}
 }
 
-func (c *PBComb) onReqWrite(tid, q int) {
-	if c.track != nil {
-		c.track.ReqWrite(tid, q)
+func (c *comb) onReqWrite(tid, q int) {
+	if c.mem != nil {
+		c.mem.ReqWrite(tid, q)
 	}
 }
 
-func (c *PBComb) onStateRead(tid, off int) {
-	if c.track != nil {
-		c.track.StateRead(tid, off)
+func (c *comb) onStateRead(tid, off int) {
+	if c.mem != nil {
+		c.mem.StateRead(tid, off)
 	}
 }
 
-func (c *PBComb) onStateWrite(tid, off int) {
-	if c.track != nil {
-		c.track.StateWrite(tid, off)
+// onStateWrite records a store to record word off; off < 0 addresses the
+// record-index word (MIndex/S).
+func (c *comb) onStateWrite(tid, off int) {
+	if c.mem != nil {
+		c.mem.StateWrite(tid, off)
 	}
 }
 
-func (c *PBComb) onRecCopy(tid, src, dst int) {
-	if c.track != nil {
-		c.track.RecCopy(tid, src, dst)
+func (c *comb) onRecCopy(tid, src, dst int) {
+	if c.mem != nil {
+		c.mem.RecCopy(tid, src, dst)
 	}
 }

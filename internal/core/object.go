@@ -278,6 +278,8 @@ type Protocol interface {
 	Threads() int
 	// Name returns the instance's persistent name.
 	Name() string
+	// SetProbe installs instrumentation (the zero Probe uninstalls it).
+	SetProbe(Probe)
 }
 
 // reqSlot is one entry of the volatile Request announcement array. Arguments

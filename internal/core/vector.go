@@ -17,33 +17,16 @@ package core
 
 import (
 	"pcomb/internal/obs"
-	"pcomb/internal/pmem"
 	"pcomb/internal/prim"
 )
 
-// vecRing is the per-thread persistent argument ring of a protocol instance —
-// vcap (op, a0, a1[, meta]) entries per thread, line-aligned, published and
-// persisted by the owner before the slot toggle, so a combiner can drain the
-// whole vector and recovery can re-read the arguments — together with what
-// publishing into it needs. PBComb and PWFComb embed it: the ring half of the
-// vector API is the same code for both.
-type vecRing struct {
-	vcap      int // max ops per announcement (1 = scalar-only, no ring)
-	vec       *pmem.Region
-	vecStride int
-	entWords  int // ring words per entry: 3, or 4 with delegation
-
-	ctxs  []*pmem.Ctx
-	spans *obs.SpanLog // per-op lifecycle spans; nil = tracing disabled
-}
-
 // VecCap returns the instance's vector capacity (1 for scalar-only).
-func (c *vecRing) VecCap() int { return c.vcap }
+func (c *comb) VecCap() int { return c.vcap }
 
 // vecBase returns the ring offset of thread q's argument vector.
-func (c *vecRing) vecBase(q int) int { return q * c.vecStride }
+func (c *comb) vecBase(q int) int { return q * c.vecStride }
 
-func (c *vecRing) checkVec(cnt int, rets []uint64) {
+func (c *comb) checkVec(cnt int, rets []uint64) {
 	if c.vec == nil {
 		panic("core: instance built without CombOpts.VecCap > 1")
 	}
@@ -57,7 +40,7 @@ func (c *vecRing) checkVec(cnt int, rets []uint64) {
 
 // PublishVec writes ops into tid's argument ring and makes them durable.
 // See VecProtocol.PublishVec for the ordering contract.
-func (c *vecRing) PublishVec(tid int, ops []VecOp) {
+func (c *comb) PublishVec(tid int, ops []VecOp) {
 	c.checkVec(len(ops), nil)
 	var t0 int64
 	if c.spans != nil {
@@ -78,28 +61,33 @@ func (c *vecRing) PublishVec(tid int, ops []VecOp) {
 	}
 }
 
-// stampMetas writes the delegate meta word of tid's first cnt ring entries:
-// every op of a self-published vector originates from tid itself with the
-// announcement's parity. The stores are plain region writes — the meta word
-// is consumed only by in-process combiners (ordered by the ctl store that
-// follows) and never read by post-crash recovery, which republishes.
-func (c *vecRing) stampMetas(tid, cnt int, seq uint64) {
-	b := c.vecBase(tid)
-	for i := 0; i < cnt; i++ {
-		c.vec.Store(b+4*i+3, packDelMeta(tid, seq))
+// announceVec announces tid's first cnt ring entries with one slot toggle.
+// On a delegate instance it first stamps their meta words: every op of a
+// self-published vector originates from tid itself with the announcement's
+// parity. Those stores are plain region writes — the meta word is consumed
+// only by in-process combiners (ordered by the ctl store that follows) and
+// never read by post-crash recovery, which republishes.
+func (c *comb) announceVec(tid, cnt int, seq uint64) {
+	if c.delegate {
+		b := c.vecBase(tid)
+		for i := 0; i < cnt; i++ {
+			c.vec.Store(b+4*i+3, packDelMeta(tid, seq))
+		}
 	}
+	c.req[tid].announceVec(cnt, seq&1)
+	c.onReqWrite(tid, tid)
 }
 
 // VecArg reads entry i of tid's argument ring.
-func (c *vecRing) VecArg(tid, i int) VecOp {
+func (c *comb) VecArg(tid, i int) VecOp {
 	b := c.vecBase(tid) + c.entWords*i
 	return VecOp{Op: c.vec.Load(b), A0: c.vec.Load(b + 1), A1: c.vec.Load(b + 2)}
 }
 
 // PerformVec announces the cnt ring operations published by PublishVec with
-// one slot toggle, waits until a combiner has served the whole vector, and
-// copies the per-op responses into rets[:cnt].
-func (c *PBComb) PerformVec(tid, cnt int, seq uint64, rets []uint64) {
+// one slot toggle, waits until a combiner's round has served the whole
+// vector, and copies the per-op responses into rets[:cnt].
+func (c *comb) PerformVec(tid, cnt int, seq uint64, rets []uint64) {
 	if cnt <= 0 {
 		return
 	}
@@ -109,76 +97,36 @@ func (c *PBComb) PerformVec(tid, cnt int, seq uint64, rets []uint64) {
 	if c.spans != nil {
 		t0 = obs.Now()
 	}
-	if c.delegate {
-		c.stampMetas(tid, cnt, seq)
-	}
-	c.req[tid].announceVec(cnt, seq&1)
-	c.onReqWrite(tid, tid)
-	if c.adaptive && c.n > 1 {
+	c.announceVec(tid, cnt, seq)
+	switch { // as in Invoke
+	case c.adaptive && c.n > 1:
 		c.announceWait(tid, seq&1)
-	} else {
+	case c.backoffs != nil:
+		c.backoffs[tid].Wait()
+	default:
 		prim.Pause()
 	}
 	if c.spans != nil {
 		c.spans.Record(tid, obs.PhaseBackoff, t0, obs.Now(), 0)
 	}
-	c.perform(tid)
+	c.p.perform(tid)
 	c.clearAnnounce(tid)
 	c.collectRets(tid, cnt, rets)
 }
 
-// PerformVec announces the cnt ring operations published by PublishVec with
-// one slot toggle, waits until some combiner's winning round has served the
-// whole vector, and copies the per-op responses into rets[:cnt].
-func (c *PWFComb) PerformVec(tid, cnt int, seq uint64, rets []uint64) {
-	if cnt <= 0 {
-		return
-	}
-	c.checkVec(cnt, rets)
-	c.onBatchSize(tid, cnt)
-	var t0 int64
-	if c.spans != nil {
-		t0 = obs.Now()
-	}
-	if c.delegate {
-		c.stampMetas(tid, cnt, seq)
-	}
-	c.req[tid].announceVec(cnt, seq&1)
-	if c.adaptive && c.n > 1 {
-		c.announceWaitW(tid, seq&1)
-	} else {
-		c.backoffs[tid].Wait()
-	}
-	if c.spans != nil {
-		c.spans.Record(tid, obs.PhaseBackoff, t0, obs.Now(), 0)
-	}
-	c.perform(tid)
-	c.clearAnnounce(tid)
-	c.collectRets(tid, cnt, rets)
-}
-
-// collectRets copies tid's response slots out of the current record. Safe
-// after perform returned: later rounds copy a non-announcing thread's slots
-// forward unchanged (dense copy, or sparse two-round staleness), so the
-// loads — like perform's own single-word response read — see stable values.
-func (c *PBComb) collectRets(tid, cnt int, rets []uint64) {
-	base := c.recOff(c.meta.Load(0)) + c.retSlot(tid)
-	for i := 0; i < cnt; i++ {
-		rets[i] = c.state.Load(base + i)
-	}
-}
-
-// collectRets is PBComb.collectRets with a validated (LL/VL) multi-word read,
-// since S may move mid-copy.
-func (c *PWFComb) collectRets(tid, cnt int, rets []uint64) {
+// collectRets copies tid's response slots out of the current record with a
+// validated multi-word read (the index word may move mid-copy). Stable once
+// perform returned: later rounds copy a non-announcing thread's slots forward
+// unchanged (dense copy, or sparse two-round staleness).
+func (c *comb) collectRets(tid, cnt int, rets []uint64) {
 	for {
-		sv := c.sv.LL()
-		slot, _ := prim.UnpackVersioned(sv)
+		iv := c.idx.Load(0)
+		slot, _ := prim.UnpackVersioned(iv)
 		base := c.recOff(slot) + c.retSlot(tid)
 		for i := 0; i < cnt; i++ {
 			rets[i] = c.state.Load(base + i)
 		}
-		if c.sv.VL(sv) {
+		if c.idx.Load(0) == iv {
 			return
 		}
 		prim.Pause()
@@ -189,16 +137,7 @@ func (c *PWFComb) collectRets(tid, cnt int, rets []uint64) {
 // seq follows the per-thread contract of Invoke — one number per
 // announcement, its low bit driving activate/deactivate detectability for
 // the whole vector.
-func (c *PBComb) InvokeVec(tid int, ops []VecOp, seq uint64, rets []uint64) {
-	if len(ops) == 0 {
-		return
-	}
-	c.PublishVec(tid, ops)
-	c.PerformVec(tid, len(ops), seq, rets)
-}
-
-// InvokeVec publishes and executes one vector of operations for thread tid.
-func (c *PWFComb) InvokeVec(tid int, ops []VecOp, seq uint64, rets []uint64) {
+func (c *comb) InvokeVec(tid int, ops []VecOp, seq uint64, rets []uint64) {
 	if len(ops) == 0 {
 		return
 	}
@@ -212,7 +151,7 @@ func (c *PWFComb) InvokeVec(tid int, ops []VecOp, seq uint64, rets []uint64) {
 // re-announced with the original toggle, so a combiner neither re-executes a
 // vector that took effect nor skips one that did not; the responses of every
 // completed op land in rets.
-func (c *PBComb) RecoverVec(tid int, ops []VecOp, seq uint64, rets []uint64) {
+func (c *comb) RecoverVec(tid int, ops []VecOp, seq uint64, rets []uint64) {
 	if c.durableOnly {
 		panic("core: the durably-linearizable-only variant has null recovery (no RecoverVec)")
 	}
@@ -228,39 +167,9 @@ func (c *PBComb) RecoverVec(tid int, ops []VecOp, seq uint64, rets []uint64) {
 		return
 	}
 	c.PublishVec(tid, ops)
-	if c.delegate {
-		c.stampMetas(tid, cnt, seq)
-	}
-	c.req[tid].announceVec(cnt, seq&1)
-	mi := c.meta.Load(0)
-	if c.state.Load(c.recOff(mi)+c.deactOff+tid) != seq&1 {
-		c.perform(tid)
-	}
-	c.clearAnnounce(tid)
-	c.collectRets(tid, cnt, rets)
-}
-
-// RecoverVec resolves thread tid's interrupted vector after a crash (see
-// PBComb.RecoverVec).
-func (c *PWFComb) RecoverVec(tid int, ops []VecOp, seq uint64, rets []uint64) {
-	cnt := len(ops)
-	if cnt == 0 {
-		return
-	}
-	c.checkVec(cnt, rets)
-	if recoverSabotage.Load() {
-		// Mutation-test bug: skip republish/re-announce/re-perform and hand
-		// back whatever the return blocks hold.
-		c.collectRets(tid, cnt, rets)
-		return
-	}
-	c.PublishVec(tid, ops)
-	if c.delegate {
-		c.stampMetas(tid, cnt, seq)
-	}
-	c.req[tid].announceVec(cnt, seq&1)
-	if c.readRecWord(tid, c.deactOff+tid) != seq&1 {
-		c.perform(tid)
+	c.announceVec(tid, cnt, seq)
+	if c.recWord(c.deactOff+tid) != seq&1 {
+		c.p.perform(tid)
 	}
 	c.clearAnnounce(tid)
 	c.collectRets(tid, cnt, rets)
@@ -279,7 +188,7 @@ func (c *PWFComb) RecoverVec(tid int, ops []VecOp, seq uint64, rets []uint64) {
 // rets[i] receives dops[i]'s response. The originators must be parked (they
 // are waiting for ctid to hand the response back), so their ReturnVal slots
 // cannot be overwritten between the serving round and the collection below.
-func (c *PBComb) InvokeDelegated(ctid int, seq uint64, dops []DelOp, rets []uint64) {
+func (c *comb) InvokeDelegated(ctid int, seq uint64, dops []DelOp, rets []uint64) {
 	cnt := len(dops)
 	if cnt == 0 {
 		return
@@ -299,59 +208,16 @@ func (c *PBComb) InvokeDelegated(ctid int, seq uint64, dops []DelOp, rets []uint
 	}
 	c.req[ctid].announceVec(cnt, seq&1)
 	c.onReqWrite(ctid, ctid)
-	c.perform(ctid)
+	c.p.perform(ctid)
 	c.clearAnnounce(ctid)
-	c.collectDelRets(ctid, dops, rets)
-}
 
-// InvokeDelegated is PBComb.InvokeDelegated for the wait-free protocol.
-func (c *PWFComb) InvokeDelegated(ctid int, seq uint64, dops []DelOp, rets []uint64) {
-	cnt := len(dops)
-	if cnt == 0 {
-		return
-	}
-	if !c.delegate {
-		panic("core: instance built without CombOpts.Delegate")
-	}
-	c.checkVec(cnt, rets)
-	c.onBatchSize(ctid, cnt)
-	b := c.vecBase(ctid)
-	for i, d := range dops {
-		e := b + 4*i
-		c.vec.Store(e, d.Op)
-		c.vec.Store(e+1, d.A0)
-		c.vec.Store(e+2, d.A1)
-		c.vec.Store(e+3, packDelMeta(d.Tid, d.Seq))
-	}
-	c.req[ctid].announceVec(cnt, seq&1)
-	c.perform(ctid)
-	c.clearAnnounce(ctid)
-	c.collectDelRets(ctid, dops, rets)
-}
-
-// collectDelRets reads each delegated op's response from its originator's
-// ReturnVal block: op i of originator t landed at retSlot(t) plus i's
-// occurrence index among t's ops in the vector (combiners preserve ring
-// order per originator).
-func (c *PBComb) collectDelRets(ctid int, dops []DelOp, rets []uint64) {
-	base := c.recOff(c.meta.Load(0))
-	for i, d := range dops {
-		occ := 0
-		for j := 0; j < i; j++ {
-			if dops[j].Tid == d.Tid {
-				occ++
-			}
-		}
-		rets[i] = c.state.Load(base + c.retSlot(d.Tid) + occ)
-	}
-}
-
-// collectDelRets is PBComb.collectDelRets with validated reads, since S may
-// move mid-collection.
-func (c *PWFComb) collectDelRets(ctid int, dops []DelOp, rets []uint64) {
+	// Each delegated op's response sits in its originator's ReturnVal block:
+	// op i of originator t landed at retSlot(t) plus i's occurrence index
+	// among t's ops in the vector (combiners preserve ring order per
+	// originator). Validated like collectRets.
 	for {
-		sv := c.sv.LL()
-		slot, _ := prim.UnpackVersioned(sv)
+		iv := c.idx.Load(0)
+		slot, _ := prim.UnpackVersioned(iv)
 		base := c.recOff(slot)
 		for i, d := range dops {
 			occ := 0
@@ -362,7 +228,7 @@ func (c *PWFComb) collectDelRets(ctid int, dops []DelOp, rets []uint64) {
 			}
 			rets[i] = c.state.Load(base + c.retSlot(d.Tid) + occ)
 		}
-		if c.sv.VL(sv) {
+		if c.idx.Load(0) == iv {
 			return
 		}
 		prim.Pause()

@@ -366,36 +366,3 @@ func TestVecSparseMatchesDense(t *testing.T) {
 		})
 	}
 }
-
-func TestVecBatchSizeTracker(t *testing.T) {
-	// Batch sizes reach an installed VecTracker exactly once per announcement.
-	type rec struct {
-		sizes []int
-		mu    sync.Mutex
-	}
-	var r rec
-	tr := &vecCountTracker{rec: func(size int) {
-		r.mu.Lock()
-		r.sizes = append(r.sizes, size)
-		r.mu.Unlock()
-	}}
-	h := shadowHeap()
-	c := NewPBCombWith(h, "vpb", 1, Counter{}, CombOpts{VecCap: 4})
-	c.SetCombTracker(tr)
-	ops := []VecOp{{Op: OpCounterAdd, A0: 1}, {Op: OpCounterAdd, A0: 1}, {Op: OpCounterAdd, A0: 1}}
-	c.InvokeVec(0, ops, 1, make([]uint64, 3))
-	c.InvokeVec(0, ops[:2], 2, make([]uint64, 2))
-	if len(r.sizes) != 2 || r.sizes[0] != 3 || r.sizes[1] != 2 {
-		t.Fatalf("recorded sizes %v, want [3 2]", r.sizes)
-	}
-}
-
-// vecCountTracker is a CombTracker+VecTracker stub for tests.
-type vecCountTracker struct{ rec func(size int) }
-
-func (t *vecCountTracker) Round(tid, degree int) {}
-func (t *vecCountTracker) Helped(tid int)        {}
-func (t *vecCountTracker) LockFail(tid int)      {}
-func (t *vecCountTracker) SCFail(tid int)        {}
-func (t *vecCountTracker) Copied(tid, words int) {}
-func (t *vecCountTracker) BatchSize(tid, sz int) { t.rec(sz) }

@@ -66,12 +66,3 @@ func (c *Counter) Value() uint64 {
 	}
 	return sum
 }
-
-// SetCombTracker installs one shared combining-stats sink on every stripe.
-func (c *Counter) SetCombTracker(t core.CombTracker) {
-	for _, sh := range c.shards {
-		if ct, ok := sh.(core.CombTrackable); ok {
-			ct.SetCombTracker(t)
-		}
-	}
-}

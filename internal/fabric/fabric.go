@@ -374,7 +374,6 @@ func (m *Map) SetHistory(h *history.Recorder) { m.sys.SetHistory(h) }
 // invisible.
 type tidClamp struct {
 	t   core.CombTracker
-	v   core.VecTracker
 	max int
 }
 
@@ -389,100 +388,61 @@ func (c tidClamp) Helped(tid int)        { c.t.Helped(c.tid(tid)) }
 func (c tidClamp) LockFail(tid int)      { c.t.LockFail(c.tid(tid)) }
 func (c tidClamp) SCFail(tid int)        { c.t.SCFail(c.tid(tid)) }
 func (c tidClamp) Copied(tid, words int) { c.t.Copied(c.tid(tid), words) }
-func (c tidClamp) BatchSize(tid, sz int) {
-	if c.v != nil {
-		c.v.BatchSize(c.tid(tid), sz)
+func (c tidClamp) BatchSize(tid, sz int) { c.t.BatchSize(c.tid(tid), sz) }
+
+// shardProbe adapts a probe sized for the n client threads to the shard
+// instances, which are built for n+1: combiner-thread events are clamped into
+// the last client stripe of p.Comb. Hierarchical mode records no spans at the
+// shard level: there the shards are driven by the combiner thread (tid n),
+// which has no track in a log sized for the client threads — the harness's
+// whole-op spans still cover the client side.
+func (m *Map) shardProbe(p core.Probe) core.Probe {
+	if p.Comb != nil {
+		p.Comb = tidClamp{t: p.Comb, max: m.n - 1}
 	}
+	if !m.flat {
+		p.Spans = nil
+	}
+	return p
 }
 
-// SetCombTracker installs one shared combining-stats sink on every shard
-// (fabric-level aggregate; use ShardStats for a per-shard view). The sink
-// may be sized for the client thread count: combiner-thread events are
-// clamped into the last client stripe.
-func (m *Map) SetCombTracker(t core.CombTracker) {
-	var w core.CombTracker
-	if t != nil {
-		c := tidClamp{t: t, max: m.n - 1}
-		c.v, _ = t.(core.VecTracker)
-		w = c
-	}
+// SetProbe installs p on every shard: one shared set of sinks, so p.Comb reads
+// the fabric-level aggregate (use ShardStats for a per-shard view). The sinks
+// may be sized for the client thread count.
+func (m *Map) SetProbe(p core.Probe) {
+	p = m.shardProbe(p)
 	for _, sh := range m.shards {
-		if ct, ok := sh.(core.CombTrackable); ok {
-			ct.SetCombTracker(w)
-		}
+		sh.SetProbe(p)
 	}
 }
 
-// ShardStats builds an obs.CombGroup with one child sink per shard and
-// installs child i on shard i: per-shard combining degree stays observable
-// while the group's Snapshot reads the merged fabric-level aggregate.
-func (m *Map) ShardStats() *obs.CombGroup {
-	return m.ShardStatsTee(nil)
-}
-
-// combTee fans shard events out to the per-shard group child and an
-// optional fabric-level parent sink.
-type combTee struct {
-	a, b core.CombTracker
-	av   core.VecTracker
-	bv   core.VecTracker
-}
+// combTee fans shard events out to the per-shard group child and the
+// fabric-level parent sink.
+type combTee struct{ a, b core.CombTracker }
 
 func (t combTee) Round(tid, degree int) { t.a.Round(tid, degree); t.b.Round(tid, degree) }
 func (t combTee) Helped(tid int)        { t.a.Helped(tid); t.b.Helped(tid) }
 func (t combTee) LockFail(tid int)      { t.a.LockFail(tid); t.b.LockFail(tid) }
 func (t combTee) SCFail(tid int)        { t.a.SCFail(tid); t.b.SCFail(tid) }
 func (t combTee) Copied(tid, words int) { t.a.Copied(tid, words); t.b.Copied(tid, words) }
-func (t combTee) BatchSize(tid, sz int) {
-	if t.av != nil {
-		t.av.BatchSize(tid, sz)
-	}
-	if t.bv != nil {
-		t.bv.BatchSize(tid, sz)
-	}
-}
+func (t combTee) BatchSize(tid, sz int) { t.a.BatchSize(tid, sz); t.b.BatchSize(tid, sz) }
 
-// ShardStatsTee is ShardStats with an additional shared fabric-level sink:
-// shard i's events reach both the group's child i and parent (the parent
-// may be sized for the n client threads — it is tid-clamped like
-// SetCombTracker's argument).
-func (m *Map) ShardStatsTee(parent core.CombTracker) *obs.CombGroup {
+// ShardStats is SetProbe with a per-shard view on top: it builds an
+// obs.CombGroup with one child sink per shard, and shard i's combining events
+// reach child i as well as p.Comb (if any) — per-shard combining degree stays
+// observable while the group's Snapshot reads the merged aggregate.
+func (m *Map) ShardStats(p core.Probe) *obs.CombGroup {
 	g := obs.NewCombGroup(m.nsh, m.n+1)
-	var pw core.CombTracker
-	var pv core.VecTracker
-	if parent != nil {
-		c := tidClamp{t: parent, max: m.n - 1}
-		c.v, _ = parent.(core.VecTracker)
-		pw, pv = c, c
-	}
+	p = m.shardProbe(p)
 	for i, sh := range m.shards {
-		ct, ok := sh.(core.CombTrackable)
-		if !ok {
-			continue
+		q := p
+		q.Comb = g.Child(i)
+		if p.Comb != nil {
+			q.Comb = combTee{a: g.Child(i), b: p.Comb}
 		}
-		if pw == nil {
-			ct.SetCombTracker(g.Child(i))
-			continue
-		}
-		ct.SetCombTracker(combTee{a: g.Child(i), av: g.Child(i), b: pw, bv: pv})
+		sh.SetProbe(q)
 	}
 	return g
-}
-
-// SetSpanLog installs per-op lifecycle span recording on every shard.
-// Hierarchical mode records nothing at the shard level: there the shards
-// are driven by the combiner thread (tid n), which has no track in a log
-// sized for the n client threads — the harness's whole-op spans still
-// cover the client side.
-func (m *Map) SetSpanLog(l *obs.SpanLog) {
-	if !m.flat && l != nil {
-		return
-	}
-	for _, sh := range m.shards {
-		if st, ok := sh.(core.SpanTrackable); ok {
-			st.SetSpanLog(l)
-		}
-	}
 }
 
 // Epoch returns the shared epoch state (nil in strict mode).

@@ -20,7 +20,7 @@ func benchMapBatch(kind hashmap.Kind, vcap int) func(cfg Config, n int) (*pmem.H
 		m := hashmap.NewWith(h, "m", n, kind, hashmap.Options{
 			Shards: 1, Capacity: 512, VecCap: vcap,
 		})
-		attachObs(cfg, m)
+		m.SetProbe(cfg.probe())
 		if vcap < 2 {
 			return h, func(tid int, i uint64, rng *rand.Rand) {
 				key := uint64(rng.Intn(256)) + 1

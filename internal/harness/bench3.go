@@ -22,7 +22,7 @@ func benchQueue(kind queue.Kind, sparse bool) func(cfg Config, n int) (*pmem.Hea
 		q := queue.New(h, "q", n, kind, queue.Options{
 			Capacity: queueCap(cfg, n), ChunkSize: queueChunk, Sparse: sparse,
 		})
-		attachObs(cfg, q)
+		q.SetProbe(cfg.probe())
 		return h, QueueOp(q)
 	}
 }
@@ -33,7 +33,7 @@ func benchStack(kind stack.Kind, sparse bool) func(cfg Config, n int) (*pmem.Hea
 		s := stack.New(h, "s", n, kind, stack.Options{
 			Capacity: queueCap(cfg, n), ChunkSize: queueChunk, Sparse: sparse,
 		})
-		attachObs(cfg, s)
+		s.SetProbe(cfg.probe())
 		return h, StackOp(s)
 	}
 }
@@ -50,7 +50,7 @@ func benchHeap(kind heap.Kind, sparse bool) func(cfg Config, n int) (*pmem.Heap,
 		default:
 			hp = heap.New(h, "h", n, kind, 1024)
 		}
-		attachObs(cfg, hp)
+		hp.SetProbe(cfg.probe())
 		pre := uint64(512)
 		for i := uint64(0); i < pre; i++ {
 			hp.Insert(0, i*37%(1<<20), i+1)
@@ -67,7 +67,7 @@ func benchMap(kind hashmap.Kind, sparse bool) func(cfg Config, n int) (*pmem.Hea
 			mk = hashmap.New
 		}
 		m := mk(h, "m", n, kind, benchMapShards, benchMapShards*128)
-		attachObs(cfg, m)
+		m.SetProbe(cfg.probe())
 		return h, func(tid int, i uint64, rng *rand.Rand) {
 			key := uint64(rng.Intn(256)) + 1
 			if i%2 == 0 {
@@ -116,7 +116,7 @@ func FigBackoff(cfg Config) []Series {
 			h := newHeap(cfg)
 			c := core.NewPBComb(h, "af", n, core.AtomicFloat{Initial: 1})
 			c.SetAdaptiveBackoff(adaptive)
-			attachObs(cfg, c)
+			c.SetProbe(cfg.probe())
 			return h, func(tid int, i uint64, _ *rand.Rand) {
 				c.Invoke(tid, core.OpAtomicFloatMul, kMul, 0, i+1)
 			}

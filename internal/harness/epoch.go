@@ -75,7 +75,7 @@ func benchMapPuts(kind hashmap.Kind, vcap int) func(cfg Config, n int) (*pmem.He
 		m := hashmap.NewWith(h, "m", n, kind, hashmap.Options{
 			Shards: 1, Capacity: 512, VecCap: vcap,
 		})
-		attachObs(cfg, m)
+		m.SetProbe(cfg.probe())
 		if vcap < 2 {
 			return h, func(tid int, i uint64, rng *rand.Rand) {
 				m.Put(tid, uint64(rng.Intn(256))+1, i+1)
@@ -104,7 +104,7 @@ func measureEpochPoint(cfg Config, kind hashmap.Kind, name string, n int, d time
 	m := hashmap.NewWith(h, "m", n, kind, hashmap.Options{
 		Shards: 1, Capacity: 512, VecCap: vcap, Epoch: true, EpochInterval: d,
 	})
-	attachObs(pcfg, m)
+	m.SetProbe(pcfg.probe())
 	samples := make([][]epochSample, n)
 	for i := range samples {
 		samples[i] = make([]epochSample, 0, 4096)

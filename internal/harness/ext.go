@@ -26,7 +26,7 @@ func FigExt(cfg Config) []Series {
 			Build: func(cfg Config, n int) (*pmem.Heap, OpFunc) {
 				h := newHeap(cfg)
 				m := hashmap.New(h, "m", n, hashmap.Blocking, shards, 4096)
-				attachObs(cfg, m)
+				m.SetProbe(cfg.probe())
 				return h, func(tid int, i uint64, rng *rand.Rand) {
 					key := uint64(rng.Intn(2048)) + 1
 					if i%2 == 0 {
@@ -54,7 +54,7 @@ func FigExt(cfg Config) []Series {
 				} else {
 					hp = heap.New(h, "h", n, heap.Blocking, 1024)
 				}
-				attachObs(cfg, hp)
+				hp.SetProbe(cfg.probe())
 				pre := uint64(512)
 				for i := uint64(0); i < pre; i++ {
 					hp.Insert(0, i*37%(1<<20), i+1)
@@ -79,7 +79,7 @@ func FigExt(cfg Config) []Series {
 				} else {
 					c = core.NewPBComb(h, "c", n, core.AtomicFloat{Initial: 1})
 				}
-				attachObs(cfg, c)
+				c.SetProbe(cfg.probe())
 				return h, func(tid int, i uint64, _ *rand.Rand) {
 					c.Invoke(tid, core.OpAtomicFloatMul, kMul, 0, i+1)
 				}

@@ -86,20 +86,15 @@ func runPointCleanups() {
 	pointCleanups = nil
 }
 
-// attachObs installs the point's combining-stats sink and span log on v when
-// the corresponding instrumentation is enabled and v supports it (baselines
-// without combining silently don't).
-func attachObs(cfg Config, v any) {
+// probe returns the point's combining-stats sink and span log — whichever
+// instrumentation is enabled — as the one core.Probe the algorithm builders
+// install on the structure under test.
+func (cfg Config) probe() core.Probe {
+	p := core.Probe{Spans: cfg.obsSpans}
 	if cfg.obsM != nil {
-		if ct, ok := v.(core.CombTrackable); ok {
-			ct.SetCombTracker(cfg.obsM.Comb)
-		}
+		p.Comb = cfg.obsM.Comb
 	}
-	if cfg.obsSpans != nil {
-		if st, ok := v.(core.SpanTrackable); ok {
-			st.SetSpanLog(cfg.obsSpans)
-		}
-	}
+	return p
 }
 
 // FigureAlgos returns the algorithm set of a figure ("1a", "2a", "2b",
@@ -127,7 +122,7 @@ func newHeap(cfg Config) *pmem.Heap { return pmem.NewHeap(cfg.Persist) }
 func afPBComb(cfg Config, n int) (*pmem.Heap, OpFunc) {
 	h := newHeap(cfg)
 	c := core.NewPBComb(h, "af", n, core.AtomicFloat{Initial: 1})
-	attachObs(cfg, c)
+	c.SetProbe(cfg.probe())
 	return h, func(tid int, i uint64, _ *rand.Rand) {
 		c.Invoke(tid, core.OpAtomicFloatMul, kMul, 0, i+1)
 	}
@@ -136,7 +131,7 @@ func afPBComb(cfg Config, n int) (*pmem.Heap, OpFunc) {
 func afPWFComb(cfg Config, n int) (*pmem.Heap, OpFunc) {
 	h := newHeap(cfg)
 	c := core.NewPWFComb(h, "af", n, core.AtomicFloat{Initial: 1})
-	attachObs(cfg, c)
+	c.SetProbe(cfg.probe())
 	return h, func(tid int, i uint64, _ *rand.Rand) {
 		c.Invoke(tid, core.OpAtomicFloatMul, kMul, 0, i+1)
 	}
@@ -190,7 +185,7 @@ func qPcomb(kind queue.Kind, recycle bool) func(cfg Config, n int) (*pmem.Heap, 
 		q := queue.New(h, "q", n, kind, queue.Options{
 			Recycling: recycle, Capacity: queueCap(cfg, n), ChunkSize: queueChunk,
 		})
-		attachObs(cfg, q)
+		q.SetProbe(cfg.probe())
 		return h, func(tid int, i uint64, _ *rand.Rand) {
 			if i%2 == 0 {
 				q.Enqueue(tid, i+1, i/2+1)
@@ -285,7 +280,7 @@ func sPcomb(kind stack.Kind, elim, rec bool) func(cfg Config, n int) (*pmem.Heap
 			Elimination: elim, Recycling: rec,
 			Capacity: queueCap(cfg, n), ChunkSize: queueChunk,
 		})
-		attachObs(cfg, s)
+		s.SetProbe(cfg.probe())
 		return h, func(tid int, i uint64, _ *rand.Rand) {
 			if i%2 == 0 {
 				s.Push(tid, i+1, i+1)
@@ -354,7 +349,7 @@ func Fig3b(cfg Config) []Series {
 			Build: func(cfg Config, n int) (*pmem.Heap, OpFunc) {
 				h := newHeap(cfg)
 				hp := heap.New(h, "h", n, heap.Blocking, bound)
-				attachObs(cfg, hp)
+				hp.SetProbe(cfg.probe())
 				pre := uint64(bound / 2)
 				rng := rand.New(rand.NewSource(42))
 				for i := uint64(0); i < pre; i++ {
@@ -374,7 +369,7 @@ func volPBComb(cfg Config, n int) (*pmem.Heap, OpFunc) {
 	vcfg.Persist = pmem.Config{Mode: pmem.ModeVolatile, NoCost: cfg.Persist.NoCost, MissNs: cfg.Persist.MissNs}
 	h := newHeap(vcfg)
 	c := core.NewPBComb(h, "af", n, core.AtomicFloat{Initial: 1})
-	attachObs(cfg, c)
+	c.SetProbe(cfg.probe())
 	return h, func(tid int, i uint64, _ *rand.Rand) {
 		c.Invoke(tid, core.OpAtomicFloatMul, kMul, 0, i+1)
 	}
@@ -456,7 +451,7 @@ func Table1(n int, ops uint64) []Table1Row {
 		h := pmem.NewHeap(pmem.Config{Mode: pmem.ModeVolatile})
 		c := core.NewPBComb(h, "af", n, core.AtomicFloat{Initial: 1})
 		t := memmodel.New(n)
-		c.SetTracker(t)
+		c.SetProbe(core.Probe{Mem: t})
 		add("PBcomb", t, h, func(tid int, i uint64, _ *rand.Rand) {
 			c.Invoke(tid, core.OpAtomicFloatMul, kMul, 0, i+1)
 		})

@@ -96,8 +96,9 @@ func Measure(alg string, h *pmem.Heap, n int, totalOps uint64, op OpFunc) Result
 
 // MeasureMetrics is Measure with per-operation latency recording into m's
 // histogram; the returned Result carries m and the flattened metric values
-// in Extra. Install m.Comb on the structure under test (SetCombTracker)
-// before measuring to also collect combining statistics.
+// in Extra. Install m.Comb on the structure under test
+// (SetProbe(core.Probe{Comb: m.Comb})) before measuring to also collect
+// combining statistics.
 func MeasureMetrics(alg string, h *pmem.Heap, n int, totalOps uint64, op OpFunc, m *obs.Metrics) Result {
 	if m == nil {
 		m = obs.NewMetrics(n)
@@ -198,9 +199,9 @@ type Config struct {
 	OnPoint func(Result)
 
 	// SpanCap enables per-op lifecycle span tracing: each point gets a fresh
-	// obs.SpanLog with per-thread rings of SpanCap entries, installed on
-	// structures supporting core.SpanTrackable. 0 disables tracing; negative
-	// selects obs.DefaultSpanCap.
+	// obs.SpanLog with per-thread rings of SpanCap entries, installed on the
+	// structure under test as part of its core.Probe. 0 disables tracing;
+	// negative selects obs.DefaultSpanCap.
 	SpanCap int
 	// OnSpans, when non-nil (and SpanCap != 0), receives each point's span
 	// log after the point completes — trace-export hook.
@@ -212,11 +213,9 @@ type Config struct {
 	OnStart func(alg string, threads int, m *obs.Metrics, spans *obs.SpanLog)
 
 	// obsM carries the current point's metrics sink from runSweep into the
-	// algorithm builders, which attach it to structures supporting
-	// core.CombTrackable.
-	obsM *obs.Metrics
-	// obsSpans likewise carries the current point's span log into the
-	// builders (attachObs installs it via core.SpanTrackable).
+	// algorithm builders, obsSpans its span log; they install both as one
+	// core.Probe (Config.probe).
+	obsM     *obs.Metrics
 	obsSpans *obs.SpanLog
 }
 

@@ -51,12 +51,9 @@ func shardAlgo(shards int, flat bool, skew float64, groups map[string]*obs.CombG
 				// Per-shard degree visibility on top of the point's merged
 				// sink: the hot shard's batch size is the figure's whole
 				// question, and a fabric-level mean hides it.
-				groups[fmt.Sprintf("%s/%d", name, n)] = m.ShardStatsTee(cfg.obsM.Comb)
-				if cfg.obsSpans != nil {
-					m.SetSpanLog(cfg.obsSpans)
-				}
+				groups[fmt.Sprintf("%s/%d", name, n)] = m.ShardStats(cfg.probe())
 			} else {
-				attachObs(cfg, m)
+				m.SetProbe(cfg.probe())
 			}
 			RegisterCleanup(m.Close)
 			return h, shardOp(m, NewZipf(shardKeyspace, skew))

@@ -169,7 +169,7 @@ func tailMapAlgos(vcap int) []*tailAlgo {
 			m := hashmap.NewWith(h, "m", n, kind, hashmap.Options{
 				Shards: 1, Capacity: 512, VecCap: vc,
 			})
-			attachObs(cfg, m)
+			m.SetProbe(cfg.probe())
 			if vc < 2 {
 				return h, func(tid int, i uint64, rng *rand.Rand) {
 					key := uint64(rng.Intn(256)) + 1

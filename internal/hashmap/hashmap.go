@@ -20,7 +20,6 @@ import (
 
 	"pcomb/internal/core"
 	"pcomb/internal/history"
-	"pcomb/internal/obs"
 	"pcomb/internal/pmem"
 	"pcomb/internal/prim"
 	"pcomb/internal/sysarea"
@@ -301,27 +300,15 @@ func (m *Map) StopEpoch() {
 	}
 }
 
-// SetCombTracker installs combining-level instrumentation on every shard's
-// combining instance (one shared sink, so stats aggregate across shards).
-func (m *Map) SetCombTracker(t core.CombTracker) {
+// SetProbe installs p on every shard's combining instance and on the
+// submission pipe (they share its sinks, so stats aggregate across shards and
+// a thread's span track interleaves spans from all shards it touched).
+func (m *Map) SetProbe(p core.Probe) {
 	for _, sh := range m.shards {
-		if ct, ok := sh.(core.CombTrackable); ok {
-			ct.SetCombTracker(t)
-		}
-	}
-}
-
-// SetSpanLog installs per-op lifecycle span recording on every shard's
-// combining instance and on the submission pipe (one shared log, so a
-// thread's track interleaves spans from all shards it touched).
-func (m *Map) SetSpanLog(l *obs.SpanLog) {
-	for _, sh := range m.shards {
-		if st, ok := sh.(core.SpanTrackable); ok {
-			st.SetSpanLog(l)
-		}
+		sh.SetProbe(p)
 	}
 	if m.pipe != nil {
-		m.pipe.SetSpanLog(l)
+		m.pipe.SetProbe(p)
 	}
 }
 

@@ -11,7 +11,6 @@ package heap
 import (
 	"pcomb/internal/core"
 	"pcomb/internal/history"
-	"pcomb/internal/obs"
 	"pcomb/internal/pmem"
 )
 
@@ -218,21 +217,8 @@ func (h *Heap) Recover(tid int, op, a0, seq uint64) uint64 {
 // while quiescent.
 func (h *Heap) SetHistory(rec *history.Recorder) { h.hist = rec }
 
-// SetCombTracker installs combining-level instrumentation on the heap's
-// combining instance.
-func (h *Heap) SetCombTracker(t core.CombTracker) {
-	if ct, ok := h.comb.(core.CombTrackable); ok {
-		ct.SetCombTracker(t)
-	}
-}
-
-// SetSpanLog installs per-op lifecycle span recording on the heap's
-// combining instance.
-func (h *Heap) SetSpanLog(l *obs.SpanLog) {
-	if st, ok := h.comb.(core.SpanTrackable); ok {
-		st.SetSpanLog(l)
-	}
-}
+// SetProbe installs p on the heap's combining instance.
+func (h *Heap) SetProbe(p core.Probe) { h.comb.SetProbe(p) }
 
 // Protocol exposes the combining instance (harness use).
 func (h *Heap) Protocol() core.Protocol { return h.comb }

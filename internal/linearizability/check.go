@@ -81,7 +81,7 @@ func CheckDurable(m Model, history []Op, o Opts) Result {
 	if budget <= 0 {
 		budget = DefaultBudget
 	}
-	res := checkOne(m, history, &budget)
+	res := checkOne(m, history, &budget, false)
 	res.Partitions = 1
 	return res
 }
@@ -109,7 +109,7 @@ func CheckDurablePartitioned(mk func(class uint64) Model, part func(Op) uint64, 
 	sort.Slice(classes, func(i, j int) bool { return classes[i] < classes[j] })
 	total := Result{Outcome: Ok}
 	for _, c := range classes {
-		sub := checkOne(mk(c), byClass[c], &budget)
+		sub := checkOne(mk(c), byClass[c], &budget, false)
 		total.Ops += sub.Ops
 		total.Steps += sub.Steps
 		total.Partitions++
@@ -123,8 +123,10 @@ func CheckDurablePartitioned(mk func(class uint64) Model, part func(Op) uint64, 
 }
 
 // checkOne runs the bounded Wing & Gong search on one (sub-)history,
-// consuming from the shared budget.
-func checkOne(m Model, history []Op, budget *int64) Result {
+// consuming from the shared budget. With ordered set, an op is a candidate
+// only once every earlier-Call op of its thread has been placed (see
+// CheckOrdered).
+func checkOne(m Model, history []Op, budget *int64, ordered bool) Result {
 	n := len(history)
 	res := Result{Ops: n}
 	if n == 0 {
@@ -158,6 +160,22 @@ func checkOne(m Model, history []Op, budget *int64) Result {
 			ops[i].Call = auditTS + 1
 			ops[i].Return = auditTS + 2
 			auditTS += 2
+		}
+	}
+
+	// pred[i] is the op of i's thread with the next smaller Call (-1: none);
+	// requiring it placed first chains to all earlier ones.
+	var pred []int
+	if ordered {
+		pred = make([]int, n)
+		for i := range ops {
+			pred[i] = -1
+			for j := range ops {
+				if ops[j].Thread == ops[i].Thread && ops[j].Call < ops[i].Call &&
+					(pred[i] < 0 || ops[j].Call > ops[pred[i]].Call) {
+					pred[i] = j
+				}
+			}
 		}
 	}
 
@@ -203,6 +221,9 @@ func checkOne(m Model, history []Op, budget *int64) Result {
 			}
 			if ops[i].Call > minReturn {
 				continue // some other op completed strictly before this began
+			}
+			if ordered && pred[i] >= 0 && remaining[pred[i]/64]&(1<<(pred[i]%64)) != 0 {
+				continue // its thread invoked an op before this one that is not placed yet
 			}
 			if *budget <= 0 {
 				exhausted = true

@@ -84,6 +84,24 @@ func Check(m Model, history []Op) bool {
 	return res.Outcome == Ok
 }
 
+// CheckOrdered is Check for histories in which a thread has several
+// operations outstanding at once — a staged vector, whose operations all
+// overlap each other — and the structure promises to apply them in the order
+// the thread invoked them (the ring-order promise of the vector API). On top
+// of Check's real-time order it requires each thread's operations to
+// linearize in Call order. That is the stronger specification, and it is also
+// what keeps the search small: without it every permutation of a batch is a
+// candidate, and the interleavings of a few overlapping batches can outrun the
+// work budget on a history that is in fact linearizable.
+func CheckOrdered(m Model, history []Op) bool {
+	budget := DefaultBudget
+	res := checkOne(m, history, &budget, true)
+	if res.Outcome == Exhausted {
+		panic("linearizability: work budget exhausted: " + res.Diag)
+	}
+	return res.Outcome == Ok
+}
+
 // Recorder assigns logical timestamps and collects completed operations
 // from concurrently running workers.
 type Recorder struct {

@@ -78,6 +78,76 @@ func TestOverlapPermitsReordering(t *testing.T) {
 	}
 }
 
+func TestCheckOrderedEnforcesProgramOrder(t *testing.T) {
+	// One thread stages two enqueues in one batch (they overlap); another
+	// thread dequeues afterwards. Dequeuing the second-submitted value first
+	// is linearizable if the batch may apply in any order, but not under the
+	// vector API's promise that a thread's ops apply in submission order.
+	h := []Op{
+		{Thread: 0, Kind: KindEnq, Arg: 1, Call: 1, Return: 10},
+		{Thread: 0, Kind: KindEnq, Arg: 2, Call: 2, Return: 9},
+		{Thread: 1, Kind: KindDeq, Out: 2, Call: 11, Return: 12},
+		{Thread: 1, Kind: KindDeq, Out: 1, Call: 13, Return: 14},
+	}
+	if !Check(QueueModel{}, h) {
+		t.Fatal("overlapping enqueues must be reorderable without program order")
+	}
+	if CheckOrdered(QueueModel{}, h) {
+		t.Fatal("a batch applied out of submission order was accepted")
+	}
+	// The same two enqueues from different threads carry no mutual order.
+	h[1].Thread = 2
+	if !CheckOrdered(QueueModel{}, h) {
+		t.Fatal("program order was imposed across threads")
+	}
+	// In submission order the batch passes.
+	h[1].Thread = 0
+	h[2].Out, h[3].Out = 1, 2
+	if !CheckOrdered(QueueModel{}, h) {
+		t.Fatal("a batch applied in submission order was rejected")
+	}
+}
+
+func TestCheckOrderedKeepsOverlappingBatchesInBudget(t *testing.T) {
+	// Three threads, two rounds of four-op batches, every op of a round
+	// overlapping every other — the shape that let the unordered search outrun
+	// its budget. All enqueues, then a sequential drain in one legal order:
+	// rounds in order, and within a round thread by thread.
+	var enq, h []Op
+	ts := int64(0)
+	for r := 0; r < 2; r++ {
+		start := len(enq)
+		for th := 0; th < 3; th++ {
+			for i := 0; i < 4; i++ {
+				ts++
+				enq = append(enq, Op{Thread: th, Kind: KindEnq, Arg: uint64(100*r + 10*th + i + 1), Call: ts})
+			}
+		}
+		for i := start; i < len(enq); i++ {
+			ts++
+			enq[i].Return = ts
+		}
+	}
+	// List each batch latest op first, so a search that takes candidates in
+	// slice order has to find the submission order by backtracking.
+	for b := 0; b < len(enq); b += 4 {
+		h = append(h, enq[b+3], enq[b+2], enq[b+1], enq[b])
+	}
+	for _, e := range enq {
+		h = append(h, Op{Thread: 3, Kind: KindDeq, Out: e.Arg, Call: ts + 1, Return: ts + 2})
+		ts += 2
+	}
+	budget := int64(1) << 12
+	if res := checkOne(QueueModel{}, h, &budget, true); res.Outcome != Ok {
+		t.Fatalf("ordered check: %v after %d steps: %s", res.Outcome, res.Steps, res.Diag)
+	}
+	budget = int64(1) << 12
+	if res := checkOne(QueueModel{}, h, &budget, false); res.Outcome != Exhausted {
+		t.Fatalf("unordered check at the same budget: %v after %d steps; the history no longer shows what program order saves",
+			res.Outcome, res.Steps)
+	}
+}
+
 func TestDequeueFromEmptyOverlap(t *testing.T) {
 	// A dequeue overlapping an enqueue may legally miss it (empty) or take
 	// it; both recorded outcomes must pass.

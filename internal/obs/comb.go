@@ -6,9 +6,10 @@ package obs
 // rests on), how many operations completed without their thread ever
 // becoming combiner, and how much contention/churn the protocol paid.
 //
-// It implements core.CombTracker; install it with SetCombTracker on a
-// protocol instance (or on a data structure, which forwards to its
-// instances). All methods are zero-allocation and shard per thread.
+// It implements core.CombTracker; install it as the Comb field of a
+// core.Probe with SetProbe on a protocol instance (or on a data structure,
+// which forwards to its instances). All methods are zero-allocation and shard
+// per thread.
 type CombStats struct {
 	rounds    *Counter // successful combining rounds
 	combined  *Counter // operations served by combiners (sum of degrees)
@@ -18,7 +19,7 @@ type CombStats struct {
 	copies    *Counter // record copies performed
 	copyWords *Counter // words copied (copy churn)
 	degree    *ShardedHist
-	batchSize *ShardedHist // vectorized-announcement sizes (core.VecTracker)
+	batchSize *ShardedHist // vectorized-announcement sizes
 }
 
 // NewCombStats creates combiner statistics for n threads.
@@ -61,7 +62,7 @@ func (s *CombStats) Copied(tid, words int) {
 }
 
 // BatchSize records the size of one vectorized announcement by tid
-// (core.VecTracker; reported once per announcement, on the announcing side).
+// (reported once per announcement, on the announcing side).
 func (s *CombStats) BatchSize(tid, size int) {
 	s.batchSize.Record(tid, uint64(size))
 }

@@ -6,7 +6,7 @@ package obs
 type Metrics struct {
 	// Latency holds per-operation latencies in nanoseconds.
 	Latency *ShardedHist
-	// Comb receives combining-protocol events (install via SetCombTracker).
+	// Comb receives combining-protocol events (install as core.Probe.Comb).
 	Comb *CombStats
 }
 

@@ -22,7 +22,6 @@ import (
 
 	"pcomb/internal/core"
 	"pcomb/internal/history"
-	"pcomb/internal/obs"
 	"pcomb/internal/pmem"
 	"pcomb/internal/pool"
 )
@@ -312,28 +311,12 @@ func (q *Queue) SetHistory(h *history.Recorder) {
 	q.hist = h
 }
 
-// SetCombTracker installs combining-level instrumentation on both the
-// enqueue and dequeue combining instances (they share one sink, so reported
-// rounds/degrees cover the whole queue).
-func (q *Queue) SetCombTracker(t core.CombTracker) {
-	if ct, ok := q.enq.(core.CombTrackable); ok {
-		ct.SetCombTracker(t)
-	}
-	if ct, ok := q.deq.(core.CombTrackable); ok {
-		ct.SetCombTracker(t)
-	}
-}
-
-// SetSpanLog installs per-op lifecycle span recording on both combining
-// instances (one shared log, so a thread's track interleaves enqueue and
-// dequeue spans).
-func (q *Queue) SetSpanLog(l *obs.SpanLog) {
-	if st, ok := q.enq.(core.SpanTrackable); ok {
-		st.SetSpanLog(l)
-	}
-	if st, ok := q.deq.(core.SpanTrackable); ok {
-		st.SetSpanLog(l)
-	}
+// SetProbe installs p on both the enqueue and dequeue combining instances
+// (they share its sinks, so reported rounds/degrees cover the whole queue and
+// a thread's span track interleaves enqueue and dequeue spans).
+func (q *Queue) SetProbe(p core.Probe) {
+	q.enq.SetProbe(p)
+	q.deq.SetProbe(p)
 }
 
 // EnqProtocol and DeqProtocol expose the combining instances (harness use).

@@ -17,7 +17,6 @@ package stack
 import (
 	"pcomb/internal/core"
 	"pcomb/internal/history"
-	"pcomb/internal/obs"
 	"pcomb/internal/pmem"
 	"pcomb/internal/pool"
 )
@@ -349,21 +348,8 @@ func (s *Stack) Recover(tid int, op, a0, seq uint64) uint64 {
 // history recorder on the push/pop/recover paths. Install while quiescent.
 func (s *Stack) SetHistory(h *history.Recorder) { s.hist = h }
 
-// SetCombTracker installs combining-level instrumentation on the stack's
-// combining instance.
-func (s *Stack) SetCombTracker(t core.CombTracker) {
-	if ct, ok := s.comb.(core.CombTrackable); ok {
-		ct.SetCombTracker(t)
-	}
-}
-
-// SetSpanLog installs per-op lifecycle span recording on the stack's
-// combining instance.
-func (s *Stack) SetSpanLog(l *obs.SpanLog) {
-	if st, ok := s.comb.(core.SpanTrackable); ok {
-		st.SetSpanLog(l)
-	}
-}
+// SetProbe installs p on the stack's combining instance.
+func (s *Stack) SetProbe(p core.Probe) { s.comb.SetProbe(p) }
 
 // Protocol exposes the underlying combining instance (harness use).
 func (s *Stack) Protocol() core.Protocol { return s.comb }

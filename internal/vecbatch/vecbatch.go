@@ -35,12 +35,12 @@ type Pipe struct {
 	spans *obs.SpanLog // per-op lifecycle spans; nil = tracing disabled
 }
 
-// SetSpanLog installs per-op lifecycle span recording on the pipe; nil
-// uninstalls it. While installed, every flush records a resolve span — the
+// SetProbe installs pr's span log on the pipe (the pipe reports to nothing
+// else). While one is installed, every flush records a resolve span — the
 // time one staged vector took to commit durably and resolve its futures —
 // complementing the publish/combine/persist spans the underlying protocol
 // records inside the same interval.
-func (p *Pipe) SetSpanLog(l *obs.SpanLog) { p.spans = l }
+func (p *Pipe) SetProbe(pr core.Probe) { p.spans = pr.Spans }
 
 // pthread is one thread's staging state. Responses are double-buffered by
 // flush generation so the results of the previous flush stay readable while

@@ -1,10 +1,6 @@
 package pcomb
 
-import (
-	"time"
-
-	"pcomb/internal/hashmap"
-)
+import "pcomb/internal/hashmap"
 
 // Map is a detectably recoverable concurrent hash map built from multiple
 // combining instances (one per shard) — the sharded-combining construction
@@ -14,32 +10,15 @@ type Map struct {
 	m *hashmap.Map
 }
 
-// MapOptions tunes a map instance; the zero value is sensible.
-type MapOptions struct {
-	// Shards is the number of independent combining instances (0 = 8).
-	// Operations on different shards proceed in parallel.
-	Shards int
-	// Capacity is the total slot count across shards (0 = 64 per shard).
-	Capacity int
-	// Dense disables the shards' sparse (dirty-line) persistence.
-	Dense bool
-	// VecCap enables the async Submit/Flush API with up to VecCap
-	// operations per announcement (0 or 1 = blocking API only). Part of the
-	// persistent layout — re-open with the same value.
-	VecCap int
-	// Epoch switches the map to epoch-mode relaxed durability (group
-	// commit): operations apply and return without persistence instructions
-	// on their critical path, one shared background closer makes whole
-	// epochs durable at once, and a crash may lose the operations of the
-	// last open epoch — and only those (Recover reports an interrupted
-	// operation of that window with Certain=false). Use Sync/WaitDurable for
-	// per-operation durability. Part of the persistent layout — re-open with
-	// the same value.
-	Epoch bool
-	// EpochInterval is the background close cadence (Epoch mode; 0 = no
-	// ticker, epochs close only via Sync).
-	EpochInterval time.Duration
-}
+// MapOptions tunes a map instance; the zero value is sensible. Shards
+// (0 = 8) and Capacity (0 = 64 per shard) size it, Dense disables the shards'
+// sparse persistence, VecCap > 1 enables the async Submit/Flush API, and
+// Epoch/EpochInterval switch it to epoch-mode relaxed durability (group
+// commit: a crash may lose the operations of the last open epoch, and only
+// those — Recover reports an interrupted one of that window with
+// Certain=false; use Sync/WaitDurable for per-operation durability). VecCap
+// and Epoch are part of the persistent layout: re-open with the same values.
+type MapOptions = hashmap.Options
 
 // NewMap creates — or, after Crash, re-opens — a recoverable hash map.
 func (s *System) NewMap(name string, threads int, kind Kind, opts ...MapOptions) *Map {
@@ -51,14 +30,7 @@ func (s *System) NewMap(name string, threads int, kind Kind, opts ...MapOptions)
 	if kind == WaitFree {
 		k = hashmap.WaitFree
 	}
-	return &Map{m: hashmap.NewWith(s.heap, name, threads, k, hashmap.Options{
-		Shards:        o.Shards,
-		Capacity:      o.Capacity,
-		Dense:         o.Dense,
-		VecCap:        o.VecCap,
-		Epoch:         o.Epoch,
-		EpochInterval: o.EpochInterval,
-	})}
+	return &Map{m: hashmap.NewWith(s.heap, name, threads, k, o)}
 }
 
 // Put maps key to val for thread tid; existed reports whether a previous
