@@ -1,6 +1,8 @@
 package pcomb
 
 import (
+	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -444,5 +446,45 @@ func TestBatchStackLinearizable(t *testing.T) {
 		if !linearizability.CheckOrdered(linearizability.StackModel{}, hist) {
 			t.Fatalf("kind %d: batched stack history not linearizable: %+v", kind, hist)
 		}
+	}
+}
+
+// TestBatchPipelessStructure: on a structure built without VecCap > 1 there
+// is no pipe, so nothing can be staged — Flush does nothing, Pending is 0,
+// and Submit* panics naming the missing option (none of them a nil
+// dereference, which all but Queue.Pending* used to be).
+func TestBatchPipelessStructure(t *testing.T) {
+	sys := New(Options{NoCost: true})
+	q := sys.NewQueue("q", 1, Blocking)
+	st := sys.NewStack("s", 1, Blocking)
+	hp := sys.NewHeap("h", 1, Blocking, 8)
+	obj := sys.NewObject("o", 1, Blocking, core.Counter{})
+	m := sys.NewMap("m", 1, Blocking)
+	for _, tc := range []struct {
+		name    string
+		flush   func(tid int)
+		pending func(tid int) int // nil where the structure exposes none
+		submit  func()
+	}{
+		{"Queue", q.Flush, q.Pending, func() { q.SubmitEnqueue(0, 1) }},
+		{"Queue/dequeue", q.Flush, q.PendingDequeues, func() { q.SubmitDequeue(0) }},
+		{"Stack", st.Flush, nil, func() { st.SubmitPush(0, 1) }},
+		{"Heap", hp.Flush, nil, func() { hp.SubmitInsert(0, 1) }},
+		{"Recoverable", obj.Flush, nil, func() { obj.Submit(0, core.OpCounterAdd, 1, 0) }},
+		{"Map", m.Flush, m.Pending, func() { m.SubmitPut(0, 1, 1) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tc.flush(0)
+			if tc.pending != nil && tc.pending(0) != 0 {
+				t.Fatalf("Pending = %d on a structure that cannot stage", tc.pending(0))
+			}
+			defer func() {
+				if msg := fmt.Sprint(recover()); !strings.Contains(msg, "VecCap") {
+					t.Fatalf("Submit panicked with %q, want a message naming VecCap", msg)
+				}
+			}()
+			tc.submit()
+			t.Fatal("Submit on a pipeless structure returned")
+		})
 	}
 }

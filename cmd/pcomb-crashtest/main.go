@@ -41,164 +41,10 @@ import (
 	"strings"
 	"time"
 
-	"pcomb/internal/core"
 	"pcomb/internal/crashtest"
-	"pcomb/internal/fabric"
-	"pcomb/internal/hashmap"
-	"pcomb/internal/heap"
 	"pcomb/internal/obs"
 	"pcomb/internal/pmem"
-	"pcomb/internal/queue"
-	"pcomb/internal/stack"
 )
-
-type target struct {
-	name string
-	mk   func(threads int) func(seed int64) crashtest.Driver
-}
-
-func targets() []target {
-	qbOpt := queue.Options{Recycling: true, Capacity: 1 << 20}
-	qwOpt := queue.Options{Capacity: 1 << 20}
-	sOpt := stack.Options{Elimination: true, Recycling: true, Capacity: 1 << 20}
-	return []target{
-		{"counter/PBcomb", func(n int) func(int64) crashtest.Driver {
-			return func(s int64) crashtest.Driver { return crashtest.NewCounterDriver(false, n, s) }
-		}},
-		{"counter/PWFcomb", func(n int) func(int64) crashtest.Driver {
-			return func(s int64) crashtest.Driver { return crashtest.NewCounterDriver(true, n, s) }
-		}},
-		{"queue/PBqueue", func(n int) func(int64) crashtest.Driver {
-			return func(s int64) crashtest.Driver { return crashtest.NewQueueDriver(queue.Blocking, qbOpt, n, s) }
-		}},
-		{"queue/PWFqueue", func(n int) func(int64) crashtest.Driver {
-			return func(s int64) crashtest.Driver { return crashtest.NewQueueDriver(queue.WaitFree, qwOpt, n, s) }
-		}},
-		{"stack/PBstack", func(n int) func(int64) crashtest.Driver {
-			return func(s int64) crashtest.Driver { return crashtest.NewStackDriver(stack.Blocking, sOpt, n, s) }
-		}},
-		{"stack/PWFstack", func(n int) func(int64) crashtest.Driver {
-			return func(s int64) crashtest.Driver { return crashtest.NewStackDriver(stack.WaitFree, sOpt, n, s) }
-		}},
-		{"map/PBmap", func(n int) func(int64) crashtest.Driver {
-			return func(s int64) crashtest.Driver { return crashtest.NewMapDriver(hashmap.Blocking, 8, n, s) }
-		}},
-		{"map/PWFmap", func(n int) func(int64) crashtest.Driver {
-			return func(s int64) crashtest.Driver { return crashtest.NewMapDriver(hashmap.WaitFree, 8, n, s) }
-		}},
-		{"heap/PBheap", func(n int) func(int64) crashtest.Driver {
-			return func(s int64) crashtest.Driver { return crashtest.NewHeapDriver(heap.Blocking, 1024, n, s) }
-		}},
-		{"heap/PWFheap", func(n int) func(int64) crashtest.Driver {
-			return func(s int64) crashtest.Driver { return crashtest.NewHeapDriver(heap.WaitFree, 1024, n, s) }
-		}},
-		{"register/PBsparse", func(n int) func(int64) crashtest.Driver {
-			return func(s int64) crashtest.Driver { return crashtest.NewRegisterDriver(false, n, s) }
-		}},
-		{"register/PWFsparse", func(n int) func(int64) crashtest.Driver {
-			return func(s int64) crashtest.Driver { return crashtest.NewRegisterDriver(true, n, s) }
-		}},
-		{"register/PBbatch", func(n int) func(int64) crashtest.Driver {
-			return func(s int64) crashtest.Driver { return crashtest.NewBatchRegisterDriver(false, n, s) }
-		}},
-		{"register/PWFbatch", func(n int) func(int64) crashtest.Driver {
-			return func(s int64) crashtest.Driver { return crashtest.NewBatchRegisterDriver(true, n, s) }
-		}},
-	}
-}
-
-// cliVecCap is the vector capacity of the CLI's vectorized matrix variants.
-const cliVecCap = 4
-
-// matrixVariants appends the {dense,sparse} x {scalar,vectorized} matrix
-// variants that the curated list above does not already cover, with
-// CLI-sized capacities (campaign op counts are much larger than the unit
-// tests'). Every variant implements crashtest.HistoryDriver, so -durlin
-// validates each round's history against the sequential model.
-func matrixVariants() []target {
-	var out []target
-	add := func(mk func(n int) func(int64) crashtest.Driver) {
-		out = append(out, target{mk(2)(0).Name(), mk})
-	}
-	variants := [][2]int{{1, 0}, {0, cliVecCap}, {1, cliVecCap}} // sparse/dense flag, veccap
-	for _, kind := range []queue.Kind{queue.Blocking, queue.WaitFree} {
-		for _, v := range variants {
-			kind, sp, vc := kind, v[0] == 1, v[1]
-			add(func(n int) func(int64) crashtest.Driver {
-				return func(s int64) crashtest.Driver {
-					return crashtest.NewQueueDriver(kind, queue.Options{Capacity: 1 << 20, Sparse: sp, VecCap: vc}, n, s)
-				}
-			})
-		}
-	}
-	for _, kind := range []stack.Kind{stack.Blocking, stack.WaitFree} {
-		for _, v := range variants {
-			kind, sp, vc := kind, v[0] == 1, v[1]
-			add(func(n int) func(int64) crashtest.Driver {
-				return func(s int64) crashtest.Driver {
-					return crashtest.NewStackDriver(kind, stack.Options{Capacity: 1 << 20, Sparse: sp, VecCap: vc}, n, s)
-				}
-			})
-		}
-	}
-	for _, kind := range []heap.Kind{heap.Blocking, heap.WaitFree} {
-		for _, v := range variants {
-			kind, sp, vc := kind, v[0] == 1, v[1]
-			add(func(n int) func(int64) crashtest.Driver {
-				return func(s int64) crashtest.Driver {
-					return crashtest.NewHeapDriverWith(kind, 1024, n, s, core.CombOpts{Sparse: sp, VecCap: vc})
-				}
-			})
-		}
-	}
-	for _, kind := range []hashmap.Kind{hashmap.Blocking, hashmap.WaitFree} {
-		for _, v := range variants {
-			kind, dense, vc := kind, v[0] == 1, v[1]
-			add(func(n int) func(int64) crashtest.Driver {
-				return func(s int64) crashtest.Driver {
-					return crashtest.NewMapDriverWith(kind, hashmap.Options{Shards: 8, Dense: dense, VecCap: vc}, n, s)
-				}
-			})
-		}
-	}
-	for _, wf := range []bool{false, true} {
-		wf := wf
-		add(func(n int) func(int64) crashtest.Driver {
-			return func(s int64) crashtest.Driver { return crashtest.NewRegisterDriverWith(wf, true, n, s) }
-		})
-		add(func(n int) func(int64) crashtest.Driver {
-			return func(s int64) crashtest.Driver { return crashtest.NewBatchRegisterDriverWith(wf, true, n, s) }
-		})
-	}
-	// Epoch-mode relaxed durability: the checker switches to the epoch-aware
-	// crash cut — closed-epoch completions must survive, last-open-epoch
-	// completions may vanish wholesale.
-	for _, kind := range []queue.Kind{queue.Blocking, queue.WaitFree} {
-		kind := kind
-		add(func(n int) func(int64) crashtest.Driver {
-			return func(s int64) crashtest.Driver {
-				return crashtest.NewQueueDriver(kind, queue.Options{Capacity: 1 << 20, Epoch: true}, n, s)
-			}
-		})
-	}
-	for _, kind := range []hashmap.Kind{hashmap.Blocking, hashmap.WaitFree} {
-		kind := kind
-		add(func(n int) func(int64) crashtest.Driver {
-			return func(s int64) crashtest.Driver {
-				return crashtest.NewMapDriverWith(kind, hashmap.Options{Shards: 8, Epoch: true}, n, s)
-			}
-		})
-	}
-	// Sharded combining fabric: scalar ops plus cross-shard TransferAdd/PutAll
-	// transactions, with per-key history checking and a conservation audit.
-	for _, kind := range []fabric.Kind{fabric.Blocking, fabric.WaitFree} {
-		kind := kind
-		add(func(n int) func(int64) crashtest.Driver {
-			return func(s int64) crashtest.Driver { return crashtest.NewFabricDriver(kind, n, s) }
-		})
-	}
-	return out
-}
 
 // wantTarget matches -target against a full target name ("queue/PBqueue"),
 // its structure group ("queue"), or "all".
@@ -298,9 +144,21 @@ func main() {
 		})
 	}
 
-	selected := make([]target, 0, 10)
-	for _, t := range append(targets(), matrixVariants()...) {
-		if wantTarget(*tgt, t.name) {
+	var replaySpec crashtest.FailSpec
+	if *replay != "" {
+		var err error
+		if replaySpec, err = crashtest.ParseToken(*replay); err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(1)
+		}
+		// The token's round may lie past -rounds' default; the node arenas are
+		// sized from the campaign, so make it at least as long as the replay.
+		baseCfg.Rounds = max(baseCfg.Rounds, replaySpec.Round+1)
+	}
+
+	var selected []crashtest.Target
+	for _, t := range crashtest.MatrixTargets(baseCfg) {
+		if wantTarget(*tgt, t.Name) {
 			selected = append(selected, t)
 		}
 	}
@@ -315,23 +173,18 @@ func main() {
 				len(selected), *tgt)
 			os.Exit(1)
 		}
-		spec, err := crashtest.ParseToken(*replay)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
 		t := selected[0]
-		if err := crashtest.Replay(t.mk(*threads), baseCfg, spec); err != nil {
-			fmt.Fprintf(os.Stderr, "FAIL %-16s reproduced: %v\n", t.name, err)
+		if err := crashtest.Replay(t.Mk, baseCfg, replaySpec); err != nil {
+			fmt.Fprintf(os.Stderr, "FAIL %-16s reproduced: %v\n", t.Name, err)
 			os.Exit(1)
 		}
-		fmt.Printf("ok   %-16s replay %s did not fail\n", t.name, spec.Token())
+		fmt.Printf("ok   %-16s replay %s did not fail\n", t.Name, replaySpec.Token())
 		return
 	}
 
 	failed := false
 	for _, t := range selected {
-		mk := t.mk(*threads)
+		mk := t.Mk
 		var total crashtest.Report
 		var firstFail *crashtest.Failure
 		for s := int64(1); s <= int64(*seeds); s++ {
@@ -356,13 +209,13 @@ func main() {
 		if firstFail != nil {
 			failed = true
 			spec := crashtest.Shrink(mk, baseCfg, *firstFail)
-			fmt.Fprintf(os.Stderr, "FAIL %-16s %v\n", t.name, firstFail.Err)
+			fmt.Fprintf(os.Stderr, "FAIL %-16s %v\n", t.Name, firstFail.Err)
 			fmt.Fprintf(os.Stderr, "     reproduce: pcomb-crashtest -target %s -threads %d -ops %d%s%s -replay %s\n",
-				t.name, *threads, *ops,
+				t.Name, *threads, *ops,
 				boolFlag(" -torn", *torn), boolFlag(" -corrupt", *corrupt), spec.Token())
 			continue
 		}
-		fmt.Printf("ok   %-16s %s\n", t.name, total)
+		fmt.Printf("ok   %-16s %s\n", t.Name, total)
 	}
 	fmt.Printf("faults: %s\n", stats.String())
 
@@ -451,8 +304,8 @@ func killMode(c killModeConfig) int {
 	kills := 0
 	for _, d := range selected {
 		cfg := crashtest.KillConfig{
-			Target: d.Name,
-			Path:   filepath.Join(dir, strings.ReplaceAll(d.Name, "/", "_")+".heap"),
+			Target:  d.Name,
+			Path:    filepath.Join(dir, strings.ReplaceAll(d.Name, "/", "_")+".heap"),
 			Threads: c.threads, Ops: c.ops, Rounds: c.rounds, Seed: c.seed,
 			Timer: c.timer, PaceUs: c.paceUs,
 			RecoverKill: c.recoverKill, Sabotage: c.sabotage,

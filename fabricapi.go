@@ -145,4 +145,4 @@ func (m *ShardedMap) Range(f func(key, val uint64) bool) { m.f.Range(f) }
 func (m *ShardedMap) SumValues() uint64 { return m.f.SumValues() }
 
 // SetHistory installs (or, with nil, removes) an operation recorder.
-func (m *ShardedMap) SetHistory(h *History) { m.f.SetHistory(h) }
+func (m *ShardedMap) SetHistory(h HistoryLog) { m.f.SetHistory(h) }

@@ -60,4 +60,14 @@ func TestPublicHistoryRecording(t *testing.T) {
 	if got := rec.Len(); got != threads*4 {
 		t.Fatalf("recorder grew to %d after detach", got)
 	}
+
+	// So does a nil *History: in the interface SetHistory takes it is not
+	// nil, and must not be installed as a log to dereference.
+	q.SetHistory(rec)
+	var none *History
+	q.SetHistory(none)
+	q.Enqueue(0, 100)
+	if got := rec.Len(); got != threads*4 {
+		t.Fatalf("recorder grew to %d after detach by nil *History", got)
+	}
 }

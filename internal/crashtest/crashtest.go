@@ -6,10 +6,18 @@
 //   - every interrupted operation is resolved exactly once by its recovery
 //     function — its effect appears either never or once, never twice
 //     (detectability);
-//   - structure-specific invariants hold (value multisets, FIFO/LIFO
-//     residue order, the heap property, counter totals).
+//   - what every round is audited for, whatever its size, holds: the value
+//     multiset is conserved, idle cells keep their values, the counter moved
+//     by the adds that took effect, the heap is in heap order, the fabric's
+//     accounts sum to zero (FIFO/LIFO/priority order of the residue is the
+//     model check's, which runs on every round of a Keyed model and under
+//     DurLin, on rounds small enough, of a Whole one).
 //
-// Two engines share one driver abstraction (Driver):
+// A structure enters the suite as a Spec (spec.go, specs.go): its
+// constructor, a seeded operation table and its sequential model. One generic
+// Driver runs any Spec under the two simulated-crash engines, and one generic
+// KillTarget under the process-kill engine (kill.go); all three go through
+// the structure's public API and its system area, like any caller.
 //
 //   - Fuzz samples crash schedules: each round crashes at a seeded,
 //     log-uniformly drawn global persistence-event index under a seeded
@@ -20,7 +28,7 @@
 //     crashing exactly there — exhaustive crash-point coverage, bounded by
 //     an optional budget.
 //
-// Both engines optionally trigger a second crash while the recovery
+// Both simulated engines optionally trigger a second crash while the recovery
 // functions themselves are replaying (proving recovery idempotence), and
 // inject corruption into the heap's durable region manifest (which must be
 // detected as pmem.ErrCorruptManifest, never served as garbage). Any
@@ -39,9 +47,9 @@ import (
 	"pcomb/internal/pmem"
 )
 
-// Driver abstracts one structure/protocol target for the crash engines. A
-// driver owns the structure under test, the per-thread operation
-// bookkeeping, and the model (oracle) state accumulated across rounds.
+// Driver is one structure/protocol target as the simulated-crash engines see
+// it. NewDriver builds the one implementation from a Spec; the interface
+// remains so a test can wrap a driver with a planted bug.
 type Driver interface {
 	// Name identifies the target (e.g. "queue/PBqueue").
 	Name() string
@@ -49,21 +57,27 @@ type Driver interface {
 	// state — called once at campaign start and again after every crash
 	// (it may issue persistence events and thus crash again).
 	Open(h *pmem.Heap)
-	// BeginRound resets the per-round bookkeeping (pending-op records,
-	// per-thread rngs) for the given round index.
+	// BeginRound starts a round: a fresh history, the round-start contents,
+	// the per-thread operation generators.
 	BeginRound(round int)
-	// Step runs thread tid's i-th operation of the round. It panics with
+	// Step runs thread tid's i-th step of the round. It panics with
 	// pmem.CrashError when the heap crashes mid-operation.
 	Step(tid, i int)
-	// Recover folds the round's completed operations into the model
-	// (exactly once) and resolves every interrupted operation through the
-	// structure's recovery functions. It must be restartable: if a second
-	// crash unwinds it (panic with pmem.CrashError), calling it again
-	// after Open must finish the job without double-counting. It returns
-	// how many interrupted operations it newly resolved.
-	Recover() (recovered int, err error)
-	// Check verifies the structure's durable state against the model.
+	// Recover resolves every thread's interrupted operations through the
+	// structure's Recover and returns how many it has resolved this round.
+	// If a second crash unwinds it (panic with pmem.CrashError), calling it
+	// again after Open finishes the job.
+	Recover() (recovered int)
+	// Check is the always-on audit of the structure's durable state against
+	// the round's history.
 	Check() error
+	// EnableDurLin turns the durable-linearizability check on for every
+	// model; without it only models cheap at any round size are checked.
+	EnableDurLin(DurLinOpts)
+	// CheckHistory validates the round's recorded history against the model.
+	// checked is false when the check was skipped (not enabled, history too
+	// large, or the work budget ran out before the search settled).
+	CheckHistory() (checked bool, err error)
 }
 
 // Report summarizes one crash-testing campaign.
@@ -138,12 +152,12 @@ type Config struct {
 	Deadline time.Time // stop starting new work past this instant (zero = none)
 	Retries  int       // confirmation replays per shrink candidate (default 2)
 
-	// DurLin turns on history recording + durable-linearizability checking
-	// for drivers that support it (HistoryDriver): each round's pre-crash
-	// history, recovered responses, and a post-recovery state audit are
-	// validated against the structure's sequential model under crash-cut
-	// semantics — the oracle of record alongside the drivers' cheap
-	// prior-value models.
+	// DurLin turns on durable-linearizability checking for every target and
+	// counts the verdicts in the report: each round's pre-crash history,
+	// recovered responses, and a post-recovery state audit are validated
+	// against the structure's sequential model under crash-cut semantics.
+	// Without it the always-on audit still runs, and Keyed models get this
+	// same check regardless.
 	DurLin       bool
 	DurLinBudget int64 // checker step budget per round (0 = default)
 	DurLinMaxOps int   // skip non-partitionable checks beyond this many ops (0 = default)
@@ -168,6 +182,21 @@ func newShadowHeap() *pmem.Heap {
 	return pmem.NewHeap(pmem.Config{Mode: pmem.ModeShadow, NoCost: true})
 }
 
+// unwound runs f and reports whether a simulated crash unwound it (a panic
+// with pmem.CrashError; any other panic passes through).
+func unwound(f func()) (crashed bool) {
+	defer func() {
+		if r := recover(); r != nil {
+			if _, ok := r.(pmem.CrashError); !ok {
+				panic(r)
+			}
+			crashed = true
+		}
+	}()
+	f()
+	return false
+}
+
 // runOps drives `threads` workers, each issuing up to `ops` operations; a
 // worker stops early when the heap crashes under it (step panics with
 // pmem.CrashError). The crash instant itself is scheduled by the caller
@@ -180,19 +209,7 @@ func runOps(threads, ops int, step func(tid, i int)) {
 		go func(tid int) {
 			defer wg.Done()
 			for i := 0; i < ops; i++ {
-				crashed := false
-				func() {
-					defer func() {
-						if r := recover(); r != nil {
-							if _, ok := r.(pmem.CrashError); !ok {
-								panic(r)
-							}
-							crashed = true
-						}
-					}()
-					step(tid, i)
-				}()
-				if crashed {
+				if unwound(func() { step(tid, i) }) {
 					return
 				}
 			}

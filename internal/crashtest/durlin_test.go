@@ -4,18 +4,17 @@ import (
 	"strings"
 	"testing"
 
+	"pcomb"
 	"pcomb/internal/core"
 	"pcomb/internal/history"
-	lin "pcomb/internal/linearizability"
 	"pcomb/internal/pmem"
-	"pcomb/internal/queue"
 )
 
 // TestMatrixTargetNames pins the matrix shape: every {protocol} x
 // {dense,sparse} x {scalar,vec} combination of every structure is present
 // exactly once under a stable name.
 func TestMatrixTargetNames(t *testing.T) {
-	targets := MatrixTargets(2)
+	targets := MatrixTargets(Config{Threads: 2})
 	seen := map[string]bool{}
 	for _, tg := range targets {
 		if seen[tg.Name] {
@@ -56,13 +55,13 @@ func TestMatrixTargetNames(t *testing.T) {
 // linearization.
 func TestRecoverAndDurLinMatrix(t *testing.T) {
 	recovered := 0
-	for _, tg := range MatrixTargets(3) {
+	cfg := Config{
+		Threads: 3, Ops: 14, Rounds: 2, Seed: 7,
+		DurLin: true, DurLinMaxOps: 320,
+	}
+	for _, tg := range MatrixTargets(cfg) {
 		tg := tg
 		t.Run(strings.ReplaceAll(tg.Name, "/", "_"), func(t *testing.T) {
-			cfg := Config{
-				Threads: 3, Ops: 14, Rounds: 2, Seed: 7,
-				DurLin: true, DurLinMaxOps: 320,
-			}
 			rep, fail := Fuzz(tg.Mk, cfg)
 			if fail != nil {
 				t.Fatalf("%s: %v (replay %s)", tg.Name, fail.Err, fail.Spec.Token())
@@ -90,10 +89,6 @@ func TestRecoverAndDurLinMatrix(t *testing.T) {
 // durable-linearizability checker on representative scalar and batched
 // targets of every structure.
 func TestDurLinEnumerate(t *testing.T) {
-	byName := map[string]Target{}
-	for _, tg := range MatrixTargets(2) {
-		byName[tg.Name] = tg
-	}
 	for _, name := range []string{
 		"counter/PBcomb",
 		"queue/PWFqueue",
@@ -106,16 +101,13 @@ func TestDurLinEnumerate(t *testing.T) {
 		"queue/PBqueue-epoch",
 		"map/PWFmap-epoch",
 	} {
-		tg, ok := byName[name]
-		if !ok {
-			t.Fatalf("matrix has no target %q", name)
+		cfg := Config{
+			Threads: 2, Ops: 6, Seed: 9, Budget: 48,
+			DurLin: true, DurLinMaxOps: 320,
 		}
+		tg := matrixTarget(t, cfg, name)
 		t.Run(strings.ReplaceAll(name, "/", "_"), func(t *testing.T) {
 			t.Parallel()
-			cfg := Config{
-				Threads: 2, Ops: 6, Seed: 9, Budget: 48,
-				DurLin: true, DurLinMaxOps: 320,
-			}
 			rep, fail := Enumerate(tg.Mk, cfg)
 			if fail != nil {
 				t.Fatalf("%s: %v (replay %s)", name, fail.Err, fail.Spec.Token())
@@ -135,90 +127,82 @@ func TestDurLinEnumerate(t *testing.T) {
 // enqueue's effect vanished even though its history entry says it resolved
 // exactly once. The clean control run of the identical schedule must pass.
 func TestMutationCheckerCatchesSabotagedRecovery(t *testing.T) {
-	for _, kind := range []queue.Kind{queue.Blocking, queue.WaitFree} {
+	for _, kind := range []pcomb.Kind{pcomb.Blocking, pcomb.WaitFree} {
 		for _, sabotage := range []bool{false, true} {
-			h := newShadowHeap()
-			q := queue.New(h, "mq", 1, kind, queue.Options{})
+			sp := queueSpec(kind, pcomb.QueueOptions{Capacity: 4 * poolChunk})
+			heap := newShadowHeap()
 			rec := history.New(1)
-			q.SetHistory(rec)
-			q.Enqueue(0, 100, 1)
+			sp.Open(heap, 1).SetHistory(rec)
+			enqueue, g := sp.Ops[0].Do, newGen(1, 0, 0)
+			enqueue(g)
 
 			// Crash at the very next persistence event: inside the second
 			// enqueue's argument publish, before it can take effect.
-			h.SetCrashAtEvent(1)
-			crashed := false
-			func() {
-				defer func() {
-					if r := recover(); r != nil {
-						if _, ok := r.(pmem.CrashError); !ok {
-							panic(r)
-						}
-						crashed = true
-					}
-				}()
-				q.Enqueue(0, 200, 2)
-			}()
-			if !crashed {
+			heap.SetCrashAtEvent(1)
+			g.i++
+			if !unwound(func() { enqueue(g) }) {
 				t.Fatal("second enqueue did not crash")
 			}
-			h.FinishCrash(pmem.DropUnfenced, 1)
+			heap.FinishCrash(pmem.DropUnfenced, 1)
 
-			q2 := queue.New(h, "mq", 1, kind, queue.Options{})
-			q2.SetHistory(rec)
-			rec.Cut()
+			h := sp.Open(heap, 1)
+			h.SetHistory(rec)
+			rec.Cut(0)
 			core.SetRecoverSabotage(sabotage)
-			q2.RecoverEnqueue(0, 200, 2)
+			resolved := h.Recover(0)
 			core.SetRecoverSabotage(false)
+			if len(resolved) != 1 || resolved[0].Op != pcomb.OpEnqueue {
+				t.Fatalf("kind %v: Recover resolved %+v, want the one enqueue", kind, resolved)
+			}
 
-			hist := rec.Ops()
-			var audits []lin.Op
-			for _, v := range q2.Snapshot() {
-				audits = append(audits, lin.Op{Kind: lin.KindDeq, Out: v})
+			checked, err := sp.Check(sp.History(rec), nil, sp.State(), DurLinOpts{}, true)
+			if !checked {
+				t.Fatalf("kind %v: two-op history not checked", kind)
 			}
-			audits = append(audits, lin.Op{Kind: lin.KindDeq, Out: lin.EmptyOut})
-			res := lin.CheckDurable(lin.QueueModel{}, lin.AppendAudits(hist, audits...), lin.Opts{})
-			if sabotage && res.Outcome != lin.Violation {
-				t.Fatalf("kind %v: sabotaged recovery not flagged: %+v", kind, res)
+			if sabotage && err == nil {
+				t.Fatalf("kind %v: sabotaged recovery not flagged", kind)
 			}
-			if !sabotage && res.Outcome != lin.Ok {
-				t.Fatalf("kind %v: clean control run flagged: %+v (diag %s)", kind, res, res.Diag)
+			if !sabotage && err != nil {
+				t.Fatalf("kind %v: clean control run flagged: %v", kind, err)
 			}
 		}
 	}
 }
 
-// TestMutationSabotagedCampaignsFail runs whole fuzz campaigns under the
-// seeded recovery bug: across the scalar and batched register targets the
-// harness (driver prior-value models + durable-lin checker) must kill the
-// mutant, and the identical clean campaigns must pass.
+// TestMutationSabotagedCampaignsFail runs whole campaigns under the seeded
+// recovery bug, on the fuzz and on the enumerate engine: across the scalar
+// and batched register targets the harness must kill the mutant — a sabotaged
+// seed that resolved an operation through recovery and still passed is a
+// failure on the spot, not a seed to skip — and the identical clean campaigns
+// must pass.
 func TestMutationSabotagedCampaignsFail(t *testing.T) {
-	targets := []Target{
-		{Name: "register/PBsparse", Mk: func(s int64) Driver { return NewRegisterDriver(false, 2, s) }},
-		{Name: "register/PWFbatch", Mk: func(s int64) Driver { return NewBatchRegisterDriver(true, 2, s) }},
-	}
-	for _, tg := range targets {
-		tg := tg
+	for _, name := range []string{"register/PBsparse", "register/PWFbatch"} {
+		fuzz := Config{Threads: 2, Ops: 40, Rounds: 6, Seed: 13, DurLin: true}
+		enum := Config{Threads: 2, Ops: 6, Seed: 13, Budget: 48, DurLin: true}
+		tg := matrixTarget(t, fuzz, name)
 		t.Run(strings.ReplaceAll(tg.Name, "/", "_"), func(t *testing.T) {
-			cfg := Config{Threads: 2, Ops: 40, Rounds: 6, Seed: 13, DurLin: true}
-			if _, fail := Fuzz(tg.Mk, cfg); fail != nil {
-				t.Fatalf("clean control campaign failed: %v", fail.Err)
+			if _, fail := Fuzz(tg.Mk, fuzz); fail != nil {
+				t.Fatalf("clean control fuzz campaign failed: %v", fail.Err)
+			}
+			if _, fail := Enumerate(tg.Mk, enum); fail != nil {
+				t.Fatalf("clean control enumeration failed: %v", fail.Err)
 			}
 			core.SetRecoverSabotage(true)
 			defer core.SetRecoverSabotage(false)
 			killed := false
-			for seed := int64(13); seed < 23; seed++ {
-				cfg.Seed = seed
-				rep, fail := Fuzz(tg.Mk, cfg)
-				if fail != nil {
-					killed = true
-					break
-				}
-				if rep.Recovered > 0 {
+			for seed := int64(13); seed < 23 && !killed; seed++ {
+				fuzz.Seed = seed
+				rep, fail := Fuzz(tg.Mk, fuzz)
+				killed = fail != nil
+				if !killed && rep.Recovered > 0 {
 					t.Fatalf("seed %d: recovery ran under sabotage yet no check failed", seed)
 				}
 			}
 			if !killed {
-				t.Fatal("sabotaged recovery never detected (mutant survived)")
+				t.Fatal("sabotaged recovery never detected by fuzz (mutant survived)")
+			}
+			if _, fail := Enumerate(tg.Mk, enum); fail == nil {
+				t.Fatal("sabotaged recovery not detected by enumerate (mutant survived)")
 			}
 		})
 	}

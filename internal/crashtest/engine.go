@@ -131,23 +131,16 @@ func dcPlan(cfg Config, round int, point int64) (int64, pmem.CrashPolicy) {
 
 func crashSeed(seed int64, round int) int64 { return seed*1000003 + int64(round) }
 
-// attemptRecovery re-opens the structure and runs its recovery functions,
-// catching a scheduled second crash. n is the cumulative number of
-// interrupted operations resolved this round (the driver's running total,
-// so the caller can count across restarted attempts).
-func attemptRecovery(h *pmem.Heap, d Driver) (n int, crashed bool, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			if _, ok := r.(pmem.CrashError); !ok {
-				panic(r)
-			}
-			crashed = true
-			err = nil
-		}
-	}()
-	d.Open(h)
-	n, err = d.Recover()
-	return n, false, err
+// attemptRecovery re-opens the structure and runs its recovery, catching a
+// scheduled second crash. n is the cumulative number of interrupted
+// operations resolved this round (the driver's running total, so the caller
+// can count across restarted attempts).
+func attemptRecovery(h *pmem.Heap, d Driver) (n int, crashed bool) {
+	crashed = unwound(func() {
+		d.Open(h)
+		n = d.Recover()
+	})
+	return n, crashed
 }
 
 // corruptionProbe flips words in the durable region manifest and demands
@@ -180,12 +173,8 @@ func runCampaign(mk func(seed int64) Driver, cfg Config, plan []roundPlan) (Repo
 	d := mk(cfg.Seed)
 	h := newShadowHeap()
 	rep := Report{Seeds: 1}
-	var hd HistoryDriver
 	if cfg.DurLin {
-		if x, ok := d.(HistoryDriver); ok {
-			x.EnableDurLin(DurLinOpts{Budget: cfg.DurLinBudget, MaxOps: cfg.DurLinMaxOps})
-			hd = x
-		}
+		d.EnableDurLin(DurLinOpts{Budget: cfg.DurLinBudget, MaxOps: cfg.DurLinMaxOps})
 	}
 	fail := func(r int, err error) (Report, *Failure) {
 		return rep, &Failure{
@@ -233,10 +222,7 @@ func runCampaign(mk func(seed int64) Driver, cfg Config, plan []roundPlan) (Repo
 			// Nested crash: arm a second schedule covering re-open and the
 			// recovery functions themselves.
 			h.SetCrashAtEvent(j)
-			n, crashed, err := attemptRecovery(h, d)
-			if err != nil {
-				return fail(r, err)
-			}
+			n, crashed := attemptRecovery(h, d)
 			if crashed {
 				rep.Doubles++
 				if cfg.Faults != nil {
@@ -251,26 +237,17 @@ func runCampaign(mk func(seed int64) Driver, cfg Config, plan []roundPlan) (Repo
 		}
 		// Final recovery pass — nothing armed, so it must complete. After a
 		// completed first pass this re-runs recovery idempotently.
-		n, crashed, err := attemptRecovery(h, d)
-		if err != nil {
-			return fail(r, err)
-		}
+		n, crashed := attemptRecovery(h, d)
 		if crashed {
 			return fail(r, fmt.Errorf("crash fired with no schedule armed"))
 		}
 		rep.Recovered += n - counted
 
-		// History first: the recorded history must be judged exactly as of
-		// recovery completion. Driver Check() may probe state through real
-		// operations (the map's oracle Gets), and with a recorder installed
-		// those probes would append to the round's history — their responses
-		// would mis-attach to operations a crashed flush left legitimately
-		// pending.
-		if hd != nil {
-			checked, err := hd.CheckHistory()
-			if err != nil {
-				return fail(r, err)
-			}
+		checked, err := d.CheckHistory()
+		if err != nil {
+			return fail(r, err)
+		}
+		if cfg.DurLin {
 			if checked {
 				rep.HistChecked++
 			} else {

@@ -5,42 +5,38 @@ import (
 	"strings"
 	"testing"
 
-	"pcomb/internal/hashmap"
-	"pcomb/internal/heap"
+	"pcomb"
 	"pcomb/internal/obs"
 	"pcomb/internal/pmem"
-	"pcomb/internal/queue"
-	"pcomb/internal/stack"
 )
 
-// enumTargets is the full target matrix: every structure on both protocols.
+// enumTargets is every structure on both protocols in its default variant,
+// plus the register targets: the sparse ones (a wide multi-line state whose
+// persists go through the merged dirty sets, so enumeration crashes inside the
+// delta persist itself) and the vectorized ones (every step announces a whole
+// vector of writes, so enumeration lands crash points inside ring publishes,
+// partially applied vectors, and return-slot collection).
 func enumTargets(n int) map[string]func(seed int64) Driver {
-	qopt := queue.Options{Capacity: 1 << 12, ChunkSize: 32}
-	sopt := stack.Options{Capacity: 1 << 12, ChunkSize: 32}
-	return map[string]func(seed int64) Driver{
-		"counter/PBcomb":  func(s int64) Driver { return NewCounterDriver(false, n, s) },
-		"counter/PWFcomb": func(s int64) Driver { return NewCounterDriver(true, n, s) },
-		"queue/PBqueue":   func(s int64) Driver { return NewQueueDriver(queue.Blocking, qopt, n, s) },
-		"queue/PWFqueue":  func(s int64) Driver { return NewQueueDriver(queue.WaitFree, qopt, n, s) },
-		"stack/PBstack":   func(s int64) Driver { return NewStackDriver(stack.Blocking, sopt, n, s) },
-		"stack/PWFstack":  func(s int64) Driver { return NewStackDriver(stack.WaitFree, sopt, n, s) },
-		"heap/PBheap":     func(s int64) Driver { return NewHeapDriver(heap.Blocking, 256, n, s) },
-		"heap/PWFheap":    func(s int64) Driver { return NewHeapDriver(heap.WaitFree, 256, n, s) },
-		"map/PBmap":       func(s int64) Driver { return NewMapDriver(hashmap.Blocking, 4, n, s) },
-		"map/PWFmap":      func(s int64) Driver { return NewMapDriver(hashmap.WaitFree, 4, n, s) },
-
-		// Sparse-protocol register targets: a wide multi-line state whose
-		// persists go through the merged dirty sets, so enumeration crashes
-		// inside the delta persist itself.
-		"register/PBsparse":  func(s int64) Driver { return NewRegisterDriver(false, n, s) },
-		"register/PWFsparse": func(s int64) Driver { return NewRegisterDriver(true, n, s) },
-
-		// Vectorized-announcement targets: every step announces a whole
-		// vector of writes, so enumeration lands crash points inside ring
-		// publishes, partially applied vectors, and return-slot collection.
-		"register/PBbatch":  func(s int64) Driver { return NewBatchRegisterDriver(false, n, s) },
-		"register/PWFbatch": func(s int64) Driver { return NewBatchRegisterDriver(true, n, s) },
+	want := map[string]bool{
+		"counter/PBcomb": true, "counter/PWFcomb": true,
+		"queue/PBqueue": true, "queue/PWFqueue": true,
+		"stack/PBstack": true, "stack/PWFstack": true,
+		"heap/PBheap": true, "heap/PWFheap": true,
+		"map/PBmap": true, "map/PWFmap": true,
+		"register/PBsparse": true, "register/PWFsparse": true,
+		"register/PBbatch": true, "register/PWFbatch": true,
 	}
+	out := map[string]func(seed int64) Driver{}
+	// Arenas for the largest campaign a caller runs (TestDoubleCrashCampaign).
+	for _, tg := range MatrixTargets(Config{Threads: n, Ops: 200, Rounds: 4}) {
+		if want[tg.Name] {
+			out[tg.Name] = tg.Mk
+		}
+	}
+	if len(out) != len(want) {
+		panic("enumTargets: the matrix lacks a wanted target")
+	}
+	return out
 }
 
 // TestEnumerateAllTargets replays every persistence-event index of a short
@@ -83,7 +79,7 @@ func TestEnumerateAllTargets(t *testing.T) {
 // roughly Budget points.
 func TestEnumerateBudget(t *testing.T) {
 	cfg := Config{Threads: 2, Ops: 30, Seed: 3, Budget: 16}
-	rep, fail := Enumerate(func(s int64) Driver { return NewCounterDriver(false, 2, s) }, cfg)
+	rep, fail := Enumerate(matrixTarget(t, cfg, "counter/PBcomb").Mk, cfg)
 	if fail != nil {
 		t.Fatal(fail.ErrOrNil())
 	}
@@ -154,14 +150,14 @@ func (d brokenDriver) Check() error {
 	if err := d.Driver.Check(); err != nil {
 		return err
 	}
-	if d.Driver.(*counterDriver).recovered > 0 {
-		return fmt.Errorf("planted bug: %d recovered ops", d.Driver.(*counterDriver).recovered)
+	if d.Driver.(*driver).recovered > 0 {
+		return fmt.Errorf("planted bug: %d recovered ops", d.Driver.(*driver).recovered)
 	}
 	return nil
 }
 
 func TestShrinkProducesMinimalReproducer(t *testing.T) {
-	mk := func(s int64) Driver { return brokenDriver{NewCounterDriver(false, 4, s)} }
+	mk := func(s int64) Driver { return brokenDriver{NewDriver(counterSpec(pcomb.Blocking), 4, s)} }
 	cfg := Config{Threads: 4, Ops: 200, Rounds: 6, Seed: 5, Torn: true, Retries: 3}
 	var stats obs.FaultStats
 	cfg.Faults = &stats
@@ -191,7 +187,7 @@ func TestCorruptionProbeDetects(t *testing.T) {
 	cfg := Config{Threads: 2, Ops: 50, Rounds: 3, Seed: 11, Corrupt: true}
 	var stats obs.FaultStats
 	cfg.Faults = &stats
-	_, fail := Fuzz(func(s int64) Driver { return NewCounterDriver(true, 2, s) }, cfg)
+	_, fail := Fuzz(matrixTarget(t, cfg, "counter/PWFcomb").Mk, cfg)
 	if fail != nil {
 		t.Fatal(fail.ErrOrNil())
 	}
@@ -216,11 +212,12 @@ func TestRecoveryIdempotentAcrossReopen(t *testing.T) {
 		h.FinishCrash(pmem.RandomCut, 21)
 		for pass := 0; pass < 3; pass++ {
 			d.Open(h)
-			if _, err := d.Recover(); err != nil {
-				t.Fatalf("%s pass %d: recover: %v", name, pass, err)
-			}
+			d.Recover()
 			if err := d.Check(); err != nil {
 				t.Fatalf("%s pass %d: check after re-recovery: %v", name, pass, err)
+			}
+			if _, err := d.CheckHistory(); err != nil {
+				t.Fatalf("%s pass %d: history after re-recovery: %v", name, pass, err)
 			}
 		}
 	}

@@ -28,9 +28,10 @@ import (
 // workload, and is SIGKILLed mid-flight — by default at a seeded,
 // deterministic global persistence-event index (pmem.SetKillAtEvent +
 // self-SIGKILL), optionally by parent wall-clock timer. The parent then
-// reopens the file, reattaches the structures, resolves every interrupted
-// operation through the structures' recovery functions, and checks the
-// round's journal against the durable-linearizability crash-cut checker.
+// reopens the file, reattaches the structure, resolves every interrupted
+// operation through the structure's Recover, and judges the round's journal
+// by the target's Spec: the always-on audit, then the durable-linearizability
+// crash-cut checker.
 // Optionally a *recovery* child runs first and is itself killed mid-recovery,
 // so the parent's pass doubles as a double-recovery idempotence test.
 //
@@ -190,6 +191,16 @@ func killPlan(cfg *KillConfig, r int) KillSpec {
 // aggregate report and, on the first failed round, a KillFailure carrying
 // the seed:round:point:rpoint reproducer token. Linux only.
 func RunKill(cfg KillConfig) (KillReport, *KillFailure) {
+	def, ok := LookupKillTarget(cfg.Target)
+	if !ok {
+		return KillReport{}, &KillFailure{Target: cfg.Target, Err: fmt.Errorf("unknown kill target %q", cfg.Target)}
+	}
+	return runKill(cfg, def)
+}
+
+// runKill is RunKill with the parent-side target given: the children still
+// run the target cfg.Target names, def is who verifies them.
+func runKill(cfg KillConfig, def KillTargetDef) (KillReport, *KillFailure) {
 	var rep KillReport
 	cfg.defaults()
 	fail := func(spec KillSpec, err error) (KillReport, *KillFailure) {
@@ -197,10 +208,6 @@ func RunKill(cfg KillConfig) (KillReport, *KillFailure) {
 	}
 	if runtime.GOOS != "linux" {
 		return fail(KillSpec{}, fmt.Errorf("process-kill campaigns require linux"))
-	}
-	def, ok := LookupKillTarget(cfg.Target)
-	if !ok {
-		return fail(KillSpec{}, fmt.Errorf("unknown kill target %q", cfg.Target))
 	}
 	bin := cfg.Bin
 	if bin == "" {
@@ -297,9 +304,13 @@ type killRoundResult struct {
 	checked   bool
 }
 
+// journalFanout is how many journal records one step can take: the longest
+// staged vector or transaction a Spec issues.
+const journalFanout = specVecCap
+
 // killVerify is the parent-side recovery + verification pass: open the file
 // (fresh mapping — exactly what a new process sees), reattach the target,
-// resolve interrupted operations, check the journal history, reset the
+// resolve interrupted operations, judge the journal history, reset the
 // journal and capture the next round's carry snapshot.
 func killVerify(cfg *KillConfig, def KillTargetDef, carry []uint64, adopt bool) ([]uint64, killRoundResult, error) {
 	var rr killRoundResult
@@ -311,25 +322,21 @@ func killVerify(cfg *KillConfig, def KillTargetDef, carry []uint64, adopt bool) 
 	if !adopt && !restart {
 		return nil, rr, fmt.Errorf("heap file vanished mid-campaign")
 	}
-	t := def.Mk()
-	t.Attach(h, cfg.Threads)
-	// Targets with background goroutines (the fabric's per-shard combiners)
-	// expose Close; stop them before the heap mapping goes away.
-	if c, ok := t.(interface{ Close() }); ok {
-		defer c.Close()
-	}
-	j, err := OpenJournal(h, cfg.Threads, cfg.Ops)
+	j, err := OpenJournal(h, cfg.Threads, cfg.Ops*journalFanout)
 	if err != nil {
 		return nil, rr, err
 	}
+	t := def.Mk()
+	t.Attach(h, cfg.Threads, j)
+	// Stop a target's background goroutines (the fabric's per-shard
+	// combiners) before the heap mapping goes away.
+	defer t.Close()
 	if cfg.Sabotage {
 		core.SetRecoverSabotage(true)
 		defer core.SetRecoverSabotage(false)
 	}
-	for tid := 0; tid < cfg.Threads; tid++ {
-		if err := t.Resolve(j, tid); err != nil {
-			return nil, rr, err
-		}
+	if err := t.Recover(); err != nil {
+		return nil, rr, err
 	}
 	for tid := 0; tid < cfg.Threads; tid++ {
 		for _, rec := range j.Records(tid) {
@@ -340,16 +347,13 @@ func killVerify(cfg *KillConfig, def KillTargetDef, carry []uint64, adopt bool) 
 		}
 	}
 	if !adopt {
-		checked, err := t.Verify(j, carry, cfg.DurLin)
+		checked, err := t.Verify(carry, cfg.DurLin)
 		if err != nil {
 			return nil, rr, err
 		}
 		rr.checked = checked
 	}
 	j.Reset()
-	if a, ok := t.(interface{ AlignSeqs(*Journal) }); ok {
-		a.AlignSeqs(j)
-	}
 	return t.Snapshot(), rr, nil
 }
 
@@ -455,20 +459,18 @@ func KillChildMain() {
 		fmt.Fprintf(os.Stderr, "kill child: unknown target %q\n", spec.Target)
 		os.Exit(3)
 	}
-	t := def.Mk()
-	t.Attach(h, spec.Threads)
-	j, err := OpenJournal(h, spec.Threads, spec.Ops)
+	j, err := OpenJournal(h, spec.Threads, spec.Ops*journalFanout)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "kill child: journal: %v\n", err)
 		os.Exit(3)
 	}
+	t := def.Mk()
+	t.Attach(h, spec.Threads, j)
 
 	if spec.Recover {
-		for tid := 0; tid < spec.Threads; tid++ {
-			if err := t.Resolve(j, tid); err != nil {
-				fmt.Fprintf(os.Stderr, "kill child: recovery: %v\n", err)
-				os.Exit(4)
-			}
+		if err := t.Recover(); err != nil {
+			fmt.Fprintf(os.Stderr, "kill child: recovery: %v\n", err)
+			os.Exit(4)
 		}
 		os.Exit(0)
 	}
@@ -482,9 +484,9 @@ func KillChildMain() {
 		wg.Add(1)
 		go func(tid int) {
 			defer wg.Done()
-			rng := rand.New(rand.NewSource(spec.Seed*1009 + int64(spec.Round)*31 + int64(tid)))
-			for i := 0; i < spec.Ops; i++ {
-				t.Step(j, tid, i, round, rng)
+			g := newGen(spec.Seed*1009+int64(spec.Round), tid, round)
+			for g.i = 0; g.i < spec.Ops; g.i++ {
+				t.Step(g)
 				if spec.PaceUs > 0 {
 					time.Sleep(time.Duration(spec.PaceUs) * time.Microsecond)
 				}

@@ -8,7 +8,10 @@ import (
 	"testing"
 	"time"
 
+	"pcomb/internal/history"
+	lin "pcomb/internal/linearizability"
 	"pcomb/internal/pmem"
+	"pcomb/internal/sysarea"
 	"pcomb/internal/testutil"
 )
 
@@ -141,6 +144,19 @@ func TestKillReplay(t *testing.T) {
 	}
 }
 
+// cleanControl re-runs a failed mutation campaign's schedule, up to and
+// including the failing round, without the mutation (on a fresh heap file): it
+// must pass, or the failure proved nothing about the mutation.
+func cleanControl(t *testing.T, cfg KillConfig, fail *KillFailure) {
+	t.Helper()
+	cfg.Sabotage, cfg.EpochSabotage = false, false
+	cfg.Path = testutil.TempHeapPath(t)
+	cfg.Rounds = fail.Spec.Round + 1
+	if _, f := RunKill(cfg); f != nil {
+		t.Fatalf("clean control of the failing schedule failed too: %v", f.ErrOrNil())
+	}
+}
+
 // TestKillSabotageCaught is the harness's mutation test: with the seeded
 // recovery bug enabled in the parent verifier (recovery skips the re-announce
 // and conditional re-perform), a campaign of real kills must produce a
@@ -165,6 +181,7 @@ func TestKillSabotageCaught(t *testing.T) {
 	if spec != fail.Spec {
 		t.Fatalf("token round-trip changed spec: %+v -> %+v", fail.Spec, spec)
 	}
+	cleanControl(t, cfg, fail)
 }
 
 // TestKillEpochLongCampaign is the epoch mode's headline durability claim
@@ -217,6 +234,30 @@ func TestKillEpochSabotageCaught(t *testing.T) {
 	if _, err := ParseKillToken(fail.Spec.Token()); err != nil {
 		t.Fatalf("failure token %q does not parse: %v", fail.Spec.Token(), err)
 	}
+	cleanControl(t, cfg, fail)
+}
+
+// TestKillWrongSpecFails is the kill engine's turn at the wrong Specs of
+// TestMutationWrongSpecFails: the children run the right target, the verifier
+// judges them by the wrong Spec and must fail where the right one passes.
+func TestKillWrongSpecFails(t *testing.T) {
+	if testing.Short() {
+		t.Skip("process-kill campaign in -short mode")
+	}
+	for _, ws := range wrongSpecs {
+		t.Run(ws.name, func(t *testing.T) {
+			t.Parallel()
+			cfg := killTestConfig(t, ws.right().Name)
+			if _, fail := RunKill(cfg); fail != nil {
+				t.Fatalf("right spec failed: %v", fail.ErrOrNil())
+			}
+			cfg.Path = testutil.TempHeapPath(t)
+			wrong := KillTargetDef{cfg.Target, func() KillTarget { return &specKT{sp: ws.wrong()} }}
+			if rep, fail := runKill(cfg, wrong); fail == nil {
+				t.Fatalf("wrong spec passed %d rounds (%d ops)", rep.Rounds, rep.Ops)
+			}
+		})
+	}
 }
 
 func TestParseKillToken(t *testing.T) {
@@ -235,106 +276,82 @@ func TestParseKillToken(t *testing.T) {
 	}
 }
 
-// TestJournalSeqRepair exercises the journal's cross-lifetime sequence-number
-// discipline directly: records committed by one process must push the next
-// opener's sequence numbers strictly past everything already consumed, and
-// Reset must repair the bases even when End never ran.
-func TestJournalSeqRepair(t *testing.T) {
+// TestJournalIsTheRecordersTwin drives the two back ends of the history log —
+// the in-memory recorder and the file-backed journal — with one sequence of
+// calls, reopening the journal midway as a new process would, and requires
+// the same history out of both: the same operations, fates and responses in
+// the same per-thread order.
+func TestJournalIsTheRecordersTwin(t *testing.T) {
 	h := pmem.NewHeap(pmem.Config{Mode: pmem.ModeShadow, NoCost: true})
-	j, err := OpenJournal(h, 2, 8)
-	if err != nil {
-		t.Fatal(err)
+	open := func() *Journal {
+		j, err := OpenJournal(h, 2, 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return j
 	}
-	s1, i1 := j.Begin(0, 0, 1, 10, 0)
-	j.End(0, i1, 99)
-	s2, i2 := j.Begin(0, 0, 1, 11, 0)
-	if s2 != s1+1 {
-		t.Fatalf("seq not consecutive: %d then %d", s1, s2)
+	j, rec := open(), history.New(2)
+	both := func(f func(l sysarea.Log)) { f(j); f(rec) }
+	both(func(l sysarea.Log) {
+		l.Begin(0, lin.KindEnq, 10, 0)
+		l.End(0, 0)
+		// A vector: three invocations, then the responses in order — of which
+		// the crash lets only the first through.
+		l.Begin(1, lin.KindDeq, 0, 0)
+		l.Begin(1, lin.KindDeq, 0, 0)
+		l.Begin(1, lin.KindEnq, 11, 0)
+		l.End(1, 10)
+		l.Begin(0, lin.KindEnq, 12, 0) // interrupted, and never resolved
+	})
+	j = open() // the verifier's process
+	both(func(l sysarea.Log) {
+		if !l.Resolve(1, lin.EmptyOut) {
+			t.Fatal("Resolve found no open operation")
+		}
+	})
+	got, want := j.Ops(), rec.Ops()
+	if len(got) != len(want) {
+		t.Fatalf("journal has %d ops, recorder %d", len(got), len(want))
 	}
-	// Second record left open — a kill between Begin and End.
-	_ = i2
-
-	// A second opener (same process lifetime rules as a reattach) must see
-	// both records and hand out a strictly larger sequence number.
-	j2, err := OpenJournal(h, 2, 8)
-	if err != nil {
-		t.Fatal(err)
+	for i := range want {
+		g, w := got[i], want[i]
+		if g.Thread != w.Thread || g.Kind != w.Kind || g.Arg != w.Arg || g.Status != w.Status ||
+			(w.Status != lin.StatusPending && g.Out != w.Out) {
+			t.Fatalf("op %d: journal %+v, recorder %+v", i, g, w)
+		}
 	}
-	if n := len(j2.Records(0)); n != 2 {
-		t.Fatalf("reopened journal sees %d records, want 2", n)
-	}
-	if rec, ok := j2.Open(0); !ok || rec.Seq != s2 {
-		t.Fatalf("open record = %+v, %v; want seq %d", rec, ok, s2)
-	}
-	s3, _ := j2.Begin(0, 0, 1, 12, 0)
-	if s3 <= s2 {
-		t.Fatalf("reopened journal reused sequence: %d after %d", s3, s2)
-	}
-
-	// Reset advances the round and repairs the bases: the next sequence is
-	// still strictly larger than anything ever consumed.
-	r0 := j2.Round()
-	j2.Reset()
-	if j2.Round() != r0+1 {
-		t.Fatalf("round %d after reset, want %d", j2.Round(), r0+1)
-	}
-	if n := len(j2.Records(0)); n != 0 {
-		t.Fatalf("%d records after reset, want 0", n)
-	}
-	s4, _ := j2.Begin(0, 0, 1, 13, 0)
-	if s4 <= s3 {
-		t.Fatalf("post-reset sequence reused: %d after %d", s4, s3)
+	j.Reset()
+	if n := len(j.Ops()); n != 0 {
+		t.Fatalf("%d ops after Reset, want 0", n)
 	}
 }
 
 // TestJournalEpochCut pins the crash-cut stamp discipline: the first
 // post-kill observer's stamp wins for the whole round — later reattaches
-// (whose stamp a recovery pass's closes have advanced) get the pinned value
-// back — and Reset invalidates the pin for the next round.
+// (whose stamp a recovery pass's closes have advanced) change nothing — and
+// Reset invalidates the pin for the next round.
 func TestJournalEpochCut(t *testing.T) {
 	h := pmem.NewHeap(pmem.Config{Mode: pmem.ModeShadow, NoCost: true})
 	j, err := OpenJournal(h, 1, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := j.EpochCut(43); got != 43 {
-		t.Fatalf("first observation: EpochCut(43) = %d, want 43", got)
+	j.SetEpochClock(func() uint64 { return 44 })
+	status := func() lin.Status {
+		j.Begin(0, lin.KindEnq, 1, 0)
+		j.End(0, 0) // completed in epoch 44
+		return j.Ops()[0].Status
 	}
+	j.Cut(43)
 	// A recovery child closed epochs and died; the parent reads stamp 45.
-	if got := j.EpochCut(45); got != 43 {
-		t.Fatalf("pinned cut: EpochCut(45) = %d, want 43", got)
+	j.Cut(45)
+	if got := status(); got != lin.StatusVolatile {
+		t.Fatalf("cut pinned at 43: epoch-44 completion has status %v, want volatile", got)
 	}
 	j.Reset()
-	if got := j.EpochCut(45); got != 45 {
-		t.Fatalf("after Reset: EpochCut(45) = %d, want 45", got)
-	}
-}
-
-// TestJournalAlignSeqBase pins the epoch-mode sequence realignment: the base
-// is bumped exactly when the next sequence number's low bit would collide
-// with the durable deactivate parity.
-func TestJournalAlignSeqBase(t *testing.T) {
-	h := pmem.NewHeap(pmem.Config{Mode: pmem.ModeShadow, NoCost: true})
-	j, err := OpenJournal(h, 1, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s1, i1 := j.Begin(0, 0, 1, 10, 0)
-	j.End(0, i1, 7)
-	j.Reset() // repairs the base to s1, the last consumed number
-	// Parity equals the next number's low bit: collision, skip one.
-	j.AlignSeqBase(0, 0, (s1+1)&1)
-	s2, i2 := j.Begin(0, 0, 1, 11, 0)
-	if s2 != s1+2 {
-		t.Fatalf("collision realign: next seq %d after %d, want %d", s2, s1, s1+2)
-	}
-	j.End(0, i2, 7)
-	j.Reset()
-	// Parity differs: no-op.
-	j.AlignSeqBase(0, 0, s2&1)
-	s3, _ := j.Begin(0, 0, 1, 12, 0)
-	if s3 != s2+1 {
-		t.Fatalf("no-op realign: next seq %d after %d, want %d", s3, s2, s2+1)
+	j.Cut(45)
+	if got := status(); got != lin.StatusCompleted {
+		t.Fatalf("after Reset, cut at 45: epoch-44 completion has status %v, want completed", got)
 	}
 }
 

@@ -2,12 +2,14 @@ package crashtest
 
 // Server kill targets: the full RESP stack under real SIGKILLs. The child
 // process runs an in-process pcomb-server on a loopback socket plus one TCP
-// client per journal thread; every command is journaled (Begin before the
-// bytes leave the client, End when its reply is parsed), so the verifier can
-// rebuild the round's history from the file alone and hold the server to
-// durable linearizability: every acknowledged reply in strict mode — and
-// every reply acknowledged before a WAIT-forced epoch close in epoch mode —
-// must survive the kill.
+// client per journal thread; every command is journaled by the client (Begin
+// before the bytes leave it, End when its reply is parsed — the store's own
+// system area journals nothing), so the verifier can rebuild the round's
+// history from the file alone and hold the server to durable linearizability:
+// every acknowledged reply in strict mode — and every reply acknowledged
+// before a WAIT-forced epoch close in epoch mode — must survive the kill.
+// Only the client and the matching of recovered windows to its records are
+// particular to the server; model, audit and verdict are the map Spec's.
 //
 // Thread geometry: each journal thread owns one client connection, and the
 // server binds each connection to one combining tid for its lifetime — but
@@ -22,13 +24,11 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"math/rand"
 	"net"
 	"strconv"
 	"sync"
 
 	"pcomb"
-	"pcomb/internal/hashmap"
 	lin "pcomb/internal/linearizability"
 	"pcomb/internal/pmem"
 	"pcomb/internal/server"
@@ -41,15 +41,9 @@ const (
 )
 
 type srvKT struct {
-	kind  pcomb.Kind
+	specKT
 	epoch bool
-	name  string
-	n     int
 	st    *pcomb.ServerStore
-
-	// stamp is the durable epoch stamp found at attach — the crash cut for
-	// this process lifetime's verification (epoch target only).
-	stamp uint64
 
 	// Child-process side: lazily started server + one client per thread.
 	start    sync.Once
@@ -59,44 +53,50 @@ type srvKT struct {
 }
 
 // srvKTConn is one journal thread's client connection (used only by that
-// thread's goroutine).
+// thread's goroutine). journaled is the FIFO of sent-but-unread commands:
+// false marks a WAIT, which has no record.
 type srvKTConn struct {
-	c   net.Conn
-	br  *bufio.Reader
-	bw  *bufio.Writer
-	out []srvKTPending // FIFO of sent-but-unread commands
+	c         net.Conn
+	br        *bufio.Reader
+	bw        *bufio.Writer
+	journaled []bool
 }
 
-// srvKTPending tracks one in-flight command; idx < 0 marks an unjournaled
-// WAIT.
-type srvKTPending struct {
-	idx  int
-	kind uint64
-}
-
-func (t *srvKT) Name() string { return t.name }
-
-func (t *srvKT) storeOpts(n int) pcomb.ServerOptions {
-	return pcomb.ServerOptions{
-		Threads:  n,
-		Kind:     t.kind,
-		FlushOps: srvKillFlushOps,
-		Epoch:    t.epoch,
-		// One shard: a flush window is one vectorized group, so a kill
-		// interrupts at most one contiguous run of some client's commands.
-		MapShards:   1,
-		MapCapacity: 1024,
-		// The queue is part of the store but the workload never touches it;
-		// the arena still needs one chunk per thread at construction.
-		QueueCapacity: 1 << 14,
+func newSrvKT(kind pcomb.Kind, epoch bool) *srvKT {
+	t := &srvKT{epoch: epoch}
+	t.sp = &Spec{
+		Name: "srv/" + pfx(kind) + "srv" + tag(epoch, "-epoch"),
+		Open: func(h *pmem.Heap, n int) Handle {
+			t.st = pcomb.NewServerStoreOn(h, pcomb.ServerOptions{
+				Threads:  n,
+				Kind:     kind,
+				FlushOps: srvKillFlushOps,
+				Epoch:    epoch,
+				// One shard: a flush window is one vectorized group, so a kill
+				// interrupts at most one contiguous run of some client's commands.
+				MapShards:   1,
+				MapCapacity: 1024,
+				// The queue is part of the store but the workload never touches it;
+				// the arena still needs one chunk per thread at construction.
+				QueueCapacity: 1 << 14,
+			})
+			return t.st.Map()
+		},
+		State: func() []uint64 { return pairs(t.st.Map().Range) },
+		Model: mapModel,
 	}
+	if epoch {
+		t.sp.Stamp = func() uint64 { return t.st.Map().EpochClosed() }
+	}
+	return t
 }
 
-func (t *srvKT) Attach(h *pmem.Heap, n int) {
-	t.n = n
-	t.st = pcomb.NewServerStoreOn(h, t.storeOpts(n))
+// Attach leaves the store's history log alone: the client journals.
+func (t *srvKT) Attach(h *pmem.Heap, n int, j *Journal) {
+	t.n, t.j = n, j
+	t.h = t.sp.Open(h, n)
 	if t.epoch {
-		t.stamp = t.st.Map().EpochClosed()
+		j.SetEpochClock(t.st.Map().EpochNow)
 	}
 }
 
@@ -123,69 +123,52 @@ func (t *srvKT) startChild() {
 // srvKey names client tid's r-th key; its hash is the journal/history key.
 func srvKey(tid, r int) string { return fmt.Sprintf("k%d.%d", tid, r) }
 
-func (t *srvKT) Step(j *Journal, tid, i int, round uint64, rng *rand.Rand) {
+func (t *srvKT) Step(g *gen) {
 	t.start.Do(t.startChild)
 	if t.startErr != nil {
 		panic(fmt.Sprintf("srv kill child: %v", t.startErr))
 	}
-	c := t.conns[tid]
+	c := t.conns[g.tid]
 
-	r := rng.Intn(16)
-	if r < 2 {
+	// send journals one command (before its bytes leave) and stages it.
+	send := func(kind uint64, val uint64, name string, args ...string) {
+		key := srvKey(g.tid, g.Intn(srvKillKeys))
+		t.j.Begin(g.tid, kind, server.HashKey(key), val)
+		sendCmd(c.bw, append([]string{name, key}, args...)...)
+		c.journaled = append(c.journaled, true)
+	}
+	switch r := g.Intn(16); {
+	case r < 2:
 		// WAIT: the durability barrier (and, in epoch mode, the only epoch
 		// close — no background ticker, so the kill schedule decides which
 		// epochs close). Unjournaled: it has no model effect.
 		sendCmd(c.bw, "WAIT", "0", "0")
-		c.out = append(c.out, srvKTPending{idx: -1})
-	} else {
-		key := srvKey(tid, rng.Intn(srvKillKeys))
-		khash := server.HashKey(key)
-		switch {
-		case r < 9: // GETSET: a put whose reply carries the previous value
-			val := (round+1)<<32 | uint64(tid)<<24 | uint64(i) + 1
-			_, idx := j.Begin(tid, 0, hashmap.OpPut, khash, val)
-			sendCmd(c.bw, "GETSET", key, strconv.FormatUint(val, 10))
-			c.out = append(c.out, srvKTPending{idx: idx, kind: hashmap.OpPut})
-		case r < 11: // INCRBY: fetch&add (small delta; sums stay well below the sentinels)
-			delta := uint64(rng.Intn(1000) + 1)
-			_, idx := j.Begin(tid, 0, hashmap.OpAdd, khash, delta)
-			sendCmd(c.bw, "INCRBY", key, strconv.FormatUint(delta, 10))
-			c.out = append(c.out, srvKTPending{idx: idx, kind: hashmap.OpAdd})
-		case r < 13: // GETDEL: a delete whose reply carries the removed value
-			_, idx := j.Begin(tid, 0, hashmap.OpDel, khash, 0)
-			sendCmd(c.bw, "GETDEL", key)
-			c.out = append(c.out, srvKTPending{idx: idx, kind: hashmap.OpDel})
-		default: // GET
-			_, idx := j.Begin(tid, 0, hashmap.OpGet, khash, 0)
-			sendCmd(c.bw, "GET", key)
-			c.out = append(c.out, srvKTPending{idx: idx, kind: hashmap.OpGet})
-		}
+		c.journaled = append(c.journaled, false)
+	case r < 9: // GETSET: a put whose reply carries the previous value
+		send(pcomb.OpPut, g.val(), "GETSET", strconv.FormatUint(g.val(), 10))
+	case r < 11: // INCRBY: fetch&add (small delta; sums stay well below the sentinels)
+		delta := uint64(g.Intn(1000) + 1)
+		send(pcomb.OpAdd, delta, "INCRBY", strconv.FormatUint(delta, 10))
+	case r < 13: // GETDEL: a delete whose reply carries the removed value
+		send(pcomb.OpDelete, 0, "GETDEL")
+	default:
+		send(pcomb.OpGet, 0, "GET")
 	}
 	if err := c.bw.Flush(); err != nil {
 		panic(fmt.Sprintf("srv kill child: send: %v", err))
 	}
-	for len(c.out) > srvKillDepth {
-		t.readReply(j, tid, c)
+	for len(c.journaled) > srvKillDepth {
+		out, err := readRESPValue(c.br)
+		if err != nil {
+			panic(fmt.Sprintf("srv kill child: reply: %v", err))
+		}
+		// Replies come in command order, so this one answers the client's
+		// oldest open record — unless it acknowledges a WAIT.
+		if c.journaled[0] {
+			t.j.End(g.tid, out)
+		}
+		c.journaled = c.journaled[1:]
 	}
-}
-
-// readReply consumes the oldest in-flight command's reply and journals its
-// response.
-func (t *srvKT) readReply(j *Journal, tid int, c *srvKTConn) {
-	out, err := readRESPValue(c.br)
-	if err != nil {
-		panic(fmt.Sprintf("srv kill child: reply: %v", err))
-	}
-	p := c.out[0]
-	c.out = c.out[1:]
-	if p.idx < 0 {
-		return // WAIT acknowledged
-	}
-	if t.epoch {
-		j.EndEpoch(tid, p.idx, out, t.st.Map().EpochNow())
-		return
-	}
-	j.End(tid, p.idx, out)
 }
 
 // sendCmd stages one RESP array command.
@@ -245,25 +228,21 @@ func (t *srvKT) keyOwners() map[uint64]int {
 	return owners
 }
 
-// Resolve runs once (on the tid 0 call): server tids and journal threads are
-// decoupled by accept order, so the pass walks every server tid's recovery
-// and routes each recovered operation to the owning client's journal records
-// by key ownership.
-func (t *srvKT) Resolve(j *Journal, tid int) error {
-	if tid != 0 {
-		return nil
-	}
+// Recover walks every server tid's recovery and routes each recovered
+// operation to the owning client's journal records by key ownership: server
+// tids and journal threads are decoupled by accept order.
+func (t *srvKT) Recover() error {
+	j := t.j
+	// The crash cut comes first: recovery closes epochs.
+	j.Cut(t.sp.stamp())
 	if t.epoch {
-		// Pin the crash-cut stamp BEFORE recovery closes any epoch (see
-		// queueKT.Resolve).
-		t.stamp = j.EpochCut(t.stamp)
-		return t.resolveEpoch(j)
+		return t.recoverEpoch()
 	}
 	owners := t.keyOwners()
 	for stid := 0; stid < t.n; stid++ {
 		if ops := t.st.Queue().Recover(stid); len(ops) > 0 {
 			return fmt.Errorf("%s: server tid %d has %d pending queue ops (workload sends none)",
-				t.name, stid, len(ops))
+				t.sp.Name, stid, len(ops))
 		}
 		recops := t.st.Map().Recover(stid)
 		if len(recops) == 0 {
@@ -271,7 +250,7 @@ func (t *srvKT) Resolve(j *Journal, tid int) error {
 		}
 		ctid, ok := owners[recops[0].A0]
 		if !ok {
-			return fmt.Errorf("%s: recovered key %#x has no owner", t.name, recops[0].A0)
+			return fmt.Errorf("%s: recovered key %#x has no owner", t.sp.Name, recops[0].A0)
 		}
 		// The interrupted window must be a contiguous run of the owning
 		// client's open records (older open records are completed flushes
@@ -288,7 +267,7 @@ func (t *srvKT) Resolve(j *Journal, tid int) error {
 			for k, ro := range recops {
 				if ro.A0 != recops[0].A0 && owners[ro.A0] != ctid {
 					return fmt.Errorf("%s: server tid %d window mixes clients %d and %d",
-						t.name, stid, ctid, owners[ro.A0])
+						t.sp.Name, stid, ctid, owners[ro.A0])
 				}
 				rec := open[s+k]
 				if rec.Kind != ro.Op || rec.A0 != ro.A0 || rec.A1 != ro.A1 {
@@ -303,7 +282,7 @@ func (t *srvKT) Resolve(j *Journal, tid int) error {
 		}
 		if start < 0 {
 			return fmt.Errorf("%s: server tid %d: recovered window (%d ops) matches no run of client %d's %d open records",
-				t.name, stid, len(recops), ctid, len(open))
+				t.sp.Name, stid, len(recops), ctid, len(open))
 		}
 		for k, ro := range recops {
 			j.MarkRecovered(ctid, open[start+k].Idx, ro.Result)
@@ -312,12 +291,12 @@ func (t *srvKT) Resolve(j *Journal, tid int) error {
 	return nil
 }
 
-// resolveEpoch is the epoch-mode pass: scalar recovery per server tid, with
-// parity-certain re-performs routed to the owning client's first matching
-// open record; ambiguous records stay open (effect durable or vanished —
-// the checker decides).
-func (t *srvKT) resolveEpoch(j *Journal) error {
-	owners := t.keyOwners()
+// recoverEpoch is the epoch-mode pass: scalar recovery per server tid, with
+// certain re-performs routed to the owning client's first matching open
+// record; uncertain ones stay open (effect durable or vanished — the checker
+// decides).
+func (t *srvKT) recoverEpoch() error {
+	j, owners := t.j, t.keyOwners()
 	for stid := 0; stid < t.n; stid++ {
 		t.st.Queue().Recover(stid)
 		rs := t.st.Map().Recover(stid)
@@ -327,7 +306,7 @@ func (t *srvKT) resolveEpoch(j *Journal) error {
 		op, key, result := rs[0].Op, rs[0].A0, rs[0].Result
 		ctid, ok := owners[key]
 		if !ok {
-			return fmt.Errorf("%s: recovered key %#x has no owner", t.name, key)
+			return fmt.Errorf("%s: recovered key %#x has no owner", t.sp.Name, key)
 		}
 		marked := false
 		for _, rec := range j.Records(ctid) {
@@ -339,57 +318,10 @@ func (t *srvKT) resolveEpoch(j *Journal) error {
 		}
 		if !marked {
 			return fmt.Errorf("%s: server tid %d re-performed (%d,%#x) but client %d has no matching open record",
-				t.name, stid, op, key, ctid)
+				t.sp.Name, stid, op, key, ctid)
 		}
 	}
 	t.st.Map().Sync()
 	t.st.Queue().Sync()
 	return nil
-}
-
-func (t *srvKT) Verify(j *Journal, initial []uint64, opts DurLinOpts) (bool, error) {
-	opts = durLinDefaults(opts)
-	hist := killHistory(j, t.n, t.stamp)
-	initVals := map[uint64]uint64{}
-	for i := 0; i+1 < len(initial); i += 2 {
-		initVals[initial[i]] = initial[i+1]
-	}
-	final := map[uint64]uint64{}
-	t.st.Map().Range(func(k, v uint64) bool {
-		final[k] = v
-		return true
-	})
-	touched := map[uint64]bool{}
-	for _, op := range hist {
-		touched[op.Arg] = true
-	}
-	var audits []lin.Op
-	for k := range touched {
-		out := lin.EmptyOut
-		if v, ok := final[k]; ok {
-			out = v
-		}
-		audits = append(audits, lin.Op{Kind: lin.KindGet, Arg: k, Out: out})
-	}
-	if len(hist)+len(audits) > opts.MaxOps {
-		return false, nil
-	}
-	hist = lin.AppendAudits(hist, audits...)
-	res := lin.CheckDurablePartitioned(func(class uint64) lin.Model {
-		init := lin.EmptyOut
-		if v, ok := initVals[class]; ok {
-			init = v
-		}
-		return lin.MapKeyModel{Initial: init}
-	}, func(op lin.Op) uint64 { return op.Arg }, hist, lin.Opts{Budget: opts.Budget})
-	return killVerdict(res)
-}
-
-func (t *srvKT) Snapshot() []uint64 {
-	var out []uint64
-	t.st.Map().Range(func(k, v uint64) bool {
-		out = append(out, k, v)
-		return true
-	})
-	return out
 }

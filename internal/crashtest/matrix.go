@@ -1,13 +1,6 @@
 package crashtest
 
-import (
-	"pcomb/internal/core"
-	"pcomb/internal/fabric"
-	"pcomb/internal/hashmap"
-	"pcomb/internal/heap"
-	"pcomb/internal/queue"
-	"pcomb/internal/stack"
-)
+import "pcomb"
 
 // Target couples a stable name with a driver factory, so test tables and the
 // CLI can sweep the full correctness matrix without repeating constructor
@@ -17,96 +10,60 @@ type Target struct {
 	Mk   func(seed int64) Driver
 }
 
-// matrixVecCap is the vector capacity of the structure targets' vectorized
-// variants (the batched register target keeps its own batchVecCap).
-const matrixVecCap = 3
-
-// MatrixTargets enumerates the full durable-linearizability correctness
-// matrix for n threads: {PBcomb, PWFcomb} x {dense, sparse} x {scalar,
-// vectorized/batched} across queue, stack, heap, hash map and register file,
-// plus the two counters. Every target implements HistoryDriver, so a
-// campaign with Config.DurLin validates each round's recorded history
-// against the structure's sequential model under crash-cut semantics.
-func MatrixTargets(n int) []Target {
+// MatrixTargets enumerates the full simulated-crash correctness matrix for
+// campaigns of cfg's shape — Threads, and the Ops x Rounds the node arenas
+// must hold: {PBcomb, PWFcomb} x {dense, sparse} x {scalar, vectorized} across
+// queue, stack, heap, hash map and register file, plus the two counters, the
+// epoch-mode queues and maps, and the sharded fabric.
+func MatrixTargets(cfg Config) []Target {
 	var out []Target
-	add := func(mk func(seed int64) Driver) {
-		out = append(out, Target{Name: mk(0).Name(), Mk: mk})
+	n, arena := cfg.Threads, simArena(cfg)
+	add := func(mk func() *Spec) {
+		out = append(out, Target{Name: mk().Name, Mk: func(seed int64) Driver { return NewDriver(mk(), n, seed) }})
 	}
-
-	for _, wf := range []bool{false, true} {
-		wf := wf
-		add(func(s int64) Driver { return NewCounterDriver(wf, n, s) })
-	}
-
-	for _, kind := range []queue.Kind{queue.Blocking, queue.WaitFree} {
-		for _, sparse := range []bool{false, true} {
-			for _, vcap := range []int{0, matrixVecCap} {
-				kind, sparse, vcap := kind, sparse, vcap
-				add(func(s int64) Driver {
-					return NewQueueDriver(kind, queue.Options{Sparse: sparse, VecCap: vcap}, n, s)
-				})
+	kinds := []pcomb.Kind{pcomb.Blocking, pcomb.WaitFree}
+	each := func(f func(kind pcomb.Kind, alt bool, vecCap int)) {
+		for _, kind := range kinds {
+			for _, alt := range []bool{false, true} {
+				for _, vecCap := range []int{0, specVecCap} {
+					f(kind, alt, vecCap)
+				}
 			}
 		}
-		// Epoch-mode relaxed durability (scalar): last-open-epoch completions
-		// may vanish, closed-epoch completions may not.
-		kind := kind
-		add(func(s int64) Driver {
-			return NewQueueDriver(kind, queue.Options{Epoch: true}, n, s)
+	}
+
+	for _, kind := range kinds {
+		add(func() *Spec { return counterSpec(kind) })
+	}
+	each(func(kind pcomb.Kind, sparse bool, vecCap int) {
+		add(func() *Spec {
+			return queueSpec(kind, pcomb.QueueOptions{Capacity: arena, Sparse: sparse, VecCap: vecCap})
 		})
+	})
+	// Epoch-mode relaxed durability: last-open-epoch completions may vanish,
+	// closed-epoch completions may not.
+	for _, kind := range kinds {
+		add(func() *Spec { return queueSpec(kind, pcomb.QueueOptions{Capacity: arena, Epoch: true}) })
 	}
-
-	for _, kind := range []stack.Kind{stack.Blocking, stack.WaitFree} {
-		for _, sparse := range []bool{false, true} {
-			for _, vcap := range []int{0, matrixVecCap} {
-				kind, sparse, vcap := kind, sparse, vcap
-				add(func(s int64) Driver {
-					return NewStackDriver(kind, stack.Options{Sparse: sparse, VecCap: vcap}, n, s)
-				})
-			}
-		}
-	}
-
-	for _, kind := range []heap.Kind{heap.Blocking, heap.WaitFree} {
-		for _, sparse := range []bool{false, true} {
-			for _, vcap := range []int{0, matrixVecCap} {
-				kind, sparse, vcap := kind, sparse, vcap
-				add(func(s int64) Driver {
-					return NewHeapDriverWith(kind, 256, n, s, core.CombOpts{Sparse: sparse, VecCap: vcap})
-				})
-			}
-		}
-	}
-
-	for _, kind := range []hashmap.Kind{hashmap.Blocking, hashmap.WaitFree} {
-		for _, dense := range []bool{false, true} {
-			for _, vcap := range []int{0, matrixVecCap} {
-				kind, dense, vcap := kind, dense, vcap
-				add(func(s int64) Driver {
-					return NewMapDriverWith(kind, hashmap.Options{Shards: 4, Dense: dense, VecCap: vcap}, n, s)
-				})
-			}
-		}
-		kind := kind
-		add(func(s int64) Driver {
-			return NewMapDriverWith(kind, hashmap.Options{Shards: 4, Epoch: true}, n, s)
+	each(func(kind pcomb.Kind, sparse bool, vecCap int) {
+		add(func() *Spec {
+			return stackSpec(kind, pcomb.StackOptions{Capacity: arena, Sparse: sparse, VecCap: vecCap})
 		})
+	})
+	each(func(kind pcomb.Kind, sparse bool, vecCap int) {
+		add(func() *Spec { return heapSpec(kind, pcomb.HeapOptions{Sparse: sparse, VecCap: vecCap}) })
+	})
+	each(func(kind pcomb.Kind, dense bool, vecCap int) {
+		add(func() *Spec { return mapSpec(kind, pcomb.MapOptions{Dense: dense, VecCap: vecCap}) })
+	})
+	for _, kind := range kinds {
+		add(func() *Spec { return mapSpec(kind, pcomb.MapOptions{Epoch: true}) })
 	}
-
-	for _, wf := range []bool{false, true} {
-		for _, dense := range []bool{false, true} {
-			wf, dense := wf, dense
-			add(func(s int64) Driver { return NewRegisterDriverWith(wf, dense, n, s) })
-			add(func(s int64) Driver { return NewBatchRegisterDriverWith(wf, dense, n, s) })
-		}
+	each(func(kind pcomb.Kind, dense bool, vecCap int) {
+		add(func() *Spec { return registerSpec(kind, dense, vecCap) })
+	})
+	for _, kind := range kinds {
+		add(func() *Spec { return fabricSpec(kind, true) })
 	}
-
-	// Sharded combining fabric with cross-shard atomic transactions: scalar
-	// ops plus TransferAdd/PutAll transactions, checked per key (history) and
-	// globally (account-sum conservation).
-	for _, kind := range []fabric.Kind{fabric.Blocking, fabric.WaitFree} {
-		kind := kind
-		add(func(s int64) Driver { return NewFabricDriver(kind, n, s) })
-	}
-
 	return out
 }

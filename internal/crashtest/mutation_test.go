@@ -3,9 +3,10 @@ package crashtest
 import (
 	"testing"
 
+	"pcomb"
 	"pcomb/internal/core"
+	lin "pcomb/internal/linearizability"
 	"pcomb/internal/pmem"
-	"pcomb/internal/queue"
 )
 
 // These mutation tests validate the verification harness itself: a
@@ -77,10 +78,8 @@ func TestSeqParityMisuseIsBenignlyIdempotent(t *testing.T) {
 // they may NOT vanish — so the crash-cut checker must kill the mutant. The
 // identical clean campaign must pass.
 func TestMutationEpochSabotageIsKilled(t *testing.T) {
-	mk := func(s int64) Driver {
-		return NewQueueDriver(queue.Blocking, queue.Options{Epoch: true}, 2, s)
-	}
 	cfg := Config{Threads: 2, Ops: 24, Rounds: 6, Seed: 17, DurLin: true}
+	mk := matrixTarget(t, cfg, "queue/PBqueue-epoch").Mk
 	if _, fail := Fuzz(mk, cfg); fail != nil {
 		t.Fatalf("clean control campaign failed: %v", fail.ErrOrNil())
 	}
@@ -114,5 +113,80 @@ func TestAdversariesDiffer(t *testing.T) {
 	}
 	if outcomes[pmem.DropUnfenced] != 0 || outcomes[pmem.ApplyAll] != 9 {
 		t.Fatalf("adversaries indistinguishable: %v", outcomes)
+	}
+}
+
+// wrongSpecs are deliberately wrong Specs of correct structures, each beside
+// the right one: a queue judged as a stack, a map whose State forgets one key,
+// and a map one of whose idle cells changes under it. They validate the part
+// of the verdict a Spec supplies and the audit judges it by — if the engines
+// pass these, a wrong model or a damaged bystander cell would go unnoticed.
+var wrongSpecs = []struct {
+	name         string
+	right, wrong func() *Spec
+}{
+	{"queue-as-LIFO",
+		func() *Spec { return queueSpec(pcomb.Blocking, pcomb.QueueOptions{Capacity: killArena}) },
+		func() *Spec {
+			sp := queueSpec(pcomb.Blocking, pcomb.QueueOptions{Capacity: killArena})
+			m := sp.Model.(Whole)
+			m.New = func(init []uint64) lin.Model { return lin.StackModel{Initial: init} }
+			sp.Model = m
+			return sp
+		}},
+	{"map-audit-drops-a-key",
+		func() *Spec { return mapSpec(pcomb.WaitFree, pcomb.MapOptions{}) },
+		func() *Spec {
+			sp := mapSpec(pcomb.WaitFree, pcomb.MapOptions{})
+			state := sp.State
+			sp.State = func() []uint64 {
+				if st := state(); len(st) > 2 {
+					return st[2:]
+				}
+				return nil
+			}
+			return sp
+		}},
+	// A cell no operation ever names, whose value follows the rest of the
+	// contents: what a recovery that damages a neighbour of the cells in play
+	// looks like to the audit. Only conservation can see it — the partitioned
+	// check reads back the cells the round touched and no others.
+	{"map-untouched-cell-flips",
+		func() *Spec { return mapSpec(pcomb.WaitFree, pcomb.MapOptions{}) },
+		func() *Spec {
+			sp := mapSpec(pcomb.WaitFree, pcomb.MapOptions{})
+			state := sp.State
+			sp.State = func() []uint64 {
+				st, sum := state(), uint64(0)
+				for _, w := range st {
+					sum += w
+				}
+				return append(st, 1<<40, sum&0xffff)
+			}
+			return sp
+		}},
+}
+
+// TestMutationWrongSpecFails: both simulated-crash engines fail the wrong
+// Specs on the very campaigns the right ones pass (the kill engine's turn is
+// TestKillWrongSpecFails).
+func TestMutationWrongSpecFails(t *testing.T) {
+	for _, ws := range wrongSpecs {
+		t.Run(ws.name, func(t *testing.T) {
+			fuzz := Config{Threads: 3, Ops: 14, Rounds: 4, Seed: 7, DurLin: true, DurLinMaxOps: 320}
+			enum := Config{Threads: 2, Ops: 8, Seed: 9, Budget: 32, DurLin: true, DurLinMaxOps: 320}
+			if _, fail := Fuzz(specDriver(3, ws.right), fuzz); fail != nil {
+				t.Fatalf("right spec failed fuzz: %v", fail.ErrOrNil())
+			}
+			if _, fail := Fuzz(specDriver(3, ws.wrong), fuzz); fail == nil {
+				t.Fatal("wrong spec passed fuzz")
+			}
+			if _, fail := Enumerate(specDriver(2, ws.right), enum); fail != nil {
+				t.Fatalf("right spec failed enumerate: %v", fail.ErrOrNil())
+			}
+			if _, fail := Enumerate(specDriver(2, ws.wrong), enum); fail == nil {
+				t.Fatal("wrong spec passed enumerate")
+			}
+		})
 	}
 }

@@ -34,7 +34,6 @@ import (
 
 	"pcomb/internal/core"
 	"pcomb/internal/hashmap"
-	"pcomb/internal/history"
 	"pcomb/internal/obs"
 	"pcomb/internal/pmem"
 	"pcomb/internal/prim"
@@ -365,7 +364,7 @@ func (m *Map) ShardOf(key uint64) int { return m.shardOf(key) }
 
 // SetHistory installs (or removes, with nil) a durable-linearizability
 // history recorder. Install while quiescent.
-func (m *Map) SetHistory(h *history.Recorder) { m.sys.SetHistory(h) }
+func (m *Map) SetHistory(h sysarea.Log) { m.sys.SetHistory(h) }
 
 // tidClamp adapts an external per-thread stats sink sized for the n client
 // threads to the fabric's extra combiner tid (ctid = n): the service

@@ -19,7 +19,6 @@ import (
 	"time"
 
 	"pcomb/internal/core"
-	"pcomb/internal/history"
 	"pcomb/internal/pmem"
 	"pcomb/internal/prim"
 	"pcomb/internal/sysarea"
@@ -326,7 +325,7 @@ func (m *Map) ShardOf(key uint64) int { return m.shardOf(key) }
 // SetHistory installs (or removes, with nil) a durable-linearizability
 // history recorder on the scalar, batched, and recovery paths. Install while
 // quiescent.
-func (m *Map) SetHistory(h *history.Recorder) { m.sys.SetHistory(h) }
+func (m *Map) SetHistory(h sysarea.Log) { m.sys.SetHistory(h) }
 
 // invoke runs one operation on its key's shard through the system area.
 func (m *Map) invoke(tid int, op, key, val uint64) uint64 {
@@ -415,12 +414,7 @@ func (m *Map) Pending(tid int) int { return m.pipe.Pending(tid) }
 
 // VecCap returns the configured vector capacity (0 when the async path is
 // disabled).
-func (m *Map) VecCap() int {
-	if m.pipe == nil {
-		return 0
-	}
-	return m.pipe.Cap()
-}
+func (m *Map) VecCap() int { return m.pipe.Cap() }
 
 // flushBatch commits one staged vector: ops are grouped by shard in
 // first-appearance order (within a shard, submission order is preserved —

@@ -10,7 +10,6 @@ package heap
 
 import (
 	"pcomb/internal/core"
-	"pcomb/internal/history"
 	"pcomb/internal/pmem"
 )
 
@@ -122,7 +121,6 @@ func (o obj) swap(env *core.Env, i, j int) {
 type Heap struct {
 	comb  core.Protocol
 	bound int
-	hist  *history.Recorder // optional durable-linearizability recorder
 }
 
 // New creates (or re-opens after a crash) a recoverable min-heap for n
@@ -168,26 +166,14 @@ func NewSparseWaitFree(h *pmem.Heap, name string, n int, bound int) *Heap {
 // Bound returns the heap's capacity.
 func (h *Heap) Bound() int { return h.bound }
 
-// invoke runs one operation through the combining instance, recording the
-// invocation/response events when a history recorder is installed.
-func (h *Heap) invoke(tid int, op, a0, seq uint64) uint64 {
-	if rec := h.hist; rec != nil {
-		rec.Begin(tid, op, a0, 0)
-		r := h.comb.Invoke(tid, op, a0, 0, seq)
-		rec.End(tid, r)
-		return r
-	}
-	return h.comb.Invoke(tid, op, a0, 0, seq)
-}
-
 // Insert adds key (must be below Full); reports false if the heap is full.
 func (h *Heap) Insert(tid int, key, seq uint64) bool {
-	return h.invoke(tid, OpInsert, key, seq) == InsertOK
+	return h.comb.Invoke(tid, OpInsert, key, 0, seq) == InsertOK
 }
 
 // DeleteMin removes and returns the smallest key.
 func (h *Heap) DeleteMin(tid int, seq uint64) (uint64, bool) {
-	r := h.invoke(tid, OpDeleteMin, 0, seq)
+	r := h.comb.Invoke(tid, OpDeleteMin, 0, 0, seq)
 	if r == Empty {
 		return 0, false
 	}
@@ -196,26 +182,12 @@ func (h *Heap) DeleteMin(tid int, seq uint64) (uint64, bool) {
 
 // GetMin returns the smallest key without removing it.
 func (h *Heap) GetMin(tid int, seq uint64) (uint64, bool) {
-	r := h.invoke(tid, OpGetMin, 0, seq)
+	r := h.comb.Invoke(tid, OpGetMin, 0, 0, seq)
 	if r == Empty {
 		return 0, false
 	}
 	return r, true
 }
-
-// Recover re-runs (or fetches the response of) an interrupted operation.
-func (h *Heap) Recover(tid int, op, a0, seq uint64) uint64 {
-	r := h.comb.Recover(tid, op, a0, 0, seq)
-	if rec := h.hist; rec != nil {
-		rec.Resolve(tid, r)
-	}
-	return r
-}
-
-// SetHistory installs (or removes, with nil) a durable-linearizability
-// history recorder on the insert/delete-min/get-min/recover paths. Install
-// while quiescent.
-func (h *Heap) SetHistory(rec *history.Recorder) { h.hist = rec }
 
 // SetProbe installs p on the heap's combining instance.
 func (h *Heap) SetProbe(p core.Probe) { h.comb.SetProbe(p) }

@@ -212,7 +212,7 @@ func TestDurabilityAfterCrash(t *testing.T) {
 			if !heapInvariant(hp2.Keys()) {
 				t.Fatal("recovered heap violates invariant")
 			}
-			if got := hp2.Recover(0, OpDeleteMin, 0, 1); got != 90 {
+			if got := hp2.Protocol().Recover(0, OpDeleteMin, 0, 0, 1); got != 90 {
 				t.Fatalf("Recover(DeleteMin) = %d, want 90", got)
 			}
 			if hp2.Len() != 9 {
@@ -250,7 +250,7 @@ func TestCrashPointSweepInsert(t *testing.T) {
 				}
 				h.Crash(pmem.DropUnfenced, kk)
 				hp2 := New(h, "h", 1, k.kind, 64)
-				if got := hp2.Recover(0, OpInsert, 5, 4); got != InsertOK {
+				if got := hp2.Protocol().Recover(0, OpInsert, 5, 0, 4); got != InsertOK {
 					t.Fatalf("crash@%d: Recover(Insert) = %d", kk, got)
 				}
 				if hp2.Len() != 4 {
@@ -396,8 +396,8 @@ func TestRecoverIdempotent(t *testing.T) {
 				}
 				h.Crash(pmem.DropUnfenced, kk)
 				hp2 := New(h, "h", 1, k.kind, 64)
-				r1 := hp2.Recover(0, OpInsert, 5, 4)
-				r2 := hp2.Recover(0, OpInsert, 5, 4)
+				r1 := hp2.Protocol().Recover(0, OpInsert, 5, 0, 4)
+				r2 := hp2.Protocol().Recover(0, OpInsert, 5, 0, 4)
 				if r1 != r2 || r1 != InsertOK {
 					t.Fatalf("crash@%d: Recover returned %d then %d", kk, r1, r2)
 				}
@@ -405,7 +405,7 @@ func TestRecoverIdempotent(t *testing.T) {
 					t.Fatalf("crash@%d: double recovery broke the heap: %v", kk, hp2.Keys())
 				}
 				hp3 := New(h, "h", 1, k.kind, 64)
-				if r3 := hp3.Recover(0, OpInsert, 5, 4); r3 != r1 {
+				if r3 := hp3.Protocol().Recover(0, OpInsert, 5, 0, 4); r3 != r1 {
 					t.Fatalf("crash@%d: re-opened Recover returned %d", kk, r3)
 				}
 				if hp3.Len() != 4 || !heapInvariant(hp3.Keys()) {

@@ -1,8 +1,9 @@
 // Package history records per-thread invocation/response event logs from the
 // recoverable data structures, for durable-linearizability checking.
 //
-// A Recorder is installed opt-in (structure wrappers and crashtest drivers
-// keep a nil-checked pointer, so the unrecorded fast path costs one branch).
+// A Recorder is installed opt-in through a structure's SetHistory (it is the
+// in-process implementation of sysarea.Log; the unrecorded fast path costs
+// one branch).
 // Each operation appears as an invocation event (Begin) and, if the thread
 // observed its response before the crash, a response event (End). Timestamps
 // come from one global monotone logical clock, so they totally order all
@@ -29,8 +30,12 @@ import (
 // Recorder collects one round's history across threads.
 type Recorder struct {
 	clock atomic.Int64
-	cut   atomic.Int64 // logical time of the (first) crash cut; 0 = none yet
 	logs  []threadLog
+
+	// cut is set by the round's first Cut; stamp is the durably closed epoch
+	// that call reported.
+	cut   bool
+	stamp uint64
 
 	// epochClock, when set, labels each completed operation with the open
 	// epoch at response time (epoch-mode relaxed durability). Read AFTER the
@@ -88,33 +93,20 @@ func (r *Recorder) End(tid int, out uint64) {
 	l.done++
 }
 
-// MarkVolatileAfter downgrades every completed operation labeled with an
-// epoch beyond the durably closed stamp to StatusVolatile: the checker then
-// lets it keep its effect or vanish, the epoch mode's bounded loss window.
-// Operations with label 0 (recorded before an epoch clock was installed)
-// are never downgraded. Call from the single-threaded recovery phase, with
-// the stamp the FIRST post-crash reopen observed — recovery's own closes
+// Cut marks the crash. stamp is the structure's durably closed epoch as the
+// FIRST re-open after the crash finds it (0 in strict mode): Ops then
+// downgrades every completed operation labeled with a later epoch to
+// StatusVolatile — the checker lets it keep its effect or vanish, the epoch
+// mode's bounded loss window. Only the round's first call counts: a second
+// crash during recovery does not move the cut, and recovery's own closes
 // advance the stamp past epochs whose buffered write-backs died with the
-// crash.
-func (r *Recorder) MarkVolatileAfter(stamp uint64) {
-	for t := range r.logs {
-		ops := r.logs[t].ops
-		for i := range ops {
-			if ops[i].Status == lin.StatusCompleted && ops[i].Epoch > stamp {
-				ops[i].Status = lin.StatusVolatile
-			}
-		}
+// crash. Operations with label 0 (strict mode, or recorded before an epoch
+// clock was installed) are never downgraded.
+func (r *Recorder) Cut(stamp uint64) {
+	if !r.cut {
+		r.cut, r.stamp = true, stamp
 	}
 }
-
-// Cut stamps the crash-cut marker (idempotent — only the first crash of a
-// round defines the cut; a second crash during recovery does not move it).
-func (r *Recorder) Cut() {
-	r.cut.CompareAndSwap(0, r.clock.Add(1))
-}
-
-// CutTime returns the crash-cut timestamp (0 when no crash was recorded).
-func (r *Recorder) CutTime() int64 { return r.cut.Load() }
 
 // Resolve marks tid's oldest pending operation as recovered with the
 // response its recovery function reported. It reports false when the thread
@@ -147,11 +139,19 @@ func (r *Recorder) Len() int {
 }
 
 // Ops snapshots the recorded history (quiescent use only). Operations still
-// pending keep StatusPending — the checker lets them linearize or vanish.
+// pending keep StatusPending — the checker lets them linearize or vanish —
+// and completions past the crash cut's epoch stamp read StatusVolatile.
 func (r *Recorder) Ops() []lin.Op {
 	out := make([]lin.Op, 0, r.Len())
 	for i := range r.logs {
 		out = append(out, r.logs[i].ops...)
+	}
+	if r.cut {
+		for i := range out {
+			if out[i].Status == lin.StatusCompleted && out[i].Epoch > r.stamp {
+				out[i].Status = lin.StatusVolatile
+			}
+		}
 	}
 	return out
 }

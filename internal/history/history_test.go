@@ -13,15 +13,7 @@ func TestRecorderLifecycle(t *testing.T) {
 	r.End(0, 0)
 	r.Begin(1, lin.KindDeq, 0, 0)
 	// Thread 1 crashes mid-op; the cut lands, recovery resolves it.
-	r.Cut()
-	if r.CutTime() == 0 {
-		t.Fatal("cut not stamped")
-	}
-	first := r.CutTime()
-	r.Cut()
-	if r.CutTime() != first {
-		t.Fatal("cut must be idempotent")
-	}
+	r.Cut(0)
 	if r.Pending(1) != 1 {
 		t.Fatalf("thread 1 must have one pending op, got %d", r.Pending(1))
 	}
@@ -104,10 +96,33 @@ func TestRecorderHistoryChecks(t *testing.T) {
 	r.Begin(0, lin.KindDeq, 0, 0)
 	r.End(0, 10)
 	r.Begin(0, lin.KindDeq, 0, 0) // crash mid-dequeue
-	r.Cut()
+	r.Cut(0)
 	r.Resolve(0, 11)
 	hist := lin.AppendAudits(r.Ops(), lin.Op{Kind: lin.KindDeq, Out: lin.EmptyOut})
 	if res := lin.CheckDurable(lin.QueueModel{}, hist, lin.Opts{}); res.Outcome != lin.Ok {
 		t.Fatalf("recorded history must check: %+v", res)
+	}
+}
+
+// TestRecorderCutPinsEpochStamp: the first Cut of a round fixes the epoch
+// stamp; completions labeled past it read volatile, and a later Cut (a second
+// crash, after recovery's closes advanced the stamp) does not promote them.
+func TestRecorderCutPinsEpochStamp(t *testing.T) {
+	epoch := uint64(1)
+	r := New(1)
+	r.SetEpochClock(func() uint64 { return epoch })
+	r.Begin(0, lin.KindEnq, 1, 0)
+	r.End(0, 0) // epoch 1: closed before the crash
+	epoch = 2
+	r.Begin(0, lin.KindEnq, 2, 0)
+	r.End(0, 0) // epoch 2: still open at the crash
+	if ops := r.Ops(); ops[1].Status != lin.StatusCompleted {
+		t.Fatalf("no cut yet, nothing may be downgraded: %+v", ops[1])
+	}
+	r.Cut(1)
+	r.Cut(2)
+	ops := r.Ops()
+	if ops[0].Status != lin.StatusCompleted || ops[1].Status != lin.StatusVolatile {
+		t.Fatalf("want completed, volatile; got %v, %v", ops[0].Status, ops[1].Status)
 	}
 }

@@ -55,9 +55,9 @@ type Op struct {
 	Out    uint64
 	Status Status
 	// Epoch is the operation's epoch label under epoch-mode relaxed
-	// durability (0 = strict mode). history.Recorder.MarkVolatileAfter uses
-	// it to downgrade completed ops of never-closed epochs to
-	// StatusVolatile.
+	// durability (0 = strict mode). A history log's Cut(stamp) — the
+	// history.Recorder's, the crash tests' Journal's — uses it to downgrade
+	// completed ops of never-closed epochs to StatusVolatile.
 	Epoch uint64
 }
 

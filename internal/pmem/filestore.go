@@ -209,8 +209,10 @@ func fsOpen(path string, sync SyncMode) (*fileStore, []fileEntry, error) {
 		fs.close()
 		return nil, nil, fmt.Errorf("%w: version %d, want %d", ErrBadFile, version, fileVersion)
 	}
-	fs.capWords = int(w[2])
-	if int(w[3]) != ds || (ds+fs.capWords)*8 != size {
+	// Compared as a word count, not re-multiplied: a capacity that matches the
+	// size only modulo 2^64 must not pass.
+	fs.capWords = size/8 - ds
+	if w[2] != uint64(fs.capWords) || w[3] != uint64(ds) {
 		fs.close()
 		return nil, nil, fmt.Errorf("%w: geometry disagrees with file size", ErrBadFile)
 	}
@@ -227,7 +229,8 @@ func fsOpen(path string, sync SyncMode) (*fileStore, []fileEntry, error) {
 				ErrBadFile, ErrCorruptManifest, i)
 		}
 		off, n, nl := int(e[0]), int(e[1]), int(e[2])
-		if nl <= 0 || nl > fileNameMax || off < ds || n < 0 || off+n > ds+fs.capWords {
+		end := ds + fs.capWords
+		if nl <= 0 || nl > fileNameMax || off < ds || off > end || n < 0 || n > end-off {
 			fs.close()
 			return nil, nil, fmt.Errorf("%w: catalog entry %d out of bounds", ErrBadFile, i)
 		}

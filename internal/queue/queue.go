@@ -21,7 +21,6 @@ import (
 	"time"
 
 	"pcomb/internal/core"
-	"pcomb/internal/history"
 	"pcomb/internal/pmem"
 	"pcomb/internal/pool"
 )
@@ -97,8 +96,6 @@ type Queue struct {
 	oldTail atomic.Uint64 // PBqueue: last node safe for dequeuers (volatile)
 
 	epoch *pmem.Epoch // non-nil in epoch-mode relaxed durability
-
-	hist *history.Recorder // optional durable-linearizability recorder
 }
 
 const queueMagic = 0x71c0_0001_beef_0001
@@ -226,18 +223,6 @@ func (q *Queue) StopEpoch() {
 	}
 }
 
-// EnqDeactParity returns tid's durable deactivate bit on the enqueue
-// instance (epoch-aware recovery: a parity differing from the in-flight
-// seq's low bit proves the operation did not commit durably).
-func (q *Queue) EnqDeactParity(tid int) uint64 {
-	return q.enq.(core.EpochCapable).DeactParity(tid)
-}
-
-// DeqDeactParity is EnqDeactParity for the dequeue instance.
-func (q *Queue) DeqDeactParity(tid int) uint64 {
-	return q.deq.(core.EpochCapable).DeactParity(tid)
-}
-
 // tailForDequeuers returns the last node dequeue combiners may consume
 // according to the enqueue instance's current (durable at rest) state.
 func (q *Queue) tailForDequeuers() uint64 {
@@ -251,64 +236,15 @@ func (q *Queue) tailForDequeuers() uint64 {
 }
 
 // Enqueue appends v. seq counts this thread's enqueues (starting at 1).
-func (q *Queue) Enqueue(tid int, v, seq uint64) {
-	if h := q.hist; h != nil {
-		h.Begin(tid, OpEnq, v, 0)
-		q.enq.Invoke(tid, OpEnq, v, 0, seq)
-		h.End(tid, EnqOK)
-		return
-	}
-	q.enq.Invoke(tid, OpEnq, v, 0, seq)
-}
+func (q *Queue) Enqueue(tid int, v, seq uint64) { q.enq.Invoke(tid, OpEnq, v, 0, seq) }
 
 // Dequeue removes the oldest value. seq counts this thread's dequeues.
 func (q *Queue) Dequeue(tid int, seq uint64) (uint64, bool) {
-	var r uint64
-	if h := q.hist; h != nil {
-		h.Begin(tid, OpDeq, 0, 0)
-		r = q.deq.Invoke(tid, OpDeq, 0, 0, seq)
-		h.End(tid, r)
-	} else {
-		r = q.deq.Invoke(tid, OpDeq, 0, 0, seq)
-	}
+	r := q.deq.Invoke(tid, OpDeq, 0, 0, seq)
 	if r == Empty {
 		return 0, false
 	}
 	return r, true
-}
-
-// RecoverEnqueue re-runs (or fetches the response of) an interrupted
-// enqueue.
-func (q *Queue) RecoverEnqueue(tid int, v, seq uint64) uint64 {
-	r := q.enq.Recover(tid, OpEnq, v, 0, seq)
-	if h := q.hist; h != nil {
-		h.Resolve(tid, r)
-	}
-	return r
-}
-
-// RecoverDequeue re-runs (or fetches the response of) an interrupted
-// dequeue.
-func (q *Queue) RecoverDequeue(tid int, seq uint64) (uint64, bool) {
-	r := q.deq.Recover(tid, OpDeq, 0, 0, seq)
-	if h := q.hist; h != nil {
-		h.Resolve(tid, r)
-	}
-	if r == Empty {
-		return 0, false
-	}
-	return r, true
-}
-
-// SetHistory installs (or removes, with nil) a durable-linearizability
-// history recorder. Enqueue/Dequeue then record invocation/response events
-// and RecoverEnqueue/RecoverDequeue resolve the interrupted operation with
-// the recovered response. Install while quiescent.
-func (q *Queue) SetHistory(h *history.Recorder) {
-	if h != nil && q.epoch != nil {
-		h.SetEpochClock(q.epoch.Now)
-	}
-	q.hist = h
 }
 
 // SetProbe installs p on both the enqueue and dequeue combining instances
@@ -319,7 +255,8 @@ func (q *Queue) SetProbe(p core.Probe) {
 	q.deq.SetProbe(p)
 }
 
-// EnqProtocol and DeqProtocol expose the combining instances (harness use).
+// EnqProtocol and DeqProtocol expose the combining instances (the system
+// area invokes and recovers through them).
 func (q *Queue) EnqProtocol() core.Protocol { return q.enq }
 
 // DeqProtocol exposes the dequeue-side combining instance.

@@ -11,6 +11,17 @@ func newHeap() *pmem.Heap {
 	return pmem.NewHeap(pmem.Config{Mode: pmem.ModeShadow, NoCost: true})
 }
 
+// recoverEnq and recoverDeq call the instances' recovery functions with the
+// interrupted operation's own arguments, as the system area does.
+func recoverEnq(q *Queue, tid int, v, seq uint64) uint64 {
+	return q.EnqProtocol().Recover(tid, OpEnq, v, 0, seq)
+}
+
+func recoverDeq(q *Queue, tid int, seq uint64) (uint64, bool) {
+	r := q.DeqProtocol().Recover(tid, OpDeq, 0, 0, seq)
+	return r, r != Empty
+}
+
 func variants() []struct {
 	name string
 	kind Kind
@@ -225,11 +236,11 @@ func TestDurabilityAfterCrash(t *testing.T) {
 				}
 			}
 			// Detectability: both last ops must be found, not re-run.
-			if got := q2.RecoverEnqueue(0, 20, 20); got != EnqOK {
-				t.Fatalf("RecoverEnqueue = %d", got)
+			if got := recoverEnq(q2, 0, 20, 20); got != EnqOK {
+				t.Fatalf("recovered enqueue = %d", got)
 			}
-			if got, ok := q2.RecoverDequeue(0, 5); !ok || got != 5 {
-				t.Fatalf("RecoverDequeue = %d,%v want 5", got, ok)
+			if got, ok := recoverDeq(q2, 0, 5); !ok || got != 5 {
+				t.Fatalf("recovered dequeue = %d,%v want 5", got, ok)
 			}
 			if q2.Len() != 15 {
 				t.Fatalf("recovery re-executed a completed op: len %d", q2.Len())
@@ -269,8 +280,8 @@ func TestCrashPointSweepEnqueue(t *testing.T) {
 				}
 				h.Crash(pmem.DropUnfenced, k)
 				q2 := New(h, "q", 1, v.kind, v.opt)
-				if got := q2.RecoverEnqueue(0, 4, 4); got != EnqOK {
-					t.Fatalf("crash@%d: RecoverEnqueue = %d", k, got)
+				if got := recoverEnq(q2, 0, 4, 4); got != EnqOK {
+					t.Fatalf("crash@%d: recovered enqueue = %d", k, got)
 				}
 				snap := q2.Snapshot()
 				if len(snap) != 4 {
@@ -317,9 +328,9 @@ func TestCrashPointSweepDequeue(t *testing.T) {
 				}
 				h.Crash(pmem.DropUnfenced, k)
 				q2 := New(h, "q", 1, v.kind, v.opt)
-				got, ok := q2.RecoverDequeue(0, 1)
+				got, ok := recoverDeq(q2, 0, 1)
 				if !ok || got != 1 {
-					t.Fatalf("crash@%d: RecoverDequeue = %d,%v want 1", k, got, ok)
+					t.Fatalf("crash@%d: recovered dequeue = %d,%v want 1", k, got, ok)
 				}
 				if snap := q2.Snapshot(); len(snap) != 3 || snap[0] != 2 {
 					t.Fatalf("crash@%d: snapshot %v, want [2 3 4]", k, snap)
@@ -385,7 +396,7 @@ func TestPWFPendingSpliceRecovery(t *testing.T) {
 		}
 		h.Crash(pmem.DropUnfenced, k)
 		q2 := New(h, "q", 1, WaitFree, Options{Capacity: 1 << 12, ChunkSize: 16})
-		q2.RecoverEnqueue(0, 3, 3)
+		recoverEnq(q2, 0, 3, 3)
 		// All three values must be dequeueable in order: the splice was
 		// re-performed even if it was lost at the crash.
 		for want := uint64(1); want <= 3; want++ {
@@ -427,8 +438,8 @@ func TestCrashSweepAllPolicies(t *testing.T) {
 				}
 				h.Crash(pol, k*31+int64(len(pol.String())))
 				q2 := New(h, "q", 1, Blocking, Options{Recycling: true, Capacity: 1 << 12, ChunkSize: 16})
-				if got := q2.RecoverEnqueue(0, 4, 4); got != EnqOK {
-					t.Fatalf("%v crash@%d: RecoverEnqueue = %d", pol, k, got)
+				if got := recoverEnq(q2, 0, 4, 4); got != EnqOK {
+					t.Fatalf("%v crash@%d: recovered enqueue = %d", pol, k, got)
 				}
 				snap := q2.Snapshot()
 				if len(snap) != 4 {
@@ -476,18 +487,18 @@ func TestRecoverIdempotent(t *testing.T) {
 				}
 				h.Crash(pmem.DropUnfenced, k)
 				q2 := New(h, "q", 1, v.kind, v.opt)
-				if got := q2.RecoverEnqueue(0, 4, 4); got != EnqOK {
-					t.Fatalf("crash@%d: RecoverEnqueue = %d", k, got)
+				if got := recoverEnq(q2, 0, 4, 4); got != EnqOK {
+					t.Fatalf("crash@%d: recovered enqueue = %d", k, got)
 				}
-				if got := q2.RecoverEnqueue(0, 4, 4); got != EnqOK {
-					t.Fatalf("crash@%d: second RecoverEnqueue = %d", k, got)
+				if got := recoverEnq(q2, 0, 4, 4); got != EnqOK {
+					t.Fatalf("crash@%d: second recovered enqueue = %d", k, got)
 				}
 				if snap := q2.Snapshot(); len(snap) != 4 {
 					t.Fatalf("crash@%d: double recovery duplicated the enqueue: %v", k, snap)
 				}
 				q3 := New(h, "q", 1, v.kind, v.opt)
-				if got := q3.RecoverEnqueue(0, 4, 4); got != EnqOK {
-					t.Fatalf("crash@%d: re-opened RecoverEnqueue = %d", k, got)
+				if got := recoverEnq(q3, 0, 4, 4); got != EnqOK {
+					t.Fatalf("crash@%d: re-opened recovered enqueue = %d", k, got)
 				}
 				if snap := q3.Snapshot(); len(snap) != 4 {
 					t.Fatalf("crash@%d: third recovery duplicated the enqueue: %v", k, snap)
@@ -518,17 +529,17 @@ func TestRecoverIdempotent(t *testing.T) {
 				}
 				h.Crash(pmem.DropUnfenced, k)
 				q2 := New(h, "q", 1, v.kind, v.opt)
-				v1, ok1 := q2.RecoverDequeue(0, 1)
-				v2, ok2 := q2.RecoverDequeue(0, 1)
+				v1, ok1 := recoverDeq(q2, 0, 1)
+				v2, ok2 := recoverDeq(q2, 0, 1)
 				if v1 != v2 || ok1 != ok2 || !ok1 || v1 != 1 {
-					t.Fatalf("crash@%d: RecoverDequeue %d,%v then %d,%v", k, v1, ok1, v2, ok2)
+					t.Fatalf("crash@%d: recovered dequeue %d,%v then %d,%v", k, v1, ok1, v2, ok2)
 				}
 				if snap := q2.Snapshot(); len(snap) != 3 {
 					t.Fatalf("crash@%d: double recovery re-dequeued: %v", k, snap)
 				}
 				q3 := New(h, "q", 1, v.kind, v.opt)
-				if v3, ok3 := q3.RecoverDequeue(0, 1); !ok3 || v3 != 1 {
-					t.Fatalf("crash@%d: re-opened RecoverDequeue = %d,%v", k, v3, ok3)
+				if v3, ok3 := recoverDeq(q3, 0, 1); !ok3 || v3 != 1 {
+					t.Fatalf("crash@%d: re-opened recovered dequeue = %d,%v", k, v3, ok3)
 				}
 				if snap := q3.Snapshot(); len(snap) != 3 {
 					t.Fatalf("crash@%d: third recovery re-dequeued: %v", k, snap)

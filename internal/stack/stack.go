@@ -16,7 +16,6 @@ package stack
 
 import (
 	"pcomb/internal/core"
-	"pcomb/internal/history"
 	"pcomb/internal/pmem"
 	"pcomb/internal/pool"
 )
@@ -254,7 +253,6 @@ func (o *obj) eliminateOrdered(sc *roundScratch, reqs []core.Request) []bool {
 type Stack struct {
 	comb core.Protocol
 	o    *obj
-	hist *history.Recorder // optional durable-linearizability recorder
 }
 
 // New creates (or re-opens after a crash) a recoverable stack for n threads.
@@ -308,45 +306,16 @@ func (o *obj) commit(tid int, success bool) {
 }
 
 // Push pushes v; seq follows the per-thread system-model contract.
-func (s *Stack) Push(tid int, v, seq uint64) {
-	if h := s.hist; h != nil {
-		h.Begin(tid, OpPush, v, 0)
-		s.comb.Invoke(tid, OpPush, v, 0, seq)
-		h.End(tid, PushOK)
-		return
-	}
-	s.comb.Invoke(tid, OpPush, v, 0, seq)
-}
+func (s *Stack) Push(tid int, v, seq uint64) { s.comb.Invoke(tid, OpPush, v, 0, seq) }
 
 // Pop pops the top value; ok is false if the stack was empty.
 func (s *Stack) Pop(tid int, seq uint64) (v uint64, ok bool) {
-	var r uint64
-	if h := s.hist; h != nil {
-		h.Begin(tid, OpPop, 0, 0)
-		r = s.comb.Invoke(tid, OpPop, 0, 0, seq)
-		h.End(tid, r)
-	} else {
-		r = s.comb.Invoke(tid, OpPop, 0, 0, seq)
-	}
+	r := s.comb.Invoke(tid, OpPop, 0, 0, seq)
 	if r == Empty {
 		return 0, false
 	}
 	return r, true
 }
-
-// Recover re-runs (or fetches the response of) thread tid's interrupted
-// operation after a crash.
-func (s *Stack) Recover(tid int, op, a0, seq uint64) uint64 {
-	r := s.comb.Recover(tid, op, a0, 0, seq)
-	if h := s.hist; h != nil {
-		h.Resolve(tid, r)
-	}
-	return r
-}
-
-// SetHistory installs (or removes, with nil) a durable-linearizability
-// history recorder on the push/pop/recover paths. Install while quiescent.
-func (s *Stack) SetHistory(h *history.Recorder) { s.hist = h }
 
 // SetProbe installs p on the stack's combining instance.
 func (s *Stack) SetProbe(p core.Probe) { s.comb.SetProbe(p) }

@@ -170,7 +170,7 @@ func TestDurabilityAfterCrash(t *testing.T) {
 				}
 			}
 			// Detectability of the last completed pop.
-			if got := s2.Recover(0, OpPop, 0, seq-1); got != 16 {
+			if got := s2.Protocol().Recover(0, OpPop, 0, 0, seq-1); got != 16 {
 				t.Fatalf("Recover(pop) = %d, want 16", got)
 			}
 			if got := s2.Len(); got != 15 {
@@ -218,7 +218,7 @@ func TestCrashPointSweepPush(t *testing.T) {
 				}
 				h.Crash(pmem.DropUnfenced, k)
 				s2 := New(h, "s", 1, kindName.kind, Options{Capacity: 256, ChunkSize: 8})
-				if got := s2.Recover(0, OpPush, 4, seq); got != PushOK {
+				if got := s2.Protocol().Recover(0, OpPush, 4, 0, seq); got != PushOK {
 					t.Fatalf("crash@%d: Recover(push) = %d", k, got)
 				}
 				snap := s2.Snapshot()
@@ -336,8 +336,8 @@ func TestRecoverIdempotent(t *testing.T) {
 				}
 				h.Crash(pmem.DropUnfenced, k)
 				s2 := New(h, "s", 1, v.kind, v.opt)
-				r1 := s2.Recover(0, OpPush, 40, 4)
-				r2 := s2.Recover(0, OpPush, 40, 4)
+				r1 := s2.Protocol().Recover(0, OpPush, 40, 0, 4)
+				r2 := s2.Protocol().Recover(0, OpPush, 40, 0, 4)
 				if r1 != r2 {
 					t.Fatalf("crash@%d: Recover returned %d then %d", k, r1, r2)
 				}
@@ -345,7 +345,7 @@ func TestRecoverIdempotent(t *testing.T) {
 					t.Fatalf("crash@%d: double recovery changed the stack: %v", k, snap)
 				}
 				s3 := New(h, "s", 1, v.kind, v.opt)
-				if r3 := s3.Recover(0, OpPush, 40, 4); r3 != r1 {
+				if r3 := s3.Protocol().Recover(0, OpPush, 40, 0, 4); r3 != r1 {
 					t.Fatalf("crash@%d: re-opened Recover returned %d, want %d", k, r3, r1)
 				}
 				if snap := s3.Snapshot(); len(snap) != 4 {

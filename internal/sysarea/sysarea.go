@@ -36,6 +36,20 @@ import (
 	"pcomb/internal/pmem"
 )
 
+// Log is an operation history the area reports to, for durable-linearizability
+// checking: every invocation (Begin, before the operation's first durable
+// store), every response (End, completing the thread's oldest open
+// invocation) and every recovered response (Resolve, likewise). The
+// in-process history.Recorder and the crash tests' file-backed journal both
+// implement it. SetEpochClock hands the log the structure's open-epoch label
+// source, read at each End.
+type Log interface {
+	Begin(tid int, kind, a0, a1 uint64)
+	End(tid int, out uint64)
+	Resolve(tid int, out uint64) bool
+	SetEpochClock(clock func() uint64)
+}
+
 // VecMark in the op word flags the record as a vectorized announcement: a0
 // holds the vector length and the operations live in the instance's
 // persistent argument ring, durable before the record was written. Scalar op
@@ -71,9 +85,9 @@ type Area struct {
 	r      *pmem.Region
 	k      int
 	stride int
-	insts  []core.Protocol   // class -> combining instance
-	epoch  *pmem.Epoch       // non-nil under epoch-mode relaxed durability
-	hist   *history.Recorder // optional durable-linearizability recorder
+	insts  []core.Protocol // class -> combining instance
+	epoch  *pmem.Epoch     // non-nil under epoch-mode relaxed durability
+	hist   Log             // optional durable-linearizability log
 }
 
 // New creates — or re-attaches after a crash — the system area named name
@@ -85,18 +99,24 @@ func New(h *pmem.Heap, name string, n int, insts []core.Protocol, epoch *pmem.Ep
 	return &Area{r: h.AllocOrGet(name, n*stride), k: k, stride: stride, insts: insts, epoch: epoch}
 }
 
-// SetHistory installs (or, with nil, removes) an operation recorder on the
-// invocation, vector and recovery paths. Install while quiescent.
-func (a *Area) SetHistory(h *history.Recorder) {
+// SetHistory installs (or, with nil, removes) an operation log on the
+// invocation, vector and recovery paths. Install while quiescent. A nil
+// *history.Recorder removes the log like the nil interface does: a caller
+// holding a recorder variable passes it as it is, and must not end up with a
+// non-nil log the next operation dereferences.
+func (a *Area) SetHistory(h Log) {
+	if r, ok := h.(*history.Recorder); ok && r == nil {
+		h = nil
+	}
 	if h != nil && a.epoch != nil {
 		h.SetEpochClock(a.epoch.Now)
 	}
 	a.hist = h
 }
 
-// History returns the installed recorder (nil when none); the fabric's
+// History returns the installed log (nil when none); the fabric's
 // transactions record their legs through it.
-func (a *Area) History() *history.Recorder { return a.hist }
+func (a *Area) History() Log { return a.hist }
 
 // Seq returns tid's sequence counter of class.
 func (a *Area) Seq(tid, class int) uint64 { return a.r.Load(tid*a.stride + class) }

@@ -27,7 +27,9 @@ import (
 type Flusher func(tid int, ops []core.VecOp, rets []uint64)
 
 // Pipe stages operations per thread and flushes them in vectors of up to
-// cap operations.
+// cap operations. The nil *Pipe is the pipe of a structure built without
+// VecCap > 1: nothing is ever staged on it, so Pending is 0 and Flush a
+// no-op, and Submit panics.
 type Pipe struct {
 	cap   int
 	flush Flusher
@@ -67,15 +69,28 @@ func New(n, cap int, f Flusher) *Pipe {
 	return p
 }
 
-// Cap returns the pipe's vector capacity.
-func (p *Pipe) Cap() int { return p.cap }
+// Cap returns the pipe's vector capacity (0 for the nil pipe).
+func (p *Pipe) Cap() int {
+	if p == nil {
+		return 0
+	}
+	return p.cap
+}
 
 // Pending returns the number of staged, not yet flushed operations of tid.
-func (p *Pipe) Pending(tid int) int { return len(p.th[tid].ops) }
+func (p *Pipe) Pending(tid int) int {
+	if p == nil {
+		return 0
+	}
+	return len(p.th[tid].ops)
+}
 
 // Submit stages op for thread tid, flushing automatically when the staged
 // vector reaches capacity. The returned Future yields the op's response.
 func (p *Pipe) Submit(tid int, op core.VecOp) Future {
+	if p == nil {
+		panic("vecbatch: Submit on a structure built without VecCap > 1")
+	}
 	t := &p.th[tid]
 	f := Future{p: p, tid: tid, gen: t.gen, idx: len(t.ops)}
 	t.ops = append(t.ops, op)
@@ -89,10 +104,10 @@ func (p *Pipe) Submit(tid int, op core.VecOp) Future {
 // Flush returns, every staged op has taken effect durably and its Future is
 // resolved.
 func (p *Pipe) Flush(tid int) {
-	t := &p.th[tid]
-	if len(t.ops) == 0 {
+	if p.Pending(tid) == 0 {
 		return
 	}
+	t := &p.th[tid]
 	var t0 int64
 	if p.spans != nil {
 		t0 = obs.Now()

@@ -107,4 +107,4 @@ func (m *Map) Len() int { return m.m.Len() }
 func (m *Map) Range(f func(key, val uint64) bool) { m.m.Range(f) }
 
 // SetHistory installs (or, with nil, removes) an operation recorder.
-func (m *Map) SetHistory(h *History) { m.m.SetHistory(h) }
+func (m *Map) SetHistory(h HistoryLog) { m.m.SetHistory(h) }

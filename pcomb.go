@@ -116,6 +116,10 @@ func New(opts Options) *System {
 	})}
 }
 
+// NewOn wraps an existing heap — a file-backed one from pmem.OpenFile, or one
+// a crash harness drives itself — so structures can be created on it.
+func NewOn(h *pmem.Heap) *System { return &System{heap: h} }
+
 // Heap exposes the underlying simulated NVMM (advanced use: custom regions,
 // instruction counters).
 func (s *System) Heap() *pmem.Heap { return s.heap }

@@ -98,7 +98,7 @@ var _ server.Store = (*ServerStore)(nil)
 // themselves; everyone else uses OpenServerStore.
 func NewServerStoreOn(h *pmem.Heap, o ServerOptions) *ServerStore {
 	o = o.withDefaults()
-	sys := &System{heap: h}
+	sys := NewOn(h)
 	vcap := 0
 	if !o.Epoch {
 		// One extra slot keeps a full window from auto-flushing before the

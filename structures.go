@@ -35,6 +35,12 @@ type QueueOptions struct {
 	NoRecycling bool
 	// Capacity bounds the node arena (0 = default).
 	Capacity int
+	// Sparse builds both combining instances on the sparse variants, as
+	// HeapOptions.Sparse and ObjectOptions.Sparse do: a round persists the
+	// state lines it dirtied, not the whole record. The queue's states are
+	// 1–3 words, so it selects a code path more than it saves pwbs; the
+	// crash-test matrix runs every queue on both.
+	Sparse bool
 	// VecCap enables the async Submit/Flush API with up to VecCap
 	// operations per announcement (0 or 1 = blocking API only). Part of the
 	// persistent layout — re-open with the same value.
@@ -63,6 +69,7 @@ func (s *System) NewQueue(name string, threads int, kind Kind, opts ...QueueOpti
 	in := queue.New(s.heap, name, threads, kindQueue(kind), queue.Options{
 		Recycling:     kind == Blocking && !o.NoRecycling,
 		Capacity:      o.Capacity,
+		Sparse:        o.Sparse,
 		VecCap:        o.VecCap,
 		Epoch:         o.Epoch,
 		EpochInterval: o.EpochInterval,
@@ -148,6 +155,9 @@ type StackOptions struct {
 	NoRecycling bool
 	// Capacity bounds the node arena (0 = default).
 	Capacity int
+	// Sparse builds the stack on the sparse combining variants (see
+	// QueueOptions.Sparse).
+	Sparse bool
 	// VecCap enables the async Submit/Flush API (0 or 1 = blocking only).
 	// Part of the persistent layout — re-open with the same value.
 	VecCap int
@@ -163,6 +173,7 @@ func (s *System) NewStack(name string, threads int, kind Kind, opts ...StackOpti
 		Elimination: !o.NoElimination,
 		Recycling:   !o.NoRecycling,
 		Capacity:    o.Capacity,
+		Sparse:      o.Sparse,
 		VecCap:      o.VecCap,
 	})
 	st := &Stack{s: in, sys: s.sysArea(name, threads, nil, in.Protocol())}
@@ -308,18 +319,27 @@ func (r *Recoverable) State() State { return r.c.CurrentState() }
 // checking: install one with a structure's SetHistory, run a workload,
 // and validate the recorded history (completed, pending, and recovered
 // operations) against the structure's sequential model with
-// internal/linearizability's crash-cut checker. Recording is opt-in; a nil
-// recorder costs one branch per operation.
+// internal/linearizability's crash-cut checker. Recording is opt-in; without
+// a log an operation pays one branch.
 type History = history.Recorder
 
 // NewHistory creates a recorder for threads workers.
 func NewHistory(threads int) *History { return history.New(threads) }
 
-// SetHistory installs (or, with nil, removes) an operation recorder.
-func (q *Queue) SetHistory(h *History) { q.sys.SetHistory(h) }
+// HistoryLog is what SetHistory accepts: a *History, or any other log of
+// invocations and responses (the crash tests journal to a file). nil — the
+// literal, or a nil *History — removes the log.
+type HistoryLog = sysarea.Log
 
-// SetHistory installs (or, with nil, removes) an operation recorder.
-func (st *Stack) SetHistory(h *History) { st.sys.SetHistory(h) }
+// SetHistory installs (or, with nil, removes) an operation log.
+func (q *Queue) SetHistory(h HistoryLog) { q.sys.SetHistory(h) }
 
-// SetHistory installs (or, with nil, removes) an operation recorder.
-func (h *Heap) SetHistory(r *History) { h.sys.SetHistory(r) }
+// SetHistory installs (or, with nil, removes) an operation log.
+func (st *Stack) SetHistory(h HistoryLog) { st.sys.SetHistory(h) }
+
+// SetHistory installs (or, with nil, removes) an operation log.
+func (h *Heap) SetHistory(l HistoryLog) { h.sys.SetHistory(l) }
+
+// SetHistory installs (or, with nil, removes) an operation log; operations
+// are recorded under the Object's own op codes.
+func (r *Recoverable) SetHistory(h HistoryLog) { r.sys.SetHistory(h) }
