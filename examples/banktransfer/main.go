@@ -158,7 +158,6 @@ func main() {
 	fmt.Println("== power failure during phase 3")
 	go sys.Heap().TriggerCrash()
 	runFabric()
-	fab.Close() // stop the per-shard combiners before the heap is restored
 	sys.Heap().FinishCrash(pcomb.RandomCut, 41)
 
 	fmt.Println("== restart: recover the fabric and audit conservation")

@@ -8,14 +8,18 @@ import (
 
 // ShardedMap is the sharded combining fabric: N independent recoverable
 // combining shards behind a consistent-hash router, with hierarchical
-// combining (per-shard combiner goroutines batch many threads' requests into
-// one delegated announcement) and atomic cross-shard transactions
-// (TransferAdd / PutAll / Txn). Keys must be in [1, 2^64-3].
+// combining and atomic cross-shard transactions (TransferAdd / PutAll / Txn).
+// Keys must be in [1, 2^64-3].
 //
-// Compared to Map, ShardedMap adds the Fabric dimension: per-shard combining
-// degree stays high even when each shard sees only mild per-thread
-// concurrency, because one goroutine concentrates the whole fabric's traffic
-// for that shard into single combining rounds.
+// Compared to Map, ShardedMap adds the Fabric dimension. A thread posts its
+// request on its key's shard board and then tries to take the board's sweeper
+// role (one try-lock word); whoever wins serves every request posted, its own
+// among them, as one delegated announcement, and the others wait for their
+// slot. That is the paper's combiner one level up — announce, try to become
+// the combiner, serve everyone announced — not a server thread: the fabric
+// starts no goroutine, and a batch is the posts that landed while the previous
+// sweeper was inside its psync. Per-shard combining degree so stays high even
+// when each shard sees only mild per-thread concurrency.
 type ShardedMap struct {
 	f *fabric.Map
 }
@@ -26,10 +30,10 @@ type ShardedMapOptions struct {
 	Fabric int
 	// Capacity is the total slot count across shards (0 = 64 per shard).
 	Capacity int
-	// VecCap bounds one combiner sweep and one transaction shard group
+	// VecCap bounds one board sweep and one transaction shard group
 	// (0 = 16). Part of the persistent layout — re-open with the same value.
 	VecCap int
-	// Flat disables hierarchical combining (no combiner goroutines; threads
+	// Flat disables hierarchical combining (no posting boards; threads
 	// invoke their key's shard directly) — the naive-split baseline.
 	Flat bool
 	// MaxLegs bounds a transaction's leg count (0 = 8, capped at VecCap).
@@ -45,15 +49,11 @@ type ShardedMapOptions struct {
 
 // TxnLeg is one operation of a cross-shard transaction (op codes follow the
 // map: 1 Put, 2 Get, 3 Delete, 4 Add).
-type TxnLeg struct {
-	Op  uint64
-	Key uint64
-	Val uint64
-}
+type TxnLeg = fabric.Leg
 
 // NewShardedMap creates — or, after Crash, re-opens — a sharded combining
 // fabric for threads client threads. Call Close before discarding the
-// instance (it stops the per-shard combiner goroutines).
+// instance (it stops the epoch's background closer, in Epoch mode).
 func (s *System) NewShardedMap(name string, threads int, kind Kind, opts ...ShardedMapOptions) *ShardedMap {
 	var o ShardedMapOptions
 	if len(opts) > 0 {
@@ -98,24 +98,12 @@ func (m *ShardedMap) TransferAdd(tid int, from, to, amount uint64) (fromNew, toN
 
 // PutAll atomically maps every pair (Op fields are ignored), returning the
 // per-pair previous values.
-func (m *ShardedMap) PutAll(tid int, pairs []TxnLeg) []uint64 {
-	legs := make([]fabric.Leg, len(pairs))
-	for i, p := range pairs {
-		legs[i] = fabric.Leg{Key: p.Key, Val: p.Val}
-	}
-	return m.f.PutAll(tid, legs)
-}
+func (m *ShardedMap) PutAll(tid int, pairs []TxnLeg) []uint64 { return m.f.PutAll(tid, pairs) }
 
 // Txn executes legs as one atomic multi-shard transaction (see TxnLeg);
 // results are per-leg, in leg order. Legs of different shards are not
 // mutually ordered — use commuting legs for cross-shard invariants.
-func (m *ShardedMap) Txn(tid int, legs []TxnLeg) []uint64 {
-	fl := make([]fabric.Leg, len(legs))
-	for i, l := range legs {
-		fl[i] = fabric.Leg{Op: l.Op, Key: l.Key, Val: l.Val}
-	}
-	return m.f.Txn(tid, fl)
-}
+func (m *ShardedMap) Txn(tid int, legs []TxnLeg) []uint64 { return m.f.Txn(tid, legs) }
 
 // Recover resolves what thread tid had in flight at the crash, exactly once:
 // an interrupted scalar operation is one Resolved, a committed cross-shard
@@ -125,7 +113,8 @@ func (m *ShardedMap) Txn(tid int, legs []TxnLeg) []uint64 {
 // tid after re-opening.
 func (m *ShardedMap) Recover(tid int) []Resolved { return m.f.Recover(tid) }
 
-// Close stops the per-shard combiner goroutines; call while quiescent.
+// Close stops the epoch's background closer (strict mode runs no goroutine
+// and has nothing to stop). Idempotent; call while quiescent.
 func (m *ShardedMap) Close() { m.f.Close() }
 
 // Shards returns the fabric's shard count.

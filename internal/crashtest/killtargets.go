@@ -63,7 +63,7 @@ func KillTargets() []KillTargetDef {
 	// Hierarchical combining shards with cross-shard atomic transactions:
 	// recovery must be all-or-nothing whatever the kill point.
 	for _, kind := range kinds {
-		add(func() *Spec { return fabricSpec(kind, false) })
+		add(func() *Spec { return fabricSpec(kind) })
 	}
 	// Durable RESP server over loopback TCP: the child runs an in-process
 	// server plus one pipelining client per thread; every command is

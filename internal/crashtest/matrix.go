@@ -63,7 +63,7 @@ func MatrixTargets(cfg Config) []Target {
 		add(func() *Spec { return registerSpec(kind, dense, vecCap) })
 	})
 	for _, kind := range kinds {
-		add(func() *Spec { return fabricSpec(kind, true) })
+		add(func() *Spec { return fabricSpec(kind) })
 	}
 	return out
 }

@@ -330,20 +330,17 @@ func (noFlush) Flush(int) {}
 // by Recover) or inside recovery. Whatever happens the accounts must sum to
 // zero: transfers move opposite deltas, so only a torn one can break that.
 //
-// The simulated-crash engines run it flat: the hierarchical mode's per-shard
-// combiner goroutines have no quiescence hook between TriggerCrash and
-// FinishCrash (a laggard could claim a dead worker's posted slot and apply it
-// to the restored heap before recovery). Transactions take the same path in
-// both modes, and the kill engine, where SIGKILL needs no unwinding, runs the
-// hierarchical one.
-func fabricSpec(kind pcomb.Kind, flat bool) *Spec {
+// Every engine runs the hierarchical mode, the one users get: the board's
+// sweeper is one of the workers, so once they have unwound nothing is left to
+// touch the heap between TriggerCrash and FinishCrash.
+func fabricSpec(kind pcomb.Kind) *Spec {
 	var m *pcomb.ShardedMap
 	key := func(g *gen, k int) uint64 { return uint64(g.tid)<<32 | uint64(k%fabKeys) + 1 }
 	return &Spec{
 		Name: "fabric/" + pfx(kind) + "fabric",
 		Open: func(h *pmem.Heap, n int) Handle {
 			m = pcomb.NewOn(h).NewShardedMap("f", n, kind, pcomb.ShardedMapOptions{
-				Fabric: fabShards, Flat: flat, Capacity: 4 * (fabAccounts + fabKeys*n), // a quarter full at most
+				Fabric: fabShards, Capacity: 4 * (fabAccounts + fabKeys*n), // a quarter full at most
 			})
 			return noFlush{m}
 		},

@@ -4,16 +4,21 @@
 //
 // Hierarchical combining: instead of every thread announcing directly to its
 // key's shard (and paying one announce handshake plus one chance at becoming
-// combiner per op), each shard owns a dedicated combiner goroutine that
-// sweeps a volatile posting board and batches many threads' requests into a
-// single *delegated* vectorized announcement (core.CombOpts.Delegate). The
-// per-shard persistence cost — record copy, pwb, pfence, psync — then
-// amortizes over the whole swept batch even when each client thread is only
-// mildly concurrent with the others, which is exactly the regime where flat
-// per-shard combining degrades to degree 1. Responses and deactivate bits are
-// credited to the originating threads, so every operation remains detectably
-// recoverable through the ordinary per-thread Recover path; the board itself
-// is volatile and needs no recovery.
+// combiner per op), a thread posts its request on the shard's volatile posting
+// board and then tries to become the board's sweeper — one try-lock word.
+// Whoever wins claims every posted request, its own among them, and announces
+// them to the shard as a single *delegated* vector (core.CombOpts.Delegate);
+// the others wait for their slot to be served. This is the paper's combiner —
+// announce, try to take the role, serve everyone announced — one level up, not
+// a server thread: the fabric starts no goroutine, and a batch forms the way
+// the paper's does, out of the posts that land while the previous sweeper is
+// inside its psync. The per-shard persistence cost — record copy, pwb, pfence,
+// psync — then amortizes over the whole swept batch even when each client
+// thread is only mildly concurrent with the others, which is exactly the
+// regime where flat per-shard combining degrades to degree 1. Responses and
+// deactivate bits are credited to the originating threads, so every operation
+// remains detectably recoverable through the ordinary per-thread Recover path;
+// the board itself is volatile and needs no recovery.
 //
 // Cross-shard transactions: multi-key operations (TransferAdd, PutAll, or any
 // Txn leg list) group their legs by shard and run as a two-phase commit
@@ -70,13 +75,13 @@ type Options struct {
 	Capacity int
 	// Kind selects the shard protocol (default Blocking).
 	Kind Kind
-	// VecCap bounds one combiner sweep / one transaction shard group
+	// VecCap bounds one board sweep / one transaction shard group
 	// (0 = 16, min 2). Part of the persistent layout — re-open with the
 	// same value.
 	VecCap int
-	// Flat disables hierarchical combining: no per-shard combiner
-	// goroutines, threads invoke their key's shard directly. This is the
-	// naive-split baseline the hierarchical mode is measured against.
+	// Flat disables hierarchical combining: no posting boards, threads
+	// invoke their key's shard directly. This is the naive-split baseline
+	// the hierarchical mode is measured against.
 	Flat bool
 	// MaxLegs bounds a transaction's leg count (0 = 8, capped at VecCap).
 	// Part of the persistent layout.
@@ -99,18 +104,14 @@ const (
 	slotDone
 )
 
-// selfServeSpins is how long a poster waits for a combiner pickup before
-// reclaiming its slot and invoking the shard itself (keeps flat-combining
-// liveness when a shard's combiner is starved or its board is cold).
+// selfServeSpins is how long a poster waits to be served before reclaiming
+// its slot and invoking the shard itself: it bounds a poster's wait when the
+// thread holding the sweeper role is preempted.
 const selfServeSpins = 1 << 14
-
-// combinerLinger bounds the yield-and-regather loop a combiner runs before
-// announcing a partially filled vector.
-const combinerLinger = 4
 
 // bslot is one posting-board entry, padded to its own cache line. The owner
 // thread writes the request fields and then status (atomic store = release);
-// the combiner's status load acquires them. ret flows back the same way.
+// the sweeper's status load acquires them. ret flows back the same way.
 type bslot struct {
 	op, a0, a1, seq uint64
 	ret             uint64
@@ -118,13 +119,18 @@ type bslot struct {
 	_               [20]byte
 }
 
+// board is one shard's posting board: a slot per client thread and the
+// sweeper role, a try-lock a poster takes to serve everything posted. The
+// shard instances are built one thread wider than the fabric, and whoever
+// holds the role announces under that extra tid (ctid = n); seq is ctid's
+// announcement sequence number.
 type board struct {
-	slots []bslot
-	// parked/wake let an idle combiner block instead of burning a core:
-	// posters ring wake only when the combiner has declared itself parked,
-	// so the post fast path stays one load + (rarely) one non-blocking send.
-	parked atomic.Bool
-	wake   chan struct{}
+	slots   []bslot
+	sweeper prim.PaddedInt32
+	// Owned by the thread holding the role.
+	seq  uint64
+	dops []core.DelOp
+	rets []uint64
 }
 
 // Map is a sharded recoverable hash map with hierarchical combining and
@@ -133,7 +139,7 @@ type Map struct {
 	h    *pmem.Heap
 	name string
 
-	n       int // client threads; shard instances are built for n+1 (tid n = combiner)
+	n       int // client threads; shard instances are built for n+1 (tid n = the board's sweeper)
 	nsh     int
 	slots   int
 	vcap    int
@@ -150,8 +156,8 @@ type Map struct {
 	txStride int
 	legOff   int // legs offset within a thread's txn record
 
-	boards []*board
-	combs  []*combiner
+	boards []board
+	txs    []txnScratch
 
 	epoch *pmem.Epoch
 }
@@ -224,136 +230,41 @@ func New(h *pmem.Heap, name string, n int, o Options) *Map {
 		protos[s] = sh
 	}
 	m.sys = sysarea.New(h, name+"/fabric.sys", n, protos, m.epoch)
+	m.txs = make([]txnScratch, n)
+	for t := range m.txs {
+		m.txs[t] = txnScratch{
+			grps: make([]txnGroup, 0, m.maxGrps),
+			pos:  make([]int, maxLegs),
+			ops:  make([]core.VecOp, maxLegs),
+			rets: make([]uint64, maxLegs),
+		}
+	}
 	if !m.flat {
-		m.boards = make([]*board, nsh)
-		m.combs = make([]*combiner, nsh)
-		for s := 0; s < nsh; s++ {
-			m.boards[s] = &board{slots: make([]bslot, n), wake: make(chan struct{}, 1)}
-			c := &combiner{m: m, sh: s, done: make(chan struct{})}
-			m.combs[s] = c
-			go c.run()
+		m.boards = make([]board, nsh)
+		for s := range m.boards {
+			m.boards[s] = board{
+				slots: make([]bslot, n),
+				// ctid's announcement parity chain must survive re-open: seed
+				// from the durable deactivate bit so the first sweep flips it.
+				seq:  m.shards[s].(core.EpochCapable).DeactParity(n),
+				dops: make([]core.DelOp, 0, vcap),
+				rets: make([]uint64, vcap),
+			}
 		}
 	}
 	return m
 }
 
-// Close stops the per-shard combiner goroutines (no-op in flat mode). Call
-// while quiescent — no client thread may be inside an operation.
+// Close stops the epoch's background closer (strict mode has nothing to stop:
+// the fabric starts no goroutine). Idempotent; call while quiescent.
 func (m *Map) Close() {
-	for _, c := range m.combs {
-		c.stop.Store(true)
-	}
-	for _, c := range m.combs {
-		<-c.done
-	}
-	m.combs = nil
 	if m.epoch != nil {
 		m.epoch.Stop()
 	}
 }
 
-// combiner is one shard's dedicated sweeping goroutine: it claims posted
-// requests and announces them as a single delegated vector, so the shard's
-// whole persistence cost amortizes over the swept batch.
-type combiner struct {
-	m    *Map
-	sh   int
-	stop atomic.Bool
-	done chan struct{}
-}
-
-// hasPosted reports whether any slot is currently posted (park race check).
-func (b *board) hasPosted() bool {
-	for q := range b.slots {
-		if b.slots[q].status.Load() == slotPosted {
-			return true
-		}
-	}
-	return false
-}
-
-func (c *combiner) run() {
-	defer close(c.done)
-	defer func() {
-		// A simulated crash unwinds the combiner like any worker; posters
-		// observe h.Crashed() and unwind too. Fresh goroutines start when
-		// the fabric is re-opened after recovery.
-		if r := recover(); r != nil {
-			if _, ok := r.(pmem.CrashError); !ok {
-				panic(r)
-			}
-		}
-	}()
-	m, sh := c.m, c.sh
-	inst := m.shards[sh]
-	ctid := m.n
-	// The combiner's own announcement parity chain must survive re-open:
-	// seed from the durable deactivate bit so the first announcement flips it.
-	seq := inst.(core.EpochCapable).DeactParity(ctid)
-	b := m.boards[sh]
-	dops := make([]core.DelOp, 0, m.vcap)
-	idxs := make([]int, 0, m.vcap)
-	rets := make([]uint64, m.vcap)
-	idle := 0
-	for {
-		if c.stop.Load() || m.h.Crashed() {
-			return
-		}
-		dops, idxs = dops[:0], idxs[:0]
-		claim := func() {
-			for q := 0; q < len(b.slots) && len(dops) < m.vcap; q++ {
-				s := &b.slots[q]
-				if s.status.Load() == slotPosted && s.status.CompareAndSwap(slotPosted, slotClaimed) {
-					dops = append(dops, core.DelOp{Op: s.op, A0: s.a0, A1: s.a1, Tid: q, Seq: s.seq})
-					idxs = append(idxs, q)
-				}
-			}
-		}
-		claim()
-		// Linger: a round's persistence cost amortizes over its batch, so a
-		// short yield to let late posters land beats announcing a thin
-		// vector — the whole hierarchical-combining bet. Bounded so a lone
-		// client on an idle shard is not held hostage.
-		for linger := 0; linger < combinerLinger && len(dops) > 0 && len(dops) < m.vcap; linger++ {
-			runtime.Gosched()
-			claim()
-		}
-		if len(dops) == 0 {
-			if idle++; idle > 256 {
-				// Park: declare it, re-check for a post that raced the
-				// declaration, then block until a poster rings (or a timeout
-				// re-checks stop/crash so shutdown can't hang on a lost wake).
-				b.parked.Store(true)
-				if !b.hasPosted() {
-					select {
-					case <-b.wake:
-					case <-time.After(100 * time.Microsecond):
-					}
-				}
-				b.parked.Store(false)
-			} else if idle > 64 {
-				runtime.Gosched()
-			} else {
-				prim.Pause()
-			}
-			continue
-		}
-		idle = 0
-		seq++
-		inst.InvokeDelegated(ctid, seq, dops, rets[:len(dops)])
-		for i, q := range idxs {
-			s := &b.slots[q]
-			s.ret = rets[i]
-			s.status.Store(slotDone)
-		}
-	}
-}
-
 // Shards returns the shard count.
 func (m *Map) Shards() int { return m.nsh }
-
-// Hierarchical reports whether per-shard combiner goroutines are running.
-func (m *Map) Hierarchical() bool { return !m.flat }
 
 func (m *Map) shardOf(key uint64) int {
 	return int(prim.Mix(key) >> 33 % uint64(m.nsh))
@@ -367,8 +278,8 @@ func (m *Map) ShardOf(key uint64) int { return m.shardOf(key) }
 func (m *Map) SetHistory(h sysarea.Log) { m.sys.SetHistory(h) }
 
 // tidClamp adapts an external per-thread stats sink sized for the n client
-// threads to the fabric's extra combiner tid (ctid = n): the service
-// thread's events are credited to the last client stripe. Only exported
+// threads to the fabric's extra sweeper tid (ctid = n, whoever holds a board's
+// role): its events are credited to the last client stripe. Only exported
 // aggregates are consumed from these sinks, so the re-attribution is
 // invisible.
 type tidClamp struct {
@@ -390,11 +301,11 @@ func (c tidClamp) Copied(tid, words int) { c.t.Copied(c.tid(tid), words) }
 func (c tidClamp) BatchSize(tid, sz int) { c.t.BatchSize(c.tid(tid), sz) }
 
 // shardProbe adapts a probe sized for the n client threads to the shard
-// instances, which are built for n+1: combiner-thread events are clamped into
-// the last client stripe of p.Comb. Hierarchical mode records no spans at the
-// shard level: there the shards are driven by the combiner thread (tid n),
-// which has no track in a log sized for the client threads — the harness's
-// whole-op spans still cover the client side.
+// instances, which are built for n+1: the sweeper tid's events are clamped
+// into the last client stripe of p.Comb. Hierarchical mode records no spans at
+// the shard level: there a sweeping client drives the shard as tid n, which
+// has no track in a log sized for the client threads — the harness's whole-op
+// spans still cover the client side.
 func (m *Map) shardProbe(p core.Probe) core.Probe {
 	if p.Comb != nil {
 		p.Comb = tidClamp{t: p.Comb, max: m.n - 1}
@@ -465,21 +376,16 @@ func (m *Map) invoke(tid int, op, key, val uint64) uint64 {
 
 // perform runs one durably recorded operation: in flat mode by invoking the
 // shard directly; in hierarchical mode by posting to the shard's board and
-// waiting for its combiner (self-serving after a bounded wait).
+// then, until the slot is served, trying to become the board's sweeper
+// (self-serving after a bounded wait).
 func (m *Map) perform(tid, sh int, op, key, val, seq uint64) uint64 {
 	if m.flat {
 		return m.shards[sh].Invoke(tid, op, key, val, seq)
 	}
-	b := m.boards[sh]
+	b := &m.boards[sh]
 	s := &b.slots[tid]
 	s.op, s.a0, s.a1, s.seq = op, key, val, seq
 	s.status.Store(slotPosted)
-	if b.parked.Load() {
-		select {
-		case b.wake <- struct{}{}:
-		default:
-		}
-	}
 	spins := 0
 	for {
 		switch s.status.Load() {
@@ -488,6 +394,14 @@ func (m *Map) perform(tid, sh int, op, key, val, seq uint64) uint64 {
 			s.status.Store(slotEmpty)
 			return ret
 		case slotPosted:
+			if b.sweeper.V.Load() == 0 && b.sweeper.V.CompareAndSwap(0, 1) {
+				// A CrashError unwinding the sweep leaves the role held. That
+				// is correct: the boards are volatile and New rebuilds them,
+				// and until then every waiter sees h.Crashed() and unwinds.
+				m.sweep(sh, b, tid)
+				b.sweeper.V.Store(0)
+				continue
+			}
 			if spins > selfServeSpins && s.status.CompareAndSwap(slotPosted, slotEmpty) {
 				return m.shards[sh].Invoke(tid, op, key, val, seq)
 			}
@@ -495,14 +409,48 @@ func (m *Map) perform(tid, sh int, op, key, val, seq uint64) uint64 {
 		spins++
 		if spins&63 == 0 {
 			if m.h.Crashed() {
-				// The combiner goroutine unwound; unwind like any worker so
-				// the crash harness can finish the crash and re-open.
+				// Whoever held this slot or the role has unwound; unwind like
+				// any worker so the crash harness can finish the crash and
+				// re-open.
 				panic(pmem.CrashError{})
 			}
 			runtime.Gosched()
 		} else {
 			prim.Pause()
 		}
+	}
+}
+
+// sweep serves board b as shard sh's combiner: the caller, thread tid, holds
+// the sweeper role. It claims every posted slot (up to VecCap, scanning from
+// its own so that one is among them), announces them as one delegated vector
+// under ctid, and hands each response back. There is no linger: the posts
+// that landed while the previous sweeper was inside its psync are the batch.
+func (m *Map) sweep(sh int, b *board, tid int) {
+	dops := b.dops
+	q := tid
+	for range b.slots {
+		s := &b.slots[q]
+		if s.status.Load() == slotPosted && s.status.CompareAndSwap(slotPosted, slotClaimed) {
+			dops = append(dops, core.DelOp{Op: s.op, A0: s.a0, A1: s.a1, Tid: q, Seq: s.seq})
+			if len(dops) == m.vcap {
+				break
+			}
+		}
+		if q++; q == len(b.slots) {
+			q = 0
+		}
+	}
+	if len(dops) == 0 {
+		return // a previous sweeper served this thread on its way out
+	}
+	rets := b.rets[:len(dops)]
+	b.seq++
+	m.shards[sh].InvokeDelegated(m.n, b.seq, dops, rets)
+	for i := range dops {
+		s := &b.slots[dops[i].Tid]
+		s.ret = rets[i]
+		s.status.Store(slotDone)
 	}
 }
 

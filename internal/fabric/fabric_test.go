@@ -63,7 +63,7 @@ func TestFabricPutGetDelete(t *testing.T) {
 
 // TestFabricOracle drives a random single-threaded op sequence against Go's
 // built-in map through the hierarchical path (every op crosses the posting
-// board and a combiner goroutine).
+// board and is served by its own sweep).
 func TestFabricOracle(t *testing.T) {
 	for _, v := range variants() {
 		t.Run(v.name, func(t *testing.T) {
@@ -151,7 +151,7 @@ func TestFabricConcurrent(t *testing.T) {
 }
 
 // TestFabricReopen closes a hierarchical fabric and re-opens it: the
-// combiner announcement parity chains (seeded from the durable deactivate
+// sweeper tid's announcement parity chains (seeded from the durable deactivate
 // bits) and the per-thread counters must line up so operations keep working.
 func TestFabricReopen(t *testing.T) {
 	h := newHeap()

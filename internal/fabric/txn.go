@@ -27,6 +27,25 @@ type Leg struct {
 	Val uint64
 }
 
+// txnGroup is one shard's share of a transaction: ops[off:off+cnt] of the
+// thread's scratch, announced as one vector under sequence number seq.
+type txnGroup struct {
+	sh       int
+	seq      uint64
+	off, cnt int
+}
+
+// txnScratch is one thread's transaction working set, sized in New from
+// maxGrps and maxLegs so that a transaction allocates nothing, and padded so
+// neighbouring threads' slice headers never share a cache line.
+type txnScratch struct {
+	grps []txnGroup   // participant shards, in first-appearance order
+	pos  []int        // leg i's group while grouping, then its index in ops
+	ops  []core.VecOp // the legs in durable order: group by group
+	rets []uint64     // their results, in the same order
+	_    [32]byte
+}
+
 // Txn executes legs as one atomic multi-shard transaction and returns the
 // per-leg results in leg order. The legs are grouped by shard and each group
 // runs as a single vectorized announcement under tid's slot; atomicity across
@@ -42,44 +61,57 @@ type Leg struct {
 // group — parity-gated, so already-applied groups fetch instead of
 // re-executing — and the transaction completes exactly once.
 //
-// Legs on the same shard must number at most VecCap; len(legs) at most
-// MaxLegs. Legs are applied in program order within a shard but groups of
-// different shards are not mutually ordered — use commuting legs (OpAdd,
-// distinct-key OpPut) for cross-shard invariants.
+// len(legs) must be at most MaxLegs (itself at most VecCap, so one shard's
+// legs always fit one vector). Legs are applied in program order within a
+// shard but groups of different shards are not mutually ordered — use
+// commuting legs (OpAdd, distinct-key OpPut) for cross-shard invariants.
 func (m *Map) Txn(tid int, legs []Leg) []uint64 {
 	if len(legs) == 0 {
 		return nil
 	}
+	rets := make([]uint64, len(legs))
+	m.runTxn(tid, legs, rets)
+	return rets
+}
+
+// runTxn is Txn writing leg i's result to rets[i]; it keeps neither slice and
+// allocates nothing.
+func (m *Map) runTxn(tid int, legs []Leg, rets []uint64) {
+	// Reject before the scratch is touched.
 	if len(legs) > m.maxLegs {
 		panic(fmt.Sprintf("fabric: %d legs exceed MaxLegs %d", len(legs), m.maxLegs))
 	}
 	txb := tid * m.txStride
+	x := &m.txs[tid]
 
 	// Group legs by shard in first-appearance order, preserving program
-	// order within a shard.
-	type group struct {
-		sh   int
-		seq  uint64
-		ops  []core.VecOp
-		idxs []int
-	}
-	var groups []*group
-	byShard := make(map[int]*group, m.maxGrps)
+	// order within a shard: count each group, lay the groups out back to
+	// back, then drop every leg into its group's next free place.
+	grps := x.grps[:0]
 	for i, l := range legs {
 		sh := m.shardOf(l.Key)
-		g := byShard[sh]
-		if g == nil {
-			g = &group{sh: sh, seq: m.sys.Seq(tid, sh) + 1}
-			byShard[sh] = g
-			groups = append(groups, g)
+		g := 0
+		for g < len(grps) && grps[g].sh != sh {
+			g++
 		}
-		g.ops = append(g.ops, core.VecOp{Op: l.Op, A0: l.Key, A1: l.Val})
-		g.idxs = append(g.idxs, i)
+		if g == len(grps) {
+			grps = append(grps, txnGroup{sh: sh, seq: m.sys.Seq(tid, sh) + 1})
+		}
+		grps[g].cnt++
+		x.pos[i] = g
 	}
-	for _, g := range groups {
-		if len(g.ops) > m.vcap {
-			panic(fmt.Sprintf("fabric: %d legs on shard %d exceed VecCap %d", len(g.ops), g.sh, m.vcap))
-		}
+	off := 0
+	for g := range grps {
+		grps[g].off = off
+		off += grps[g].cnt
+		grps[g].cnt = 0 // counted up again as the legs are placed
+	}
+	ops, grets := x.ops[:len(legs)], x.rets[:len(legs)]
+	for i, l := range legs {
+		g := &grps[x.pos[i]]
+		x.pos[i] = g.off + g.cnt
+		ops[x.pos[i]] = core.VecOp{Op: l.Op, A0: l.Key, A1: l.Val}
+		g.cnt++
 	}
 
 	h := m.sys.History()
@@ -88,49 +120,38 @@ func (m *Map) Txn(tid int, legs []Leg) []uint64 {
 		// event: a crash anywhere inside leaves exactly these legs pending.
 		// Begins follow GROUP order — the order the legs are durably laid
 		// out and the order recovery resolves them in.
-		for _, g := range groups {
-			for _, op := range g.ops {
-				h.Begin(tid, op.Op, op.A0, op.A1)
-			}
+		for _, op := range ops {
+			h.Begin(tid, op.Op, op.A0, op.A1)
 		}
 	}
 
 	// Prepare. Disarm the commit word first: a crash while the record is
 	// being rebuilt must read as "no transaction in flight".
 	m.txn.DirectStore(txb+txOpW, 0)
-	li := 0
-	for gi, g := range groups {
-		for _, op := range g.ops {
+	for gi, g := range grps {
+		for li := g.off; li < g.off+g.cnt; li++ {
 			lb := txb + m.legOff + 3*li
-			m.txn.DirectStore(lb, op.Op)
-			m.txn.DirectStore(lb+1, op.A0)
-			m.txn.DirectStore(lb+2, op.A1)
-			li++
+			m.txn.DirectStore(lb, ops[li].Op)
+			m.txn.DirectStore(lb+1, ops[li].A0)
+			m.txn.DirectStore(lb+2, ops[li].A1)
 		}
 		gb := txb + txHdrWords + 3*gi
 		m.txn.DirectStore(gb, uint64(g.sh))
 		m.txn.DirectStore(gb+1, g.seq)
-		m.txn.DirectStore(gb+2, uint64(len(g.ops)))
+		m.txn.DirectStore(gb+2, uint64(g.cnt))
 	}
 	m.txn.DirectStore(txb+txDoneW, 0)
 
 	// Commit point: one durable word flip.
-	m.txn.DirectStore(txb+txOpW, txnMark|uint64(len(groups)))
+	m.txn.DirectStore(txb+txOpW, txnMark|uint64(len(grps)))
 
 	// Apply: counters move only after the commit word, so recovery can
 	// always re-derive them from the group records.
-	for _, g := range groups {
+	for _, g := range grps {
 		m.sys.RollSeq(tid, g.sh, g.seq)
 	}
-	rets := make([]uint64, len(legs))
-	tmp := make([]uint64, m.maxLegs)
-	grpRets := make([]uint64, 0, len(legs))
-	for _, g := range groups {
-		m.shards[g.sh].InvokeVec(tid, g.ops, g.seq, tmp[:len(g.ops)])
-		for i, j := range g.idxs {
-			rets[j] = tmp[i]
-		}
-		grpRets = append(grpRets, tmp[:len(g.ops)]...)
+	for _, g := range grps {
+		m.shards[g.sh].InvokeVec(tid, ops[g.off:g.off+g.cnt], g.seq, grets[g.off:g.off+g.cnt])
 	}
 	m.txn.DirectStore(txb+txDoneW, 1)
 	if h != nil {
@@ -139,11 +160,13 @@ func (m *Map) Txn(tid int, legs []Leg) []uint64 {
 		// crash between group applications must leave EVERY leg pending, so
 		// the restarted recovery's Resolves meet an all-pending queue
 		// instead of re-completing legs an earlier pass already closed.
-		for _, r := range grpRets {
+		for _, r := range grets {
 			h.End(tid, r)
 		}
 	}
-	return rets
+	for i := range legs {
+		rets[i] = grets[x.pos[i]]
+	}
 }
 
 // TransferAdd atomically moves amount from key `from` to key `to` (two OpAdd
@@ -151,19 +174,22 @@ func (m *Map) Txn(tid int, legs []Leg) []uint64 {
 // 2^64 is invariant across the transfer, crash or no crash). Returns the two
 // new values.
 func (m *Map) TransferAdd(tid int, from, to, amount uint64) (fromNew, toNew uint64) {
-	r := m.Txn(tid, []Leg{
+	legs := [2]Leg{
 		{Op: OpAdd, Key: from, Val: -amount},
 		{Op: OpAdd, Key: to, Val: amount},
-	})
+	}
+	var r [2]uint64
+	m.runTxn(tid, legs[:], r[:])
 	return r[0], r[1]
 }
 
 // PutAll atomically maps every key/value pair (multi-key put across shards).
 // Returns the per-pair previous values (NotFound for fresh inserts).
 func (m *Map) PutAll(tid int, pairs []Leg) []uint64 {
-	legs := make([]Leg, len(pairs))
-	for i, p := range pairs {
-		legs[i] = Leg{Op: OpPut, Key: p.Key, Val: p.Val}
+	var buf [8]Leg // the default MaxLegs; a longer list spills to the heap
+	legs := buf[:0]
+	for _, p := range pairs {
+		legs = append(legs, Leg{Op: OpPut, Key: p.Key, Val: p.Val})
 	}
 	return m.Txn(tid, legs)
 }

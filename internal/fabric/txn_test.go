@@ -239,3 +239,24 @@ func TestTxnConcurrentCrashConservation(t *testing.T) {
 		})
 	}
 }
+
+// TestTxnRejectedBeforeScratch: an over-long leg list is refused before the
+// thread's transaction scratch is touched, so the next transaction is sound.
+func TestTxnRejectedBeforeScratch(t *testing.T) {
+	m := New(newHeap(), "m", 1, Options{Shards: 4, MaxLegs: 2})
+	sum := seedAccounts(m, 8, 100)
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("3 legs accepted with MaxLegs 2")
+			}
+		}()
+		m.Txn(0, []Leg{{Op: OpAdd, Key: 1, Val: 1}, {Op: OpAdd, Key: 2, Val: 1}, {Op: OpAdd, Key: 3, Val: 1}})
+	}()
+	if fromNew, toNew := m.TransferAdd(0, 1, 5, 30); fromNew != 70 || toNew != 130 {
+		t.Fatalf("transfer after a rejected txn = %d,%d want 70,130", fromNew, toNew)
+	}
+	if got := m.SumValues(); got != sum {
+		t.Fatalf("sum = %d, want %d", got, sum)
+	}
+}

@@ -57,7 +57,6 @@ func runSweep(cfg Config, algos []Algo) []Series {
 				cfg.OnStart(a.Name, n, m, spans)
 			}
 			res := measure(a.Name, h, n, cfg.Ops, op, m, spans)
-			runPointCleanups()
 			out[ai].Points = append(out[ai].Points, res)
 			if cfg.OnPoint != nil {
 				cfg.OnPoint(res)
@@ -68,22 +67,6 @@ func runSweep(cfg Config, algos []Algo) []Series {
 		}
 	}
 	return out
-}
-
-// pointCleanups holds teardown hooks registered by builders whose structure
-// owns background goroutines (the fabric's per-shard combiners); runSweep
-// drains it after each measured point so a point never pays for its
-// predecessors' spinners. Sweeps are sequential, so a plain slice suffices.
-var pointCleanups []func()
-
-// RegisterCleanup schedules f to run when the current measured point ends.
-func RegisterCleanup(f func()) { pointCleanups = append(pointCleanups, f) }
-
-func runPointCleanups() {
-	for _, f := range pointCleanups {
-		f()
-	}
-	pointCleanups = nil
 }
 
 // probe returns the point's combining-stats sink and span log — whichever

@@ -55,7 +55,6 @@ func shardAlgo(shards int, flat bool, skew float64, groups map[string]*obs.CombG
 			} else {
 				m.SetProbe(cfg.probe())
 			}
-			RegisterCleanup(m.Close)
 			return h, shardOp(m, NewZipf(shardKeyspace, skew))
 		},
 	}
@@ -63,11 +62,11 @@ func shardAlgo(shards int, flat bool, skew float64, groups map[string]*obs.CombG
 
 // FigShard is the sharded-fabric scaling figure: throughput across thread
 // counts for every (shard count × skew) combination, with the hierarchical
-// fabric against the flat (naive-split, no combiner goroutine) router over
-// the same shards. Under skew the hot shards serialize either way; the
-// hierarchical fabric's combiner turns the pile-up into large combining
-// rounds (watch "comb-degree-mean" with Config.Metrics), the flat split
-// leaves it as per-shard contention.
+// fabric against the flat (naive-split, no posting board) router over the
+// same shards. Under skew the hot shards serialize either way; the
+// hierarchical fabric's sweeping client turns the pile-up into large
+// combining rounds (watch "comb-degree-mean" with Config.Metrics), the flat
+// split leaves it as per-shard contention.
 func FigShard(cfg Config, shardList []int, skews []float64) []Series {
 	groups := map[string]*obs.CombGroup{}
 	var algos []Algo

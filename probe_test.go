@@ -83,8 +83,9 @@ func TestProbeReachesEveryInstance(t *testing.T) {
 			for k := uint64(1); k <= keys; k++ {
 				m.Put(int(k)%threads, k, k)
 			}
-			// Hierarchical shards are driven by the combiner thread, which has
-			// no track in a client-sized span log: no shard-level spans there.
+			// Hierarchical shards are driven by a sweeping client under tid n,
+			// which has no track in a client-sized span log: no shard-level
+			// spans there.
 			publishes := uint64(keys)
 			if !flat {
 				publishes = 0
