@@ -80,7 +80,13 @@ func (m *ShardedMap) Put(tid int, key, val uint64) (prev uint64, existed bool) {
 	return m.f.Put(tid, key, val)
 }
 
-// Get returns the value mapped to key.
+// Get returns the value mapped to key. It is a validated read of the key's
+// shard's last durable state, with or without Flat: it announces nothing,
+// records nothing and issues no persistence instruction, sees every operation
+// that returned before it was called, and never returns state a crash could
+// roll back (under Epoch it sees the newest state, inside the epoch's loss
+// window like any operation). A crash-interrupted Get is simply re-issued;
+// Recover does not report it.
 func (m *ShardedMap) Get(tid int, key uint64) (uint64, bool) { return m.f.Get(tid, key) }
 
 // Delete removes key, returning the removed value.
@@ -123,7 +129,9 @@ func (m *ShardedMap) Shards() int { return m.f.Shards() }
 // Sync forces an epoch close (no-op in strict mode).
 func (m *ShardedMap) Sync() { m.f.Sync() }
 
-// Len returns the number of live keys (quiescent use only).
+// Len returns the number of live keys, summed over per-shard reads of the last
+// durable state: safe beside running operations, but not a snapshot across
+// shards.
 func (m *ShardedMap) Len() int { return m.f.Len() }
 
 // Range iterates all pairs (quiescent use only).

@@ -24,6 +24,7 @@ type comb struct {
 	n    int
 	obj  Object
 	bobj BatchObject // non-nil if obj implements BatchObject
+	robj Reader      // non-nil if obj implements Reader
 	p    rounds      // the embedding protocol
 
 	// Record layout: object state, ReturnVal (vcap words per thread),
@@ -38,6 +39,17 @@ type comb struct {
 	// S under PWFcomb — both keep the record slot in the low prim.SlotBits
 	// bits, so the skeleton decodes either. Word LineWords is the init magic.
 	idx *pmem.Region
+
+	// dur is the durable index: the slot and a monotone version of the newest
+	// record whose selection a psync has made durable, in idx's packing. It is
+	// volatile, published by psyncPublish only AFTER that psync (idx itself
+	// moves before it), re-seeded from idx at every open, and it is what Read
+	// reads through — alone on its cache line, so a publication does not cost
+	// every thread its copy of the read-mostly fields around it. seen[tid] is
+	// the value thread tid last observed (own thread only): a reader is charged
+	// a line transfer when it differs.
+	dur  prim.PaddedUint64
+	seen []prim.PaddedUint64
 
 	// Vectorized announcements (CombOpts.VecCap > 1): the per-thread persistent
 	// argument ring — vcap (op, a0, a1[, meta]) entries per thread,
@@ -116,6 +128,7 @@ func (c *comb) init(p rounds, h *pmem.Heap, name, proto, idxName string, n int, 
 	c.p, c.h, c.name, c.n, c.obj, c.stWords = p, h, name, n, obj, obj.StateWords()
 	c.durableOnly = o.DurableOnly
 	c.bobj, _ = obj.(BatchObject)
+	c.robj, _ = obj.(Reader)
 	c.vcap = o.VecCap
 	if c.vcap < 1 {
 		c.vcap = 1
@@ -144,6 +157,7 @@ func (c *comb) init(p rounds, h *pmem.Heap, name, proto, idxName string, n int, 
 	c.ctxs = make([]*pmem.Ctx, n)
 	c.scratch = make([][]Request, n)
 	c.envs = make([]Env, n)
+	c.seen = make([]prim.PaddedUint64, n)
 	c.adaptive = true
 	c.annYld = make([]prim.PaddedUint64, n)
 	c.annHot = make([]prim.PaddedUint64, n)
@@ -160,20 +174,22 @@ func (c *comb) init(p rounds, h *pmem.Heap, name, proto, idxName string, n int, 
 	}
 }
 
-// boot initializes a fresh instance: the object's initial state in record
-// slot, durable before the index word that selects it and the init magic.
+// boot initializes a fresh instance — the object's initial state in record
+// slot, durable before the index word that selects it and the init magic —
+// and seeds the durable index: at an open, fresh or after a crash, the
+// persistent index word holds exactly its durable value.
 func (c *comb) boot(slot int) {
-	if c.idx.Load(pmem.LineWords) == initMagic {
-		return
+	if c.idx.Load(pmem.LineWords) != initMagic {
+		c.obj.Init(State{r: c.state, off: c.recOff(slot), n: c.stWords})
+		ctx := c.ctxs[0]
+		ctx.PWB(c.state, c.recOff(slot), c.recWords)
+		ctx.PFence()
+		c.idx.Store(0, prim.PackVersioned(slot, 0))
+		c.idx.Store(pmem.LineWords, initMagic)
+		ctx.PWB(c.idx, 0, 2*pmem.LineWords)
+		ctx.PSync()
 	}
-	c.obj.Init(State{r: c.state, off: c.recOff(slot), n: c.stWords})
-	ctx := c.ctxs[0]
-	ctx.PWB(c.state, c.recOff(slot), c.recWords)
-	ctx.PFence()
-	c.idx.Store(0, prim.PackVersioned(slot, 0))
-	c.idx.Store(pmem.LineWords, initMagic)
-	ctx.PWB(c.idx, 0, 2*pmem.LineWords)
-	ctx.PSync()
+	c.dur.V.Store(c.idx.Load(0))
 }
 
 // Name returns the instance's persistent name.
@@ -241,6 +257,123 @@ func (c *comb) DeactParity(tid int) uint64 { return c.recWord(c.deactOff + tid) 
 // It is safe only when no operations are in flight (harness/verification use).
 func (c *comb) CurrentState() State {
 	return State{r: c.state, off: c.cur(), n: c.stWords}
+}
+
+// readTries bounds Read's validated attempts. Each failed attempt means a
+// whole combining round became durable during one probe of a few words, so
+// the bound is reached only when writers hammer the instance; the caller then
+// announces the read like an update, which is what keeps PWFcomb's reads
+// wait-free.
+const readTries = 8
+
+// Read runs a read-only operation of thread tid against the newest DURABLE
+// record and announces nothing: no request slot, no round, no persistence
+// instruction. ok is false when the object has no Reader face or readTries
+// validations failed in a row; the caller then falls back to Invoke, with a
+// sequence number drawn as for any update (sysarea.Area.Read does).
+//
+// Why the durable index and not the persistent one (MIndex/S): a combiner
+// stores the persistent index BEFORE the psync that makes it durable, so a
+// reader following it could return a value that a crash then rolls back and
+// that recovery, re-running the interrupted operations one thread at a time,
+// re-creates in a different order — a response no crash-cut history explains.
+// dur moves only after that psync, and before any response of the round
+// leaves (psyncPublish), so a read returns durably linearized state and still
+// sees every update that returned before it started. Under an epoch the psync
+// is deferred, dur moves at once, and a read sees the newest state — the
+// bounded loss window buffered durability allows its operations.
+//
+// Why the seqlock is sound — the record dur selects is not written while dur
+// stands. PBcomb: the round that published (b, v) wrote record b; the next
+// round writes the other record and publishes v+1 before releasing the lock;
+// only the round after that writes b again. PWFcomb: a thread's two private
+// records alternate through Index[p], which flips only in a record p itself
+// installed, so p writes b again only after winning a later round with its
+// other record — and a winner publishes that newer version before it returns,
+// hence before its next attempt. Either way every store into b follows the
+// publication of a version above v, and a reader whose second load still
+// returns (b, v) finished its probe before that publication. A torn probe of
+// a record being rewritten is therefore always discarded; Readers must only
+// stay in bounds on it (see Reader).
+func (c *comb) Read(tid int, op, a0, a1 uint64) (ret uint64, ok bool) {
+	if c.robj == nil {
+		return 0, false
+	}
+	for try := 0; try < readTries; try++ {
+		var d uint64
+		d, ret, ok = c.probe(op, a0, a1)
+		if c.seen[tid].V.Load() != d {
+			// The publisher invalidated the reader's copy of the line: one
+			// transfer. An unchanged index is a cache hit and free. (Not a
+			// HotWord: Touch moves ownership, and would bill the next
+			// publisher a transfer for a line readers only share.)
+			c.seen[tid].V.Store(d)
+			prim.Burn(c.h.MissCost())
+		}
+		if ok {
+			return ret, true
+		}
+	}
+	return 0, false
+}
+
+// Peek is Read for a caller that is not one of the instance's threads (a
+// structure's Len): it has no thread to announce as, so it retries until a
+// probe validates — lock-free, not wait-free — and is not charged.
+func (c *comb) Peek(op, a0, a1 uint64) uint64 {
+	if c.robj == nil {
+		panic("core: Peek on an object without a Reader face")
+	}
+	for {
+		if _, ret, ok := c.probe(op, a0, a1); ok {
+			return ret
+		}
+		prim.Pause()
+	}
+}
+
+// probe is one seqlock attempt: the durable index it read through, the
+// object's answer from the record that index selects, and whether the index
+// still stood afterwards.
+func (c *comb) probe(op, a0, a1 uint64) (d, ret uint64, ok bool) {
+	d = c.dur.V.Load()
+	slot, _ := prim.UnpackVersioned(d)
+	ret = c.robj.Read(State{r: c.state, off: c.recOff(slot), n: c.stWords}, op, a0, a1)
+	return d, ret, c.dur.V.Load() == d
+}
+
+// durVer returns the version of the durable index.
+func (c *comb) durVer() uint64 {
+	_, v := prim.UnpackVersioned(c.dur.V.Load())
+	return v
+}
+
+// psyncPublish is the psync that makes the persistent index word's pending
+// write-back durable, followed by the publication of (slot, ver) — a value the
+// index word held when that write-back was issued — as the durable index. It
+// is a CAS-max on the version: PBcomb's lock holder always raises it; under
+// PWFcomb the SC winner and any helper that persists S on its behalf race, and
+// whichever is later finds the index already there or further.
+func (c *comb) psyncPublish(tid, slot int, ver uint64) {
+	if publishSabotage.Load() {
+		c.publish(tid, slot, ver)
+	}
+	c.ctxs[tid].PSync()
+	c.publish(tid, slot, ver)
+}
+
+func (c *comb) publish(tid, slot int, ver uint64) {
+	d := prim.PackVersioned(slot, ver)
+	for {
+		old := c.dur.V.Load()
+		if _, v := prim.UnpackVersioned(old); v >= ver {
+			return
+		}
+		if c.dur.V.CompareAndSwap(old, d) {
+			c.seen[tid].V.Store(d) // the publisher holds the line it just wrote
+			return
+		}
+	}
 }
 
 // Announce-backoff tuning: the wait is measured in scheduler yields (each

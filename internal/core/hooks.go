@@ -27,6 +27,15 @@ var recoverSabotage atomic.Bool
 // (mutation tests verify the history checker rejects the sabotaged run).
 func SetRecoverSabotage(on bool) { recoverSabotage.Store(on) }
 
+// publishSabotage, when set, makes psyncPublish publish the durable index
+// BEFORE the psync it names — the bug the durable index exists to exclude: a
+// reader can then return state a crash rolls back. Mutation-test use only.
+var publishSabotage atomic.Bool
+
+// SetPublishSabotage switches the deliberate early publication on or off (the
+// read-path litmus verifies the history checker rejects the sabotaged run).
+func SetPublishSabotage(on bool) { publishSabotage.Store(on) }
+
 // Probe is everything that can watch a protocol instance, installed with one
 // SetProbe call — on the instance, or on a data structure, which forwards it
 // to every instance it is built from. The zero Probe watches nothing. Every

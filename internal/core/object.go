@@ -259,6 +259,18 @@ type BatchObject interface {
 	ApplyBatch(env *Env, reqs []Request)
 }
 
+// Reader is an optional extension: an object whose read-only operations can
+// be answered from a state alone implements it, and the protocols then serve
+// those operations from the last durable record without announcing them (see
+// comb.Read). Read must not store, and must be total on arbitrary words: it
+// may be handed a record a combiner is overwriting — the protocol discards
+// that result, but the probe itself has to stay within s and terminate.
+// Apply keeps answering the same op codes: vectors, transaction legs and the
+// announced fallback of a read that could not validate still run there.
+type Reader interface {
+	Read(s State, op, a0, a1 uint64) uint64
+}
+
 // Protocol is the interface both combining protocols satisfy; recoverable
 // data structures are built against it so each comes in a blocking (PBcomb)
 // and a wait-free (PWFcomb) flavor.
@@ -270,6 +282,12 @@ type Protocol interface {
 	// Recover is the recovery function for tid's interrupted operation,
 	// called with the same arguments and seq as the original invocation.
 	Recover(tid int, op, a0, a1, seq uint64) uint64
+	// Read answers a read-only operation of a Reader object from the last
+	// durable record, announcing nothing; ok=false asks the caller to Invoke
+	// it instead. Peek is Read for callers that are not a thread of the
+	// instance: uncharged, and retried until it validates.
+	Read(tid int, op, a0, a1 uint64) (ret uint64, ok bool)
+	Peek(op, a0, a1 uint64) uint64
 	// CurrentState views the currently valid object state (quiescent use).
 	CurrentState() State
 	// Ctx returns tid's persistence context.

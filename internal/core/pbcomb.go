@@ -228,7 +228,9 @@ func (c *PBComb) combine(tid int) uint64 {
 	c.idx.Store(0, uint64(ind))
 	c.onStateWrite(tid, -1) // MIndex switch
 	ctx.PWBLine(c.idx, 0)
-	ctx.PSync()
+	// Readers may follow MIndex only once it is durable, and every thread this
+	// round served leaves through the lock release below.
+	c.psyncPublish(tid, ind, c.durVer()+1)
 	if c.PostSync != nil {
 		c.PostSync(env)
 	}

@@ -283,7 +283,9 @@ func (c *PWFComb) perform(tid int) uint64 {
 				c.onStateWrite(tid, -1) // S switch
 				c.wonRound(tid, len(batch), anns)
 				ctx.PWBLine(c.idx, 0)
-				ctx.PSync()
+				// Publish before the CAS-to-even: a helped thread that
+				// finds Flush even leaves without looking further.
+				c.psyncPublish(tid, my, stamp+1)
 				c.flush[tid].V.CompareAndSwap(lval, lval+1)
 				if c.PostSC != nil {
 					c.PostSC(env, true)
@@ -310,12 +312,23 @@ func (c *PWFComb) perform(tid int) uint64 {
 	// CombRound[cpid][p] == lval, which can skip the persist when our round
 	// was superseded before being persisted; we keep CombRound as the
 	// documented fast-path hint but gate only on the parity for safety.
-	cpid := int(c.state.Load(c.cur()+c.pidOff) % uint64(c.n))
+	//
+	// The durable index is a second gate on the same condition, read off the
+	// value of S itself instead of its combiner's Flush word: S as seen here
+	// reflects our request, so a durable index behind it means no psync has
+	// covered it yet, whatever the parity says (a helper that read Flush[cpid]
+	// just before cpid re-armed it for a later round can have evened out the
+	// wrong round). Our response may leave only when readers can see it.
+	sv := c.sv.LL()
+	slot, stamp := prim.UnpackVersioned(sv)
+	cpid := int(c.state.Load(c.recOff(slot)+c.pidOff) % uint64(c.n))
 	lval := c.flush[cpid].V.Load()
-	if lval%2 == 1 {
+	if lval%2 == 1 || c.durVer() < stamp {
 		ctx.PWBLine(c.idx, 0)
-		ctx.PSync()
-		c.flush[cpid].V.CompareAndSwap(lval, lval+1)
+		c.psyncPublish(tid, slot, stamp)
+		if lval%2 == 1 {
+			c.flush[cpid].V.CompareAndSwap(lval, lval+1)
+		}
 	}
 	c.onHelped(tid)
 	// Being served by another thread's combining round is itself the

@@ -280,11 +280,18 @@ func heapSpec(kind pcomb.Kind, o pcomb.HeapOptions) *Spec {
 
 // mapSpec is the sharded hash map: put, delete and get over a per-thread key
 // window. A staged vector spans shards, so one Flush is several vectorized
-// announcements and a crash can fall between them.
+// announcements and a crash can fall between them. The plain map — sparse,
+// scalar, strict: the one users get — runs read-heavy (60 % Get): its Gets
+// are validated reads of the last durable record, taken beside the rounds
+// that move it; a staged Get runs inside its vector's round instead.
 func mapSpec(kind pcomb.Kind, o pcomb.MapOptions) *Spec {
 	var m *pcomb.Map
 	key := func(g *gen) uint64 { return uint64(g.tid)<<32 | uint64(g.Intn(mapKeys)) + 1 }
 	o.Shards = mapShards
+	gets := 1
+	if !o.Dense && o.VecCap <= 1 && !o.Epoch {
+		gets = 3
+	}
 	sp := &Spec{
 		Name:   "map/" + pfx(kind) + "map" + tag(o.Dense, "-dense") + tag(o.VecCap > 1, "-vec") + tag(o.Epoch, "-epoch"),
 		VecCap: o.VecCap,
@@ -296,7 +303,7 @@ func mapSpec(kind pcomb.Kind, o pcomb.MapOptions) *Spec {
 		Ops: []OpDef{
 			{1, func(g *gen) { m.Put(g.tid, key(g), g.val()) }, func(g *gen) { m.SubmitPut(g.tid, key(g), g.val()) }},
 			{1, func(g *gen) { m.Delete(g.tid, key(g)) }, func(g *gen) { m.SubmitDelete(g.tid, key(g)) }},
-			{1, func(g *gen) { m.Get(g.tid, key(g)) }, func(g *gen) { m.SubmitGet(g.tid, key(g)) }},
+			{gets, func(g *gen) { m.Get(g.tid, key(g)) }, func(g *gen) { m.SubmitGet(g.tid, key(g)) }},
 		},
 		State: func() []uint64 { return pairs(m.Range) },
 		Model: mapModel,
@@ -347,7 +354,9 @@ func fabricSpec(kind pcomb.Kind) *Spec {
 		Ops: []OpDef{
 			{Weight: 3, Do: func(g *gen) { m.Put(g.tid, key(g, g.Intn(fabKeys)), g.val()) }},
 			{Weight: 3, Do: func(g *gen) { m.Delete(g.tid, key(g, g.Intn(fabKeys))) }},
-			{Weight: 3, Do: func(g *gen) { m.Get(g.tid, key(g, g.Intn(fabKeys))) }},
+			// Half of all steps: validated reads of a shard's last durable record,
+			// beside the sweeps and transaction groups that move it.
+			{Weight: 10, Do: func(g *gen) { m.Get(g.tid, key(g, g.Intn(fabKeys))) }},
 			{Weight: 3, Do: func(g *gen) {
 				from := g.Intn(fabAccounts)
 				to := (from + 1 + g.Intn(fabAccounts-1)) % fabAccounts

@@ -464,9 +464,16 @@ func (m *Map) Put(tid int, key, val uint64) (prev uint64, existed bool) {
 	return r, true
 }
 
-// Get returns the value mapped to key.
+// Get returns the value mapped to key: a validated read of the shard's last
+// durable record (core's Read), in flat and hierarchical mode alike — the
+// posting board is for requests that need a round, and a read needs none. It
+// announces nothing, writes no system-area record, issues no persistence
+// instruction, sees every operation that returned before it was called and
+// never returns state a crash could roll back (under Options.Epoch it sees the
+// newest state, within the epoch's loss window). OpGet legs of a Txn run inside
+// their group's round as before.
 func (m *Map) Get(tid int, key uint64) (uint64, bool) {
-	r := m.invoke(tid, OpGet, key, 0)
+	r := m.sys.Read(tid, m.shardOf(key), OpGet, key, 0)
 	if r == NotFound {
 		return 0, false
 	}
@@ -502,11 +509,13 @@ func (m *Map) Recover(tid int) []sysarea.Resolved {
 	return m.sys.Recover(tid)
 }
 
-// Len returns the number of live keys. Quiescent use only.
+// Len returns the number of live keys: each shard's count is a validated read
+// of its last durable record, safe beside running operations; the sum is not
+// a snapshot across shards.
 func (m *Map) Len() int {
 	total := 0
 	for _, sh := range m.shards {
-		total += int(sh.CurrentState().Load(0))
+		total += int(sh.Peek(hashmap.OpLen, 0, 0))
 	}
 	return total
 }

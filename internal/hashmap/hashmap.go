@@ -36,6 +36,8 @@ const (
 	// delta, a pair of opposite adds conserves the total — the primitive the
 	// fabric's cross-shard transfer transactions are built from.
 	OpAdd uint64 = 4
+	// OpLen returns the shard's live-key count (read-only, as OpGet).
+	OpLen uint64 = 5
 )
 
 // NotFound is returned by Get/Delete for absent keys and by Put for fresh
@@ -65,22 +67,19 @@ func (o shardObj) StateWords() int { return 1 + 2*o.slots }
 
 func (o shardObj) Init(s core.State) { s.Store(0, 0) }
 
-func (o shardObj) Apply(env *core.Env, r *core.Request) {
-	s := env.State
-	key := r.A0
-	if key == 0 || key >= tombstone {
-		r.Ret = NotFound
-		return
-	}
+// find probes for key: found is its slot, or -1 after the probe met an empty
+// slot or wrapped; firstFree is the first slot an insert may reuse, or -1. It
+// indexes modulo the slot count and visits each slot at most once, so it
+// stays in bounds and terminates on any words — Read may run it on a record a
+// combiner is overwriting.
+func (o shardObj) find(s core.State, key uint64) (found, firstFree int) {
 	start := int(mix(key) % uint64(o.slots))
-	firstFree := -1
-	found := -1
+	found, firstFree = -1, -1
 	for i := 0; i < o.slots; i++ {
 		idx := (start + i) % o.slots
 		k := s.Load(1 + 2*idx)
 		if k == key {
-			found = idx
-			break
+			return idx, firstFree
 		}
 		if k == tombstone && firstFree < 0 {
 			firstFree = idx
@@ -93,6 +92,40 @@ func (o shardObj) Apply(env *core.Env, r *core.Request) {
 			break
 		}
 	}
+	return found, firstFree
+}
+
+// validKey reports whether key is outside the sentinel space.
+func validKey(key uint64) bool { return key != 0 && key < tombstone }
+
+// Read answers the read-only operations — OpGet and OpLen — from s alone
+// (core.Reader); Apply answers them through it too.
+func (o shardObj) Read(s core.State, op, key, _ uint64) uint64 {
+	switch op {
+	case OpGet:
+		if validKey(key) {
+			if found, _ := o.find(s, key); found >= 0 {
+				return s.Load(1 + 2*found + 1)
+			}
+		}
+	case OpLen:
+		return s.Load(0)
+	}
+	return NotFound
+}
+
+func (o shardObj) Apply(env *core.Env, r *core.Request) {
+	s := env.State
+	key := r.A0
+	switch {
+	case r.Op == OpGet || r.Op == OpLen:
+		r.Ret = o.Read(s, r.Op, key, 0)
+		return
+	case !validKey(key):
+		r.Ret = NotFound
+		return
+	}
+	found, firstFree := o.find(s, key)
 	switch r.Op {
 	case OpPut:
 		if found >= 0 {
@@ -111,12 +144,6 @@ func (o shardObj) Apply(env *core.Env, r *core.Request) {
 		env.MarkDirty(1+2*firstFree, 2)
 		env.MarkDirty(0, 1)
 		r.Ret = NotFound
-	case OpGet:
-		if found >= 0 {
-			r.Ret = s.Load(1 + 2*found + 1)
-		} else {
-			r.Ret = NotFound
-		}
 	case OpDel:
 		if found >= 0 {
 			r.Ret = s.Load(1 + 2*found + 1)
@@ -342,9 +369,16 @@ func (m *Map) Put(tid int, key, val uint64) (prev uint64, existed bool) {
 	return r, true
 }
 
-// Get returns the value mapped to key.
+// Get returns the value mapped to key. It is a validated read of the shard's
+// last durable record (core's Read): it announces nothing, writes no
+// system-area record and issues no persistence instruction, sees every
+// operation that returned before it was called, and never returns state a
+// crash could roll back (under Options.Epoch it sees the newest state, within
+// the epoch's loss window like any operation). A crash-interrupted Get is
+// simply re-issued; Recover does not report it. Gets staged with SubmitGet
+// run inside their vector's round as before.
 func (m *Map) Get(tid int, key uint64) (uint64, bool) {
-	r := m.invoke(tid, OpGet, key, 0)
+	r := m.sys.Read(tid, m.shardOf(key), OpGet, key, 0)
 	if r == NotFound {
 		return 0, false
 	}
@@ -448,11 +482,13 @@ func (m *Map) flushBatch(tid int, ops []core.VecOp, rets []uint64) {
 	}
 }
 
-// Len returns the number of live keys. Quiescent use only.
+// Len returns the number of live keys: each shard's count is a validated read
+// of its last durable record, safe beside running operations; the sum is not
+// a snapshot across shards.
 func (m *Map) Len() int {
 	total := 0
 	for _, sh := range m.shards {
-		total += int(sh.CurrentState().Load(0))
+		total += int(sh.Peek(OpLen, 0, 0))
 	}
 	return total
 }

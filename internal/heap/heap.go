@@ -18,6 +18,8 @@ const (
 	OpInsert    uint64 = 1
 	OpDeleteMin uint64 = 2
 	OpGetMin    uint64 = 3
+	// OpLen returns the number of keys (read-only, as OpGetMin).
+	OpLen uint64 = 4
 )
 
 // Empty is returned by DeleteMin/GetMin on an empty heap.
@@ -97,15 +99,24 @@ func (o obj) Apply(env *core.Env, r *core.Request) {
 			o.swap(env, i, smallest)
 			i = smallest
 		}
-	case OpGetMin:
-		if size == 0 {
-			r.Ret = Empty
-			return
-		}
-		r.Ret = s.Load(1)
 	default:
-		r.Ret = Empty
+		r.Ret = o.Read(s, r.Op, 0, 0)
 	}
+}
+
+// Read answers the read-only operations — OpGetMin and OpLen — from s alone
+// (core.Reader); Apply answers them through it too. It loads words 0 and 1
+// only, so it is in bounds on any record.
+func (o obj) Read(s core.State, op, _, _ uint64) uint64 {
+	switch op {
+	case OpGetMin:
+		if s.Load(0) != 0 {
+			return s.Load(1)
+		}
+	case OpLen:
+		return s.Load(0)
+	}
+	return Empty
 }
 
 func (o obj) swap(env *core.Env, i, j int) {
@@ -180,13 +191,21 @@ func (h *Heap) DeleteMin(tid int, seq uint64) (uint64, bool) {
 	return r, true
 }
 
-// GetMin returns the smallest key without removing it.
-func (h *Heap) GetMin(tid int, seq uint64) (uint64, bool) {
-	r := h.comb.Invoke(tid, OpGetMin, 0, 0, seq)
-	if r == Empty {
-		return 0, false
+// GetMin returns the smallest key without removing it: a validated read of
+// the last durable record (core's Read) that announces nothing, issues no
+// persistence instruction and so takes no sequence number. At this harness
+// level it retries until a probe validates against the running writers;
+// pcomb.Heap.GetMin, which owns its sequence numbers, announces the read after
+// a bounded number of tries instead and so stays wait-free on PWFheap.
+func (h *Heap) GetMin(tid int) (key uint64, ok bool) {
+	for {
+		if r, read := h.comb.Read(tid, OpGetMin, 0, 0); read {
+			if r == Empty {
+				return 0, false
+			}
+			return r, true
+		}
 	}
-	return r, true
 }
 
 // SetProbe installs p on the heap's combining instance.
@@ -195,8 +214,9 @@ func (h *Heap) SetProbe(p core.Probe) { h.comb.SetProbe(p) }
 // Protocol exposes the combining instance (harness use).
 func (h *Heap) Protocol() core.Protocol { return h.comb }
 
-// Len returns the number of keys. Quiescent use only.
-func (h *Heap) Len() int { return int(h.comb.CurrentState().Load(0)) }
+// Len returns the number of keys: a validated read of the last durable
+// record, safe beside running operations.
+func (h *Heap) Len() int { return int(h.comb.Peek(OpLen, 0, 0)) }
 
 // Keys returns the raw key array (heap order). Quiescent use only.
 func (h *Heap) Keys() []uint64 {

@@ -58,7 +58,7 @@ func TestGetMinNonDestructive(t *testing.T) {
 	hp := New(h, "h", 1, Blocking, 16)
 	hp.Insert(0, 5, 1)
 	hp.Insert(0, 3, 2)
-	if v, ok := hp.GetMin(0, 3); !ok || v != 3 {
+	if v, ok := hp.GetMin(0); !ok || v != 3 {
 		t.Fatalf("GetMin = %d,%v", v, ok)
 	}
 	if hp.Len() != 2 {
@@ -88,7 +88,7 @@ func TestEmptyOps(t *testing.T) {
 	if _, ok := hp.DeleteMin(0, 1); ok {
 		t.Fatal("DeleteMin on empty")
 	}
-	if _, ok := hp.GetMin(0, 2); ok {
+	if _, ok := hp.GetMin(0); ok {
 		t.Fatal("GetMin on empty")
 	}
 }
@@ -256,7 +256,7 @@ func TestCrashPointSweepInsert(t *testing.T) {
 				if hp2.Len() != 4 {
 					t.Fatalf("crash@%d: len = %d, want 4", kk, hp2.Len())
 				}
-				if v, _ := hp2.GetMin(0, 5); v != 5 {
+				if v, _ := hp2.GetMin(0); v != 5 {
 					t.Fatalf("crash@%d: min = %d, want 5", kk, v)
 				}
 			}

@@ -190,6 +190,31 @@ func (a *Area) Invoke(tid, class int, op, a0, a1 uint64) uint64 {
 	return ret
 }
 
+// Read answers a read-only operation from class's last durable record
+// (core's Read). A read changes nothing and needs no detectability — a
+// crash-interrupted one is simply re-issued — so it draws no sequence number
+// and performs no store: the thread's record keeps describing its last update,
+// Recover never reports a read, and in a history the crash leaves it pending.
+// Only when the instance gives up validating against running writers (or its
+// object has no read face) is the operation recorded and announced like an
+// update, with a sequence number drawn now.
+func (a *Area) Read(tid, class int, op, a0, a1 uint64) uint64 {
+	h := a.hist
+	if h != nil {
+		h.Begin(tid, op, a0, a1)
+	}
+	ret, ok := a.insts[class].Read(tid, op, a0, a1)
+	if !ok {
+		seq := a.open(tid, class, op, a0, a1)
+		ret = a.insts[class].Invoke(tid, op, a0, a1, seq)
+		a.close(tid)
+	}
+	if h != nil {
+		h.End(tid, ret)
+	}
+	return ret
+}
+
 // InvokeVec runs ops as one recorded vectorized announcement on class's
 // instance (built with VecCap >= len(ops)) and fills rets[:len(ops)].
 func (a *Area) InvokeVec(tid, class int, ops []core.VecOp, rets []uint64) {

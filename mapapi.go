@@ -39,7 +39,13 @@ func (m *Map) Put(tid int, key, val uint64) (prev uint64, existed bool) {
 	return m.m.Put(tid, key, val)
 }
 
-// Get returns the value mapped to key.
+// Get returns the value mapped to key. It is a validated read of the key's
+// shard's last durable state: it announces nothing, records nothing and issues
+// no persistence instruction, sees every operation that returned before it was
+// called, and never returns state a crash could roll back (under Epoch it sees
+// the newest state, inside the epoch's loss window like any operation). A
+// crash-interrupted Get is simply re-issued; Recover does not report it.
+// SubmitGet still runs inside its vector's round.
 func (m *Map) Get(tid int, key uint64) (uint64, bool) { return m.m.Get(tid, key) }
 
 // Delete removes key, returning the removed value.
@@ -100,7 +106,9 @@ func (m *Map) Flush(tid int) { m.m.Flush(tid) }
 // Pending returns the number of staged, unflushed ops of tid.
 func (m *Map) Pending(tid int) int { return m.m.Pending(tid) }
 
-// Len returns the number of live keys (quiescent use only).
+// Len returns the number of live keys, summed over per-shard reads of the last
+// durable state: safe beside running operations, but not a snapshot across
+// shards.
 func (m *Map) Len() int { return m.m.Len() }
 
 // Range iterates all pairs (quiescent use only).

@@ -104,7 +104,7 @@ func TestProbeReachesEveryInstance(t *testing.T) {
 			// SetProbe replaces the per-shard view with the plain shared sinks.
 			p2, st2, spans2 := newProbe()
 			m.SetProbe(p2)
-			m.Get(0, 1)
+			m.Put(0, 1, 1) // an update: a Get announces nothing for a probe to see
 			check(t, st2, spans2, 1, publishes/keys)
 			check(t, st, spans, keys, publishes)
 		})

@@ -247,16 +247,21 @@ func (h *Heap) DeleteMin(tid int) (key uint64, ok bool) {
 	return orEmpty(h.sys.Invoke(tid, 0, OpDeleteMin, 0, 0))
 }
 
-// GetMin returns the smallest key without removing it.
+// GetMin returns the smallest key without removing it. It is a validated read
+// of the heap's last durable state: it announces nothing and issues no
+// persistence instruction, sees every operation that returned before it was
+// called, and never returns state a crash could roll back. A crash-interrupted
+// GetMin is simply re-issued; Recover does not report it.
 func (h *Heap) GetMin(tid int) (key uint64, ok bool) {
-	return orEmpty(h.sys.Invoke(tid, 0, OpGetMin, 0, 0))
+	return orEmpty(h.sys.Read(tid, 0, OpGetMin, 0, 0))
 }
 
 // Recover resolves what thread tid had in flight at the crash, as
 // Queue.Recover.
 func (h *Heap) Recover(tid int) []Resolved { return h.sys.Recover(tid) }
 
-// Len returns the number of keys (quiescent use only).
+// Len returns the number of keys in the last durable state; safe beside
+// running operations.
 func (h *Heap) Len() int { return h.h.Len() }
 
 // Keys returns the raw key array in heap order (quiescent use only).
