@@ -20,8 +20,10 @@ type Future = vecbatch.Future
 // program order — when a dequeue is submitted. Until its batch's Flush has
 // recorded it durably, a staged op is lost wholesale by a crash: pipelining
 // trades per-op commit for per-batch commit. A flushed batch is one
-// vectorized announcement under one system-area record, so Recover resolves
-// an interrupted one as a whole, one Resolved per op in submission order.
+// system-area record that carries its operations, announced as one vector,
+// so Recover resolves an interrupted one as a whole — from the record, not
+// the argument ring — one Resolved per op in submission order. (A Map's
+// flush is the same record with one group per shard: all or nothing too.)
 func (q *Queue) SubmitEnqueue(tid int, v uint64) Future {
 	if q.deqPipe.Pending(tid) > 0 {
 		q.deqPipe.Flush(tid)

@@ -10,8 +10,7 @@ import (
 	"pcomb/internal/core"
 	"pcomb/internal/hashmap"
 	"pcomb/internal/linearizability"
-	"pcomb/internal/queue"
-	"pcomb/internal/sysarea"
+	"pcomb/internal/pmem"
 )
 
 func TestBatchQueueAsyncRoundTrip(t *testing.T) {
@@ -147,12 +146,30 @@ func TestBatchMapAsync(t *testing.T) {
 	}
 }
 
-// interruptBatch publishes ops on vp and records the batch as in progress in
-// sys without performing it, emulating a crash after the commit point but
-// before (or during) the combiner's work.
-func interruptBatch(p core.Protocol, sa *sysarea.Area, tid, class int, ops []core.VecOp) uint64 {
-	p.(core.VecProtocol).PublishVec(tid, ops)
-	return sa.Begin(tid, class, sysarea.VecMark, uint64(len(ops)), 0)
+// crashIn runs stage-and-flush with a crash armed at the k-th persistence
+// event from now and finishes the crash under policy; it reports whether the
+// crash fired. Staging emits no persistence event and a flush writes its whole
+// system-area record before its first, so k = 1 lands in the batch's ring
+// publish with the record already open.
+func crashIn(sys *System, k int64, policy CrashPolicy, run func()) (crashed bool) {
+	h := sys.Heap()
+	h.SetCrashAtEvent(k)
+	defer h.SetCrashAtEvent(0)
+	func() {
+		defer func() {
+			if r := recover(); r != nil {
+				if _, ok := r.(pmem.CrashError); !ok {
+					panic(r)
+				}
+				crashed = true
+			}
+		}()
+		run()
+	}()
+	if crashed {
+		h.FinishCrash(policy, k)
+	}
+	return crashed
 }
 
 func TestBatchQueueCrashBeforePerform(t *testing.T) {
@@ -160,11 +177,14 @@ func TestBatchQueueCrashBeforePerform(t *testing.T) {
 	o := QueueOptions{VecCap: 4}
 	q := sys.NewQueue("q", 2, Blocking, o)
 	q.Enqueue(0, 1)
-	ops := []core.VecOp{
-		{Op: queue.OpEnq, A0: 10}, {Op: queue.OpEnq, A0: 11}, {Op: queue.OpEnq, A0: 12},
+	if !crashIn(sys, 1, DropUnfenced, func() {
+		for v := uint64(10); v <= 12; v++ {
+			q.SubmitEnqueue(0, v)
+		}
+		q.Flush(0)
+	}) {
+		t.Fatal("the flush did not crash")
 	}
-	interruptBatch(q.q.EnqProtocol(), q.sys, 0, 0, ops)
-	sys.Crash(DropUnfenced, 1)
 
 	q = sys.NewQueue("q", 2, Blocking, o)
 	out := q.Recover(0)
@@ -185,24 +205,34 @@ func TestBatchQueueCrashBeforePerform(t *testing.T) {
 }
 
 func TestBatchQueueCrashAfterPerform(t *testing.T) {
-	// Crash after the combiner applied the whole vector but before the
-	// in-progress record was cleared: recovery must report every result
-	// without re-applying any op.
-	sys := New(Options{CrashTesting: true, NoCost: true})
+	// Crash at every persistence event of a flush — the last ones after the
+	// combiner applied the whole vector, with the record still open: recovery
+	// must report every op and apply none of them twice.
 	o := QueueOptions{VecCap: 4}
-	q := sys.NewQueue("q", 1, WaitFree, o)
-	ops := []core.VecOp{{Op: queue.OpEnq, A0: 20}, {Op: queue.OpEnq, A0: 21}}
-	seq := interruptBatch(q.q.EnqProtocol(), q.sys, 0, 0, ops)
-	rets := make([]uint64, len(ops))
-	q.q.EnqProtocol().(core.VecProtocol).PerformVec(0, len(ops), seq, rets) // applied; the record never closes
-	sys.Crash(DropUnfenced, 1)
-
-	q = sys.NewQueue("q", 1, WaitFree, o)
-	if out := q.Recover(0); len(out) != 2 {
-		t.Fatalf("Recover = %v", out)
-	}
-	if got := q.Snapshot(); len(got) != 2 || got[0] != 20 || got[1] != 21 {
-		t.Fatalf("snapshot = %v, want [20 21] (no duplicates)", got)
+	crashes := 0
+	for k := int64(1); ; k++ {
+		for _, policy := range []CrashPolicy{DropUnfenced, ApplyAll} {
+			sys := New(Options{CrashTesting: true, NoCost: true})
+			q := sys.NewQueue("q", 1, WaitFree, o)
+			if !crashIn(sys, k, policy, func() {
+				q.SubmitEnqueue(0, 20)
+				q.SubmitEnqueue(0, 21)
+				q.Flush(0)
+			}) {
+				if crashes == 0 {
+					t.Fatal("the flush never crashed")
+				}
+				return
+			}
+			crashes++
+			q = sys.NewQueue("q", 1, WaitFree, o)
+			if out := q.Recover(0); len(out) != 2 {
+				t.Fatalf("event %d: Recover = %v", k, out)
+			}
+			if got := q.Snapshot(); len(got) != 2 || got[0] != 20 || got[1] != 21 {
+				t.Fatalf("event %d: snapshot = %v, want [20 21] (no duplicates)", k, got)
+			}
+		}
 	}
 }
 
@@ -212,9 +242,11 @@ func TestBatchScalarRecoverDelegates(t *testing.T) {
 	sys := New(Options{CrashTesting: true, NoCost: true})
 	o := StackOptions{VecCap: 4}
 	st := sys.NewStack("s", 1, Blocking, o)
-	ops := []core.VecOp{{Op: 1 /* push */, A0: 5}, {Op: 1, A0: 6}}
-	interruptBatch(st.s.Protocol(), st.sys, 0, 0, ops)
-	sys.Crash(DropUnfenced, 1)
+	crashIn(sys, 1, DropUnfenced, func() {
+		st.SubmitPush(0, 5)
+		st.SubmitPush(0, 6)
+		st.Flush(0)
+	})
 
 	st = sys.NewStack("s", 1, Blocking, o)
 	if out := st.Recover(0); len(out) != 2 || out[0].Op != OpPush || out[1].A0 != 6 {
@@ -247,9 +279,12 @@ func TestBatchObjectCrashRecoverBatch(t *testing.T) {
 	oo := ObjectOptions{VecCap: 4}
 	c := sys.NewObject("c", 1, WaitFree, counterObj{}, oo)
 	c.Invoke(0, 1, 5, 0)
-	ops := []core.VecOp{{Op: 1, A0: 7}, {Op: 1, A0: 8}, {Op: 1, A0: 9}}
-	interruptBatch(c.c, c.sys, 0, 0, ops)
-	sys.Crash(DropUnfenced, 1)
+	crashIn(sys, 1, DropUnfenced, func() {
+		for _, v := range []uint64{7, 8, 9} {
+			c.Submit(0, 1, v, 0)
+		}
+		c.Flush(0)
+	})
 
 	c = sys.NewObject("c", 1, WaitFree, counterObj{}, oo)
 	out := c.Recover(0)

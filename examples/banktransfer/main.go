@@ -121,10 +121,11 @@ func main() {
 
 	// The single-object ledger keeps every account inside one combining
 	// instance. The sharded fabric spreads the accounts over independent
-	// shards and makes each transfer a cross-shard transaction: two durable
-	// redo groups behind a single commit word. The same audit applies — the
-	// deltas of a transfer cancel, so the balances sum to zero mod 2^64 —
-	// and only an all-or-nothing recovery can keep it true across a crash.
+	// shards and makes each transfer a cross-shard transaction: one durable
+	// record carrying both shard groups behind a single commit point. The
+	// same audit applies — the deltas of a transfer cancel, so the balances
+	// sum to zero mod 2^64 — and only an all-or-nothing recovery can keep it
+	// true across a crash.
 	fmt.Println("== phase 3: cross-shard transfers on the sharded fabric")
 	fab := sys.NewShardedMap("fbank", threads, pcomb.WaitFree, pcomb.ShardedMapOptions{Fabric: 4})
 	runFabric := func() {
@@ -174,5 +175,5 @@ func main() {
 		fmt.Printf("FATAL: cross-shard transfer torn: balances sum to %d\n", sum)
 		os.Exit(1)
 	}
-	fmt.Println("ok: balances sum to zero — cross-shard transactions are atomic and durable")
+	fmt.Println("ok: balances sum to zero — cross-shard transactions are failure-atomic and durable")
 }

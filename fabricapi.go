@@ -8,8 +8,8 @@ import (
 
 // ShardedMap is the sharded combining fabric: N independent recoverable
 // combining shards behind a consistent-hash router, with hierarchical
-// combining and atomic cross-shard transactions (TransferAdd / PutAll / Txn).
-// Keys must be in [1, 2^64-3].
+// combining and cross-shard transactions (TransferAdd / PutAll / Txn) that
+// are failure-atomic, not isolated (see Txn). Keys must be in [1, 2^64-3].
 //
 // Compared to Map, ShardedMap adds the Fabric dimension. A thread posts its
 // request on its key's shard board and then tries to take the board's sweeper
@@ -36,12 +36,13 @@ type ShardedMapOptions struct {
 	// Flat disables hierarchical combining (no posting boards; threads
 	// invoke their key's shard directly) — the naive-split baseline.
 	Flat bool
-	// MaxLegs bounds a transaction's leg count (0 = 8, capped at VecCap).
-	// Part of the persistent layout.
+	// MaxLegs bounds a transaction's leg count (0 = 8, capped at VecCap, at
+	// least 2). Part of the persistent layout.
 	MaxLegs int
 	// Epoch switches the fabric to epoch-mode relaxed durability. The
-	// cross-shard atomicity guarantee is specified for strict mode;
-	// in epoch mode a transaction is atomic once its epoch durably closed.
+	// cross-shard failure-atomicity guarantee is specified for strict mode;
+	// in epoch mode a transaction is failure-atomic once its epoch durably
+	// closed.
 	Epoch bool
 	// EpochInterval is the background close cadence (Epoch mode).
 	EpochInterval time.Duration
@@ -96,27 +97,32 @@ func (m *ShardedMap) Delete(tid int, key uint64) (uint64, bool) { return m.f.Del
 // absent key, and returns the new value.
 func (m *ShardedMap) Add(tid int, key, delta uint64) uint64 { return m.f.Add(tid, key, delta) }
 
-// TransferAdd atomically moves amount from key `from` to key `to`; the sum
-// of all values (mod 2^64) is conserved across the transfer, crash included.
+// TransferAdd moves amount from key `from` to key `to` as one failure-atomic,
+// not isolated, transaction (see Txn); the sum of all values (mod 2^64) is
+// conserved across the transfer, crash included.
 func (m *ShardedMap) TransferAdd(tid int, from, to, amount uint64) (fromNew, toNew uint64) {
 	return m.f.TransferAdd(tid, from, to, amount)
 }
 
-// PutAll atomically maps every pair (Op fields are ignored), returning the
-// per-pair previous values.
+// PutAll maps every pair (Op fields are ignored) as one failure-atomic, not
+// isolated, transaction (see Txn), returning the per-pair previous values.
 func (m *ShardedMap) PutAll(tid int, pairs []TxnLeg) []uint64 { return m.f.PutAll(tid, pairs) }
 
-// Txn executes legs as one atomic multi-shard transaction (see TxnLeg);
-// results are per-leg, in leg order. Legs of different shards are not
-// mutually ordered — use commuting legs for cross-shard invariants.
+// Txn executes legs as one multi-shard transaction (see TxnLeg); results are
+// per-leg, in leg order. It is failure-atomic: a crash leaves all of it or
+// none of it. It is not isolated: the shard groups apply one after another,
+// and a concurrent reader can see one applied and the next not yet (ROADMAP,
+// "Cross-shard transactions are failure-atomic but not isolated"). Legs of
+// different shards are not mutually ordered — use commuting legs for
+// cross-shard invariants.
 func (m *ShardedMap) Txn(tid int, legs []TxnLeg) []uint64 { return m.f.Txn(tid, legs) }
 
 // Recover resolves what thread tid had in flight at the crash, exactly once:
 // an interrupted scalar operation is one Resolved, a committed cross-shard
 // transaction is replayed on every shard and reported as its legs (in the
-// order they were durably logged), and a transaction the crash hit before its
-// commit point is discarded wholesale and reports nothing. Call for every
-// tid after re-opening.
+// order its record holds them: shard group by shard group), and a transaction
+// the crash hit before its commit point is discarded wholesale and reports
+// nothing. Call for every tid after re-opening.
 func (m *ShardedMap) Recover(tid int) []Resolved { return m.f.Recover(tid) }
 
 // Close stops the epoch's background closer (strict mode runs no goroutine

@@ -410,7 +410,7 @@ func (c *comb) Invoke(tid int, op, a0, a1, seq uint64) uint64 {
 	// demonstrably competing AND observed rounds are still small relative to
 	// the thread count, and shrinks back otherwise, so an uncontended instance
 	// degenerates to the fixed wait — PWFcomb's seeded backoff, or a bare
-	// yield. (Spelled out here and in PerformVec rather than behind a helper or
+	// yield. (Spelled out here and in performVec rather than behind a helper or
 	// the rounds interface: every frame between an entry point and the yield
 	// costs a single-threaded Invoke some 30 ns.)
 	switch {

@@ -65,9 +65,9 @@ type Request struct {
 // the announcing thread's program order.
 func (r *Request) VecIndex() int { return r.vi }
 
-// VecOp is one operation of a vectorized announcement (see PublishVec /
-// PerformVec): up to VecCap of them are published in the announcing thread's
-// persistent argument ring and served with a single slot toggle.
+// VecOp is one operation of a vectorized announcement (see InvokeVec): up to
+// VecCap of them are published in the announcing thread's persistent argument
+// ring and served with a single slot toggle.
 type VecOp struct {
 	Op uint64
 	A0 uint64
@@ -143,29 +143,17 @@ type VecProtocol interface {
 	Protocol
 	// VecCap returns the instance's vector capacity (1 for scalar-only).
 	VecCap() int
-	// PublishVec writes ops into tid's persistent argument ring and makes
-	// them durable (pwb+pfence) without announcing. Callers that must order
-	// an external in-progress record between argument durability and the
-	// announcement (internal/sysarea does) use PublishVec + PerformVec;
-	// everyone else calls InvokeVec.
-	PublishVec(tid int, ops []VecOp)
-	// PerformVec announces the cnt ring operations published by PublishVec
-	// with one slot toggle, waits until a combiner has served the whole
-	// vector, and copies the per-op responses into rets[:cnt]. seq follows
-	// the same per-thread contract as Invoke (one number per announcement,
-	// not per op).
-	PerformVec(tid, cnt int, seq uint64, rets []uint64)
-	// InvokeVec is PublishVec followed by PerformVec.
+	// InvokeVec writes ops into tid's persistent argument ring, makes them
+	// durable (pwb+pfence), announces them with one slot toggle, waits until
+	// a combiner has served the whole vector, and copies the per-op responses
+	// into rets[:len(ops)]. seq follows the same per-thread contract as
+	// Invoke (one number per announcement, not per op).
 	InvokeVec(tid int, ops []VecOp, seq uint64, rets []uint64)
 	// RecoverVec is the recovery function for tid's interrupted vector: the
-	// caller re-supplies the original ops and seq (the ring itself may be
-	// torn if the crash hit mid-publish), and RecoverVec re-executes the
-	// vector or fetches its responses — never both.
+	// caller re-supplies the original ops and seq from its own durable copy
+	// (the ring is never trusted), and RecoverVec re-executes the vector or
+	// fetches its responses — never both.
 	RecoverVec(tid int, ops []VecOp, seq uint64, rets []uint64)
-	// VecArg reads entry i of tid's argument ring (recovery reporting: the
-	// ring is intact whenever an external record ordered after PublishVec
-	// says a vector was in flight).
-	VecArg(tid, i int) VecOp
 }
 
 // Env is the execution environment a combiner passes to the object while

@@ -6,13 +6,13 @@
 // deactivates the vector with one toggle — so the announce handshake, the
 // combining round, and the record persist all amortize over the vector.
 //
-// Durability ordering is the contract that makes recovery exact-once: the
-// arguments are durable (PublishVec fences) before the vector can be
-// announced, so any external in-progress record written between PublishVec
-// and PerformVec (as internal/sysarea does) implies an intact ring. Recovery
-// callers that kept their own copy of the arguments pass them to RecoverVec,
-// which republishes first — covering crashes that tore a half-written ring
-// before the announcement committed anywhere.
+// Recovery never reads the ring: the caller keeps its own durable copy of the
+// operations (internal/sysarea's record payload) and re-supplies them to
+// RecoverVec, which republishes the ring before re-announcing — so a ring torn
+// mid-publish, or one whose write-backs an epoch deferred and a crash dropped,
+// is simply overwritten. The ring's pwb+pfence in publishVec order the
+// arguments before the announcement for the combiners of the running process;
+// recovery no longer depends on them.
 package core
 
 import (
@@ -38,9 +38,9 @@ func (c *comb) checkVec(cnt int, rets []uint64) {
 	}
 }
 
-// PublishVec writes ops into tid's argument ring and makes them durable.
-// See VecProtocol.PublishVec for the ordering contract.
-func (c *comb) PublishVec(tid int, ops []VecOp) {
+// publishVec writes ops into tid's argument ring and makes them durable
+// (pwb+pfence) without announcing.
+func (c *comb) publishVec(tid int, ops []VecOp) {
 	c.checkVec(len(ops), nil)
 	var t0 int64
 	if c.spans != nil {
@@ -78,16 +78,10 @@ func (c *comb) announceVec(tid, cnt int, seq uint64) {
 	c.onReqWrite(tid, tid)
 }
 
-// VecArg reads entry i of tid's argument ring.
-func (c *comb) VecArg(tid, i int) VecOp {
-	b := c.vecBase(tid) + c.entWords*i
-	return VecOp{Op: c.vec.Load(b), A0: c.vec.Load(b + 1), A1: c.vec.Load(b + 2)}
-}
-
-// PerformVec announces the cnt ring operations published by PublishVec with
+// performVec announces the cnt ring operations published by publishVec with
 // one slot toggle, waits until a combiner's round has served the whole
 // vector, and copies the per-op responses into rets[:cnt].
-func (c *comb) PerformVec(tid, cnt int, seq uint64, rets []uint64) {
+func (c *comb) performVec(tid, cnt int, seq uint64, rets []uint64) {
 	if cnt <= 0 {
 		return
 	}
@@ -141,8 +135,8 @@ func (c *comb) InvokeVec(tid int, ops []VecOp, seq uint64, rets []uint64) {
 	if len(ops) == 0 {
 		return
 	}
-	c.PublishVec(tid, ops)
-	c.PerformVec(tid, len(ops), seq, rets)
+	c.publishVec(tid, ops)
+	c.performVec(tid, len(ops), seq, rets)
 }
 
 // RecoverVec resolves thread tid's interrupted vector after a crash: the
@@ -166,7 +160,7 @@ func (c *comb) RecoverVec(tid int, ops []VecOp, seq uint64, rets []uint64) {
 		c.collectRets(tid, cnt, rets)
 		return
 	}
-	c.PublishVec(tid, ops)
+	c.publishVec(tid, ops)
 	c.announceVec(tid, cnt, seq)
 	if c.recWord(c.deactOff+tid) != seq&1 {
 		c.p.perform(tid)

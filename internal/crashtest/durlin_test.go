@@ -120,6 +120,34 @@ func TestDurLinEnumerate(t *testing.T) {
 	}
 }
 
+// TestDurLinMapEpochWindow fuzzes the map variant the matrix leaves out —
+// epoch mode with the async flush window — under the durable-linearizability
+// checker: a window's ring publish is deferred into the open epoch, so a crash
+// can leave a stale ring under an open record, and recovery must take the
+// window's ops from the record, never from the ring.
+func TestDurLinMapEpochWindow(t *testing.T) {
+	for _, kind := range []pcomb.Kind{pcomb.Blocking, pcomb.WaitFree} {
+		sp := func() *Spec { return mapSpec(kind, pcomb.MapOptions{Epoch: true, VecCap: specVecCap}) }
+		t.Run(sp().Name, func(t *testing.T) {
+			cfg := Config{Threads: 3, Ops: 14, Rounds: 4, DurLin: true, DurLinMaxOps: 320}
+			recovered := 0
+			for cfg.Seed = 1; cfg.Seed <= 6; cfg.Seed++ {
+				rep, fail := Fuzz(specDriver(cfg.Threads, sp), cfg)
+				if fail != nil {
+					t.Fatalf("seed %d: %v (replay %s)", cfg.Seed, fail.Err, fail.Spec.Token())
+				}
+				if rep.HistChecked == 0 {
+					t.Fatalf("seed %d: every round's history check was skipped", cfg.Seed)
+				}
+				recovered += rep.Recovered
+			}
+			if recovered == 0 {
+				t.Fatal("no interrupted operation was ever recovered")
+			}
+		})
+	}
+}
+
 // TestMutationCheckerCatchesSabotagedRecovery is the checker's mutation
 // test: a seeded recovery bug (core.SetRecoverSabotage skips the
 // republish/re-announce/re-perform of Recover and hands back a stale return

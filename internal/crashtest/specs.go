@@ -310,7 +310,9 @@ func mapSpec(kind pcomb.Kind, o pcomb.MapOptions) *Spec {
 	}
 	if o.Epoch {
 		sp.Stamp = func() uint64 { return m.EpochClosed() }
-		sp.Ops = append(sp.Ops, OpDef{Weight: 1, Do: func(g *gen) { m.Sync() }})
+		// Staged, a sync commits the window so far first.
+		sp.Ops = append(sp.Ops, OpDef{Weight: 1, Do: func(g *gen) { m.Sync() },
+			Submit: func(g *gen) { m.Flush(g.tid); m.Sync() }})
 	}
 	return sp
 }
@@ -333,8 +335,8 @@ func (noFlush) Flush(int) {}
 // fabricSpec is the sharded combining fabric: scalar operations on per-thread
 // keys, TransferAdd between two accounts of a shared pool and PutAll over a
 // few of the thread's keys — cross-shard transactions a crash may catch
-// before the commit word (discarded whole), after it (replayed to completion
-// by Recover) or inside recovery. Whatever happens the accounts must sum to
+// before their record's commit point (discarded whole), after it (replayed to
+// completion by Recover) or inside recovery. Whatever happens the accounts must sum to
 // zero: transfers move opposite deltas, so only a torn one can break that.
 //
 // Every engine runs the hierarchical mode, the one users get: the board's

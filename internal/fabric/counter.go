@@ -38,7 +38,7 @@ func NewCounter(h *pmem.Heap, name string, n int, kind Kind, nsh int) *Counter {
 			c.shards = append(c.shards, core.NewPBCombWith(h, sname, n, obj, core.CombOpts{}))
 		}
 	}
-	c.sys = sysarea.New(h, name+"/fabcnt.sys", n, c.shards, nil)
+	c.sys = sysarea.New(h, name+"/fabcnt.sys", n, c.shards, nil, 0)
 	return c
 }
 

@@ -21,14 +21,13 @@
 // the board itself is volatile and needs no recovery.
 //
 // Cross-shard transactions: multi-key operations (TransferAdd, PutAll, or any
-// Txn leg list) group their legs by shard and run as a two-phase commit
-// anchored on a per-thread durable transaction record. Prepare writes the
-// legs, the participant groups, and each group's sequence number; the commit
-// point is one word (the marked group count); after it, each group is applied
-// as a vectorized announcement on its shard. Recovery replays every group —
-// the per-leg deactivate parities make replay idempotent — or discards the
-// whole transaction if the crash hit before the commit word, so the
-// transaction is atomic across shards.
+// Txn leg list) are one commit of the fabric's system area, the same record a
+// map's flush window uses: the legs, grouped by shard, and each group's
+// sequence number are recorded before the record's one-word commit point, and
+// after it each group is applied as a vectorized announcement on its shard.
+// Recovery replays every group — the per-leg deactivate parities make replay
+// idempotent — or finds nothing if the crash hit before the commit point, so
+// a transaction is failure-atomic across shards. It is not isolated: see Txn.
 package fabric
 
 import (
@@ -83,14 +82,14 @@ type Options struct {
 	// invoke their key's shard directly. This is the naive-split baseline
 	// the hierarchical mode is measured against.
 	Flat bool
-	// MaxLegs bounds a transaction's leg count (0 = 8, capped at VecCap).
-	// Part of the persistent layout.
+	// MaxLegs bounds a transaction's leg count (0 = 8, capped at VecCap, at
+	// least 2). Part of the persistent layout.
 	MaxLegs int
 	// Epoch switches all shards to epoch-mode relaxed durability (one shared
 	// epoch; a crash may lose the last open epoch's operations). The
 	// cross-shard transaction recovery guarantee is specified for strict
-	// mode; in epoch mode a transaction is atomic only once its epoch has
-	// durably closed.
+	// mode; in epoch mode a transaction is failure-atomic only once its epoch
+	// has durably closed.
 	Epoch bool
 	// EpochInterval is the background close cadence (Epoch mode).
 	EpochInterval time.Duration
@@ -134,30 +133,24 @@ type board struct {
 }
 
 // Map is a sharded recoverable hash map with hierarchical combining and
-// cross-shard atomic transactions.
+// failure-atomic cross-shard transactions.
 type Map struct {
 	h    *pmem.Heap
 	name string
 
-	n       int // client threads; shard instances are built for n+1 (tid n = the board's sweeper)
-	nsh     int
-	slots   int
-	vcap    int
-	maxLegs int
-	maxGrps int
-	flat    bool
+	n     int // client threads; shard instances are built for n+1 (tid n = the board's sweeper)
+	nsh   int
+	slots int
+	vcap  int
+	flat  bool
 
 	shards []core.DelegateProtocol
 
-	// sys is the fabric's system area (one sequence-counter class per shard);
-	// txn is the per-thread transaction redo log beside it (txn.go).
-	sys      *sysarea.Area
-	txn      *pmem.Region
-	txStride int
-	legOff   int // legs offset within a thread's txn record
+	// sys is the fabric's system area: one sequence-counter class per shard,
+	// and the record every operation and transaction commits through.
+	sys *sysarea.Area
 
 	boards []board
-	txs    []txnScratch
 
 	epoch *pmem.Epoch
 }
@@ -185,27 +178,16 @@ func New(h *pmem.Heap, name string, n int, o Options) *Map {
 	if maxLegs <= 0 {
 		maxLegs = 8
 	}
-	if maxLegs > vcap {
-		maxLegs = vcap
-	}
+	maxLegs = max(min(maxLegs, vcap), 2)
 	m := &Map{
-		h:       h,
-		name:    name,
-		n:       n,
-		nsh:     nsh,
-		slots:   (capacity + nsh - 1) / nsh,
-		vcap:    vcap,
-		maxLegs: maxLegs,
-		flat:    o.Flat,
+		h:     h,
+		name:  name,
+		n:     n,
+		nsh:   nsh,
+		slots: (capacity + nsh - 1) / nsh,
+		vcap:  vcap,
+		flat:  o.Flat,
 	}
-	m.maxGrps = nsh
-	if m.maxGrps > maxLegs {
-		m.maxGrps = maxLegs
-	}
-	m.legOff = txHdrWords + 3*m.maxGrps
-	// Whole cache lines per thread, so neighbours' logs never share one.
-	m.txStride = pmem.RoundUpLine(m.legOff + 3*m.maxLegs)
-	m.txn = h.AllocOrGet(name+"/fabric.txn", n*m.txStride)
 
 	obj := hashmap.NewShardObject(m.slots)
 	co := core.CombOpts{Sparse: true, VecCap: vcap, Delegate: true}
@@ -229,16 +211,8 @@ func New(h *pmem.Heap, name string, n int, o Options) *Map {
 	for s, sh := range m.shards {
 		protos[s] = sh
 	}
-	m.sys = sysarea.New(h, name+"/fabric.sys", n, protos, m.epoch)
-	m.txs = make([]txnScratch, n)
-	for t := range m.txs {
-		m.txs[t] = txnScratch{
-			grps: make([]txnGroup, 0, m.maxGrps),
-			pos:  make([]int, maxLegs),
-			ops:  make([]core.VecOp, maxLegs),
-			rets: make([]uint64, maxLegs),
-		}
-	}
+	// A transaction is a commit of up to maxLegs operations.
+	m.sys = sysarea.New(h, name+"/fabric.sys", n, protos, m.epoch, maxLegs)
 	if !m.flat {
 		m.boards = make([]board, nsh)
 		for s := range m.boards {
@@ -496,18 +470,12 @@ func (m *Map) Add(tid int, key, delta uint64) uint64 {
 }
 
 // Recover resolves what thread tid had in flight at the crash — exactly
-// once — and repairs tid's sequence counters: a committed cross-shard
-// transaction is replayed and reported as its legs, in durable (group) order;
-// otherwise the interrupted scalar operation, if any, is re-run or fetched
-// (sysarea.Area.Recover). A transaction the crash hit before its commit word
-// is discarded wholesale and reports nothing. Call for every tid in [0, n)
-// after re-opening.
-func (m *Map) Recover(tid int) []sysarea.Resolved {
-	if legs, ok := m.recoverTxn(tid); ok {
-		return m.sys.Recorded(tid, legs)
-	}
-	return m.sys.Recover(tid)
-}
+// once — and repairs tid's sequence counters (sysarea.Area.Recover): an
+// interrupted scalar operation is re-run or fetched, a committed cross-shard
+// transaction is replayed and reported as its legs, in durable (group) order.
+// A transaction the crash hit before its commit point is discarded wholesale
+// and reports nothing. Call for every tid in [0, n) after re-opening.
+func (m *Map) Recover(tid int) []sysarea.Resolved { return m.sys.Recover(tid) }
 
 // Len returns the number of live keys: each shard's count is a validated read
 // of its last durable record, safe beside running operations; the sum is not

@@ -44,7 +44,7 @@ func NewQueue(h *pmem.Heap, name string, n int, kind queue.Kind, nsh int, opt qu
 		q.shards = append(q.shards, sh)
 		insts[s], insts[nsh+s] = sh.EnqProtocol(), sh.DeqProtocol()
 	}
-	q.sys = sysarea.New(h, name+"/fabq.sys", n, insts, nil)
+	q.sys = sysarea.New(h, name+"/fabq.sys", n, insts, nil, 0)
 	q.cursor = make([]paddedInt, n)
 	for i := range q.cursor {
 		q.cursor[i].v = i % nsh // stagger starting shards across threads

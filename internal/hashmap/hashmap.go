@@ -200,14 +200,8 @@ type Map struct {
 	// persisted out of band as the paper's system model prescribes.
 	sys *sysarea.Area
 
-	// pipe stages Submit-ed operations (nil unless built with VecCap > 1);
-	// taken, tmp, group and idxs are per-thread scratch for the per-shard
-	// grouping in flushBatch, each VecCap long.
-	pipe  *vecbatch.Pipe
-	taken [][]bool
-	tmp   [][]uint64
-	group [][]core.VecOp
-	idxs  [][]int
+	// pipe stages Submit-ed operations (nil unless built with VecCap > 1).
+	pipe *vecbatch.Pipe
 
 	epoch *pmem.Epoch // non-nil in epoch-mode relaxed durability
 }
@@ -220,9 +214,9 @@ type Options struct {
 	Capacity int
 	// Dense disables sparse (dirty-line) copy and persistence.
 	Dense bool
-	// VecCap enables the async Submit/Flush path with vectors of up to
-	// VecCap operations per shard sub-batch (0 or 1 = scalar only). Part of
-	// the persistent layout — re-open with the same value.
+	// VecCap enables the async Submit/Flush path with windows of up to
+	// VecCap operations (0 or 1 = scalar only). Part of the persistent
+	// layout — re-open with the same value.
 	VecCap int
 	// Epoch switches the map to epoch-mode relaxed durability: shard rounds
 	// apply and return volatile-fast, one shared epoch closer persists them
@@ -273,17 +267,7 @@ func NewWith(h *pmem.Heap, name string, n int, kind Kind, o Options) *Map {
 		}
 	}
 	if o.VecCap > 1 {
-		m.pipe = vecbatch.New(n, o.VecCap, m.flushBatch)
-		m.taken = make([][]bool, n)
-		m.tmp = make([][]uint64, n)
-		m.group = make([][]core.VecOp, n)
-		m.idxs = make([][]int, n)
-		for i := range m.taken {
-			m.taken[i] = make([]bool, o.VecCap)
-			m.tmp[i] = make([]uint64, o.VecCap)
-			m.group[i] = make([]core.VecOp, 0, o.VecCap)
-			m.idxs[i] = make([]int, 0, o.VecCap)
-		}
+		m.pipe = vecbatch.New(n, o.VecCap, m.commit)
 	}
 	if o.Epoch {
 		// Attach after construction so shard boot persistence stays strict;
@@ -294,7 +278,7 @@ func NewWith(h *pmem.Heap, name string, n int, kind Kind, o Options) *Map {
 			sh.(core.EpochCapable).AttachEpoch(m.epoch)
 		}
 	}
-	m.sys = sysarea.New(h, name+"/hashmap.sys", n, m.shards, m.epoch)
+	m.sys = sysarea.New(h, name+"/hashmap.sys", n, m.shards, m.epoch, o.VecCap)
 	return m
 }
 
@@ -402,15 +386,15 @@ func (m *Map) Add(tid int, key, delta uint64) uint64 {
 }
 
 // Recover resolves what thread tid had in flight at the crash — a scalar
-// operation or one shard group of a Flush — exactly once, and reports each
-// operation with its response (sysarea.Area.Recover has the contract,
-// epoch-mode ambiguity included). Call it for every thread after re-opening;
-// under an epoch, Sync() afterwards before trusting the recovered state
-// durable.
+// operation or a whole Flush window, every shard group of it — exactly once,
+// and reports each operation with its response (sysarea.Area.Recover has the
+// contract, epoch-mode ambiguity included). Call it for every thread after
+// re-opening; under an epoch, Sync() afterwards before trusting the recovered
+// state durable.
 //
 // Commit-point caveat: Submit-ed operations whose Flush had not yet recorded
-// their shard group durably are lost wholesale by a crash and are NOT
-// reported here — the async API's documented contract.
+// them durably are lost wholesale by a crash and are NOT reported here — the
+// async API's documented contract.
 func (m *Map) Recover(tid int) []sysarea.Resolved { return m.sys.Recover(tid) }
 
 // SubmitPut stages a Put for the async pipelined path (requires VecCap > 1);
@@ -436,11 +420,10 @@ func (m *Map) SubmitAdd(tid int, key, delta uint64) vecbatch.Future {
 	return m.pipe.Submit(tid, core.VecOp{Op: OpAdd, A0: key, A1: delta})
 }
 
-// Flush commits tid's staged operations. Ops are grouped by shard and each
-// group announced as one vector; groups commit one at a time through the
-// system area, so a crash can interrupt at most one sub-batch (resolved by
-// Recover) — later groups of the same Flush are lost wholesale, earlier
-// ones are durable.
+// Flush commits tid's staged operations as one system-area record: ops are
+// grouped by shard and each group announced as one vector, and the window is
+// all-or-nothing — a crash before the record's commit point loses it whole,
+// one after it has Recover complete every group.
 func (m *Map) Flush(tid int) { m.pipe.Flush(tid) }
 
 // Pending returns the number of staged, unflushed ops of tid.
@@ -450,37 +433,15 @@ func (m *Map) Pending(tid int) int { return m.pipe.Pending(tid) }
 // disabled).
 func (m *Map) VecCap() int { return m.pipe.Cap() }
 
-// flushBatch commits one staged vector: ops are grouped by shard in
-// first-appearance order (within a shard, submission order is preserved —
-// the intra-thread reordering across shards is unobservable, as the ops
-// commute) and each group runs as one vectorized announcement.
-func (m *Map) flushBatch(tid int, ops []core.VecOp, rets []uint64) {
-	taken, group, idxs := m.taken[tid], m.group[tid], m.idxs[tid]
-	for i := range ops {
-		if taken[i] {
-			continue
-		}
-		sh := m.shardOf(ops[i].A0)
-		group, idxs = group[:0], idxs[:0]
-		for j := i; j < len(ops); j++ {
-			if !taken[j] && m.shardOf(ops[j].A0) == sh {
-				taken[j] = true
-				group = append(group, ops[j])
-				idxs = append(idxs, j)
-			}
-		}
-		// A crash mid-group leaves exactly this group's record open; later
-		// groups were never begun (lost wholesale per the async contract).
-		tmp := m.tmp[tid][:len(group)]
-		m.sys.InvokeVec(tid, sh, group, tmp)
-		for k, j := range idxs {
-			rets[j] = tmp[k]
-		}
-	}
-	for i := range ops {
-		taken[i] = false
-	}
+// commit is the pipe's commit function: one staged window, grouped by shard
+// (submission order kept within a shard — the intra-thread reordering across
+// shards is unobservable, as the ops commute) under one system-area record.
+func (m *Map) commit(tid int, ops []core.VecOp, rets []uint64) {
+	m.sys.InvokeGrouped(tid, ops, rets, m.classOf)
 }
+
+// classOf is the system-area class — the shard — of a staged op.
+func (m *Map) classOf(o core.VecOp) int { return m.shardOf(o.A0) }
 
 // Len returns the number of live keys: each shard's count is a validated read
 // of its last durable record, safe beside running operations; the sum is not

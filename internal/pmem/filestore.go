@@ -86,8 +86,11 @@ const (
 	// fileVersion covers the layout of everything the structures keep in the
 	// file, not only the header: 2 = the system areas of internal/sysarea
 	// (line-rounded per-thread blocks, the fabric's redo log in a region of
-	// its own). A file of another version is refused, never reinterpreted.
-	fileVersion    = 2
+	// its own); 3 = one record per commit, whose group table and payload
+	// carry a vector's, a flush window's and a transaction's operations (no
+	// redo-log region). A file of another version is refused, never
+	// reinterpreted.
+	fileVersion    = 3
 	fileSlotA      = 8  // header slot A word offset
 	fileSlotB      = 16 // header slot B word offset
 	fileCatStart   = 64

@@ -162,33 +162,36 @@ func corruptByteOnDisk(t *testing.T, path string, off int64) {
 	}
 }
 
-// TestFileOldVersionRefused: a file whose header carries version 1 — the
-// layout before the shared system area — must be refused with ErrBadFile,
-// not attached and misread.
+// TestFileOldVersionRefused: a file whose header carries an older version —
+// 1, the layout before the shared system area; 2, the one with the fabric's
+// separate redo log and ring-backed vector records — must be refused with
+// ErrBadFile, not attached and misread.
 func TestFileOldVersionRefused(t *testing.T) {
-	path := tmpHeapPath(t)
-	h, _, err := OpenFile(path, FileOpts{Cfg: Config{NoCost: true}})
-	if err != nil {
-		t.Fatalf("OpenFile: %v", err)
-	}
-	h.Alloc("v/r", LineWords)
-	if err := h.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
-	}
-	f, err := os.OpenFile(path, os.O_RDWR, 0)
-	if err != nil {
-		t.Fatalf("open header: %v", err)
-	}
-	var v1 [8]byte
-	binary.LittleEndian.PutUint64(v1[:], 1)
-	if _, err := f.WriteAt(v1[:], 8); err != nil { // header word 1
-		t.Fatalf("write version: %v", err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatalf("close header: %v", err)
-	}
-	if _, _, err := OpenFile(path, FileOpts{Cfg: Config{NoCost: true}}); !errors.Is(err, ErrBadFile) {
-		t.Fatalf("err = %v, want ErrBadFile", err)
+	for _, old := range []uint64{1, 2} {
+		path := tmpHeapPath(t)
+		h, _, err := OpenFile(path, FileOpts{Cfg: Config{NoCost: true}})
+		if err != nil {
+			t.Fatalf("OpenFile: %v", err)
+		}
+		h.Alloc("v/r", LineWords)
+		if err := h.Close(); err != nil {
+			t.Fatalf("Close: %v", err)
+		}
+		f, err := os.OpenFile(path, os.O_RDWR, 0)
+		if err != nil {
+			t.Fatalf("open header: %v", err)
+		}
+		var v [8]byte
+		binary.LittleEndian.PutUint64(v[:], old)
+		if _, err := f.WriteAt(v[:], 8); err != nil { // header word 1
+			t.Fatalf("write version: %v", err)
+		}
+		if err := f.Close(); err != nil {
+			t.Fatalf("close header: %v", err)
+		}
+		if _, _, err := OpenFile(path, FileOpts{Cfg: Config{NoCost: true}}); !errors.Is(err, ErrBadFile) {
+			t.Fatalf("version %d: err = %v, want ErrBadFile", old, err)
+		}
 	}
 }
 

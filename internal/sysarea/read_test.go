@@ -76,7 +76,7 @@ func TestReadStoresNothingUntilItMustAnnounce(t *testing.T) {
 			} else {
 				inst = core.NewPBComb(h, "w", 2, word{&storm})
 			}
-			area := sysarea.New(h, "w/sys", 2, []core.Protocol{inst}, nil)
+			area := sysarea.New(h, "w/sys", 2, []core.Protocol{inst}, nil, 0)
 			rec := history.New(2)
 			area.SetHistory(rec)
 			area.Invoke(0, 0, opBump, 5, 0)

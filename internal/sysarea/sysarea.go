@@ -1,36 +1,45 @@
 // Package sysarea is the system support the paper assumes for detectable
 // recoverability and every structure in this repository shares: for each
 // thread, a durable sequence counter per combining instance (class) and one
-// durable record of the operation in progress, plus the single routine that
-// resolves an interrupted operation after a crash.
+// durable record of the commit in progress, plus the single routine that
+// resolves an interrupted commit after a crash.
 //
 // Stores bypass the instruction pipeline (DirectStore): this state is
 // persisted by the system, not by the algorithm, and its cost is deliberately
 // not charged to the algorithms — matching the paper's experimental setup,
 // where seq is an input.
 //
-// Per-thread layout (stride words, a whole number of cache lines):
+// Per-thread layout (stride words, a whole number of cache lines), for K
+// classes and a payload of P operations (0 on a structure that commits one
+// operation at a time):
 //
 //	[0,K)  seq    — one sequence counter per class
-//	K+0    op     — operation code in progress (VecMark: a vector)
-//	K+1    a0     — first argument (vector: its length)
+//	K+0    op     — operation code in progress (vecMark|groups: a multi-op commit)
+//	K+1    a0     — first argument
 //	K+2    a1     — second argument
 //	K+3    class  — combining instance the op runs on
 //	K+4    seq    — sequence number passed to the op
 //	K+5    done   — 1 once the response was delivered
+//	K+6    groups — (class, seq, cnt) per participating class, min(K, P) of them
+//	…      payload — (op, a0, a1) x P, the commit's operations group by group
 //
-// Store order (beginStores): arguments, class, seq, then op, then done=0, and
-// the class counter LAST. Every prefix of that sequence reads correctly: up
-// to done=0 the record is closed (or, on a fresh area, op is still 0) and the
-// counter has not moved, so the operation simply never started; from done=0
-// on the record is open and complete, and Recover rolls the counter forward
-// from it. The counter can therefore never run ahead of a record recovery
-// cannot see — the state in which the next operation would draw a sequence
-// number whose parity matches the durable deactivate bit and be silently
-// dropped as "already applied".
+// A scalar operation fills the words K+1..K+4; a multi-op commit — a vector,
+// a map's flush window, a cross-shard transaction — fills the group table and
+// the payload. Both store everything the record describes first, then op,
+// then done=0 (the commit point), and every participating class counter LAST
+// (beginStores, commitStores). Every prefix of either sequence reads
+// correctly: up to done=0 the record is closed (or, on a fresh area, op is
+// still 0) and no counter has moved, so the commit simply never started; from
+// done=0 on the record is open and complete, and Recover rolls the counters
+// forward from it. A counter can therefore never run ahead of a record
+// recovery cannot see — the state in which the next operation would draw a
+// sequence number whose parity matches the durable deactivate bit and be
+// silently dropped as "already applied".
 package sysarea
 
 import (
+	"fmt"
+
 	"pcomb/internal/core"
 	"pcomb/internal/history"
 	"pcomb/internal/pmem"
@@ -50,12 +59,10 @@ type Log interface {
 	SetEpochClock(clock func() uint64)
 }
 
-// VecMark in the op word flags the record as a vectorized announcement: a0
-// holds the vector length and the operations live in the instance's
-// persistent argument ring, durable before the record was written. Scalar op
-// codes must therefore stay below 2^63 (and above 0, which reads as "no
-// record").
-const VecMark = uint64(1) << 63
+// vecMark in the op word flags a multi-op commit; the low bits carry its group
+// count. Scalar op codes must therefore stay below 2^63 (and above 0, which
+// reads as "no record").
+const vecMark = uint64(1) << 63
 
 // Record words, after the K class counters.
 const (
@@ -82,21 +89,68 @@ type Resolved struct {
 
 // Area is one structure's system area.
 type Area struct {
-	r      *pmem.Region
-	k      int
-	stride int
-	insts  []core.Protocol // class -> combining instance
-	epoch  *pmem.Epoch     // non-nil under epoch-mode relaxed durability
-	hist   Log             // optional durable-linearizability log
+	r       *pmem.Region
+	k       int
+	stride  int
+	grpOff  int             // group table offset within a thread's block
+	payOff  int             // payload offset within a thread's block
+	payload int             // operations one multi-op commit may carry
+	insts   []core.Protocol // class -> combining instance
+	epoch   *pmem.Epoch     // non-nil under epoch-mode relaxed durability
+	hist    Log             // optional durable-linearizability log
+	scratch []scratch       // per thread, when payload > 0
+}
+
+// group is one class's share of a multi-op commit: ops[off:off+cnt] of the
+// thread's scratch, announced as one vector under sequence number seq.
+type group struct {
+	class    int
+	seq      uint64
+	off, cnt int
+}
+
+// scratch is one thread's commit working set, sized in New from the payload
+// so that a commit allocates nothing, and padded so neighbouring threads'
+// slice headers never share a cache line.
+type scratch struct {
+	grps   []group      // participating classes, in first-appearance order
+	pos    []int        // op i's group while grouping, then its index in ops
+	ops    []core.VecOp // the operations in durable order: group by group
+	rets   []uint64     // their results, in the same order
+	stores []store      // the record's store sequence (commitStores)
+	_      [8]byte
 }
 
 // New creates — or re-attaches after a crash — the system area named name
 // for n threads over the combining instances insts (one class each). epoch is
-// the structure's epoch state, nil in strict mode.
-func New(h *pmem.Heap, name string, n int, insts []core.Protocol, epoch *pmem.Epoch) *Area {
+// the structure's epoch state, nil in strict mode. payload is the most
+// operations one multi-op commit may carry — the structure's VecCap, the
+// fabric's MaxLegs; below 2 the structure commits one operation at a time and
+// its record has no payload. Part of the persistent layout: re-attach with
+// the same value.
+func New(h *pmem.Heap, name string, n int, insts []core.Protocol, epoch *pmem.Epoch, payload int) *Area {
 	k := len(insts)
-	stride := pmem.RoundUpLine(k + recWords)
-	return &Area{r: h.AllocOrGet(name, n*stride), k: k, stride: stride, insts: insts, epoch: epoch}
+	if payload < 2 {
+		payload = 0
+	}
+	grps := min(k, payload)
+	a := &Area{k: k, grpOff: k + recWords, payload: payload, insts: insts, epoch: epoch}
+	a.payOff = a.grpOff + 3*grps
+	a.stride = pmem.RoundUpLine(a.payOff + 3*payload)
+	a.r = h.AllocOrGet(name, n*a.stride)
+	if payload > 0 {
+		a.scratch = make([]scratch, n)
+		for t := range a.scratch {
+			a.scratch[t] = scratch{
+				grps:   make([]group, 0, grps),
+				pos:    make([]int, payload),
+				ops:    make([]core.VecOp, payload),
+				rets:   make([]uint64, payload),
+				stores: make([]store, 0, 3*payload+4*grps+2),
+			}
+		}
+	}
+	return a
 }
 
 // SetHistory installs (or, with nil, removes) an operation log on the
@@ -114,17 +168,12 @@ func (a *Area) SetHistory(h Log) {
 	a.hist = h
 }
 
-// History returns the installed log (nil when none); the fabric's
-// transactions record their legs through it.
-func (a *Area) History() Log { return a.hist }
+// counter returns tid's sequence counter of class.
+func (a *Area) counter(tid, class int) uint64 { return a.r.Load(tid*a.stride + class) }
 
-// Seq returns tid's sequence counter of class.
-func (a *Area) Seq(tid, class int) uint64 { return a.r.Load(tid*a.stride + class) }
-
-// RollSeq moves tid's class counter forward to seq (never backwards): the
-// repair for a crash between a durable record and its counter store, used
-// here for the in-progress record and by the fabric for its redo log.
-func (a *Area) RollSeq(tid, class int, seq uint64) {
+// rollSeq moves tid's class counter forward to seq (never backwards): the
+// repair for a crash between a durable record and its counter stores.
+func (a *Area) rollSeq(tid, class int, seq uint64) {
 	if i := tid*a.stride + class; a.r.Load(i) < seq {
 		a.r.DirectStore(i, seq)
 	}
@@ -135,8 +184,8 @@ type store struct {
 	v uint64
 }
 
-// beginStores is the ordered store sequence that opens tid's record (see the
-// package comment for why this order).
+// beginStores is the ordered store sequence that opens tid's record for one
+// scalar operation (see the package comment for why this order).
 func (a *Area) beginStores(tid, class int, op, a0, a1, seq uint64) [7]store {
 	b := tid * a.stride
 	rec := b + a.k
@@ -152,7 +201,7 @@ func (a *Area) beginStores(tid, class int, op, a0, a1, seq uint64) [7]store {
 }
 
 func (a *Area) open(tid, class int, op, a0, a1 uint64) uint64 {
-	seq := a.Seq(tid, class) + 1
+	seq := a.counter(tid, class) + 1
 	for _, s := range a.beginStores(tid, class, op, a0, a1, seq) {
 		a.r.DirectStore(s.i, s.v)
 	}
@@ -160,6 +209,67 @@ func (a *Area) open(tid, class int, op, a0, a1 uint64) uint64 {
 }
 
 func (a *Area) close(tid int) { a.r.DirectStore(tid*a.stride+a.k+recDone, 1) }
+
+// group lays ops out in tid's scratch by class in first-appearance order,
+// preserving program order within a class — count each group, place the
+// groups back to back, then drop every op into its group's next free place —
+// and returns the groups, each with the sequence number it will run under.
+func (a *Area) group(tid int, ops []core.VecOp, classOf func(core.VecOp) int) []group {
+	// Reject before the scratch is touched.
+	if len(ops) > a.payload {
+		panic(fmt.Sprintf("sysarea: %d operations exceed the record's payload of %d", len(ops), a.payload))
+	}
+	x := &a.scratch[tid]
+	grps := x.grps[:0]
+	for i, o := range ops {
+		c := classOf(o)
+		g := 0
+		for g < len(grps) && grps[g].class != c {
+			g++
+		}
+		if g == len(grps) {
+			grps = append(grps, group{class: c, seq: a.counter(tid, c) + 1})
+		}
+		grps[g].cnt++
+		x.pos[i] = g
+	}
+	off := 0
+	for g := range grps {
+		grps[g].off = off
+		off += grps[g].cnt
+		grps[g].cnt = 0 // counted up again as the ops are placed
+	}
+	for i, o := range ops {
+		g := &grps[x.pos[i]]
+		x.pos[i] = g.off + g.cnt
+		x.ops[x.pos[i]] = o
+		g.cnt++
+	}
+	return grps
+}
+
+// commitStores is the ordered store sequence, built in tid's scratch, that
+// opens tid's record for the multi-op commit grps over ops (laid out by
+// group): the payload and the group table, then op, then done=0, then every
+// group's class counter (see the package comment for why this order).
+func (a *Area) commitStores(tid int, grps []group, ops []core.VecOp) []store {
+	b := tid * a.stride
+	st := a.scratch[tid].stores[:0]
+	p := b + a.payOff
+	for _, o := range ops {
+		st = append(st, store{p, o.Op}, store{p + 1, o.A0}, store{p + 2, o.A1})
+		p += 3
+	}
+	for gi, g := range grps {
+		gb := b + a.grpOff + 3*gi
+		st = append(st, store{gb, uint64(g.class)}, store{gb + 1, g.seq}, store{gb + 2, uint64(g.cnt)})
+	}
+	st = append(st, store{b + a.k + recOp, vecMark | uint64(len(grps))}, store{b + a.k + recDone, 0})
+	for _, g := range grps {
+		st = append(st, store{b + g.class, g.seq})
+	}
+	return st
+}
 
 // Begin durably records that tid is about to run op on class and returns the
 // sequence number to run it with. Callers that reach the instance through
@@ -215,35 +325,64 @@ func (a *Area) Read(tid, class int, op, a0, a1 uint64) uint64 {
 	return ret
 }
 
-// InvokeVec runs ops as one recorded vectorized announcement on class's
-// instance (built with VecCap >= len(ops)) and fills rets[:len(ops)].
-func (a *Area) InvokeVec(tid, class int, ops []core.VecOp, rets []uint64) {
-	vp := a.insts[class].(core.VecProtocol)
+// InvokeGrouped runs ops as one failure-atomic commit and writes op i's
+// response to rets[i]; it keeps neither slice and allocates nothing.
+// classOf names each op's class: the ops are grouped by class in
+// first-appearance order (program order within a class), recorded together
+// with their groups in tid's record, and each group then runs as one
+// vectorized announcement on its class's instance (built with VecCap at least
+// its group's size). A crash before the record's commit point drops the whole
+// commit; from it on, Recover completes every group — so the commit is all or
+// nothing. It is not isolated: another thread can observe one group applied
+// and the next not yet.
+//
+// len(ops) must be at most the area's payload. The groups of different
+// classes are not mutually ordered: use ops that commute across classes.
+func (a *Area) InvokeGrouped(tid int, ops []core.VecOp, rets []uint64, classOf func(core.VecOp) int) {
+	if len(ops) == 0 {
+		return
+	}
+	grps := a.group(tid, ops, classOf)
+	x := &a.scratch[tid]
+	gops, grets := x.ops[:len(ops)], x.rets[:len(ops)]
 	h := a.hist
 	if h != nil {
-		// One invocation per op, in ring order, before the vector's first
-		// persistence event: a crash mid-vector leaves exactly these pending.
-		for _, o := range ops {
+		// One invocation per op, in GROUP order — the order the ops are
+		// durably laid out and recovery resolves them in — before the
+		// commit's first durable store: a crash anywhere inside leaves
+		// exactly these pending.
+		for _, o := range gops {
 			h.Begin(tid, o.Op, o.A0, o.A1)
 		}
 	}
-	// Ring first, then the record: recovery may trust the ring only because
-	// the record is ordered after the ring's pfence.
-	vp.PublishVec(tid, ops)
-	seq := a.open(tid, class, VecMark, uint64(len(ops)), 0)
-	vp.PerformVec(tid, len(ops), seq, rets)
+	for _, s := range a.commitStores(tid, grps, gops) {
+		a.r.DirectStore(s.i, s.v)
+	}
+	// Each group's ring is published inside its InvokeVec, after the record:
+	// recovery re-supplies the ops from the payload and never reads a ring.
+	for _, g := range grps {
+		a.insts[g.class].(core.VecProtocol).InvokeVec(tid, gops[g.off:g.off+g.cnt], g.seq, grets[g.off:g.off+g.cnt])
+	}
 	a.close(tid)
 	if h != nil {
-		for _, r := range rets[:len(ops)] {
+		// Ends in Begin (= group) order, and only after the record closed,
+		// past the last crashable point: a crash between two groups must
+		// leave EVERY op pending, so the restarted recovery's Resolves meet
+		// an all-pending queue instead of re-completing ops already closed.
+		for _, r := range grets {
 			h.End(tid, r)
 		}
 	}
+	for i := range ops {
+		rets[i] = grets[x.pos[i]]
+	}
 }
 
-// Flusher returns InvokeVec bound to class, in the shape of a vecbatch pipe's
-// commit function.
+// Flusher returns InvokeGrouped bound to the single class class — a vector
+// is the one-group commit — in the shape of a vecbatch pipe's commit function.
 func (a *Area) Flusher(class int) func(tid int, ops []core.VecOp, rets []uint64) {
-	return func(tid int, ops []core.VecOp, rets []uint64) { a.InvokeVec(tid, class, ops, rets) }
+	one := func(core.VecOp) int { return class }
+	return func(tid int, ops []core.VecOp, rets []uint64) { a.InvokeGrouped(tid, ops, rets, one) }
 }
 
 // realign bumps tid's counters past parity collisions with the durable
@@ -258,86 +397,98 @@ func (a *Area) realign(tid int) {
 		return
 	}
 	for class, inst := range a.insts {
-		if cnt := a.Seq(tid, class); (cnt+1)&1 == inst.(core.EpochCapable).DeactParity(tid) {
+		if cnt := a.counter(tid, class); (cnt+1)&1 == inst.(core.EpochCapable).DeactParity(tid) {
 			a.r.DirectStore(tid*a.stride+class, cnt+1)
 		}
 	}
 }
 
-// Recorded reports rs — operations some durable log outside the in-progress
-// record resolved for tid (the fabric's transaction legs) — to the history,
-// oldest first, and returns them. Every recovery path's results pass through
-// here, so a recorder sees each recovered operation exactly once.
-func (a *Area) Recorded(tid int, rs []Resolved) []Resolved {
-	if h := a.hist; h != nil {
-		for i := range rs {
-			h.Resolve(tid, rs[i].Result)
-		}
-	}
-	return rs
-}
-
-// Recover resolves tid's interrupted operation after a crash — re-runs it or
-// fetches its response, never both — and returns what it settled: nothing
-// when tid had no operation in flight, one entry for a scalar operation, one
-// per operation for a vector. Call it for every thread after re-opening,
-// before new operations.
-//
-// Under an epoch the in-flight record may belong to an epoch that vanished,
-// and the deactivate parity cannot always tell "this op was durably served"
-// from "an earlier op with the same parity was" — fetching the return slot
-// then would hand back a stale response. So a parity equal to the record's
-// low seq bit closes the record untouched (Certain=false; the durable state
-// is consistent either way), and a differing one — the op provably did not
-// commit — re-performs it and closes the epoch BEFORE the record: a crash
-// inside the close retries with the record still open and the re-performance
-// rolled back, so no resolution is lost or doubled.
-func (a *Area) Recover(tid int) []Resolved {
-	rec := tid*a.stride + a.k
-	op := a.r.Load(rec + recOp)
-	if op == 0 || a.r.Load(rec+recDone) == 1 {
-		a.realign(tid)
-		return nil
-	}
-	a0, a1 := a.r.Load(rec+recA0), a.r.Load(rec+recA1)
-	class, seq := int(a.r.Load(rec+recClass)), a.r.Load(rec+recSeq)
-	a.RollSeq(tid, class, seq)
+// settle resolves one group of tid's open record — ops, run on class under
+// seq, as a vector when vec is set — and reports its operations. Under an
+// epoch a deactivate parity equal to seq's low bit cannot tell "durably
+// served" from "an earlier op of that parity was", so the group is left
+// untouched and reported uncertain.
+func (a *Area) settle(tid, class int, seq uint64, vec bool, ops []core.VecOp) []Resolved {
+	a.rollSeq(tid, class, seq)
 	inst := a.insts[class]
-
-	out := []Resolved{{Op: op, A0: a0, A1: a1}}
-	var ops []core.VecOp
-	if op&VecMark != 0 {
-		vp := inst.(core.VecProtocol)
-		ops = make([]core.VecOp, a0)
-		out = make([]Resolved, a0)
-		for i := range ops {
-			ops[i] = vp.VecArg(tid, i)
-			out[i] = Resolved{Op: ops[i].Op, A0: ops[i].A0, A1: ops[i].A1}
-		}
+	out := make([]Resolved, len(ops))
+	for i, o := range ops {
+		out[i] = Resolved{Op: o.Op, A0: o.A0, A1: o.A1}
 	}
 	if a.epoch != nil && inst.(core.EpochCapable).DeactParity(tid) == seq&1 {
-		a.close(tid)
-		a.realign(tid)
 		return out
 	}
-	if ops != nil {
+	if vec {
 		rets := make([]uint64, len(ops))
 		inst.(core.VecProtocol).RecoverVec(tid, ops, seq, rets)
 		for i, r := range rets {
 			out[i].Result = r
 		}
 	} else {
-		out[0].Result = inst.Recover(tid, op, a0, a1, seq)
+		out[0].Result = inst.Recover(tid, ops[0].Op, ops[0].A0, ops[0].A1, seq)
 	}
-	if a.epoch != nil {
-		a.epoch.CloseNow()
-	}
-	a.close(tid)
 	for i := range out {
 		out[i].Certain = true
 	}
+	return out
+}
+
+// Recover resolves tid's interrupted commit after a crash — re-runs each
+// operation or fetches its response, never both — and returns what it
+// settled: nothing when tid had nothing in flight, one entry for a scalar
+// operation, one per operation (in group order) for a multi-op commit, whose
+// operations come from the record's payload. Call it for every thread after
+// re-opening, before new operations.
+//
+// Each group is settled on its own (settle): applied groups only fetch their
+// responses, since RecoverVec is parity-gated. Under an epoch a group whose
+// parity shows it provably did not commit is re-performed, and the epoch is
+// closed BEFORE the record: a crash inside the close retries with the record
+// still open and the re-performance rolled back, so no resolution is lost or
+// doubled.
+func (a *Area) Recover(tid int) []Resolved {
+	b := tid * a.stride
+	rec := b + a.k
+	op := a.r.Load(rec + recOp)
+	if op == 0 || a.r.Load(rec+recDone) == 1 {
+		a.realign(tid)
+		return nil
+	}
+	var out []Resolved
+	if op&vecMark == 0 {
+		one := []core.VecOp{{Op: op, A0: a.r.Load(rec + recA0), A1: a.r.Load(rec + recA1)}}
+		out = a.settle(tid, int(a.r.Load(rec+recClass)), a.r.Load(rec+recSeq), false, one)
+	} else {
+		p := b + a.payOff
+		for gi := 0; gi < int(op&^vecMark); gi++ {
+			gb := b + a.grpOff + 3*gi
+			ops := make([]core.VecOp, a.r.Load(gb+2))
+			for i := range ops {
+				ops[i] = core.VecOp{Op: a.r.Load(p), A0: a.r.Load(p + 1), A1: a.r.Load(p + 2)}
+				p += 3
+			}
+			out = append(out, a.settle(tid, int(a.r.Load(gb)), a.r.Load(gb+1), true, ops)...)
+		}
+	}
+	if a.epoch != nil {
+		for _, r := range out {
+			if r.Certain { // something was re-performed: make it durable first
+				a.epoch.CloseNow()
+				break
+			}
+		}
+	}
+	a.close(tid)
 	// Realignment writes durable words and must not run against mid-crash
 	// state, so it comes after the last point a nested crash can unwind from.
 	a.realign(tid)
-	return a.Recorded(tid, out)
+	if h := a.hist; h != nil {
+		// Every recovered operation reaches the history from here, once. An
+		// uncertain one stays pending — applied or lost — and so does every
+		// operation after it, whose Resolve would otherwise complete it.
+		for i := 0; i < len(out) && out[i].Certain; i++ {
+			h.Resolve(tid, out[i].Result)
+		}
+	}
+	return out
 }

@@ -14,14 +14,15 @@ import (
 )
 
 // A subject is one structure built on a system area, driven through its own
-// API. Every class's operation changes total() by exactly +1 or -1, so an
-// acknowledged operation that was dropped, or one applied twice, shows as a
-// wrong total.
+// API. Every class's operation changes total() by a fixed nonzero delta, so
+// an acknowledged operation that was dropped, or one applied twice, shows as
+// a wrong total.
 type subject struct {
 	name    string
 	threads int
 	classes int
 	region  string // the system area's region name
+	payload int    // the system area's payload (0: scalar records only)
 	open    func(*pcomb.System) handle
 }
 
@@ -33,6 +34,15 @@ type handle struct {
 	total   func() int
 	recover func(tid int) []sysarea.Resolved
 	close   func() // before the heap crashes under the structure
+
+	// A multi-op commit by thread 0, on subjects with a payload: the ops it
+	// records (in group order) and their classes, how to run it through the
+	// structure's API (its responses, in group order), and how it moves
+	// total().
+	vops    []core.VecOp
+	classOf func(core.VecOp) int
+	commit  func() []uint64
+	vdelta  int
 }
 
 func tid0(int) int  { return 0 }
@@ -49,9 +59,11 @@ func enqDeq(enqClasses int) func(int) int {
 	}
 }
 
-func queueSubject(name string, kind pcomb.Kind) subject {
-	return subject{name: name, threads: 1, classes: 2, region: "t/sysarea", open: func(s *pcomb.System) handle {
-		q := s.NewQueue("t", 1, kind, pcomb.QueueOptions{Capacity: 1 << 10})
+// queueSubject is a queue; with vecCap > 1 its multi-op commit is a vector of
+// two enqueues (one group).
+func queueSubject(name string, kind pcomb.Kind, vecCap int) subject {
+	return subject{name: name, threads: 1, classes: 2, region: "t/sysarea", payload: vecCap, open: func(s *pcomb.System) handle {
+		q := s.NewQueue("t", 1, kind, pcomb.QueueOptions{Capacity: 1 << 10, VecCap: vecCap})
 		return handle{
 			tid: tid0,
 			rec: func(class int) (uint64, uint64, uint64) {
@@ -69,6 +81,14 @@ func queueSubject(name string, kind pcomb.Kind) subject {
 				return v
 			},
 			delta: enqDeq(1), total: q.Len, recover: q.Recover, close: noop,
+			vops:    []core.VecOp{{Op: pcomb.OpEnqueue, A0: 7}, {Op: pcomb.OpEnqueue, A0: 7}},
+			classOf: func(core.VecOp) int { return 0 },
+			commit: func() []uint64 {
+				a, b := q.SubmitEnqueue(0, 7), q.SubmitEnqueue(0, 7)
+				q.Flush(0)
+				return []uint64{a.Wait(), b.Wait()}
+			},
+			vdelta: 2,
 		}
 	}}
 }
@@ -91,29 +111,60 @@ func sum(rng func(func(k, v uint64) bool)) int {
 	return t
 }
 
-var subjects = []subject{
-	queueSubject("Queue/PB", pcomb.Blocking),
-	queueSubject("Queue/PWF", pcomb.WaitFree),
-	{name: "Map", threads: 1, classes: 2, region: "t/hashmap.sys", open: func(s *pcomb.System) handle {
-		m := hashmap.NewWith(s.Heap(), "t", 1, hashmap.Blocking, hashmap.Options{Shards: 2, Capacity: 64})
+// mapSubject is a two-shard map; with vecCap > 1 its multi-op commit is a
+// flush window of one Add per shard (two groups).
+func mapSubject(name string, vecCap int) subject {
+	return subject{name: name, threads: 1, classes: 2, region: "t/hashmap.sys", payload: vecCap, open: func(s *pcomb.System) handle {
+		m := hashmap.NewWith(s.Heap(), "t", 1, hashmap.Blocking, hashmap.Options{Shards: 2, Capacity: 64, VecCap: vecCap})
 		keys := keyPerShard(2, m.ShardOf)
 		return handle{
 			tid:   tid0,
 			rec:   func(class int) (uint64, uint64, uint64) { return hashmap.OpAdd, keys[class], 1 },
 			run:   func(class int) uint64 { return m.Add(0, keys[class], 1) },
 			delta: plus1, total: func() int { return sum(m.Range) }, recover: m.Recover, close: noop,
+			vops:    []core.VecOp{{Op: hashmap.OpAdd, A0: keys[0], A1: 1}, {Op: hashmap.OpAdd, A0: keys[1], A1: 1}},
+			classOf: func(o core.VecOp) int { return m.ShardOf(o.A0) },
+			commit: func() []uint64 {
+				a, b := m.SubmitAdd(0, keys[0], 1), m.SubmitAdd(0, keys[1], 1)
+				m.Flush(0)
+				return []uint64{a.Wait(), b.Wait()}
+			},
+			vdelta: 2,
 		}
-	}},
-	{name: "ShardedMap", threads: 1, classes: 2, region: "t/fabric.sys", open: func(s *pcomb.System) handle {
+	}}
+}
+
+// fabricSubject is a two-shard fabric (payload: the default MaxLegs); its
+// multi-op commit is a transfer between the shards (two groups). Its total is
+// 2·to − from, so a whole transfer moves it by 3, a torn one by 1 or 2, a
+// doubled one by 6, and no two lost operations cancel.
+func fabricSubject(name string) subject {
+	return subject{name: name, threads: 1, classes: 2, region: "t/fabric.sys", payload: 8, open: func(s *pcomb.System) handle {
 		m := fabric.New(s.Heap(), "t", 1, fabric.Options{Shards: 2, Kind: fabric.WaitFree})
 		keys := keyPerShard(2, m.ShardOf)
+		val := func(k uint64) int { v, _ := m.Get(0, k); return int(v) }
 		return handle{
 			tid:   tid0,
 			rec:   func(class int) (uint64, uint64, uint64) { return fabric.OpAdd, keys[class], 1 },
 			run:   func(class int) uint64 { return m.Add(0, keys[class], 1) },
-			delta: plus1, total: func() int { return sum(m.Range) }, recover: m.Recover, close: m.Close,
+			delta: func(class int) int { return 3*class - 1 },
+			total: func() int { return 2*val(keys[1]) - val(keys[0]) }, recover: m.Recover, close: m.Close,
+			vops:    []core.VecOp{{Op: fabric.OpAdd, A0: keys[0], A1: ^uint64(0)}, {Op: fabric.OpAdd, A0: keys[1], A1: 1}},
+			classOf: func(o core.VecOp) int { return m.ShardOf(o.A0) },
+			commit: func() []uint64 {
+				from, to := m.TransferAdd(0, keys[0], keys[1], 1)
+				return []uint64{from, to}
+			},
+			vdelta: 3,
 		}
-	}},
+	}}
+}
+
+var subjects = []subject{
+	queueSubject("Queue/PB", pcomb.Blocking, 0),
+	queueSubject("Queue/PWF", pcomb.WaitFree, 0),
+	mapSubject("Map", 0),
+	fabricSubject("ShardedMap"),
 	// Two sub-queues, two threads: after a re-open thread t's cursor is at
 	// sub-queue t, so thread 0 enqueues on classes 0 then 1 (and is back at
 	// 0), and thread t's dequeue probes sub-queue t first (class 2+t) — which
@@ -187,7 +238,7 @@ func (r *run) ackUpTo(n int) {
 
 // view is the test's own window on the subject's system area.
 func (r *run) view() *sysarea.Area {
-	return sysarea.New(r.sys.Heap(), r.sub.region, r.sub.threads, make([]core.Protocol, r.sub.classes), nil)
+	return sysarea.New(r.sys.Heap(), r.sub.region, r.sub.threads, make([]core.Protocol, r.sub.classes), nil, r.sub.payload)
 }
 
 // ack runs class's operation to completion: it is acknowledged, so its effect
@@ -273,6 +324,66 @@ func TestTornPrefix(t *testing.T) {
 	}
 }
 
+// commitSubjects carry a multi-op commit: a one-group vector, a map flush
+// window over two shards, and a transfer over two fabric shards.
+var commitSubjects = []subject{
+	queueSubject("Queue/vector", pcomb.Blocking, 4),
+	mapSubject("Map/window", 4),
+	fabricSubject("ShardedMap/transfer"),
+}
+
+// TestTornCommitPrefix is TestTornPrefix for the multi-op record: thread 0's
+// next commit is left after each prefix of its store sequence (commitK), and
+// after it ran but before End's one store (end0). The commit must come back
+// whole or not at all, exactly once.
+func TestTornCommitPrefix(t *testing.T) {
+	for _, sub := range commitSubjects {
+		probe := start(t, sub)
+		n := probe.view().CommitPrefix(0, probe.h.vops, probe.h.classOf, 0)
+		probe.h.close()
+		for k := 0; k <= n; k++ {
+			t.Run(fmt.Sprintf("%s/commit%d", sub.name, k), func(t *testing.T) {
+				r := start(t, sub)
+				r.view().CommitPrefix(0, r.h.vops, r.h.classOf, k)
+				rs := r.reopen()
+				switch len(rs) {
+				case 0: // the record never reached its commit point
+				case len(r.h.vops): // it did: recovery ran every group, once
+					for i, o := range r.h.vops {
+						if rs[i].Op != o.Op || rs[i].A0 != o.A0 || rs[i].A1 != o.A1 || !rs[i].Certain {
+							t.Fatalf("recovered %+v, want %+v", rs, r.h.vops)
+						}
+					}
+					r.want += r.h.vdelta
+				default:
+					t.Fatalf("recovered %d of the commit's %d operations: %+v", len(rs), len(r.h.vops), rs)
+				}
+				if again := r.reopen(); again != nil {
+					t.Fatalf("second recovery resolved %+v again", again)
+				}
+				r.finish()
+			})
+		}
+		t.Run(sub.name+"/end0", func(t *testing.T) {
+			r := start(t, sub)
+			rets := r.h.commit()
+			r.want += r.h.vdelta
+			r.view().Reopen(0)
+			var want []sysarea.Resolved
+			for i, o := range r.h.vops {
+				want = append(want, sysarea.Resolved{Op: o.Op, A0: o.A0, A1: o.A1, Result: rets[i], Certain: true})
+			}
+			if rs := r.reopen(); !reflect.DeepEqual(rs, want) {
+				t.Fatalf("recovered %+v, want the acknowledged responses %+v", rs, want)
+			}
+			if again := r.reopen(); again != nil {
+				t.Fatalf("second recovery resolved %+v again", again)
+			}
+			r.finish()
+		})
+	}
+}
+
 // The two reproductions that found the ordering hole, as an operator would
 // hit it: the process dies after the FIRST store of an operation's Begin.
 // When that store was the sequence counter (the order before this package),
@@ -283,7 +394,7 @@ func TestTornFirstStoreThenEnqueue(t *testing.T) {
 	sys := pcomb.New(pcomb.Options{CrashTesting: true, NoCost: true})
 	q := sys.NewQueue("q", 1, pcomb.Blocking)
 	q.Enqueue(0, 11)
-	sysarea.New(sys.Heap(), "q/sysarea", 1, make([]core.Protocol, 2), nil).
+	sysarea.New(sys.Heap(), "q/sysarea", 1, make([]core.Protocol, 2), nil, 0).
 		BeginPrefix(0, 0, pcomb.OpEnqueue, 22, 0, 1)
 	sys.Crash(pcomb.DropUnfenced, 1)
 
@@ -302,7 +413,7 @@ func TestTornFirstStoreThenPut(t *testing.T) {
 	o := pcomb.MapOptions{Shards: 1}
 	m := sys.NewMap("m", 1, pcomb.Blocking, o)
 	m.Put(0, 1, 11)
-	sysarea.New(sys.Heap(), "m/hashmap.sys", 1, make([]core.Protocol, 1), nil).
+	sysarea.New(sys.Heap(), "m/hashmap.sys", 1, make([]core.Protocol, 1), nil, 0).
 		BeginPrefix(0, 0, pcomb.OpPut, 2, 22, 1)
 	sys.Crash(pcomb.DropUnfenced, 1)
 

@@ -57,7 +57,8 @@ func (m *Map) Delete(tid int, key uint64) (uint64, bool) { return m.m.Delete(tid
 func (m *Map) Add(tid int, key, delta uint64) uint64 { return m.m.Add(tid, key, delta) }
 
 // Recover resolves what thread tid had in flight at the crash — a scalar
-// operation or one shard group of a Flush — exactly once, as Queue.Recover.
+// operation or a whole Flush, every shard group of it — exactly once, as
+// Queue.Recover.
 // On an Epoch map, Sync afterwards before trusting the recovered state
 // durable.
 func (m *Map) Recover(tid int) []Resolved { return m.m.Recover(tid) }
@@ -98,9 +99,10 @@ func (m *Map) SubmitDelete(tid int, key uint64) Future { return m.m.SubmitDelete
 // Wait returns the new value.
 func (m *Map) SubmitAdd(tid int, key, delta uint64) Future { return m.m.SubmitAdd(tid, key, delta) }
 
-// Flush commits thread tid's staged operations durably. Ops are grouped by
-// shard; each group is one vectorized announcement, and groups commit one at
-// a time, so a crash interrupts at most one group (resolved by Recover).
+// Flush commits thread tid's staged operations durably, all or nothing. Ops
+// are grouped by shard and each group is one vectorized announcement, but
+// the whole window is one system-area record: once it is durable, a crash
+// anywhere in the flush is completed, every group of it, by Recover.
 func (m *Map) Flush(tid int) { m.m.Flush(tid) }
 
 // Pending returns the number of staged, unflushed ops of tid.

@@ -74,7 +74,7 @@ func (s *System) NewQueue(name string, threads int, kind Kind, opts ...QueueOpti
 		Epoch:         o.Epoch,
 		EpochInterval: o.EpochInterval,
 	})
-	q := &Queue{q: in, sys: s.sysArea(name, threads, in.Epoch(), in.EnqProtocol(), in.DeqProtocol())}
+	q := &Queue{q: in, sys: s.sysArea(name, threads, in.Epoch(), o.VecCap, in.EnqProtocol(), in.DeqProtocol())}
 	if o.VecCap > 1 {
 		q.enqPipe = vecbatch.New(threads, o.VecCap, q.sys.Flusher(0))
 		q.deqPipe = vecbatch.New(threads, o.VecCap, q.sys.Flusher(1))
@@ -83,9 +83,10 @@ func (s *System) NewQueue(name string, threads int, kind Kind, opts ...QueueOpti
 }
 
 // sysArea opens the system area of the structure called name over its
-// combining instances (one sequence-counter class each).
-func (s *System) sysArea(name string, threads int, epoch *pmem.Epoch, insts ...core.Protocol) *sysarea.Area {
-	return sysarea.New(s.heap, name+"/sysarea", threads, insts, epoch)
+// combining instances (one sequence-counter class each); a flushed batch of up
+// to vecCap operations is one of its records.
+func (s *System) sysArea(name string, threads int, epoch *pmem.Epoch, vecCap int, insts ...core.Protocol) *sysarea.Area {
+	return sysarea.New(s.heap, name+"/sysarea", threads, insts, epoch, vecCap)
 }
 
 // Enqueue appends v for thread tid.
@@ -105,7 +106,8 @@ func orEmpty(r uint64) (uint64, bool) {
 }
 
 // Recover resolves what thread tid had in flight when the system crashed —
-// a scalar operation or a flushed batch — exactly once: each operation is
+// a scalar operation or a whole flushed batch (one record carries all of its
+// operations, so a flush is all or nothing) — exactly once: each operation is
 // re-run or its response fetched, never both. Call it for every thread after
 // re-opening the queue. Ops submitted but not yet flushed at the crash are
 // lost wholesale and not reported (the async API's commit-point contract).
@@ -176,7 +178,7 @@ func (s *System) NewStack(name string, threads int, kind Kind, opts ...StackOpti
 		Sparse:      o.Sparse,
 		VecCap:      o.VecCap,
 	})
-	st := &Stack{s: in, sys: s.sysArea(name, threads, nil, in.Protocol())}
+	st := &Stack{s: in, sys: s.sysArea(name, threads, nil, o.VecCap, in.Protocol())}
 	if o.VecCap > 1 {
 		st.pipe = vecbatch.New(threads, o.VecCap, st.sys.Flusher(0))
 	}
@@ -230,7 +232,7 @@ func (s *System) NewHeap(name string, threads int, kind Kind, bound int, opts ..
 	}
 	in := heap.NewWith(s.heap, name, threads, kindHeap(kind), bound,
 		core.CombOpts{Sparse: o.Sparse, VecCap: o.VecCap})
-	h := &Heap{h: in, sys: s.sysArea(name, threads, nil, in.Protocol())}
+	h := &Heap{h: in, sys: s.sysArea(name, threads, nil, o.VecCap, in.Protocol())}
 	if o.VecCap > 1 {
 		h.pipe = vecbatch.New(threads, o.VecCap, h.sys.Flusher(0))
 	}
@@ -300,7 +302,7 @@ func (s *System) NewObject(name string, threads int, kind Kind, obj Object, opts
 	} else {
 		c = core.NewPBCombWith(s.heap, name, threads, obj, co)
 	}
-	r := &Recoverable{c: c, sys: s.sysArea(name, threads, nil, c)}
+	r := &Recoverable{c: c, sys: s.sysArea(name, threads, nil, o.VecCap, c)}
 	if o.VecCap > 1 {
 		r.pipe = vecbatch.New(threads, o.VecCap, r.sys.Flusher(0))
 	}
