@@ -328,8 +328,8 @@ func killVerify(cfg *KillConfig, def KillTargetDef, carry []uint64, adopt bool) 
 	}
 	t := def.Mk()
 	t.Attach(h, cfg.Threads, j)
-	// Stop a target's background goroutines (the fabric's per-shard
-	// combiners) before the heap mapping goes away.
+	// Stop a target's background goroutines (an epoch's closer) before the
+	// heap mapping goes away.
 	defer t.Close()
 	if cfg.Sabotage {
 		core.SetRecoverSabotage(true)

@@ -327,11 +327,6 @@ var mapModel = Keyed{New: func(init uint64) lin.Model { return lin.MapKeyModel{I
 // applied to it.
 func fabAccount(j int) uint64 { return 1<<48 | uint64(j) + 1 }
 
-// noFlush gives the fabric, which has no async path, the Flush of a Handle.
-type noFlush struct{ *pcomb.ShardedMap }
-
-func (noFlush) Flush(int) {}
-
 // fabricSpec is the sharded combining fabric: scalar operations on per-thread
 // keys, TransferAdd between two accounts of a shared pool and PutAll over a
 // few of the thread's keys — cross-shard transactions a crash may catch
@@ -351,7 +346,7 @@ func fabricSpec(kind pcomb.Kind) *Spec {
 			m = pcomb.NewOn(h).NewShardedMap("f", n, kind, pcomb.ShardedMapOptions{
 				Fabric: fabShards, Capacity: 4 * (fabAccounts + fabKeys*n), // a quarter full at most
 			})
-			return noFlush{m}
+			return m
 		},
 		Ops: []OpDef{
 			{Weight: 3, Do: func(g *gen) { m.Put(g.tid, key(g, g.Intn(fabKeys)), g.val()) }},

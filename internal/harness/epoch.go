@@ -131,7 +131,7 @@ func measureEpochPoint(cfg Config, kind hashmap.Kind, name string, n int, d time
 		}
 	}
 	res := measure(name, h, n, cfg.Ops, op, met, nil)
-	m.StopEpoch()
+	m.Close()
 
 	closes := m.Epoch().CloseTimes() // oldest first, epochs ascending
 	var lats []float64

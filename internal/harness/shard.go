@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 
-	"pcomb/internal/fabric"
+	"pcomb/internal/hashmap"
 	"pcomb/internal/obs"
 	"pcomb/internal/pmem"
 )
@@ -14,7 +14,7 @@ const shardKeyspace = 4096
 
 // shardOp is the FigShard operation mix over one fabric: 50% Get, 25% Put,
 // 25% Add, keys drawn from z (uniform when s=0, hot-key when s=0.99).
-func shardOp(m *fabric.Map, z *Zipf) OpFunc {
+func shardOp(m *hashmap.Map, z *Zipf) OpFunc {
 	return func(tid int, i uint64, rng *rand.Rand) {
 		key := z.Next(rng) + 1
 		switch i % 4 {
@@ -44,8 +44,8 @@ func shardAlgo(shards int, flat bool, skew float64, groups map[string]*obs.CombG
 			// Capacity must cover the whole key domain regardless of the shard
 			// count under comparison, or small-shard points measure table-full
 			// rejections instead of map operations.
-			m := fabric.New(h, "f", n, fabric.Options{
-				Shards: shards, Flat: flat, Capacity: 2 * shardKeyspace,
+			m := hashmap.NewWith(h, "f", n, hashmap.Blocking, hashmap.Options{
+				Shards: shards, Board: !flat, Capacity: 2 * shardKeyspace, VecCap: 16,
 			})
 			if cfg.obsM != nil {
 				// Per-shard degree visibility on top of the point's merged

@@ -34,7 +34,7 @@ const (
 	// key's value, inserting the delta for an absent key, and returns the new
 	// value. Because an add changes the sum of all values by exactly its
 	// delta, a pair of opposite adds conserves the total — the primitive the
-	// fabric's cross-shard transfer transactions are built from.
+	// cross-shard transfer transactions are built from.
 	OpAdd uint64 = 4
 	// OpLen returns the shard's live-key count (read-only, as OpGet).
 	OpLen uint64 = 5
@@ -177,31 +177,27 @@ func (o shardObj) Apply(env *core.Env, r *core.Request) {
 	}
 }
 
-// NewShardObject returns the sequential open-addressing table object of one
-// shard with the given slot count, for callers composing their own combining
-// instances out of the map's table logic — the fabric builds its per-shard
-// instances from this.
-func NewShardObject(slots int) core.Object { return shardObj{slots: slots} }
-
-// Tombstone exposes the deleted-slot sentinel for external state scans.
-const Tombstone = tombstone
-
 // mix is prim.Mix (splitmix64), kept as a local alias for the hot paths.
 func mix(x uint64) uint64 { return prim.Mix(x) }
 
 // Map is a detectably recoverable concurrent hash map.
 type Map struct {
+	h      *pmem.Heap
 	shards []core.Protocol
 	nsh    int
 	slots  int
 	n      int
 
 	// sys is the map's system area: one sequence-counter class per shard,
-	// persisted out of band as the paper's system model prescribes.
+	// persisted out of band as the paper's system model prescribes, and the
+	// record every operation, flush window and transaction commits through.
 	sys *sysarea.Area
 
 	// pipe stages Submit-ed operations (nil unless built with VecCap > 1).
 	pipe *vecbatch.Pipe
+
+	// boards are the shards' posting boards (nil unless Options.Board).
+	boards []board
 
 	epoch *pmem.Epoch // non-nil in epoch-mode relaxed durability
 }
@@ -214,16 +210,26 @@ type Options struct {
 	Capacity int
 	// Dense disables sparse (dirty-line) copy and persistence.
 	Dense bool
-	// VecCap enables the async Submit/Flush path with windows of up to
-	// VecCap operations (0 or 1 = scalar only). Part of the persistent
-	// layout — re-open with the same value.
+	// VecCap bounds one commit of several operations — a Submit/Flush
+	// window, a transaction, a board sweep — and enables the async
+	// Submit/Flush path (0 or 1 = scalar only, and no transactions). Part of
+	// the persistent layout — re-open with the same value.
 	VecCap int
+	// Board routes scalar updates through each shard's posting board
+	// (hierarchical combining): a thread posts its request and tries to take
+	// the board's sweeper role, and whoever holds it announces every posted
+	// request as one delegated vector. Zero value: threads invoke their key's
+	// shard directly. The shards of a board map are built one thread wider,
+	// with CombOpts.Delegate, and VecCap at least 2. Part of the persistent
+	// layout.
+	Board bool
 	// Epoch switches the map to epoch-mode relaxed durability: shard rounds
 	// apply and return volatile-fast, one shared epoch closer persists them
 	// in the background, and a crash may lose the last open epoch's
 	// operations (and only those; Recover reports an interrupted one of that
 	// window with Certain=false). Use Sync/WaitDurable for per-operation
-	// durability.
+	// durability. A transaction is failure-atomic once its epoch has durably
+	// closed.
 	Epoch bool
 	// EpochInterval is the background close cadence (Epoch mode; 0 = no
 	// ticker, epochs close only via Sync/CloseNow).
@@ -246,7 +252,8 @@ func NewDense(h *pmem.Heap, name string, n int, kind Kind, nshards, capacity int
 }
 
 // NewWith creates (or re-opens after a crash) a recoverable hash map with
-// explicit options.
+// explicit options. Re-open with the same options and call Recover for every
+// thread before new operations.
 func NewWith(h *pmem.Heap, name string, n int, kind Kind, o Options) *Map {
 	nshards, capacity := o.Shards, o.Capacity
 	if nshards <= 0 {
@@ -255,19 +262,25 @@ func NewWith(h *pmem.Heap, name string, n int, kind Kind, o Options) *Map {
 	if capacity < nshards {
 		capacity = nshards * 64
 	}
-	m := &Map{nsh: nshards, slots: (capacity + nshards - 1) / nshards, n: n}
+	m := &Map{h: h, nsh: nshards, slots: (capacity + nshards - 1) / nshards, n: n}
 	obj := shardObj{slots: m.slots}
 	co := core.CombOpts{Sparse: !o.Dense, VecCap: o.VecCap}
+	width := n
+	if o.Board {
+		// The extra thread is the board's sweeper tid (see board).
+		co.VecCap, co.Delegate = max(o.VecCap, 2), true
+		width = n + 1
+	}
 	for s := 0; s < nshards; s++ {
 		sname := fmt.Sprintf("%s/shard%d", name, s)
 		if kind == WaitFree {
-			m.shards = append(m.shards, core.NewPWFCombWith(h, sname, n, obj, co))
+			m.shards = append(m.shards, core.NewPWFCombWith(h, sname, width, obj, co))
 		} else {
-			m.shards = append(m.shards, core.NewPBCombWith(h, sname, n, obj, co))
+			m.shards = append(m.shards, core.NewPBCombWith(h, sname, width, obj, co))
 		}
 	}
-	if o.VecCap > 1 {
-		m.pipe = vecbatch.New(n, o.VecCap, m.commit)
+	if co.VecCap > 1 {
+		m.pipe = vecbatch.New(n, co.VecCap, m.commit)
 	}
 	if o.Epoch {
 		// Attach after construction so shard boot persistence stays strict;
@@ -278,7 +291,10 @@ func NewWith(h *pmem.Heap, name string, n int, kind Kind, o Options) *Map {
 			sh.(core.EpochCapable).AttachEpoch(m.epoch)
 		}
 	}
-	m.sys = sysarea.New(h, name+"/hashmap.sys", n, m.shards, m.epoch, o.VecCap)
+	m.sys = sysarea.New(h, name+"/hashmap.sys", n, m.shards, m.epoch, co.VecCap)
+	if o.Board {
+		m.boards = newBoards(m.shards, n, co.VecCap)
+	}
 	return m
 }
 
@@ -303,22 +319,12 @@ func (m *Map) Sync() {
 // heap crashed first).
 func (m *Map) WaitDurable(target uint64) bool { return m.epoch.Wait(target) }
 
-// StopEpoch halts the background closer (if any) after a final close.
-func (m *Map) StopEpoch() {
+// Close halts the epoch's background closer (if any) after a final close.
+// Strict mode has nothing to stop: the map starts no goroutine. Idempotent;
+// call while quiescent.
+func (m *Map) Close() {
 	if m.epoch != nil {
 		m.epoch.Stop()
-	}
-}
-
-// SetProbe installs p on every shard's combining instance and on the
-// submission pipe (they share its sinks, so stats aggregate across shards and
-// a thread's span track interleaves spans from all shards it touched).
-func (m *Map) SetProbe(p core.Probe) {
-	for _, sh := range m.shards {
-		sh.SetProbe(p)
-	}
-	if m.pipe != nil {
-		m.pipe.SetProbe(p)
 	}
 }
 
@@ -338,9 +344,18 @@ func (m *Map) ShardOf(key uint64) int { return m.shardOf(key) }
 // quiescent.
 func (m *Map) SetHistory(h sysarea.Log) { m.sys.SetHistory(h) }
 
-// invoke runs one operation on its key's shard through the system area.
+// invoke runs one operation on its key's shard through the system area:
+// directly, or on a board map by posting it to the shard's board between the
+// record's Begin and End.
 func (m *Map) invoke(tid int, op, key, val uint64) uint64 {
-	return m.sys.Invoke(tid, m.shardOf(key), op, key, val)
+	sh := m.shardOf(key)
+	if m.boards == nil {
+		return m.sys.Invoke(tid, sh, op, key, val)
+	}
+	seq := m.sys.Begin(tid, sh, op, key, val)
+	ret := m.perform(tid, sh, op, key, val, seq)
+	m.sys.End(tid, ret)
+	return ret
 }
 
 // Put maps key to val, returning the previous value and whether one
@@ -436,6 +451,7 @@ func (m *Map) VecCap() int { return m.pipe.Cap() }
 // commit is the pipe's commit function: one staged window, grouped by shard
 // (submission order kept within a shard — the intra-thread reordering across
 // shards is unobservable, as the ops commute) under one system-area record.
+// A transaction is the same commit (Txn).
 func (m *Map) commit(tid int, ops []core.VecOp, rets []uint64) {
 	m.sys.InvokeGrouped(tid, ops, rets, m.classOf)
 }

@@ -1,4 +1,4 @@
-package fabric
+package hashmap
 
 import (
 	"runtime"
@@ -14,11 +14,11 @@ import (
 // grows never go backwards, a Get after the thread's own Add returned v is at
 // least v, and a Get started after any thread's Add returned v is at least v.
 // The board is never involved in a Get, so flat and hierarchical behave alike.
-func TestReadPathConcurrent(t *testing.T) {
+func TestShardedReadPathConcurrent(t *testing.T) {
 	const writers, readers, per, nkeys = 2, 2, 300, 3
 	for _, v := range variants() {
 		t.Run(v.name, func(t *testing.T) {
-			m := New(newHeap(), "m", writers+readers, v.opts)
+			m := newSharded(newHeap(), "m", writers+readers, v.opts)
 			defer m.Close()
 			var keys []uint64
 			for k := uint64(1); len(keys) < nkeys+2; k++ {
@@ -102,17 +102,17 @@ func TestReadPathConcurrent(t *testing.T) {
 
 // A Get issues no persistence instruction, leaves the thread's system-area
 // record and counters as they were, posts on no board and allocates nothing.
-func TestReadPathIssuesNothing(t *testing.T) {
+func TestShardedReadPathIssuesNothing(t *testing.T) {
 	for _, v := range variants() {
 		t.Run(v.name, func(t *testing.T) {
 			h := newHeap()
-			m := New(h, "m", 2, v.opts)
+			m := newSharded(h, "m", 2, v.opts)
 			defer m.Close()
 			for key := uint64(1); key <= 40; key++ {
 				m.Put(0, key, key*10)
 			}
 			m.Put(1, 41, 410) // thread 1's record now describes a Put
-			sys := h.Region("m/fabric.sys")
+			sys := h.Region("m/hashmap.sys")
 			before := make([]uint64, sys.Len())
 			sys.Snapshot(before, 0, len(before))
 			stats := h.Stats()
@@ -141,11 +141,11 @@ func TestReadPathIssuesNothing(t *testing.T) {
 
 // After a crash the first Get returns the recovered value, and an update the
 // crash interrupted becomes visible to Get once Recover has completed it.
-func TestReadPathReopen(t *testing.T) {
+func TestShardedReadPathReopen(t *testing.T) {
 	for _, v := range variants() {
 		t.Run(v.name, func(t *testing.T) {
 			h := newHeap()
-			m := New(h, "m", 1, v.opts)
+			m := newSharded(h, "m", 1, v.opts)
 			m.Add(0, 5, 7)
 			h.SetCrashAtEvent(2)
 			func() {
@@ -158,7 +158,7 @@ func TestReadPathReopen(t *testing.T) {
 			}()
 			m.Close()
 			h.FinishCrash(pmem.DropUnfenced, 1)
-			m = New(h, "m", 1, v.opts)
+			m = newSharded(h, "m", 1, v.opts)
 			defer m.Close()
 			if got, ok := m.Get(0, 5); !ok || got != 7 {
 				t.Fatalf("first Get after re-open = %d,%v; want 7", got, ok)

@@ -1,4 +1,4 @@
-package fabric
+package hashmap
 
 import (
 	"math/rand"
@@ -6,32 +6,48 @@ import (
 	"testing"
 
 	"pcomb/internal/pmem"
-	"pcomb/internal/queue"
 )
 
-func newHeap() *pmem.Heap {
-	return pmem.NewHeap(pmem.Config{Mode: pmem.ModeShadow, NoCost: true})
+// shardedOpts is a test's sharded-map configuration, read as
+// pcomb.NewShardedMap reads its options: 0 shards = 4, VecCap 0 = 16, and a
+// posting board per shard unless Flat.
+type shardedOpts struct {
+	Shards, Capacity, VecCap int
+	Kind                     Kind
+	Flat                     bool
+}
+
+// newSharded builds (or re-opens) the map pcomb.NewShardedMap builds for o.
+func newSharded(h *pmem.Heap, name string, n int, o shardedOpts) *Map {
+	mo := Options{Shards: o.Shards, Capacity: o.Capacity, VecCap: o.VecCap, Board: !o.Flat}
+	if mo.Shards <= 0 {
+		mo.Shards = 4
+	}
+	if mo.VecCap <= 0 {
+		mo.VecCap = 16
+	}
+	return NewWith(h, name, n, o.Kind, mo)
 }
 
 func variants() []struct {
 	name string
-	opts Options
+	opts shardedOpts
 } {
 	return []struct {
 		name string
-		opts Options
+		opts shardedOpts
 	}{
-		{"PB-hier", Options{Shards: 4, Kind: Blocking}},
-		{"PB-flat", Options{Shards: 4, Kind: Blocking, Flat: true}},
-		{"PWF-hier", Options{Shards: 4, Kind: WaitFree}},
-		{"PWF-flat", Options{Shards: 4, Kind: WaitFree, Flat: true}},
+		{"PB-hier", shardedOpts{Shards: 4, Kind: Blocking}},
+		{"PB-flat", shardedOpts{Shards: 4, Kind: Blocking, Flat: true}},
+		{"PWF-hier", shardedOpts{Shards: 4, Kind: WaitFree}},
+		{"PWF-flat", shardedOpts{Shards: 4, Kind: WaitFree, Flat: true}},
 	}
 }
 
 func TestFabricPutGetDelete(t *testing.T) {
 	for _, v := range variants() {
 		t.Run(v.name, func(t *testing.T) {
-			m := New(newHeap(), "m", 2, v.opts)
+			m := newSharded(newHeap(), "m", 2, v.opts)
 			defer m.Close()
 			if _, ok := m.Get(0, 7); ok {
 				t.Fatal("get of absent key")
@@ -67,7 +83,7 @@ func TestFabricPutGetDelete(t *testing.T) {
 func TestFabricOracle(t *testing.T) {
 	for _, v := range variants() {
 		t.Run(v.name, func(t *testing.T) {
-			m := New(newHeap(), "m", 1, v.opts)
+			m := newSharded(newHeap(), "m", 1, v.opts)
 			defer m.Close()
 			oracle := map[uint64]uint64{}
 			rng := rand.New(rand.NewSource(42))
@@ -118,7 +134,7 @@ func TestFabricConcurrent(t *testing.T) {
 		t.Run(v.name, func(t *testing.T) {
 			o := v.opts
 			o.Capacity = 4096
-			m := New(newHeap(), "m", threads, o)
+			m := newSharded(newHeap(), "m", threads, o)
 			defer m.Close()
 			var wg sync.WaitGroup
 			for tid := 0; tid < threads; tid++ {
@@ -155,14 +171,14 @@ func TestFabricConcurrent(t *testing.T) {
 // bits) and the per-thread counters must line up so operations keep working.
 func TestFabricReopen(t *testing.T) {
 	h := newHeap()
-	o := Options{Shards: 4}
-	m := New(h, "m", 2, o)
+	o := shardedOpts{Shards: 4}
+	m := newSharded(h, "m", 2, o)
 	for i := uint64(1); i <= 40; i++ {
 		m.Put(0, i, i*10)
 		m.Add(1, 1000+i, i)
 	}
 	m.Close()
-	m = New(h, "m", 2, o)
+	m = newSharded(h, "m", 2, o)
 	defer m.Close()
 	for i := uint64(1); i <= 40; i++ {
 		if v, ok := m.Get(1, i); !ok || v != i*10 {
@@ -182,14 +198,14 @@ func TestFabricScalarCrashExactlyOnce(t *testing.T) {
 	const threads = 4
 	for _, v := range []struct {
 		name string
-		opts Options
+		opts shardedOpts
 	}{
-		{"PB-hier", Options{Shards: 4, Kind: Blocking}},
-		{"PWF-hier", Options{Shards: 4, Kind: WaitFree}},
+		{"PB-hier", shardedOpts{Shards: 4, Kind: Blocking}},
+		{"PWF-hier", shardedOpts{Shards: 4, Kind: WaitFree}},
 	} {
 		t.Run(v.name, func(t *testing.T) {
 			h := newHeap()
-			m := New(h, "m", threads, v.opts)
+			m := newSharded(h, "m", threads, v.opts)
 			applied := make([]uint64, threads) // ops known to have taken effect
 			for gen := 0; gen < 5; gen++ {
 				var wg sync.WaitGroup
@@ -216,7 +232,7 @@ func TestFabricScalarCrashExactlyOnce(t *testing.T) {
 				wg.Wait()
 				m.Close()
 				h.FinishCrash(pmem.RandomCut, int64(gen))
-				m = New(h, "m", threads, v.opts)
+				m = newSharded(h, "m", threads, v.opts)
 				for tid := 0; tid < threads; tid++ {
 					for _, r := range m.Recover(tid) {
 						if r.Op != OpAdd {
@@ -234,129 +250,5 @@ func TestFabricScalarCrashExactlyOnce(t *testing.T) {
 			}
 			m.Close()
 		})
-	}
-}
-
-func TestFabricCounter(t *testing.T) {
-	const threads = 4
-	h := newHeap()
-	c := NewCounter(h, "c", threads, Blocking, 2)
-	var wg sync.WaitGroup
-	for tid := 0; tid < threads; tid++ {
-		wg.Add(1)
-		go func(tid int) {
-			defer wg.Done()
-			for i := 0; i < 500; i++ {
-				c.Add(tid, 1)
-			}
-		}(tid)
-	}
-	wg.Wait()
-	if v := c.Value(); v != threads*500 {
-		t.Fatalf("value = %d, want %d", v, threads*500)
-	}
-	// Crash at quiescence: value must survive and recovery be a no-op.
-	h.Crash(pmem.RandomCut, 1)
-	c = NewCounter(h, "c", threads, Blocking, 2)
-	for tid := 0; tid < threads; tid++ {
-		if c.Recover(tid) != nil {
-			t.Fatalf("tid %d pending after quiescent crash", tid)
-		}
-	}
-	if v := c.Value(); v != threads*500 {
-		t.Fatalf("value after crash = %d, want %d", v, threads*500)
-	}
-}
-
-// TestFabricCounterCrashExactlyOnce mirrors the map test for the counter
-// sharding: completed + resolved-pending adds must equal the durable sum.
-func TestFabricCounterCrashExactlyOnce(t *testing.T) {
-	const threads = 4
-	h := newHeap()
-	c := NewCounter(h, "c", threads, Blocking, 2)
-	var applied uint64
-	for gen := 0; gen < 4; gen++ {
-		done := make([]uint64, threads)
-		var wg sync.WaitGroup
-		for tid := 0; tid < threads; tid++ {
-			wg.Add(1)
-			go func(tid int) {
-				defer wg.Done()
-				defer func() {
-					if r := recover(); r != nil {
-						if _, ok := r.(pmem.CrashError); !ok {
-							panic(r)
-						}
-					}
-				}()
-				for i := 0; i < 300; i++ {
-					c.Add(tid, 1)
-					done[tid]++
-				}
-			}(tid)
-		}
-		if gen%2 == 1 {
-			go h.TriggerCrash()
-		}
-		wg.Wait()
-		h.FinishCrash(pmem.RandomCut, int64(gen))
-		c = NewCounter(h, "c", threads, Blocking, 2)
-		for tid := 0; tid < threads; tid++ {
-			applied += done[tid]
-			applied += uint64(len(c.Recover(tid)))
-		}
-		if v := c.Value(); v != applied {
-			t.Fatalf("gen %d: value %d, want %d", gen, v, applied)
-		}
-	}
-}
-
-func TestFabricQueue(t *testing.T) {
-	const threads = 4
-	h := newHeap()
-	q := NewQueue(h, "q", threads, queue.Blocking, 3, queue.Options{Capacity: 1 << 12})
-	var wg sync.WaitGroup
-	const perThread = 200
-	for tid := 0; tid < threads; tid++ {
-		wg.Add(1)
-		go func(tid int) {
-			defer wg.Done()
-			for i := 0; i < perThread; i++ {
-				q.Enqueue(tid, uint64(tid)<<32|uint64(i)+1)
-			}
-		}(tid)
-	}
-	wg.Wait()
-	if q.Len() != threads*perThread {
-		t.Fatalf("len = %d, want %d", q.Len(), threads*perThread)
-	}
-	// Relaxed FIFO: ordering is per sub-queue only, so check the global
-	// multiset property — every enqueued element comes out exactly once.
-	seen := map[uint64]bool{}
-	count := 0
-	for {
-		v, ok := q.Dequeue(0)
-		if !ok {
-			break
-		}
-		if seen[v] {
-			t.Fatalf("duplicate element %d", v)
-		}
-		seen[v] = true
-		count++
-	}
-	if count != threads*perThread {
-		t.Fatalf("drained %d, want %d", count, threads*perThread)
-	}
-
-	// Quiescent crash: nothing lost.
-	q.Enqueue(0, 777)
-	h.Crash(pmem.RandomCut, 5)
-	q = NewQueue(h, "q", threads, queue.Blocking, 3, queue.Options{Capacity: 1 << 12})
-	for tid := 0; tid < threads; tid++ {
-		q.Recover(tid)
-	}
-	if v, ok := q.Dequeue(1); !ok || v != 777 {
-		t.Fatalf("dequeue after crash = %d,%v", v, ok)
 	}
 }

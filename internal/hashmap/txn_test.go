@@ -1,4 +1,4 @@
-package fabric
+package hashmap
 
 import (
 	"math/rand"
@@ -19,7 +19,7 @@ func seedAccounts(m *Map, nacc int, each uint64) uint64 {
 func TestTxnBasic(t *testing.T) {
 	for _, v := range variants() {
 		t.Run(v.name, func(t *testing.T) {
-			m := New(newHeap(), "m", 2, v.opts)
+			m := newSharded(newHeap(), "m", 2, v.opts)
 			defer m.Close()
 			sum := seedAccounts(m, 8, 100)
 			fromNew, toNew := m.TransferAdd(0, 1, 5, 30)
@@ -61,11 +61,11 @@ func TestTxnCrashEnumeration(t *testing.T) {
 		kind Kind
 	}{{"PB", Blocking}, {"PWF", WaitFree}} {
 		t.Run(kindCase.name, func(t *testing.T) {
-			opts := Options{Shards: 4, Kind: kindCase.kind, Flat: true}
+			opts := shardedOpts{Shards: 4, Kind: kindCase.kind, Flat: true}
 			crashes := 0
 			for crashAt := int64(1); ; crashAt++ {
 				h := newHeap()
-				m := New(h, "m", 1, opts)
+				m := newSharded(h, "m", 1, opts)
 				sum := seedAccounts(m, 8, 100)
 				h.SetCrashAtEvent(crashAt)
 				crashed := false
@@ -98,7 +98,7 @@ func TestTxnCrashEnumeration(t *testing.T) {
 				}
 				crashes++
 				h.FinishCrash(pmem.RandomCut, crashAt)
-				m2 := New(h, "m", 1, opts)
+				m2 := newSharded(h, "m", 1, opts)
 				for _, r := range m2.Recover(0) {
 					if r.Op != OpAdd {
 						t.Fatalf("crashAt %d: recovered op %x", crashAt, r.Op)
@@ -123,11 +123,11 @@ func TestTxnCrashEnumeration(t *testing.T) {
 // recovery itself: a committed transaction interrupted once, then
 // interrupted again while being replayed, must still complete exactly once.
 func TestTxnCrashDuringRecovery(t *testing.T) {
-	opts := Options{Shards: 4, Flat: true}
+	opts := shardedOpts{Shards: 4, Flat: true}
 	// First find a crash point that leaves a committed transaction pending.
 	for crashAt := int64(1); crashAt < 100000; crashAt++ {
 		h := newHeap()
-		m := New(h, "m", 1, opts)
+		m := newSharded(h, "m", 1, opts)
 		sum := seedAccounts(m, 8, 100)
 		h.SetCrashAtEvent(crashAt)
 		crashed := false
@@ -149,7 +149,7 @@ func TestTxnCrashDuringRecovery(t *testing.T) {
 
 		// Nested enumeration: crash the recovery at each of ITS events.
 		for rAt := int64(1); ; rAt++ {
-			m2 := New(h, "m", 1, opts)
+			m2 := newSharded(h, "m", 1, opts)
 			h.SetCrashAtEvent(rAt)
 			rCrashed := false
 			func() {
@@ -171,7 +171,7 @@ func TestTxnCrashDuringRecovery(t *testing.T) {
 				break
 			}
 			h.FinishCrash(pmem.RandomCut, rAt)
-			m3 := New(h, "m", 1, opts)
+			m3 := newSharded(h, "m", 1, opts)
 			m3.Recover(0)
 			if got := m3.SumValues(); got != sum {
 				t.Fatalf("crashAt %d, recovery re-crash at %d: sum = %d, want %d",
@@ -193,9 +193,9 @@ func TestTxnConcurrentCrashConservation(t *testing.T) {
 		kind Kind
 	}{{"PB", Blocking}, {"PWF", WaitFree}} {
 		t.Run(kindCase.name, func(t *testing.T) {
-			opts := Options{Shards: 4, Kind: kindCase.kind}
+			opts := shardedOpts{Shards: 4, Kind: kindCase.kind}
 			h := newHeap()
-			m := New(h, "bank", threads, opts)
+			m := newSharded(h, "bank", threads, opts)
 			sum := seedAccounts(m, nacc, 1000)
 			for gen := 0; gen < 6; gen++ {
 				var wg sync.WaitGroup
@@ -227,7 +227,7 @@ func TestTxnConcurrentCrashConservation(t *testing.T) {
 				wg.Wait()
 				m.Close()
 				h.FinishCrash(pmem.RandomCut, int64(gen))
-				m = New(h, "bank", threads, opts)
+				m = newSharded(h, "bank", threads, opts)
 				for tid := 0; tid < threads; tid++ {
 					m.Recover(tid)
 				}
@@ -243,12 +243,12 @@ func TestTxnConcurrentCrashConservation(t *testing.T) {
 // TestTxnRejectedBeforeScratch: an over-long leg list is refused before the
 // thread's transaction scratch is touched, so the next transaction is sound.
 func TestTxnRejectedBeforeScratch(t *testing.T) {
-	m := New(newHeap(), "m", 1, Options{Shards: 4, MaxLegs: 2})
+	m := newSharded(newHeap(), "m", 1, shardedOpts{Shards: 4, VecCap: 2})
 	sum := seedAccounts(m, 8, 100)
 	func() {
 		defer func() {
 			if recover() == nil {
-				t.Fatal("3 legs accepted with MaxLegs 2")
+				t.Fatal("3 legs accepted with VecCap 2")
 			}
 		}()
 		m.Txn(0, []Leg{{Op: OpAdd, Key: 1, Val: 1}, {Op: OpAdd, Key: 2, Val: 1}, {Op: OpAdd, Key: 3, Val: 1}})

@@ -99,9 +99,9 @@ type CombSnapshot struct {
 }
 
 // CombGroup is a merged multi-object view over per-instance CombStats: a
-// structure built from many combining instances (the sharded fabric, a
-// multi-shard map) gives each instance its own child sink, keeping per-shard
-// combining degree observable, and reads one fabric-level aggregate through
+// structure built from many combining instances (a multi-shard map) gives
+// each instance its own child sink, keeping per-shard combining degree
+// observable, and reads one structure-level aggregate through
 // the group's Snapshot — counters summed, degree and batch-size histograms
 // merged — instead of N disjoint dumps.
 type CombGroup struct {

@@ -88,9 +88,11 @@ const (
 	// (line-rounded per-thread blocks, the fabric's redo log in a region of
 	// its own); 3 = one record per commit, whose group table and payload
 	// carry a vector's, a flush window's and a transaction's operations (no
-	// redo-log region). A file of another version is refused, never
-	// reinterpreted.
-	fileVersion    = 3
+	// redo-log region); 4 = one sharded map, whose regions are named
+	// shard%d and hashmap.sys with or without posting boards, and whose
+	// transaction payload is VecCap. A file of another version is refused,
+	// never reinterpreted.
+	fileVersion    = 4
 	fileSlotA      = 8  // header slot A word offset
 	fileSlotB      = 16 // header slot B word offset
 	fileCatStart   = 64

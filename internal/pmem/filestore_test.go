@@ -164,10 +164,11 @@ func corruptByteOnDisk(t *testing.T, path string, off int64) {
 
 // TestFileOldVersionRefused: a file whose header carries an older version —
 // 1, the layout before the shared system area; 2, the one with the fabric's
-// separate redo log and ring-backed vector records — must be refused with
-// ErrBadFile, not attached and misread.
+// separate redo log and ring-backed vector records; 3, the one whose sharded
+// map kept fshard%d and fabric.sys regions apart from the hash map's — must
+// be refused with ErrBadFile, not attached and misread.
 func TestFileOldVersionRefused(t *testing.T) {
-	for _, old := range []uint64{1, 2} {
+	for _, old := range []uint64{1, 2, 3} {
 		path := tmpHeapPath(t)
 		h, _, err := OpenFile(path, FileOpts{Cfg: Config{NoCost: true}})
 		if err != nil {

@@ -9,10 +9,10 @@ func TestFlushSetDedupAndReset(t *testing.T) {
 	var fs FlushSet
 	fs.Reset(r)
 	fs.Add(0, 1)
-	fs.Add(1, 1)                      // same line
-	fs.Add(LineWords, 2*LineWords)    // lines 1,2
-	fs.Add(0, LineWords+1)            // lines 0,1 again
-	fs.Add(5*LineWords, 1)            // line 5
+	fs.Add(1, 1)                   // same line
+	fs.Add(LineWords, 2*LineWords) // lines 1,2
+	fs.Add(0, LineWords+1)         // lines 0,1 again
+	fs.Add(5*LineWords, 1)         // line 5
 	if got := fs.Len(); got != 4 {
 		t.Fatalf("Len = %d, want 4 distinct lines", got)
 	}

@@ -86,9 +86,9 @@ func Pause() {
 
 // Mix is the splitmix64 64-bit finalizer: a full-avalanche mixer spreading
 // keys over shards and probe starts. It is the one key-hashing function of
-// the repository — the hash map's internal sharding and the fabric's
-// consistent-hash routing both use it, so a key's fabric shard and its probe
-// sequence stay stable across layers.
+// the repository — the hash map's shard router and each shard's probe start
+// both use it, so a key's shard and its probe sequence stay stable across
+// layers.
 func Mix(x uint64) uint64 {
 	x ^= x >> 30
 	x *= 0xbf58476d1ce4e5b9

@@ -124,10 +124,9 @@ type scratch struct {
 // New creates — or re-attaches after a crash — the system area named name
 // for n threads over the combining instances insts (one class each). epoch is
 // the structure's epoch state, nil in strict mode. payload is the most
-// operations one multi-op commit may carry — the structure's VecCap, the
-// fabric's MaxLegs; below 2 the structure commits one operation at a time and
-// its record has no payload. Part of the persistent layout: re-attach with
-// the same value.
+// operations one multi-op commit may carry — the structure's VecCap; below 2
+// the structure commits one operation at a time and its record has no
+// payload. Part of the persistent layout: re-attach with the same value.
 func New(h *pmem.Heap, name string, n int, insts []core.Protocol, epoch *pmem.Epoch, payload int) *Area {
 	k := len(insts)
 	if payload < 2 {
@@ -273,7 +272,7 @@ func (a *Area) commitStores(tid int, grps []group, ops []core.VecOp) []store {
 
 // Begin durably records that tid is about to run op on class and returns the
 // sequence number to run it with. Callers that reach the instance through
-// something other than a direct Invoke (the fabric's posting boards) bracket
+// something other than a direct Invoke (the map's posting boards) bracket
 // the operation with Begin and End; everyone else calls Invoke.
 func (a *Area) Begin(tid, class int, op, a0, a1 uint64) uint64 {
 	if h := a.hist; h != nil {

@@ -7,7 +7,6 @@ import (
 
 	"pcomb"
 	"pcomb/internal/core"
-	"pcomb/internal/fabric"
 	"pcomb/internal/hashmap"
 	"pcomb/internal/queue"
 	"pcomb/internal/sysarea"
@@ -134,22 +133,22 @@ func mapSubject(name string, vecCap int) subject {
 	}}
 }
 
-// fabricSubject is a two-shard fabric (payload: the default MaxLegs); its
-// multi-op commit is a transfer between the shards (two groups). Its total is
-// 2·to − from, so a whole transfer moves it by 3, a torn one by 1 or 2, a
-// doubled one by 6, and no two lost operations cancel.
+// fabricSubject is a two-shard board map, as NewShardedMap builds it
+// (payload: VecCap 16); its multi-op commit is a transfer between the shards
+// (two groups). Its total is 2·to − from, so a whole transfer moves it by 3, a
+// torn one by 1 or 2, a doubled one by 6, and no two lost operations cancel.
 func fabricSubject(name string) subject {
-	return subject{name: name, threads: 1, classes: 2, region: "t/fabric.sys", payload: 8, open: func(s *pcomb.System) handle {
-		m := fabric.New(s.Heap(), "t", 1, fabric.Options{Shards: 2, Kind: fabric.WaitFree})
+	return subject{name: name, threads: 1, classes: 2, region: "t/hashmap.sys", payload: 16, open: func(s *pcomb.System) handle {
+		m := hashmap.NewWith(s.Heap(), "t", 1, hashmap.WaitFree, hashmap.Options{Shards: 2, Board: true, VecCap: 16})
 		keys := keyPerShard(2, m.ShardOf)
 		val := func(k uint64) int { v, _ := m.Get(0, k); return int(v) }
 		return handle{
 			tid:   tid0,
-			rec:   func(class int) (uint64, uint64, uint64) { return fabric.OpAdd, keys[class], 1 },
+			rec:   func(class int) (uint64, uint64, uint64) { return hashmap.OpAdd, keys[class], 1 },
 			run:   func(class int) uint64 { return m.Add(0, keys[class], 1) },
 			delta: func(class int) int { return 3*class - 1 },
 			total: func() int { return 2*val(keys[1]) - val(keys[0]) }, recover: m.Recover, close: m.Close,
-			vops:    []core.VecOp{{Op: fabric.OpAdd, A0: keys[0], A1: ^uint64(0)}, {Op: fabric.OpAdd, A0: keys[1], A1: 1}},
+			vops:    []core.VecOp{{Op: hashmap.OpAdd, A0: keys[0], A1: ^uint64(0)}, {Op: hashmap.OpAdd, A0: keys[1], A1: 1}},
 			classOf: func(o core.VecOp) int { return m.ShardOf(o.A0) },
 			commit: func() []uint64 {
 				from, to := m.TransferAdd(0, keys[0], keys[1], 1)
@@ -160,50 +159,28 @@ func fabricSubject(name string) subject {
 	}}
 }
 
+// counterSubject is a counter striped over a two-shard board map: thread t
+// adds only to the key on shard t, so each thread has a class of its own and
+// the count is the sum of the stripes (payload: a board's least VecCap, 2).
+func counterSubject(name string) subject {
+	return subject{name: name, threads: 2, classes: 2, region: "t/hashmap.sys", payload: 2, open: func(s *pcomb.System) handle {
+		m := hashmap.NewWith(s.Heap(), "t", 2, hashmap.Blocking, hashmap.Options{Shards: 2, Board: true})
+		keys := keyPerShard(2, m.ShardOf)
+		return handle{
+			tid:   func(class int) int { return class },
+			rec:   func(class int) (uint64, uint64, uint64) { return hashmap.OpAdd, keys[class], 1 },
+			run:   func(class int) uint64 { return m.Add(class, keys[class], 1) },
+			delta: plus1, total: func() int { return sum(m.Range) }, recover: m.Recover, close: m.Close,
+		}
+	}}
+}
+
 var subjects = []subject{
 	queueSubject("Queue/PB", pcomb.Blocking, 0),
 	queueSubject("Queue/PWF", pcomb.WaitFree, 0),
 	mapSubject("Map", 0),
 	fabricSubject("ShardedMap"),
-	// Two sub-queues, two threads: after a re-open thread t's cursor is at
-	// sub-queue t, so thread 0 enqueues on classes 0 then 1 (and is back at
-	// 0), and thread t's dequeue probes sub-queue t first (class 2+t) — which
-	// the test keeps non-empty. runAll checks the classes really moved.
-	{name: "FabricQueue", threads: 2, classes: 4, region: "t/fabq.sys", open: func(s *pcomb.System) handle {
-		q := fabric.NewQueue(s.Heap(), "t", 2, queue.Blocking, 2, queue.Options{Capacity: 1 << 10})
-		return handle{
-			tid: func(class int) int {
-				if class < 2 {
-					return 0
-				}
-				return class - 2
-			},
-			rec: func(class int) (uint64, uint64, uint64) {
-				if class < 2 {
-					return queue.OpEnq, 7, 0
-				}
-				return queue.OpDeq, 0, 0
-			},
-			run: func(class int) uint64 {
-				if class < 2 {
-					q.Enqueue(0, 7)
-					return queue.EnqOK
-				}
-				v, _ := q.Dequeue(class - 2)
-				return v
-			},
-			delta: enqDeq(2), total: q.Len, recover: q.Recover, close: noop,
-		}
-	}},
-	{name: "Counter", threads: 2, classes: 2, region: "t/fabcnt.sys", open: func(s *pcomb.System) handle {
-		c := fabric.NewCounter(s.Heap(), "t", 2, fabric.Blocking, 2)
-		return handle{
-			tid:   func(class int) int { return class },
-			rec:   func(int) (uint64, uint64, uint64) { return core.OpCounterAdd, 1, 0 },
-			run:   func(class int) uint64 { return c.Add(class, 1) },
-			delta: plus1, total: func() int { return int(c.Value()) }, recover: c.Recover, close: noop,
-		}
-	}},
+	counterSubject("Counter"),
 }
 
 // run is one torn-state scenario on one subject.
@@ -227,8 +204,7 @@ func start(t *testing.T, sub subject) *run {
 	return r
 }
 
-// ackUpTo acknowledges one operation on each class below n, in class order
-// (the order the FabricQueue's cursors need).
+// ackUpTo acknowledges one operation on each class below n, in class order.
 func (r *run) ackUpTo(n int) {
 	r.t.Helper()
 	for class := 0; class < n; class++ {
@@ -325,7 +301,7 @@ func TestTornPrefix(t *testing.T) {
 }
 
 // commitSubjects carry a multi-op commit: a one-group vector, a map flush
-// window over two shards, and a transfer over two fabric shards.
+// window over two shards, and a transfer over the two shards of a board map.
 var commitSubjects = []subject{
 	queueSubject("Queue/vector", pcomb.Blocking, 4),
 	mapSubject("Map/window", 4),

@@ -11,13 +11,18 @@ type Map struct {
 }
 
 // MapOptions tunes a map instance; the zero value is sensible. Shards
-// (0 = 8) and Capacity (0 = 64 per shard) size it, Dense disables the shards'
-// sparse persistence, VecCap > 1 enables the async Submit/Flush API, and
-// Epoch/EpochInterval switch it to epoch-mode relaxed durability (group
-// commit: a crash may lose the operations of the last open epoch, and only
-// those — Recover reports an interrupted one of that window with
-// Certain=false; use Sync/WaitDurable for per-operation durability). VecCap
-// and Epoch are part of the persistent layout: re-open with the same values.
+// (0 = 8) and Capacity (0 = 64 per shard) size it and Dense disables the
+// shards' sparse persistence. VecCap > 1 bounds one multi-op commit and
+// enables both the async Submit/Flush API and the cross-shard transactions
+// (Txn, TransferAdd, PutAll): a transaction is a window. Board routes scalar
+// updates through each shard's posting board (hierarchical combining, as
+// NewShardedMap builds by default); the zero value invokes the key's shard
+// directly. Epoch/EpochInterval switch it to epoch-mode relaxed durability
+// (group commit: a crash may lose the operations of the last open epoch, and
+// only those — Recover reports an interrupted one of that window with
+// Certain=false; use Sync/WaitDurable for per-operation durability). VecCap,
+// Board and Epoch are part of the persistent layout: re-open with the same
+// values.
 type MapOptions = hashmap.Options
 
 // NewMap creates — or, after Crash, re-opens — a recoverable hash map.
@@ -79,8 +84,10 @@ func (m *Map) EpochClosed() uint64 { return m.m.EpochClosed() }
 // if the system crashed first (Epoch mode only).
 func (m *Map) WaitDurable(target uint64) bool { return m.m.WaitDurable(target) }
 
-// StopEpoch halts the background closer (if any) after a final close.
-func (m *Map) StopEpoch() { m.m.StopEpoch() }
+// Close halts the epoch's background closer (if any) after a final close;
+// strict mode starts no goroutine and has nothing to stop. Idempotent; call
+// while quiescent.
+func (m *Map) Close() { m.m.Close() }
 
 // SubmitPut stages a Put on the async pipelined path (requires
 // MapOptions.VecCap > 1); the Future's Wait returns the previous value (or
@@ -118,3 +125,32 @@ func (m *Map) Range(f func(key, val uint64) bool) { m.m.Range(f) }
 
 // SetHistory installs (or, with nil, removes) an operation recorder.
 func (m *Map) SetHistory(h HistoryLog) { m.m.SetHistory(h) }
+
+// Shards returns the shard count.
+func (m *Map) Shards() int { return m.m.Shards() }
+
+// TransferAdd moves amount from key `from` to key `to` as one failure-atomic,
+// not isolated, transaction (see Txn); the sum of all values (mod 2^64) is
+// conserved across the transfer, crash included. Requires VecCap > 1.
+func (m *Map) TransferAdd(tid int, from, to, amount uint64) (fromNew, toNew uint64) {
+	return m.m.TransferAdd(tid, from, to, amount)
+}
+
+// PutAll maps every pair (Op fields are ignored) as one failure-atomic, not
+// isolated, transaction (see Txn), returning the per-pair previous values.
+func (m *Map) PutAll(tid int, pairs []TxnLeg) []uint64 { return m.m.PutAll(tid, pairs) }
+
+// Txn executes at most VecCap legs as one multi-shard transaction (see
+// TxnLeg); results are per-leg, in leg order. It is one commit, like a Flush
+// window, and failure-atomic: a crash leaves all of it or none of it, and
+// Recover reports a committed one as its legs, shard group by shard group. It
+// is not isolated: the shard groups apply one after another, and a concurrent
+// reader can see one applied and the next not yet (ROADMAP, "Cross-shard
+// transactions are failure-atomic but not isolated"). Legs of different
+// shards are not mutually ordered — use commuting legs for cross-shard
+// invariants.
+func (m *Map) Txn(tid int, legs []TxnLeg) []uint64 { return m.m.Txn(tid, legs) }
+
+// SumValues returns the sum (mod 2^64) of all values — the invariant
+// TransferAdd conserves (quiescent use only).
+func (m *Map) SumValues() uint64 { return m.m.SumValues() }

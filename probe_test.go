@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"pcomb/internal/core"
-	"pcomb/internal/fabric"
 	"pcomb/internal/hashmap"
 	"pcomb/internal/obs"
 	"pcomb/internal/pmem"
@@ -76,7 +75,7 @@ func TestProbeReachesEveryInstance(t *testing.T) {
 			name = "fabric-flat"
 		}
 		t.Run(name, func(t *testing.T) {
-			m := fabric.New(heap(), "f", threads, fabric.Options{Shards: 4, Flat: flat})
+			m := hashmap.NewWith(heap(), "f", threads, hashmap.Blocking, hashmap.Options{Shards: 4, Board: !flat, VecCap: 16})
 			defer m.Close()
 			p, st, spans := newProbe()
 			g := m.ShardStats(p)

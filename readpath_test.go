@@ -36,7 +36,7 @@ func TestReadPathPublicForwards(t *testing.T) {
 				}
 			}
 			words := func() (out []uint64) {
-				for _, region := range []string{"m/hashmap.sys", "f/fabric.sys", "h/sysarea"} {
+				for _, region := range []string{"m/hashmap.sys", "f/hashmap.sys", "h/sysarea"} {
 					r := sys.Heap().Region(region)
 					w := make([]uint64, r.Len())
 					r.Snapshot(w, 0, len(w))

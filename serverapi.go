@@ -168,7 +168,7 @@ func (s *ServerStore) Heap() *pmem.Heap { return s.h }
 // owns its heap, closes the backing file.
 func (s *ServerStore) Close() error {
 	if s.opts.Epoch {
-		s.m.StopEpoch()
+		s.m.Close()
 		s.q.StopEpoch()
 	}
 	if s.owned {
