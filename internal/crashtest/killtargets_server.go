@@ -16,9 +16,9 @@ package crashtest
 // accept order decides WHICH tid, so the verifier cannot assume journal
 // thread k maps to server tid k. Key ownership does the translation: client
 // k only touches keys named "k<k>.<r>", so any key hash identifies its
-// owner. With one map shard, a server tid's interrupted flush window is one
-// vectorized group in submission order, which must match a contiguous run
-// of the owning client's open journal records.
+// owner. The server's map is one combining instance, so a server tid's
+// interrupted flush window is one vectorized group in submission order, which
+// must match a contiguous run of the owning client's open journal records.
 
 import (
 	"bufio"
@@ -68,13 +68,10 @@ func newSrvKT(kind pcomb.Kind, epoch bool) *srvKT {
 		Name: "srv/" + pfx(kind) + "srv" + tag(epoch, "-epoch"),
 		Open: func(h *pmem.Heap, n int) Handle {
 			t.st = pcomb.NewServerStoreOn(h, pcomb.ServerOptions{
-				Threads:  n,
-				Kind:     kind,
-				FlushOps: srvKillFlushOps,
-				Epoch:    epoch,
-				// One shard: a flush window is one vectorized group, so a kill
-				// interrupts at most one contiguous run of some client's commands.
-				MapShards:   1,
+				Threads:     n,
+				Kind:        kind,
+				FlushOps:    srvKillFlushOps,
+				Epoch:       epoch,
 				MapCapacity: 1024,
 				// The queue is part of the store but the workload never touches it;
 				// the arena still needs one chunk per thread at construction.

@@ -90,9 +90,10 @@ const (
 	// carry a vector's, a flush window's and a transaction's operations (no
 	// redo-log region); 4 = one sharded map, whose regions are named
 	// shard%d and hashmap.sys with or without posting boards, and whose
-	// transaction payload is VecCap. A file of another version is refused,
-	// never reinterpreted.
-	fileVersion    = 4
+	// transaction payload is VecCap; 5 = the server store's map is one
+	// combining instance (srv/map/shard0 holds every slot, 512 by default). A
+	// file of another version is refused, never reinterpreted.
+	fileVersion    = 5
 	fileSlotA      = 8  // header slot A word offset
 	fileSlotB      = 16 // header slot B word offset
 	fileCatStart   = 64

@@ -219,11 +219,16 @@ func (r *Region) xorWord(i int, mask uint64) {
 }
 
 // restoreFromShadow overwrites the volatile contents with the durable shadow,
-// simulating the state visible after a power failure.
+// simulating the state visible after a power failure. Only words that differ
+// are stored: a region freshly allocated on reopen is zero, so the pages of
+// its unused capacity (most of a queue's node arena) are never written and
+// the reopen's resident memory follows the data, not the capacity.
 func (r *Region) restoreFromShadow() {
 	r.shadMu.lock()
 	for i, v := range r.shadow {
-		atomic.StoreUint64(&r.words[i], v)
+		if atomic.LoadUint64(&r.words[i]) != v {
+			atomic.StoreUint64(&r.words[i], v)
+		}
 	}
 	r.shadMu.unlock()
 }

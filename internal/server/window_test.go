@@ -68,6 +68,57 @@ func TestWindowOneWriteOneWindow(t *testing.T) {
 	}
 }
 
+// TestWindowIsOneRound: the store's map is one combining instance, so a full
+// window of SETs on distinct keys is one vectorized announcement and one
+// round, wherever its keys hash: one psync, and two pfences (the system-area
+// record's and the round's). The second window is measured, so nothing a
+// thread's first commit sets up is counted.
+func TestWindowIsOneRound(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		kind pcomb.Kind
+	}{{"PB", pcomb.Blocking}, {"PWF", pcomb.WaitFree}} {
+		t.Run(tc.name, func(t *testing.T) {
+			srv, st, addr, _ := startServer(t, pcomb.ServerOptions{Threads: 2, Kind: tc.kind, FlushOps: 16}, server.Options{FlushOps: 16})
+			cl := dial(t, addr)
+			cl.sets(16)
+			cl.flush(t)
+			cl.wantOKs(t, 16)
+			wantWindows(t, srv, 1, 16, 16)
+
+			before := st.Heap().Stats()
+			for i := 0; i < 16; i++ {
+				cl.send("SET", "r"+strconv.Itoa(i), strconv.Itoa(i))
+			}
+			cl.flush(t)
+			cl.wantOKs(t, 16)
+			after := st.Heap().Stats()
+			wantWindows(t, srv, 2, 16, 16)
+			psyncs, pfences := after.Psyncs-before.Psyncs, after.Pfences-before.Pfences
+			t.Logf("a 16-SET window: %d psyncs, %d pfences, %d pwbs", psyncs, pfences, after.Pwbs-before.Pwbs)
+			if psyncs != 1 || pfences != 2 {
+				t.Fatalf("a 16-SET window cost %d psyncs and %d pfences, want 1 and 2", psyncs, pfences)
+			}
+		})
+	}
+}
+
+// TestWindowDefaultCapacity: a default store holds 512 keys, all in its one
+// instance, and refuses the 513th.
+func TestWindowDefaultCapacity(t *testing.T) {
+	_, _, addr, _ := startServer(t, pcomb.ServerOptions{Threads: 1}, server.Options{})
+	cl := dial(t, addr)
+	const slots = 512
+	for i := 0; i < slots; i++ {
+		cl.send("SET", "c"+strconv.Itoa(i), "1")
+	}
+	cl.flush(t)
+	cl.wantOKs(t, slots)
+	if got := cl.do(t, "SET", "c"+strconv.Itoa(slots), "1"); !strings.HasPrefix(got, "-ERR") {
+		t.Fatalf("SET of key %d = %q, want -ERR", slots+1, got)
+	}
+}
+
 // TestWindowNoReplyWaitsOnUnsentBytes: a burst that ends inside a frame. The
 // complete commands' replies must be readable while the rest of the frame is
 // still unsent.

@@ -53,10 +53,15 @@ type ServerOptions struct {
 	// EpochInterval is the background close cadence (Epoch mode; 0 = close
 	// only on WAIT/Sync).
 	EpochInterval time.Duration
-	// MapShards / MapCapacity / QueueCapacity size the structures
-	// (0 = package defaults).
-	MapShards     int
-	MapCapacity   int
+	// MapCapacity is the map's slot count (0 = 512); a SET or INCRBY of a
+	// new key beyond it is refused. The map is one combining instance, not
+	// shards: a strict-mode window is then one vectorized announcement, one
+	// round and one psync, and windows of different connections meet in the
+	// same instance, where one combiner serves them together. Shards would
+	// split a window into one round per shard it touches — about 7 rounds
+	// and 7 psyncs for 16 keys over 8 shards. Part of the persistent layout.
+	MapCapacity int
+	// QueueCapacity sizes the queue's node arena (0 = package default).
 	QueueCapacity int
 	// CapacityWords sizes the backing file's data area on creation.
 	CapacityWords int
@@ -73,6 +78,9 @@ func (o ServerOptions) withDefaults() ServerOptions {
 	}
 	if o.FlushOps <= 0 {
 		o.FlushOps = 16
+	}
+	if o.MapCapacity <= 0 {
+		o.MapCapacity = 512
 	}
 	return o
 }
@@ -106,7 +114,7 @@ func NewServerStoreOn(h *pmem.Heap, o ServerOptions) *ServerStore {
 		vcap = o.FlushOps + 1
 	}
 	m := sys.NewMap("srv/map", o.Threads, o.Kind, MapOptions{
-		Shards:        o.MapShards,
+		Shards:        1,
 		Capacity:      o.MapCapacity,
 		VecCap:        vcap,
 		Epoch:         o.Epoch,
