@@ -50,14 +50,6 @@ func (q *Queue) Flush(tid int) {
 // Pending returns the number of staged, unflushed ops of tid (both classes).
 func (q *Queue) Pending(tid int) int { return q.enqPipe.Pending(tid) + q.deqPipe.Pending(tid) }
 
-// PendingEnqueues returns tid's staged enqueue count (0 when the async path
-// is disabled); PendingDequeues is its dequeue counterpart. Callers pacing
-// class switches (submitting one class flushes the other) check these.
-func (q *Queue) PendingEnqueues(tid int) int { return q.enqPipe.Pending(tid) }
-
-// PendingDequeues returns tid's staged dequeue count.
-func (q *Queue) PendingDequeues(tid int) int { return q.deqPipe.Pending(tid) }
-
 // ---- Stack ----
 
 // SubmitPush stages a push of v (requires StackOptions.VecCap > 1); see

@@ -502,7 +502,7 @@ func TestBatchPipelessStructure(t *testing.T) {
 		submit  func()
 	}{
 		{"Queue", q.Flush, q.Pending, func() { q.SubmitEnqueue(0, 1) }},
-		{"Queue/dequeue", q.Flush, q.PendingDequeues, func() { q.SubmitDequeue(0) }},
+		{"Queue/dequeue", q.Flush, q.Pending, func() { q.SubmitDequeue(0) }},
 		{"Stack", st.Flush, nil, func() { st.SubmitPush(0, 1) }},
 		{"Heap", hp.Flush, nil, func() { hp.SubmitInsert(0, 1) }},
 		{"Recoverable", obj.Flush, nil, func() { obj.Submit(0, core.OpCounterAdd, 1, 0) }},

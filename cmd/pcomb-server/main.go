@@ -43,8 +43,8 @@ func main() {
 		path     = flag.String("path", "", "backing heap file (required unless -smoke, which defaults to a temp file)")
 		threads  = flag.Int("threads", 16, "max concurrent connections (combining slots; part of the persistent layout)")
 		kindName = flag.String("kind", "pb", "combining protocol: pb (blocking) or pwf (wait-free)")
-		flushOps = flag.Int("flush-ops", 16, "per-connection batch window cap; a window also commits as soon as the client has nothing more in flight (1 = flush per command; part of the persistent layout in strict mode)")
-		epoch    = flag.Bool("epoch", false, "epoch-mode relaxed durability: acknowledge fast, group-commit at epoch closes, WAIT = sync (part of the persistent layout)")
+		flushOps = flag.Int("flush-ops", 16, "per-connection batch window cap; a window also commits as soon as the client has nothing more in flight (1 = flush per command; part of the persistent layout)")
+		epoch    = flag.Bool("epoch", false, "epoch-mode relaxed durability: a window's replies leave at its commit and it becomes durable at the next epoch close, which WAIT forces (part of the persistent layout)")
 		epochUs  = flag.Int("epoch-us", 1000, "background epoch close cadence (µs; with -epoch)")
 		syncName = flag.String("sync", "none", "msync on fences: none, async, or fence")
 		smoke    = flag.Duration("smoke", 0, "run the CI smoke for this duration instead of serving (e.g. 30s)")

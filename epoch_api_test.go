@@ -62,7 +62,7 @@ func TestQueueEpochWaitDurable(t *testing.T) {
 		Epoch:         true,
 		EpochInterval: 200 * time.Microsecond,
 	})
-	defer q.StopEpoch()
+	defer q.Close()
 	q.Enqueue(0, 7)
 	label := q.EpochNow()
 	if !q.WaitDurable(label) {

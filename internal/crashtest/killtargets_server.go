@@ -16,9 +16,15 @@ package crashtest
 // accept order decides WHICH tid, so the verifier cannot assume journal
 // thread k maps to server tid k. Key ownership does the translation: client
 // k only touches keys named "k<k>.<r>", so any key hash identifies its
-// owner. The server's map is one combining instance, so a server tid's
-// interrupted flush window is one vectorized group in submission order, which
-// must match a contiguous run of the owning client's open journal records.
+// owner. The server stages and commits a connection's commands in the same
+// windows in both durability modes, and its map is one combining instance, so
+// a server tid's interrupted window is one vectorized group in submission
+// order, which must match a contiguous run of the owning client's open journal
+// records — one matcher for both modes. The epoch rule only narrows what the
+// match may claim: an operation recovery could not tell applied from lost
+// stays open. A GET answered as a read of the durable state is in no window,
+// and it is answered that way only while nothing is staged on the map, so it
+// can precede a window's staged operations but never fall among them.
 
 import (
 	"bufio"
@@ -227,14 +233,13 @@ func (t *srvKT) keyOwners() map[uint64]int {
 
 // Recover walks every server tid's recovery and routes each recovered
 // operation to the owning client's journal records by key ownership: server
-// tids and journal threads are decoupled by accept order.
+// tids and journal threads are decoupled by accept order. Only a Certain
+// operation is marked recovered: under an epoch an uncertain one stays open,
+// applied or lost like the rest of the open epoch.
 func (t *srvKT) Recover() error {
 	j := t.j
 	// The crash cut comes first: recovery closes epochs.
 	j.Cut(t.sp.stamp())
-	if t.epoch {
-		return t.recoverEpoch()
-	}
 	owners := t.keyOwners()
 	for stid := 0; stid < t.n; stid++ {
 		if ops := t.st.Queue().Recover(stid); len(ops) > 0 {
@@ -250,8 +255,9 @@ func (t *srvKT) Recover() error {
 			return fmt.Errorf("%s: recovered key %#x has no owner", t.sp.Name, recops[0].A0)
 		}
 		// The interrupted window must be a contiguous run of the owning
-		// client's open records (older open records are completed flushes
-		// whose replies died in flight; newer ones never reached the pipe).
+		// client's open records (older open records are completed windows
+		// whose replies died in flight, or reads; newer ones never reached the
+		// pipe).
 		var open []KillRec
 		for _, rec := range j.Records(ctid) {
 			if rec.State == recOpen {
@@ -282,40 +288,9 @@ func (t *srvKT) Recover() error {
 				t.sp.Name, stid, len(recops), ctid, len(open))
 		}
 		for k, ro := range recops {
-			j.MarkRecovered(ctid, open[start+k].Idx, ro.Result)
-		}
-	}
-	return nil
-}
-
-// recoverEpoch is the epoch-mode pass: scalar recovery per server tid, with
-// certain re-performs routed to the owning client's first matching open
-// record; uncertain ones stay open (effect durable or vanished — the checker
-// decides).
-func (t *srvKT) recoverEpoch() error {
-	j, owners := t.j, t.keyOwners()
-	for stid := 0; stid < t.n; stid++ {
-		t.st.Queue().Recover(stid)
-		rs := t.st.Map().Recover(stid)
-		if len(rs) == 0 || !rs[0].Certain {
-			continue
-		}
-		op, key, result := rs[0].Op, rs[0].A0, rs[0].Result
-		ctid, ok := owners[key]
-		if !ok {
-			return fmt.Errorf("%s: recovered key %#x has no owner", t.sp.Name, key)
-		}
-		marked := false
-		for _, rec := range j.Records(ctid) {
-			if rec.State == recOpen && rec.Kind == op && rec.A0 == key {
-				j.MarkRecovered(ctid, rec.Idx, result)
-				marked = true
-				break
+			if ro.Certain {
+				j.MarkRecovered(ctid, open[start+k].Idx, ro.Result)
 			}
-		}
-		if !marked {
-			return fmt.Errorf("%s: server tid %d re-performed (%d,%#x) but client %d has no matching open record",
-				t.sp.Name, stid, op, key, ctid)
 		}
 	}
 	t.st.Map().Sync()

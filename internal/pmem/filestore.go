@@ -91,9 +91,11 @@ const (
 	// redo-log region); 4 = one sharded map, whose regions are named
 	// shard%d and hashmap.sys with or without posting boards, and whose
 	// transaction payload is VecCap; 5 = the server store's map is one
-	// combining instance (srv/map/shard0 holds every slot, 512 by default). A
+	// combining instance (srv/map/shard0 holds every slot, 512 by default);
+	// 6 = the server store stages through windows in epoch mode too, so an
+	// epoch-mode server file has vector rings and system-area payloads. A
 	// file of another version is refused, never reinterpreted.
-	fileVersion    = 5
+	fileVersion    = 6
 	fileSlotA      = 8  // header slot A word offset
 	fileSlotB      = 16 // header slot B word offset
 	fileCatStart   = 64

@@ -216,8 +216,10 @@ func (q *Queue) Sync() {
 // to wait for.
 func (q *Queue) WaitDurable(target uint64) bool { return q.epoch.Wait(target) }
 
-// StopEpoch halts the background closer (if any) after a final close.
-func (q *Queue) StopEpoch() {
+// Close halts the epoch's background closer (if any) after a final close.
+// Strict mode has nothing to stop: the queue starts no goroutine. Idempotent;
+// call while quiescent.
+func (q *Queue) Close() {
 	if q.epoch != nil {
 		q.epoch.Stop()
 	}

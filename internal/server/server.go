@@ -26,9 +26,9 @@ const (
 	MaxValue = ^uint64(0) - 3
 )
 
-// Result is one operation's outcome: either an immediate value (scalar
-// paths: epoch mode, recovery) or a Future resolved by the connection's
-// next Flush (the async batched path).
+// Result is one operation's outcome: either a Future resolved by the
+// connection's next Flush (a staged operation), or Val, a read answered from
+// the durable state at once.
 type Result struct {
 	Val    uint64
 	Fut    vecbatch.Future
@@ -45,11 +45,15 @@ func (r Result) Value() uint64 {
 	return r.Val
 }
 
-// Store is the durable substrate a Server runs on. Implementations stage
-// batched-path operations per thread and commit them on Flush; Barrier is
-// the WAIT durability point (a flush in strict mode, an epoch Sync in epoch
-// mode). Thread ids index the store's combining slots: each connection is
-// bound to one tid for its lifetime.
+// Store is the durable substrate a Server runs on, with one path whatever its
+// durability mode. Implementations stage operations per thread and commit them
+// as one window on Flush; a read may instead be answered at once (Result.Val).
+// Barrier is the WAIT durability point: afterwards every operation the thread
+// had acknowledged is durable. Thread ids index the store's combining slots:
+// each connection is bound to one tid for its lifetime. The queue's enqueues
+// and dequeues stage on separate pipes that flush each other on a class
+// switch, so the server commits its window before staging the opposite class
+// (otherwise a switch could expire outstanding futures).
 type Store interface {
 	Get(tid int, key uint64) Result
 	Set(tid int, key, val uint64) Result      // returns previous value
@@ -57,16 +61,8 @@ type Store interface {
 	IncrBy(tid int, key, delta uint64) Result // returns the new value
 	LPush(tid int, val uint64) Result
 	RPop(tid int) Result // returns value or NotFound
-	// PendingQueueClass reports the class of queue futures tid has staged
-	// (0 none, 1 enqueues, 2 dequeues): the queue's enqueue/dequeue pipes
-	// flush each other on class switches, so the server commits the window
-	// before staging the opposite class (otherwise a switch could expire
-	// outstanding futures).
-	PendingQueueClass(tid int) int
 	Flush(tid int)
-	Pending(tid int) int
 	Barrier(tid int)
-	Epoch() bool
 	Threads() int
 }
 
@@ -236,10 +232,10 @@ type sconn struct {
 	dec  *Decoder
 	bw   *bufio.Writer
 	tid  int
-	fo   int // effective FlushOps (1 in epoch mode: ops are scalar there)
 
 	pend   []pendingReply
 	nstore int // store ops in pend
+	qclass int // queue class staged in the window: 0 none, 1 LPUSH, 2 RPOP
 
 	frame    int       // the decoder frame frameEnd belongs to
 	frameEnd time.Time // when the client must have sent the rest of it
@@ -255,14 +251,8 @@ func (s *Server) serveConn(conn net.Conn, tid int) {
 		conn: conn,
 		bw:   bufio.NewWriter(conn),
 		tid:  tid,
-		fo:   s.opts.FlushOps,
 	}
 	c.dec = NewDecoder(bufio.NewReader(c)) // socket reads go through c.Read
-	if s.st.Epoch() {
-		// Epoch mode's group commit happens at epoch closes, not flushes;
-		// replies are immediate and WAIT is the durability point.
-		c.fo = 1
-	}
 	for {
 		words, err := c.dec.Read()
 		if err != nil {
@@ -331,16 +321,16 @@ func (c *sconn) handle(name []byte, args [][]byte) error {
 	if err != nil {
 		return err
 	}
-	if commitNow || c.nstore >= c.fo || c.st.Pending(c.tid) >= c.fo {
+	if commitNow || c.nstore >= c.srv.opts.FlushOps {
 		return c.commit()
 	}
 	return nil
 }
 
 // dispatch stages one command's store operation and queues its reply.
-// commitNow requests an immediate window commit (control commands, errors,
-// and everything in naive/epoch mode via the fo check in handle). The switch
-// is the served command set; it compares the name where the decoder left it.
+// commitNow requests an immediate window commit (control commands and
+// errors; the FlushOps cap is handle's). The switch is the served command
+// set; it compares the name where the decoder left it.
 func (c *sconn) dispatch(name []byte, args [][]byte) (commitNow bool, err error) {
 	switch string(name) {
 	case "PING":
@@ -406,12 +396,8 @@ func (c *sconn) dispatch(name []byte, args [][]byte) (commitNow bool, err error)
 		if !ok {
 			return true, c.pushErr("value is not an integer or out of range")
 		}
-		// Opposite-class queue futures must settle before a class switch
-		// (the pipes flush each other on switches; see Store).
-		if c.st.PendingQueueClass(c.tid) == 2 {
-			if err := c.commit(); err != nil {
-				return false, err
-			}
+		if err := c.queueClass(1); err != nil {
+			return false, err
 		}
 		c.pushStore(rIntOne, c.st.LPush(c.tid, v))
 		return false, nil
@@ -420,10 +406,8 @@ func (c *sconn) dispatch(name []byte, args [][]byte) (commitNow bool, err error)
 		if len(args) != 1 {
 			return true, c.argErr(name)
 		}
-		if c.st.PendingQueueClass(c.tid) == 1 {
-			if err := c.commit(); err != nil {
-				return false, err
-			}
+		if err := c.queueClass(2); err != nil {
+			return false, err
 		}
 		c.pushStore(rBulk, c.st.RPop(c.tid))
 		return false, nil
@@ -453,6 +437,20 @@ func (c *sconn) push(p pendingReply) {
 func (c *sconn) pushStore(k rkind, res Result) {
 	c.pend = append(c.pend, pendingReply{k: k, res: res, store: true})
 	c.nstore++
+}
+
+// queueClass makes class the window's queue class, committing the window
+// first when it holds the opposite one: opposite-class queue futures must
+// settle before a class switch (the pipes flush each other on switches; see
+// Store).
+func (c *sconn) queueClass(class int) error {
+	if c.qclass != 0 && c.qclass != class {
+		if err := c.commit(); err != nil {
+			return err
+		}
+	}
+	c.qclass = class
+	return nil
 }
 
 func (c *sconn) pushErr(msg string) error {
@@ -520,6 +518,7 @@ func (c *sconn) commit() error {
 	}
 	c.pend = c.pend[:0]
 	c.nstore = 0
+	c.qclass = 0
 	return c.bw.Flush()
 }
 

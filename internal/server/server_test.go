@@ -268,9 +268,9 @@ func TestServerRestartRecovery(t *testing.T) {
 	}
 }
 
-// TestServerEpochWait covers the epoch-mode WAIT path: replies are
-// immediate (scalar), WAIT forces the close, and a clean shutdown + reopen
-// keeps everything synced.
+// TestServerEpochWait covers the epoch-mode WAIT path: a window's replies
+// leave at its commit, before any epoch close; WAIT forces the close, and a
+// clean shutdown + reopen keeps everything synced.
 func TestServerEpochWait(t *testing.T) {
 	opts := pcomb.ServerOptions{
 		Threads: 2, Epoch: true, EpochInterval: 200 * time.Microsecond,

@@ -58,13 +58,58 @@ func TestWindowSequentialRoundTrips(t *testing.T) {
 	wantWindows(t, srv, 5, 1, 1)
 }
 
+// TestWindowOneWriteOneWindow: a burst that arrives in one segment is one
+// window, in both durability modes — epoch mode stages and commits exactly as
+// strict mode does.
 func TestWindowOneWriteOneWindow(t *testing.T) {
-	for _, n := range []int{5, 16} { // below the cap, and exactly the cap
-		srv, cl := startWindowServer(t)
-		cl.sets(n)
-		cl.flush(t) // one Write, one segment
-		cl.wantOKs(t, n)
-		wantWindows(t, srv, 1, uint64(n), uint64(n))
+	for _, epoch := range []bool{false, true} {
+		for _, n := range []int{5, 16} { // below the cap, and exactly the cap
+			srv, _, addr, _ := startServer(t, pcomb.ServerOptions{Threads: 2, FlushOps: 16, Epoch: epoch}, server.Options{FlushOps: 16})
+			cl := dial(t, addr)
+			cl.sets(n)
+			cl.flush(t) // one Write, one segment
+			cl.wantOKs(t, n)
+			wantWindows(t, srv, 1, uint64(n), uint64(n))
+		}
+	}
+}
+
+// TestWindowGetReadsDurableState: a GET on a window with nothing staged is the
+// map's validated read of the durable state, in both modes and on both
+// protocols: no round, no persistence instruction. A GET behind a staged write
+// of the same window still reads that write.
+func TestWindowGetReadsDurableState(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		kind  pcomb.Kind
+		epoch bool
+	}{
+		{"PB", pcomb.Blocking, false}, {"PWF", pcomb.WaitFree, false},
+		{"PB-epoch", pcomb.Blocking, true}, {"PWF-epoch", pcomb.WaitFree, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, st, addr, _ := startServer(t, pcomb.ServerOptions{Threads: 2, Kind: tc.kind, FlushOps: 16, Epoch: tc.epoch}, server.Options{FlushOps: 16})
+			cl := dial(t, addr)
+			cl.send("SET", "k", "7")
+			cl.send("GET", "k")
+			cl.flush(t) // one window: the GET is staged behind the SET
+			if got := cl.reply(t); got != "+OK" {
+				t.Fatalf("SET k 7 = %q, want +OK", got)
+			}
+			if got := cl.reply(t); got != "7" {
+				t.Fatalf("GET k in the SET's window = %q, want 7", got)
+			}
+
+			before := st.Heap().Stats()
+			if got := cl.do(t, "GET", "k"); got != "7" {
+				t.Fatalf("lone GET k = %q, want 7", got)
+			}
+			after := st.Heap().Stats()
+			pwbs, pfences, psyncs := after.Pwbs-before.Pwbs, after.Pfences-before.Pfences, after.Psyncs-before.Psyncs
+			if pwbs != 0 || pfences != 0 || psyncs != 0 {
+				t.Fatalf("a lone GET cost %d pwbs, %d pfences, %d psyncs; want none", pwbs, pfences, psyncs)
+			}
+		})
 	}
 }
 

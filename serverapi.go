@@ -42,13 +42,16 @@ type ServerOptions struct {
 	// connection's staged vector when it reaches FlushOps operations, or
 	// sooner, the moment the client has nothing more in flight — a window is
 	// never held open while the server waits on the socket (0 = 16; 1 =
-	// naive flush-per-command). Part of the persistent layout in strict
-	// mode — re-open with the same value.
+	// naive flush-per-command). Part of the persistent layout in both
+	// modes — re-open with the same value.
 	FlushOps int
 	// Epoch switches both structures to epoch-mode relaxed durability
-	// (group commit): operations acknowledge immediately, a background
-	// closer persists whole epochs, WAIT maps to Sync, and a crash may lose
-	// only the open epoch. Part of the persistent layout.
+	// (group commit). Commands are staged and committed in the same windows
+	// as in strict mode, and a window's replies leave at its commit; the
+	// commit applies the window without waiting for persistence, and the
+	// window becomes durable at the next epoch close — by the background
+	// closer, or forced by WAIT. A crash may lose only the open epoch. Part of
+	// the persistent layout.
 	Epoch bool
 	// EpochInterval is the background close cadence (Epoch mode; 0 = close
 	// only on WAIT/Sync).
@@ -86,10 +89,12 @@ func (o ServerOptions) withDefaults() ServerOptions {
 }
 
 // ServerStore adapts the recoverable map + queue pair to the RESP server's
-// Store contract (internal/server): in strict mode every operation is
-// staged on the async Submit path and committed by the connection's Flush;
-// in epoch mode operations run scalar (acknowledge fast, group-commit at
-// epoch closes) and Barrier/WAIT forces the close.
+// Store contract (internal/server), one path for both durability modes: every
+// update is staged on the async Submit path and committed by the connection's
+// Flush as one window, and a GET on a window with nothing staged on the map is
+// a validated read of the durable state. The mode only decides when a
+// committed window is durable: at its Flush (strict), or at the next epoch
+// close, which Barrier/WAIT forces (epoch).
 type ServerStore struct {
 	m     *Map
 	q     *Queue
@@ -107,12 +112,9 @@ var _ server.Store = (*ServerStore)(nil)
 func NewServerStoreOn(h *pmem.Heap, o ServerOptions) *ServerStore {
 	o = o.withDefaults()
 	sys := NewOn(h)
-	vcap := 0
-	if !o.Epoch {
-		// One extra slot keeps a full window from auto-flushing before the
-		// server's own commit point, so each window is one announcement.
-		vcap = o.FlushOps + 1
-	}
+	// One extra slot keeps a full window from auto-flushing before the
+	// server's own commit point, so each window is one announcement.
+	vcap := o.FlushOps + 1
 	m := sys.NewMap("srv/map", o.Threads, o.Kind, MapOptions{
 		Shards:        1,
 		Capacity:      o.MapCapacity,
@@ -172,13 +174,11 @@ func (s *ServerStore) Queue() *Queue { return s.q }
 // Heap exposes the backing heap (persistence-instruction counters).
 func (s *ServerStore) Heap() *pmem.Heap { return s.h }
 
-// Close stops the epoch closers (after a final close) and, when the store
-// owns its heap, closes the backing file.
+// Close stops the epoch closers (after a final close; strict mode has none)
+// and, when the store owns its heap, closes the backing file.
 func (s *ServerStore) Close() error {
-	if s.opts.Epoch {
-		s.m.Close()
-		s.q.StopEpoch()
-	}
+	s.m.Close()
+	s.q.Close()
 	if s.owned {
 		return s.h.Close()
 	}
@@ -187,9 +187,12 @@ func (s *ServerStore) Close() error {
 
 // ---- server.Store ----
 
-// Get stages (strict) or runs (epoch) a map read.
+// Get answers a map read. With nothing of tid's staged on the map it is the
+// map's validated read of the durable state (no round, no persistence
+// instruction); otherwise it is staged behind the window's writes, so a window
+// reads its own writes.
 func (s *ServerStore) Get(tid int, key uint64) server.Result {
-	if s.opts.Epoch {
+	if s.m.Pending(tid) == 0 {
 		v, ok := s.m.Get(tid, key)
 		if !ok {
 			v = server.NotFound
@@ -199,103 +202,48 @@ func (s *ServerStore) Get(tid int, key uint64) server.Result {
 	return server.Result{Fut: s.m.SubmitGet(tid, key), HasFut: true}
 }
 
-// Set stages or runs a map write; the result is the previous value (with
-// the NotFound/Full sentinels).
+// Set stages a map write; the result is the previous value (with the
+// NotFound/Full sentinels).
 func (s *ServerStore) Set(tid int, key, val uint64) server.Result {
-	if s.opts.Epoch {
-		prev, _ := s.m.Put(tid, key, val)
-		return server.Result{Val: prev}
-	}
 	return server.Result{Fut: s.m.SubmitPut(tid, key, val), HasFut: true}
 }
 
-// Del stages or runs a map delete; the result is the removed value or
-// NotFound.
+// Del stages a map delete; the result is the removed value or NotFound.
 func (s *ServerStore) Del(tid int, key uint64) server.Result {
-	if s.opts.Epoch {
-		v, ok := s.m.Delete(tid, key)
-		if !ok {
-			v = server.NotFound
-		}
-		return server.Result{Val: v}
-	}
 	return server.Result{Fut: s.m.SubmitDelete(tid, key), HasFut: true}
 }
 
-// IncrBy stages or runs the map's fetch&add; the result is the new value.
+// IncrBy stages the map's fetch&add; the result is the new value.
 func (s *ServerStore) IncrBy(tid int, key, delta uint64) server.Result {
-	if s.opts.Epoch {
-		return server.Result{Val: s.m.Add(tid, key, delta)}
-	}
 	return server.Result{Fut: s.m.SubmitAdd(tid, key, delta), HasFut: true}
 }
 
-// LPush stages or runs an enqueue.
+// LPush stages an enqueue.
 func (s *ServerStore) LPush(tid int, val uint64) server.Result {
-	if s.opts.Epoch {
-		s.q.Enqueue(tid, val)
-		return server.Result{}
-	}
 	return server.Result{Fut: s.q.SubmitEnqueue(tid, val), HasFut: true}
 }
 
-// RPop stages or runs a dequeue; the result is the value or NotFound
-// (empty).
+// RPop stages a dequeue; the result is the value or NotFound (empty).
 func (s *ServerStore) RPop(tid int) server.Result {
-	if s.opts.Epoch {
-		v, ok := s.q.Dequeue(tid)
-		if !ok {
-			v = server.NotFound
-		}
-		return server.Result{Val: v}
-	}
 	return server.Result{Fut: s.q.SubmitDequeue(tid), HasFut: true}
 }
 
-// PendingQueueClass reports which queue class tid has staged (see
-// server.Store).
-func (s *ServerStore) PendingQueueClass(tid int) int {
-	if s.q.PendingEnqueues(tid) > 0 {
-		return 1
-	}
-	if s.q.PendingDequeues(tid) > 0 {
-		return 2
-	}
-	return 0
-}
-
-// Flush commits tid's staged operations durably (no-op in epoch mode,
-// where nothing stages).
+// Flush commits tid's staged operations as one window: one vectorized round
+// per structure it touched. In strict mode the window is durable when Flush
+// returns; in epoch mode it is applied, and durable at the next epoch close.
 func (s *ServerStore) Flush(tid int) {
-	if s.opts.Epoch {
-		return
-	}
 	s.m.Flush(tid)
 	s.q.Flush(tid)
 }
 
-// Pending counts tid's staged, unflushed operations.
-func (s *ServerStore) Pending(tid int) int {
-	if s.opts.Epoch {
-		return 0
-	}
-	return s.m.Pending(tid) + s.q.Pending(tid)
-}
-
-// Barrier is the WAIT durability point: in strict mode a flush (staged ops
-// become durable with their batch), in epoch mode a Sync of both
-// structures (everything acknowledged is in a closed epoch afterwards).
+// Barrier is the WAIT durability point: the window's flush, then an epoch
+// close of both structures (a no-op in strict mode, where the flush already
+// made everything durable).
 func (s *ServerStore) Barrier(tid int) {
-	if s.opts.Epoch {
-		s.m.Sync()
-		s.q.Sync()
-		return
-	}
 	s.Flush(tid)
+	s.m.Sync()
+	s.q.Sync()
 }
-
-// Epoch reports whether the store runs in epoch (relaxed-durability) mode.
-func (s *ServerStore) Epoch() bool { return s.opts.Epoch }
 
 // Threads returns the configured thread/connection budget.
 func (s *ServerStore) Threads() int { return s.opts.Threads }

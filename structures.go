@@ -130,8 +130,10 @@ func (q *Queue) EpochClosed() uint64 { return q.q.EpochClosed() }
 // if the system crashed first (Epoch mode only).
 func (q *Queue) WaitDurable(target uint64) bool { return q.q.WaitDurable(target) }
 
-// StopEpoch halts the background closer (if any) after a final close.
-func (q *Queue) StopEpoch() { q.q.StopEpoch() }
+// Close halts the epoch's background closer (if any) after a final close;
+// strict mode starts no goroutine and has nothing to stop. Idempotent; call
+// while quiescent.
+func (q *Queue) Close() { q.q.Close() }
 
 // Snapshot returns the queue contents head-to-tail (quiescent use only).
 func (q *Queue) Snapshot() []uint64 { return q.q.Snapshot() }
