@@ -5,7 +5,9 @@
 // that commits — one combining round, one durability point, all replies — at
 // the size cap, or as soon as the client has nothing more in flight: the
 // server never holds a window open while it waits on the socket. Restarting
-// the server on the same file recovers every acknowledged operation.
+// the server on the same file recovers every acknowledged operation, and the
+// server prints what recovery resolved at open: "recovered N ops on M
+// connections (U uncertain)".
 //
 //	pcomb-server -path /var/tmp/pcomb.heap -addr :6380
 //	redis-cli -p 6380 SET k 41; redis-cli -p 6380 INCRBY k 1
@@ -103,6 +105,7 @@ func main() {
 	}
 	fmt.Fprintf(os.Stderr, "pcomb-server: serving %s on %s (restart=%v, %d slots, window=%d)\n",
 		*path, laddr, restart, *threads, *flushOps)
+	fmt.Fprintf(os.Stderr, "pcomb-server: %s\n", recoveryLine(st.Recovered()))
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
@@ -217,6 +220,13 @@ func runSmoke(sopts pcomb.ServerOptions, popts server.Options, dur time.Duration
 	if !restart {
 		return fmt.Errorf("reopen did not detect a restart")
 	}
+	// A clean stop leaves no window in flight: recovery ran on every
+	// connection slot and resolved nothing.
+	rec := recoveryLine(st2.Recovered())
+	if len(st2.Recovered()) != sopts.Threads || rec != "recovered 0 ops on 0 connections (0 uncertain)" {
+		return fmt.Errorf("after a clean stop, %q over %d slots", rec, len(st2.Recovered()))
+	}
+	fmt.Fprintf(os.Stderr, "smoke: restart=true, %s\n", rec)
 	srv2 := server.New(st2, popts)
 	laddr2, err := srv2.Start("127.0.0.1:0")
 	if err != nil {
@@ -259,6 +269,21 @@ func runSmoke(sopts pcomb.ServerOptions, popts server.Options, dur time.Duration
 	}
 	fmt.Fprintf(os.Stderr, "smoke: %d conns, restart recovered, counters intact: %v\n", nconn, totals)
 	return nil
+}
+
+// recoveryLine summarizes the table the store's recovery returned at open.
+func recoveryLine(rec [][]pcomb.Resolved) string {
+	ops, conns, uncertain := 0, 0, 0
+	for _, rs := range rec {
+		ops += len(rs)
+		conns += min(len(rs), 1)
+		for _, r := range rs {
+			if !r.Certain {
+				uncertain++
+			}
+		}
+	}
+	return fmt.Sprintf("recovered %d ops on %d connections (%d uncertain)", ops, conns, uncertain)
 }
 
 // smokeTraffic drives one connection: INCRBY on a private counter mixed with

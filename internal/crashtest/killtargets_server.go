@@ -18,13 +18,14 @@ package crashtest
 // k only touches keys named "k<k>.<r>", so any key hash identifies its
 // owner. The server stages and commits a connection's commands in the same
 // windows in both durability modes, and its map is one combining instance, so
-// a server tid's interrupted window is one vectorized group in submission
-// order, which must match a contiguous run of the owning client's open journal
-// records — one matcher for both modes. The epoch rule only narrows what the
-// match may claim: an operation recovery could not tell applied from lost
-// stays open. A GET answered as a read of the durable state is in no window,
-// and it is answered that way only while nothing is staged on the map, so it
-// can precede a window's staged operations but never fall among them.
+// the store's one recovery reports a server tid's interrupted window as one
+// map group in submission order, which must match a contiguous run of the
+// owning client's open journal records — one matcher for both modes. The
+// epoch rule only narrows what the match may claim: an operation recovery
+// could not tell applied from lost stays open. A GET answered as a read of the
+// durable state is in no window, and it is answered that way only while
+// nothing is staged, so it can precede a window's staged operations but never
+// fall among them.
 
 import (
 	"bufio"
@@ -231,24 +232,25 @@ func (t *srvKT) keyOwners() map[uint64]int {
 	return owners
 }
 
-// Recover walks every server tid's recovery and routes each recovered
-// operation to the owning client's journal records by key ownership: server
-// tids and journal threads are decoupled by accept order. Only a Certain
-// operation is marked recovered: under an epoch an uncertain one stays open,
-// applied or lost like the rest of the open epoch.
+// Recover runs the store's one recovery and routes each recovered operation
+// to the owning client's journal records by key ownership: server tids and
+// journal threads are decoupled by accept order. Only a Certain operation is
+// marked recovered: under an epoch an uncertain one stays open, applied or
+// lost like the rest of the open epoch.
 func (t *srvKT) Recover() error {
 	j := t.j
-	// The crash cut comes first: recovery closes epochs.
+	// The crash cut comes first: recovery closes the epoch.
 	j.Cut(t.sp.stamp())
 	owners := t.keyOwners()
-	for stid := 0; stid < t.n; stid++ {
-		if ops := t.st.Queue().Recover(stid); len(ops) > 0 {
-			return fmt.Errorf("%s: server tid %d has %d pending queue ops (workload sends none)",
-				t.sp.Name, stid, len(ops))
-		}
-		recops := t.st.Map().Recover(stid)
+	for stid, recops := range t.st.Recover() {
 		if len(recops) == 0 {
 			continue
+		}
+		for _, ro := range recops {
+			if ro.Class != 0 { // class 0 is the map's; the workload sends no queue ops
+				return fmt.Errorf("%s: server tid %d recovered %+v on class %d, not the map's",
+					t.sp.Name, stid, ro, ro.Class)
+			}
 		}
 		ctid, ok := owners[recops[0].A0]
 		if !ok {
@@ -293,7 +295,5 @@ func (t *srvKT) Recover() error {
 			}
 		}
 	}
-	t.st.Map().Sync()
-	t.st.Queue().Sync()
 	return nil
 }

@@ -116,7 +116,7 @@ func measureEpochPoint(cfg Config, kind hashmap.Kind, name string, n int, d time
 			if i%64 == 0 {
 				// The label AFTER the return: a lower bound on the close
 				// that makes this operation durable.
-				samples[tid] = append(samples[tid], epochSample{m.EpochNow(), time.Now()})
+				samples[tid] = append(samples[tid], epochSample{m.Epoch().Now(), time.Now()})
 			}
 		}
 	} else {
@@ -126,7 +126,7 @@ func measureEpochPoint(cfg Config, kind hashmap.Kind, name string, n int, d time
 		op = func(tid int, i uint64, rng *rand.Rand) {
 			m.SubmitPut(tid, uint64(rng.Intn(256))+1, i+1)
 			if (i+1)%uint64(2*vcap) == 0 {
-				samples[tid] = append(samples[tid], epochSample{m.EpochNow(), time.Now()})
+				samples[tid] = append(samples[tid], epochSample{m.Epoch().Now(), time.Now()})
 			}
 		}
 	}

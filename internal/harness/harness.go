@@ -219,15 +219,6 @@ type Config struct {
 	obsSpans *obs.SpanLog
 }
 
-// DefaultConfig mirrors the paper's x-axis, scaled for a small host.
-func DefaultConfig() Config {
-	return Config{
-		Threads: []int{1, 2, 4, 8, 16, 24, 32, 48, 64, 96},
-		Ops:     200_000,
-		Persist: pmem.Config{Mode: pmem.ModeCount},
-	}
-}
-
 // PrintSeries renders a figure as an aligned table: one row per thread
 // count, one column per algorithm, in the given metric. Any metric name
 // Result.Metric understands works, including Extra keys such as

@@ -255,6 +255,15 @@ func NewDense(h *pmem.Heap, name string, n int, kind Kind, nshards, capacity int
 // explicit options. Re-open with the same options and call Recover for every
 // thread before new operations.
 func NewWith(h *pmem.Heap, name string, n int, kind Kind, o Options) *Map {
+	return NewOn(h, name, n, kind, o, nil)
+}
+
+// NewOn is NewWith on a caller-built system area sys, shared with other
+// structures (nil: the map builds its own). The map's shards become sys's
+// classes [0, Shards), defer into sys's epoch in place of Options.Epoch and
+// EpochInterval, and commit through it; the map has no Submit pipe of its own,
+// since the caller stages — and Recover resolves sys's whole record.
+func NewOn(h *pmem.Heap, name string, n int, kind Kind, o Options, sys *sysarea.Area) *Map {
 	nshards, capacity := o.Shards, o.Capacity
 	if nshards <= 0 {
 		nshards = 8
@@ -279,54 +288,44 @@ func NewWith(h *pmem.Heap, name string, n int, kind Kind, o Options) *Map {
 			m.shards = append(m.shards, core.NewPBCombWith(h, sname, width, obj, co))
 		}
 	}
-	if co.VecCap > 1 {
-		m.pipe = vecbatch.New(n, co.VecCap, m.commit)
+	if sys != nil {
+		m.epoch = sys.Epoch()
+	} else if o.Epoch {
+		m.epoch = pmem.NewEpoch(h, name, pmem.EpochOpts{Interval: o.EpochInterval})
 	}
-	if o.Epoch {
+	if m.epoch != nil {
 		// Attach after construction so shard boot persistence stays strict;
 		// all shards defer into one shared buffer, so one close covers the
 		// whole map.
-		m.epoch = pmem.NewEpoch(h, name, pmem.EpochOpts{Interval: o.EpochInterval})
 		for _, sh := range m.shards {
 			sh.(core.EpochCapable).AttachEpoch(m.epoch)
 		}
 	}
-	m.sys = sysarea.New(h, name+"/hashmap.sys", n, m.shards, m.epoch, co.VecCap)
+	if sys == nil {
+		sys = sysarea.New(h, name+"/hashmap.sys", n, m.shards, m.epoch, co.VecCap)
+		if co.VecCap > 1 {
+			m.pipe = vecbatch.New(n, co.VecCap, m.commit)
+		}
+	}
+	for s, sh := range m.shards {
+		sys.Bind(s, sh)
+	}
+	m.sys = sys
 	if o.Board {
 		m.boards = newBoards(m.shards, n, co.VecCap)
 	}
 	return m
 }
 
-// Epoch returns the map's epoch state (nil unless Options.Epoch).
+// Epoch returns the epoch state the map defers into (nil in strict mode):
+// Now labels operations returning now, CloseNow makes everything applied
+// before it durable, and Wait blocks until a label is durably closed.
 func (m *Map) Epoch() *pmem.Epoch { return m.epoch }
-
-// EpochNow returns the open epoch (the label of operations returning now).
-func (m *Map) EpochNow() uint64 { return m.epoch.Now() }
-
-// EpochClosed returns the last durably closed epoch.
-func (m *Map) EpochClosed() uint64 { return m.epoch.Closed() }
-
-// Sync forces an epoch close: everything applied before the call is durable
-// when it returns. No-op in strict mode.
-func (m *Map) Sync() {
-	if m.epoch != nil {
-		m.epoch.CloseNow()
-	}
-}
-
-// WaitDurable blocks until epoch target is durably closed (false if the
-// heap crashed first).
-func (m *Map) WaitDurable(target uint64) bool { return m.epoch.Wait(target) }
 
 // Close halts the epoch's background closer (if any) after a final close.
 // Strict mode has nothing to stop: the map starts no goroutine. Idempotent;
 // call while quiescent.
-func (m *Map) Close() {
-	if m.epoch != nil {
-		m.epoch.Stop()
-	}
-}
+func (m *Map) Close() { m.epoch.Stop() }
 
 // Shards returns the shard count.
 func (m *Map) Shards() int { return m.nsh }
@@ -340,9 +339,13 @@ func (m *Map) shardOf(key uint64) int {
 func (m *Map) ShardOf(key uint64) int { return m.shardOf(key) }
 
 // SetHistory installs (or removes, with nil) a durable-linearizability
-// history recorder on the scalar, batched, and recovery paths. Install while
-// quiescent.
-func (m *Map) SetHistory(h sysarea.Log) { m.sys.SetHistory(h) }
+// history recorder on the scalar, batched, and recovery paths of the map's
+// shards. Install while quiescent.
+func (m *Map) SetHistory(h sysarea.Log) {
+	for s := range m.shards {
+		m.sys.SetHistory(h, s)
+	}
+}
 
 // invoke runs one operation on its key's shard through the system area:
 // directly, or on a board map by posting it to the shard's board between the
@@ -354,7 +357,7 @@ func (m *Map) invoke(tid int, op, key, val uint64) uint64 {
 	}
 	seq := m.sys.Begin(tid, sh, op, key, val)
 	ret := m.perform(tid, sh, op, key, val, seq)
-	m.sys.End(tid, ret)
+	m.sys.End(tid, sh, ret)
 	return ret
 }
 
@@ -444,10 +447,6 @@ func (m *Map) Flush(tid int) { m.pipe.Flush(tid) }
 // Pending returns the number of staged, unflushed ops of tid.
 func (m *Map) Pending(tid int) int { return m.pipe.Pending(tid) }
 
-// VecCap returns the configured vector capacity (0 when the async path is
-// disabled).
-func (m *Map) VecCap() int { return m.pipe.Cap() }
-
 // commit is the pipe's commit function: one staged window, grouped by shard
 // (submission order kept within a shard — the intra-thread reordering across
 // shards is unobservable, as the ops commute) under one system-area record.
@@ -457,7 +456,7 @@ func (m *Map) commit(tid int, ops []core.VecOp, rets []uint64) {
 }
 
 // classOf is the system-area class — the shard — of a staged op.
-func (m *Map) classOf(o core.VecOp) int { return m.shardOf(o.A0) }
+func (m *Map) classOf(_ int, o core.VecOp) int { return m.shardOf(o.A0) }
 
 // Len returns the number of live keys: each shard's count is a validated read
 // of its last durable record, safe beside running operations; the sum is not

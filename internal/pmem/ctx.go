@@ -70,10 +70,6 @@ type Ctx struct {
 // SetEpochBuf attaches (or with nil detaches) an epoch deferral buffer.
 func (c *Ctx) SetEpochBuf(b *EpochBuf) { c.ebuf = b }
 
-// ID returns the context's index within its heap (stable track id for
-// trace export).
-func (c *Ctx) ID() int { return c.id }
-
 // Pwbs returns the number of pwb instructions issued on this context.
 func (c *Ctx) Pwbs() uint64 { return c.pwbs }
 

@@ -266,9 +266,13 @@ func (e *Epoch) Now() uint64 { return e.openE.Load() }
 // Closed returns the last durably closed epoch.
 func (e *Epoch) Closed() uint64 { return e.closedE.Load() }
 
-// CloseNow synchronously closes the open epoch. It panics with CrashError
-// when the heap has crashed (waiters are woken first).
+// CloseNow synchronously closes the open epoch; on the nil Epoch of a strict
+// structure it does nothing. It panics with CrashError when the heap has
+// crashed (waiters are woken first).
 func (e *Epoch) CloseNow() {
+	if e == nil {
+		return
+	}
 	defer func() {
 		if r := recover(); r != nil {
 			e.waitC.Broadcast()
@@ -294,8 +298,11 @@ func (e *Epoch) Wait(target uint64) bool {
 
 // Stop halts the ticker goroutine (if any) and performs a final close so
 // everything applied before Stop is durable. Safe after a crash (the final
-// close is skipped).
+// close is skipped), and a no-op on the nil Epoch.
 func (e *Epoch) Stop() {
+	if e == nil {
+		return
+	}
 	if e.stop != nil {
 		close(e.stop)
 		<-e.done

@@ -93,9 +93,11 @@ const (
 	// transaction payload is VecCap; 5 = the server store's map is one
 	// combining instance (srv/map/shard0 holds every slot, 512 by default);
 	// 6 = the server store stages through windows in epoch mode too, so an
-	// epoch-mode server file has vector rings and system-area payloads. A
-	// file of another version is refused, never reinterpreted.
-	fileVersion    = 6
+	// epoch-mode server file has vector rings and system-area payloads; 7 =
+	// the server store's map and queue share one system area (srv/sysarea)
+	// and one epoch stamp (srv/epoch.stamp). A file of another version is
+	// refused, never reinterpreted.
+	fileVersion    = 7
 	fileSlotA      = 8  // header slot A word offset
 	fileSlotB      = 16 // header slot B word offset
 	fileCatStart   = 64

@@ -167,10 +167,11 @@ func corruptByteOnDisk(t *testing.T, path string, off int64) {
 // separate redo log and ring-backed vector records; 3, the one whose sharded
 // map kept fshard%d and fabric.sys regions apart from the hash map's; 4, the
 // one whose server map was eight shards; 5, the one whose epoch-mode server
-// ran scalar, with no vector rings or system-area payloads — must be refused
+// ran scalar, with no vector rings or system-area payloads; 6, the one whose
+// server map and queue kept a system area and an epoch each — must be refused
 // with ErrBadFile, not attached and misread.
 func TestFileOldVersionRefused(t *testing.T) {
-	for _, old := range []uint64{1, 2, 3, 4, 5} {
+	for _, old := range []uint64{1, 2, 3, 4, 5, 6} {
 		path := tmpHeapPath(t)
 		h, _, err := OpenFile(path, FileOpts{Cfg: Config{NoCost: true}})
 		if err != nil {

@@ -169,43 +169,12 @@ func (h *Heap) VerifyManifest() error {
 	return nil
 }
 
-// ManifestUsed returns the number of manifest words currently in use
-// (header plus live entries) — the span an adversary can meaningfully
-// corrupt.
-func (h *Heap) ManifestUsed() int {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return manifestHdr + int(h.manifest.Load(1))*manifestStride
-}
-
 // WordFlip records one injected corruption: region word i XORed with Mask.
 // Applying the same flip again reverts it.
 type WordFlip struct {
 	Region string
 	Word   int
 	Mask   uint64
-}
-
-// CorruptRegion flips `flips` distinct words within the first limitWords
-// words of the named region (limitWords <= 0 means the whole region),
-// XORing random non-zero masks into both the volatile contents and the
-// durable shadow — modelling media corruption of the durable copy (mirrored
-// into the volatile view so detection does not require a restart). It
-// returns the flips applied; XorFlips with the same records reverts them.
-func (h *Heap) CorruptRegion(name string, seed int64, flips, limitWords int) []WordFlip {
-	r := h.Region(name)
-	if r == nil {
-		return nil
-	}
-	limit := len(r.words)
-	if limitWords > 0 && limitWords < limit {
-		limit = limitWords
-	}
-	candidates := make([]int, limit)
-	for i := range candidates {
-		candidates[i] = i
-	}
-	return corruptWords(r, seed, flips, candidates)
 }
 
 // corruptWords flips `flips` distinct words drawn from candidates.
@@ -247,7 +216,7 @@ func (h *Heap) CorruptManifest(seed int64, flips int) []WordFlip {
 }
 
 // XorFlips applies each flip again; since XOR is an involution this reverts
-// corruption previously injected by CorruptRegion/CorruptManifest.
+// corruption previously injected by CorruptManifest.
 func (h *Heap) XorFlips(fs []WordFlip) {
 	for _, f := range fs {
 		if r := h.Region(f.Region); r != nil {

@@ -203,7 +203,7 @@ func (r *Region) applyShadowWords(li int, data []uint64, mask, seq uint64) {
 }
 
 // xorWord flips bits of word i in both the volatile contents and the
-// durable shadow (corruption injection; see Heap.CorruptRegion).
+// durable shadow (corruption injection; see Heap.CorruptManifest).
 func (r *Region) xorWord(i int, mask uint64) {
 	for {
 		old := atomic.LoadUint64(&r.words[i])

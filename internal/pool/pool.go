@@ -74,9 +74,6 @@ func New(h *pmem.Heap, name string, n, nodeWords, capacity, chunkSize int) *Pool
 	return p
 }
 
-// NodeWords returns the node size in words.
-func (p *Pool) NodeWords() int { return p.nodeWords }
-
 // Region returns the backing arena region (for combiners that flush node
 // lines through a FlushSet).
 func (p *Pool) Region() *pmem.Region { return p.nodes }

@@ -18,7 +18,6 @@ package queue
 
 import (
 	"sync/atomic"
-	"time"
 
 	"pcomb/internal/core"
 	"pcomb/internal/pmem"
@@ -67,15 +66,12 @@ type Options struct {
 	// (0 or 1 = scalar only). Part of the persistent layout — re-open with
 	// the same value.
 	VecCap int
-	// Epoch switches the queue to epoch-mode relaxed durability: combiner
-	// rounds apply and return volatile-fast, a shared epoch closer makes
-	// them durable in the background, and a crash may lose the operations
-	// of the last open epoch (and only those). Use Sync/WaitDurable for
-	// per-operation durability.
-	Epoch bool
-	// EpochInterval is the background close cadence (Epoch mode; 0 = no
-	// ticker, epochs close only via Sync/CloseNow).
-	EpochInterval time.Duration
+	// Epoch, when non-nil, switches the queue to epoch-mode relaxed
+	// durability on the caller's epoch, which other structures may share:
+	// combiner rounds apply and return volatile-fast, the epoch's closes make
+	// them durable, and a crash may lose the operations of the last open
+	// epoch (and only those).
+	Epoch *pmem.Epoch
 }
 
 const (
@@ -94,8 +90,6 @@ type Queue struct {
 	deq core.Protocol
 
 	oldTail atomic.Uint64 // PBqueue: last node safe for dequeuers (volatile)
-
-	epoch *pmem.Epoch // non-nil in epoch-mode relaxed durability
 }
 
 const queueMagic = 0x71c0_0001_beef_0001
@@ -168,7 +162,7 @@ func New(h *pmem.Heap, name string, n int, kind Kind, opt Options) *Queue {
 	// what dequeuers may remove.
 	q.oldTail.Store(q.tailForDequeuers())
 
-	if opt.Epoch {
+	if ep := opt.Epoch; ep != nil {
 		// A crash can leave node linkage persisted PAST the durable tail: an
 		// epoch that never closed spliced its nodes (the line write-backs
 		// landed under a partial close) while the combiner record holding the
@@ -187,42 +181,10 @@ func New(h *pmem.Heap, name string, n int, kind Kind, opt Options) *Queue {
 		// Attach after construction so boot-time persistence stays strict;
 		// both instances defer into one shared buffer, so a single close
 		// covers every round of the whole queue.
-		q.epoch = pmem.NewEpoch(h, name, pmem.EpochOpts{Interval: opt.EpochInterval})
-		q.enq.(core.EpochCapable).AttachEpoch(q.epoch)
-		q.deq.(core.EpochCapable).AttachEpoch(q.epoch)
+		q.enq.(core.EpochCapable).AttachEpoch(ep)
+		q.deq.(core.EpochCapable).AttachEpoch(ep)
 	}
 	return q
-}
-
-// Epoch returns the queue's epoch state (nil unless Options.Epoch).
-func (q *Queue) Epoch() *pmem.Epoch { return q.epoch }
-
-// EpochNow returns the open epoch (the label of operations returning now).
-func (q *Queue) EpochNow() uint64 { return q.epoch.Now() }
-
-// EpochClosed returns the last durably closed epoch.
-func (q *Queue) EpochClosed() uint64 { return q.epoch.Closed() }
-
-// Sync forces an epoch close: everything applied before the call is durable
-// when it returns. No-op in strict mode (every round is already durable).
-func (q *Queue) Sync() {
-	if q.epoch != nil {
-		q.epoch.CloseNow()
-	}
-}
-
-// WaitDurable blocks until epoch target is durably closed (false if the
-// heap crashed first). Target is an EpochNow label read after the operation
-// to wait for.
-func (q *Queue) WaitDurable(target uint64) bool { return q.epoch.Wait(target) }
-
-// Close halts the epoch's background closer (if any) after a final close.
-// Strict mode has nothing to stop: the queue starts no goroutine. Idempotent;
-// call while quiescent.
-func (q *Queue) Close() {
-	if q.epoch != nil {
-		q.epoch.Stop()
-	}
 }
 
 // tailForDequeuers returns the last node dequeue combiners may consume

@@ -50,10 +50,10 @@ func (r Result) Value() uint64 {
 // as one window on Flush; a read may instead be answered at once (Result.Val).
 // Barrier is the WAIT durability point: afterwards every operation the thread
 // had acknowledged is durable. Thread ids index the store's combining slots:
-// each connection is bound to one tid for its lifetime. The queue's enqueues
-// and dequeues stage on separate pipes that flush each other on a class
-// switch, so the server commits its window before staging the opposite class
-// (otherwise a switch could expire outstanding futures).
+// each connection is bound to one tid for its lifetime. A window's operations
+// are applied grouped by the instance they run on, and the queue's enqueues
+// and dequeues do not commute, so the server commits its window before staging
+// the opposite queue class (map operations mix freely with either).
 type Store interface {
 	Get(tid int, key uint64) Result
 	Set(tid int, key, val uint64) Result      // returns previous value
@@ -440,9 +440,8 @@ func (c *sconn) pushStore(k rkind, res Result) {
 }
 
 // queueClass makes class the window's queue class, committing the window
-// first when it holds the opposite one: opposite-class queue futures must
-// settle before a class switch (the pipes flush each other on switches; see
-// Store).
+// first when it holds the opposite one: a window's enqueues and dequeues would
+// not apply in program order (see Store).
 func (c *sconn) queueClass(class int) error {
 	if c.qclass != 0 && c.qclass != class {
 		if err := c.commit(); err != nil {

@@ -20,7 +20,7 @@ func (a *Area) BeginPrefix(tid, class int, op, a0, a1 uint64, k int) {
 
 // CommitPrefix applies the first k stores InvokeGrouped would issue for tid's
 // next commit of ops and returns the length of the whole sequence.
-func (a *Area) CommitPrefix(tid int, ops []core.VecOp, classOf func(core.VecOp) int, k int) int {
+func (a *Area) CommitPrefix(tid int, ops []core.VecOp, classOf func(int, core.VecOp) int, k int) int {
 	stores := a.commitStores(tid, a.group(tid, ops, classOf), a.scratch[tid].ops[:len(ops)])
 	for _, s := range stores[:k] {
 		a.r.DirectStore(s.i, s.v)

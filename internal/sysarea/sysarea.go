@@ -2,7 +2,9 @@
 // recoverability and every structure in this repository shares: for each
 // thread, a durable sequence counter per combining instance (class) and one
 // durable record of the commit in progress, plus the single routine that
-// resolves an interrupted commit after a crash.
+// resolves an interrupted commit after a crash. Structures that share an area
+// (the server store's map and queue) share its record too, so one commit can
+// span them.
 //
 // Stores bypass the instruction pipeline (DirectStore): this state is
 // persisted by the system, not by the algorithm, and its cost is deliberately
@@ -39,6 +41,7 @@ package sysarea
 
 import (
 	"fmt"
+	"slices"
 
 	"pcomb/internal/core"
 	"pcomb/internal/history"
@@ -75,19 +78,22 @@ const (
 	recWords
 )
 
-// Resolved is one operation Recover settled: its code and arguments as
-// invoked, and its response. Certain is false only under epoch-mode relaxed
-// durability, for an operation whose durable deactivate parity cannot tell
-// "durably served" from "vanished with the open epoch": it was left
-// untouched, Result is meaningless, and the caller must treat it as either
-// applied or lost, like any other operation of the open epoch.
+// Resolved is one operation Recover settled: the class it ran on (which tells
+// apart structures sharing an area, whose op codes may coincide), its code and
+// arguments as invoked, and its response. Certain is false only under
+// epoch-mode relaxed durability, for an operation whose durable deactivate
+// parity cannot tell "durably served" from "vanished with the open epoch": it
+// was left untouched, Result is meaningless, and the caller must treat it as
+// either applied or lost, like any other operation of the open epoch.
 type Resolved struct {
+	Class      int
 	Op, A0, A1 uint64
 	Result     uint64
 	Certain    bool
 }
 
-// Area is one structure's system area.
+// Area is one structure's system area — or one store's, when several
+// structures share it and each owns some of its classes.
 type Area struct {
 	r       *pmem.Region
 	k       int
@@ -97,7 +103,7 @@ type Area struct {
 	payload int             // operations one multi-op commit may carry
 	insts   []core.Protocol // class -> combining instance
 	epoch   *pmem.Epoch     // non-nil under epoch-mode relaxed durability
-	hist    Log             // optional durable-linearizability log
+	hist    []Log           // class -> optional durable-linearizability log
 	scratch []scratch       // per thread, when payload > 0
 }
 
@@ -122,18 +128,19 @@ type scratch struct {
 }
 
 // New creates — or re-attaches after a crash — the system area named name
-// for n threads over the combining instances insts (one class each). epoch is
-// the structure's epoch state, nil in strict mode. payload is the most
-// operations one multi-op commit may carry — the structure's VecCap; below 2
-// the structure commits one operation at a time and its record has no
-// payload. Part of the persistent layout: re-attach with the same value.
+// for n threads over the combining instances insts (one class each; a nil
+// entry is bound later, see Bind). epoch is the epoch state every class defers
+// into, nil in strict mode. payload is the most operations one multi-op
+// commit may carry — the structure's VecCap; below 2 the structure commits
+// one operation at a time and its record has no payload. Part of the
+// persistent layout: re-attach with the same value.
 func New(h *pmem.Heap, name string, n int, insts []core.Protocol, epoch *pmem.Epoch, payload int) *Area {
 	k := len(insts)
 	if payload < 2 {
 		payload = 0
 	}
 	grps := min(k, payload)
-	a := &Area{k: k, grpOff: k + recWords, payload: payload, insts: insts, epoch: epoch}
+	a := &Area{k: k, grpOff: k + recWords, payload: payload, insts: insts, epoch: epoch, hist: make([]Log, k)}
 	a.payOff = a.grpOff + 3*grps
 	a.stride = pmem.RoundUpLine(a.payOff + 3*payload)
 	a.r = h.AllocOrGet(name, n*a.stride)
@@ -152,19 +159,32 @@ func New(h *pmem.Heap, name string, n int, insts []core.Protocol, epoch *pmem.Ep
 	return a
 }
 
+// Bind installs class's combining instance on an area built before it: a
+// structure built on a caller's area binds its own classes.
+func (a *Area) Bind(class int, inst core.Protocol) { a.insts[class] = inst }
+
+// Epoch returns the epoch state every class defers into (nil in strict mode).
+func (a *Area) Epoch() *pmem.Epoch { return a.epoch }
+
 // SetHistory installs (or, with nil, removes) an operation log on the
-// invocation, vector and recovery paths. Install while quiescent. A nil
-// *history.Recorder removes the log like the nil interface does: a caller
-// holding a recorder variable passes it as it is, and must not end up with a
-// non-nil log the next operation dereferences.
-func (a *Area) SetHistory(h Log) {
+// invocation, vector and recovery paths of classes, or of every class when
+// none are named: each operation reports to its own class's log, so
+// structures sharing an area keep histories of their own. Install while
+// quiescent. A nil *history.Recorder removes the log like the nil interface
+// does: a caller holding a recorder variable passes it as it is, and must not
+// end up with a non-nil log the next operation dereferences.
+func (a *Area) SetHistory(h Log, classes ...int) {
 	if r, ok := h.(*history.Recorder); ok && r == nil {
 		h = nil
 	}
 	if h != nil && a.epoch != nil {
 		h.SetEpochClock(a.epoch.Now)
 	}
-	a.hist = h
+	for c := range a.hist {
+		if len(classes) == 0 || slices.Contains(classes, c) {
+			a.hist[c] = h
+		}
+	}
 }
 
 // counter returns tid's sequence counter of class.
@@ -213,7 +233,7 @@ func (a *Area) close(tid int) { a.r.DirectStore(tid*a.stride+a.k+recDone, 1) }
 // preserving program order within a class — count each group, place the
 // groups back to back, then drop every op into its group's next free place —
 // and returns the groups, each with the sequence number it will run under.
-func (a *Area) group(tid int, ops []core.VecOp, classOf func(core.VecOp) int) []group {
+func (a *Area) group(tid int, ops []core.VecOp, classOf func(int, core.VecOp) int) []group {
 	// Reject before the scratch is touched.
 	if len(ops) > a.payload {
 		panic(fmt.Sprintf("sysarea: %d operations exceed the record's payload of %d", len(ops), a.payload))
@@ -221,7 +241,7 @@ func (a *Area) group(tid int, ops []core.VecOp, classOf func(core.VecOp) int) []
 	x := &a.scratch[tid]
 	grps := x.grps[:0]
 	for i, o := range ops {
-		c := classOf(o)
+		c := classOf(i, o)
 		g := 0
 		for g < len(grps) && grps[g].class != c {
 			g++
@@ -275,7 +295,7 @@ func (a *Area) commitStores(tid int, grps []group, ops []core.VecOp) []store {
 // something other than a direct Invoke (the map's posting boards) bracket
 // the operation with Begin and End; everyone else calls Invoke.
 func (a *Area) Begin(tid, class int, op, a0, a1 uint64) uint64 {
-	if h := a.hist; h != nil {
+	if h := a.hist[class]; h != nil {
 		// Before the first durable store, so a crash anywhere in the op
 		// leaves it pending in the history.
 		h.Begin(tid, op, a0, a1)
@@ -283,10 +303,10 @@ func (a *Area) Begin(tid, class int, op, a0, a1 uint64) uint64 {
 	return a.open(tid, class, op, a0, a1)
 }
 
-// End durably marks tid's operation completed with response ret.
-func (a *Area) End(tid int, ret uint64) {
+// End durably marks tid's operation on class completed with response ret.
+func (a *Area) End(tid, class int, ret uint64) {
 	a.close(tid)
-	if h := a.hist; h != nil {
+	if h := a.hist[class]; h != nil {
 		h.End(tid, ret)
 	}
 }
@@ -295,7 +315,7 @@ func (a *Area) End(tid int, ret uint64) {
 func (a *Area) Invoke(tid, class int, op, a0, a1 uint64) uint64 {
 	seq := a.Begin(tid, class, op, a0, a1)
 	ret := a.insts[class].Invoke(tid, op, a0, a1, seq)
-	a.End(tid, ret)
+	a.End(tid, class, ret)
 	return ret
 }
 
@@ -308,7 +328,7 @@ func (a *Area) Invoke(tid, class int, op, a0, a1 uint64) uint64 {
 // object has no read face) is the operation recorded and announced like an
 // update, with a sequence number drawn now.
 func (a *Area) Read(tid, class int, op, a0, a1 uint64) uint64 {
-	h := a.hist
+	h := a.hist[class]
 	if h != nil {
 		h.Begin(tid, op, a0, a1)
 	}
@@ -326,7 +346,7 @@ func (a *Area) Read(tid, class int, op, a0, a1 uint64) uint64 {
 
 // InvokeGrouped runs ops as one failure-atomic commit and writes op i's
 // response to rets[i]; it keeps neither slice and allocates nothing.
-// classOf names each op's class: the ops are grouped by class in
+// classOf names op i's class: the ops are grouped by class in
 // first-appearance order (program order within a class), recorded together
 // with their groups in tid's record, and each group then runs as one
 // vectorized announcement on its class's instance (built with VecCap at least
@@ -336,22 +356,25 @@ func (a *Area) Read(tid, class int, op, a0, a1 uint64) uint64 {
 // and the next not yet.
 //
 // len(ops) must be at most the area's payload. The groups of different
-// classes are not mutually ordered: use ops that commute across classes.
-func (a *Area) InvokeGrouped(tid int, ops []core.VecOp, rets []uint64, classOf func(core.VecOp) int) {
+// classes are not mutually ordered: use ops that commute across classes. A
+// map's shards commute with each other and with a queue, so a window may mix
+// them freely; a queue's enqueues and dequeues do not commute, so a window
+// holds one of the two (the server commits its window on a switch).
+func (a *Area) InvokeGrouped(tid int, ops []core.VecOp, rets []uint64, classOf func(int, core.VecOp) int) {
 	if len(ops) == 0 {
 		return
 	}
 	grps := a.group(tid, ops, classOf)
 	x := &a.scratch[tid]
 	gops, grets := x.ops[:len(ops)], x.rets[:len(ops)]
-	h := a.hist
-	if h != nil {
-		// One invocation per op, in GROUP order — the order the ops are
-		// durably laid out and recovery resolves them in — before the
-		// commit's first durable store: a crash anywhere inside leaves
-		// exactly these pending.
-		for _, o := range gops {
-			h.Begin(tid, o.Op, o.A0, o.A1)
+	// One invocation per op, in GROUP order — the order the ops are durably
+	// laid out and recovery resolves them in — before the commit's first
+	// durable store: a crash anywhere inside leaves exactly these pending.
+	for _, g := range grps {
+		if h := a.hist[g.class]; h != nil {
+			for _, o := range gops[g.off : g.off+g.cnt] {
+				h.Begin(tid, o.Op, o.A0, o.A1)
+			}
 		}
 	}
 	for _, s := range a.commitStores(tid, grps, gops) {
@@ -363,13 +386,15 @@ func (a *Area) InvokeGrouped(tid int, ops []core.VecOp, rets []uint64, classOf f
 		a.insts[g.class].(core.VecProtocol).InvokeVec(tid, gops[g.off:g.off+g.cnt], g.seq, grets[g.off:g.off+g.cnt])
 	}
 	a.close(tid)
-	if h != nil {
-		// Ends in Begin (= group) order, and only after the record closed,
-		// past the last crashable point: a crash between two groups must
-		// leave EVERY op pending, so the restarted recovery's Resolves meet
-		// an all-pending queue instead of re-completing ops already closed.
-		for _, r := range grets {
-			h.End(tid, r)
+	// Ends in Begin (= group) order, and only after the record closed, past
+	// the last crashable point: a crash between two groups must leave EVERY
+	// op pending, so the restarted recovery's Resolves meet an all-pending
+	// queue instead of re-completing ops already closed.
+	for _, g := range grps {
+		if h := a.hist[g.class]; h != nil {
+			for _, r := range grets[g.off : g.off+g.cnt] {
+				h.End(tid, r)
+			}
 		}
 	}
 	for i := range ops {
@@ -380,7 +405,7 @@ func (a *Area) InvokeGrouped(tid int, ops []core.VecOp, rets []uint64, classOf f
 // Flusher returns InvokeGrouped bound to the single class class — a vector
 // is the one-group commit — in the shape of a vecbatch pipe's commit function.
 func (a *Area) Flusher(class int) func(tid int, ops []core.VecOp, rets []uint64) {
-	one := func(core.VecOp) int { return class }
+	one := func(int, core.VecOp) int { return class }
 	return func(tid int, ops []core.VecOp, rets []uint64) { a.InvokeGrouped(tid, ops, rets, one) }
 }
 
@@ -412,7 +437,7 @@ func (a *Area) settle(tid, class int, seq uint64, vec bool, ops []core.VecOp) []
 	inst := a.insts[class]
 	out := make([]Resolved, len(ops))
 	for i, o := range ops {
-		out[i] = Resolved{Op: o.Op, A0: o.A0, A1: o.A1}
+		out[i] = Resolved{Class: class, Op: o.Op, A0: o.A0, A1: o.A1}
 	}
 	if a.epoch != nil && inst.(core.EpochCapable).DeactParity(tid) == seq&1 {
 		return out
@@ -481,11 +506,11 @@ func (a *Area) Recover(tid int) []Resolved {
 	// Realignment writes durable words and must not run against mid-crash
 	// state, so it comes after the last point a nested crash can unwind from.
 	a.realign(tid)
-	if h := a.hist; h != nil {
-		// Every recovered operation reaches the history from here, once. An
-		// uncertain one stays pending — applied or lost — and so does every
-		// operation after it, whose Resolve would otherwise complete it.
-		for i := 0; i < len(out) && out[i].Certain; i++ {
+	// Every recovered operation reaches its class's history from here, once.
+	// An uncertain one stays pending — applied or lost — and so does every
+	// operation after it, whose Resolve would otherwise complete it.
+	for i := 0; i < len(out) && out[i].Certain; i++ {
+		if h := a.hist[out[i].Class]; h != nil {
 			h.Resolve(tid, out[i].Result)
 		}
 	}

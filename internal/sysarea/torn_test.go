@@ -39,7 +39,7 @@ type handle struct {
 	// structure's API (its responses, in group order), and how it moves
 	// total().
 	vops    []core.VecOp
-	classOf func(core.VecOp) int
+	classOf func(int, core.VecOp) int
 	commit  func() []uint64
 	vdelta  int
 }
@@ -81,7 +81,7 @@ func queueSubject(name string, kind pcomb.Kind, vecCap int) subject {
 			},
 			delta: enqDeq(1), total: q.Len, recover: q.Recover, close: noop,
 			vops:    []core.VecOp{{Op: pcomb.OpEnqueue, A0: 7}, {Op: pcomb.OpEnqueue, A0: 7}},
-			classOf: func(core.VecOp) int { return 0 },
+			classOf: func(int, core.VecOp) int { return 0 },
 			commit: func() []uint64 {
 				a, b := q.SubmitEnqueue(0, 7), q.SubmitEnqueue(0, 7)
 				q.Flush(0)
@@ -122,7 +122,7 @@ func mapSubject(name string, vecCap int) subject {
 			run:   func(class int) uint64 { return m.Add(0, keys[class], 1) },
 			delta: plus1, total: func() int { return sum(m.Range) }, recover: m.Recover, close: noop,
 			vops:    []core.VecOp{{Op: hashmap.OpAdd, A0: keys[0], A1: 1}, {Op: hashmap.OpAdd, A0: keys[1], A1: 1}},
-			classOf: func(o core.VecOp) int { return m.ShardOf(o.A0) },
+			classOf: func(_ int, o core.VecOp) int { return m.ShardOf(o.A0) },
 			commit: func() []uint64 {
 				a, b := m.SubmitAdd(0, keys[0], 1), m.SubmitAdd(0, keys[1], 1)
 				m.Flush(0)
@@ -149,7 +149,7 @@ func fabricSubject(name string) subject {
 			delta: func(class int) int { return 3*class - 1 },
 			total: func() int { return 2*val(keys[1]) - val(keys[0]) }, recover: m.Recover, close: m.Close,
 			vops:    []core.VecOp{{Op: hashmap.OpAdd, A0: keys[0], A1: ^uint64(0)}, {Op: hashmap.OpAdd, A0: keys[1], A1: 1}},
-			classOf: func(o core.VecOp) int { return m.ShardOf(o.A0) },
+			classOf: func(_ int, o core.VecOp) int { return m.ShardOf(o.A0) },
 			commit: func() []uint64 {
 				from, to := m.TransferAdd(0, keys[0], keys[1], 1)
 				return []uint64{from, to}
@@ -171,6 +171,41 @@ func counterSubject(name string) subject {
 			rec:   func(class int) (uint64, uint64, uint64) { return hashmap.OpAdd, keys[class], 1 },
 			run:   func(class int) uint64 { return m.Add(class, keys[class], 1) },
 			delta: plus1, total: func() int { return sum(m.Range) }, recover: m.Recover, close: m.Close,
+		}
+	}}
+}
+
+// storeSubject is the RESP server's store: a one-instance map (class 0) and a
+// queue (enqueues class 1, dequeues class 2) on one system area. Its total is
+// the counter's value plus the queue's length, and its multi-op commit is a
+// window of an INCRBY and an LPUSH: two groups on two structures.
+func storeSubject(name string, kind pcomb.Kind) subject {
+	const flushOps, key = 4, 7
+	return subject{name: name, threads: 1, classes: 3, region: "srv/sysarea", payload: flushOps + 1, open: func(s *pcomb.System) handle {
+		st := pcomb.NewServerStoreOn(s.Heap(), pcomb.ServerOptions{Threads: 1, Kind: kind, FlushOps: flushOps, QueueCapacity: 1 << 10})
+		return handle{
+			tid: tid0,
+			run: func(class int) uint64 { // a one-command window
+				switch class {
+				case 0:
+					return st.IncrBy(0, key, 1).Value()
+				case 1:
+					return st.LPush(0, 7).Value()
+				}
+				return st.RPop(0).Value()
+			},
+			delta:   func(class int) int { return 1 - class/2*2 },
+			total:   func() int { v, _ := st.Map().Get(0, key); return int(v) + st.Queue().Len() },
+			recover: func(tid int) []sysarea.Resolved { return st.Recover()[tid] },
+			close:   noop,
+			vops:    []core.VecOp{{Op: pcomb.OpAdd, A0: key, A1: 1}, {Op: pcomb.OpEnqueue, A0: 7}},
+			classOf: func(i int, _ core.VecOp) int { return i },
+			commit: func() []uint64 {
+				a, b := st.IncrBy(0, key, 1), st.LPush(0, 7)
+				st.Flush(0)
+				return []uint64{a.Value(), b.Value()}
+			},
+			vdelta: 2,
 		}
 	}}
 }
@@ -290,7 +325,7 @@ func TestTornPrefix(t *testing.T) {
 				r.ackUpTo(class)
 				ret := r.ack(class)
 				r.view().Reopen(r.h.tid(class))
-				want := []sysarea.Resolved{{Op: op, A0: a0, A1: a1, Result: ret, Certain: true}}
+				want := []sysarea.Resolved{{Class: class, Op: op, A0: a0, A1: a1, Result: ret, Certain: true}}
 				if rs := r.reopen(); !reflect.DeepEqual(rs, want) {
 					t.Fatalf("recovered %+v, want the acknowledged response %+v", rs, want)
 				}
@@ -301,11 +336,14 @@ func TestTornPrefix(t *testing.T) {
 }
 
 // commitSubjects carry a multi-op commit: a one-group vector, a map flush
-// window over two shards, and a transfer over the two shards of a board map.
+// window over two shards, a transfer over the two shards of a board map, and
+// a server window over the map and the queue.
 var commitSubjects = []subject{
 	queueSubject("Queue/vector", pcomb.Blocking, 4),
 	mapSubject("Map/window", 4),
 	fabricSubject("ShardedMap/transfer"),
+	storeSubject("ServerStore/window", pcomb.Blocking),
+	storeSubject("ServerStore/window/PWF", pcomb.WaitFree),
 }
 
 // TestTornCommitPrefix is TestTornPrefix for the multi-op record: thread 0's
@@ -326,7 +364,7 @@ func TestTornCommitPrefix(t *testing.T) {
 				case 0: // the record never reached its commit point
 				case len(r.h.vops): // it did: recovery ran every group, once
 					for i, o := range r.h.vops {
-						if rs[i].Op != o.Op || rs[i].A0 != o.A0 || rs[i].A1 != o.A1 || !rs[i].Certain {
+						if rs[i].Class != r.h.classOf(i, o) || rs[i].Op != o.Op || rs[i].A0 != o.A0 || rs[i].A1 != o.A1 || !rs[i].Certain {
 							t.Fatalf("recovered %+v, want %+v", rs, r.h.vops)
 						}
 					}
@@ -347,7 +385,7 @@ func TestTornCommitPrefix(t *testing.T) {
 			r.view().Reopen(0)
 			var want []sysarea.Resolved
 			for i, o := range r.h.vops {
-				want = append(want, sysarea.Resolved{Op: o.Op, A0: o.A0, A1: o.A1, Result: rets[i], Certain: true})
+				want = append(want, sysarea.Resolved{Class: r.h.classOf(i, o), Op: o.Op, A0: o.A0, A1: o.A1, Result: rets[i], Certain: true})
 			}
 			if rs := r.reopen(); !reflect.DeepEqual(rs, want) {
 				t.Fatalf("recovered %+v, want the acknowledged responses %+v", rs, want)

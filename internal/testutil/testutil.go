@@ -19,16 +19,6 @@ func TempHeapPath(t testing.TB) string {
 	return filepath.Join(t.TempDir(), "heap.pcomb")
 }
 
-// OpenTempHeap opens a file-backed heap in a fresh temp dir, with the
-// calibrated persistence costs disabled (tests measure behavior, not
-// latency), and registers its close. The path comes back too so the test
-// can reopen the same file after a simulated restart (see ReopenHeap).
-func OpenTempHeap(t testing.TB, opts pmem.FileOpts) (*pmem.Heap, string) {
-	t.Helper()
-	path := TempHeapPath(t)
-	return ReopenHeap(t, path, opts), path
-}
-
 // ReopenHeap opens (or, on a later call with the same path, re-attaches)
 // the heap file at path with NoCost persistence, failing the test on any
 // open error and registering the close.

@@ -31,11 +31,7 @@ func (s *System) NewMap(name string, threads int, kind Kind, opts ...MapOptions)
 	if len(opts) > 0 {
 		o = opts[0]
 	}
-	k := hashmap.Blocking
-	if kind == WaitFree {
-		k = hashmap.WaitFree
-	}
-	return &Map{m: hashmap.NewWith(s.heap, name, threads, k, o)}
+	return &Map{m: hashmap.NewWith(s.heap, name, threads, kindOf[hashmap.Kind](kind), o)}
 }
 
 // Put maps key to val for thread tid; existed reports whether a previous
@@ -70,19 +66,19 @@ func (m *Map) Recover(tid int) []Resolved { return m.m.Recover(tid) }
 
 // Sync forces an epoch close: everything applied before the call is durable
 // when it returns. No-op in strict mode.
-func (m *Map) Sync() { m.m.Sync() }
+func (m *Map) Sync() { m.m.Epoch().CloseNow() }
 
 // EpochNow returns the open epoch — the durability label of operations
 // returning now (Epoch mode only). Pass a label read after an operation
 // returned to WaitDurable to block until that operation is durable.
-func (m *Map) EpochNow() uint64 { return m.m.EpochNow() }
+func (m *Map) EpochNow() uint64 { return m.m.Epoch().Now() }
 
 // EpochClosed returns the last durably closed epoch (Epoch mode only).
-func (m *Map) EpochClosed() uint64 { return m.m.EpochClosed() }
+func (m *Map) EpochClosed() uint64 { return m.m.Epoch().Closed() }
 
 // WaitDurable blocks until epoch target is durably closed; it returns false
 // if the system crashed first (Epoch mode only).
-func (m *Map) WaitDurable(target uint64) bool { return m.m.WaitDurable(target) }
+func (m *Map) WaitDurable(target uint64) bool { return m.m.Epoch().Wait(target) }
 
 // Close halts the epoch's background closer (if any) after a final close;
 // strict mode starts no goroutine and has nothing to stop. Idempotent; call

@@ -139,7 +139,9 @@ func (s *System) Crash(policy CrashPolicy, seed int64) {
 	s.heap.Crash(policy, seed)
 }
 
-// Resolved is one operation a structure's Recover settled after a crash: its
+// Resolved is one operation a structure's Recover settled after a crash: the
+// system-area class it ran on (a Map's shard; a Queue's 0 for enqueues and 1
+// for dequeues; a ServerStore's 0 map, 1 enqueue, 2 dequeue; otherwise 0), its
 // code (one of the structure's Op* constants, or the Object's own code for a
 // Recoverable) and arguments as invoked, and its response — Empty for a
 // Dequeue, Pop, DeleteMin or GetMin that found nothing. Every structure has
@@ -151,7 +153,8 @@ func (s *System) Crash(policy CrashPolicy, seed int64) {
 type Resolved = sysarea.Resolved
 
 // Operation codes reported in Resolved.Op. Each structure has its own code
-// space; read a code against the structure whose Recover returned it.
+// space; read a code against the structure whose Recover returned it (on a
+// ServerStore, against its Class: the map's and the queue's codes coincide).
 const (
 	OpEnqueue, OpDequeue = queue.OpEnq, queue.OpDeq
 
@@ -162,23 +165,6 @@ const (
 	OpPut, OpGet, OpDelete, OpAdd = hashmap.OpPut, hashmap.OpGet, hashmap.OpDel, hashmap.OpAdd
 )
 
-func kindQueue(k Kind) queue.Kind {
-	if k == WaitFree {
-		return queue.WaitFree
-	}
-	return queue.Blocking
-}
-
-func kindStack(k Kind) stack.Kind {
-	if k == WaitFree {
-		return stack.WaitFree
-	}
-	return stack.Blocking
-}
-
-func kindHeap(k Kind) heap.Kind {
-	if k == WaitFree {
-		return heap.WaitFree
-	}
-	return heap.Blocking
-}
+// kindOf converts k to a structure package's own Kind, whose Blocking and
+// WaitFree mirror k's (iota order).
+func kindOf[K ~int](k Kind) K { return K(k) }

@@ -17,8 +17,9 @@ import (
 // PWFqueue). Values must be below 2^64-1 (the top value is the internal
 // empty sentinel).
 type Queue struct {
-	q   *queue.Queue
-	sys *sysarea.Area // class 0 = enqueues, class 1 = dequeues
+	q    *queue.Queue
+	sys  *sysarea.Area
+	base int // sys class of enqueues; dequeues are base+1 (0 unless a server store's)
 
 	// Async pipelined submission (nil unless QueueOptions.VecCap > 1).
 	// Enqueues and dequeues stage separately — they run on separate
@@ -66,15 +67,18 @@ func (s *System) NewQueue(name string, threads int, kind Kind, opts ...QueueOpti
 	if len(opts) > 0 {
 		o = opts[0]
 	}
-	in := queue.New(s.heap, name, threads, kindQueue(kind), queue.Options{
-		Recycling:     kind == Blocking && !o.NoRecycling,
-		Capacity:      o.Capacity,
-		Sparse:        o.Sparse,
-		VecCap:        o.VecCap,
-		Epoch:         o.Epoch,
-		EpochInterval: o.EpochInterval,
+	var ep *pmem.Epoch
+	if o.Epoch {
+		ep = pmem.NewEpoch(s.heap, name, pmem.EpochOpts{Interval: o.EpochInterval})
+	}
+	in := queue.New(s.heap, name, threads, kindOf[queue.Kind](kind), queue.Options{
+		Recycling: kind == Blocking && !o.NoRecycling,
+		Capacity:  o.Capacity,
+		Sparse:    o.Sparse,
+		VecCap:    o.VecCap,
+		Epoch:     ep,
 	})
-	q := &Queue{q: in, sys: s.sysArea(name, threads, in.Epoch(), o.VecCap, in.EnqProtocol(), in.DeqProtocol())}
+	q := &Queue{q: in, sys: s.sysArea(name, threads, ep, o.VecCap, in.EnqProtocol(), in.DeqProtocol())}
 	if o.VecCap > 1 {
 		q.enqPipe = vecbatch.New(threads, o.VecCap, q.sys.Flusher(0))
 		q.deqPipe = vecbatch.New(threads, o.VecCap, q.sys.Flusher(1))
@@ -90,11 +94,11 @@ func (s *System) sysArea(name string, threads int, epoch *pmem.Epoch, vecCap int
 }
 
 // Enqueue appends v for thread tid.
-func (q *Queue) Enqueue(tid int, v uint64) { q.sys.Invoke(tid, 0, OpEnqueue, v, 0) }
+func (q *Queue) Enqueue(tid int, v uint64) { q.sys.Invoke(tid, q.base, OpEnqueue, v, 0) }
 
 // Dequeue removes the oldest value for thread tid; ok is false when empty.
 func (q *Queue) Dequeue(tid int) (v uint64, ok bool) {
-	return orEmpty(q.sys.Invoke(tid, 1, OpDequeue, 0, 0))
+	return orEmpty(q.sys.Invoke(tid, q.base+1, OpDequeue, 0, 0))
 }
 
 // orEmpty splits a removal's response into (value, true) or (0, false).
@@ -116,24 +120,24 @@ func (q *Queue) Recover(tid int) []Resolved { return q.sys.Recover(tid) }
 // Sync forces an epoch close: everything applied before the call is durable
 // when it returns. No-op in strict mode (every operation is already durable
 // when it returns).
-func (q *Queue) Sync() { q.q.Sync() }
+func (q *Queue) Sync() { q.sys.Epoch().CloseNow() }
 
 // EpochNow returns the open epoch — the durability label of operations
 // returning now (Epoch mode only). Pass a label read after an operation
 // returned to WaitDurable to block until that operation is durable.
-func (q *Queue) EpochNow() uint64 { return q.q.EpochNow() }
+func (q *Queue) EpochNow() uint64 { return q.sys.Epoch().Now() }
 
 // EpochClosed returns the last durably closed epoch (Epoch mode only).
-func (q *Queue) EpochClosed() uint64 { return q.q.EpochClosed() }
+func (q *Queue) EpochClosed() uint64 { return q.sys.Epoch().Closed() }
 
 // WaitDurable blocks until epoch target is durably closed; it returns false
 // if the system crashed first (Epoch mode only).
-func (q *Queue) WaitDurable(target uint64) bool { return q.q.WaitDurable(target) }
+func (q *Queue) WaitDurable(target uint64) bool { return q.sys.Epoch().Wait(target) }
 
 // Close halts the epoch's background closer (if any) after a final close;
 // strict mode starts no goroutine and has nothing to stop. Idempotent; call
 // while quiescent.
-func (q *Queue) Close() { q.q.Close() }
+func (q *Queue) Close() { q.sys.Epoch().Stop() }
 
 // Snapshot returns the queue contents head-to-tail (quiescent use only).
 func (q *Queue) Snapshot() []uint64 { return q.q.Snapshot() }
@@ -173,7 +177,7 @@ func (s *System) NewStack(name string, threads int, kind Kind, opts ...StackOpti
 	if len(opts) > 0 {
 		o = opts[0]
 	}
-	in := stack.New(s.heap, name, threads, kindStack(kind), stack.Options{
+	in := stack.New(s.heap, name, threads, kindOf[stack.Kind](kind), stack.Options{
 		Elimination: !o.NoElimination,
 		Recycling:   !o.NoRecycling,
 		Capacity:    o.Capacity,
@@ -232,7 +236,7 @@ func (s *System) NewHeap(name string, threads int, kind Kind, bound int, opts ..
 	if len(opts) > 0 {
 		o = opts[0]
 	}
-	in := heap.NewWith(s.heap, name, threads, kindHeap(kind), bound,
+	in := heap.NewWith(s.heap, name, threads, kindOf[heap.Kind](kind), bound,
 		core.CombOpts{Sparse: o.Sparse, VecCap: o.VecCap})
 	h := &Heap{h: in, sys: s.sysArea(name, threads, nil, o.VecCap, in.Protocol())}
 	if o.VecCap > 1 {
@@ -341,7 +345,7 @@ func NewHistory(threads int) *History { return history.New(threads) }
 type HistoryLog = sysarea.Log
 
 // SetHistory installs (or, with nil, removes) an operation log.
-func (q *Queue) SetHistory(h HistoryLog) { q.sys.SetHistory(h) }
+func (q *Queue) SetHistory(h HistoryLog) { q.sys.SetHistory(h, q.base, q.base+1) }
 
 // SetHistory installs (or, with nil, removes) an operation log.
 func (st *Stack) SetHistory(h HistoryLog) { st.sys.SetHistory(h) }
