@@ -6,9 +6,8 @@
 //
 //	pcomb-bench -figure 1a                 # one figure
 //	pcomb-bench -figure all -ops 1000000   # the whole evaluation
-//	pcomb-bench -figure t1 -threads 128    # Table 1
-//	pcomb-bench -figure tail -threads 8    # open-loop tail latency
-//	pcomb-bench -figure ba -serve :8090    # live telemetry while it runs
+//	pcomb-bench -figure t1 -t1-threads 128 # Table 1
+//	pcomb-bench -figure 2a -serve :8090    # live telemetry while it runs
 //
 // Flags control the workload size, the thread-count sweep, and the
 // simulated persistence costs. Absolute Mops/s depend on the host; the
@@ -36,14 +35,10 @@ import (
 
 func main() {
 	var (
-		figure   = flag.String("figure", "all", "figure to run: 1a 1b 1c 2a 2b 2c 3a 3b 4 t1 ext sp bk ba ep sh all, tail (open-loop), or srv (RESP server)")
+		figure   = flag.String("figure", "all", "figure to run: 1a 1b 1c 2a 2b 2c 3a 3b 4 t1, or all")
 		format   = flag.String("format", "table", "output format: table, csv, or chart")
 		ops      = flag.Uint64("ops", 200_000, "total operations per measured point")
 		threads  = flag.String("threads", "1,2,4,8,16,24,32,48,64,96", "comma-separated thread counts")
-		batches  = flag.String("batch", "1,8,32", "comma-separated batch sizes for -figure ba (1 = scalar baseline)")
-		epochUs  = flag.String("epoch-us", "200,1000,2000", "comma-separated epoch close cadences (µs) for -figure ep")
-		shardsIn = flag.String("shards", "1,2,4,8", "comma-separated fabric shard counts for -figure sh")
-		skews    = flag.String("skew", "0,0.99", "comma-separated zipfian exponents for -figure sh (0 = uniform)")
 		t1n      = flag.Int("t1-threads", 128, "thread count for Table 1")
 		pwbNs    = flag.Int("pwb-ns", pmem.DefaultPwbNs, "simulated pwb cost (ns)")
 		pfenceNs = flag.Int("pfence-ns", pmem.DefaultPfenceNs, "simulated pfence cost (ns)")
@@ -53,11 +48,6 @@ func main() {
 		jsonOut  = flag.String("json", "", "append one JSONL record per measured point to this file ('-' for stdout)")
 		expvarAt = flag.String("expvar", "", "serve /debug/vars on this address (e.g. :8090) with the run's records")
 		serveAt  = flag.String("serve", "", "serve live telemetry on this address: Prometheus text on /metrics, plus /debug/vars and /debug/pprof (implies -metrics and span tracing)")
-		rates    = flag.String("rates", "0.1,0.2,0.4,0.8,1.6,3.2", "comma-separated offered loads (Mops/s) for -figure tail")
-		tailVcap = flag.Int("tail-vcap", 8, "async submit batch capacity for -figure tail's batch variants (<2 = scalar only)")
-		conns    = flag.Int("conns", 8, "concurrent TCP connections for -figure srv")
-		srvFlush = flag.Int("srv-flush", 16, "batched server window size for -figure srv (the naive baseline is always 1)")
-		srvRates = flag.String("srv-rates", "0.02,0.05,0.1,0.2", "comma-separated offered loads (Mops/s) for -figure srv")
 		spanCap  = flag.Int("span-cap", 0, "per-thread span-ring capacity for lifecycle tracing (0 = off, <0 = default)")
 		traceOut = flag.String("trace", "", "write per-op lifecycle spans as a Chrome/Perfetto trace to this file (enables span tracing)")
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
@@ -85,61 +75,6 @@ func main() {
 		}
 		cfg.Threads = append(cfg.Threads, n)
 	}
-	var batchSizes []int
-	for _, part := range strings.Split(*batches, ",") {
-		b, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil || b <= 0 {
-			fmt.Fprintf(os.Stderr, "bad batch size %q\n", part)
-			os.Exit(2)
-		}
-		batchSizes = append(batchSizes, b)
-	}
-	var epochList []int
-	for _, part := range strings.Split(*epochUs, ",") {
-		d, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil || d <= 0 {
-			fmt.Fprintf(os.Stderr, "bad epoch cadence %q\n", part)
-			os.Exit(2)
-		}
-		epochList = append(epochList, d)
-	}
-	var shardList []int
-	for _, part := range strings.Split(*shardsIn, ",") {
-		s, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil || s <= 0 {
-			fmt.Fprintf(os.Stderr, "bad shard count %q\n", part)
-			os.Exit(2)
-		}
-		shardList = append(shardList, s)
-	}
-	var skewList []float64
-	for _, part := range strings.Split(*skews, ",") {
-		s, err := strconv.ParseFloat(strings.TrimSpace(part), 64)
-		if err != nil || s < 0 {
-			fmt.Fprintf(os.Stderr, "bad skew %q\n", part)
-			os.Exit(2)
-		}
-		skewList = append(skewList, s)
-	}
-	var rateList []float64
-	for _, part := range strings.Split(*rates, ",") {
-		r, err := strconv.ParseFloat(strings.TrimSpace(part), 64)
-		if err != nil || r <= 0 {
-			fmt.Fprintf(os.Stderr, "bad offered load %q\n", part)
-			os.Exit(2)
-		}
-		rateList = append(rateList, r)
-	}
-	var srvRateList []float64
-	for _, part := range strings.Split(*srvRates, ",") {
-		r, err := strconv.ParseFloat(strings.TrimSpace(part), 64)
-		if err != nil || r <= 0 {
-			fmt.Fprintf(os.Stderr, "bad offered load %q\n", part)
-			os.Exit(2)
-		}
-		srvRateList = append(srvRateList, r)
-	}
-
 	if *cpuProf != "" {
 		f, err := os.Create(*cpuProf)
 		if err != nil {
@@ -195,11 +130,10 @@ func main() {
 			PfenceNs int    `json:"pfence_ns"`
 			PsyncNs  int    `json:"psync_ns"`
 			NoCost   bool   `json:"no_cost,omitempty"`
-			EpochUs  string `json:"epoch_us"`
 			Cores    int    `json:"host_cores"`
 			Go       string `json:"go"`
 		}{"pcomb-bench", *ops, *threads, *pwbNs, *pfenceNs, *psyncNs,
-			*noCost, *epochUs, runtime.NumCPU(), runtime.Version()}
+			*noCost, runtime.NumCPU(), runtime.Version()}
 		if err := json.NewEncoder(jsonW).Encode(meta); err != nil {
 			fmt.Fprintf(os.Stderr, "json output: %v\n", err)
 			os.Exit(1)
@@ -313,88 +247,9 @@ func main() {
 		"t1": func() {
 			harness.PrintTable1(os.Stdout, harness.Table1(*t1n, cfg.Ops))
 		},
-		"ext": func() {
-			emit("Extensions ext: sharded map, sparse heap, durable-only", "Mops/s", harness.FigExt(cfg))
-		},
-		"sp": func() {
-			series := harness.FigBench(cfg)
-			emit("Extensions sp: dense vs sparse (dirty-delta) persistence", "Mops/s", series)
-			if *format == "table" {
-				harness.PrintSeries(os.Stdout, "Extensions sp: dense vs sparse", "pwbs/op", series)
-				if *metrics {
-					harness.PrintSeries(os.Stdout, "Extensions sp: dense vs sparse", "copy-words/op", series)
-				}
-			}
-		},
-		"bk": func() {
-			series := harness.FigBackoff(cfg)
-			emit("Extensions bk: adaptive announce backoff on/off", "Mops/s", series)
-			if *format == "table" && *metrics {
-				harness.PrintSeries(os.Stdout, "Extensions bk: adaptive announce backoff", "comb-degree-mean", series)
-			}
-		},
-		"ba": func() {
-			series := harness.FigBatch(cfg, batchSizes)
-			emit("Extensions ba: vectorized announcements by batch size", "Mops/s", series)
-			if *format == "table" {
-				harness.PrintSeries(os.Stdout, "Extensions ba: vectorized announcements", "pwbs/op", series)
-				if *metrics {
-					harness.PrintSeries(os.Stdout, "Extensions ba: vectorized announcements", "comb-rounds/op", series)
-					harness.PrintSeries(os.Stdout, "Extensions ba: vectorized announcements", "batch-size-mean", series)
-				}
-			}
-		},
-		"ep": func() {
-			series := harness.FigEpoch(cfg, epochList)
-			emit("Extensions ep: epoch-mode group commit vs strict rounds", "Mops/s", series)
-			if *format == "table" {
-				// The price of the loss window: how long a Wait for
-				// durability would have blocked, per close cadence.
-				harness.PrintSeries(os.Stdout, "Extensions ep: resolve-at-close latency", "resolve-p99-ns", series)
-				harness.PrintSeries(os.Stdout, "Extensions ep: vs strict persistence work", "pwbs/op", series)
-			}
-		},
-		"sh": func() {
-			series := harness.FigShard(cfg, shardList, skewList)
-			emit("Extensions sh: sharded fabric, hierarchical vs flat routing", "Mops/s", series)
-			if *format == "table" && *metrics {
-				harness.PrintSeries(os.Stdout, "Extensions sh: combining degree", "comb-degree-mean", series)
-			}
-		},
-		"tail": func() {
-			// The open-loop figure needs the latency histograms for the
-			// response/queueing/service split regardless of -metrics.
-			tcfg := cfg
-			tcfg.Metrics = true
-			series := harness.FigTail(tcfg, rateList, *tailVcap)
-			title := "Open-loop tail latency: response time vs offered load"
-			for _, metric := range []string{
-				"resp-p50-ns", "resp-p99-ns", "resp-p999-ns",
-				"qdelay-mean-ns", "service-mean-ns", "mops",
-			} {
-				harness.PrintTailSeries(os.Stdout, title, metric, series)
-			}
-		},
-		"srv": func() {
-			// The RESP server over real TCP: batched window commit vs naive
-			// flush-per-command, open loop. Opt-in like tail (not part of
-			// "all": it binds a port and runs wall-clock seconds per point).
-			series, err := harness.FigSrv(cfg, srvRateList, *conns, *srvFlush)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "figure srv: %v\n", err)
-				os.Exit(1)
-			}
-			title := fmt.Sprintf("Server srv: batched (b%d) vs naive flush-per-command, %d connections", *srvFlush, *conns)
-			for _, metric := range []string{
-				"achieved-kops", "resp-p50-ns", "resp-p99-ns",
-				"qdelay-p99-ns", "service-p99-ns", "srv-batch-mean", "pwbs/op",
-			} {
-				harness.PrintTailSeries(os.Stdout, title, metric, series)
-			}
-		},
 	}
 
-	order := []string{"1a", "1b", "1c", "2a", "2b", "2c", "3a", "3b", "4", "t1", "ext", "sp", "bk", "ba", "ep", "sh"}
+	order := []string{"1a", "1b", "1c", "2a", "2b", "2c", "3a", "3b", "4", "t1"}
 	do := func(f string) {
 		curFig = f // tags the JSONL records emitted while this figure runs
 		runs[f]()
@@ -406,7 +261,7 @@ func main() {
 	} else if _, ok := runs[*figure]; ok {
 		do(*figure)
 	} else {
-		fmt.Fprintf(os.Stderr, "unknown figure %q (want one of %v, tail, srv, or all)\n", *figure, order)
+		fmt.Fprintf(os.Stderr, "unknown figure %q (want one of %v, or all)\n", *figure, order)
 		os.Exit(2)
 	}
 

@@ -82,14 +82,13 @@ type comb struct {
 	// concentrate on the few threads that are not waiting — and a thread that
 	// wins often has private buffers nearly in sync with S, which shrinks the
 	// sparse fill and persist sets.
-	adaptive bool
-	annYld   []prim.PaddedUint64 // per-thread announce-wait length, in yields (own thread only)
-	annHot   []prim.PaddedUint64 // per-thread contention flag (own thread only)
-	degEMA   atomic.Uint64       // combining-degree EMA, fixed-point <<emaShift
+	annYld []prim.PaddedUint64 // per-thread announce-wait length, in yields (own thread only)
+	annHot []prim.PaddedUint64 // per-thread contention flag (own thread only)
+	degEMA atomic.Uint64       // combining-degree EMA, fixed-point <<emaShift
 
-	// backoffs is PWFcomb's seeded per-thread backoff — its fixed wait when the
-	// adaptive one is off or n == 1, and its pause between failed attempts; nil
-	// under PBcomb, whose fixed wait is a bare yield.
+	// backoffs is PWFcomb's seeded per-thread backoff — its fixed wait when
+	// n == 1, and its pause between failed attempts; nil under PBcomb, whose
+	// fixed wait is a bare yield.
 	backoffs []*prim.Backoff
 
 	hotReq []pmem.HotWord // coherence hot spots (see pmem.HotWord): the announcement slots
@@ -158,7 +157,6 @@ func (c *comb) init(p rounds, h *pmem.Heap, name, proto, idxName string, n int, 
 	c.scratch = make([][]Request, n)
 	c.envs = make([]Env, n)
 	c.seen = make([]prim.PaddedUint64, n)
-	c.adaptive = true
 	c.annYld = make([]prim.PaddedUint64, n)
 	c.annHot = make([]prim.PaddedUint64, n)
 	for i := range c.ctxs {
@@ -211,13 +209,6 @@ func (c *comb) AttachEpoch(e *pmem.Epoch) {
 		ctx.SetEpochBuf(e.Buf())
 	}
 }
-
-// SetAdaptiveBackoff enables or disables the adaptive announce backoff
-// (enabled by default). Disabled, Invoke falls back to the protocol's fixed
-// wait between announcing and competing (a bare yield under PBcomb, the seeded
-// backoff under PWFcomb) — the ablation the combining-degree sweep in
-// EXPERIMENTS.md compares against.
-func (c *comb) SetAdaptiveBackoff(on bool) { c.adaptive = on }
 
 func (c *comb) recOff(slot int) int { return slot * c.recWords }
 
@@ -414,7 +405,7 @@ func (c *comb) Invoke(tid int, op, a0, a1, seq uint64) uint64 {
 	// the rounds interface: every frame between an entry point and the yield
 	// costs a single-threaded Invoke some 30 ns.)
 	switch {
-	case c.adaptive && c.n > 1:
+	case c.n > 1:
 		c.announceWait(tid, seq&1)
 	case c.backoffs != nil:
 		c.backoffs[tid].Wait()
@@ -467,9 +458,7 @@ func (c *comb) announceWait(tid int, myActivate uint64) {
 // announceWait. tid-local, so a plain store suffices; the padding avoids
 // false sharing with neighbors.
 func (c *comb) noteContention(tid int) {
-	if c.adaptive {
-		c.annHot[tid].V.Store(1)
-	}
+	c.annHot[tid].V.Store(1)
 }
 
 // wonRound reports a round that became current: degree operations served for
@@ -483,10 +472,8 @@ func (c *comb) noteContention(tid int) {
 // the EMA by one round), so a plain load/store pair suffices.
 func (c *comb) wonRound(tid, degree, anns int) {
 	c.onRound(tid, degree)
-	if c.adaptive {
-		old := c.degEMA.Load()
-		c.degEMA.Store(old - old/emaAlpha + (uint64(anns)<<emaShift)/emaAlpha)
-	}
+	old := c.degEMA.Load()
+	c.degEMA.Store(old - old/emaAlpha + (uint64(anns)<<emaShift)/emaAlpha)
 }
 
 // clearAnnounce retires tid's completed announcement from its slot (delegate

@@ -93,7 +93,7 @@ func (c *comb) performVec(tid, cnt int, seq uint64, rets []uint64) {
 	}
 	c.announceVec(tid, cnt, seq)
 	switch { // as in Invoke
-	case c.adaptive && c.n > 1:
+	case c.n > 1:
 		c.announceWait(tid, seq&1)
 	case c.backoffs != nil:
 		c.backoffs[tid].Wait()

@@ -25,17 +25,18 @@ func TestMatrixTargetNames(t *testing.T) {
 			t.Fatalf("target %q builds driver named %q", tg.Name, got)
 		}
 	}
-	// 2 counters + 8 each for queue/stack/heap/map + 8 register variants +
-	// 2 epoch queues + 2 epoch maps + 2 fabrics.
-	if len(targets) != 48 {
-		t.Fatalf("matrix has %d targets, want 48", len(targets))
+	// 2 counters + 4 each for the always-dense queue/stack + 8 each for
+	// heap/map + 8 register variants + 2 epoch queues + 2 epoch maps + 2
+	// fabrics.
+	if len(targets) != 40 {
+		t.Fatalf("matrix has %d targets, want 40", len(targets))
 	}
 	for _, want := range []string{
 		"counter/PWFcomb",
-		"queue/PBqueue", "queue/PWFqueue-sparse-vec",
+		"queue/PBqueue", "queue/PWFqueue-vec",
 		"queue/PBqueue-epoch", "queue/PWFqueue-epoch",
 		"map/PBmap-epoch", "map/PWFmap-epoch",
-		"stack/PBstack-vec", "stack/PWFstack-sparse",
+		"stack/PBstack-vec", "stack/PWFstack",
 		"heap/PBheap-sparse", "heap/PWFheap-vec",
 		"map/PBmap-vec", "map/PWFmap-dense",
 		"register/PBdense", "register/PWFsparse",
@@ -44,6 +45,12 @@ func TestMatrixTargetNames(t *testing.T) {
 	} {
 		if !seen[want] {
 			t.Fatalf("matrix is missing target %q", want)
+		}
+	}
+	// The queue and stack are always dense: no sparse variant may come back.
+	for _, gone := range []string{"queue/PWFqueue-sparse-vec", "stack/PWFstack-sparse"} {
+		if seen[gone] {
+			t.Fatalf("matrix has removed target %q", gone)
 		}
 	}
 }

@@ -12,9 +12,10 @@ type Target struct {
 
 // MatrixTargets enumerates the full simulated-crash correctness matrix for
 // campaigns of cfg's shape — Threads, and the Ops x Rounds the node arenas
-// must hold: {PBcomb, PWFcomb} x {dense, sparse} x {scalar, vectorized} across
-// queue, stack, heap, hash map and register file, plus the two counters, the
-// epoch-mode queues and maps, and the sharded fabric.
+// must hold: {PBcomb, PWFcomb} x {scalar, vectorized} across queue and stack
+// (both always dense), {PBcomb, PWFcomb} x {dense, sparse} x {scalar,
+// vectorized} across heap, hash map and register file, plus the two
+// counters, the epoch-mode queues and maps, and the sharded fabric.
 func MatrixTargets(cfg Config) []Target {
 	var out []Target
 	n, arena := cfg.Threads, simArena(cfg)
@@ -22,10 +23,11 @@ func MatrixTargets(cfg Config) []Target {
 		out = append(out, Target{Name: mk().Name, Mk: func(seed int64) Driver { return NewDriver(mk(), n, seed) }})
 	}
 	kinds := []pcomb.Kind{pcomb.Blocking, pcomb.WaitFree}
+	vecCaps := []int{0, specVecCap}
 	each := func(f func(kind pcomb.Kind, alt bool, vecCap int)) {
 		for _, kind := range kinds {
 			for _, alt := range []bool{false, true} {
-				for _, vecCap := range []int{0, specVecCap} {
+				for _, vecCap := range vecCaps {
 					f(kind, alt, vecCap)
 				}
 			}
@@ -35,21 +37,21 @@ func MatrixTargets(cfg Config) []Target {
 	for _, kind := range kinds {
 		add(func() *Spec { return counterSpec(kind) })
 	}
-	each(func(kind pcomb.Kind, sparse bool, vecCap int) {
-		add(func() *Spec {
-			return queueSpec(kind, pcomb.QueueOptions{Capacity: arena, Sparse: sparse, VecCap: vecCap})
-		})
-	})
+	for _, kind := range kinds {
+		for _, vecCap := range vecCaps {
+			add(func() *Spec { return queueSpec(kind, pcomb.QueueOptions{Capacity: arena, VecCap: vecCap}) })
+		}
+	}
 	// Epoch-mode relaxed durability: last-open-epoch completions may vanish,
 	// closed-epoch completions may not.
 	for _, kind := range kinds {
 		add(func() *Spec { return queueSpec(kind, pcomb.QueueOptions{Capacity: arena, Epoch: true}) })
 	}
-	each(func(kind pcomb.Kind, sparse bool, vecCap int) {
-		add(func() *Spec {
-			return stackSpec(kind, pcomb.StackOptions{Capacity: arena, Sparse: sparse, VecCap: vecCap})
-		})
-	})
+	for _, kind := range kinds {
+		for _, vecCap := range vecCaps {
+			add(func() *Spec { return stackSpec(kind, pcomb.StackOptions{Capacity: arena, VecCap: vecCap}) })
+		}
+	}
 	each(func(kind pcomb.Kind, sparse bool, vecCap int) {
 		add(func() *Spec { return heapSpec(kind, pcomb.HeapOptions{Sparse: sparse, VecCap: vecCap}) })
 	})

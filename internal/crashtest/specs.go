@@ -193,7 +193,7 @@ func registerSpec(kind pcomb.Kind, dense bool, vecCap int) *Spec {
 func queueSpec(kind pcomb.Kind, o pcomb.QueueOptions) *Spec {
 	var q *pcomb.Queue
 	sp := &Spec{
-		Name:   "queue/" + pfx(kind) + "queue" + tag(o.Sparse, "-sparse") + tag(o.VecCap > 1, "-vec") + tag(o.Epoch, "-epoch"),
+		Name:   "queue/" + pfx(kind) + "queue" + tag(o.VecCap > 1, "-vec") + tag(o.Epoch, "-epoch"),
 		VecCap: o.VecCap,
 		Open: func(h *pmem.Heap, n int) Handle {
 			q = pcomb.NewOn(h).NewQueue("q", n, kind, o)
@@ -221,7 +221,7 @@ func queueSpec(kind pcomb.Kind, o pcomb.QueueOptions) *Spec {
 func stackSpec(kind pcomb.Kind, o pcomb.StackOptions) *Spec {
 	var s *pcomb.Stack
 	return &Spec{
-		Name:   "stack/" + pfx(kind) + "stack" + tag(o.Sparse, "-sparse") + tag(o.VecCap > 1, "-vec"),
+		Name:   "stack/" + pfx(kind) + "stack" + tag(o.VecCap > 1, "-vec"),
 		VecCap: o.VecCap,
 		Open: func(h *pmem.Heap, n int) Handle {
 			s = pcomb.NewOn(h).NewStack("s", n, kind, o)

@@ -119,3 +119,54 @@ func PrintSeriesChart(w io.Writer, title, metric string, series []Series) {
 	fmt.Fprintln(w)
 	fmt.Fprintln(w)
 }
+
+// PrintSeriesCSV renders a figure as CSV — one row per measured point, for
+// downstream plotting. The fixed columns cover every persistence
+// instruction class; any Extra metrics present across the series (latency
+// quantiles, combining stats) become additional columns in sorted key
+// order, empty where a point lacks them.
+func PrintSeriesCSV(w io.Writer, title string, series []Series) {
+	tag := strings.Fields(title)
+	name := title
+	if len(tag) > 0 {
+		name = strings.TrimSuffix(tag[len(tag)-1], ":")
+		if len(tag) > 1 {
+			name = strings.TrimSuffix(tag[1], ":")
+		}
+	}
+	extraSet := map[string]bool{}
+	for _, s := range series {
+		for _, p := range s.Points {
+			for k := range p.Extra {
+				extraSet[k] = true
+			}
+		}
+	}
+	extras := make([]string, 0, len(extraSet))
+	for k := range extraSet {
+		extras = append(extras, k)
+	}
+	sort.Strings(extras)
+
+	fmt.Fprint(w, "figure,algorithm,threads,mops,pwbs_per_op,pfences_per_op,psyncs_per_op")
+	for _, k := range extras {
+		fmt.Fprintf(w, ",%s", strings.NewReplacer(",", "_", "/", "_per_").Replace(k))
+	}
+	fmt.Fprintln(w)
+	for _, s := range series {
+		pts := append([]Result(nil), s.Points...)
+		sort.Slice(pts, func(i, j int) bool { return pts[i].Threads < pts[j].Threads })
+		for _, p := range pts {
+			fmt.Fprintf(w, "%s,%s,%d,%.4f,%.4f,%.4f,%.4f",
+				name, s.Name, p.Threads, p.Mops, p.PwbsPerOp, p.PfencesPerOp, p.PsyncsPerOp)
+			for _, k := range extras {
+				if v, ok := p.Extra[k]; ok {
+					fmt.Fprintf(w, ",%.4f", v)
+				} else {
+					fmt.Fprint(w, ",")
+				}
+			}
+			fmt.Fprintln(w)
+		}
+	}
+}

@@ -173,20 +173,6 @@ func TestPrintSeriesCSV(t *testing.T) {
 	}
 }
 
-func TestFigExt(t *testing.T) {
-	series := FigExt(tinyConfig())
-	if len(series) != 7 {
-		t.Fatalf("ext series = %d, want 7", len(series))
-	}
-	for _, s := range series {
-		for _, p := range s.Points {
-			if p.Mops <= 0 {
-				t.Fatalf("%s: nonpositive throughput", s.Name)
-			}
-		}
-	}
-}
-
 func TestRandomAndPrefilledWorkloads(t *testing.T) {
 	// The paper reports the random and prefilled setups show the same
 	// trends; here we verify they at least run correctly: conservation of

@@ -5,7 +5,6 @@ import (
 	"sync/atomic"
 
 	"pcomb/internal/core"
-	"pcomb/internal/obs"
 	"pcomb/internal/pmem"
 	"pcomb/internal/prim"
 )
@@ -202,9 +201,8 @@ func (m *Map) shardProbe(p core.Probe) core.Probe {
 
 // SetProbe installs p on every shard's combining instance and on the
 // submission pipe (they share its sinks, so stats aggregate across shards and
-// a thread's span track interleaves spans from all shards it touched; use
-// ShardStats for a per-shard view). The sinks may be sized for the client
-// thread count.
+// a thread's span track interleaves spans from all shards it touched). The
+// sinks may be sized for the client thread count.
 func (m *Map) SetProbe(p core.Probe) {
 	if m.pipe != nil {
 		m.pipe.SetProbe(p)
@@ -213,36 +211,4 @@ func (m *Map) SetProbe(p core.Probe) {
 	for _, sh := range m.shards {
 		sh.SetProbe(p)
 	}
-}
-
-// combTee fans shard events out to the per-shard group child and the
-// map-level parent sink.
-type combTee struct{ a, b core.CombTracker }
-
-func (t combTee) Round(tid, degree int) { t.a.Round(tid, degree); t.b.Round(tid, degree) }
-func (t combTee) Helped(tid int)        { t.a.Helped(tid); t.b.Helped(tid) }
-func (t combTee) LockFail(tid int)      { t.a.LockFail(tid); t.b.LockFail(tid) }
-func (t combTee) SCFail(tid int)        { t.a.SCFail(tid); t.b.SCFail(tid) }
-func (t combTee) Copied(tid, words int) { t.a.Copied(tid, words); t.b.Copied(tid, words) }
-func (t combTee) BatchSize(tid, sz int) { t.a.BatchSize(tid, sz); t.b.BatchSize(tid, sz) }
-
-// ShardStats is SetProbe with a per-shard view on top: it builds an
-// obs.CombGroup with one child sink per shard, and shard i's combining events
-// reach child i as well as p.Comb (if any) — per-shard combining degree stays
-// observable while the group's Snapshot reads the merged aggregate.
-func (m *Map) ShardStats(p core.Probe) *obs.CombGroup {
-	if m.pipe != nil {
-		m.pipe.SetProbe(p)
-	}
-	g := obs.NewCombGroup(m.nsh, m.n+1)
-	p = m.shardProbe(p)
-	for i, sh := range m.shards {
-		q := p
-		q.Comb = g.Child(i)
-		if p.Comb != nil {
-			q.Comb = combTee{a: g.Child(i), b: p.Comb}
-		}
-		sh.SetProbe(q)
-	}
-	return g
 }

@@ -166,14 +166,6 @@ func NewSparse(h *pmem.Heap, name string, n int, bound int) *Heap {
 	return NewWith(h, name, n, Blocking, bound, core.CombOpts{Sparse: true})
 }
 
-// NewSparseWaitFree is the PWFheap counterpart of NewSparse: every
-// pretend-combiner refreshes and persists only the sift paths dirtied since
-// its private buffer last matched S, instead of the whole key array per
-// attempt.
-func NewSparseWaitFree(h *pmem.Heap, name string, n int, bound int) *Heap {
-	return NewWith(h, name, n, WaitFree, bound, core.CombOpts{Sparse: true})
-}
-
 // Bound returns the heap's capacity.
 func (h *Heap) Bound() int { return h.bound }
 

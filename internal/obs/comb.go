@@ -98,75 +98,6 @@ type CombSnapshot struct {
 	BatchDist     []Bucket `json:"batch_dist,omitempty"`
 }
 
-// CombGroup is a merged multi-object view over per-instance CombStats: a
-// structure built from many combining instances (a multi-shard map) gives
-// each instance its own child sink, keeping per-shard combining degree
-// observable, and reads one structure-level aggregate through
-// the group's Snapshot — counters summed, degree and batch-size histograms
-// merged — instead of N disjoint dumps.
-type CombGroup struct {
-	children []*CombStats
-}
-
-// NewCombGroup creates a group of k child sinks, each for n threads.
-func NewCombGroup(k, n int) *CombGroup {
-	g := &CombGroup{children: make([]*CombStats, k)}
-	for i := range g.children {
-		g.children[i] = NewCombStats(n)
-	}
-	return g
-}
-
-// Child returns the i-th child sink (install it on instance i).
-func (g *CombGroup) Child(i int) *CombStats { return g.children[i] }
-
-// Size returns the number of children.
-func (g *CombGroup) Size() int { return len(g.children) }
-
-// ChildSnapshots returns each child's individual snapshot, in child order.
-func (g *CombGroup) ChildSnapshots() []CombSnapshot {
-	out := make([]CombSnapshot, len(g.children))
-	for i, c := range g.children {
-		out[i] = c.Snapshot()
-	}
-	return out
-}
-
-// Snapshot returns the merged group-level aggregate: counter sums and true
-// histogram merges, so the group's degree quantiles are computed over every
-// child's rounds rather than averaged per child.
-func (g *CombGroup) Snapshot() CombSnapshot {
-	var out CombSnapshot
-	deg, bat := &Hist{}, &Hist{}
-	for _, c := range g.children {
-		out.Rounds += c.rounds.Value()
-		out.CombinedOps += c.combined.Value()
-		out.HelpedOps += c.helped.Value()
-		out.LockFails += c.lockFails.Value()
-		out.SCFails += c.scFails.Value()
-		out.Copies += c.copies.Value()
-		out.CopyWords += c.copyWords.Value()
-		deg.Merge(c.degree.Snapshot())
-		bat.Merge(c.batchSize.Snapshot())
-	}
-	if out.Rounds > 0 {
-		out.MeanDegree = float64(out.CombinedOps) / float64(out.Rounds)
-	}
-	out.DegreeP50 = deg.Quantile(0.50)
-	out.DegreeP99 = deg.Quantile(0.99)
-	out.DegreeMax = deg.Max()
-	out.DegreeDist = deg.Buckets()
-	if bat.Count() > 0 {
-		out.Batches = bat.Count()
-		out.BatchMeanSize = bat.Mean()
-		out.BatchP50 = bat.Quantile(0.50)
-		out.BatchP99 = bat.Quantile(0.99)
-		out.BatchMax = bat.Max()
-		out.BatchDist = bat.Buckets()
-	}
-	return out
-}
-
 // Snapshot aggregates the current counters.
 func (s *CombStats) Snapshot() CombSnapshot {
 	out := CombSnapshot{

@@ -73,9 +73,10 @@ func TestHistEmptyAndSingle(t *testing.T) {
 }
 
 func TestHistQuantileClampedToObserved(t *testing.T) {
-	// The BENCH_3 regression: every recorded value was 1, yet interpolation
-	// inside the [1,2) bucket reported p50=1.5 and p99=1.99. Quantiles must
-	// be clamped to the observed [min, max] range.
+	// A regression the dense-vs-sparse sweep once showed: every recorded
+	// value was 1, yet interpolation inside the [1,2) bucket reported p50=1.5
+	// and p99=1.99. Quantiles must be clamped to the observed [min, max]
+	// range.
 	var h Hist
 	for i := 0; i < 1000; i++ {
 		h.Record(1)

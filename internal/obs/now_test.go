@@ -5,10 +5,10 @@ import (
 	"time"
 )
 
-// Now must be monotonic: span starts/ends and open-loop arrival schedules
-// are compared across calls, so a wall-clock step (NTP, suspend) must never
-// make a later reading smaller. Basing Now on time.Since(processEpoch) keeps
-// it on Go's monotonic clock; this test pins that property.
+// Now must be monotonic: span starts and ends are compared across calls, so
+// a wall-clock step (NTP, suspend) must never make a later reading smaller.
+// Basing Now on time.Since(processEpoch) keeps it on Go's monotonic clock;
+// this test pins that property.
 func TestNowMonotonic(t *testing.T) {
 	prev := Now()
 	if prev < 0 {

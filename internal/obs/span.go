@@ -10,9 +10,8 @@ package obs
 //
 // The point is attribution: aggregate metrics (CombStats, latency
 // histograms) show that combining amortizes persistence, while spans show
-// *where* an individual operation's latency went — exactly the signal an
-// open-loop tail-latency report needs to split queueing delay from service
-// time, and the signal a relaxed-durability mode must not regress.
+// *where* an individual operation's latency went — the signal a tail-latency
+// report needs, and the signal a relaxed-durability mode must not regress.
 
 // Phase identifies one lifecycle phase of an operation.
 type Phase uint8
@@ -21,13 +20,8 @@ type Phase uint8
 // by the harness); the others nest inside it on the same thread track, so a
 // Chrome-trace export renders them as a flame-like per-op breakdown.
 const (
-	// PhaseOp spans the whole operation, invocation to response (open-loop
-	// runs start it at the op's scheduled arrival instead, so it also covers
-	// the queueing delay).
+	// PhaseOp spans the whole operation, invocation to response.
 	PhaseOp Phase = iota
-	// PhaseQueue is open-loop queueing delay: scheduled arrival to the
-	// moment the op actually started executing.
-	PhaseQueue
 	// PhasePublish is the announce/publish step: writing the request slot or
 	// the persistent argument ring (including the ring's pwb+pfence). Arg
 	// carries the announced vector length (1 for scalars).
@@ -60,8 +54,6 @@ func (p Phase) String() string {
 	switch p {
 	case PhaseOp:
 		return "op"
-	case PhaseQueue:
-		return "queue"
 	case PhasePublish:
 		return "publish"
 	case PhaseBackoff:

@@ -47,7 +47,6 @@ func (o *pbEnqObj) ApplyBatch(env *core.Env, reqs []core.Request) {
 		r.Ret = EnqOK
 	}
 	env.State.Store(0, tail)
-	env.MarkDirty(0, 1)
 	sc.fs.Flush(env.Ctx)
 }
 
@@ -95,7 +94,6 @@ func (o *pbDeqObj) ApplyBatch(env *core.Env, reqs []core.Request) {
 		head = next
 	}
 	env.State.Store(0, head)
-	env.MarkDirty(0, 1)
 }
 
 // commit reclaims the round's removed nodes once their removal is durable

@@ -56,11 +56,6 @@ type Options struct {
 	Capacity int
 	// ChunkSize is the per-thread allocation chunk; 0 selects the default.
 	ChunkSize int
-	// Sparse builds both combining instances on the sparse variants
-	// (dirty-line copy and persistence). The queue states are 1–3 words, so
-	// the win is small; the flag keeps the queue API uniform with the other
-	// structures.
-	Sparse bool
 	// VecCap builds both combining instances with vectorized-announcement
 	// support: threads may publish up to VecCap operations per slot toggle
 	// (0 or 1 = scalar only). Part of the persistent layout — re-open with
@@ -125,7 +120,7 @@ func New(h *pmem.Heap, name string, n int, kind Kind, opt Options) *Queue {
 	case Blocking:
 		eo := &pbEnqObj{q: q, dummy: dummy, per: make([]roundScratch, n)}
 		do := &pbDeqObj{q: q, dummy: dummy, recycle: opt.Recycling, per: make([]roundScratch, n)}
-		co := core.CombOpts{Sparse: opt.Sparse, VecCap: opt.VecCap}
+		co := core.CombOpts{VecCap: opt.VecCap}
 		ie := core.NewPBCombWith(h, name+"/enq", n, eo, co)
 		id := core.NewPBCombWith(h, name+"/deq", n, do, co)
 		ie.PostSync = func(env *core.Env) {
@@ -139,7 +134,7 @@ func New(h *pmem.Heap, name string, n int, kind Kind, opt Options) *Queue {
 	case WaitFree:
 		eo := &wfEnqObj{q: q, dummy: dummy, per: make([]roundScratch, n)}
 		do := &wfDeqObj{q: q, dummy: dummy}
-		co := core.CombOpts{Sparse: opt.Sparse, VecCap: opt.VecCap}
+		co := core.CombOpts{VecCap: opt.VecCap}
 		ie := core.NewPWFCombWith(h, name+"/enq", n, eo, co)
 		id := core.NewPWFCombWith(h, name+"/deq", n, do, co)
 		ie.PostSC = func(env *core.Env, ok bool) { eo.commit(env.Combiner, ok) }

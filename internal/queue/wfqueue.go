@@ -70,7 +70,6 @@ func (o *wfEnqObj) ApplyBatch(env *core.Env, reqs []core.Request) {
 	env.State.Store(0, tail)
 	env.State.Store(1, newH)
 	env.State.Store(2, newT)
-	env.MarkDirty(0, 3)
 	sc.fs.Flush(env.Ctx)
 }
 
@@ -134,5 +133,4 @@ func (o *wfDeqObj) ApplyBatch(env *core.Env, reqs []core.Request) {
 		head = next
 	}
 	env.State.Store(0, head)
-	env.MarkDirty(0, 1)
 }

@@ -54,10 +54,6 @@ type Options struct {
 	Capacity int
 	// ChunkSize is the per-thread allocation chunk; 0 selects the default.
 	ChunkSize int
-	// Sparse builds the stack on the sparse combining variants (dirty-line
-	// copy and persistence). With a one-word state the win is small but the
-	// flag keeps the stack API uniform with the other structures.
-	Sparse bool
 	// VecCap builds the combining instance with vectorized-announcement
 	// support: threads may publish up to VecCap operations per slot toggle
 	// (0 or 1 = scalar only). Part of the persistent layout — re-open with
@@ -154,7 +150,6 @@ func (o *obj) ApplyBatch(env *core.Env, reqs []core.Request) {
 		}
 	}
 	env.State.Store(0, top)
-	env.MarkDirty(0, 1)
 	sc.fs.Flush(env.Ctx)
 }
 
@@ -269,7 +264,7 @@ func New(h *pmem.Heap, name string, n int, kind Kind, opt Options) *Stack {
 		per: make([]roundScratch, n),
 	}
 	s := &Stack{o: o}
-	co := core.CombOpts{Sparse: opt.Sparse, VecCap: opt.VecCap}
+	co := core.CombOpts{VecCap: opt.VecCap}
 	switch kind {
 	case Blocking:
 		c := core.NewPBCombWith(h, name, n, o, co)

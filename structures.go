@@ -29,19 +29,18 @@ type Queue struct {
 	deqPipe *vecbatch.Pipe
 }
 
-// QueueOptions tunes a queue instance; the zero value is sensible.
+// QueueOptions tunes a queue instance; the zero value is sensible. A queue
+// always persists its whole combining record: its states are 1–3 words, and
+// the sparse variant HeapOptions.Sparse and ObjectOptions.Sparse select
+// persisted the dirtied state line and the tail lines separately, 3.63
+// pwbs/op against dense's 2.63 (EXPERIMENTS.md, "Dense vs sparse
+// persistence").
 type QueueOptions struct {
 	// NoRecycling disables node reclamation (the Figure 2a ablation;
 	// PWFqueue never recycles, matching the paper).
 	NoRecycling bool
 	// Capacity bounds the node arena (0 = default).
 	Capacity int
-	// Sparse builds both combining instances on the sparse variants, as
-	// HeapOptions.Sparse and ObjectOptions.Sparse do: a round persists the
-	// state lines it dirtied, not the whole record. The queue's states are
-	// 1–3 words, so it selects a code path more than it saves pwbs; the
-	// crash-test matrix runs every queue on both.
-	Sparse bool
 	// VecCap enables the async Submit/Flush API with up to VecCap
 	// operations per announcement (0 or 1 = blocking API only). Part of the
 	// persistent layout — re-open with the same value.
@@ -74,7 +73,6 @@ func (s *System) NewQueue(name string, threads int, kind Kind, opts ...QueueOpti
 	in := queue.New(s.heap, name, threads, kindOf[queue.Kind](kind), queue.Options{
 		Recycling: kind == Blocking && !o.NoRecycling,
 		Capacity:  o.Capacity,
-		Sparse:    o.Sparse,
 		VecCap:    o.VecCap,
 		Epoch:     ep,
 	})
@@ -155,7 +153,8 @@ type Stack struct {
 }
 
 // StackOptions tunes a stack instance; the zero value enables the paper's
-// elimination and recycling optimizations.
+// elimination and recycling optimizations. Like a queue, a stack always
+// persists its whole one-word record (see QueueOptions).
 type StackOptions struct {
 	// NoElimination disables Push/Pop pairing in the combiner.
 	NoElimination bool
@@ -163,9 +162,6 @@ type StackOptions struct {
 	NoRecycling bool
 	// Capacity bounds the node arena (0 = default).
 	Capacity int
-	// Sparse builds the stack on the sparse combining variants (see
-	// QueueOptions.Sparse).
-	Sparse bool
 	// VecCap enables the async Submit/Flush API (0 or 1 = blocking only).
 	// Part of the persistent layout — re-open with the same value.
 	VecCap int
@@ -181,7 +177,6 @@ func (s *System) NewStack(name string, threads int, kind Kind, opts ...StackOpti
 		Elimination: !o.NoElimination,
 		Recycling:   !o.NoRecycling,
 		Capacity:    o.Capacity,
-		Sparse:      o.Sparse,
 		VecCap:      o.VecCap,
 	})
 	st := &Stack{s: in, sys: s.sysArea(name, threads, nil, o.VecCap, in.Protocol())}
