@@ -305,52 +305,62 @@ func TestBatchObjectCrashRecoverBatch(t *testing.T) {
 }
 
 func TestBatchMapSparseDenseEquivalence(t *testing.T) {
-	// The same batched op sequence must produce identical results and
-	// final contents under sparse and dense shard persistence.
-	run := func(dense bool) (map[uint64]uint64, []uint64) {
-		sys := New(Options{CrashTesting: true, NoCost: true})
-		m := sys.NewMap("m", 1, Blocking, MapOptions{Shards: 2, Dense: dense, VecCap: 4})
-		// Wait each staged group before its futures can expire.
-		var rets []uint64
-		var fs []Future
-		drain := func() {
-			m.Flush(0)
-			for _, f := range fs {
-				rets = append(rets, f.Wait())
-			}
-			fs = fs[:0]
+	// A batched op sequence on the map's sparse shards must produce the
+	// responses and final contents a whole-record (dense) run produces: the
+	// sequential outcome, which the model below replays. internal/hashmap's
+	// TestSparseMatchesDenseMap compares the shards against a dense instance
+	// round for round.
+	sys := New(Options{CrashTesting: true, NoCost: true})
+	m := sys.NewMap("m", 1, Blocking, MapOptions{Shards: 2, VecCap: 4})
+	model := map[uint64]uint64{}
+	var rets, want []uint64
+	var fs []Future
+	// Wait each staged group before its futures can expire.
+	drain := func() {
+		m.Flush(0)
+		for _, f := range fs {
+			rets = append(rets, f.Wait())
 		}
-		for k := uint64(1); k <= 9; k++ {
-			fs = append(fs, m.SubmitPut(0, k, k+100))
-			if len(fs) == 3 {
-				drain()
-			}
-		}
-		for k := uint64(1); k <= 9; k += 2 {
-			fs = append(fs, m.SubmitDelete(0, k))
-		}
-		drain()
-		for k := uint64(1); k <= 9; k += 3 {
-			fs = append(fs, m.SubmitGet(0, k))
-		}
-		drain()
-		got := map[uint64]uint64{}
-		m.Range(func(k, v uint64) bool { got[k] = v; return true })
-		return got, rets
+		fs = fs[:0]
 	}
-	sparseC, sparseR := run(false)
-	denseC, denseR := run(true)
-	if len(sparseC) != len(denseC) {
-		t.Fatalf("contents differ: sparse %v dense %v", sparseC, denseC)
+	old := func(k uint64) uint64 {
+		if v, ok := model[k]; ok {
+			return v
+		}
+		return hashmap.NotFound
 	}
-	for k, v := range sparseC {
-		if denseC[k] != v {
-			t.Fatalf("key %d: sparse %d dense %d", k, v, denseC[k])
+	for k := uint64(1); k <= 9; k++ {
+		fs = append(fs, m.SubmitPut(0, k, k+100))
+		want = append(want, old(k))
+		model[k] = k + 100
+		if len(fs) == 3 {
+			drain()
 		}
 	}
-	for i := range sparseR {
-		if sparseR[i] != denseR[i] {
-			t.Fatalf("ret %d: sparse %d dense %d", i, sparseR[i], denseR[i])
+	for k := uint64(1); k <= 9; k += 2 {
+		fs = append(fs, m.SubmitDelete(0, k))
+		want = append(want, old(k))
+		delete(model, k)
+	}
+	drain()
+	for k := uint64(1); k <= 9; k += 3 {
+		fs = append(fs, m.SubmitGet(0, k))
+		want = append(want, old(k))
+	}
+	drain()
+	got := map[uint64]uint64{}
+	m.Range(func(k, v uint64) bool { got[k] = v; return true })
+	if len(got) != len(model) {
+		t.Fatalf("contents %v, want %v", got, model)
+	}
+	for k, v := range model {
+		if got[k] != v {
+			t.Fatalf("key %d = %d, want %d", k, got[k], v)
+		}
+	}
+	for i := range want {
+		if rets[i] != want[i] {
+			t.Fatalf("ret %d = %d, want %d", i, rets[i], want[i])
 		}
 	}
 }

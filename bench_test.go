@@ -14,7 +14,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"pcomb/internal/core"
 	"pcomb/internal/harness"
 	"pcomb/internal/hashmap"
 	"pcomb/internal/heap"
@@ -234,75 +233,5 @@ func BenchmarkExtensionMapShards(b *testing.B) {
 			b.ReportMetric(res.Mops, "Mops/s")
 			b.ReportMetric(res.PwbsPerOp, "pwbs/op")
 		})
-	}
-}
-
-// BenchmarkAblationDurableOnly quantifies persistence principle 1: the
-// durably-linearizable-only PBcomb persists only the object state, not the
-// ReturnVal/Deactivate tail, so it writes back fewer lines per round.
-func BenchmarkAblationDurableOnly(b *testing.B) {
-	for _, durable := range []bool{false, true} {
-		name := "detectable"
-		if durable {
-			name = "durable-only"
-		}
-		b.Run(name, func(b *testing.B) {
-			h := pmem.NewHeap(pmem.Config{Mode: pmem.ModeCount})
-			const n = 32
-			var c *core.PBComb
-			if durable {
-				c = core.NewPBCombDurable(h, "c", n, core.Counter{})
-			} else {
-				c = core.NewPBComb(h, "c", n, core.Counter{})
-			}
-			ops := uint64(b.N)
-			if ops < 64 {
-				ops = 64
-			}
-			b.ResetTimer()
-			res := harness.Measure(name, h, n, ops, func(tid int, i uint64, _ *rand.Rand) {
-				c.Invoke(tid, core.OpCounterAdd, 1, 0, i+1)
-			})
-			b.StopTimer()
-			b.ReportMetric(res.Mops, "Mops/s")
-			b.ReportMetric(res.PwbsPerOp, "pwbs/op")
-		})
-	}
-}
-
-// BenchmarkExtensionSparseHeap contrasts Figure 3b's whole-state PBheap
-// with the sparse-persistence extension: persisting only the O(log bound)
-// sift path removes most of the heap-size penalty.
-func BenchmarkExtensionSparseHeap(b *testing.B) {
-	for _, bound := range []int{64, 1024} {
-		for _, sparse := range []bool{false, true} {
-			name := fmt.Sprintf("bound=%d/dense", bound)
-			if sparse {
-				name = fmt.Sprintf("bound=%d/sparse", bound)
-			}
-			b.Run(name, func(b *testing.B) {
-				h := pmem.NewHeap(pmem.Config{Mode: pmem.ModeCount})
-				const n = 8
-				var hp *heap.Heap
-				if sparse {
-					hp = heap.NewSparse(h, "h", n, bound)
-				} else {
-					hp = heap.New(h, "h", n, heap.Blocking, bound)
-				}
-				pre := uint64(bound / 2)
-				for i := uint64(0); i < pre; i++ {
-					hp.Insert(0, i*37%(1<<20), i+1)
-				}
-				ops := uint64(b.N)
-				if ops < 64 {
-					ops = 64
-				}
-				b.ResetTimer()
-				res := harness.Measure("heap", h, n, ops, harness.HeapOp(hp, pre))
-				b.StopTimer()
-				b.ReportMetric(res.Mops, "Mops/s")
-				b.ReportMetric(res.PwbsPerOp, "pwbs/op")
-			})
-		}
 	}
 }

@@ -1,10 +1,6 @@
 package pcomb
 
-import (
-	"time"
-
-	"pcomb/internal/hashmap"
-)
+import "pcomb/internal/hashmap"
 
 // ShardedMap is the map built for the sharded combining fabric: NewShardedMap
 // returns a Map whose scalar updates go through each shard's posting board
@@ -19,20 +15,9 @@ type ShardedMapOptions struct {
 	Fabric int
 	// Capacity is the total slot count across shards (0 = 64 per shard).
 	Capacity int
-	// VecCap bounds one board sweep, one transaction and one Submit/Flush
-	// window (0 = 16). Part of the persistent layout — re-open with the same
-	// value.
-	VecCap int
 	// Flat disables hierarchical combining (no posting boards; threads
 	// invoke their key's shard directly) — the naive-split baseline.
 	Flat bool
-	// Epoch switches the map to epoch-mode relaxed durability. The
-	// cross-shard failure-atomicity guarantee is specified for strict mode;
-	// in epoch mode a transaction is failure-atomic once its epoch durably
-	// closed.
-	Epoch bool
-	// EpochInterval is the background close cadence (Epoch mode).
-	EpochInterval time.Duration
 }
 
 // TxnLeg is one operation of a cross-shard transaction (op codes follow the
@@ -47,26 +32,16 @@ type TxnLeg = hashmap.Leg
 // delegated announcement, and the others wait for their slot. That is the
 // paper's combiner one level up, not a server thread: the map starts no
 // goroutine, and a batch is the posts that landed while the previous sweeper
-// was inside its psync. Call Close before discarding the instance (it stops
-// the epoch's background closer, in Epoch mode).
+// was inside its psync. Options beyond these (Epoch, another VecCap) are
+// NewMap's, with Board set.
 func (s *System) NewShardedMap(name string, threads int, kind Kind, opts ...ShardedMapOptions) *ShardedMap {
 	var o ShardedMapOptions
 	if len(opts) > 0 {
 		o = opts[0]
 	}
-	mo := MapOptions{
-		Shards:        o.Fabric,
-		Capacity:      o.Capacity,
-		VecCap:        o.VecCap,
-		Board:         !o.Flat,
-		Epoch:         o.Epoch,
-		EpochInterval: o.EpochInterval,
-	}
+	mo := MapOptions{Shards: o.Fabric, Capacity: o.Capacity, VecCap: 16, Board: !o.Flat}
 	if mo.Shards <= 0 {
 		mo.Shards = 4
-	}
-	if mo.VecCap <= 0 {
-		mo.VecCap = 16
 	}
 	return s.NewMap(name, threads, kind, mo)
 }

@@ -93,12 +93,10 @@ type comb struct {
 
 	hotReq []pmem.HotWord // coherence hot spots (see pmem.HotWord): the announcement slots
 
-	// durableOnly selects PBcomb's durably-linearizable-only variant (Section
-	// 3): only the object state is persisted — neither ReturnVal nor Deactivate
-	// — so combiners write back fewer cache lines, and the protocol has null
-	// recovery (re-opening the instance *is* the recovery; Recover panics and
-	// per-thread sequence numbers restart at 1).
-	durableOnly bool
+	// sparse is set when obj is a SparseObject: rounds copy and persist only
+	// the record lines recent rounds dirtied (each protocol keeps its own
+	// dirty-line bookkeeping) instead of the whole record.
+	sparse bool
 
 	// The installed Probe (see SetProbe); each nil when not installed.
 	mem   *memmodel.Hooks
@@ -125,7 +123,7 @@ func (c *comb) init(p rounds, h *pmem.Heap, name, proto, idxName string, n int, 
 		panic("core: need at least one thread")
 	}
 	c.p, c.h, c.name, c.n, c.obj, c.stWords = p, h, name, n, obj, obj.StateWords()
-	c.durableOnly = o.DurableOnly
+	_, c.sparse = obj.(SparseObject)
 	c.bobj, _ = obj.(BatchObject)
 	c.robj, _ = obj.(Reader)
 	c.vcap = o.VecCap
@@ -494,9 +492,6 @@ func (c *comb) clearAnnounce(tid int) {
 // the system re-invokes it after a crash with the same arguments and seq as
 // the original invocation.
 func (c *comb) Recover(tid int, op, a0, a1, seq uint64) uint64 {
-	if c.durableOnly {
-		panic("core: the durably-linearizable-only variant has null recovery (no Recover)")
-	}
 	if recoverSabotage.Load() {
 		// Mutation-test bug: skip the republish and hand back the (possibly
 		// stale) return slot unconditionally.

@@ -79,12 +79,6 @@ type VecOp struct {
 // after a crash with the same options it was created with (like the object's
 // StateWords).
 type CombOpts struct {
-	// Sparse selects sparse (dirty-delta) copy and persistence; the object
-	// must report every state write via Env.MarkDirty.
-	Sparse bool
-	// DurableOnly selects PBcomb's durably-linearizable-only variant (null
-	// recovery). PBComb only.
-	DurableOnly bool
 	// VecCap is the maximum number of operations a thread can publish in one
 	// vectorized announcement; 0 or 1 builds a scalar-only instance with the
 	// classic record layout.
@@ -169,12 +163,12 @@ type Env struct {
 	// Combiner is the id of the thread acting as combiner.
 	Combiner int
 
-	dirty *dirtySet // non-nil under sparse persistence (NewPBCombSparse)
+	dirty *dirtySet // non-nil for a SparseObject
 }
 
-// MarkDirty records that state words [off, off+n) were written. Under
-// sparse persistence (NewPBCombSparse) the object MUST call it for every
-// state word it stores; otherwise it is a no-op.
+// MarkDirty records that state words [off, off+n) were written. A
+// SparseObject MUST call it for every state word it stores; for any other
+// object it is a no-op.
 func (e *Env) MarkDirty(off, n int) {
 	if e.dirty != nil {
 		e.dirty.add(off, n)
@@ -247,6 +241,19 @@ type BatchObject interface {
 	ApplyBatch(env *Env, reqs []Request)
 }
 
+// SparseObject is an optional extension: an object that calls Env.MarkDirty
+// for every state word it stores implements it, and the protocols then copy
+// and persist only the record lines recent rounds wrote instead of the whole
+// record. That suits wide states of which a round touches a few lines (a hash
+// table shard, a register file). Any other object has its whole record copied
+// and persisted with one ranged pwb — the paper's persistence principle 3,
+// and the cheaper choice for states of a few lines. An object that implements
+// it without marking every store loses those stores in a crash.
+type SparseObject interface {
+	Object
+	MarksDirty()
+}
+
 // Reader is an optional extension: an object whose read-only operations can
 // be answered from a state alone implements it, and the protocols then serve
 // those operations from the last durable record without announcing them (see
@@ -258,6 +265,16 @@ type BatchObject interface {
 type Reader interface {
 	Read(s State, op, a0, a1 uint64) uint64
 }
+
+// Kind selects the combining protocol a structure is built on.
+type Kind int
+
+const (
+	// Blocking builds on PBcomb.
+	Blocking Kind = iota
+	// WaitFree builds on PWFcomb.
+	WaitFree
+)
 
 // Protocol is the interface both combining protocols satisfy; recoverable
 // data structures are built against it so each comes in a blocking (PBcomb)

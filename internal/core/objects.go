@@ -35,7 +35,6 @@ func (AtomicFloat) Apply(env *Env, r *Request) {
 	old := env.State.Load(0)
 	k := math.Float64frombits(r.A0)
 	env.State.Store(0, math.Float64bits(math.Float64frombits(old)*k))
-	env.MarkDirty(0, 1)
 	r.Ret = old
 }
 
@@ -54,18 +53,21 @@ func (Counter) Apply(env *Env, r *Request) {
 	switch r.Op {
 	case OpCounterAdd:
 		env.State.Store(0, old+r.A0)
-		env.MarkDirty(0, 1)
 	case OpCounterGet:
 	}
 	r.Ret = old
 }
 
-// RegisterFile is a small array of words supporting read/write/transfer; it
-// stands in for "any small object" in tests and the bank-transfer example.
+// RegisterFile is an array of words supporting read/write/transfer; it
+// stands in for "any object" in tests and the bank-transfer example. It marks
+// every store, so the protocols persist it sparsely (SparseObject).
 type RegisterFile struct {
 	Words   int
 	Initial uint64
 }
+
+// MarksDirty makes RegisterFile a SparseObject.
+func (RegisterFile) MarksDirty() {}
 
 // StateWords returns the configured size.
 func (f RegisterFile) StateWords() int { return f.Words }

@@ -35,14 +35,12 @@ type PBComb struct {
 	// it to advance oldTail (Section 5).
 	PostSync func(env *Env)
 
-	// sparse selects sparse state persistence: the combiner persists only
-	// the state lines dirtied during the current and previous rounds (plus
-	// the ReturnVal/Deactivate tail) instead of the whole record. Sound
-	// because a record's durable copy is exactly two rounds stale, so the
-	// two most recent rounds' dirty sets cover every difference. Objects
-	// must report their writes via Env.MarkDirty. This lifts the paper's
-	// small-object guidance for large states (e.g. hash-table shards).
-	sparse    bool
+	// Sparse state persistence (comb.sparse): the combiner persists only the
+	// state lines dirtied during the current and previous rounds (plus the
+	// ReturnVal/Deactivate tail) instead of the whole record. Sound because a
+	// record's durable copy is exactly two rounds stale, so the two most
+	// recent rounds' dirty sets cover every difference. This lifts the
+	// paper's small-object guidance for large states (e.g. hash-table shards).
 	dirtyCur  *dirtySet
 	dirtyPrev *dirtySet
 	booted    [2]bool // record has been fully persisted at least once
@@ -54,32 +52,13 @@ func NewPBComb(h *pmem.Heap, name string, n int, obj Object) *PBComb {
 	return NewPBCombWith(h, name, n, obj, CombOpts{})
 }
 
-// NewPBCombSparse creates a PBComb instance with sparse state persistence:
-// combiners persist only the record lines written during the last two rounds
-// instead of the whole record. The object must call Env.MarkDirty for every
-// state word it stores. Useful for large states, where whole-record persists
-// dominate (the size limitation Section 3 discusses).
-func NewPBCombSparse(h *pmem.Heap, name string, n int, obj Object) *PBComb {
-	return NewPBCombWith(h, name, n, obj, CombOpts{Sparse: true})
-}
-
-// NewPBCombDurable creates the durably-linearizable-only variant: it
-// persists only the object state (fewer lines per round) and has null
-// recovery — after a crash, re-opening the instance restores the state of
-// some prefix of completed operations, but responses of interrupted
-// operations are not recoverable and Recover panics.
-func NewPBCombDurable(h *pmem.Heap, name string, n int, obj Object) *PBComb {
-	return NewPBCombWith(h, name, n, obj, CombOpts{DurableOnly: true})
-}
-
 // NewPBCombWith creates (or re-opens) a PBComb instance with explicit
 // options; the other constructors are thin wrappers. The options shape the
 // persistent layout, so re-opening after a crash must use the same options.
 func NewPBCombWith(h *pmem.Heap, name string, n int, obj Object, o CombOpts) *PBComb {
 	c := &PBComb{}
 	c.init(c, h, name, "pbcomb", "pbcomb.meta", n, obj, o, 0, 2)
-	if o.Sparse {
-		c.sparse = true
+	if c.sparse {
 		c.dirtyCur = newDirtySet(c.recWords)
 		c.dirtyPrev = newDirtySet(c.recWords)
 		// The record MIndex pointed to at open time was fully persisted (at
@@ -214,12 +193,9 @@ func (c *PBComb) combine(tid int) uint64 {
 		c.spans.Record(tid, obs.PhaseCombine, tc, tp, uint64(len(batch)))
 		pwb0 = ctx.Pwbs()
 	}
-	switch {
-	case c.durableOnly:
-		ctx.PWB(c.state, dst, c.stWords)
-	case c.sparse:
+	if c.sparse {
 		c.persistSparse(ctx, dst, ind)
-	default:
+	} else {
 		ctx.PWB(c.state, dst, c.recWords)
 	}
 	ctx.PFence()

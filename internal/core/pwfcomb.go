@@ -37,13 +37,12 @@ type PWFComb struct {
 	hotS   pmem.HotWord
 	hotRec []pmem.HotWord
 
-	// sparse selects sparse fills and persists (NewPWFCombSparse): a thread
-	// refreshes only the state lines that changed since its private buffer
-	// last matched some S version, and persists only the lines whose durable
-	// bytes may lag the buffer, instead of copying and writing back the whole
-	// record on every attempt. Objects must report every state write via
-	// Env.MarkDirty.
-	sparse bool
+	// Sparse fills and persists (comb.sparse): a thread refreshes only the
+	// state lines that changed since its private buffer last matched some S
+	// version, and persists only the lines whose durable bytes may lag the
+	// buffer, instead of copying and writing back the whole record on every
+	// attempt.
+	//
 	// lineVer[l] is (a conservative upper bound on) the stamp of the S
 	// version that last rewrote state line l. Combiners publish their dirty
 	// lines with a CAS-max *before* their SC, so any thread that syncs to a
@@ -86,27 +85,10 @@ func NewPWFComb(h *pmem.Heap, name string, n int, obj Object) *PWFComb {
 	return NewPWFCombWith(h, name, n, obj, CombOpts{})
 }
 
-// NewPWFCombSparse creates a PWFComb instance with sparse fills and sparse
-// record persistence: each attempt copies only the record lines that changed
-// since the thread's private buffer was last in sync with S (tracked with
-// per-line version stamps) and persists only the lines whose durable bytes
-// may be stale — including the ReturnVal/Deactivate/Index tail, where only
-// the entries of threads a round actually served change. The object must
-// call Env.MarkDirty for every state word it stores. This is the wait-free
-// counterpart of NewPBCombSparse for large states, where every competing
-// thread paying a whole-record copy and write-back per attempt dominates.
-func NewPWFCombSparse(h *pmem.Heap, name string, n int, obj Object) *PWFComb {
-	return NewPWFCombWith(h, name, n, obj, CombOpts{Sparse: true})
-}
-
 // NewPWFCombWith creates (or re-opens) a PWFComb instance with explicit
 // options; the other constructors are thin wrappers. The options shape the
 // persistent layout, so re-opening after a crash must use the same options.
-// CombOpts.DurableOnly is a PBComb-only option and is rejected here.
 func NewPWFCombWith(h *pmem.Heap, name string, n int, obj Object, o CombOpts) *PWFComb {
-	if o.DurableOnly {
-		panic("core: PWFComb has no durably-linearizable-only variant")
-	}
 	c := &PWFComb{}
 	c.init(c, h, name, "pwfcomb", "pwfcomb.s", n, obj, o, n+1, 2*n+1)
 	c.idxOff = c.deactOff + n
@@ -120,8 +102,7 @@ func NewPWFCombWith(h *pmem.Heap, name string, n int, obj Object, o CombOpts) *P
 	for i := range c.backoffs {
 		c.backoffs[i] = prim.NewBackoff(16, 4096, int64(i)+1)
 	}
-	if o.Sparse {
-		c.sparse = true
+	if c.sparse {
 		// The version/dirty tracking spans the WHOLE record (recWords is
 		// line-aligned), tail included: ReturnVal/Deactivate/Index/pid lines
 		// change only for the threads a round actually serves, so persisting

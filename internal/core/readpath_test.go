@@ -25,6 +25,11 @@ const (
 	opCellGet
 )
 
+// sparseCells is cells as a SparseObject: cells marks every store.
+type sparseCells struct{ cells }
+
+func (sparseCells) MarksDirty() {}
+
 func (c cells) StateWords() int { return c.n }
 
 func (c cells) Init(s State) {
@@ -75,8 +80,8 @@ var readKinds = []struct {
 }{
 	{"PBcomb", func(h *pmem.Heap, n int, obj Object) Protocol { return NewPBComb(h, "c", n, obj) }},
 	{"PWFcomb", func(h *pmem.Heap, n int, obj Object) Protocol { return NewPWFComb(h, "c", n, obj) }},
-	{"PBcomb-sparse", func(h *pmem.Heap, n int, obj Object) Protocol { return NewPBCombSparse(h, "c", n, obj) }},
-	{"PWFcomb-sparse", func(h *pmem.Heap, n int, obj Object) Protocol { return NewPWFCombSparse(h, "c", n, obj) }},
+	{"PBcomb-sparse", func(h *pmem.Heap, n int, obj Object) Protocol { return NewPBComb(h, "c", n, sparseCells{obj.(cells)}) }},
+	{"PWFcomb-sparse", func(h *pmem.Heap, n int, obj Object) Protocol { return NewPWFComb(h, "c", n, sparseCells{obj.(cells)}) }},
 }
 
 // crashed runs f and reports whether a simulated crash unwound it.

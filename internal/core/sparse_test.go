@@ -12,6 +12,23 @@ import (
 // sparse persistence: state = 64 words (8 lines).
 type sparseArray struct{ words int }
 
+func (sparseArray) MarksDirty() {}
+
+// dense hides an object's SparseObject extension (and any other), so the
+// protocols copy and persist its whole record: the reference the sparse
+// tests compare against.
+type dense struct{ Object }
+
+// markedCounter is Counter as a SparseObject.
+type markedCounter struct{ Counter }
+
+func (markedCounter) MarksDirty() {}
+
+func (c markedCounter) Apply(env *Env, r *Request) {
+	c.Counter.Apply(env, r)
+	env.MarkDirty(0, 1)
+}
+
 func (a sparseArray) StateWords() int { return a.words }
 
 func (a sparseArray) Init(s State) {
@@ -37,8 +54,8 @@ func TestSparseMatchesDense(t *testing.T) {
 	// under sparse and whole-record persistence.
 	f := func(ops []uint16) bool {
 		h1, h2 := shadowHeap(), shadowHeap()
-		a := NewPBCombSparse(h1, "a", 1, sparseArray{64})
-		b := NewPBComb(h2, "b", 1, sparseArray{64})
+		a := NewPBComb(h1, "a", 1, sparseArray{64})
+		b := NewPBComb(h2, "b", 1, dense{sparseArray{64}})
 		for i, o := range ops {
 			op := OpRegWrite
 			if o%3 == 0 {
@@ -66,21 +83,20 @@ func TestSparseFewerPwbsOnWideState(t *testing.T) {
 	const words, ops = 512, 200 // 64 state lines
 	count := func(sparse bool) uint64 {
 		h := pmem.NewHeap(pmem.Config{Mode: pmem.ModeCount, NoCost: true})
-		var c *PBComb
-		if sparse {
-			c = NewPBCombSparse(h, "a", 1, sparseArray{words})
-		} else {
-			c = NewPBComb(h, "a", 1, sparseArray{words})
+		var obj Object = sparseArray{words}
+		if !sparse {
+			obj = dense{obj}
 		}
+		c := NewPBComb(h, "a", 1, obj)
 		h.ResetStats()
 		for i := uint64(1); i <= ops; i++ {
 			c.Invoke(0, OpRegWrite, i%words, i, i)
 		}
 		return h.Stats().Pwbs
 	}
-	dense, sparse := count(false), count(true)
-	if sparse*10 > dense {
-		t.Fatalf("sparse pwbs %d not ≪ dense %d on a 64-line state", sparse, dense)
+	whole, sparse := count(false), count(true)
+	if sparse*10 > whole {
+		t.Fatalf("sparse pwbs %d not ≪ dense %d on a 64-line state", sparse, whole)
 	}
 }
 
@@ -88,7 +104,7 @@ func TestSparseDurabilityAfterCrash(t *testing.T) {
 	// Writes scattered over many rounds; after a DropUnfenced crash the
 	// recovered state must equal the state at the last completed operation.
 	h := shadowHeap()
-	c := NewPBCombSparse(h, "a", 1, sparseArray{64})
+	c := NewPBComb(h, "a", 1, sparseArray{64})
 	want := make([]uint64, 64)
 	rng := rand.New(rand.NewSource(4))
 	for i := uint64(1); i <= 300; i++ {
@@ -98,7 +114,7 @@ func TestSparseDurabilityAfterCrash(t *testing.T) {
 		want[idx] = val
 	}
 	h.Crash(pmem.DropUnfenced, 1)
-	c2 := NewPBCombSparse(h, "a", 1, sparseArray{64})
+	c2 := NewPBComb(h, "a", 1, sparseArray{64})
 	for i := 0; i < 64; i++ {
 		if got := c2.CurrentState().Load(i); got != want[i] {
 			t.Fatalf("word %d = %d, want %d (stale line leaked through)", i, got, want[i])
@@ -112,7 +128,7 @@ func TestSparseCrashPointSweep(t *testing.T) {
 	// consistent prefix plus the exactly-once recovered op.
 	for k := int64(1); ; k++ {
 		h := shadowHeap()
-		c := NewPBCombSparse(h, "a", 1, sparseArray{64})
+		c := NewPBComb(h, "a", 1, sparseArray{64})
 		for i := uint64(1); i <= 6; i++ {
 			c.Invoke(0, OpRegWrite, i%3, i*10, i) // revisit lines repeatedly
 		}
@@ -134,7 +150,7 @@ func TestSparseCrashPointSweep(t *testing.T) {
 			return
 		}
 		h.Crash(pmem.DropUnfenced, k)
-		c2 := NewPBCombSparse(h, "a", 1, sparseArray{64})
+		c2 := NewPBComb(h, "a", 1, sparseArray{64})
 		if got := c2.Recover(0, OpRegWrite, 1, 999, 7); got != 40 {
 			t.Fatalf("crash@%d: recovered op returned %d, want 40 (old word 1)", k, got)
 		}
@@ -153,7 +169,7 @@ func TestSparseCrossCrashIncrementalPersist(t *testing.T) {
 	h := shadowHeap()
 	want := make([]uint64, 64)
 	seq := uint64(1)
-	c := NewPBCombSparse(h, "a", 1, sparseArray{64})
+	c := NewPBComb(h, "a", 1, sparseArray{64})
 	for gen := 0; gen < 3; gen++ {
 		for i := 0; i < 5; i++ {
 			idx := uint64(gen*7+i) % 64
@@ -162,7 +178,7 @@ func TestSparseCrossCrashIncrementalPersist(t *testing.T) {
 			seq++
 		}
 		h.Crash(pmem.DropUnfenced, int64(gen))
-		c = NewPBCombSparse(h, "a", 1, sparseArray{64})
+		c = NewPBComb(h, "a", 1, sparseArray{64})
 		// seq continues across the crash, as the system model guarantees.
 		for i := 0; i < 64; i++ {
 			if got := c.CurrentState().Load(i); got != want[i] {

@@ -14,8 +14,8 @@ func TestSparseWFMatchesDense(t *testing.T) {
 	// under sparse and whole-record PWFcomb.
 	f := func(ops []uint16) bool {
 		h1, h2 := shadowHeap(), shadowHeap()
-		a := NewPWFCombSparse(h1, "a", 1, sparseArray{64})
-		b := NewPWFComb(h2, "b", 1, sparseArray{64})
+		a := NewPWFComb(h1, "a", 1, sparseArray{64})
+		b := NewPWFComb(h2, "b", 1, dense{sparseArray{64}})
 		for i, o := range ops {
 			op := OpRegWrite
 			if o%3 == 0 {
@@ -43,12 +43,11 @@ func TestSparseWFFewerPwbsOnWideState(t *testing.T) {
 	const words, ops = 512, 200 // 64 state lines
 	count := func(sparse bool) uint64 {
 		h := pmem.NewHeap(pmem.Config{Mode: pmem.ModeCount, NoCost: true})
-		var c *PWFComb
-		if sparse {
-			c = NewPWFCombSparse(h, "a", 1, sparseArray{words})
-		} else {
-			c = NewPWFComb(h, "a", 1, sparseArray{words})
+		var obj Object = sparseArray{words}
+		if !sparse {
+			obj = dense{obj}
 		}
+		c := NewPWFComb(h, "a", 1, obj)
 		// Boot both private buffers (each pays one full-record persist), so
 		// the counted window measures steady state.
 		c.Invoke(0, OpRegWrite, 0, 1, 1)
@@ -59,15 +58,15 @@ func TestSparseWFFewerPwbsOnWideState(t *testing.T) {
 		}
 		return h.Stats().Pwbs
 	}
-	dense, sparse := count(false), count(true)
-	if sparse*10 > dense {
-		t.Fatalf("sparse PWFcomb pwbs %d not ≪ dense %d on a 64-line state", sparse, dense)
+	whole, sparse := count(false), count(true)
+	if sparse*10 > whole {
+		t.Fatalf("sparse PWFcomb pwbs %d not ≪ dense %d on a 64-line state", sparse, whole)
 	}
 }
 
 func TestSparseWFDurabilityAfterCrash(t *testing.T) {
 	h := shadowHeap()
-	c := NewPWFCombSparse(h, "a", 1, sparseArray{64})
+	c := NewPWFComb(h, "a", 1, sparseArray{64})
 	want := make([]uint64, 64)
 	rng := rand.New(rand.NewSource(5))
 	for i := uint64(1); i <= 300; i++ {
@@ -77,7 +76,7 @@ func TestSparseWFDurabilityAfterCrash(t *testing.T) {
 		want[idx] = val
 	}
 	h.Crash(pmem.DropUnfenced, 1)
-	c2 := NewPWFCombSparse(h, "a", 1, sparseArray{64})
+	c2 := NewPWFComb(h, "a", 1, sparseArray{64})
 	for i := 0; i < 64; i++ {
 		if got := c2.CurrentState().Load(i); got != want[i] {
 			t.Fatalf("word %d = %d, want %d (stale line leaked through)", i, got, want[i])
@@ -91,7 +90,7 @@ func TestSparseWFCrashPointSweep(t *testing.T) {
 	// and the durable state must be the consistent post-history state.
 	for k := int64(1); ; k++ {
 		h := shadowHeap()
-		c := NewPWFCombSparse(h, "a", 1, sparseArray{64})
+		c := NewPWFComb(h, "a", 1, sparseArray{64})
 		for i := uint64(1); i <= 6; i++ {
 			c.Invoke(0, OpRegWrite, i%3, i*10, i)
 		}
@@ -113,7 +112,7 @@ func TestSparseWFCrashPointSweep(t *testing.T) {
 			return
 		}
 		h.Crash(pmem.DropUnfenced, k)
-		c2 := NewPWFCombSparse(h, "a", 1, sparseArray{64})
+		c2 := NewPWFComb(h, "a", 1, sparseArray{64})
 		if got := c2.Recover(0, OpRegWrite, 1, 999, 7); got != 40 {
 			t.Fatalf("crash@%d: recovered op returned %d, want 40 (old word 1)", k, got)
 		}
@@ -130,7 +129,7 @@ func TestSparseWFConcurrent(t *testing.T) {
 	// flushes; the final counter value must still be the exact sum.
 	const n, per = 4, 500
 	h := shadowHeap()
-	c := NewPWFCombSparse(h, "a", n, Counter{})
+	c := NewPWFComb(h, "a", n, markedCounter{})
 	var wg sync.WaitGroup
 	for tid := 0; tid < n; tid++ {
 		wg.Add(1)
@@ -154,7 +153,7 @@ func TestSparseWFConcurrentWideState(t *testing.T) {
 	// under-copied or under-persisted line shows up as a stale word.
 	const n, per = 4, 300
 	h := shadowHeap()
-	c := NewPWFCombSparse(h, "a", n, sparseArray{64})
+	c := NewPWFComb(h, "a", n, sparseArray{64})
 	var wg sync.WaitGroup
 	for tid := 0; tid < n; tid++ {
 		wg.Add(1)
@@ -168,7 +167,7 @@ func TestSparseWFConcurrentWideState(t *testing.T) {
 	}
 	wg.Wait()
 	h.Crash(pmem.DropUnfenced, 9)
-	c2 := NewPWFCombSparse(h, "a", n, sparseArray{64})
+	c2 := NewPWFComb(h, "a", n, sparseArray{64})
 	for tid := 0; tid < n; tid++ {
 		for w := 0; w < 16; w++ {
 			idx := tid*16 + w

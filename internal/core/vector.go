@@ -146,9 +146,6 @@ func (c *comb) InvokeVec(tid int, ops []VecOp, seq uint64, rets []uint64) {
 // vector that took effect nor skips one that did not; the responses of every
 // completed op land in rets.
 func (c *comb) RecoverVec(tid int, ops []VecOp, seq uint64, rets []uint64) {
-	if c.durableOnly {
-		panic("core: the durably-linearizable-only variant has null recovery (no RecoverVec)")
-	}
 	cnt := len(ops)
 	if cnt == 0 {
 		return

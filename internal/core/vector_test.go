@@ -343,12 +343,12 @@ func TestVecSparseMatchesDense(t *testing.T) {
 		{{"PBdense", func(h *pmem.Heap) VecProtocol {
 			return NewPBCombWith(h, "d", n, Counter{}, CombOpts{VecCap: k})
 		}}, {"PBsparse", func(h *pmem.Heap) VecProtocol {
-			return NewPBCombWith(h, "s", n, Counter{}, CombOpts{VecCap: k, Sparse: true})
+			return NewPBCombWith(h, "s", n, markedCounter{}, CombOpts{VecCap: k})
 		}}},
 		{{"PWFdense", func(h *pmem.Heap) VecProtocol {
 			return NewPWFCombWith(h, "d", n, Counter{}, CombOpts{VecCap: k})
 		}}, {"PWFsparse", func(h *pmem.Heap) VecProtocol {
-			return NewPWFCombWith(h, "s", n, Counter{}, CombOpts{VecCap: k, Sparse: true})
+			return NewPWFCombWith(h, "s", n, markedCounter{}, CombOpts{VecCap: k})
 		}}},
 	}
 	for _, p := range pairs {

@@ -11,8 +11,8 @@ import (
 )
 
 // TestMatrixTargetNames pins the matrix shape: every {protocol} x
-// {dense,sparse} x {scalar,vec} combination of every structure is present
-// exactly once under a stable name.
+// {scalar,vec} combination of every structure is present exactly once under a
+// stable name.
 func TestMatrixTargetNames(t *testing.T) {
 	targets := MatrixTargets(Config{Threads: 2})
 	seen := map[string]bool{}
@@ -25,11 +25,10 @@ func TestMatrixTargetNames(t *testing.T) {
 			t.Fatalf("target %q builds driver named %q", tg.Name, got)
 		}
 	}
-	// 2 counters + 4 each for the always-dense queue/stack + 8 each for
-	// heap/map + 8 register variants + 2 epoch queues + 2 epoch maps + 2
-	// fabrics.
-	if len(targets) != 40 {
-		t.Fatalf("matrix has %d targets, want 40", len(targets))
+	// 2 counters + 4 each for queue/stack/heap/map/register + 2 epoch queues
+	// + 2 epoch maps + 2 fabrics.
+	if len(targets) != 28 {
+		t.Fatalf("matrix has %d targets, want 28", len(targets))
 	}
 	for _, want := range []string{
 		"counter/PWFcomb",
@@ -37,18 +36,23 @@ func TestMatrixTargetNames(t *testing.T) {
 		"queue/PBqueue-epoch", "queue/PWFqueue-epoch",
 		"map/PBmap-epoch", "map/PWFmap-epoch",
 		"stack/PBstack-vec", "stack/PWFstack",
-		"heap/PBheap-sparse", "heap/PWFheap-vec",
-		"map/PBmap-vec", "map/PWFmap-dense",
-		"register/PBdense", "register/PWFsparse",
-		"register/PBbatch", "register/PWFbatch-dense",
+		"heap/PBheap", "heap/PWFheap-vec",
+		"map/PBmap-vec", "map/PWFmap",
+		"register/PBsparse", "register/PWFsparse",
+		"register/PBbatch", "register/PWFbatch",
 		"fabric/PBfabric", "fabric/PWFfabric",
 	} {
 		if !seen[want] {
 			t.Fatalf("matrix is missing target %q", want)
 		}
 	}
-	// The queue and stack are always dense: no sparse variant may come back.
-	for _, gone := range []string{"queue/PWFqueue-sparse-vec", "stack/PWFstack-sparse"} {
+	// Sparse or dense is the object's to say: the queue, stack and heap are
+	// dense, the map and register file sparse, and no variant of the other
+	// mode may come back.
+	for _, gone := range []string{
+		"queue/PWFqueue-sparse-vec", "stack/PWFstack-sparse",
+		"map/PWFmap-dense", "heap/PBheap-sparse", "register/PBdense", "register/PWFbatch-dense",
+	} {
 		if seen[gone] {
 			t.Fatalf("matrix has removed target %q", gone)
 		}

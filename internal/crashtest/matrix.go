@@ -12,10 +12,9 @@ type Target struct {
 
 // MatrixTargets enumerates the full simulated-crash correctness matrix for
 // campaigns of cfg's shape — Threads, and the Ops x Rounds the node arenas
-// must hold: {PBcomb, PWFcomb} x {scalar, vectorized} across queue and stack
-// (both always dense), {PBcomb, PWFcomb} x {dense, sparse} x {scalar,
-// vectorized} across heap, hash map and register file, plus the two
-// counters, the epoch-mode queues and maps, and the sharded fabric.
+// must hold: {PBcomb, PWFcomb} x {scalar, vectorized} across queue, stack and
+// heap (dense objects) and hash map and register file (sparse ones), plus the
+// two counters, the epoch-mode queues and maps, and the sharded fabric.
 func MatrixTargets(cfg Config) []Target {
 	var out []Target
 	n, arena := cfg.Threads, simArena(cfg)
@@ -23,13 +22,10 @@ func MatrixTargets(cfg Config) []Target {
 		out = append(out, Target{Name: mk().Name, Mk: func(seed int64) Driver { return NewDriver(mk(), n, seed) }})
 	}
 	kinds := []pcomb.Kind{pcomb.Blocking, pcomb.WaitFree}
-	vecCaps := []int{0, specVecCap}
-	each := func(f func(kind pcomb.Kind, alt bool, vecCap int)) {
+	each := func(f func(kind pcomb.Kind, vecCap int) *Spec) {
 		for _, kind := range kinds {
-			for _, alt := range []bool{false, true} {
-				for _, vecCap := range vecCaps {
-					f(kind, alt, vecCap)
-				}
+			for _, vecCap := range []int{0, specVecCap} {
+				add(func() *Spec { return f(kind, vecCap) })
 			}
 		}
 	}
@@ -37,33 +33,27 @@ func MatrixTargets(cfg Config) []Target {
 	for _, kind := range kinds {
 		add(func() *Spec { return counterSpec(kind) })
 	}
-	for _, kind := range kinds {
-		for _, vecCap := range vecCaps {
-			add(func() *Spec { return queueSpec(kind, pcomb.QueueOptions{Capacity: arena, VecCap: vecCap}) })
-		}
-	}
+	each(func(kind pcomb.Kind, vecCap int) *Spec {
+		return queueSpec(kind, pcomb.QueueOptions{Capacity: arena, VecCap: vecCap})
+	})
 	// Epoch-mode relaxed durability: last-open-epoch completions may vanish,
 	// closed-epoch completions may not.
 	for _, kind := range kinds {
 		add(func() *Spec { return queueSpec(kind, pcomb.QueueOptions{Capacity: arena, Epoch: true}) })
 	}
-	for _, kind := range kinds {
-		for _, vecCap := range vecCaps {
-			add(func() *Spec { return stackSpec(kind, pcomb.StackOptions{Capacity: arena, VecCap: vecCap}) })
-		}
-	}
-	each(func(kind pcomb.Kind, sparse bool, vecCap int) {
-		add(func() *Spec { return heapSpec(kind, pcomb.HeapOptions{Sparse: sparse, VecCap: vecCap}) })
+	each(func(kind pcomb.Kind, vecCap int) *Spec {
+		return stackSpec(kind, pcomb.StackOptions{Capacity: arena, VecCap: vecCap})
 	})
-	each(func(kind pcomb.Kind, dense bool, vecCap int) {
-		add(func() *Spec { return mapSpec(kind, pcomb.MapOptions{Dense: dense, VecCap: vecCap}) })
+	each(func(kind pcomb.Kind, vecCap int) *Spec {
+		return heapSpec(kind, pcomb.HeapOptions{VecCap: vecCap})
+	})
+	each(func(kind pcomb.Kind, vecCap int) *Spec {
+		return mapSpec(kind, pcomb.MapOptions{VecCap: vecCap})
 	})
 	for _, kind := range kinds {
 		add(func() *Spec { return mapSpec(kind, pcomb.MapOptions{Epoch: true}) })
 	}
-	each(func(kind pcomb.Kind, dense bool, vecCap int) {
-		add(func() *Spec { return registerSpec(kind, dense, vecCap) })
-	})
+	each(registerSpec)
 	for _, kind := range kinds {
 		add(func() *Spec { return fabricSpec(kind) })
 	}

@@ -146,18 +146,15 @@ func counterSpec(kind pcomb.Kind) *Spec {
 // leaked by an under-approximated dirty set, a vector applied twice or partly
 // — each shows as a write returning the wrong previous value or a word
 // reading the wrong final one.
-func registerSpec(kind pcomb.Kind, dense bool, vecCap int) *Spec {
+func registerSpec(kind pcomb.Kind, vecCap int) *Spec {
 	var r *pcomb.Recoverable
 	words := 0
 	write := func(g *gen) (word, val uint64) {
 		return uint64(g.tid*wordsPerThread + g.Intn(wordsPerThread)), g.val()
 	}
 	name := "register/" + pfx(kind) + "sparse"
-	switch {
-	case vecCap > 1:
-		name = "register/" + pfx(kind) + "batch" + tag(dense, "-dense")
-	case dense:
-		name = "register/" + pfx(kind) + "dense"
+	if vecCap > 1 {
+		name = "register/" + pfx(kind) + "batch"
 	}
 	return &Spec{
 		Name:   name,
@@ -165,7 +162,7 @@ func registerSpec(kind pcomb.Kind, dense bool, vecCap int) *Spec {
 		Open: func(h *pmem.Heap, n int) Handle {
 			words = n * wordsPerThread
 			r = pcomb.NewOn(h).NewObject("r", n, kind, core.RegisterFile{Words: words},
-				pcomb.ObjectOptions{Sparse: !dense, VecCap: vecCap})
+				pcomb.ObjectOptions{VecCap: vecCap})
 			return r
 		},
 		Ops: []OpDef{{
@@ -249,7 +246,7 @@ func stackSpec(kind pcomb.Kind, o pcomb.StackOptions) *Spec {
 func heapSpec(kind pcomb.Kind, o pcomb.HeapOptions) *Spec {
 	var hp *pcomb.Heap
 	return &Spec{
-		Name:   "heap/" + pfx(kind) + "heap" + tag(o.Sparse, "-sparse") + tag(o.VecCap > 1, "-vec"),
+		Name:   "heap/" + pfx(kind) + "heap" + tag(o.VecCap > 1, "-vec"),
 		VecCap: o.VecCap,
 		Open: func(h *pmem.Heap, n int) Handle {
 			hp = pcomb.NewOn(h).NewHeap("h", n, kind, heapBound, o)
@@ -289,11 +286,11 @@ func mapSpec(kind pcomb.Kind, o pcomb.MapOptions) *Spec {
 	key := func(g *gen) uint64 { return uint64(g.tid)<<32 | uint64(g.Intn(mapKeys)) + 1 }
 	o.Shards = mapShards
 	gets := 1
-	if !o.Dense && o.VecCap <= 1 && !o.Epoch {
+	if o.VecCap <= 1 && !o.Epoch {
 		gets = 3
 	}
 	sp := &Spec{
-		Name:   "map/" + pfx(kind) + "map" + tag(o.Dense, "-dense") + tag(o.VecCap > 1, "-vec") + tag(o.Epoch, "-epoch"),
+		Name:   "map/" + pfx(kind) + "map" + tag(o.VecCap > 1, "-vec") + tag(o.Epoch, "-epoch"),
 		VecCap: o.VecCap,
 		Open: func(h *pmem.Heap, n int) Handle {
 			o.Capacity = 2 * mapKeys * n // half full with every key live

@@ -49,19 +49,22 @@ const Full = ^uint64(0) - 1
 
 const tombstone = ^uint64(0) - 2
 
-// Kind selects the underlying combining protocol.
-type Kind int
+// Kind selects the underlying combining protocol: Blocking shards on PBcomb,
+// WaitFree on PWFcomb.
+type Kind = core.Kind
 
 const (
-	// Blocking shards on PBcomb.
-	Blocking Kind = iota
-	// WaitFree shards on PWFcomb.
-	WaitFree
+	Blocking = core.Blocking
+	WaitFree = core.WaitFree
 )
 
 // shardObj is the sequential open-addressing table of one shard.
-// State layout: [size, key_0, val_0, key_1, val_1, ...].
+// State layout: [size, key_0, val_0, key_1, val_1, ...]. It marks every
+// store, so a round copies and persists only the lines it wrote, not the
+// whole table (core.SparseObject).
 type shardObj struct{ slots int }
+
+func (shardObj) MarksDirty() {}
 
 func (o shardObj) StateWords() int { return 1 + 2*o.slots }
 
@@ -202,14 +205,12 @@ type Map struct {
 	epoch *pmem.Epoch // non-nil in epoch-mode relaxed durability
 }
 
-// Options configures a map instance beyond the New/NewDense defaults.
+// Options configures a map instance beyond the New defaults.
 type Options struct {
 	// Shards is the number of combining instances (0 = 8).
 	Shards int
 	// Capacity is the total slot count across shards (0 = 64 per shard).
 	Capacity int
-	// Dense disables sparse (dirty-line) copy and persistence.
-	Dense bool
 	// VecCap bounds one commit of several operations — a Submit/Flush
 	// window, a transaction, a board sweep — and enables the async
 	// Submit/Flush path (0 or 1 = scalar only, and no transactions). Part of
@@ -244,13 +245,6 @@ func New(h *pmem.Heap, name string, n int, kind Kind, nshards, capacity int) *Ma
 	return NewWith(h, name, n, kind, Options{Shards: nshards, Capacity: capacity})
 }
 
-// NewDense is New with dense (whole-record) copy and persistence — the
-// baseline the sparse-vs-dense equivalence tests and benchmarks compare
-// against.
-func NewDense(h *pmem.Heap, name string, n int, kind Kind, nshards, capacity int) *Map {
-	return NewWith(h, name, n, kind, Options{Shards: nshards, Capacity: capacity, Dense: true})
-}
-
 // NewWith creates (or re-opens after a crash) a recoverable hash map with
 // explicit options. Re-open with the same options and call Recover for every
 // thread before new operations.
@@ -273,7 +267,7 @@ func NewOn(h *pmem.Heap, name string, n int, kind Kind, o Options, sys *sysarea.
 	}
 	m := &Map{h: h, nsh: nshards, slots: (capacity + nshards - 1) / nshards, n: n}
 	obj := shardObj{slots: m.slots}
-	co := core.CombOpts{Sparse: !o.Dense, VecCap: o.VecCap}
+	co := core.CombOpts{VecCap: o.VecCap}
 	width := n
 	if o.Board {
 		// The extra thread is the board's sweeper tid (see board).

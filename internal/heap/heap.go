@@ -31,18 +31,18 @@ const Full = ^uint64(0) - 1
 // InsertOK is the successful Insert return value.
 const InsertOK uint64 = 0
 
-// Kind selects the underlying combining protocol.
-type Kind int
+// Kind selects the underlying combining protocol: Blocking builds PBheap,
+// WaitFree PWFheap.
+type Kind = core.Kind
 
 const (
-	// Blocking builds PBheap.
-	Blocking Kind = iota
-	// WaitFree builds PWFheap.
-	WaitFree
+	Blocking = core.Blocking
+	WaitFree = core.WaitFree
 )
 
 // obj is the sequential bounded min-heap. State layout: [size, key_0 ...
-// key_{bound-1}].
+// key_{bound-1}]. It is not a core.SparseObject: PBheap persists its whole
+// key array every round, the cost Figure 3b measures across bounds.
 type obj struct{ bound int }
 
 func (o obj) StateWords() int { return 1 + o.bound }
@@ -60,17 +60,15 @@ func (o obj) Apply(env *core.Env, r *core.Request) {
 		}
 		i := size
 		s.Store(1+i, r.A0)
-		env.MarkDirty(1+i, 1)
 		for i > 0 {
 			parent := (i - 1) / 2
 			if s.Load(1+parent) <= s.Load(1+i) {
 				break
 			}
-			o.swap(env, parent, i)
+			o.swap(s, parent, i)
 			i = parent
 		}
 		s.Store(0, uint64(size+1))
-		env.MarkDirty(0, 1)
 		r.Ret = InsertOK
 	case OpDeleteMin:
 		if size == 0 {
@@ -79,10 +77,8 @@ func (o obj) Apply(env *core.Env, r *core.Request) {
 		}
 		r.Ret = s.Load(1)
 		s.Store(1, s.Load(1+size-1))
-		env.MarkDirty(1, 1)
 		size--
 		s.Store(0, uint64(size))
-		env.MarkDirty(0, 1)
 		i := 0
 		for {
 			l, rt := 2*i+1, 2*i+2
@@ -96,7 +92,7 @@ func (o obj) Apply(env *core.Env, r *core.Request) {
 			if smallest == i {
 				break
 			}
-			o.swap(env, i, smallest)
+			o.swap(s, i, smallest)
 			i = smallest
 		}
 	default:
@@ -119,13 +115,10 @@ func (o obj) Read(s core.State, op, _, _ uint64) uint64 {
 	return Empty
 }
 
-func (o obj) swap(env *core.Env, i, j int) {
-	s := env.State
+func (o obj) swap(s core.State, i, j int) {
 	a, b := s.Load(1+i), s.Load(1+j)
 	s.Store(1+i, b)
 	s.Store(1+j, a)
-	env.MarkDirty(1+i, 1)
-	env.MarkDirty(1+j, 1)
 }
 
 // Heap is a detectably recoverable concurrent bounded min-heap.
@@ -140,8 +133,7 @@ func New(h *pmem.Heap, name string, n int, kind Kind, bound int) *Heap {
 	return NewWith(h, name, n, kind, bound, core.CombOpts{})
 }
 
-// NewWith is New with explicit combining options (sparse persistence,
-// vectorized-announcement capacity).
+// NewWith is New with explicit combining options (the vector capacity).
 func NewWith(h *pmem.Heap, name string, n int, kind Kind, bound int, o core.CombOpts) *Heap {
 	if bound <= 0 {
 		panic("heap: bound must be positive")
@@ -156,14 +148,6 @@ func NewWith(h *pmem.Heap, name string, n int, kind Kind, bound int, o core.Comb
 		panic("heap: unknown kind")
 	}
 	return hp
-}
-
-// NewSparse creates a PBheap with sparse state persistence: combiners
-// persist only the O(log bound) sift path each operation dirtied instead of
-// the whole key array, removing most of the heap-size penalty Figure 3b
-// quantifies (an extension beyond the paper).
-func NewSparse(h *pmem.Heap, name string, n int, bound int) *Heap {
-	return NewWith(h, name, n, Blocking, bound, core.CombOpts{Sparse: true})
 }
 
 // Bound returns the heap's capacity.

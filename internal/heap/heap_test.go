@@ -264,107 +264,6 @@ func TestCrashPointSweepInsert(t *testing.T) {
 	}
 }
 
-func TestSparseHeapMatchesDense(t *testing.T) {
-	h1, h2 := newHeap(), newHeap()
-	a := NewSparse(h1, "a", 1, 128)
-	b := New(h2, "b", 1, Blocking, 128)
-	rng := rand.New(rand.NewSource(31))
-	for i := uint64(1); i <= 500; i++ {
-		if rng.Intn(2) == 0 {
-			k := rng.Uint64() % (1 << 20)
-			ra := a.Insert(0, k, i)
-			rb := b.Insert(0, k, i)
-			if ra != rb {
-				t.Fatalf("op %d: insert diverged", i)
-			}
-		} else {
-			va, oka := a.DeleteMin(0, i)
-			vb, okb := b.DeleteMin(0, i)
-			if va != vb || oka != okb {
-				t.Fatalf("op %d: deletemin diverged (%d,%v) vs (%d,%v)", i, va, oka, vb, okb)
-			}
-		}
-	}
-	ka, kb := a.Keys(), b.Keys()
-	if len(ka) != len(kb) {
-		t.Fatalf("sizes diverge: %d vs %d", len(ka), len(kb))
-	}
-	for i := range ka {
-		if ka[i] != kb[i] {
-			t.Fatalf("key %d diverges", i)
-		}
-	}
-}
-
-func TestSparseHeapCrash(t *testing.T) {
-	h := newHeap()
-	hp := NewSparse(h, "h", 1, 1024)
-	rng := rand.New(rand.NewSource(7))
-	live := map[uint64]int{}
-	seq := uint64(1)
-	for i := 0; i < 800; i++ {
-		if rng.Intn(2) == 0 {
-			k := rng.Uint64() % (1 << 30)
-			if hp.Insert(0, k, seq) {
-				live[k]++
-			}
-		} else if v, ok := hp.DeleteMin(0, seq); ok {
-			live[v]--
-			if live[v] == 0 {
-				delete(live, v)
-			}
-		}
-		seq++
-	}
-	h.Crash(pmem.DropUnfenced, 1)
-	hp2 := NewSparse(h, "h", 1, 1024)
-	if !heapInvariant(hp2.Keys()) {
-		t.Fatal("recovered sparse heap violates invariant")
-	}
-	got := map[uint64]int{}
-	for _, k := range hp2.Keys() {
-		got[k]++
-	}
-	for k, c := range live {
-		if got[k] != c {
-			t.Fatalf("key %d count %d, want %d", k, got[k], c)
-		}
-	}
-	for k, c := range got {
-		if live[k] != c {
-			t.Fatalf("phantom key %d (count %d)", k, c)
-		}
-	}
-}
-
-func TestSparseHeapFewerPwbs(t *testing.T) {
-	count := func(sparse bool) uint64 {
-		h := pmem.NewHeap(pmem.Config{Mode: pmem.ModeCount, NoCost: true})
-		var hp *Heap
-		if sparse {
-			hp = NewSparse(h, "h", 1, 1024)
-		} else {
-			hp = New(h, "h", 1, Blocking, 1024)
-		}
-		for i := uint64(1); i <= 256; i++ {
-			hp.Insert(0, i*977%4096, i)
-		}
-		h.ResetStats()
-		seq := uint64(257)
-		for i := 0; i < 200; i++ {
-			hp.Insert(0, uint64(i*31%4096), seq)
-			seq++
-			hp.DeleteMin(0, seq)
-			seq++
-		}
-		return h.Stats().Pwbs
-	}
-	dense, sparse := count(false), count(true)
-	if sparse*5 > dense {
-		t.Fatalf("sparse heap pwbs %d not ≪ dense %d at bound 1024", sparse, dense)
-	}
-}
-
 // TestRecoverIdempotent re-runs Recover for an interrupted insert — twice
 // on one re-opened instance, then after another re-open — at every crash
 // point. The key must land exactly once and the heap invariant must hold.

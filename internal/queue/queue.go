@@ -36,14 +36,13 @@ const Empty = ^uint64(0)
 // EnqOK is the Enqueue return value.
 const EnqOK uint64 = 0
 
-// Kind selects the underlying combining protocol.
-type Kind int
+// Kind selects the underlying combining protocol: Blocking builds PBqueue,
+// WaitFree PWFqueue.
+type Kind = core.Kind
 
 const (
-	// Blocking builds PBqueue.
-	Blocking Kind = iota
-	// WaitFree builds PWFqueue.
-	WaitFree
+	Blocking = core.Blocking
+	WaitFree = core.WaitFree
 )
 
 // Options configures a queue instance.

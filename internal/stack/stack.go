@@ -33,14 +33,13 @@ const Empty = ^uint64(0)
 // PushOK is the Push return value.
 const PushOK uint64 = 0
 
-// Kind selects the underlying combining protocol.
-type Kind int
+// Kind selects the underlying combining protocol: Blocking builds the stack
+// on PBcomb (PBstack), WaitFree on PWFcomb (PWFstack).
+type Kind = core.Kind
 
 const (
-	// Blocking builds the stack on PBcomb (PBstack).
-	Blocking Kind = iota
-	// WaitFree builds the stack on PWFcomb (PWFstack).
-	WaitFree
+	Blocking = core.Blocking
+	WaitFree = core.WaitFree
 )
 
 // Options configures a stack instance.

@@ -11,18 +11,18 @@ type Map struct {
 }
 
 // MapOptions tunes a map instance; the zero value is sensible. Shards
-// (0 = 8) and Capacity (0 = 64 per shard) size it and Dense disables the
-// shards' sparse persistence. VecCap > 1 bounds one multi-op commit and
-// enables both the async Submit/Flush API and the cross-shard transactions
-// (Txn, TransferAdd, PutAll): a transaction is a window. Board routes scalar
-// updates through each shard's posting board (hierarchical combining, as
-// NewShardedMap builds by default); the zero value invokes the key's shard
-// directly. Epoch/EpochInterval switch it to epoch-mode relaxed durability
-// (group commit: a crash may lose the operations of the last open epoch, and
-// only those — Recover reports an interrupted one of that window with
-// Certain=false; use Sync/WaitDurable for per-operation durability). VecCap,
-// Board and Epoch are part of the persistent layout: re-open with the same
-// values.
+// (0 = 8) and Capacity (0 = 64 per shard) size it; a shard always persists
+// only the table lines a round wrote. VecCap > 1 bounds one multi-op commit
+// and enables both the async Submit/Flush API and the cross-shard
+// transactions (Txn, TransferAdd, PutAll): a transaction is a window. Board
+// routes scalar updates through each shard's posting board (hierarchical
+// combining, as NewShardedMap builds by default); the zero value invokes the
+// key's shard directly. Epoch/EpochInterval switch it to epoch-mode relaxed
+// durability (group commit: a crash may lose the operations of the last open
+// epoch, and only those — Recover reports an interrupted one of that window
+// with Certain=false; use Sync/WaitDurable for per-operation durability).
+// VecCap, Board and Epoch are part of the persistent layout: re-open with the
+// same values.
 type MapOptions = hashmap.Options
 
 // NewMap creates — or, after Crash, re-opens — a recoverable hash map.
@@ -31,7 +31,7 @@ func (s *System) NewMap(name string, threads int, kind Kind, opts ...MapOptions)
 	if len(opts) > 0 {
 		o = opts[0]
 	}
-	return &Map{m: hashmap.NewWith(s.heap, name, threads, kindOf[hashmap.Kind](kind), o)}
+	return &Map{m: hashmap.NewWith(s.heap, name, threads, kind, o)}
 }
 
 // Put maps key to val for thread tid; existed reports whether a previous

@@ -39,14 +39,14 @@ import (
 )
 
 // Kind selects the combining protocol a structure is built on.
-type Kind int
+type Kind = core.Kind
 
 const (
 	// Blocking uses PBcomb: fastest, lock-based.
-	Blocking Kind = iota
+	Blocking = core.Blocking
 	// WaitFree uses PWFcomb: wait-free progress at a small persistence
 	// premium.
-	WaitFree
+	WaitFree = core.WaitFree
 )
 
 // CrashPolicy decides which pending write-backs survive a simulated crash.
@@ -70,6 +70,12 @@ const Empty = ^uint64(0)
 // combining protocols; see the core package for the contract.
 type Object = core.Object
 
+// SparseObject is the optional Object extension that selects sparse
+// persistence: an Object that calls Env.MarkDirty for every state word it
+// stores implements it, and rounds then copy and persist only the record
+// lines they dirtied. See the core package for the contract.
+type SparseObject = core.SparseObject
+
 // State is the word-array view objects operate on.
 type State = core.State
 
@@ -83,12 +89,6 @@ type Request = core.Request
 type Options struct {
 	// CrashTesting maintains the durable shadow heap so Crash() works.
 	CrashTesting bool
-	// Volatile disables persistence entirely (the paper's volatile mode).
-	Volatile bool
-	// PwbOff / PsyncOff replace the respective instruction with a NOP
-	// (the Figure 1c / 2c ablations).
-	PwbOff   bool
-	PsyncOff bool
 	// NoCost disables the calibrated CPU cost of persistence instructions
 	// (counters still work). Useful in unit tests.
 	NoCost bool
@@ -99,21 +99,14 @@ type System struct {
 	heap *pmem.Heap
 }
 
-// New creates a System.
+// New creates a System. The paper's volatile mode and its pwb/psync ablations
+// are pmem.Config settings: build that heap and wrap it with NewOn.
 func New(opts Options) *System {
 	mode := pmem.ModeCount
 	if opts.CrashTesting {
 		mode = pmem.ModeShadow
 	}
-	if opts.Volatile {
-		mode = pmem.ModeVolatile
-	}
-	return &System{heap: pmem.NewHeap(pmem.Config{
-		Mode:     mode,
-		PwbOff:   opts.PwbOff,
-		PsyncOff: opts.PsyncOff,
-		NoCost:   opts.NoCost,
-	})}
+	return &System{heap: pmem.NewHeap(pmem.Config{Mode: mode, NoCost: opts.NoCost})}
 }
 
 // NewOn wraps an existing heap — a file-backed one from pmem.OpenFile, or one
@@ -164,7 +157,3 @@ const (
 
 	OpPut, OpGet, OpDelete, OpAdd = hashmap.OpPut, hashmap.OpGet, hashmap.OpDel, hashmap.OpAdd
 )
-
-// kindOf converts k to a structure package's own Kind, whose Blocking and
-// WaitFree mirror k's (iota order).
-func kindOf[K ~int](k Kind) K { return K(k) }

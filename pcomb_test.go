@@ -4,10 +4,7 @@ import (
 	"sync"
 	"testing"
 
-	"pcomb/internal/hashmap"
-	"pcomb/internal/heap"
-	"pcomb/internal/queue"
-	"pcomb/internal/stack"
+	"pcomb/internal/pmem"
 )
 
 func TestPublicQueueRoundTrip(t *testing.T) {
@@ -137,7 +134,7 @@ func TestSysAreaDetectsInterruptedOp(t *testing.T) {
 }
 
 func TestVolatileMode(t *testing.T) {
-	sys := New(Options{Volatile: true})
+	sys := NewOn(pmem.NewHeap(pmem.Config{Mode: pmem.ModeVolatile}))
 	q := sys.NewQueue("q", 2, Blocking)
 	q.Enqueue(0, 1)
 	if v, ok := q.Dequeue(0); !ok || v != 1 {
@@ -184,16 +181,5 @@ func TestPublicMap(t *testing.T) {
 	m.Range(func(k, v uint64) bool { count++; return true })
 	if count != 1 {
 		t.Fatalf("range visited %d", count)
-	}
-}
-
-// TestKindOf: every structure package orders its kinds as Kind does, so one
-// conversion serves them all.
-func TestKindOf(t *testing.T) {
-	if kindOf[queue.Kind](Blocking) != queue.Blocking || kindOf[queue.Kind](WaitFree) != queue.WaitFree ||
-		kindOf[stack.Kind](Blocking) != stack.Blocking || kindOf[stack.Kind](WaitFree) != stack.WaitFree ||
-		kindOf[heap.Kind](Blocking) != heap.Blocking || kindOf[heap.Kind](WaitFree) != heap.WaitFree ||
-		kindOf[hashmap.Kind](Blocking) != hashmap.Blocking || kindOf[hashmap.Kind](WaitFree) != hashmap.WaitFree {
-		t.Fatal("a structure package's Kind no longer mirrors pcomb.Kind")
 	}
 }

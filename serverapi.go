@@ -70,8 +70,6 @@ type ServerOptions struct {
 	MapCapacity int
 	// QueueCapacity sizes the queue's node arena (0 = package default).
 	QueueCapacity int
-	// CapacityWords sizes the backing file's data area on creation.
-	CapacityWords int
 	// Sync selects the file store's msync behavior on fences.
 	Sync SyncMode
 	// NoCost disables the calibrated CPU cost of persistence instructions
@@ -135,11 +133,11 @@ func NewServerStoreOn(h *pmem.Heap, o ServerOptions) *ServerStore {
 	// One extra slot keeps a full window from auto-flushing before the
 	// server's own commit point, so each window is one record.
 	vcap := o.FlushOps + 1
-	q := queue.New(h, "srv/q", o.Threads, kindOf[queue.Kind](o.Kind),
+	q := queue.New(h, "srv/q", o.Threads, o.Kind,
 		queue.Options{Recycling: o.Kind == Blocking, Capacity: o.QueueCapacity, VecCap: vcap, Epoch: ep})
 	sys := sysarea.New(h, "srv/sysarea", o.Threads,
 		[]core.Protocol{srvMap: nil, srvEnq: q.EnqProtocol(), srvDeq: q.DeqProtocol()}, ep, vcap)
-	m := hashmap.NewOn(h, "srv/map", o.Threads, kindOf[hashmap.Kind](o.Kind),
+	m := hashmap.NewOn(h, "srv/map", o.Threads, o.Kind,
 		hashmap.Options{Shards: 1, Capacity: o.MapCapacity, VecCap: vcap}, sys)
 	s := &ServerStore{
 		sys: sys, m: &Map{m: m}, q: &Queue{q: q, sys: sys, base: srvEnq}, h: h, opts: o,
@@ -164,11 +162,7 @@ func (s *ServerStore) commit(tid int, ops []core.VecOp, rets []uint64) {
 // the table). restart reports whether an existing file was re-attached.
 func OpenServerStore(o ServerOptions) (s *ServerStore, restart bool, err error) {
 	o = o.withDefaults()
-	h, restart, err := pmem.OpenFile(o.Path, pmem.FileOpts{
-		CapacityWords: o.CapacityWords,
-		Sync:          o.Sync,
-		Cfg:           pmem.Config{NoCost: o.NoCost},
-	})
+	h, restart, err := pmem.OpenFile(o.Path, pmem.FileOpts{Sync: o.Sync, Cfg: pmem.Config{NoCost: o.NoCost}})
 	if err != nil {
 		return nil, false, err
 	}

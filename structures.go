@@ -29,16 +29,9 @@ type Queue struct {
 	deqPipe *vecbatch.Pipe
 }
 
-// QueueOptions tunes a queue instance; the zero value is sensible. A queue
-// always persists its whole combining record: its states are 1–3 words, and
-// the sparse variant HeapOptions.Sparse and ObjectOptions.Sparse select
-// persisted the dirtied state line and the tail lines separately, 3.63
-// pwbs/op against dense's 2.63 (EXPERIMENTS.md, "Dense vs sparse
-// persistence").
+// QueueOptions tunes a queue instance; the zero value is sensible. PBqueue
+// recycles nodes; PWFqueue never does, matching the paper.
 type QueueOptions struct {
-	// NoRecycling disables node reclamation (the Figure 2a ablation;
-	// PWFqueue never recycles, matching the paper).
-	NoRecycling bool
 	// Capacity bounds the node arena (0 = default).
 	Capacity int
 	// VecCap enables the async Submit/Flush API with up to VecCap
@@ -70,8 +63,8 @@ func (s *System) NewQueue(name string, threads int, kind Kind, opts ...QueueOpti
 	if o.Epoch {
 		ep = pmem.NewEpoch(s.heap, name, pmem.EpochOpts{Interval: o.EpochInterval})
 	}
-	in := queue.New(s.heap, name, threads, kindOf[queue.Kind](kind), queue.Options{
-		Recycling: kind == Blocking && !o.NoRecycling,
+	in := queue.New(s.heap, name, threads, kind, queue.Options{
+		Recycling: kind == Blocking,
 		Capacity:  o.Capacity,
 		VecCap:    o.VecCap,
 		Epoch:     ep,
@@ -152,14 +145,9 @@ type Stack struct {
 	pipe *vecbatch.Pipe
 }
 
-// StackOptions tunes a stack instance; the zero value enables the paper's
-// elimination and recycling optimizations. Like a queue, a stack always
-// persists its whole one-word record (see QueueOptions).
+// StackOptions tunes a stack instance; the zero value is sensible. A stack
+// always runs the paper's elimination and recycling optimizations.
 type StackOptions struct {
-	// NoElimination disables Push/Pop pairing in the combiner.
-	NoElimination bool
-	// NoRecycling disables the shared recycling stack.
-	NoRecycling bool
 	// Capacity bounds the node arena (0 = default).
 	Capacity int
 	// VecCap enables the async Submit/Flush API (0 or 1 = blocking only).
@@ -173,9 +161,9 @@ func (s *System) NewStack(name string, threads int, kind Kind, opts ...StackOpti
 	if len(opts) > 0 {
 		o = opts[0]
 	}
-	in := stack.New(s.heap, name, threads, kindOf[stack.Kind](kind), stack.Options{
-		Elimination: !o.NoElimination,
-		Recycling:   !o.NoRecycling,
+	in := stack.New(s.heap, name, threads, kind, stack.Options{
+		Elimination: true,
+		Recycling:   true,
 		Capacity:    o.Capacity,
 		VecCap:      o.VecCap,
 	})
@@ -214,11 +202,9 @@ type Heap struct {
 	pipe *vecbatch.Pipe
 }
 
-// HeapOptions tunes a heap instance; the zero value is sensible.
+// HeapOptions tunes a heap instance; the zero value is sensible. A heap
+// persists its whole key array every round, as the paper's PBheap does.
 type HeapOptions struct {
-	// Sparse persists only the dirtied sift paths instead of the whole key
-	// array.
-	Sparse bool
 	// VecCap enables the async Submit/Flush API (0 or 1 = blocking only).
 	// Part of the persistent layout — re-open with the same value.
 	VecCap int
@@ -231,8 +217,7 @@ func (s *System) NewHeap(name string, threads int, kind Kind, bound int, opts ..
 	if len(opts) > 0 {
 		o = opts[0]
 	}
-	in := heap.NewWith(s.heap, name, threads, kindOf[heap.Kind](kind), bound,
-		core.CombOpts{Sparse: o.Sparse, VecCap: o.VecCap})
+	in := heap.NewWith(s.heap, name, threads, kind, bound, core.CombOpts{VecCap: o.VecCap})
 	h := &Heap{h: in, sys: s.sysArea(name, threads, nil, o.VecCap, in.Protocol())}
 	if o.VecCap > 1 {
 		h.pipe = vecbatch.New(threads, o.VecCap, h.sys.Flusher(0))
@@ -281,10 +266,9 @@ type Recoverable struct {
 }
 
 // ObjectOptions tunes a Recoverable instance; the zero value is sensible.
+// Whether the protocol persists obj's whole record or only the lines a round
+// dirtied is obj's to say: see SparseObject.
 type ObjectOptions struct {
-	// Sparse persists only dirtied state lines; the Object must report
-	// every state write via Env.MarkDirty.
-	Sparse bool
 	// VecCap enables the async Submit/Flush API (0 or 1 = blocking only).
 	// Part of the persistent layout — re-open with the same value.
 	VecCap int
@@ -296,7 +280,7 @@ func (s *System) NewObject(name string, threads int, kind Kind, obj Object, opts
 	if len(opts) > 0 {
 		o = opts[0]
 	}
-	co := core.CombOpts{Sparse: o.Sparse, VecCap: o.VecCap}
+	co := core.CombOpts{VecCap: o.VecCap}
 	var c core.Protocol
 	if kind == WaitFree {
 		c = core.NewPWFCombWith(s.heap, name, threads, obj, co)
