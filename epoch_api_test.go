@@ -104,3 +104,30 @@ func TestMapEpochCrashRecover(t *testing.T) {
 		}
 	}
 }
+
+// TestEpochAccessorsInStrictMode calls the epoch accessors on strict
+// structures, which have no epoch: every operation is durable when it
+// returns, so no epoch is open or closed and any wait succeeds at once.
+func TestEpochAccessorsInStrictMode(t *testing.T) {
+	type durability interface {
+		Sync()
+		EpochNow() uint64
+		EpochClosed() uint64
+		WaitDurable(uint64) bool
+		Close()
+	}
+	sys := New(Options{NoCost: true})
+	for name, d := range map[string]durability{
+		"queue": sys.NewQueue("q", 1, Blocking),
+		"map":   sys.NewMap("m", 1, WaitFree),
+	} {
+		d.Sync()
+		if now, closed := d.EpochNow(), d.EpochClosed(); now != 0 || closed != 0 {
+			t.Fatalf("%s: EpochNow = %d, EpochClosed = %d; want 0, 0", name, now, closed)
+		}
+		if !d.WaitDurable(d.EpochNow() + 1) {
+			t.Fatalf("%s: WaitDurable = false without a crash", name)
+		}
+		d.Close()
+	}
+}

@@ -75,7 +75,8 @@ func (s KillSpec) Token() string {
 	return fmt.Sprintf("%d:%d:%d:%d", s.Seed, s.Round, s.Point, s.RecPoint)
 }
 
-// ParseKillToken parses a Token.
+// ParseKillToken parses a Token. As in ParseToken, the seed may be negative
+// and the other fields may not.
 func ParseKillToken(tok string) (KillSpec, error) {
 	parts := strings.Split(tok, ":")
 	if len(parts) != 4 {
@@ -86,6 +87,9 @@ func ParseKillToken(tok string) (KillSpec, error) {
 		v, err := strconv.ParseInt(p, 10, 64)
 		if err != nil {
 			return KillSpec{}, fmt.Errorf("crashtest: kill token %q: %v", tok, err)
+		}
+		if i > 0 && v < 0 {
+			return KillSpec{}, fmt.Errorf("crashtest: kill token %q: negative %s", tok, [4]string{"seed", "round", "point", "rpoint"}[i])
 		}
 		vals[i] = v
 	}

@@ -269,7 +269,10 @@ func TestParseKillToken(t *testing.T) {
 	if got != spec {
 		t.Fatalf("round-trip: %+v -> %+v", spec, got)
 	}
-	for _, bad := range []string{"", "1:2:3", "1:2:3:4:5", "a:b:c:d"} {
+	// A negative seed is a seed like any other (Seed -3 round-trips above);
+	// a negative round would wrap to a huge uint64 in the value generator,
+	// and a negative point or rpoint would silently disarm the kill.
+	for _, bad := range []string{"", "1:2:3", "1:2:3:4:5", "a:b:c:d", "1:-1:3:4", "1:2:-1:4", "1:2:3:-1"} {
 		if _, err := ParseKillToken(bad); err == nil {
 			t.Errorf("ParseKillToken(%q) accepted", bad)
 		}

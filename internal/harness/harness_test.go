@@ -7,8 +7,6 @@ import (
 	"testing"
 
 	"pcomb/internal/pmem"
-	"pcomb/internal/queue"
-	"pcomb/internal/stack"
 )
 
 func tinyConfig() Config {
@@ -171,45 +169,4 @@ func TestPrintSeriesCSV(t *testing.T) {
 	if lines != want {
 		t.Fatalf("CSV rows = %d, want %d", lines, want)
 	}
-}
-
-func TestRandomAndPrefilledWorkloads(t *testing.T) {
-	// The paper reports the random and prefilled setups show the same
-	// trends; here we verify they at least run correctly: conservation of
-	// values under the 50/50 workload on a prefilled queue.
-	h := pmem.NewHeap(pmem.Config{Mode: pmem.ModeShadow, NoCost: true})
-	q := queueNewForTest(h)
-	pre := PrefillQueue(q, 100)
-	if q.Len() != 100 {
-		t.Fatalf("prefill len = %d", q.Len())
-	}
-	res := Measure("rand", h, 4, 2000, RandomQueueOp(q, 4, pre))
-	if res.Ops != 2000 {
-		t.Fatalf("ops = %d", res.Ops)
-	}
-	// Everything still enqueued must be a value some thread produced.
-	for _, v := range q.Snapshot() {
-		if v == 0 {
-			t.Fatal("zero value leaked into the queue")
-		}
-	}
-}
-
-func TestRandomStackWorkload(t *testing.T) {
-	h := pmem.NewHeap(pmem.Config{Mode: pmem.ModeShadow, NoCost: true})
-	s := stackNewForTest(h)
-	res := Measure("rand", h, 4, 2000, RandomStackOp(s, 4))
-	if res.Ops != 2000 {
-		t.Fatalf("ops = %d", res.Ops)
-	}
-}
-
-// queueNewForTest and stackNewForTest keep the workload tests free of
-// geometry boilerplate.
-func queueNewForTest(h *pmem.Heap) *queue.Queue {
-	return queue.New(h, "wq", 4, queue.Blocking, queue.Options{Recycling: true, Capacity: 1 << 14, ChunkSize: 32})
-}
-
-func stackNewForTest(h *pmem.Heap) *stack.Stack {
-	return stack.New(h, "ws", 4, stack.Blocking, stack.Options{Elimination: true, Recycling: true, Capacity: 1 << 14, ChunkSize: 32})
 }

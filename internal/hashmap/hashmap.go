@@ -183,7 +183,9 @@ func (o shardObj) Apply(env *core.Env, r *core.Request) {
 // mix is prim.Mix (splitmix64), kept as a local alias for the hot paths.
 func mix(x uint64) uint64 { return prim.Mix(x) }
 
-// Map is a detectably recoverable concurrent hash map.
+// Map is a detectably recoverable concurrent hash map: S combining instances,
+// one per shard, behind one system area. The root package exports it as
+// pcomb.Map.
 type Map struct {
 	h      *pmem.Heap
 	shards []core.Protocol
@@ -230,7 +232,7 @@ type Options struct {
 	// operations (and only those; Recover reports an interrupted one of that
 	// window with Certain=false). Use Sync/WaitDurable for per-operation
 	// durability. A transaction is failure-atomic once its epoch has durably
-	// closed.
+	// closed. Part of the persistent layout.
 	Epoch bool
 	// EpochInterval is the background close cadence (Epoch mode; 0 = no
 	// ticker, epochs close only via Sync/CloseNow).
@@ -311,10 +313,23 @@ func NewOn(h *pmem.Heap, name string, n int, kind Kind, o Options, sys *sysarea.
 	return m
 }
 
-// Epoch returns the epoch state the map defers into (nil in strict mode):
-// Now labels operations returning now, CloseNow makes everything applied
-// before it durable, and Wait blocks until a label is durably closed.
-func (m *Map) Epoch() *pmem.Epoch { return m.epoch }
+// Sync forces an epoch close: everything applied before the call is durable
+// when it returns. On a map built with NewOn it closes the shared system
+// area's epoch. No-op in strict mode, where every operation is durable when it
+// returns.
+func (m *Map) Sync() { m.epoch.CloseNow() }
+
+// EpochNow returns the open epoch — the durability label of operations
+// returning now (0 in strict mode). Pass a label read after an operation
+// returned to WaitDurable to block until that operation is durable.
+func (m *Map) EpochNow() uint64 { return m.epoch.Now() }
+
+// EpochClosed returns the last durably closed epoch (0 in strict mode).
+func (m *Map) EpochClosed() uint64 { return m.epoch.Closed() }
+
+// WaitDurable blocks until epoch target is durably closed; it returns false
+// if the system crashed first, and true at once in strict mode.
+func (m *Map) WaitDurable(target uint64) bool { return m.epoch.Wait(target) }
 
 // Close halts the epoch's background closer (if any) after a final close.
 // Strict mode has nothing to stop: the map starts no goroutine. Idempotent;
@@ -356,7 +371,7 @@ func (m *Map) invoke(tid int, op, key, val uint64) uint64 {
 }
 
 // Put maps key to val, returning the previous value and whether one
-// existed. ok=false with prev==Full means the shard was full.
+// existed. existed=false with prev==Full means the shard was full.
 func (m *Map) Put(tid int, key, val uint64) (prev uint64, existed bool) {
 	r := m.invoke(tid, OpPut, key, val)
 	if r == NotFound || r == Full {
@@ -411,7 +426,9 @@ func (m *Map) Recover(tid int) []sysarea.Resolved { return m.sys.Recover(tid) }
 
 // SubmitPut stages a Put for the async pipelined path (requires VecCap > 1);
 // the result arrives through the Future (same encoding as invoke: previous
-// value, NotFound, or Full).
+// value, NotFound, or Full). The staged window commits on Flush, on a
+// Future's Wait, or when it reaches VecCap ops; a crash before that loses it
+// wholesale — pipelining trades per-op commit for per-window commit.
 func (m *Map) SubmitPut(tid int, key, val uint64) vecbatch.Future {
 	return m.pipe.Submit(tid, core.VecOp{Op: OpPut, A0: key, A1: val})
 }

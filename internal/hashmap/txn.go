@@ -16,16 +16,18 @@ type Leg struct {
 // each group runs as a single vectorized announcement. A crash before the
 // record's commit point discards the transaction wholesale (no shard was
 // invoked, no counter moved); after it, Recover replays every group —
-// parity-gated, so already-applied groups fetch instead of re-executing — and
-// the transaction completes exactly once.
+// parity-gated, so already-applied groups fetch instead of re-executing —
+// and reports the transaction as its legs, shard group by shard group: it
+// completes exactly once.
 //
 // Failure-atomic, not isolated: the groups apply one shard at a time, and a
 // thread reading between two of them sees the transaction half-applied
 // (ROADMAP, "Cross-shard transactions are failure-atomic but not isolated").
 //
-// len(legs) must be at most VecCap. Legs are applied in program order within a
-// shard but groups of different shards are not mutually ordered — use
-// commuting legs (OpAdd, distinct-key OpPut) for cross-shard invariants.
+// Requires VecCap > 1, and len(legs) must be at most VecCap. Legs are applied
+// in program order within a shard but groups of different shards are not
+// mutually ordered — use commuting legs (OpAdd, distinct-key OpPut) for
+// cross-shard invariants.
 func (m *Map) Txn(tid int, legs []Leg) []uint64 {
 	if len(legs) == 0 {
 		return nil

@@ -1,14 +1,10 @@
 // Package linearizability implements a Wing & Gong-style linearizability
-// checker with memoization, plus a concurrent-history recorder. The test
-// suites record real histories from the combining data structures (small
-// windows — the check is exponential) and verify them against sequential
-// specifications; the paper's Section 8 names such checking as the natural
-// complement to its pencil-and-paper arguments.
+// checker with memoization. The test suites record real histories from the
+// combining data structures with internal/history (small windows — the check
+// is exponential) and verify them against sequential specifications; the
+// paper's Section 8 names such checking as the natural complement to its
+// pencil-and-paper arguments.
 package linearizability
-
-import (
-	"sync/atomic"
-)
 
 // Status classifies an operation's fate across a crash cut.
 type Status uint8
@@ -100,46 +96,4 @@ func CheckOrdered(m Model, history []Op) bool {
 		panic("linearizability: work budget exhausted: " + res.Diag)
 	}
 	return res.Outcome == Ok
-}
-
-// Recorder assigns logical timestamps and collects completed operations
-// from concurrently running workers.
-type Recorder struct {
-	clock atomic.Int64
-	ops   []opSlot
-}
-
-type opSlot struct {
-	used atomic.Bool
-	op   Op
-	_    [4]uint64
-}
-
-// NewRecorder creates a recorder with capacity for max operations.
-func NewRecorder(max int) *Recorder {
-	return &Recorder{ops: make([]opSlot, max)}
-}
-
-// Run executes f as one timed operation for the given thread; f returns the
-// recorded output. idx must be unique per operation (pre-partitioned among
-// workers).
-func (r *Recorder) Run(idx, thread int, kind, arg uint64, f func() uint64) uint64 {
-	call := r.clock.Add(1)
-	out := f()
-	ret := r.clock.Add(1)
-	s := &r.ops[idx]
-	s.op = Op{Thread: thread, Call: call, Return: ret, Kind: kind, Arg: arg, Out: out}
-	s.used.Store(true)
-	return out
-}
-
-// History returns the recorded operations.
-func (r *Recorder) History() []Op {
-	var out []Op
-	for i := range r.ops {
-		if r.ops[i].used.Load() {
-			out = append(out, r.ops[i].op)
-		}
-	}
-	return out
 }

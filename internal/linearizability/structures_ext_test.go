@@ -1,15 +1,17 @@
 package linearizability_test
 
-// These tests drive the real recoverable structures and check the recorded
-// histories, so they import the structure packages. They live in the external
-// test package: the structures' wrappers import internal/history, which
-// imports this package — an in-package test file would close an import cycle.
+// These tests drive the real recoverable structures, record their histories
+// with history.Recorder and check them, so they import the structure packages
+// and internal/history. They live in the external test package: the
+// structures' wrappers and internal/history import this package — an
+// in-package test file would close an import cycle.
 
 import (
 	"math/rand"
 	"sync"
 	"testing"
 
+	"pcomb/internal/history"
 	. "pcomb/internal/linearizability"
 	"pcomb/internal/pmem"
 	"pcomb/internal/queue"
@@ -22,7 +24,7 @@ func recordQueueHistory(t *testing.T, kind queue.Kind, n, per int, seed int64) [
 	t.Helper()
 	h := pmem.NewHeap(pmem.Config{Mode: pmem.ModeCount, NoCost: true})
 	q := queue.New(h, "lq", n, kind, queue.Options{Capacity: 4096, ChunkSize: 16})
-	rec := NewRecorder(n * per)
+	rec := history.New(n)
 	var wg sync.WaitGroup
 	for tid := 0; tid < n; tid++ {
 		wg.Add(1)
@@ -31,28 +33,26 @@ func recordQueueHistory(t *testing.T, kind queue.Kind, n, per int, seed int64) [
 			rng := rand.New(rand.NewSource(seed + int64(tid)))
 			eseq, dseq := uint64(0), uint64(0)
 			for i := 0; i < per; i++ {
-				idx := tid*per + i
 				if rng.Intn(2) == 0 {
 					v := uint64(tid)<<16 | uint64(i) + 1
 					eseq++
-					rec.Run(idx, tid, KindEnq, v, func() uint64 {
-						q.Enqueue(tid, v, eseq)
-						return 0
-					})
+					rec.Begin(tid, KindEnq, v, 0)
+					q.Enqueue(tid, v, eseq)
+					rec.End(tid, 0)
 				} else {
 					dseq++
-					rec.Run(idx, tid, KindDeq, 0, func() uint64 {
-						if v, ok := q.Dequeue(tid, dseq); ok {
-							return v
-						}
-						return EmptyOut
-					})
+					rec.Begin(tid, KindDeq, 0, 0)
+					v, ok := q.Dequeue(tid, dseq)
+					if !ok {
+						v = EmptyOut
+					}
+					rec.End(tid, v)
 				}
 			}
 		}(tid)
 	}
 	wg.Wait()
-	return rec.History()
+	return rec.Ops()
 }
 
 func TestPBQueueHistoriesLinearizable(t *testing.T) {
@@ -78,38 +78,33 @@ func TestPBStackHistoriesLinearizable(t *testing.T) {
 		h := pmem.NewHeap(pmem.Config{Mode: pmem.ModeCount, NoCost: true})
 		s := stack.New(h, "ls", 3, stack.Blocking,
 			stack.Options{Elimination: true, Recycling: true, Capacity: 4096, ChunkSize: 16})
-		rec := NewRecorder(12)
+		rec := history.New(3)
 		var wg sync.WaitGroup
 		for tid := 0; tid < 3; tid++ {
 			wg.Add(1)
 			go func(tid int) {
 				defer wg.Done()
 				rng := rand.New(rand.NewSource(seed*31 + int64(tid)))
-				seq := uint64(0)
 				for i := 0; i < 4; i++ {
-					idx := tid*4 + i
-					seq++
+					seq := uint64(i) + 1
 					if rng.Intn(2) == 0 {
 						v := uint64(tid)<<16 | uint64(i) + 1
-						sq := seq
-						rec.Run(idx, tid, KindEnq, v, func() uint64 {
-							s.Push(tid, v, sq)
-							return 0
-						})
+						rec.Begin(tid, KindEnq, v, 0)
+						s.Push(tid, v, seq)
+						rec.End(tid, 0)
 					} else {
-						sq := seq
-						rec.Run(idx, tid, KindDeq, 0, func() uint64 {
-							if v, ok := s.Pop(tid, sq); ok {
-								return v
-							}
-							return EmptyOut
-						})
+						rec.Begin(tid, KindDeq, 0, 0)
+						v, ok := s.Pop(tid, seq)
+						if !ok {
+							v = EmptyOut
+						}
+						rec.End(tid, v)
 					}
 				}
 			}(tid)
 		}
 		wg.Wait()
-		if !Check(StackModel{}, rec.History()) {
+		if !Check(StackModel{}, rec.Ops()) {
 			t.Fatalf("seed %d: PBstack (with elimination) produced a non-linearizable history", seed)
 		}
 	}

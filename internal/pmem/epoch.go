@@ -260,11 +260,21 @@ func (e *Epoch) Buf() *EpochBuf { return e.buf }
 // before the next close. Read it AFTER the operation returns — the close
 // bumps the open epoch before draining the buffer, so a label observed
 // after the operation's write-backs were buffered is a lower bound on the
-// close that persists them.
-func (e *Epoch) Now() uint64 { return e.openE.Load() }
+// close that persists them. The nil Epoch of a strict structure reports 0.
+func (e *Epoch) Now() uint64 {
+	if e == nil {
+		return 0
+	}
+	return e.openE.Load()
+}
 
-// Closed returns the last durably closed epoch.
-func (e *Epoch) Closed() uint64 { return e.closedE.Load() }
+// Closed returns the last durably closed epoch (0 on the nil Epoch).
+func (e *Epoch) Closed() uint64 {
+	if e == nil {
+		return 0
+	}
+	return e.closedE.Load()
+}
 
 // CloseNow synchronously closes the open epoch; on the nil Epoch of a strict
 // structure it does nothing. It panics with CrashError when the heap has
@@ -283,8 +293,13 @@ func (e *Epoch) CloseNow() {
 }
 
 // Wait blocks until epoch target is durably closed; it returns false when
-// the heap crashed before that happened.
+// the heap crashed before that happened. On the nil Epoch of a strict
+// structure it returns true at once: every operation there is durable when it
+// returns.
 func (e *Epoch) Wait(target uint64) bool {
+	if e == nil {
+		return true
+	}
 	e.waitMu.Lock()
 	defer e.waitMu.Unlock()
 	for e.closedE.Load() < target {

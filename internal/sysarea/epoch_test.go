@@ -58,7 +58,7 @@ func TestEpochMapWindowNeverReplaysAnOlderOne(t *testing.T) {
 			m := hashmap.NewWith(sys.Heap(), "t", 1, p.map_, o)
 			m.SubmitAdd(0, 7, 1)
 			m.Flush(0)
-			m.Epoch().CloseNow()
+			m.Sync()
 			m.SubmitPut(0, 9, 5)
 			m.Flush(0)
 			dieBeforeEnd(sys, "t/hashmap.sys", 1)

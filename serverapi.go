@@ -140,7 +140,7 @@ func NewServerStoreOn(h *pmem.Heap, o ServerOptions) *ServerStore {
 	m := hashmap.NewOn(h, "srv/map", o.Threads, o.Kind,
 		hashmap.Options{Shards: 1, Capacity: o.MapCapacity, VecCap: vcap}, sys)
 	s := &ServerStore{
-		sys: sys, m: &Map{m: m}, q: &Queue{q: q, sys: sys, base: srvEnq}, h: h, opts: o,
+		sys: sys, m: m, q: &Queue{q: q, sys: sys, base: srvEnq}, h: h, opts: o,
 		class: make([][]uint8, o.Threads),
 	}
 	for tid := range s.class {

@@ -114,15 +114,15 @@ func (q *Queue) Recover(tid int) []Resolved { return q.sys.Recover(tid) }
 func (q *Queue) Sync() { q.sys.Epoch().CloseNow() }
 
 // EpochNow returns the open epoch — the durability label of operations
-// returning now (Epoch mode only). Pass a label read after an operation
+// returning now (0 in strict mode). Pass a label read after an operation
 // returned to WaitDurable to block until that operation is durable.
 func (q *Queue) EpochNow() uint64 { return q.sys.Epoch().Now() }
 
-// EpochClosed returns the last durably closed epoch (Epoch mode only).
+// EpochClosed returns the last durably closed epoch (0 in strict mode).
 func (q *Queue) EpochClosed() uint64 { return q.sys.Epoch().Closed() }
 
 // WaitDurable blocks until epoch target is durably closed; it returns false
-// if the system crashed first (Epoch mode only).
+// if the system crashed first, and true at once in strict mode.
 func (q *Queue) WaitDurable(target uint64) bool { return q.sys.Epoch().Wait(target) }
 
 // Close halts the epoch's background closer (if any) after a final close;
