@@ -261,7 +261,7 @@ func TestBatchRecoverScalarAsOneOpBatch(t *testing.T) {
 	// A pending *scalar* op on a vector-capable structure is a batch of one.
 	sys := New(Options{CrashTesting: true, NoCost: true})
 	q := sys.NewQueue("q", 1, Blocking, QueueOptions{VecCap: 4})
-	q.sys.Begin(0, 0, OpEnqueue, 99, 0)
+	beginOnly(sys, "q/sysarea", 2, 4, 0, OpEnqueue, 99)
 	sys.Crash(DropUnfenced, 1)
 
 	q = sys.NewQueue("q", 1, Blocking, QueueOptions{VecCap: 4})

@@ -97,17 +97,16 @@ func BenchmarkFig3bHeap(b *testing.B) {
 		for _, n := range benchThreads {
 			b.Run(fmt.Sprintf("PBheap-%d/threads=%d", bound, n), func(b *testing.B) {
 				h := pmem.NewHeap(pmem.Config{Mode: pmem.ModeCount})
-				hp := heap.New(h, "h", n, heap.Blocking, bound)
-				pre := uint64(bound / 2)
-				for i := uint64(0); i < pre; i++ {
-					hp.Insert(0, i*37%(1<<20), i+1)
+				hp := heap.New(h, "h", n, heap.Blocking, bound, 0)
+				for i := uint64(0); i < uint64(bound/2); i++ {
+					hp.Insert(0, i*37%(1<<20))
 				}
 				ops := uint64(b.N)
 				if ops < 64 {
 					ops = 64
 				}
 				b.ResetTimer()
-				res := harness.Measure("PBheap", h, n, ops, harness.HeapOp(hp, pre))
+				res := harness.Measure("PBheap", h, n, ops, harness.HeapOp(hp))
 				b.StopTimer()
 				b.ReportMetric(res.Mops, "Mops/s")
 			})
@@ -167,9 +166,9 @@ func BenchmarkAblationRecycling(b *testing.B) {
 			if ops < 64 {
 				ops = 64
 			}
-			q := queue.New(h, "q", 8, queue.Blocking, queue.Options{
+			q := queue.NewOn(h, "q", 8, queue.Blocking, queue.Options{
 				Recycling: rec, Capacity: int(ops) + 4096, ChunkSize: 128,
-			})
+			}, nil, 0)
 			b.ResetTimer()
 			res := harness.Measure("queue", h, 8, ops, harness.QueueOp(q))
 			b.StopTimer()
@@ -215,7 +214,7 @@ func BenchmarkExtensionMapShards(b *testing.B) {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
 			h := pmem.NewHeap(pmem.Config{Mode: pmem.ModeCount})
 			const n = 16
-			m := hashmap.New(h, "m", n, hashmap.Blocking, shards, 4096)
+			m := hashmap.NewWith(h, "m", n, hashmap.Blocking, hashmap.Options{Shards: shards, Capacity: 4096})
 			ops := uint64(b.N)
 			if ops < 64 {
 				ops = 64

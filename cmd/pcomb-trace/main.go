@@ -44,30 +44,30 @@ func main() {
 
 	targets := []target{
 		{"PBqueue enq+deq", func(h *pmem.Heap) func() {
-			q := queue.New(h, "t", 1, queue.Blocking, queue.Options{Recycling: true, Capacity: 1024, ChunkSize: 16})
-			q.Enqueue(0, 1, 1) // warm-up: chunk acquisition etc.
-			q.Dequeue(0, 1)
+			q := queue.NewOn(h, "t", 1, queue.Blocking, queue.Options{Recycling: true, Capacity: 1024, ChunkSize: 16}, nil, 0)
+			q.Enqueue(0, 1) // warm-up: chunk acquisition etc.
+			q.Dequeue(0)
 			return func() {
-				q.Enqueue(0, 2, 2)
-				q.Dequeue(0, 2)
+				q.Enqueue(0, 2)
+				q.Dequeue(0)
 			}
 		}},
 		{"PWFqueue enq+deq", func(h *pmem.Heap) func() {
-			q := queue.New(h, "t", 1, queue.WaitFree, queue.Options{Capacity: 1024, ChunkSize: 16})
-			q.Enqueue(0, 1, 1)
-			q.Dequeue(0, 1)
+			q := queue.NewOn(h, "t", 1, queue.WaitFree, queue.Options{Capacity: 1024, ChunkSize: 16}, nil, 0)
+			q.Enqueue(0, 1)
+			q.Dequeue(0)
 			return func() {
-				q.Enqueue(0, 2, 2)
-				q.Dequeue(0, 2)
+				q.Enqueue(0, 2)
+				q.Dequeue(0)
 			}
 		}},
 		{"PBstack push+pop", func(h *pmem.Heap) func() {
 			s := stack.New(h, "t", 1, stack.Blocking, stack.Options{Recycling: true, Capacity: 1024, ChunkSize: 16})
-			s.Push(0, 1, 1)
-			s.Pop(0, 2)
+			s.Push(0, 1)
+			s.Pop(0)
 			return func() {
-				s.Push(0, 2, 3)
-				s.Pop(0, 4)
+				s.Push(0, 2)
+				s.Pop(0)
 			}
 		}},
 		{"DFC push+pop", func(h *pmem.Heap) func() {

@@ -165,17 +165,11 @@ const queueChunk = 128
 func qPcomb(kind queue.Kind, recycle bool) func(cfg Config, n int) (*pmem.Heap, OpFunc) {
 	return func(cfg Config, n int) (*pmem.Heap, OpFunc) {
 		h := newHeap(cfg)
-		q := queue.New(h, "q", n, kind, queue.Options{
+		q := queue.NewOn(h, "q", n, kind, queue.Options{
 			Recycling: recycle, Capacity: queueCap(cfg, n), ChunkSize: queueChunk,
-		})
+		}, nil, 0)
 		q.SetProbe(cfg.probe())
-		return h, func(tid int, i uint64, _ *rand.Rand) {
-			if i%2 == 0 {
-				q.Enqueue(tid, i+1, i/2+1)
-			} else {
-				q.Dequeue(tid, i/2+1)
-			}
-		}
+		return h, QueueOp(q)
 	}
 }
 
@@ -264,13 +258,7 @@ func sPcomb(kind stack.Kind, elim, rec bool) func(cfg Config, n int) (*pmem.Heap
 			Capacity: queueCap(cfg, n), ChunkSize: queueChunk,
 		})
 		s.SetProbe(cfg.probe())
-		return h, func(tid int, i uint64, _ *rand.Rand) {
-			if i%2 == 0 {
-				s.Push(tid, i+1, i+1)
-			} else {
-				s.Pop(tid, i+1)
-			}
-		}
+		return h, StackOp(s)
 	}
 }
 
@@ -331,14 +319,13 @@ func Fig3b(cfg Config) []Series {
 			Name: fmt.Sprintf("PBheap-%d", bound),
 			Build: func(cfg Config, n int) (*pmem.Heap, OpFunc) {
 				h := newHeap(cfg)
-				hp := heap.New(h, "h", n, heap.Blocking, bound)
+				hp := heap.New(h, "h", n, heap.Blocking, bound, 0)
 				hp.SetProbe(cfg.probe())
-				pre := uint64(bound / 2)
 				rng := rand.New(rand.NewSource(42))
-				for i := uint64(0); i < pre; i++ {
-					hp.Insert(0, rng.Uint64()%(1<<30), i+1)
+				for i := 0; i < bound/2; i++ {
+					hp.Insert(0, rng.Uint64()%(1<<30))
 				}
-				return h, HeapOp(hp, pre)
+				return h, HeapOp(hp)
 			},
 		})
 	}

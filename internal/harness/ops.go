@@ -12,9 +12,9 @@ import (
 func StackOp(s *stack.Stack) OpFunc {
 	return func(tid int, i uint64, _ *rand.Rand) {
 		if i%2 == 0 {
-			s.Push(tid, i+1, i+1)
+			s.Push(tid, i+1)
 		} else {
-			s.Pop(tid, i+1)
+			s.Pop(tid)
 		}
 	}
 }
@@ -23,26 +23,21 @@ func StackOp(s *stack.Stack) OpFunc {
 func QueueOp(q *queue.Queue) OpFunc {
 	return func(tid int, i uint64, _ *rand.Rand) {
 		if i%2 == 0 {
-			q.Enqueue(tid, i+1, i/2+1)
+			q.Enqueue(tid, i+1)
 		} else {
-			q.Dequeue(tid, i/2+1)
+			q.Dequeue(tid)
 		}
 	}
 }
 
 // HeapOp is Figure 3b's workload: alternating HInsert/HDeleteMin with
-// random keys; preFill is the number of operations thread 0 already issued
-// while pre-populating (its seq counter must continue from there).
-func HeapOp(hp *heap.Heap, preFill uint64) OpFunc {
+// random keys.
+func HeapOp(hp *heap.Heap) OpFunc {
 	return func(tid int, i uint64, rng *rand.Rand) {
-		seq := i + 1
-		if tid == 0 {
-			seq += preFill
-		}
 		if i%2 == 0 {
-			hp.Insert(tid, rng.Uint64()%(1<<20), seq)
+			hp.Insert(tid, rng.Uint64()%(1<<20))
 		} else {
-			hp.DeleteMin(tid, seq)
+			hp.DeleteMin(tid)
 		}
 	}
 }

@@ -9,6 +9,11 @@ import (
 	"pcomb/internal/pmem"
 )
 
+// newMap builds a map with shards combining instances sharing capacity slots.
+func newMap(h *pmem.Heap, name string, n int, kind Kind, shards, capacity int) *Map {
+	return NewWith(h, name, n, kind, Options{Shards: shards, Capacity: capacity})
+}
+
 func newHeap() *pmem.Heap {
 	return pmem.NewHeap(pmem.Config{Mode: pmem.ModeShadow, NoCost: true})
 }
@@ -27,7 +32,7 @@ func TestPutGetDelete(t *testing.T) {
 	for _, k := range kinds() {
 		t.Run(k.name, func(t *testing.T) {
 			h := newHeap()
-			m := New(h, "m", 1, k.kind, 4, 256)
+			m := newMap(h, "m", 1, k.kind, 4, 256)
 			if _, ok := m.Get(0, 7); ok {
 				t.Fatal("get of absent key")
 			}
@@ -58,7 +63,7 @@ func TestQuickOracle(t *testing.T) {
 	// random single-threaded op sequence.
 	f := func(ops []uint16) bool {
 		h := newHeap()
-		m := New(h, "m", 1, Blocking, 4, 1024)
+		m := newMap(h, "m", 1, Blocking, 4, 1024)
 		oracle := map[uint64]uint64{}
 		for _, o := range ops {
 			key := uint64(o%97) + 1
@@ -110,7 +115,7 @@ func TestTombstoneProbeChain(t *testing.T) {
 	// Deleting a key in the middle of a probe chain must not break lookups
 	// of keys that probed past it, and reinsertion reuses the tombstone.
 	h := newHeap()
-	m := New(h, "m", 1, Blocking, 1, 8) // one shard, 8 slots: collisions certain
+	m := newMap(h, "m", 1, Blocking, 1, 8) // one shard, 8 slots: collisions certain
 	keys := []uint64{1, 2, 3, 4, 5, 6}
 	for i, k := range keys {
 		if prev, _ := m.Put(0, k, uint64(i)+100); prev == Full {
@@ -136,7 +141,7 @@ func TestTombstoneProbeChain(t *testing.T) {
 
 func TestShardFull(t *testing.T) {
 	h := newHeap()
-	m := New(h, "m", 1, Blocking, 1, 4)
+	m := newMap(h, "m", 1, Blocking, 1, 4)
 	inserted := 0
 	for k := uint64(1); k <= 16; k++ {
 		if prev, _ := m.Put(0, k, k); prev != Full {
@@ -150,7 +155,7 @@ func TestShardFull(t *testing.T) {
 
 func TestInvalidKeys(t *testing.T) {
 	h := newHeap()
-	m := New(h, "m", 1, Blocking, 2, 64)
+	m := newMap(h, "m", 1, Blocking, 2, 64)
 	if prev, existed := m.Put(0, 0, 1); existed || prev != NotFound {
 		t.Fatal("key 0 must be rejected quietly")
 	}
@@ -167,7 +172,7 @@ func TestConcurrentDisjointKeys(t *testing.T) {
 		t.Run(k.name, func(t *testing.T) {
 			const n, per = 8, 150
 			h := newHeap()
-			m := New(h, "m", n, k.kind, 8, n*per*2)
+			m := newMap(h, "m", n, k.kind, 8, n*per*2)
 			var wg sync.WaitGroup
 			for tid := 0; tid < n; tid++ {
 				wg.Add(1)
@@ -201,7 +206,7 @@ func TestConcurrentDisjointKeys(t *testing.T) {
 func TestConcurrentSameKeyLastWriteWins(t *testing.T) {
 	const n, per = 6, 200
 	h := newHeap()
-	m := New(h, "m", n, Blocking, 4, 256)
+	m := newMap(h, "m", n, Blocking, 4, 256)
 	var wg sync.WaitGroup
 	for tid := 0; tid < n; tid++ {
 		wg.Add(1)
@@ -231,13 +236,13 @@ func TestDurabilityAfterCrash(t *testing.T) {
 	for _, k := range kinds() {
 		t.Run(k.name, func(t *testing.T) {
 			h := newHeap()
-			m := New(h, "m", 2, k.kind, 4, 256)
+			m := newMap(h, "m", 2, k.kind, 4, 256)
 			for key := uint64(1); key <= 30; key++ {
 				m.Put(0, key, key*10)
 			}
 			m.Delete(0, 7)
 			h.Crash(pmem.DropUnfenced, 1)
-			m2 := New(h, "m", 2, k.kind, 4, 256)
+			m2 := newMap(h, "m", 2, k.kind, 4, 256)
 			for tid := 0; tid < 2; tid++ {
 				if m2.Recover(tid) != nil {
 					t.Fatalf("tid %d: nothing was in flight", tid)
@@ -267,7 +272,7 @@ func TestCrashPointSweepPut(t *testing.T) {
 	// semantics via Recover.
 	for kk := int64(1); ; kk++ {
 		h := newHeap()
-		m := New(h, "m", 1, Blocking, 2, 64)
+		m := newMap(h, "m", 1, Blocking, 2, 64)
 		m.Put(0, 5, 50)
 		sh := m.shardOf(9)
 		ctx := m.shards[sh].Ctx(0)
@@ -288,7 +293,7 @@ func TestCrashPointSweepPut(t *testing.T) {
 			return
 		}
 		h.Crash(pmem.DropUnfenced, kk)
-		m2 := New(h, "m", 1, Blocking, 2, 64)
+		m2 := newMap(h, "m", 1, Blocking, 2, 64)
 		if rs := m2.Recover(0); len(rs) != 1 || rs[0].Op != OpPut || rs[0].A0 != 9 {
 			t.Fatalf("crash@%d: Recover = %+v, want the Put of key 9", kk, rs)
 		}
@@ -307,7 +312,7 @@ func TestCrashPointSweepPut(t *testing.T) {
 func TestShardingDistributesLoad(t *testing.T) {
 	h := newHeap()
 	const shards = 8
-	m := New(h, "m", 1, Blocking, shards, 8*256)
+	m := newMap(h, "m", 1, Blocking, shards, 8*256)
 	for key := uint64(1); key <= 1000; key++ {
 		m.Put(0, key, key)
 	}
@@ -327,7 +332,7 @@ func TestShardingDistributesLoad(t *testing.T) {
 func TestRecoverIdempotent(t *testing.T) {
 	for kk := int64(1); ; kk++ {
 		h := newHeap()
-		m := New(h, "m", 1, Blocking, 2, 64)
+		m := newMap(h, "m", 1, Blocking, 2, 64)
 		m.Put(0, 5, 50)
 		sh := m.shardOf(9)
 		ctx := m.shards[sh].Ctx(0)
@@ -348,7 +353,7 @@ func TestRecoverIdempotent(t *testing.T) {
 			return
 		}
 		h.Crash(pmem.DropUnfenced, kk)
-		m2 := New(h, "m", 1, Blocking, 2, 64)
+		m2 := newMap(h, "m", 1, Blocking, 2, 64)
 		if m2.Recover(0) == nil {
 			t.Fatalf("crash@%d: interrupted Put not pending", kk)
 		}
@@ -358,7 +363,7 @@ func TestRecoverIdempotent(t *testing.T) {
 		if v, ok := m2.Get(0, 9); !ok || v != 90 {
 			t.Fatalf("crash@%d: key 9 = %d,%v", kk, v, ok)
 		}
-		m3 := New(h, "m", 1, Blocking, 2, 64)
+		m3 := newMap(h, "m", 1, Blocking, 2, 64)
 		if m3.Recover(0) != nil {
 			t.Fatalf("crash@%d: resolved op pending again after re-open", kk)
 		}

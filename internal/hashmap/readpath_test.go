@@ -28,7 +28,7 @@ func TestReadPathConcurrent(t *testing.T) {
 	const writers, readers, per, nkeys = 2, 2, 300, 3
 	for _, k := range kinds() {
 		t.Run(k.name, func(t *testing.T) {
-			m := New(newHeap(), "m", writers+readers, k.kind, 2, 64)
+			m := newMap(newHeap(), "m", writers+readers, k.kind, 2, 64)
 			keys := shardKeys(m, nkeys)
 			var acked [nkeys]atomic.Uint64 // the largest value an Add of the key has returned
 			var done atomic.Int32
@@ -100,7 +100,7 @@ func TestReadPathIssuesNothing(t *testing.T) {
 	for _, k := range kinds() {
 		t.Run(k.name, func(t *testing.T) {
 			h := newHeap()
-			m := New(h, "m", 2, k.kind, 4, 256)
+			m := newMap(h, "m", 2, k.kind, 4, 256)
 			for key := uint64(1); key <= 40; key++ {
 				m.Put(0, key, key*10)
 			}
@@ -139,7 +139,7 @@ func TestReadPathReopen(t *testing.T) {
 	for _, k := range kinds() {
 		t.Run(k.name, func(t *testing.T) {
 			h := newHeap()
-			m := New(h, "m", 1, k.kind, 2, 64)
+			m := newMap(h, "m", 1, k.kind, 2, 64)
 			m.Add(0, 5, 7)
 			h.SetCrashAtEvent(2)
 			func() {
@@ -151,7 +151,7 @@ func TestReadPathReopen(t *testing.T) {
 				m.Add(0, 5, 1)
 			}()
 			h.FinishCrash(pmem.DropUnfenced, 1)
-			m = New(h, "m", 1, k.kind, 2, 64)
+			m = newMap(h, "m", 1, k.kind, 2, 64)
 			if v, ok := m.Get(0, 5); !ok || v != 7 {
 				t.Fatalf("first Get after re-open = %d,%v; want 7", v, ok)
 			}

@@ -38,7 +38,7 @@ func TestSparseMatchesDenseMap(t *testing.T) {
 			h1, h2 := newHeap(), newHeap()
 			seqs := make([]uint64, 4) // the reference shards' thread-0 sequence numbers
 			open := func() (*Map, *Map) {
-				a := New(h1, "s", 1, k.kind, 4, 4*64)
+				a := newMap(h1, "s", 1, k.kind, 4, 4*64)
 				b := &Map{slots: a.slots}
 				for s := 0; s < a.Shards(); s++ {
 					obj, name := denseTable{shardObj{slots: a.slots}}, fmt.Sprintf("d/shard%d", s)

@@ -6,11 +6,18 @@
 //
 // The paper's Section 8 notes that a wait-free heap on PWFcomb is a
 // straightforward extension; PWFheap here is that extension.
+//
+// A Heap is built as the paper builds it: the combining instance plus the
+// per-thread sequence numbers and commit record its system model persists,
+// which live in the heap's own system area (internal/sysarea) every update
+// runs through.
 package heap
 
 import (
 	"pcomb/internal/core"
 	"pcomb/internal/pmem"
+	"pcomb/internal/sysarea"
+	"pcomb/internal/vecbatch"
 )
 
 // Operation codes.
@@ -121,74 +128,96 @@ func (o obj) swap(s core.State, i, j int) {
 	s.Store(1+j, a)
 }
 
-// Heap is a detectably recoverable concurrent bounded min-heap.
+// Heap is a detectably recoverable concurrent bounded min-heap: one
+// combining instance behind a system area of its own. The root package
+// exports it as pcomb.Heap.
 type Heap struct {
+	sysarea.Front
+	sys  *sysarea.Area
+	pipe *vecbatch.Pipe // nil unless built with vecCap > 1
+
 	comb  core.Protocol
 	bound int
 }
 
 // New creates (or re-opens after a crash) a recoverable min-heap for n
-// threads, holding at most bound keys.
-func New(h *pmem.Heap, name string, n int, kind Kind, bound int) *Heap {
-	return NewWith(h, name, n, kind, bound, core.CombOpts{})
-}
-
-// NewWith is New with explicit combining options (the vector capacity).
-func NewWith(h *pmem.Heap, name string, n int, kind Kind, bound int, o core.CombOpts) *Heap {
+// threads, holding at most bound keys, with its system area named
+// name+"/sysarea". vecCap above 1 enables the Submit path with up to vecCap
+// operations per flush. Re-open with the same bound and vecCap and call
+// Recover for every thread before new operations.
+func New(h *pmem.Heap, name string, n int, kind Kind, bound, vecCap int) *Heap {
 	if bound <= 0 {
 		panic("heap: bound must be positive")
 	}
 	hp := &Heap{bound: bound}
+	co := core.CombOpts{VecCap: vecCap}
 	switch kind {
 	case Blocking:
-		hp.comb = core.NewPBCombWith(h, name, n, obj{bound: bound}, o)
+		hp.comb = core.NewPBCombWith(h, name, n, obj{bound: bound}, co)
 	case WaitFree:
-		hp.comb = core.NewPWFCombWith(h, name, n, obj{bound: bound}, o)
+		hp.comb = core.NewPWFCombWith(h, name, n, obj{bound: bound}, co)
 	default:
 		panic("heap: unknown kind")
 	}
+	hp.sys = sysarea.New(h, name+"/sysarea", n, []core.Protocol{hp.comb}, nil, vecCap)
+	if vecCap > 1 {
+		hp.pipe = vecbatch.New(n, vecCap, hp.sys.Flusher(0))
+	}
+	hp.Front = hp.sys.Front(0, 1, hp.pipe)
 	return hp
 }
 
 // Bound returns the heap's capacity.
 func (h *Heap) Bound() int { return h.bound }
 
-// Insert adds key (must be below Full); reports false if the heap is full.
-func (h *Heap) Insert(tid int, key, seq uint64) bool {
-	return h.comb.Invoke(tid, OpInsert, key, 0, seq) == InsertOK
-}
-
-// DeleteMin removes and returns the smallest key.
-func (h *Heap) DeleteMin(tid int, seq uint64) (uint64, bool) {
-	r := h.comb.Invoke(tid, OpDeleteMin, 0, 0, seq)
+// orEmpty splits a removal's or read's response into (key, true) or
+// (0, false).
+func orEmpty(r uint64) (uint64, bool) {
 	if r == Empty {
 		return 0, false
 	}
 	return r, true
 }
 
-// GetMin returns the smallest key without removing it: a validated read of
-// the last durable record (core's Read) that announces nothing, issues no
-// persistence instruction and so takes no sequence number. At this harness
-// level it retries until a probe validates against the running writers;
-// pcomb.Heap.GetMin, which owns its sequence numbers, announces the read after
-// a bounded number of tries instead and so stays wait-free on PWFheap.
-func (h *Heap) GetMin(tid int) (key uint64, ok bool) {
-	for {
-		if r, read := h.comb.Read(tid, OpGetMin, 0, 0); read {
-			if r == Empty {
-				return 0, false
-			}
-			return r, true
-		}
-	}
+// Insert adds key (must be below Full); it reports false when the heap is
+// full.
+func (h *Heap) Insert(tid int, key uint64) bool {
+	return h.sys.Invoke(tid, 0, OpInsert, key, 0) == InsertOK
 }
 
-// SetProbe installs p on the heap's combining instance.
-func (h *Heap) SetProbe(p core.Probe) { h.comb.SetProbe(p) }
+// DeleteMin removes and returns the smallest key; ok is false when empty.
+func (h *Heap) DeleteMin(tid int) (key uint64, ok bool) {
+	return orEmpty(h.sys.Invoke(tid, 0, OpDeleteMin, 0, 0))
+}
 
-// Protocol exposes the combining instance (harness use).
-func (h *Heap) Protocol() core.Protocol { return h.comb }
+// GetMin returns the smallest key without removing it. It is a validated read
+// of the heap's last durable state: it announces nothing and issues no
+// persistence instruction, sees every operation that returned before it was
+// called, and never returns state a crash could roll back. After a bounded
+// number of failed validations it is announced like an update instead, so it
+// stays wait-free on PWFheap. A crash-interrupted GetMin is simply re-issued;
+// Recover does not report it.
+func (h *Heap) GetMin(tid int) (key uint64, ok bool) {
+	return orEmpty(h.sys.Read(tid, 0, OpGetMin, 0, 0))
+}
+
+// SubmitInsert stages an insert of key on the async pipelined path (requires
+// vecCap > 1); the Future's Wait returns InsertOK or Full. The staged batch
+// commits when it reaches vecCap operations or on Flush or a Future's Wait;
+// until then a crash loses it wholesale.
+func (h *Heap) SubmitInsert(tid int, key uint64) vecbatch.Future {
+	return h.pipe.Submit(tid, core.VecOp{Op: OpInsert, A0: key})
+}
+
+// SubmitDeleteMin stages a delete-min; Wait returns the key or Empty.
+func (h *Heap) SubmitDeleteMin(tid int) vecbatch.Future {
+	return h.pipe.Submit(tid, core.VecOp{Op: OpDeleteMin})
+}
+
+// SubmitGetMin stages a get-min; Wait returns the key or Empty.
+func (h *Heap) SubmitGetMin(tid int) vecbatch.Future {
+	return h.pipe.Submit(tid, core.VecOp{Op: OpGetMin})
+}
 
 // Len returns the number of keys: a validated read of the last durable
 // record, safe beside running operations.

@@ -28,25 +28,22 @@ func TestSortedExtraction(t *testing.T) {
 	for _, k := range kinds() {
 		t.Run(k.name, func(t *testing.T) {
 			h := newHeap()
-			hp := New(h, "h", 1, k.kind, 128)
+			hp := New(h, "h", 1, k.kind, 128, 0)
 			vals := []uint64{42, 7, 99, 1, 63, 7, 12, 88, 3}
-			seq := uint64(1)
 			for _, v := range vals {
-				if !hp.Insert(0, v, seq) {
+				if !hp.Insert(0, v) {
 					t.Fatal("insert failed")
 				}
-				seq++
 			}
 			sorted := append([]uint64(nil), vals...)
 			sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
 			for _, want := range sorted {
-				got, ok := hp.DeleteMin(0, seq)
-				seq++
+				got, ok := hp.DeleteMin(0)
 				if !ok || got != want {
 					t.Fatalf("DeleteMin = %d,%v want %d", got, ok, want)
 				}
 			}
-			if _, ok := hp.DeleteMin(0, seq); ok {
+			if _, ok := hp.DeleteMin(0); ok {
 				t.Fatal("heap should be empty")
 			}
 		})
@@ -55,9 +52,9 @@ func TestSortedExtraction(t *testing.T) {
 
 func TestGetMinNonDestructive(t *testing.T) {
 	h := newHeap()
-	hp := New(h, "h", 1, Blocking, 16)
-	hp.Insert(0, 5, 1)
-	hp.Insert(0, 3, 2)
+	hp := New(h, "h", 1, Blocking, 16, 0)
+	hp.Insert(0, 5)
+	hp.Insert(0, 3)
 	if v, ok := hp.GetMin(0); !ok || v != 3 {
 		t.Fatalf("GetMin = %d,%v", v, ok)
 	}
@@ -68,13 +65,13 @@ func TestGetMinNonDestructive(t *testing.T) {
 
 func TestBoundedInsert(t *testing.T) {
 	h := newHeap()
-	hp := New(h, "h", 1, Blocking, 4)
+	hp := New(h, "h", 1, Blocking, 4, 0)
 	for i := uint64(1); i <= 4; i++ {
-		if !hp.Insert(0, i, i) {
+		if !hp.Insert(0, i) {
 			t.Fatal("insert within bound failed")
 		}
 	}
-	if hp.Insert(0, 5, 5) {
+	if hp.Insert(0, 5) {
 		t.Fatal("insert beyond bound must fail")
 	}
 	if hp.Len() != 4 {
@@ -84,8 +81,8 @@ func TestBoundedInsert(t *testing.T) {
 
 func TestEmptyOps(t *testing.T) {
 	h := newHeap()
-	hp := New(h, "h", 1, Blocking, 8)
-	if _, ok := hp.DeleteMin(0, 1); ok {
+	hp := New(h, "h", 1, Blocking, 8, 0)
+	if _, ok := hp.DeleteMin(0); ok {
 		t.Fatal("DeleteMin on empty")
 	}
 	if _, ok := hp.GetMin(0); ok {
@@ -111,19 +108,18 @@ func TestQuickHeapProperty(t *testing.T) {
 	// satisfies the heap invariant and extraction matches a sorted oracle.
 	f := func(ops []uint16) bool {
 		h := newHeap()
-		hp := New(h, "h", 1, Blocking, 64)
+		hp := New(h, "h", 1, Blocking, 64, 0)
 		var oracle []uint64
-		seq := uint64(1)
 		for _, op := range ops {
 			if op%3 != 0 {
 				key := uint64(op >> 2)
-				if hp.Insert(0, key, seq) {
+				if hp.Insert(0, key) {
 					oracle = append(oracle, key)
 				} else if len(oracle) < 64 {
 					return false
 				}
 			} else {
-				got, ok := hp.DeleteMin(0, seq)
+				got, ok := hp.DeleteMin(0)
 				if len(oracle) == 0 {
 					if ok {
 						return false
@@ -141,7 +137,6 @@ func TestQuickHeapProperty(t *testing.T) {
 					oracle = append(oracle[:mi], oracle[mi+1:]...)
 				}
 			}
-			seq++
 			if !heapInvariant(hp.Keys()) {
 				return false
 			}
@@ -158,10 +153,10 @@ func TestConcurrentInsertDelete(t *testing.T) {
 		t.Run(k.name, func(t *testing.T) {
 			const n, per = 8, 150
 			h := newHeap()
-			hp := New(h, "h", n, k.kind, 1024)
+			hp := New(h, "h", n, k.kind, 1024, 0)
 			// Half-full start, as in Figure 3b's setup.
 			for i := 0; i < 512; i++ {
-				hp.Insert(0, uint64(rand.Intn(1<<20)), uint64(i)+1)
+				hp.Insert(0, uint64(rand.Intn(1<<20)))
 			}
 			startLen := hp.Len()
 			var wg sync.WaitGroup
@@ -170,17 +165,9 @@ func TestConcurrentInsertDelete(t *testing.T) {
 				go func(tid int) {
 					defer wg.Done()
 					rng := rand.New(rand.NewSource(int64(tid)))
-					// seq continues each thread's own invocation count: tid 0
-					// already issued the 512 pre-fill inserts.
-					seq := uint64(1)
-					if tid == 0 {
-						seq = 513
-					}
 					for i := 0; i < per; i++ {
-						hp.Insert(tid, uint64(rng.Intn(1<<20)), seq)
-						seq++
-						hp.DeleteMin(tid, seq)
-						seq++
+						hp.Insert(tid, uint64(rng.Intn(1<<20)))
+						hp.DeleteMin(tid)
 					}
 				}(tid)
 			}
@@ -199,20 +186,20 @@ func TestDurabilityAfterCrash(t *testing.T) {
 	for _, k := range kinds() {
 		t.Run(k.name, func(t *testing.T) {
 			h := newHeap()
-			hp := New(h, "h", 1, k.kind, 64)
+			hp := New(h, "h", 1, k.kind, 64, 0)
 			for i := uint64(1); i <= 10; i++ {
-				hp.Insert(0, 100-i, i)
+				hp.Insert(0, 100-i)
 			}
-			hp.DeleteMin(0, 1) // removes 90
+			hp.DeleteMin(0) // removes 90, under sequence number 11
 			h.Crash(pmem.DropUnfenced, 1)
-			hp2 := New(h, "h", 1, k.kind, 64)
+			hp2 := New(h, "h", 1, k.kind, 64, 0)
 			if hp2.Len() != 9 {
 				t.Fatalf("recovered len = %d, want 9", hp2.Len())
 			}
 			if !heapInvariant(hp2.Keys()) {
 				t.Fatal("recovered heap violates invariant")
 			}
-			if got := hp2.Protocol().Recover(0, OpDeleteMin, 0, 0, 1); got != 90 {
+			if got := hp2.comb.Recover(0, OpDeleteMin, 0, 0, 11); got != 90 {
 				t.Fatalf("Recover(DeleteMin) = %d, want 90", got)
 			}
 			if hp2.Len() != 9 {
@@ -227,11 +214,11 @@ func TestCrashPointSweepInsert(t *testing.T) {
 		t.Run(k.name, func(t *testing.T) {
 			for kk := int64(1); ; kk++ {
 				h := newHeap()
-				hp := New(h, "h", 1, k.kind, 64)
+				hp := New(h, "h", 1, k.kind, 64, 0)
 				for i := uint64(1); i <= 3; i++ {
-					hp.Insert(0, i*10, i)
+					hp.Insert(0, i*10)
 				}
-				ctx := hp.Protocol().Ctx(0)
+				ctx := hp.comb.Ctx(0)
 				ctx.SetCrashAt(kk)
 				crashed := false
 				func() {
@@ -243,14 +230,14 @@ func TestCrashPointSweepInsert(t *testing.T) {
 							crashed = true
 						}
 					}()
-					hp.Insert(0, 5, 4)
+					hp.Insert(0, 5) // sequence number 4
 				}()
 				if !crashed {
 					return
 				}
 				h.Crash(pmem.DropUnfenced, kk)
-				hp2 := New(h, "h", 1, k.kind, 64)
-				if got := hp2.Protocol().Recover(0, OpInsert, 5, 0, 4); got != InsertOK {
+				hp2 := New(h, "h", 1, k.kind, 64, 0)
+				if got := hp2.comb.Recover(0, OpInsert, 5, 0, 4); got != InsertOK {
 					t.Fatalf("crash@%d: Recover(Insert) = %d", kk, got)
 				}
 				if hp2.Len() != 4 {
@@ -272,11 +259,11 @@ func TestRecoverIdempotent(t *testing.T) {
 		t.Run(k.name, func(t *testing.T) {
 			for kk := int64(1); ; kk++ {
 				h := newHeap()
-				hp := New(h, "h", 1, k.kind, 64)
+				hp := New(h, "h", 1, k.kind, 64, 0)
 				for i := uint64(1); i <= 3; i++ {
-					hp.Insert(0, i*10, i)
+					hp.Insert(0, i*10)
 				}
-				ctx := hp.Protocol().Ctx(0)
+				ctx := hp.comb.Ctx(0)
 				ctx.SetCrashAt(kk)
 				crashed := false
 				func() {
@@ -288,23 +275,23 @@ func TestRecoverIdempotent(t *testing.T) {
 							crashed = true
 						}
 					}()
-					hp.Insert(0, 5, 4)
+					hp.Insert(0, 5) // sequence number 4
 				}()
 				if !crashed {
 					return
 				}
 				h.Crash(pmem.DropUnfenced, kk)
-				hp2 := New(h, "h", 1, k.kind, 64)
-				r1 := hp2.Protocol().Recover(0, OpInsert, 5, 0, 4)
-				r2 := hp2.Protocol().Recover(0, OpInsert, 5, 0, 4)
+				hp2 := New(h, "h", 1, k.kind, 64, 0)
+				r1 := hp2.comb.Recover(0, OpInsert, 5, 0, 4)
+				r2 := hp2.comb.Recover(0, OpInsert, 5, 0, 4)
 				if r1 != r2 || r1 != InsertOK {
 					t.Fatalf("crash@%d: Recover returned %d then %d", kk, r1, r2)
 				}
 				if hp2.Len() != 4 || !heapInvariant(hp2.Keys()) {
 					t.Fatalf("crash@%d: double recovery broke the heap: %v", kk, hp2.Keys())
 				}
-				hp3 := New(h, "h", 1, k.kind, 64)
-				if r3 := hp3.Protocol().Recover(0, OpInsert, 5, 0, 4); r3 != r1 {
+				hp3 := New(h, "h", 1, k.kind, 64, 0)
+				if r3 := hp3.comb.Recover(0, OpInsert, 5, 0, 4); r3 != r1 {
 					t.Fatalf("crash@%d: re-opened Recover returned %d", kk, r3)
 				}
 				if hp3.Len() != 4 || !heapInvariant(hp3.Keys()) {

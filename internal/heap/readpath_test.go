@@ -15,7 +15,7 @@ func TestReadPathConcurrent(t *testing.T) {
 	const writers, readers, per = 2, 2, 200
 	for _, k := range kinds() {
 		t.Run(k.name, func(t *testing.T) {
-			hp := New(newHeap(), "h", writers+readers, k.kind, 2*writers*per)
+			hp := New(newHeap(), "h", writers+readers, k.kind, 2*writers*per, 0)
 			var acked atomic.Uint64 // the smallest key an Insert has returned for
 			acked.Store(Empty)
 			var done atomic.Int32
@@ -27,7 +27,7 @@ func TestReadPathConcurrent(t *testing.T) {
 					defer done.Add(1)
 					for i := 0; i < per; i++ {
 						key := uint64(1<<20 - 2*i - tid)
-						hp.Insert(tid, key, uint64(i)+1)
+						hp.Insert(tid, key)
 						if got, ok := hp.GetMin(tid); !ok || got > key {
 							t.Errorf("thread %d GetMin = %d,%v after its own Insert(%d) returned", tid, got, ok, key)
 							return
@@ -80,9 +80,9 @@ func TestReadPathIssuesNothing(t *testing.T) {
 	for _, k := range kinds() {
 		t.Run(k.name, func(t *testing.T) {
 			h := newHeap()
-			hp := New(h, "h", 2, k.kind, 64)
+			hp := New(h, "h", 2, k.kind, 64, 0)
 			for i := uint64(1); i <= 20; i++ {
-				hp.Insert(0, 100-i, i)
+				hp.Insert(0, 100-i)
 			}
 			stats := h.Stats()
 			for i := 0; i < 1000; i++ {

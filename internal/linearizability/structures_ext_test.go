@@ -23,7 +23,7 @@ import (
 func recordQueueHistory(t *testing.T, kind queue.Kind, n, per int, seed int64) []Op {
 	t.Helper()
 	h := pmem.NewHeap(pmem.Config{Mode: pmem.ModeCount, NoCost: true})
-	q := queue.New(h, "lq", n, kind, queue.Options{Capacity: 4096, ChunkSize: 16})
+	q := queue.NewOn(h, "lq", n, kind, queue.Options{Capacity: 4096, ChunkSize: 16}, nil, 0)
 	rec := history.New(n)
 	var wg sync.WaitGroup
 	for tid := 0; tid < n; tid++ {
@@ -31,18 +31,15 @@ func recordQueueHistory(t *testing.T, kind queue.Kind, n, per int, seed int64) [
 		go func(tid int) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(seed + int64(tid)))
-			eseq, dseq := uint64(0), uint64(0)
 			for i := 0; i < per; i++ {
 				if rng.Intn(2) == 0 {
 					v := uint64(tid)<<16 | uint64(i) + 1
-					eseq++
 					rec.Begin(tid, KindEnq, v, 0)
-					q.Enqueue(tid, v, eseq)
+					q.Enqueue(tid, v)
 					rec.End(tid, 0)
 				} else {
-					dseq++
 					rec.Begin(tid, KindDeq, 0, 0)
-					v, ok := q.Dequeue(tid, dseq)
+					v, ok := q.Dequeue(tid)
 					if !ok {
 						v = EmptyOut
 					}
@@ -86,15 +83,14 @@ func TestPBStackHistoriesLinearizable(t *testing.T) {
 				defer wg.Done()
 				rng := rand.New(rand.NewSource(seed*31 + int64(tid)))
 				for i := 0; i < 4; i++ {
-					seq := uint64(i) + 1
 					if rng.Intn(2) == 0 {
 						v := uint64(tid)<<16 | uint64(i) + 1
 						rec.Begin(tid, KindEnq, v, 0)
-						s.Push(tid, v, seq)
+						s.Push(tid, v)
 						rec.End(tid, 0)
 					} else {
 						rec.Begin(tid, KindDeq, 0, 0)
-						v, ok := s.Pop(tid, seq)
+						v, ok := s.Pop(tid)
 						if !ok {
 							v = EmptyOut
 						}

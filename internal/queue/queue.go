@@ -14,6 +14,12 @@
 // by whichever thread gets there first — at the start of the next round.
 // Because the three pointers are persisted in the IE record before S moves,
 // recovery can always re-perform the splice after a crash.
+//
+// A Queue is built as the paper builds it: the two combining instances plus
+// the per-thread sequence numbers and commit record its system model
+// persists, which live in a system area (internal/sysarea) every operation
+// runs through. NewOn builds the queue's own area, or binds two classes of
+// an area the caller shares with other structures (the server store's map).
 package queue
 
 import (
@@ -22,6 +28,8 @@ import (
 	"pcomb/internal/core"
 	"pcomb/internal/pmem"
 	"pcomb/internal/pool"
+	"pcomb/internal/sysarea"
+	"pcomb/internal/vecbatch"
 )
 
 // Operation codes.
@@ -60,11 +68,12 @@ type Options struct {
 	// (0 or 1 = scalar only). Part of the persistent layout — re-open with
 	// the same value.
 	VecCap int
-	// Epoch, when non-nil, switches the queue to epoch-mode relaxed
-	// durability on the caller's epoch, which other structures may share:
-	// combiner rounds apply and return volatile-fast, the epoch's closes make
-	// them durable, and a crash may lose the operations of the last open
-	// epoch (and only those).
+	// Epoch, when non-nil, switches a queue with a system area of its own to
+	// epoch-mode relaxed durability on the caller's epoch: combiner rounds
+	// apply and return volatile-fast, the epoch's closes make them durable,
+	// and a crash may lose the operations of the last open epoch (and only
+	// those). A queue built on a caller's area takes that area's epoch
+	// instead.
 	Epoch *pmem.Epoch
 }
 
@@ -74,8 +83,21 @@ const (
 	defaultChunkSize = 256
 )
 
-// Queue is a detectably recoverable concurrent FIFO queue.
+// Queue is a detectably recoverable concurrent FIFO queue: two combining
+// instances behind a system area. Values must be below Empty. The root
+// package exports it as pcomb.Queue.
 type Queue struct {
+	sysarea.EpochFront
+
+	sys  *sysarea.Area
+	base int // class of enqueues; dequeues are base+1
+
+	// Submit pipes (nil unless built with VecCap > 1 on an area of its own).
+	// Enqueues and dequeues stage separately — they run on separate
+	// combining instances — but never pend simultaneously: submitting one
+	// class flushes the other, preserving per-thread program order.
+	enqPipe, deqPipe *vecbatch.Pipe
+
 	kind Kind
 	p    *pool.Pool
 	meta *pmem.Region // word 0: dummy node index; word LineWords: magic
@@ -88,8 +110,15 @@ type Queue struct {
 
 const queueMagic = 0x71c0_0001_beef_0001
 
-// New creates (or re-opens after a crash) a recoverable queue for n threads.
-func New(h *pmem.Heap, name string, n int, kind Kind, opt Options) *Queue {
+// NewOn creates (or re-opens after a crash) a recoverable queue for n
+// threads. Its enqueue and dequeue instances become classes base and base+1
+// of the caller's system area sys, defer into sys's epoch in place of
+// opt.Epoch, and commit through it; the queue then has no Submit pipe of its
+// own, since the caller stages, and Recover resolves sys's whole record. With
+// sys nil the queue builds an area of its own, named name+"/sysarea", with
+// classes 0 and 1 (base is then 0). Re-open with the same options and call
+// Recover for every thread before new operations.
+func NewOn(h *pmem.Heap, name string, n int, kind Kind, opt Options, sys *sysarea.Area, base int) *Queue {
 	if opt.Capacity == 0 {
 		opt.Capacity = defaultCapacity
 	}
@@ -156,7 +185,11 @@ func New(h *pmem.Heap, name string, n int, kind Kind, opt Options) *Queue {
 	// what dequeuers may remove.
 	q.oldTail.Store(q.tailForDequeuers())
 
-	if ep := opt.Epoch; ep != nil {
+	ep := opt.Epoch
+	if sys != nil {
+		ep = sys.Epoch()
+	}
+	if ep != nil {
 		// A crash can leave node linkage persisted PAST the durable tail: an
 		// epoch that never closed spliced its nodes (the line write-backs
 		// landed under a partial close) while the combiner record holding the
@@ -178,6 +211,18 @@ func New(h *pmem.Heap, name string, n int, kind Kind, opt Options) *Queue {
 		q.enq.(core.EpochCapable).AttachEpoch(ep)
 		q.deq.(core.EpochCapable).AttachEpoch(ep)
 	}
+	if sys == nil {
+		sys, base = sysarea.New(h, name+"/sysarea", n, []core.Protocol{q.enq, q.deq}, ep, opt.VecCap), 0
+		if opt.VecCap > 1 {
+			q.enqPipe = vecbatch.New(n, opt.VecCap, sys.Flusher(0))
+			q.deqPipe = vecbatch.New(n, opt.VecCap, sys.Flusher(1))
+		}
+	} else {
+		sys.Bind(base, q.enq)
+		sys.Bind(base+1, q.deq)
+	}
+	q.sys, q.base = sys, base
+	q.EpochFront = sysarea.EpochFront{Front: sys.Front(base, base+2, q.enqPipe, q.deqPipe)}
 	return q
 }
 
@@ -193,32 +238,42 @@ func (q *Queue) tailForDequeuers() uint64 {
 	return st.Load(0)
 }
 
-// Enqueue appends v. seq counts this thread's enqueues (starting at 1).
-func (q *Queue) Enqueue(tid int, v, seq uint64) { q.enq.Invoke(tid, OpEnq, v, 0, seq) }
+// Enqueue appends v for thread tid.
+func (q *Queue) Enqueue(tid int, v uint64) { q.sys.Invoke(tid, q.base, OpEnq, v, 0) }
 
-// Dequeue removes the oldest value. seq counts this thread's dequeues.
-func (q *Queue) Dequeue(tid int, seq uint64) (uint64, bool) {
-	r := q.deq.Invoke(tid, OpDeq, 0, 0, seq)
-	if r == Empty {
-		return 0, false
+// Dequeue removes the oldest value for thread tid; ok is false when empty.
+func (q *Queue) Dequeue(tid int) (v uint64, ok bool) {
+	if r := q.sys.Invoke(tid, q.base+1, OpDeq, 0, 0); r != Empty {
+		return r, true
 	}
-	return r, true
+	return 0, false
 }
 
-// SetProbe installs p on both the enqueue and dequeue combining instances
-// (they share its sinks, so reported rounds/degrees cover the whole queue and
-// a thread's span track interleaves enqueue and dequeue spans).
-func (q *Queue) SetProbe(p core.Probe) {
-	q.enq.SetProbe(p)
-	q.deq.SetProbe(p)
+// SubmitEnqueue stages an enqueue of v on the async pipelined path (requires
+// VecCap > 1). The staged batch commits when it reaches VecCap operations, on
+// Flush or a Future's Wait, or — to preserve the thread's program order — when
+// a dequeue is submitted. Until its batch's Flush has recorded it durably, a
+// staged op is lost wholesale by a crash: pipelining trades per-op commit for
+// per-batch commit. A flushed batch is one system-area record that carries
+// its operations, announced as one vector, so Recover resolves an interrupted
+// one as a whole — from the record, not the argument ring — one Resolved per
+// op in submission order.
+func (q *Queue) SubmitEnqueue(tid int, v uint64) vecbatch.Future {
+	if q.deqPipe.Pending(tid) > 0 {
+		q.deqPipe.Flush(tid)
+	}
+	return q.enqPipe.Submit(tid, core.VecOp{Op: OpEnq, A0: v})
 }
 
-// EnqProtocol and DeqProtocol expose the combining instances (the system
-// area invokes and recovers through them).
-func (q *Queue) EnqProtocol() core.Protocol { return q.enq }
-
-// DeqProtocol exposes the dequeue-side combining instance.
-func (q *Queue) DeqProtocol() core.Protocol { return q.deq }
+// SubmitDequeue stages a dequeue (requires VecCap > 1); the Future's Wait
+// returns the dequeued value or Empty. Any staged enqueues flush first,
+// preserving the thread's program order.
+func (q *Queue) SubmitDequeue(tid int) vecbatch.Future {
+	if q.enqPipe.Pending(tid) > 0 {
+		q.enqPipe.Flush(tid)
+	}
+	return q.deqPipe.Submit(tid, core.VecOp{Op: OpDeq})
+}
 
 // Snapshot walks the queue head-to-tail. Quiescent use only.
 func (q *Queue) Snapshot() []uint64 {

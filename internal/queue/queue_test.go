@@ -14,11 +14,11 @@ func newHeap() *pmem.Heap {
 // recoverEnq and recoverDeq call the instances' recovery functions with the
 // interrupted operation's own arguments, as the system area does.
 func recoverEnq(q *Queue, tid int, v, seq uint64) uint64 {
-	return q.EnqProtocol().Recover(tid, OpEnq, v, 0, seq)
+	return q.enq.Recover(tid, OpEnq, v, 0, seq)
 }
 
 func recoverDeq(q *Queue, tid int, seq uint64) (uint64, bool) {
-	r := q.DeqProtocol().Recover(tid, OpDeq, 0, 0, seq)
+	r := q.deq.Recover(tid, OpDeq, 0, 0, seq)
 	return r, r != Empty
 }
 
@@ -42,17 +42,17 @@ func TestSequentialFIFO(t *testing.T) {
 	for _, v := range variants() {
 		t.Run(v.name, func(t *testing.T) {
 			h := newHeap()
-			q := New(h, "q", 1, v.kind, v.opt)
+			q := NewOn(h, "q", 1, v.kind, v.opt, nil, 0)
 			for i := uint64(1); i <= 50; i++ {
-				q.Enqueue(0, i*7, i)
+				q.Enqueue(0, i*7)
 			}
 			for i := uint64(1); i <= 50; i++ {
-				got, ok := q.Dequeue(0, i)
+				got, ok := q.Dequeue(0)
 				if !ok || got != i*7 {
 					t.Fatalf("dequeue %d = %d,%v want %d", i, got, ok, i*7)
 				}
 			}
-			if _, ok := q.Dequeue(0, 51); ok {
+			if _, ok := q.Dequeue(0); ok {
 				t.Fatal("queue should be empty")
 			}
 		})
@@ -63,15 +63,15 @@ func TestDequeueEmpty(t *testing.T) {
 	for _, v := range variants() {
 		t.Run(v.name, func(t *testing.T) {
 			h := newHeap()
-			q := New(h, "q", 1, v.kind, v.opt)
-			if _, ok := q.Dequeue(0, 1); ok {
+			q := NewOn(h, "q", 1, v.kind, v.opt, nil, 0)
+			if _, ok := q.Dequeue(0); ok {
 				t.Fatal("dequeue of empty queue must report empty")
 			}
-			q.Enqueue(0, 5, 1)
-			if v, ok := q.Dequeue(0, 2); !ok || v != 5 {
+			q.Enqueue(0, 5)
+			if v, ok := q.Dequeue(0); !ok || v != 5 {
 				t.Fatalf("dequeue = %d,%v", v, ok)
 			}
-			if _, ok := q.Dequeue(0, 3); ok {
+			if _, ok := q.Dequeue(0); ok {
 				t.Fatal("queue should be empty again")
 			}
 		})
@@ -80,12 +80,12 @@ func TestDequeueEmpty(t *testing.T) {
 
 func TestInterleavedSnapshot(t *testing.T) {
 	h := newHeap()
-	q := New(h, "q", 1, Blocking, Options{Capacity: 1024, ChunkSize: 16})
+	q := NewOn(h, "q", 1, Blocking, Options{Capacity: 1024, ChunkSize: 16}, nil, 0)
 	for i := uint64(1); i <= 5; i++ {
-		q.Enqueue(0, i, i)
+		q.Enqueue(0, i)
 	}
-	q.Dequeue(0, 1)
-	q.Dequeue(0, 2)
+	q.Dequeue(0)
+	q.Dequeue(0)
 	snap := q.Snapshot()
 	want := []uint64{3, 4, 5}
 	if len(snap) != len(want) {
@@ -105,7 +105,7 @@ func concurrentPairs(t *testing.T, kind Kind, opt Options) {
 	t.Helper()
 	const n, per = 8, 200
 	h := newHeap()
-	q := New(h, "q", n, kind, opt)
+	q := NewOn(h, "q", n, kind, opt, nil, 0)
 	popped := make([][]uint64, n)
 	var wg sync.WaitGroup
 	for tid := 0; tid < n; tid++ {
@@ -114,8 +114,8 @@ func concurrentPairs(t *testing.T, kind Kind, opt Options) {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
 				v := uint64(tid)<<32 | uint64(i) + 1
-				q.Enqueue(tid, v, uint64(i)+1)
-				if got, ok := q.Dequeue(tid, uint64(i)+1); ok {
+				q.Enqueue(tid, v)
+				if got, ok := q.Dequeue(tid); ok {
 					popped[tid] = append(popped[tid], got)
 				}
 			}
@@ -175,7 +175,7 @@ func TestProducerConsumerSplit(t *testing.T) {
 		t.Run(v.name, func(t *testing.T) {
 			const n, per = 8, 300
 			h := newHeap()
-			q := New(h, "q", n, v.kind, v.opt)
+			q := NewOn(h, "q", n, v.kind, v.opt, nil, 0)
 			var consumed sync.Map
 			var wg sync.WaitGroup
 			for tid := 0; tid < n; tid++ {
@@ -184,11 +184,11 @@ func TestProducerConsumerSplit(t *testing.T) {
 					defer wg.Done()
 					if tid%2 == 0 {
 						for i := 0; i < per; i++ {
-							q.Enqueue(tid, uint64(tid)<<32|uint64(i)+1, uint64(i)+1)
+							q.Enqueue(tid, uint64(tid)<<32|uint64(i)+1)
 						}
 					} else {
 						for i := 0; i < per*2; i++ {
-							if v, ok := q.Dequeue(tid, uint64(i)+1); ok {
+							if v, ok := q.Dequeue(tid); ok {
 								if _, dup := consumed.LoadOrStore(v, tid); dup {
 									t.Errorf("value %x consumed twice", v)
 									return
@@ -214,18 +214,18 @@ func TestDurabilityAfterCrash(t *testing.T) {
 	for _, v := range variants() {
 		t.Run(v.name, func(t *testing.T) {
 			h := newHeap()
-			q := New(h, "q", 2, v.kind, v.opt)
+			q := NewOn(h, "q", 2, v.kind, v.opt, nil, 0)
 			for i := uint64(1); i <= 20; i++ {
-				q.Enqueue(0, i, i)
+				q.Enqueue(0, i)
 			}
 			for i := uint64(1); i <= 5; i++ {
-				got, ok := q.Dequeue(0, i)
+				got, ok := q.Dequeue(0)
 				if !ok || got != i {
 					t.Fatalf("dequeue = %d,%v", got, ok)
 				}
 			}
 			h.Crash(pmem.DropUnfenced, 1)
-			q2 := New(h, "q", 2, v.kind, v.opt)
+			q2 := NewOn(h, "q", 2, v.kind, v.opt, nil, 0)
 			snap := q2.Snapshot()
 			if len(snap) != 15 {
 				t.Fatalf("recovered %d elements, want 15 (%v)", len(snap), snap)
@@ -254,11 +254,11 @@ func TestCrashPointSweepEnqueue(t *testing.T) {
 		t.Run(v.name, func(t *testing.T) {
 			for k := int64(1); ; k++ {
 				h := newHeap()
-				q := New(h, "q", 1, v.kind, v.opt)
+				q := NewOn(h, "q", 1, v.kind, v.opt, nil, 0)
 				for i := uint64(1); i <= 3; i++ {
-					q.Enqueue(0, i, i)
+					q.Enqueue(0, i)
 				}
-				ctx := q.EnqProtocol().Ctx(0)
+				ctx := q.enq.Ctx(0)
 				ctx.SetCrashAt(k)
 				crashed := false
 				func() {
@@ -270,7 +270,7 @@ func TestCrashPointSweepEnqueue(t *testing.T) {
 							crashed = true
 						}
 					}()
-					q.Enqueue(0, 4, 4)
+					q.Enqueue(0, 4)
 				}()
 				if !crashed {
 					if k <= 1 {
@@ -279,7 +279,7 @@ func TestCrashPointSweepEnqueue(t *testing.T) {
 					return
 				}
 				h.Crash(pmem.DropUnfenced, k)
-				q2 := New(h, "q", 1, v.kind, v.opt)
+				q2 := NewOn(h, "q", 1, v.kind, v.opt, nil, 0)
 				if got := recoverEnq(q2, 0, 4, 4); got != EnqOK {
 					t.Fatalf("crash@%d: recovered enqueue = %d", k, got)
 				}
@@ -302,11 +302,11 @@ func TestCrashPointSweepDequeue(t *testing.T) {
 		t.Run(v.name, func(t *testing.T) {
 			for k := int64(1); ; k++ {
 				h := newHeap()
-				q := New(h, "q", 1, v.kind, v.opt)
+				q := NewOn(h, "q", 1, v.kind, v.opt, nil, 0)
 				for i := uint64(1); i <= 4; i++ {
-					q.Enqueue(0, i, i)
+					q.Enqueue(0, i)
 				}
-				ctx := q.DeqProtocol().Ctx(0)
+				ctx := q.deq.Ctx(0)
 				ctx.SetCrashAt(k)
 				crashed := false
 				func() {
@@ -318,7 +318,7 @@ func TestCrashPointSweepDequeue(t *testing.T) {
 							crashed = true
 						}
 					}()
-					q.Dequeue(0, 1)
+					q.Dequeue(0)
 				}()
 				if !crashed {
 					if k <= 1 {
@@ -327,7 +327,7 @@ func TestCrashPointSweepDequeue(t *testing.T) {
 					return
 				}
 				h.Crash(pmem.DropUnfenced, k)
-				q2 := New(h, "q", 1, v.kind, v.opt)
+				q2 := NewOn(h, "q", 1, v.kind, v.opt, nil, 0)
 				got, ok := recoverDeq(q2, 0, 1)
 				if !ok || got != 1 {
 					t.Fatalf("crash@%d: recovered dequeue = %d,%v want 1", k, got, ok)
@@ -342,11 +342,11 @@ func TestCrashPointSweepDequeue(t *testing.T) {
 
 func TestRecyclingBoundsArena(t *testing.T) {
 	h := newHeap()
-	q := New(h, "q", 1, Blocking, Options{Recycling: true, Capacity: 128, ChunkSize: 8})
+	q := NewOn(h, "q", 1, Blocking, Options{Recycling: true, Capacity: 128, ChunkSize: 8}, nil, 0)
 	// 500 pairs exceed the arena unless dequeued nodes are reused.
 	for i := uint64(1); i <= 500; i++ {
-		q.Enqueue(0, i, i)
-		if _, ok := q.Dequeue(0, i); !ok {
+		q.Enqueue(0, i)
+		if _, ok := q.Dequeue(0); !ok {
 			t.Fatal("unexpected empty")
 		}
 	}
@@ -357,9 +357,9 @@ func TestOldTailBoundsDequeuers(t *testing.T) {
 	// queue as empty. Simulate by checking oldTail only moves after a full
 	// enqueue (which, single-threaded, completes synchronously).
 	h := newHeap()
-	q := New(h, "q", 1, Blocking, Options{Capacity: 128, ChunkSize: 8})
+	q := NewOn(h, "q", 1, Blocking, Options{Capacity: 128, ChunkSize: 8}, nil, 0)
 	before := q.oldTail.Load()
-	q.Enqueue(0, 9, 1)
+	q.Enqueue(0, 9)
 	after := q.oldTail.Load()
 	if before == after {
 		t.Fatal("oldTail did not advance after a completed enqueue")
@@ -373,11 +373,11 @@ func TestPWFPendingSpliceRecovery(t *testing.T) {
 	// persisted three-pointer state, idempotently, for every crash point.
 	for k := int64(1); ; k++ {
 		h := newHeap()
-		q := New(h, "q", 1, WaitFree, Options{Capacity: 1 << 12, ChunkSize: 16})
+		q := NewOn(h, "q", 1, WaitFree, Options{Capacity: 1 << 12, ChunkSize: 16}, nil, 0)
 		// Two enqueues: the second leaves a pending part behind.
-		q.Enqueue(0, 1, 1)
-		q.Enqueue(0, 2, 2)
-		ctx := q.EnqProtocol().Ctx(0)
+		q.Enqueue(0, 1)
+		q.Enqueue(0, 2)
+		ctx := q.enq.Ctx(0)
 		ctx.SetCrashAt(k)
 		crashed := false
 		func() {
@@ -389,18 +389,18 @@ func TestPWFPendingSpliceRecovery(t *testing.T) {
 					crashed = true
 				}
 			}()
-			q.Enqueue(0, 3, 3)
+			q.Enqueue(0, 3)
 		}()
 		if !crashed {
 			return
 		}
 		h.Crash(pmem.DropUnfenced, k)
-		q2 := New(h, "q", 1, WaitFree, Options{Capacity: 1 << 12, ChunkSize: 16})
+		q2 := NewOn(h, "q", 1, WaitFree, Options{Capacity: 1 << 12, ChunkSize: 16}, nil, 0)
 		recoverEnq(q2, 0, 3, 3)
 		// All three values must be dequeueable in order: the splice was
 		// re-performed even if it was lost at the crash.
 		for want := uint64(1); want <= 3; want++ {
-			got, ok := q2.Dequeue(0, want)
+			got, ok := q2.Dequeue(0)
 			if !ok || got != want {
 				t.Fatalf("crash@%d: dequeue = %d,%v want %d", k, got, ok, want)
 			}
@@ -415,11 +415,11 @@ func TestCrashSweepAllPolicies(t *testing.T) {
 		t.Run(pol.String(), func(t *testing.T) {
 			for k := int64(1); ; k++ {
 				h := newHeap()
-				q := New(h, "q", 1, Blocking, Options{Recycling: true, Capacity: 1 << 12, ChunkSize: 16})
+				q := NewOn(h, "q", 1, Blocking, Options{Recycling: true, Capacity: 1 << 12, ChunkSize: 16}, nil, 0)
 				for i := uint64(1); i <= 3; i++ {
-					q.Enqueue(0, i, i)
+					q.Enqueue(0, i)
 				}
-				ctx := q.EnqProtocol().Ctx(0)
+				ctx := q.enq.Ctx(0)
 				ctx.SetCrashAt(k)
 				crashed := false
 				func() {
@@ -431,13 +431,13 @@ func TestCrashSweepAllPolicies(t *testing.T) {
 							crashed = true
 						}
 					}()
-					q.Enqueue(0, 4, 4)
+					q.Enqueue(0, 4)
 				}()
 				if !crashed {
 					return
 				}
 				h.Crash(pol, k*31+int64(len(pol.String())))
-				q2 := New(h, "q", 1, Blocking, Options{Recycling: true, Capacity: 1 << 12, ChunkSize: 16})
+				q2 := NewOn(h, "q", 1, Blocking, Options{Recycling: true, Capacity: 1 << 12, ChunkSize: 16}, nil, 0)
 				if got := recoverEnq(q2, 0, 4, 4); got != EnqOK {
 					t.Fatalf("%v crash@%d: recovered enqueue = %d", pol, k, got)
 				}
@@ -464,11 +464,11 @@ func TestRecoverIdempotent(t *testing.T) {
 		t.Run(v.name, func(t *testing.T) {
 			for k := int64(1); ; k++ {
 				h := newHeap()
-				q := New(h, "q", 1, v.kind, v.opt)
+				q := NewOn(h, "q", 1, v.kind, v.opt, nil, 0)
 				for i := uint64(1); i <= 3; i++ {
-					q.Enqueue(0, i, i)
+					q.Enqueue(0, i)
 				}
-				ctx := q.EnqProtocol().Ctx(0)
+				ctx := q.enq.Ctx(0)
 				ctx.SetCrashAt(k)
 				crashed := false
 				func() {
@@ -480,13 +480,13 @@ func TestRecoverIdempotent(t *testing.T) {
 							crashed = true
 						}
 					}()
-					q.Enqueue(0, 4, 4)
+					q.Enqueue(0, 4)
 				}()
 				if !crashed {
 					break
 				}
 				h.Crash(pmem.DropUnfenced, k)
-				q2 := New(h, "q", 1, v.kind, v.opt)
+				q2 := NewOn(h, "q", 1, v.kind, v.opt, nil, 0)
 				if got := recoverEnq(q2, 0, 4, 4); got != EnqOK {
 					t.Fatalf("crash@%d: recovered enqueue = %d", k, got)
 				}
@@ -496,7 +496,7 @@ func TestRecoverIdempotent(t *testing.T) {
 				if snap := q2.Snapshot(); len(snap) != 4 {
 					t.Fatalf("crash@%d: double recovery duplicated the enqueue: %v", k, snap)
 				}
-				q3 := New(h, "q", 1, v.kind, v.opt)
+				q3 := NewOn(h, "q", 1, v.kind, v.opt, nil, 0)
 				if got := recoverEnq(q3, 0, 4, 4); got != EnqOK {
 					t.Fatalf("crash@%d: re-opened recovered enqueue = %d", k, got)
 				}
@@ -506,11 +506,11 @@ func TestRecoverIdempotent(t *testing.T) {
 			}
 			for k := int64(1); ; k++ {
 				h := newHeap()
-				q := New(h, "q", 1, v.kind, v.opt)
+				q := NewOn(h, "q", 1, v.kind, v.opt, nil, 0)
 				for i := uint64(1); i <= 4; i++ {
-					q.Enqueue(0, i, i)
+					q.Enqueue(0, i)
 				}
-				ctx := q.DeqProtocol().Ctx(0)
+				ctx := q.deq.Ctx(0)
 				ctx.SetCrashAt(k)
 				crashed := false
 				func() {
@@ -522,13 +522,13 @@ func TestRecoverIdempotent(t *testing.T) {
 							crashed = true
 						}
 					}()
-					q.Dequeue(0, 1)
+					q.Dequeue(0)
 				}()
 				if !crashed {
 					return
 				}
 				h.Crash(pmem.DropUnfenced, k)
-				q2 := New(h, "q", 1, v.kind, v.opt)
+				q2 := NewOn(h, "q", 1, v.kind, v.opt, nil, 0)
 				v1, ok1 := recoverDeq(q2, 0, 1)
 				v2, ok2 := recoverDeq(q2, 0, 1)
 				if v1 != v2 || ok1 != ok2 || !ok1 || v1 != 1 {
@@ -537,7 +537,7 @@ func TestRecoverIdempotent(t *testing.T) {
 				if snap := q2.Snapshot(); len(snap) != 3 {
 					t.Fatalf("crash@%d: double recovery re-dequeued: %v", k, snap)
 				}
-				q3 := New(h, "q", 1, v.kind, v.opt)
+				q3 := NewOn(h, "q", 1, v.kind, v.opt, nil, 0)
 				if v3, ok3 := recoverDeq(q3, 0, 1); !ok3 || v3 != 1 {
 					t.Fatalf("crash@%d: re-opened recovered dequeue = %d,%v", k, v3, ok3)
 				}

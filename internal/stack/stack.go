@@ -12,12 +12,19 @@
 //   - Recycling: popped nodes go to a single shared recycling stack, so
 //     recycled nodes re-enter the structure in the order they originally
 //     left their allocation chunks (persistence principle 3).
+//
+// A Stack is built as the paper builds it: the combining instance plus the
+// per-thread sequence numbers and commit record its system model persists,
+// which live in the stack's own system area (internal/sysarea) every
+// operation runs through.
 package stack
 
 import (
 	"pcomb/internal/core"
 	"pcomb/internal/pmem"
 	"pcomb/internal/pool"
+	"pcomb/internal/sysarea"
+	"pcomb/internal/vecbatch"
 )
 
 // Operation codes.
@@ -243,13 +250,21 @@ func (o *obj) eliminateOrdered(sc *roundScratch, reqs []core.Request) []bool {
 	return paired
 }
 
-// Stack is a detectably recoverable concurrent stack.
+// Stack is a detectably recoverable concurrent stack: one combining instance
+// behind a system area of its own. The root package exports it as
+// pcomb.Stack.
 type Stack struct {
+	sysarea.Front
+	sys  *sysarea.Area
+	pipe *vecbatch.Pipe // nil unless built with VecCap > 1
+
 	comb core.Protocol
 	o    *obj
 }
 
-// New creates (or re-opens after a crash) a recoverable stack for n threads.
+// New creates (or re-opens after a crash) a recoverable stack for n threads,
+// with its system area named name+"/sysarea". Re-open with the same options
+// and call Recover for every thread before new operations.
 func New(h *pmem.Heap, name string, n int, kind Kind, opt Options) *Stack {
 	if opt.Capacity == 0 {
 		opt.Capacity = defaultCapacity
@@ -276,6 +291,11 @@ func New(h *pmem.Heap, name string, n int, kind Kind, opt Options) *Stack {
 	default:
 		panic("stack: unknown kind")
 	}
+	s.sys = sysarea.New(h, name+"/sysarea", n, []core.Protocol{s.comb}, nil, opt.VecCap)
+	if opt.VecCap > 1 {
+		s.pipe = vecbatch.New(n, opt.VecCap, s.sys.Flusher(0))
+	}
+	s.Front = s.sys.Front(0, 1, s.pipe)
 	return s
 }
 
@@ -299,23 +319,32 @@ func (o *obj) commit(tid int, success bool) {
 	sc.freed = sc.freed[:0]
 }
 
-// Push pushes v; seq follows the per-thread system-model contract.
-func (s *Stack) Push(tid int, v, seq uint64) { s.comb.Invoke(tid, OpPush, v, 0, seq) }
+// Push pushes v for thread tid.
+func (s *Stack) Push(tid int, v uint64) { s.sys.Invoke(tid, 0, OpPush, v, 0) }
 
-// Pop pops the top value; ok is false if the stack was empty.
-func (s *Stack) Pop(tid int, seq uint64) (v uint64, ok bool) {
-	r := s.comb.Invoke(tid, OpPop, 0, 0, seq)
-	if r == Empty {
-		return 0, false
+// Pop removes the top value for thread tid; ok is false when empty.
+func (s *Stack) Pop(tid int) (v uint64, ok bool) {
+	if r := s.sys.Invoke(tid, 0, OpPop, 0, 0); r != Empty {
+		return r, true
 	}
-	return r, true
+	return 0, false
 }
 
-// SetProbe installs p on the stack's combining instance.
-func (s *Stack) SetProbe(p core.Probe) { s.comb.SetProbe(p) }
+// SubmitPush stages a push of v on the async pipelined path (requires VecCap
+// > 1). The staged batch commits when it reaches VecCap operations or on
+// Flush or a Future's Wait; until then a crash loses it wholesale. A flushed
+// batch is one system-area record, so Recover resolves an interrupted one as
+// a whole.
+func (s *Stack) SubmitPush(tid int, v uint64) vecbatch.Future {
+	return s.pipe.Submit(tid, core.VecOp{Op: OpPush, A0: v})
+}
 
-// Protocol exposes the underlying combining instance (harness use).
-func (s *Stack) Protocol() core.Protocol { return s.comb }
+// SubmitPop stages a pop; the Future's Wait returns the popped value or
+// Empty. Pushes and pops share one staged vector, so the combiner can run
+// elimination inside the batch.
+func (s *Stack) SubmitPop(tid int) vecbatch.Future {
+	return s.pipe.Submit(tid, core.VecOp{Op: OpPop})
+}
 
 // Snapshot walks the stack top-to-bottom. Quiescent use only.
 func (s *Stack) Snapshot() []uint64 {

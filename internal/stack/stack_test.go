@@ -37,19 +37,16 @@ func TestSequentialLIFO(t *testing.T) {
 		t.Run(v.name, func(t *testing.T) {
 			h := newHeap()
 			s := New(h, "s", 1, v.kind, v.opt)
-			seq := uint64(1)
 			for i := uint64(1); i <= 50; i++ {
-				s.Push(0, i*10, seq)
-				seq++
+				s.Push(0, i*10)
 			}
 			for i := uint64(50); i >= 1; i-- {
-				got, ok := s.Pop(0, seq)
-				seq++
+				got, ok := s.Pop(0)
 				if !ok || got != i*10 {
 					t.Fatalf("pop = %d,%v want %d", got, ok, i*10)
 				}
 			}
-			if _, ok := s.Pop(0, seq); ok {
+			if _, ok := s.Pop(0); ok {
 				t.Fatal("stack should be empty")
 			}
 		})
@@ -59,11 +56,11 @@ func TestSequentialLIFO(t *testing.T) {
 func TestPopEmpty(t *testing.T) {
 	h := newHeap()
 	s := New(h, "s", 1, Blocking, Options{Capacity: 128, ChunkSize: 8})
-	if _, ok := s.Pop(0, 1); ok {
+	if _, ok := s.Pop(0); ok {
 		t.Fatal("pop of empty stack must report empty")
 	}
-	s.Push(0, 7, 2)
-	if v, ok := s.Pop(0, 3); !ok || v != 7 {
+	s.Push(0, 7)
+	if v, ok := s.Pop(0); !ok || v != 7 {
 		t.Fatalf("pop = %d,%v", v, ok)
 	}
 }
@@ -82,15 +79,12 @@ func concurrentPushPop(t *testing.T, kind Kind, opt Options) {
 		wg.Add(1)
 		go func(tid int) {
 			defer wg.Done()
-			seq := uint64(1)
 			for i := 0; i < per; i++ {
 				v := uint64(tid)<<32 | uint64(i) + 1
-				s.Push(tid, v, seq)
-				seq++
-				if got, ok := s.Pop(tid, seq); ok {
+				s.Push(tid, v)
+				if got, ok := s.Pop(tid); ok {
 					popped[tid] = append(popped[tid], got)
 				}
-				seq++
 			}
 		}(tid)
 	}
@@ -132,15 +126,12 @@ func TestConcurrentAllVariants(t *testing.T) {
 func TestRecyclingReusesNodes(t *testing.T) {
 	h := newHeap()
 	s := New(h, "s", 1, Blocking, Options{Recycling: true, Capacity: 64, ChunkSize: 8})
-	seq := uint64(1)
 	// 200 push/pop pairs exceed the 64-node arena unless nodes recycle.
 	for i := 0; i < 200; i++ {
-		s.Push(0, uint64(i), seq)
-		seq++
-		if _, ok := s.Pop(0, seq); !ok {
+		s.Push(0, uint64(i))
+		if _, ok := s.Pop(0); !ok {
 			t.Fatal("unexpected empty")
 		}
-		seq++
 	}
 }
 
@@ -149,14 +140,11 @@ func TestDurabilityAfterCrash(t *testing.T) {
 		t.Run(v.name, func(t *testing.T) {
 			h := newHeap()
 			s := New(h, "s", 2, v.kind, v.opt)
-			seq := uint64(1)
 			for i := uint64(1); i <= 20; i++ {
-				s.Push(0, i, seq)
-				seq++
+				s.Push(0, i)
 			}
 			for i := 0; i < 5; i++ {
-				s.Pop(0, seq)
-				seq++
+				s.Pop(0)
 			}
 			h.Crash(pmem.DropUnfenced, 1)
 			s2 := New(h, "s", 2, v.kind, v.opt)
@@ -169,8 +157,9 @@ func TestDurabilityAfterCrash(t *testing.T) {
 					t.Fatalf("snapshot[%d] = %d, want %d", 15-i, snap[15-i], want)
 				}
 			}
-			// Detectability of the last completed pop.
-			if got := s2.Protocol().Recover(0, OpPop, 0, 0, seq-1); got != 16 {
+			// Detectability of the last completed pop, the thread's 25th
+			// operation.
+			if got := s2.comb.Recover(0, OpPop, 0, 0, 25); got != 16 {
 				t.Fatalf("Recover(pop) = %d, want 16", got)
 			}
 			if got := s2.Len(); got != 15 {
@@ -191,12 +180,10 @@ func TestCrashPointSweepPush(t *testing.T) {
 			for k := int64(1); ; k++ {
 				h := newHeap()
 				s := New(h, "s", 1, kindName.kind, Options{Capacity: 256, ChunkSize: 8})
-				seq := uint64(1)
 				for i := uint64(1); i <= 3; i++ {
-					s.Push(0, i, seq)
-					seq++
+					s.Push(0, i)
 				}
-				ctx := s.Protocol().Ctx(0)
+				ctx := s.comb.Ctx(0)
 				ctx.SetCrashAt(k)
 				crashed := false
 				func() {
@@ -208,7 +195,7 @@ func TestCrashPointSweepPush(t *testing.T) {
 							crashed = true
 						}
 					}()
-					s.Push(0, 4, seq)
+					s.Push(0, 4) // sequence number 4
 				}()
 				if !crashed {
 					if k <= 1 {
@@ -218,7 +205,7 @@ func TestCrashPointSweepPush(t *testing.T) {
 				}
 				h.Crash(pmem.DropUnfenced, k)
 				s2 := New(h, "s", 1, kindName.kind, Options{Capacity: 256, ChunkSize: 8})
-				if got := s2.Protocol().Recover(0, OpPush, 4, 0, seq); got != PushOK {
+				if got := s2.comb.Recover(0, OpPush, 4, 0, 4); got != PushOK {
 					t.Fatalf("crash@%d: Recover(push) = %d", k, got)
 				}
 				snap := s2.Snapshot()
@@ -238,7 +225,6 @@ func TestEliminationPreservesSemantics(t *testing.T) {
 		h1, h2 := newHeap(), newHeap()
 		a := New(h1, "a", 1, Blocking, Options{Elimination: true, Capacity: 4096, ChunkSize: 16})
 		b := New(h2, "b", 1, Blocking, Options{Capacity: 4096, ChunkSize: 16})
-		seq := uint64(1)
 		vi := 0
 		for _, isPush := range ops {
 			if isPush && vi < len(vals) {
@@ -247,16 +233,15 @@ func TestEliminationPreservesSemantics(t *testing.T) {
 					v-- // keep below the sentinel
 				}
 				vi++
-				a.Push(0, v, seq)
-				b.Push(0, v, seq)
+				a.Push(0, v)
+				b.Push(0, v)
 			} else {
-				ra, oka := a.Pop(0, seq)
-				rb, okb := b.Pop(0, seq)
+				ra, oka := a.Pop(0)
+				rb, okb := b.Pop(0)
 				if ra != rb || oka != okb {
 					return false
 				}
 			}
-			seq++
 		}
 		sa, sb := a.Snapshot(), b.Snapshot()
 		if len(sa) != len(sb) {
@@ -285,14 +270,12 @@ func TestPersistenceCostLowerWithElimination(t *testing.T) {
 			wg.Add(1)
 			go func(tid int) {
 				defer wg.Done()
-				seq := uint64(1)
 				for i := 0; i < 200; i++ {
 					if tid%2 == 0 {
-						s.Push(tid, uint64(i)+1, seq)
+						s.Push(tid, uint64(i)+1)
 					} else {
-						s.Pop(tid, seq)
+						s.Pop(tid)
 					}
-					seq++
 				}
 			}(tid)
 		}
@@ -315,9 +298,9 @@ func TestRecoverIdempotent(t *testing.T) {
 				h := newHeap()
 				s := New(h, "s", 1, v.kind, v.opt)
 				for i := uint64(1); i <= 3; i++ {
-					s.Push(0, i*10, i)
+					s.Push(0, i*10)
 				}
-				ctx := s.Protocol().Ctx(0)
+				ctx := s.comb.Ctx(0)
 				ctx.SetCrashAt(k)
 				crashed := false
 				func() {
@@ -329,15 +312,15 @@ func TestRecoverIdempotent(t *testing.T) {
 							crashed = true
 						}
 					}()
-					s.Push(0, 40, 4)
+					s.Push(0, 40)
 				}()
 				if !crashed {
 					return
 				}
 				h.Crash(pmem.DropUnfenced, k)
 				s2 := New(h, "s", 1, v.kind, v.opt)
-				r1 := s2.Protocol().Recover(0, OpPush, 40, 0, 4)
-				r2 := s2.Protocol().Recover(0, OpPush, 40, 0, 4)
+				r1 := s2.comb.Recover(0, OpPush, 40, 0, 4)
+				r2 := s2.comb.Recover(0, OpPush, 40, 0, 4)
 				if r1 != r2 {
 					t.Fatalf("crash@%d: Recover returned %d then %d", k, r1, r2)
 				}
@@ -345,7 +328,7 @@ func TestRecoverIdempotent(t *testing.T) {
 					t.Fatalf("crash@%d: double recovery changed the stack: %v", k, snap)
 				}
 				s3 := New(h, "s", 1, v.kind, v.opt)
-				if r3 := s3.Protocol().Recover(0, OpPush, 40, 0, 4); r3 != r1 {
+				if r3 := s3.comb.Recover(0, OpPush, 40, 0, 4); r3 != r1 {
 					t.Fatalf("crash@%d: re-opened Recover returned %d, want %d", k, r3, r1)
 				}
 				if snap := s3.Snapshot(); len(snap) != 4 {

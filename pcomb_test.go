@@ -1,10 +1,14 @@
 package pcomb
 
 import (
+	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
+	"pcomb/internal/core"
 	"pcomb/internal/pmem"
+	"pcomb/internal/sysarea"
 )
 
 func TestPublicQueueRoundTrip(t *testing.T) {
@@ -109,6 +113,14 @@ func (counterObj) Apply(env *Env, r *Request) {
 	r.Ret = old
 }
 
+// beginOnly durably records thread 0's operation op(a0) on class of the
+// system area named region — opened with the classes and payload its
+// structure built it with — and runs nothing: the state a crash leaves right
+// after the system recorded the invocation.
+func beginOnly(sys *System, region string, classes, payload, class int, op, a0 uint64) {
+	sysarea.New(sys.Heap(), region, 1, make([]core.Protocol, classes), nil, payload).Begin(0, class, op, a0, 0)
+}
+
 func TestSysAreaDetectsInterruptedOp(t *testing.T) {
 	// Simulate an op that crashed mid-flight by driving the sysArea
 	// directly: begin without end, then crash, then Recover must resolve it.
@@ -117,7 +129,7 @@ func TestSysAreaDetectsInterruptedOp(t *testing.T) {
 	q.Enqueue(0, 1)
 	// Mark an enqueue of 99 as in progress but never run it (as if the
 	// crash hit right after the system recorded the invocation).
-	q.sys.Begin(0, 0, OpEnqueue, 99, 0)
+	beginOnly(sys, "q/sysarea", 2, 0, 0, OpEnqueue, 99)
 	sys.Crash(DropUnfenced, 1)
 	q = sys.NewQueue("q", 1, Blocking)
 	if rs := q.Recover(0); len(rs) != 1 || rs[0].Op != OpEnqueue || rs[0].A0 != 99 || !rs[0].Certain {
@@ -181,5 +193,60 @@ func TestPublicMap(t *testing.T) {
 	m.Range(func(k, v uint64) bool { count++; return true })
 	if count != 1 {
 		t.Fatalf("range visited %d", count)
+	}
+}
+
+// A Recoverable's op code must fit the system-area record, which reads 0 as
+// "no record" and bit 63 as a multi-op commit: Invoke and Submit reject any
+// other code before the first durable store, so nothing is recorded, applied
+// or left for Recover — an interrupted op 0 used to vanish unreported, and an
+// interrupted op with bit 63 set made Recover index out of range.
+func TestRecoverableRejectsOutOfRangeOps(t *testing.T) {
+	for _, op := range []uint64{0, 1 << 63, 1<<63 | 1000, ^uint64(0)} {
+		for _, path := range []string{"Invoke", "Submit"} {
+			t.Run(fmt.Sprintf("%s/%#x", path, op), func(t *testing.T) {
+				sys := New(Options{CrashTesting: true, NoCost: true})
+				oo := ObjectOptions{VecCap: 4}
+				r := sys.NewObject("o", 1, Blocking, core.Counter{}, oo)
+				r.Invoke(0, core.OpCounterAdd, 5, 0)
+				words := func() []uint64 {
+					reg := sys.Heap().Region("o/sysarea")
+					w := make([]uint64, reg.Len())
+					reg.Snapshot(w, 0, len(w))
+					return w
+				}
+				before := words()
+				func() {
+					defer func() {
+						if msg := fmt.Sprint(recover()); !strings.Contains(msg, "[1, 2^63)") {
+							t.Fatalf("%s(op %#x) panicked with %q, want a message naming [1, 2^63)", path, op, msg)
+						}
+					}()
+					if path == "Invoke" {
+						r.Invoke(0, op, 5, 0)
+					} else {
+						r.Submit(0, op, 5, 0)
+						r.Flush(0)
+					}
+					t.Fatalf("%s(op %#x) returned", path, op)
+				}()
+				for i, w := range words() {
+					if w != before[i] {
+						t.Fatalf("system-area word %d went from %#x to %#x", i, before[i], w)
+					}
+				}
+				if r.Pending(0) != 0 {
+					t.Fatalf("%d ops staged", r.Pending(0))
+				}
+				sys.Crash(DropUnfenced, 1)
+				r = sys.NewObject("o", 1, Blocking, core.Counter{}, oo)
+				if out := r.Recover(0); out != nil {
+					t.Fatalf("Recover = %+v, want nothing", out)
+				}
+				if got := r.State().Load(0); got != 5 {
+					t.Fatalf("counter = %d, want 5", got)
+				}
+			})
+		}
 	}
 }

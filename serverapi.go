@@ -133,14 +133,13 @@ func NewServerStoreOn(h *pmem.Heap, o ServerOptions) *ServerStore {
 	// One extra slot keeps a full window from auto-flushing before the
 	// server's own commit point, so each window is one record.
 	vcap := o.FlushOps + 1
-	q := queue.New(h, "srv/q", o.Threads, o.Kind,
-		queue.Options{Recycling: o.Kind == Blocking, Capacity: o.QueueCapacity, VecCap: vcap, Epoch: ep})
-	sys := sysarea.New(h, "srv/sysarea", o.Threads,
-		[]core.Protocol{srvMap: nil, srvEnq: q.EnqProtocol(), srvDeq: q.DeqProtocol()}, ep, vcap)
+	sys := sysarea.New(h, "srv/sysarea", o.Threads, make([]core.Protocol, 3), ep, vcap)
+	q := queue.NewOn(h, "srv/q", o.Threads, o.Kind,
+		queue.Options{Recycling: o.Kind == Blocking, Capacity: o.QueueCapacity, VecCap: vcap}, sys, srvEnq)
 	m := hashmap.NewOn(h, "srv/map", o.Threads, o.Kind,
 		hashmap.Options{Shards: 1, Capacity: o.MapCapacity, VecCap: vcap}, sys)
 	s := &ServerStore{
-		sys: sys, m: m, q: &Queue{q: q, sys: sys, base: srvEnq}, h: h, opts: o,
+		sys: sys, m: m, q: q, h: h, opts: o,
 		class: make([][]uint8, o.Threads),
 	}
 	for tid := range s.class {
