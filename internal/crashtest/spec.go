@@ -53,8 +53,8 @@ type Spec struct {
 	Invariant func() error
 }
 
-// Handle is what the engines call on an open structure. Every structure
-// wrapper has these three; Flush is a no-op without staged operations.
+// Handle is what the engines call on an open structure. Every structure has
+// these three (sysarea.Front's); Flush is a no-op without staged operations.
 type Handle interface {
 	Recover(tid int) []sysarea.Resolved
 	SetHistory(sysarea.Log)
