@@ -303,6 +303,7 @@ func (c *comb) Read(tid int, op, a0, a1 uint64) (ret uint64, ok bool) {
 			return ret, true
 		}
 	}
+	c.onReadFallback(tid)
 	return 0, false
 }
 

@@ -75,6 +75,9 @@ type CombTracker interface {
 	// may observe the same vector several times under PWFcomb's
 	// pretend-combiner races).
 	BatchSize(tid, size int)
+	// ReadFallback reports that a read by tid failed readTries validations
+	// in a row, so its caller announces it like an update instead.
+	ReadFallback(tid int)
 }
 
 // SetProbe installs p in place of whatever was installed before; the zero
@@ -114,6 +117,12 @@ func (c *comb) onLockFail(tid int) {
 func (c *comb) onSCFail(tid int) {
 	if c.cstat != nil {
 		c.cstat.SCFail(tid)
+	}
+}
+
+func (c *comb) onReadFallback(tid int) {
+	if c.cstat != nil {
+		c.cstat.ReadFallback(tid)
 	}
 }
 

@@ -43,12 +43,18 @@ type PWFComb struct {
 	// buffer, instead of copying and writing back the whole record on every
 	// attempt.
 	//
-	// lineVer[l] is (a conservative upper bound on) the stamp of the S
-	// version that last rewrote state line l. Combiners publish their dirty
-	// lines with a CAS-max *before* their SC, so any thread that syncs to a
-	// version sees at least that version's writes; losers over-publish, which
-	// only costs extra refreshes.
-	lineVer []atomic.Uint64
+	// Level 0 of vers, lineVer, holds for each record line l (a conservative
+	// upper bound on) the stamp of the S version that last rewrote it. Each
+	// level above, chunkVer, summarises the one below: its word g is at
+	// least the maximum of words 8g..8g+7 below, one cache line of them, and
+	// the top level is one such group. Word i of level k is
+	// vers[k][i/8][i%8]; the words past a level's end stay 0. Combiners
+	// publish their dirty lines with a CAS-max on every level, bottom up,
+	// *before* their SC, so any thread that syncs to a version sees at least
+	// that version's writes at every level, and a fill descends only into
+	// groups whose summary exceeds its buffer's version. Losers over-publish,
+	// which only costs extra refreshes.
+	vers [][][groupWords]atomic.Uint64
 	// Per private record (2n slots; the dummy is never a destination), owner
 	// thread only:
 	//
@@ -107,7 +113,13 @@ func NewPWFCombWith(h *pmem.Heap, name string, n int, obj Object, o CombOpts) *P
 		// line-aligned), tail included: ReturnVal/Deactivate/Index/pid lines
 		// change only for the threads a round actually serves, so persisting
 		// the full tail every attempt would dominate wide-record workloads.
-		c.lineVer = make([]atomic.Uint64, c.recWords/pmem.LineWords)
+		for w := c.recWords / pmem.LineWords; ; {
+			w = (w + groupWords - 1) / groupWords // groups of the level
+			c.vers = append(c.vers, make([][groupWords]atomic.Uint64, w))
+			if w == 1 {
+				break
+			}
+		}
 		c.bufStamp = make([]uint64, 2*n)
 		c.bufDirty = make([]*dirtySet, 2*n)
 		c.unFenced = make([]*dirtySet, 2*n)
@@ -338,37 +350,38 @@ func (c *PWFComb) lostRound(tid int, env *Env, phase obs.Phase, from int64, arg 
 	return now
 }
 
+// groupWords is the fan-out of the version summary: one cache line of
+// version words.
+const groupWords = 8
+
 // sparseFill brings private buffer my up to date with the record at src
-// (the S record at version stamp) by copying only the state lines that may
-// differ — the lines the chain rewrote after the buffer's last sync
-// (lineVer[l] > base) plus the buffer's own divergence (bufDirty) — and the
-// whole tail. A buffer with unknown content (bufStamp == 0) is copied in
-// full once. Refreshed lines are recorded in bufDirty *before* the copy so
-// that a torn fill (S moved mid-copy; the caller's VL fails) leaves the
-// divergence set correct, and in unFenced because the copy makes their
-// durable bytes stale. Returns the number of words copied.
+// (the S record at version stamp) by copying only the record lines that may
+// differ: the buffer's own divergence (bufDirty) plus the lines the chain
+// rewrote after the buffer's last sync (lineVer > base), found by descending
+// the version summary through the groups that changed. Tail lines are
+// tracked like state lines. A buffer with unknown content (bufStamp == 0)
+// is copied in full once. Refreshed lines are recorded in bufDirty *before*
+// the copy so that a torn fill (S moved mid-copy; the caller's VL fails)
+// leaves the divergence set correct, and in unFenced because the copy makes
+// their durable bytes stale. Returns the number of words copied.
 func (c *PWFComb) sparseFill(my, dst, src int, stamp uint64) int {
 	d, u := c.bufDirty[my], c.unFenced[my]
 	pidLine := c.pidOff / pmem.LineWords
 	if c.bufStamp[my] == 0 {
 		c.state.CopyWords(dst, c.state, src, c.recWords)
-		for l := range c.lineVer {
+		for l := range c.recWords / pmem.LineWords {
 			d.addLine(l)
 			u.addLine(l)
 		}
 		return c.recWords
 	}
-	copied := 0
-	base := c.bufStamp[my] - 1
-	for l := range c.lineVer {
-		if c.lineVer[l].Load() > base || d.has(l) {
-			off := l * pmem.LineWords
-			d.addLine(l)
-			u.addLine(l)
-			c.state.CopyWords(dst+off, c.state, src+off, pmem.LineWords)
-			copied += pmem.LineWords
-		}
+	c.changedSince(d, c.bufStamp[my]-1, len(c.vers)-1, 0)
+	for _, l := range d.lines {
+		off := l * pmem.LineWords
+		u.addLine(l)
+		c.state.CopyWords(dst+off, c.state, src+off, pmem.LineWords)
 	}
+	copied := len(d.lines) * pmem.LineWords
 	// The caller stores its pid into the buffer immediately after the fill:
 	// account for that write now so the line is re-synced by later fills and
 	// reaches persistence.
@@ -377,14 +390,35 @@ func (c *PWFComb) sparseFill(my, dst, src int, stamp uint64) int {
 	return copied
 }
 
-// publishLines raises lineVer for every line in lines to at least ver with
-// a CAS-max, so stamps never regress even when a slow loser publishes late.
+// changedSince adds to d every line under group g of level k whose lineVer
+// exceeds base, skipping each group below whose summary word does not.
+func (c *PWFComb) changedSince(d *dirtySet, base uint64, k, g int) {
+	grp := &c.vers[k][g]
+	for i := range grp {
+		if grp[i].Load() <= base {
+			continue
+		}
+		if j := g*groupWords + i; k == 0 {
+			d.addLine(j)
+		} else {
+			c.changedSince(d, base, k-1, j)
+		}
+	}
+}
+
+// publishLines raises lineVer for every line in lines, and then the summary
+// word of each group above it, to at least ver with a CAS-max, so stamps
+// never regress even when a slow loser publishes late and no summary word
+// falls below a line it covers once the publisher's SC is visible.
 func (c *PWFComb) publishLines(ver uint64, lines []int) {
 	for _, l := range lines {
-		for {
-			old := c.lineVer[l].Load()
-			if old >= ver || c.lineVer[l].CompareAndSwap(old, ver) {
-				break
+		for k, i := 0, l; k < len(c.vers); k, i = k+1, i/groupWords {
+			w := &c.vers[k][i/groupWords][i%groupWords]
+			for {
+				old := w.Load()
+				if old >= ver || w.CompareAndSwap(old, ver) {
+					break
+				}
 			}
 		}
 	}

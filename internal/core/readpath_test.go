@@ -8,6 +8,7 @@ import (
 
 	"pcomb/internal/history"
 	lin "pcomb/internal/linearizability"
+	"pcomb/internal/obs"
 	"pcomb/internal/pmem"
 )
 
@@ -239,8 +240,9 @@ func TestReadPathConcurrent(t *testing.T) {
 
 // A writer that completes a round inside every probe: Read gives up after
 // readTries validations and says so, having returned nothing torn, and the
-// announced fallback answers. The miss bookkeeping is checked on the way: a
-// thread that published holds the index line, any other reader is behind it.
+// announced fallback answers. The probe counts the fallback exactly once. The
+// miss bookkeeping is checked on the way: a thread that published holds the
+// index line, any other reader is behind it.
 func TestReadPathBoundedRetry(t *testing.T) {
 	const R, W = 0, 1
 	for _, kind := range readKinds {
@@ -248,6 +250,8 @@ func TestReadPathBoundedRetry(t *testing.T) {
 			var hook func()
 			c := kind.mk(shadowHeap(), 2, cells{n: 2, hook: &hook})
 			cb := combOf(c)
+			stats := obs.NewCombStats(2)
+			c.SetProbe(Probe{Comb: stats})
 			probes, seq := 0, uint64(0)
 			var storm func()
 			storm = func() {
@@ -265,6 +269,9 @@ func TestReadPathBoundedRetry(t *testing.T) {
 			if probes != readTries {
 				t.Fatalf("Read probed %d times, want %d", probes, readTries)
 			}
+			if n := stats.Snapshot().ReadFallbacks; n != 1 {
+				t.Fatalf("%d read fallbacks counted, want 1", n)
+			}
 			if d := cb.dur.V.Load(); cb.seen[W].V.Load() != d || cb.seen[R].V.Load() == d {
 				t.Fatalf("durable index %#x: publisher saw %#x, reader %#x", d, cb.seen[W].V.Load(), cb.seen[R].V.Load())
 			}
@@ -273,6 +280,9 @@ func TestReadPathBoundedRetry(t *testing.T) {
 			}
 			if v, ok := c.Read(R, opCellGet, 1, 0); !ok || v != readTries {
 				t.Fatalf("quiet Read = %d, %v", v, ok)
+			}
+			if n := stats.Snapshot().ReadFallbacks; n != 1 {
+				t.Fatalf("a validated read moved the fallback count to %d", n)
 			}
 			if cb.seen[R].V.Load() != cb.dur.V.Load() {
 				t.Fatal("a validated read left the reader behind the index it read")

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -184,6 +185,41 @@ func TestSparseCrossCrashIncrementalPersist(t *testing.T) {
 			if got := c.CurrentState().Load(i); got != want[i] {
 				t.Fatalf("gen %d: word %d = %d, want %d", gen, i, got, want[i])
 			}
+		}
+	}
+}
+
+// BenchmarkSparseRound times one single-write round on a sparse object of 64,
+// 512 and 4096 state lines, one thread, uncharged persistence. A round's cost
+// should follow what it changes, not the record size, so ns/op should not
+// grow down a protocol's rows.
+func BenchmarkSparseRound(b *testing.B) {
+	protos := []struct {
+		name string
+		mk   func(h *pmem.Heap, obj Object) Protocol
+	}{
+		{"PB", func(h *pmem.Heap, obj Object) Protocol { return NewPBComb(h, "b", 1, obj) }},
+		{"PWF", func(h *pmem.Heap, obj Object) Protocol { return NewPWFComb(h, "b", 1, obj) }},
+	}
+	for _, p := range protos {
+		for _, lines := range []int{64, 512, 4096} {
+			b.Run(fmt.Sprintf("%s/lines=%d", p.name, lines), func(b *testing.B) {
+				words := lines * pmem.LineWords
+				h := pmem.NewHeap(pmem.Config{Mode: pmem.ModeCount, NoCost: true})
+				c := p.mk(h, sparseArray{words})
+				// Two warm-up rounds give both of PWFcomb's private records a
+				// known version, so the loop sees steady-state fills.
+				c.Invoke(0, OpRegWrite, 0, 1, 1)
+				c.Invoke(0, OpRegWrite, 0, 2, 2)
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					// Successive rounds write different lines among the
+					// first 64, so every size works on the same cache
+					// footprint and the rows differ only in record size.
+					idx := uint64(i*7%64) * pmem.LineWords
+					c.Invoke(0, OpRegWrite, idx, uint64(i), uint64(i)+3)
+				}
+			})
 		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"pcomb/internal/pmem"
+	"pcomb/internal/prim"
 )
 
 func TestSparseWFMatchesDense(t *testing.T) {
@@ -178,6 +179,199 @@ func TestSparseWFConcurrentWideState(t *testing.T) {
 			if got != want {
 				t.Fatalf("tid %d word %d = %#x, want %#x", tid, w, got, want)
 			}
+		}
+	}
+}
+
+// scanFillLines is the fill's copy set found by a scan of every record line:
+// the lines the chain rewrote after base and those in the buffer's
+// divergence set dirty. It is the reference the summary's descent is checked
+// against.
+func (c *PWFComb) scanFillLines(base uint64, dirty []bool) []bool {
+	set := make([]bool, c.recWords/pmem.LineWords)
+	for l := range set {
+		set[l] = c.vers[0][l/groupWords][l%groupWords].Load() > base || dirty[l]
+	}
+	return set
+}
+
+// fillOracle watches every fill of a PWFComb driven by a fillSchedule. It is
+// the instance's CombTracker: Copied fires right after a fill and before the
+// validation that follows it, SCFail right after a discarded attempt.
+type fillOracle struct {
+	t     *testing.T
+	s     *fillSchedule
+	fills int
+	// divergence[b] is private record b's divergence set as it stood before
+	// its owner's next fill: taken after each of the owner's discarded
+	// attempts and after each of its operations, the only points its owner
+	// leaves the record between fills.
+	divergence [][]bool
+	lastMy     []int
+	lostSCs    int
+	lostVals   int
+}
+
+func (o *fillOracle) snapshot(tid int) {
+	c := o.s.c
+	for b := 2 * tid; b < 2*tid+2; b++ {
+		o.divergence[b] = append(o.divergence[b][:0], c.bufDirty[b].mark...)
+	}
+}
+
+func (o *fillOracle) Copied(tid, words int) {
+	c := o.s.c
+	// Nothing ran between the attempt's LL and here, so S still names the
+	// record the fill read.
+	slot, _ := prim.UnpackVersioned(c.sv.LL())
+	src := c.recOff(slot)
+	my := tid*2 + int(c.state.Load(src+c.idxOff+tid)&1)
+	dst := c.recOff(my)
+	o.lastMy[tid] = my
+	o.fills++
+	if c.bufStamp[my] == 0 {
+		if words != c.recWords {
+			o.t.Fatalf("fill %d: first fill of record %d copied %d words, want all %d", o.fills, my, words, c.recWords)
+		}
+	} else {
+		want := c.scanFillLines(c.bufStamp[my]-1, o.divergence[my])
+		pidLine := c.pidOff / pmem.LineWords
+		n := 0
+		for l, in := range want {
+			if in {
+				n++
+			}
+			// The fill leaves its copy set in bufDirty, plus the pid line the
+			// caller is about to store.
+			if got := c.bufDirty[my].has(l); got != (in || l == pidLine) {
+				o.t.Fatalf("fill %d of record %d from version %d: line %d selected %v, full scan says %v", o.fills, my, c.bufStamp[my]-1, l, got, in)
+			}
+		}
+		if words != n*pmem.LineWords {
+			o.t.Fatalf("fill %d: copied %d words, full scan selects %d lines", o.fills, words, n)
+		}
+	}
+	for w := 0; w < c.recWords; w++ {
+		if got, want := c.state.Load(dst+w), c.state.Load(src+w); got != want {
+			o.t.Fatalf("fill %d: record %d word %d = %d after the fill, S record %d holds %d", o.fills, my, w, got, slot, want)
+		}
+	}
+	o.s.preempt(4)
+}
+
+func (o *fillOracle) SCFail(tid int) {
+	// A lost SC comes after the pfence that empties unFenced; a failed
+	// validation leaves at least the filled lines in it.
+	if len(o.s.c.unFenced[o.lastMy[tid]].lines) == 0 {
+		o.lostSCs++
+	} else {
+		o.lostVals++
+	}
+	o.snapshot(tid)
+	o.s.preempt(4)
+}
+
+func (o *fillOracle) Round(int, int)     {}
+func (o *fillOracle) Helped(int)         {}
+func (o *fillOracle) LockFail(int)       {}
+func (o *fillOracle) BatchSize(int, int) {}
+func (o *fillOracle) ReadFallback(int)   {}
+
+// fillSchedule interleaves the threads of one PWFComb on a single goroutine:
+// at a hook inside one thread's attempt it runs another thread's whole
+// operation, nested, so S moves under the interrupted attempt exactly there.
+// The hooks are the oracle's (after a fill: the validation fails), PreServe
+// (the validation after serving fails) and the heap's kill hook, which fires
+// at persistence events, the write-backs between that validation and the SC
+// among them (the SC is lost). One goroutine makes every interleaving
+// reproducible from the seed.
+type fillSchedule struct {
+	c      *PWFComb
+	h      *pmem.Heap
+	rng    *rand.Rand
+	oracle *fillOracle
+	words  int
+	active []bool
+	depth  int
+	seq    []uint64
+}
+
+// op runs one operation of tid: a write to a word drawn from a hot eighth
+// of the state or from all of it, or now and then a read.
+func (s *fillSchedule) op(tid int) {
+	s.active[tid] = true
+	s.depth++
+	s.seq[tid]++
+	idx := uint64(s.rng.Intn(s.words))
+	if s.rng.Intn(2) == 0 {
+		idx %= uint64(s.words / 8)
+	}
+	op := OpRegWrite
+	if s.rng.Intn(8) == 0 {
+		op = OpRegRead
+	}
+	s.c.Invoke(tid, op, idx, s.rng.Uint64(), s.seq[tid])
+	s.depth--
+	s.active[tid] = false
+	s.oracle.snapshot(tid)
+}
+
+// preempt, with probability 1/oneIn, runs an operation of a thread that is
+// not already on the stack.
+func (s *fillSchedule) preempt(oneIn int) {
+	if s.depth >= 3 || s.rng.Intn(oneIn) != 0 {
+		return
+	}
+	var idle []int
+	for tid, a := range s.active {
+		if !a {
+			idle = append(idle, tid)
+		}
+	}
+	if len(idle) > 0 {
+		s.op(idle[s.rng.Intn(len(idle))])
+	}
+}
+
+// armKill makes the heap's kill hook preempt at a random persistence event
+// within the next few. The hook returns instead of killing, so the event it
+// interrupted goes on once the nested operation is done.
+func (s *fillSchedule) armKill() {
+	s.h.SetKillAtEvent(1+s.rng.Int63n(12), func() {
+		s.h.SetKillAtEvent(0, nil)
+		s.preempt(2)
+		s.armKill()
+	})
+}
+
+// TestSparseWFFillMatchesScan checks the version summary against the full
+// scan it replaced, at every fill of a 3-thread PWFComb on a record of 512
+// state lines, under interleavings with lost SCs and failed validations: the
+// lines a fill copies must be exactly {l : lineVer[l] > base} ∪ bufDirty,
+// and after the fill the private record must equal the S record word for
+// word.
+func TestSparseWFFillMatchesScan(t *testing.T) {
+	const n, words = 3, 512 * pmem.LineWords
+	for seed := int64(1); seed <= 3; seed++ {
+		h := shadowHeap()
+		c := NewPWFComb(h, "a", n, sparseArray{words})
+		s := &fillSchedule{c: c, h: h, rng: rand.New(rand.NewSource(seed)), words: words,
+			active: make([]bool, n), seq: make([]uint64, n)}
+		o := &fillOracle{t: t, s: s, divergence: make([][]bool, 2*n), lastMy: make([]int, n)}
+		s.oracle = o
+		for tid := 0; tid < n; tid++ {
+			o.snapshot(tid)
+		}
+		c.SetProbe(Probe{Comb: o})
+		c.PreServe = func(*Env) { s.preempt(4) }
+		s.armKill()
+		for i := 0; i < 300; i++ {
+			s.op(s.rng.Intn(n))
+		}
+		h.SetKillAtEvent(0, nil)
+		t.Logf("seed %d: %d fills checked, %d lost SCs, %d failed validations", seed, o.fills, o.lostSCs, o.lostVals)
+		if o.lostSCs == 0 || o.lostVals == 0 {
+			t.Fatalf("seed %d: the schedule lost %d SCs and failed %d validations; want both", seed, o.lostSCs, o.lostVals)
 		}
 	}
 }

@@ -180,6 +180,7 @@ func (c tidClamp) LockFail(tid int)      { c.t.LockFail(c.tid(tid)) }
 func (c tidClamp) SCFail(tid int)        { c.t.SCFail(c.tid(tid)) }
 func (c tidClamp) Copied(tid, words int) { c.t.Copied(c.tid(tid), words) }
 func (c tidClamp) BatchSize(tid, sz int) { c.t.BatchSize(c.tid(tid), sz) }
+func (c tidClamp) ReadFallback(tid int)  { c.t.ReadFallback(c.tid(tid)) }
 
 // shardProbe adapts a probe sized for the n client threads to the shard
 // instances. A direct map's shards take it as it is. A board map's shards are

@@ -17,11 +17,12 @@ type batchSpy struct {
 	sweeps, largest atomic.Int64
 }
 
-func (s *batchSpy) Round(int, int)  {}
-func (s *batchSpy) Helped(int)      {}
-func (s *batchSpy) LockFail(int)    {}
-func (s *batchSpy) SCFail(int)      {}
-func (s *batchSpy) Copied(int, int) {}
+func (s *batchSpy) Round(int, int)   {}
+func (s *batchSpy) Helped(int)       {}
+func (s *batchSpy) LockFail(int)     {}
+func (s *batchSpy) SCFail(int)       {}
+func (s *batchSpy) Copied(int, int)  {}
+func (s *batchSpy) ReadFallback(int) {}
 func (s *batchSpy) BatchSize(_, sz int) {
 	s.sweeps.Add(1)
 	for {

@@ -18,6 +18,7 @@ type CombStats struct {
 	scFails   *Counter // discarded rounds: failed SC or failed validation (PWFcomb)
 	copies    *Counter // record copies performed
 	copyWords *Counter // words copied (copy churn)
+	fallbacks *Counter // reads that gave up validating and were announced
 	degree    *ShardedHist
 	batchSize *ShardedHist // vectorized-announcement sizes
 }
@@ -32,6 +33,7 @@ func NewCombStats(n int) *CombStats {
 		scFails:   NewCounter(n),
 		copies:    NewCounter(n),
 		copyWords: NewCounter(n),
+		fallbacks: NewCounter(n),
 		degree:    NewShardedHist(n),
 		batchSize: NewShardedHist(n),
 	}
@@ -61,6 +63,10 @@ func (s *CombStats) Copied(tid, words int) {
 	s.copyWords.Add(tid, uint64(words))
 }
 
+// ReadFallback records a read by tid that exhausted its validated attempts
+// and fell back to an announced operation.
+func (s *CombStats) ReadFallback(tid int) { s.fallbacks.Add(tid, 1) }
+
 // BatchSize records the size of one vectorized announcement by tid
 // (reported once per announcement, on the announcing side).
 func (s *CombStats) BatchSize(tid, size int) {
@@ -76,6 +82,9 @@ type CombSnapshot struct {
 	SCFails     uint64 `json:"sc_fails"`
 	Copies      uint64 `json:"copies"`
 	CopyWords   uint64 `json:"copy_words"`
+	// ReadFallbacks counts reads that failed every validated attempt on the
+	// durable record and were announced like updates instead.
+	ReadFallbacks uint64 `json:"read_fallbacks"`
 
 	// MeanDegree is CombinedOps/Rounds: the average combining degree. A
 	// value above 1 is combining actually happening.
@@ -101,13 +110,14 @@ type CombSnapshot struct {
 // Snapshot aggregates the current counters.
 func (s *CombStats) Snapshot() CombSnapshot {
 	out := CombSnapshot{
-		Rounds:      s.rounds.Value(),
-		CombinedOps: s.combined.Value(),
-		HelpedOps:   s.helped.Value(),
-		LockFails:   s.lockFails.Value(),
-		SCFails:     s.scFails.Value(),
-		Copies:      s.copies.Value(),
-		CopyWords:   s.copyWords.Value(),
+		Rounds:        s.rounds.Value(),
+		CombinedOps:   s.combined.Value(),
+		HelpedOps:     s.helped.Value(),
+		LockFails:     s.lockFails.Value(),
+		SCFails:       s.scFails.Value(),
+		Copies:        s.copies.Value(),
+		CopyWords:     s.copyWords.Value(),
+		ReadFallbacks: s.fallbacks.Value(),
 	}
 	if out.Rounds > 0 {
 		out.MeanDegree = float64(out.CombinedOps) / float64(out.Rounds)

@@ -15,6 +15,7 @@ func TestCombStatsSnapshot(t *testing.T) {
 	s.SCFail(1)
 	s.Copied(0, 128)
 	s.Copied(1, 128)
+	s.ReadFallback(3)
 
 	cs := s.Snapshot()
 	if cs.Rounds != 2 || cs.CombinedOps != 6 || cs.HelpedOps != 3 {
@@ -25,6 +26,9 @@ func TestCombStatsSnapshot(t *testing.T) {
 	}
 	if cs.Copies != 2 || cs.CopyWords != 256 {
 		t.Fatalf("copies=%d copyWords=%d", cs.Copies, cs.CopyWords)
+	}
+	if cs.ReadFallbacks != 1 {
+		t.Fatalf("readFallbacks=%d", cs.ReadFallbacks)
 	}
 	if cs.MeanDegree != 3 {
 		t.Fatalf("mean degree = %.2f, want 3", cs.MeanDegree)

@@ -87,8 +87,10 @@ func (h *Heap) SetCrashAtEvent(k int64) {
 // persistence event (counted like SetCrashAtEvent). The crashtest kill
 // harness installs a function that raises SIGKILL on the calling process, so
 // the process really dies — no unwinding, no deferred cleanup — at a
-// deterministic, replayable point in the persistence-event stream. kill must
-// not return. Install before workers start; k <= 0 disarms. ModeShadow only.
+// deterministic, replayable point in the persistence-event stream. A kill
+// that returns lets the event go on; it runs at every later event until it
+// disarms itself, which single-goroutine tests use to run code at a chosen
+// event. Install before workers start; k <= 0 disarms. ModeShadow only.
 func (h *Heap) SetKillAtEvent(k int64, kill func()) {
 	if k <= 0 {
 		h.killAtEvent.Store(0)
