@@ -51,23 +51,21 @@ type comb struct {
 	dur  prim.PaddedUint64
 	seen []prim.PaddedUint64
 
-	// Vectorized announcements (CombOpts.VecCap > 1): the per-thread persistent
-	// argument ring — vcap (op, a0, a1[, meta]) entries per thread,
-	// line-aligned, published and persisted by the owner before the slot
-	// toggle, so a combiner can drain the whole vector and recovery can re-read
-	// the arguments. The ReturnVal block widens to vcap words per thread so
-	// every op of a served vector has a persistent response slot.
+	// Vectorized announcements (CombOpts.VecCap > 1): the per-thread argument
+	// ring — vcap entries of ringEnt words (op, a0, a1, originator·parity)
+	// per thread, line-aligned — written by the owner before its slot toggle
+	// so a combiner can drain the whole vector. It is volatile, like the
+	// announcement array: recovery re-supplies a vector's operations (see
+	// RecoverVec). The ReturnVal block widens to vcap words per thread so
+	// every op of a served vector has a persistent response slot. Per-thread
+	// combiner scratch: vecTogs holds the announcer toggles a round owes to
+	// vector announcements, packed q<<1|act; occ counts a vector's entries per
+	// originator (all zero between uses).
 	vcap      int // max ops per announcement (1 = scalar-only, no ring)
-	vec       *pmem.Region
+	vec       []atomic.Uint64
 	vecStride int
-	entWords  int // ring words per entry: 3, or 4 with delegation
-
-	// Delegation (CombOpts.Delegate): ring entries widen to four words, the
-	// fourth naming the originating thread and parity (see DelOp). delTogs is
-	// per-thread combiner scratch for the announcer toggles a round owes to
-	// delegating announcements, packed q<<1|act.
-	delegate bool
-	delTogs  [][]uint64
+	vecTogs   [][]uint64
+	occ       [][]int
 
 	req     []reqSlot
 	ctxs    []*pmem.Ctx
@@ -114,10 +112,9 @@ type rounds interface {
 }
 
 // init lays out the shared part of a protocol instance: recs records of
-// state + ReturnVal + Deactivate + tail words in name/<proto>.state, the
-// index word in name/<idxName>, the ring in name/<proto>.vec. The options
-// shape the persistent layout, so re-opening after a crash must use the same
-// options.
+// state + ReturnVal + Deactivate + tail words in name/<proto>.state and the
+// index word in name/<idxName>. The options shape the persistent layout, so
+// re-opening after a crash must use the same options.
 func (c *comb) init(p rounds, h *pmem.Heap, name, proto, idxName string, n int, obj Object, o CombOpts, tail, recs int) {
 	if n <= 0 {
 		panic("core: need at least one thread")
@@ -130,24 +127,12 @@ func (c *comb) init(p rounds, h *pmem.Heap, name, proto, idxName string, n int, 
 	if c.vcap < 1 {
 		c.vcap = 1
 	}
-	c.entWords = 3
-	if o.Delegate {
-		if c.vcap < 2 {
-			panic("core: CombOpts.Delegate requires VecCap > 1")
-		}
-		c.delegate = true
-		c.entWords = 4
-	}
 	c.retOff = c.stWords
 	c.deactOff = c.stWords + n*c.vcap
 	c.recWords = pmem.RoundUpLine(c.deactOff + n + tail)
 
 	c.state = h.AllocOrGet(name+"/"+proto+".state", recs*c.recWords)
 	c.idx = h.AllocOrGet(name+"/"+idxName, 2*pmem.LineWords)
-	if c.vcap > 1 {
-		c.vecStride = pmem.RoundUpLine(c.entWords * c.vcap)
-		c.vec = h.AllocOrGet(name+"/"+proto+".vec", n*c.vecStride)
-	}
 
 	c.req = make([]reqSlot, n)
 	c.hotReq = make([]pmem.HotWord, n)
@@ -162,10 +147,14 @@ func (c *comb) init(p rounds, h *pmem.Heap, name, proto, idxName string, n int, 
 		c.scratch[i] = make([]Request, 0, n*c.vcap)
 		c.annYld[i].V.Store(annYieldMin)
 	}
-	if c.delegate {
-		c.delTogs = make([][]uint64, n)
-		for i := range c.delTogs {
-			c.delTogs[i] = make([]uint64, 0, n)
+	if c.vcap > 1 {
+		c.vecStride = pmem.RoundUpLine(ringEnt * c.vcap)
+		c.vec = make([]atomic.Uint64, n*c.vecStride)
+		c.vecTogs = make([][]uint64, n)
+		c.occ = make([][]int, n)
+		for i := range c.vecTogs {
+			c.vecTogs[i] = make([]uint64, 0, n)
+			c.occ[i] = make([]int, n)
 		}
 	}
 }
@@ -475,8 +464,8 @@ func (c *comb) wonRound(tid, degree, anns int) {
 	c.degEMA.Store(old - old/emaAlpha + (uint64(anns)<<emaShift)/emaAlpha)
 }
 
-// clearAnnounce retires tid's completed announcement from its slot (delegate
-// instances only). With delegation a thread's deactivate bit can flip without
+// clearAnnounce retires tid's completed announcement from its slot. A
+// delegated vector (InvokeDelegated) flips a thread's deactivate bit without
 // the thread ever re-announcing, which would make a completed-but-still-valid
 // slot look active again to a later round and re-execute it; retiring the
 // control word closes that resurrection window. Volatile-only and race-free:
@@ -484,9 +473,7 @@ func (c *comb) wonRound(tid, degree, anns int) {
 // either became current before the owning thread returned, or (PWFcomb) fails
 // its SC/validation and discards its copy.
 func (c *comb) clearAnnounce(tid int) {
-	if c.delegate {
-		c.req[tid].ctl.Store(0)
-	}
+	c.req[tid].ctl.Store(0)
 }
 
 // Recover is the recovery function for thread tid's interrupted operation:
@@ -520,12 +507,12 @@ func (c *comb) env(tid, dst int, dirty *dirtySet) *Env {
 
 // gather scans the announcement array against the Deactivate words of the
 // record at dst and returns every active request, the deferred toggles of
-// delegating announcers (packed q<<1|act) and the number of announcements
-// they came from.
+// vector announcers (packed q<<1|act) and the number of announcements they
+// came from.
 func (c *comb) gather(tid, dst int) (batch []Request, togs []uint64, anns int) {
 	batch = c.scratch[tid][:0]
-	if c.delegate {
-		togs = c.delTogs[tid][:0]
+	if c.vec != nil {
+		togs = c.vecTogs[tid][:0]
 	}
 	for q := 0; q < c.n; q++ {
 		ctl := c.req[q].ctl.Load()
@@ -550,60 +537,44 @@ func (c *comb) gather(tid, dst int) (batch []Request, togs []uint64, anns int) {
 			})
 			continue
 		}
-		// Vectorized announcement: the arguments live in q's persistent ring
-		// (already durable — q fenced them before the slot toggle), one
-		// Request per entry, served in ring order so q's program order is
-		// preserved within the round. Under PWFcomb q may be republishing
-		// concurrently (possible only after its current vector completed);
-		// then this round's validation is already doomed and its writes stay
-		// in the private buffer, so a torn read here is harmless.
-		vb := c.vecBase(q)
-		if !c.delegate {
-			for i := 0; i < cnt; i++ {
-				batch = append(batch, Request{
-					Tid: uint64(q),
-					Op:  c.vec.Load(vb + 3*i),
-					A0:  c.vec.Load(vb + 3*i + 1),
-					A1:  c.vec.Load(vb + 3*i + 2),
-					act: act,
-					vi:  i,
-				})
-			}
-			continue
-		}
-		// Each entry carries its originator in the meta word: responses and
-		// deactivate toggles are credited to the originator, and q's own
-		// toggle is deferred to the side list so a completed delegating
-		// announcement never clobbers an originator's response slot.
-		start := len(batch)
+		// Vectorized announcement: one Request per ring entry, served in ring
+		// order so each originator's program order is preserved within the
+		// round. Each entry names its originator: responses and deactivate
+		// toggles are credited to it (q itself, unless q delegates), and q's
+		// own toggle is deferred to the side list so a completed delegating
+		// announcement never clobbers an originator's response slot. Under
+		// PWFcomb q may be rewriting its ring concurrently (possible only after
+		// its current vector completed); then this round's validation is
+		// already doomed and its writes stay in the private buffer, so a torn
+		// read here is harmless.
+		vb, occ, start := c.vecBase(q), c.occ[tid], len(batch)
 		for i := 0; i < cnt; i++ {
-			ot, par := unpackDelMeta(c.vec.Load(vb + 4*i + 3))
+			e := vb + ringEnt*i
+			ot, par := unpackDelMeta(c.vec[e+3].Load())
 			if ot < 0 || ot >= c.n {
-				continue // torn meta from a doomed republication
+				continue // torn meta from a doomed rewrite
 			}
 			if par == c.state.Load(dst+c.deactOff+ot) {
 				continue // originator already served (recovery replay)
 			}
-			vi := 0
-			for j := start; j < len(batch); j++ {
-				if batch[j].Tid == uint64(ot) {
-					vi++
-				}
-			}
 			batch = append(batch, Request{
 				Tid: uint64(ot),
-				Op:  c.vec.Load(vb + 4*i),
-				A0:  c.vec.Load(vb + 4*i + 1),
-				A1:  c.vec.Load(vb + 4*i + 2),
+				Op:  c.vec[e].Load(),
+				A0:  c.vec[e+1].Load(),
+				A1:  c.vec[e+2].Load(),
 				act: par,
-				vi:  vi,
+				vi:  occ[ot],
 			})
+			occ[ot]++
+		}
+		for j := start; j < len(batch); j++ {
+			occ[batch[j].Tid] = 0
 		}
 		togs = append(togs, uint64(q)<<1|act)
 	}
 	c.scratch[tid] = batch
-	if c.delegate {
-		c.delTogs[tid] = togs
+	if c.vec != nil {
+		c.vecTogs[tid] = togs
 	}
 	return batch, togs, anns
 }
@@ -631,8 +602,8 @@ func (c *comb) serve(tid int, env *Env, batch []Request, togs []uint64) {
 		}
 		c.onStateWrite(tid, dst+ret)
 	}
-	// Deactivate the delegating announcers themselves: toggle only, no
-	// response — their entries' responses went to the originators above.
+	// Deactivate the vector announcers themselves: toggle only, no response —
+	// their entries' responses went to the originators above.
 	for _, t := range togs {
 		q := int(t >> 1)
 		c.state.Store(dst+c.deactOff+q, t&1)

@@ -3,24 +3,14 @@ package core
 import (
 	"sync"
 	"testing"
-
-	"pcomb/internal/pmem"
 )
-
-// delProtos builds one delegate-capable instance per protocol.
-func delProtos(h *pmem.Heap, n, k int) map[string]DelegateProtocol {
-	return map[string]DelegateProtocol{
-		"PB":  NewPBCombWith(h, "dpb", n, Counter{}, CombOpts{VecCap: k, Delegate: true}),
-		"PWF": NewPWFCombWith(h, "dwf", n, Counter{}, CombOpts{VecCap: k, Delegate: true}),
-	}
-}
 
 // TestInvokeDelegatedCreditsOriginators: one thread announces ops on behalf
 // of three others; the responses must be the sequential counter values and
 // each originator's deactivate parity must flip to its own seq's low bit.
 func TestInvokeDelegatedCreditsOriginators(t *testing.T) {
 	const n, k = 4, 8
-	for name, c := range delProtos(shadowHeap(), n, k) {
+	for name, c := range vecProtos(shadowHeap(), n, k) {
 		t.Run(name, func(t *testing.T) {
 			dops := []DelOp{
 				{Op: OpCounterAdd, A0: 1, Tid: 0, Seq: 1},
@@ -62,7 +52,7 @@ func TestInvokeDelegatedCreditsOriginators(t *testing.T) {
 // observed a distinct previous value).
 func TestInvokeDelegatedRepeatedRounds(t *testing.T) {
 	const n, k, rounds = 4, 8, 50
-	for name, c := range delProtos(shadowHeap(), n, k) {
+	for name, c := range vecProtos(shadowHeap(), n, k) {
 		t.Run(name, func(t *testing.T) {
 			seen := map[uint64]bool{}
 			for r := 0; r < rounds; r++ {
@@ -93,7 +83,7 @@ func TestInvokeDelegatedRepeatedRounds(t *testing.T) {
 func TestDelegateSelfVector(t *testing.T) {
 	const n, k = 2, 8
 	h := shadowHeap()
-	for name, c := range delProtos(h, n, k) {
+	for name, c := range vecProtos(h, n, k) {
 		t.Run(name, func(t *testing.T) {
 			ops := []VecOp{{Op: OpCounterAdd, A0: 1}, {Op: OpCounterAdd, A0: 1}, {Op: OpCounterAdd, A0: 1}}
 			rets := make([]uint64, 3)
@@ -125,7 +115,7 @@ func TestDelegateSelfVector(t *testing.T) {
 // scalar ops for itself.
 func TestDelegateConcurrentMix(t *testing.T) {
 	const n, k, rounds = 4, 8, 40
-	for name, c := range delProtos(shadowHeap(), n, k) {
+	for name, c := range vecProtos(shadowHeap(), n, k) {
 		t.Run(name, func(t *testing.T) {
 			var wg sync.WaitGroup
 			wg.Add(2)

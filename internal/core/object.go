@@ -66,7 +66,7 @@ type Request struct {
 func (r *Request) VecIndex() int { return r.vi }
 
 // VecOp is one operation of a vectorized announcement (see InvokeVec): up to
-// VecCap of them are published in the announcing thread's persistent argument
+// VecCap of them are written into the announcing thread's volatile argument
 // ring and served with a single slot toggle.
 type VecOp struct {
 	Op uint64
@@ -83,16 +83,6 @@ type CombOpts struct {
 	// vectorized announcement; 0 or 1 builds a scalar-only instance with the
 	// classic record layout.
 	VecCap int
-	// Delegate widens the argument ring entries to four words (op, a0, a1,
-	// meta) so a vectorized announcement can carry operations *on behalf of
-	// other threads*: meta names the originating thread and the parity of its
-	// per-thread sequence number, and the combiner credits the response and
-	// the deactivate toggle to the originator instead of the announcer. This
-	// is the mechanism behind hierarchical combining (a local combiner batches
-	// many threads' requests into one announcement) and cross-shard
-	// transactions (one thread announces a group of its own legs as a unit).
-	// Requires VecCap > 1.
-	Delegate bool
 }
 
 // DelOp is one delegated operation: an (op, a0, a1) triple to execute, plus
@@ -109,21 +99,8 @@ type DelOp struct {
 	Seq uint64
 }
 
-// DelegateProtocol is satisfied by protocol instances built with
-// CombOpts.Delegate: VecProtocol plus the delegating entry point.
-type DelegateProtocol interface {
-	VecProtocol
-	// InvokeDelegated announces dops as one vector under ctid's slot — seq is
-	// ctid's own per-announcement sequence number — waits until a combining
-	// round has served the whole vector, and copies each operation's response
-	// into rets[i]. Each originator's deactivate bit flips to dop.Seq&1 in the
-	// same durable round, so its op stays exactly-once recoverable through the
-	// ordinary scalar Recover path.
-	InvokeDelegated(ctid int, seq uint64, dops []DelOp, rets []uint64)
-}
-
-// packDelMeta packs a delegated entry's originating thread and activate
-// parity into the ring's meta word.
+// packDelMeta packs a ring entry's originating thread and activate parity
+// into the entry's meta word.
 func packDelMeta(tid int, seq uint64) uint64 { return uint64(tid)<<1 | seq&1 }
 
 // unpackDelMeta splits a meta word into originating thread and parity.
@@ -131,21 +108,31 @@ func unpackDelMeta(m uint64) (int, uint64) { return int(m >> 1), m & 1 }
 
 // VecProtocol is satisfied by protocol instances built with CombOpts.VecCap
 // > 1: they accept vectorized announcements of up to VecCap operations per
-// slot toggle, amortizing the announce handshake and the combining round
-// over the whole vector.
+// slot toggle — the thread's own, or operations delegated by other threads —
+// amortizing the announce handshake and the combining round over the whole
+// vector.
 type VecProtocol interface {
 	Protocol
 	// VecCap returns the instance's vector capacity (1 for scalar-only).
 	VecCap() int
-	// InvokeVec writes ops into tid's persistent argument ring, makes them
-	// durable (pwb+pfence), announces them with one slot toggle, waits until
-	// a combiner has served the whole vector, and copies the per-op responses
-	// into rets[:len(ops)]. seq follows the same per-thread contract as
-	// Invoke (one number per announcement, not per op).
+	// InvokeVec writes ops into tid's volatile argument ring, announces them
+	// with one slot toggle, waits until a combiner has served the whole
+	// vector, and copies the per-op responses into rets[:len(ops)]. It
+	// persists nothing beyond the serving round's own record. seq follows the
+	// same per-thread contract as Invoke (one number per announcement, not per
+	// op).
 	InvokeVec(tid int, ops []VecOp, seq uint64, rets []uint64)
+	// InvokeDelegated announces dops as one vector under ctid's slot — seq is
+	// ctid's own per-announcement sequence number — waits until a combining
+	// round has served the whole vector, and copies each operation's response
+	// into rets[i]. Each originator's deactivate bit flips to dop.Seq&1 in the
+	// same durable round, so its op stays exactly-once recoverable through the
+	// ordinary scalar Recover path. InvokeVec is InvokeDelegated with every
+	// originator equal to tid.
+	InvokeDelegated(ctid int, seq uint64, dops []DelOp, rets []uint64)
 	// RecoverVec is the recovery function for tid's interrupted vector: the
 	// caller re-supplies the original ops and seq from its own durable copy
-	// (the ring is never trusted), and RecoverVec re-executes the vector or
+	// (the ring is volatile), and RecoverVec re-executes the vector or
 	// fetches its responses — never both.
 	RecoverVec(tid int, ops []VecOp, seq uint64, rets []uint64)
 }
@@ -349,8 +336,9 @@ func (s *reqSlot) announce(op, a0, a1, activate uint64) {
 }
 
 // announceVec publishes a vectorized announcement: the arguments are already
-// durable in the thread's ring, so only the control word is written. The
-// single atomic store transfers (activate, count) consistently to combiners.
+// in the thread's ring, so only the control word is written. The single
+// atomic store transfers (activate, count) consistently to combiners, and
+// with them the ring entries stored before it.
 func (s *reqSlot) announceVec(cnt int, activate uint64) {
 	s.ctl.Store(packCtl(activate, true) | uint64(cnt)<<ctlCountShift)
 }

@@ -22,7 +22,7 @@ type PWFComb struct {
 	// state holds 2n+1 records: slots p*2, p*2+1 per thread, slot 2n the
 	// initial dummy; idx word 0 is the versioned S. Combiners read the argument
 	// ring only for announcements whose ctl carries a count; a stale read (the
-	// owner republishing for its next vector) can only happen in a round whose
+	// owner rewriting it for its next vector) can only happen in a round whose
 	// SC/validation is already doomed, and such a round's writes stay in the
 	// loser's private buffer.
 	comb

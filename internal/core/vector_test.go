@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 
@@ -364,5 +365,47 @@ func TestVecSparseMatchesDense(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestVecCostsOneRound: the argument ring is volatile, so a vector costs the
+// round that serves it and nothing more — after warm-up, one InvokeVec of d
+// ops issues exactly the pwbs, pfences and psyncs of one scalar Invoke on the
+// same dense single-thread instance, whatever d.
+func TestVecCostsOneRound(t *testing.T) {
+	const k = 16
+	type cost struct{ pwbs, pfences, psyncs uint64 }
+	measure := func(h *pmem.Heap, f func()) cost {
+		before := h.Stats()
+		f()
+		after := h.Stats()
+		return cost{after.Pwbs - before.Pwbs, after.Pfences - before.Pfences, after.Psyncs - before.Psyncs}
+	}
+	for _, name := range []string{"PB", "PWF"} {
+		for _, d := range []int{1, 4, 16} {
+			t.Run(fmt.Sprintf("%s/d=%d", name, d), func(t *testing.T) {
+				h := pmem.NewHeap(pmem.Config{Mode: pmem.ModeCount, NoCost: true})
+				c := vecProtos(h, 1, k)[name]
+				ops := make([]VecOp, d)
+				for i := range ops {
+					ops[i] = VecOp{Op: OpCounterAdd, A0: 1}
+				}
+				rets := make([]uint64, d)
+				seq := uint64(0)
+				for i := 0; i < 4; i++ { // warm-up: both record slots written
+					seq++
+					c.Invoke(0, OpCounterAdd, 1, 0, seq)
+					seq++
+					c.InvokeVec(0, ops, seq, rets)
+				}
+				seq++
+				scalar := measure(h, func() { c.Invoke(0, OpCounterAdd, 1, 0, seq) })
+				seq++
+				vec := measure(h, func() { c.InvokeVec(0, ops, seq, rets) })
+				if vec != scalar {
+					t.Fatalf("a %d-op vector cost %+v, a scalar round %+v", d, vec, scalar)
+				}
+			})
+		}
 	}
 }

@@ -133,9 +133,9 @@ func TestDurLinEnumerate(t *testing.T) {
 
 // TestDurLinMapEpochWindow fuzzes the map variant the matrix leaves out —
 // epoch mode with the async flush window — under the durable-linearizability
-// checker: a window's ring publish is deferred into the open epoch, so a crash
-// can leave a stale ring under an open record, and recovery must take the
-// window's ops from the record, never from the ring.
+// checker: a crash can drop a window's round with the epoch while its record
+// stays open, and recovery must take the window's ops from the record's
+// payload (the argument ring is volatile) and settle each op exactly once.
 func TestDurLinMapEpochWindow(t *testing.T) {
 	for _, kind := range []pcomb.Kind{pcomb.Blocking, pcomb.WaitFree} {
 		sp := func() *Spec { return mapSpec(kind, pcomb.MapOptions{Epoch: true, VecCap: specVecCap}) }

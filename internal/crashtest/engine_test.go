@@ -14,8 +14,9 @@ import (
 // plus the register targets: the sparse ones (a wide multi-line state whose
 // persists go through the merged dirty sets, so enumeration crashes inside the
 // delta persist itself) and the vectorized ones (every step announces a whole
-// vector of writes, so enumeration lands crash points inside ring publishes,
-// partially applied vectors, and return-slot collection).
+// vector of writes, so enumeration lands crash points between the system-area
+// record and the round, inside partially applied vectors, and in return-slot
+// collection; recovery takes the ops from the record payload).
 func enumTargets(n int) map[string]func(seed int64) Driver {
 	want := map[string]bool{
 		"counter/PBcomb": true, "counter/PWFcomb": true,

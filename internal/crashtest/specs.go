@@ -24,8 +24,9 @@ const (
 
 	heapBound = 1024
 	// specVecCap is the vector capacity of the vectorized variants: a crash
-	// point can land anywhere inside a multi-op vector — the ring publish,
-	// the announcement, a partial application, the return-slot collection.
+	// point can land anywhere inside a multi-op vector — after the record,
+	// inside a partial application, in the return-slot collection — and
+	// recovery takes the ops from the record payload.
 	specVecCap = 4
 
 	mapShards = 4

@@ -15,17 +15,19 @@ import (
 // shard's volatile posting board and then tries to become the board's
 // sweeper — one try-lock word. Whoever wins claims every posted request, its
 // own among them, and announces them to the shard as a single *delegated*
-// vector (core.CombOpts.Delegate); the others wait for their slot to be
-// served. This is the paper's combiner — announce, try to take the role,
-// serve everyone announced — one level up, not a server thread: the map starts
-// no goroutine, and a batch forms the way the paper's does, out of the posts
-// that land while the previous sweeper is inside its psync. The per-shard
-// persistence cost then amortizes over the whole swept batch even when each
-// client thread is only mildly concurrent with the others, which is exactly
-// the regime where direct per-shard combining degrades to degree 1. Responses
-// and deactivate bits are credited to the originating threads, so every
-// operation stays detectably recoverable through the ordinary per-thread
-// Recover path; the board itself is volatile and needs no recovery.
+// vector (core.VecProtocol's InvokeDelegated) under the shard's extra thread;
+// the others wait for their slot to be served. This is the paper's combiner —
+// announce, try to take the role, serve everyone announced — one level up,
+// not a server thread: the map starts no goroutine, and a batch forms the way
+// the paper's does, out of the posts that land while the previous sweeper is
+// inside its psync. The per-shard persistence cost then amortizes over the
+// whole swept batch even when each client thread is only mildly concurrent
+// with the others, which is exactly the regime where direct per-shard
+// combining degrades to degree 1. Responses and deactivate bits are credited
+// to the originating threads, so every operation stays detectably recoverable
+// through the ordinary per-thread Recover path. Nothing on the way persists:
+// the board and the shard's argument ring are volatile, and the swept
+// vector's only durable trace is the round's record.
 
 // Board slot states.
 const (
@@ -56,7 +58,7 @@ type bslot struct {
 // the role announces under that extra tid (ctid = n); seq is ctid's
 // announcement sequence number.
 type board struct {
-	inst    core.DelegateProtocol
+	inst    core.VecProtocol
 	slots   []bslot
 	sweeper prim.PaddedInt32
 	// Owned by the thread holding the role.
@@ -69,7 +71,7 @@ func newBoards(shards []core.Protocol, n, vcap int) []board {
 	bs := make([]board, len(shards))
 	for s, sh := range shards {
 		bs[s] = board{
-			inst:  sh.(core.DelegateProtocol),
+			inst:  sh.(core.VecProtocol),
 			slots: make([]bslot, n),
 			// ctid's announcement parity chain must survive re-open: seed from
 			// the durable deactivate bit so the first sweep flips it.

@@ -224,8 +224,8 @@ type Options struct {
 	// (hierarchical combining): a thread posts its request and tries to take
 	// the board's sweeper role, and whoever holds it announces every posted
 	// request as one delegated vector. Zero value: threads invoke their key's
-	// shard directly. The shards of a board map are built one thread wider,
-	// with CombOpts.Delegate, and VecCap at least 2. Part of the persistent
+	// shard directly. The shards of a board map are built one thread wider
+	// (the sweeper's tid) and with VecCap at least 2. Part of the persistent
 	// layout.
 	Board bool
 	// Epoch switches the map to epoch-mode relaxed durability: shard rounds
@@ -267,7 +267,7 @@ func NewOn(h *pmem.Heap, name string, n int, kind Kind, o Options, sys *sysarea.
 	width := n
 	if o.Board {
 		// The extra thread is the board's sweeper tid (see board).
-		co.VecCap, co.Delegate = max(o.VecCap, 2), true
+		co.VecCap = max(o.VecCap, 2)
 		width = n + 1
 	}
 	for s := 0; s < nshards; s++ {

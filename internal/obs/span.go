@@ -22,9 +22,9 @@ type Phase uint8
 const (
 	// PhaseOp spans the whole operation, invocation to response.
 	PhaseOp Phase = iota
-	// PhasePublish is the announce/publish step: writing the request slot or
-	// the persistent argument ring (including the ring's pwb+pfence). Arg
-	// carries the announced vector length (1 for scalars).
+	// PhasePublish is the announce/publish step: writing the request slot, or
+	// the volatile argument ring and the slot's control word. Arg carries the
+	// announced vector length (1 for scalars).
 	PhasePublish
 	// PhaseBackoff is the adaptive announce backoff between publishing and
 	// competing to combine. Arg is unused.

@@ -10,13 +10,13 @@ import (
 	"pcomb/internal/sysarea"
 )
 
-// Under an epoch a vector's ring publish is deferred into the open epoch, so
-// after a power cut the durable ring can still hold the PREVIOUS vector. In
-// these tests a thread flushes one vector, syncs, flushes a second and dies
-// before End; the power cut then drops the open epoch. Recovery must settle
-// the second vector and never re-perform the first, whose one acknowledged
-// effect must be there exactly once: it re-supplies the ops from the record's
-// payload, where reading them back from the ring re-ran the first vector.
+// Under an epoch a vector's record is durable while the round that serves it
+// waits in the open epoch. In these tests a thread flushes one vector, syncs,
+// flushes a second and dies before End; the power cut then drops the open
+// epoch. Recovery must settle the second vector and never re-perform the
+// first, whose one acknowledged effect must be there exactly once: it takes
+// the ops from the record's payload (the argument ring is volatile and holds
+// nothing after the crash), so only the open record's vector is settled.
 
 var protocols = []struct {
 	name string

@@ -380,8 +380,9 @@ func (a *Area) InvokeGrouped(tid int, ops []core.VecOp, rets []uint64, classOf f
 	for _, s := range a.commitStores(tid, grps, gops) {
 		a.r.DirectStore(s.i, s.v)
 	}
-	// Each group's ring is published inside its InvokeVec, after the record:
-	// recovery re-supplies the ops from the payload and never reads a ring.
+	// Each group runs as one InvokeVec after the record. The instances'
+	// argument rings are volatile: recovery re-supplies the ops from the
+	// payload.
 	for _, g := range grps {
 		a.insts[g.class].(core.VecProtocol).InvokeVec(tid, gops[g.off:g.off+g.cnt], g.seq, grets[g.off:g.off+g.cnt])
 	}
