@@ -1,6 +1,7 @@
 package core
 
 import (
+	"runtime"
 	"sync/atomic"
 
 	"pcomb/internal/memmodel"
@@ -80,9 +81,15 @@ type comb struct {
 	// concentrate on the few threads that are not waiting — and a thread that
 	// wins often has private buffers nearly in sync with S, which shrinks the
 	// sparse fill and persist sets.
-	annYld []prim.PaddedUint64 // per-thread announce-wait length, in yields (own thread only)
-	annHot []prim.PaddedUint64 // per-thread contention flag (own thread only)
-	degEMA atomic.Uint64       // combining-degree EMA, fixed-point <<emaShift
+	annSteps []prim.PaddedUint64 // per-thread announce-wait length, in Spin steps (own thread only)
+	annHot   []prim.PaddedUint64 // per-thread contention flag (own thread only)
+	degEMA   atomic.Uint64       // combining-degree EMA, fixed-point <<emaShift
+
+	// spin says whether the instance's wait loops spin before they yield
+	// (prim.NewSpin): set when every thread can have a processor of its own,
+	// n <= GOMAXPROCS at construction. An oversubscribed instance yields on
+	// every step, so a waiter hands its processor to the thread it waits for.
+	spin bool
 
 	// backoffs is PWFcomb's seeded per-thread backoff — its fixed wait when
 	// n == 1, and its pause between failed attempts; nil under PBcomb, whose
@@ -123,6 +130,7 @@ func (c *comb) init(p rounds, h *pmem.Heap, name, proto, idxName string, n int, 
 	_, c.sparse = obj.(SparseObject)
 	c.bobj, _ = obj.(BatchObject)
 	c.robj, _ = obj.(Reader)
+	c.spin = n <= runtime.GOMAXPROCS(0)
 	c.vcap = o.VecCap
 	if c.vcap < 1 {
 		c.vcap = 1
@@ -140,12 +148,12 @@ func (c *comb) init(p rounds, h *pmem.Heap, name, proto, idxName string, n int, 
 	c.scratch = make([][]Request, n)
 	c.envs = make([]Env, n)
 	c.seen = make([]prim.PaddedUint64, n)
-	c.annYld = make([]prim.PaddedUint64, n)
+	c.annSteps = make([]prim.PaddedUint64, n)
 	c.annHot = make([]prim.PaddedUint64, n)
 	for i := range c.ctxs {
 		c.ctxs[i] = h.NewCtx()
 		c.scratch[i] = make([]Request, 0, n*c.vcap)
-		c.annYld[i].V.Store(annYieldMin)
+		c.annSteps[i].V.Store(annStepMin)
 	}
 	if c.vcap > 1 {
 		c.vecStride = pmem.RoundUpLine(ringEnt * c.vcap)
@@ -214,6 +222,7 @@ func (c *comb) cur() int {
 // combiner writes the other one, PWFcomb's threads their private ones — so a
 // validated read is consistent.
 func (c *comb) recWord(off int) uint64 {
+	w := prim.NewSpin(c.spin)
 	for {
 		iv := c.idx.Load(0)
 		slot, _ := prim.UnpackVersioned(iv)
@@ -221,7 +230,7 @@ func (c *comb) recWord(off int) uint64 {
 		if c.idx.Load(0) == iv {
 			return v
 		}
-		prim.Pause()
+		w.Wait()
 	}
 }
 
@@ -303,11 +312,12 @@ func (c *comb) Peek(op, a0, a1 uint64) uint64 {
 	if c.robj == nil {
 		panic("core: Peek on an object without a Reader face")
 	}
+	w := prim.NewSpin(c.spin)
 	for {
 		if _, ret, ok := c.probe(op, a0, a1); ok {
 			return ret
 		}
-		prim.Pause()
+		w.Wait()
 	}
 }
 
@@ -355,14 +365,14 @@ func (c *comb) publish(tid, slot int, ver uint64) {
 	}
 }
 
-// Announce-backoff tuning: the wait is measured in scheduler yields (each
-// yield is a chance for another thread to announce), bounded exponential in
-// [annYieldMin, 4*min(n, annDegreeCap)]; the combining-degree EMA uses
+// Announce-backoff tuning: the wait is measured in Spin steps (each step is a
+// chance for another thread to announce), bounded exponential in
+// [annStepMin, 4*min(n, annDegreeCap)]; the combining-degree EMA uses
 // emaShift bits of fixed point and an exponential window of 1/emaAlpha;
 // degrees beyond annDegreeCap are treated as "batches are already large"
 // regardless of n.
 const (
-	annYieldMin  = 1
+	annStepMin   = 1
 	emaShift     = 8
 	emaAlpha     = 8
 	annDegreeCap = 64
@@ -389,7 +399,7 @@ func (c *comb) Invoke(tid int, op, a0, a1, seq uint64) uint64 {
 	// demonstrably competing AND observed rounds are still small relative to
 	// the thread count, and shrinks back otherwise, so an uncontended instance
 	// degenerates to the fixed wait — PWFcomb's seeded backoff, or a bare
-	// yield. (Spelled out here and in performVec rather than behind a helper or
+	// yield. (Spelled out here and in runVec rather than behind a helper or
 	// the rounds interface: every frame between an entry point and the yield
 	// costs a single-threaded Invoke some 30 ns.)
 	switch {
@@ -409,32 +419,35 @@ func (c *comb) Invoke(tid int, op, a0, a1, seq uint64) uint64 {
 }
 
 // announceWait adapts and applies thread tid's announce backoff. The wait is
-// a bounded number of scheduler yields — each yield lets another announcing
-// thread run, which is what actually grows the next combiner's batch — and
-// exits early the moment a combiner deactivates tid's request, so long waits
-// under contention cost almost no extra latency. Growth requires both a
-// contention signal (tid lost a round or was served by someone else since its
-// last wait) and headroom in the combining degree: once rounds already serve
-// about half the useful maximum, longer waits only add latency. The served
-// check reads the current record without validating — a stale read can only
-// cause a premature exit, and perform re-checks.
+// a bounded number of Spin steps — a short spin while every thread has a
+// processor, a scheduler yield otherwise; either way each step is time in
+// which another thread announces, which is what actually grows the next
+// combiner's batch — and exits early the moment a combiner deactivates tid's
+// request, so long waits under contention cost almost no extra latency.
+// Growth requires both a contention signal (tid lost a round or was served
+// by someone else since its last wait) and headroom in the combining degree:
+// once rounds already serve about half the useful maximum, longer waits only
+// add latency. The served check reads the current record without
+// validating — a stale read can only cause a premature exit, and perform
+// re-checks.
 func (c *comb) announceWait(tid int, myActivate uint64) {
 	target := uint64(c.n)
 	if target > annDegreeCap {
 		target = annDegreeCap
 	}
-	w := c.annYld[tid].V.Load()
+	n := c.annSteps[tid].V.Load()
 	if c.annHot[tid].V.Load() != 0 && c.degEMA.Load() < (target<<emaShift)*7/8 {
-		if w*2 <= 4*target {
-			w *= 2
+		if n*2 <= 4*target {
+			n *= 2
 		}
-	} else if w/2 >= annYieldMin {
-		w /= 2
+	} else if n/2 >= annStepMin {
+		n /= 2
 	}
-	c.annYld[tid].V.Store(w)
+	c.annSteps[tid].V.Store(n)
 	c.annHot[tid].V.Store(0)
-	for i := uint64(0); i < w; i++ {
-		prim.Pause()
+	w := prim.NewSpin(c.spin)
+	for i := uint64(0); i < n; i++ {
+		w.Wait()
 		if c.state.Load(c.cur()+c.deactOff+tid) == myActivate {
 			return // served while waiting; perform's entry check completes it
 		}

@@ -124,14 +124,16 @@ func (c *PBComb) perform(tid int) uint64 {
 	}
 }
 
-// awaitLock spins while the lock word still reads lv. If the combiner being
-// waited for died in a simulated crash, unwind like every other thread.
+// awaitLock waits while the lock word still reads lv, in Spin steps. If the
+// combiner being waited for died in a simulated crash, unwind like every
+// other thread.
 func (c *PBComb) awaitLock(lv uint64) {
+	w := prim.NewSpin(c.spin)
 	for c.lock.Load() == lv {
 		if c.h.Crashed() {
 			panic(pmem.CrashError{})
 		}
-		prim.Pause()
+		w.Wait()
 	}
 }
 

@@ -132,25 +132,30 @@ func NewPWFCombWith(h *pmem.Heap, name string, n int, obj Object, o CombOpts) *P
 	return c
 }
 
-// ReadState copies the current object state words into buf, validating that
-// S did not move during the copy (so the words form a consistent snapshot).
-// Data structures built from two protocol instances (PWFqueue) use it to
-// observe the other instance's state.
+// ReadState copies the object state words of the newest DURABLE record into
+// buf, validating that the durable index did not move during the copy (Read's
+// seqlock), so the words form a consistent snapshot. PWFqueue's dequeue
+// rounds use it to observe the enqueue instance. Following S instead, a
+// dequeue round could consume an enqueue round that a crash then rolls back
+// (S is stored before the psync that makes it durable) while the dequeue
+// round itself stays durable. Every operation that returned is in the
+// durable record.
 func (c *PWFComb) ReadState(buf []uint64) {
 	if len(buf) > c.stWords {
 		buf = buf[:c.stWords]
 	}
+	w := prim.NewSpin(c.spin)
 	for {
-		sv := c.sv.LL()
-		slot, _ := prim.UnpackVersioned(sv)
+		d := c.dur.V.Load()
+		slot, _ := prim.UnpackVersioned(d)
 		off := c.recOff(slot)
 		for i := range buf {
 			buf[i] = c.state.Load(off + i)
 		}
-		if c.sv.VL(sv) {
+		if c.dur.V.Load() == d {
 			return
 		}
-		prim.Pause()
+		w.Wait()
 	}
 }
 

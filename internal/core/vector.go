@@ -153,6 +153,7 @@ func (c *comb) runVec(tid, cnt int, seq uint64, rets []uint64, t0 int64, wait bo
 // hands their responses back.
 func (c *comb) collectRets(tid, cnt int, rets []uint64) {
 	vb, occ := c.vecBase(tid), c.occ[tid]
+	w := prim.NewSpin(c.spin)
 	for {
 		iv := c.idx.Load(0)
 		slot, _ := prim.UnpackVersioned(iv)
@@ -169,7 +170,7 @@ func (c *comb) collectRets(tid, cnt int, rets []uint64) {
 		if c.idx.Load(0) == iv {
 			return
 		}
-		prim.Pause()
+		w.Wait()
 	}
 }
 

@@ -112,18 +112,17 @@ func (m *Map) perform(tid, sh int, op, key, val, seq uint64) uint64 {
 				return b.inst.Invoke(tid, op, key, val, seq)
 			}
 		}
+		// One yield per iteration, whatever the shard's thread count: a
+		// poster that spins instead measured slower writes end to end
+		// (EXPERIMENTS.md "Waiting without the scheduler").
 		spins++
-		if spins&63 == 0 {
-			if m.h.Crashed() {
-				// Whoever held this slot or the role has unwound; unwind like
-				// any worker so the crash harness can finish the crash and
-				// re-open.
-				panic(pmem.CrashError{})
-			}
-			runtime.Gosched()
-		} else {
-			prim.Pause()
+		if spins&63 == 0 && m.h.Crashed() {
+			// Whoever held this slot or the role has unwound; unwind like
+			// any worker so the crash harness can finish the crash and
+			// re-open.
+			panic(pmem.CrashError{})
 		}
+		runtime.Gosched()
 	}
 }
 

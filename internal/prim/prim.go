@@ -1,6 +1,6 @@
 // Package prim provides the low-level synchronization primitives the
 // combining protocols are built from: a versioned LL/VL/SC simulation,
-// exponential backoff, bit-packing helpers, and padded atomics.
+// exponential backoff, wait steps, bit-packing helpers, and padded atomics.
 //
 // The paper's own experiments "simulate an LL on an object O with a read,
 // and an SC with a CAS on a timestamped version of O to avoid the ABA
@@ -10,6 +10,7 @@ package prim
 import (
 	"math/rand"
 	"runtime"
+	"sync"
 	"sync/atomic"
 )
 
@@ -30,8 +31,8 @@ func UnpackVersioned(v uint64) (slot int, stamp uint64) {
 }
 
 // Backoff implements randomized exponential backoff with an adaptive upper
-// bound, in the style of PSim's BackoffCalculate. On a single-CPU host every
-// wait yields the processor, so spinning code cannot starve the combiner.
+// bound, in the style of PSim's BackoffCalculate. Every wait ends in a yield
+// of the processor, so spinning code cannot starve the combiner.
 type Backoff struct {
 	rng   rand.Source64
 	limit uint64
@@ -78,9 +79,51 @@ func (b *Backoff) Shrink() {
 	}
 }
 
-// Pause is a polite busy-wait step: a short spin followed by a yield. All
-// spin loops in this repository call Pause so they remain live on GOMAXPROCS=1.
+// Pause is a bare yield of the processor. The baselines' wait loops and the
+// combining protocols' fixed single-thread wait call it; the protocols' other
+// wait loops step a Spin instead.
 func Pause() {
+	runtime.Gosched()
+}
+
+// A spinning Spin busy-waits spinNs per step for its first spinSteps steps,
+// then yields.
+const (
+	spinSteps = 32
+	spinNs    = 100
+)
+
+// spinCost is one spin step's Burn, calibrated on first use.
+var spinCost = sync.OnceValue(func() Cost { return CostForNs(spinNs) })
+
+// Spin is one wait loop's step counter: make one per wait with NewSpin and
+// call Wait once per failed check. A yield pays only when the thread being
+// waited for needs the waiter's processor; when it has a core of its own, the
+// yield is a round trip through the scheduler (its lock, its run queues)
+// that lands back in the same loop, so a spinning Spin burns its first steps
+// in place and yields only once the wait has outlasted them. A Spin made with
+// NewSpin(false) yields on every step, like Pause, which keeps a loop live
+// when its threads outnumber the processors.
+type Spin struct {
+	n int // steps taken, counted up to spinSteps
+}
+
+// NewSpin returns a fresh step counter that spins its first steps if spin is
+// set and yields on every step otherwise.
+func NewSpin(spin bool) Spin {
+	if spin {
+		return Spin{}
+	}
+	return Spin{n: spinSteps}
+}
+
+// Wait takes one step of the wait: a short spin or a yield.
+func (s *Spin) Wait() {
+	if s.n < spinSteps {
+		s.n++
+		Burn(spinCost())
+		return
+	}
 	runtime.Gosched()
 }
 

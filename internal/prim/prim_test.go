@@ -2,6 +2,8 @@ package prim
 
 import (
 	"math/rand"
+	"runtime"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 )
@@ -42,5 +44,35 @@ func TestBackoffDefaults(t *testing.T) {
 	b := NewBackoff(0, 0, 1)
 	if b.min == 0 || b.max < b.min {
 		t.Fatalf("defaults not applied: min=%d max=%d", b.min, b.max)
+	}
+}
+
+// TestSpinSpinsThenYields checks each Spin step's kind on one processor: a
+// goroutine made runnable before the wait runs only once a step yields.
+// Spinning counters take spinSteps quiet steps first; yielding ones none.
+func TestSpinSpinsThenYields(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	spinCost() // calibrate outside the measured steps
+	for _, tc := range []struct {
+		spin  bool
+		quiet int
+	}{{true, spinSteps}, {false, 0}} {
+		var ran atomic.Bool
+		w := NewSpin(tc.spin)
+		go ran.Store(true)
+		for i := 0; i < tc.quiet; i++ {
+			w.Wait()
+			if ran.Load() {
+				t.Fatalf("spin=%v: step %d yielded, want %d spinning steps", tc.spin, i, tc.quiet)
+			}
+		}
+		// A yield may pick the yielder again (the scheduler's periodic check
+		// of the global run queue), so allow a few steps for the goroutine.
+		for i := 0; i < 4 && !ran.Load(); i++ {
+			w.Wait()
+		}
+		if !ran.Load() {
+			t.Fatalf("spin=%v: no yield after %d steps", tc.spin, tc.quiet)
+		}
 	}
 }

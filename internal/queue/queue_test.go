@@ -1,6 +1,7 @@
 package queue
 
 import (
+	"slices"
 	"sync"
 	"testing"
 
@@ -546,5 +547,68 @@ func TestRecoverIdempotent(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestPWFDequeueSeesOnlyDurableEnqueues runs a dequeue by thread 1 at every
+// persistence event of an enqueue by thread 0 on an empty queue, then crashes
+// before thread 0 returns. The dequeue returned, so its effect is durable:
+// after recovery the queue must hold exactly the values it did not take, and
+// an append must reach the next dequeue. A dequeue round that read the
+// enqueue instance's S between its SC and its psync took a value the crash
+// then rolled back, and left the durable head off the durable list.
+func TestPWFDequeueSeesOnlyDurableEnqueues(t *testing.T) {
+	opt := Options{Capacity: 1 << 12, ChunkSize: 16}
+	for k := int64(1); ; k++ {
+		h := newHeap()
+		q := NewOn(h, "q", 2, WaitFree, opt, nil, 0)
+		var got uint64
+		var ok, ran bool
+		h.SetKillAtEvent(k, func() {
+			h.SetKillAtEvent(0, nil)
+			got, ok = q.Dequeue(1)
+			ran = true
+			panic(pmem.CrashError{})
+		})
+		func() {
+			defer func() {
+				if r := recover(); r != nil {
+					if _, isCrash := r.(pmem.CrashError); !isCrash {
+						panic(r)
+					}
+				}
+			}()
+			q.Enqueue(0, 7)
+		}()
+		h.SetKillAtEvent(0, nil)
+		if !ran {
+			if k == 1 {
+				t.Fatal("the enqueue reached no persistence event")
+			}
+			return
+		}
+		h.Crash(pmem.DropUnfenced, k)
+		q2 := NewOn(h, "q", 2, WaitFree, opt, nil, 0)
+		recoverEnq(q2, 0, 7, 1)
+		var want []uint64
+		if !ok {
+			want = []uint64{7}
+		} else if got != 7 {
+			t.Fatalf("event %d: concurrent dequeue = %d", k, got)
+		}
+		// The recovered list must still take appends where dequeues find them.
+		q2.Enqueue(1, 8)
+		want = append(want, 8)
+		var have []uint64
+		for len(have) <= len(want) {
+			v, ok := q2.Dequeue(0)
+			if !ok {
+				break
+			}
+			have = append(have, v)
+		}
+		if !slices.Equal(have, want) {
+			t.Fatalf("event %d: concurrent dequeue returned %d,%v; after recovery and one more enqueue the queue drained %v, want %v", k, got, ok, have, want)
+		}
 	}
 }

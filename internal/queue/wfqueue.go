@@ -87,10 +87,10 @@ func (o *wfEnqObj) commit(tid int, success bool) {
 }
 
 // wfDeqObj is PWFqueue's dequeue-side object. State: [head]. A combining
-// round reads a validated snapshot of the enqueue instance's state, helps
-// splice the pending part (idempotent), and dequeues up to the end of the
-// snapshot — every node it consumes was persisted by the enqueue combiner
-// before that snapshot could be published.
+// round reads a validated snapshot of the enqueue instance's durable state
+// (ReadState), helps splice the pending part (idempotent), and dequeues up
+// to the end of the snapshot — every node it consumes, and the record that
+// links it, is durable before the dequeue round that consumes it begins.
 type wfDeqObj struct {
 	q     *Queue
 	dummy uint64
