@@ -1,8 +1,7 @@
 // Package volatilecomb implements the volatile synchronization baselines the
 // paper compares against in Figure 4 and Table 1: CC-Synch and H-Synch
-// (Fatourou & Kallimanis, PPoPP'12), PSim (SPAA'11), flat combining
-// (Hendler et al., SPAA'10), MCS queue locks, the C-BO-MCS cohort lock
-// (Dice et al.), and a plain lock-free CAS loop.
+// (Fatourou & Kallimanis, PPoPP'12), PSim (SPAA'11), MCS queue locks, the
+// C-BO-MCS cohort lock (Dice et al.), and a plain lock-free CAS loop.
 //
 // All baselines drive the same sequential object: a StepFn applied to a
 // shared word-array state under (the algorithm's notion of) mutual

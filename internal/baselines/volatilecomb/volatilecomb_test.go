@@ -11,7 +11,6 @@ func executors(n int, state []uint64) []Executor {
 		NewCCSynch(n, state, FetchAddStep, 0),
 		NewHSynch(n, append([]uint64(nil), state...), FetchAddStep, 2),
 		NewPSim(n, append([]uint64(nil), state...), FetchAddStep),
-		NewFlatCombining(n, append([]uint64(nil), state...), FetchAddStep),
 		NewMCS(n, append([]uint64(nil), state...), FetchAddStep),
 		NewCBOMCS(n, append([]uint64(nil), state...), FetchAddStep, 2, 16),
 		NewLockFree(state[0], FetchAddStep),
@@ -71,7 +70,6 @@ func TestAtomicFloatAllExecutors(t *testing.T) {
 		func() Executor { return NewCCSynch(n, []uint64{math.Float64bits(1)}, AtomicFloatStep, 0) },
 		func() Executor { return NewHSynch(n, []uint64{math.Float64bits(1)}, AtomicFloatStep, 2) },
 		func() Executor { return NewPSim(n, []uint64{math.Float64bits(1)}, AtomicFloatStep) },
-		func() Executor { return NewFlatCombining(n, []uint64{math.Float64bits(1)}, AtomicFloatStep) },
 		func() Executor { return NewMCS(n, []uint64{math.Float64bits(1)}, AtomicFloatStep) },
 		func() Executor { return NewCBOMCS(n, []uint64{math.Float64bits(1)}, AtomicFloatStep, 2, 16) },
 		func() Executor { return NewLockFree(math.Float64bits(1), AtomicFloatStep) },
@@ -145,7 +143,6 @@ func TestMultiWordStateUnderLocks(t *testing.T) {
 		NewCCSynch(n, []uint64{100, 100, 100, 100}, step, 0),
 		NewHSynch(n, []uint64{100, 100, 100, 100}, step, 2),
 		NewPSim(n, []uint64{100, 100, 100, 100}, step),
-		NewFlatCombining(n, []uint64{100, 100, 100, 100}, step),
 		NewMCS(n, []uint64{100, 100, 100, 100}, step),
 		NewCBOMCS(n, []uint64{100, 100, 100, 100}, step, 2, 16),
 	}
@@ -180,11 +177,6 @@ func TestMultiWordStateUnderLocks(t *testing.T) {
 					sum += e.Apply(0, i)
 				}
 			case *PSim:
-				e.step = probe
-				for i := uint64(0); i < 4; i++ {
-					sum += e.Apply(0, i)
-				}
-			case *FlatCombining:
 				e.step = probe
 				for i := uint64(0); i < 4; i++ {
 					sum += e.Apply(0, i)

@@ -14,11 +14,12 @@ import (
 // the two protocols as one scheme — a thread announces in Request[] with an
 // activate toggle; a combiner gathers the active requests, applies them to a
 // private copy of the current StateRec and writes ReturnVal/Deactivate there
-// — and everything in that sentence lives here, once: the announcement array
-// and the argument ring, announce (Invoke, the vector entry points, the
-// backoff between announcing and competing), gather, serve, and Recover. The
-// protocols add only what differs (the rounds interface): how a served copy
-// becomes the current record.
+// — and everything in that sentence lives here, once: the announcement
+// blocks (one per thread: a control word and up to VecCap entries, an Invoke
+// being a vector of one), the one announce-and-wait body behind Invoke and
+// the vector entry points (with the backoff between announcing and
+// competing), gather, serve, and Recover. The protocols add only what differs
+// (the rounds interface): how a served copy becomes the current record.
 type comb struct {
 	h    *pmem.Heap
 	name string
@@ -52,28 +53,26 @@ type comb struct {
 	dur  prim.PaddedUint64
 	seen []prim.PaddedUint64
 
-	// Vectorized announcements (CombOpts.VecCap > 1): the per-thread argument
-	// ring — vcap entries of ringEnt words (op, a0, a1, originator·parity)
-	// per thread, line-aligned — written by the owner before its slot toggle
-	// so a combiner can drain the whole vector. It is volatile, like the
-	// announcement array: recovery re-supplies a vector's operations (see
-	// RecoverVec). The ReturnVal block widens to vcap words per thread so
-	// every op of a served vector has a persistent response slot. Per-thread
-	// combiner scratch: vecTogs holds the announcer toggles a round owes to
-	// vector announcements, packed q<<1|act; occ counts a vector's entries per
-	// originator (all zero between uses).
-	vcap      int // max ops per announcement (1 = scalar-only, no ring)
-	vec       []atomic.Uint64
-	vecStride int
-	vecTogs   [][]uint64
+	// The announcement blocks (see vector.go): annStride words per thread,
+	// line-aligned — the control word, then vcap entries of entWords words
+	// (op, a0, a1, originator·parity) — so entry 0 shares the control word's
+	// line. Volatile: recovery re-supplies an announcement's operations (see
+	// RecoverVec). The ReturnVal block is vcap words per thread so every op of
+	// a served vector has a persistent response slot. Per-thread combiner
+	// scratch: togs holds the toggles a round owes to announcers none of whose
+	// entries carries their own, packed q<<1|act; occ counts an
+	// announcement's entries per originator (all zero between uses).
+	vcap      int // max ops per announcement, at least 1
+	ann       []atomic.Uint64
+	annStride int
+	togs      [][]uint64
 	occ       [][]int
 
-	req     []reqSlot
 	ctxs    []*pmem.Ctx
 	scratch [][]Request
 	envs    []Env // per-thread combiner environment, reused from round to round
 
-	// Adaptive announce backoff (see Invoke): per-thread bounded exponential
+	// Adaptive announce backoff (see runVec): per-thread bounded exponential
 	// waits between announcing and competing, tuned by the observed combining
 	// degree so announcements accumulate into larger batches exactly when
 	// rounds still have room to grow. Under PWFcomb it has one more effect:
@@ -96,12 +95,20 @@ type comb struct {
 	// fixed wait is a bare yield.
 	backoffs []*prim.Backoff
 
-	hotReq []pmem.HotWord // coherence hot spots (see pmem.HotWord): the announcement slots
+	hotReq []pmem.HotWord // coherence hot spots (see pmem.HotWord): the announcement blocks
 
 	// sparse is set when obj is a SparseObject: rounds copy and persist only
 	// the record lines recent rounds dirtied (each protocol keeps its own
 	// dirty-line bookkeeping) instead of the whole record.
 	sparse bool
+
+	// commit is the round hook (SetCommit): it commits a round's side effects
+	// outside the record — a queue's durable tail, node recycling. PBcomb runs
+	// it with won = true after the psync that makes a round durable and before
+	// the lock is released; PWFcomb with true after a winning SC's psync, and
+	// with false for every round it discards after serving began, so the data
+	// structure rolls that round's side effects back.
+	commit func(env *Env, won bool)
 
 	// The installed Probe (see SetProbe); each nil when not installed.
 	mem   *memmodel.Hooks
@@ -131,10 +138,7 @@ func (c *comb) init(p rounds, h *pmem.Heap, name, proto, idxName string, n int, 
 	c.bobj, _ = obj.(BatchObject)
 	c.robj, _ = obj.(Reader)
 	c.spin = n <= runtime.GOMAXPROCS(0)
-	c.vcap = o.VecCap
-	if c.vcap < 1 {
-		c.vcap = 1
-	}
+	c.vcap = max(o.VecCap, 1)
 	c.retOff = c.stWords
 	c.deactOff = c.stWords + n*c.vcap
 	c.recWords = pmem.RoundUpLine(c.deactOff + n + tail)
@@ -142,7 +146,10 @@ func (c *comb) init(p rounds, h *pmem.Heap, name, proto, idxName string, n int, 
 	c.state = h.AllocOrGet(name+"/"+proto+".state", recs*c.recWords)
 	c.idx = h.AllocOrGet(name+"/"+idxName, 2*pmem.LineWords)
 
-	c.req = make([]reqSlot, n)
+	c.annStride = pmem.RoundUpLine(1 + entWords*c.vcap)
+	c.ann = make([]atomic.Uint64, n*c.annStride)
+	c.togs = make([][]uint64, n)
+	c.occ = make([][]int, n)
 	c.hotReq = make([]pmem.HotWord, n)
 	c.ctxs = make([]*pmem.Ctx, n)
 	c.scratch = make([][]Request, n)
@@ -153,17 +160,11 @@ func (c *comb) init(p rounds, h *pmem.Heap, name, proto, idxName string, n int, 
 	for i := range c.ctxs {
 		c.ctxs[i] = h.NewCtx()
 		c.scratch[i] = make([]Request, 0, n*c.vcap)
+		// A line of slack after each thread's words keeps neighbouring
+		// threads' scratch, which every round writes, off one cache line.
+		c.togs[i] = make([]uint64, 0, n+pmem.LineWords)
+		c.occ[i] = make([]int, n, n+pmem.LineWords)
 		c.annSteps[i].V.Store(annStepMin)
-	}
-	if c.vcap > 1 {
-		c.vecStride = pmem.RoundUpLine(ringEnt * c.vcap)
-		c.vec = make([]atomic.Uint64, n*c.vecStride)
-		c.vecTogs = make([][]uint64, n)
-		c.occ = make([][]int, n)
-		for i := range c.vecTogs {
-			c.vecTogs[i] = make([]uint64, 0, n)
-			c.occ[i] = make([]int, n)
-		}
 	}
 }
 
@@ -194,6 +195,10 @@ func (c *comb) Threads() int { return c.n }
 // Ctx returns thread tid's persistence context (for objects that allocate
 // outside the combining record and for harness accounting).
 func (c *comb) Ctx(tid int) *pmem.Ctx { return c.ctxs[tid] }
+
+// SetCommit installs f as the round hook (see comb.commit); nil uninstalls
+// it. Install before concurrent use.
+func (c *comb) SetCommit(f func(env *Env, won bool)) { c.commit = f }
 
 // AttachEpoch switches the instance to epoch-mode relaxed durability: every
 // per-thread context defers its persistence instructions into e's buffer,
@@ -378,44 +383,15 @@ const (
 	annDegreeCap = 64
 )
 
-// Invoke announces and executes one operation for thread tid. The caller
+// Invoke announces and executes one operation for thread tid: a vector of
+// one, through the same announcement block and body as InvokeVec. The caller
 // supplies a per-thread sequence number that starts at 1 and increases by 1
 // with every invocation; its low bit drives the activate/deactivate
 // detectability scheme, as in the paper's system model.
 func (c *comb) Invoke(tid int, op, a0, a1, seq uint64) uint64 {
-	var t0, t1 int64
-	if c.spans != nil {
-		t0 = obs.Now()
-	}
-	c.req[tid].announce(op, a0, a1, seq&1)
-	c.onReqWrite(tid, tid)
-	if c.spans != nil {
-		t1 = obs.Now()
-		c.spans.Record(tid, obs.PhasePublish, t0, t1, 1)
-	}
-	// Wait between announcing and competing: this is what lets announcements
-	// accumulate into large combining batches (cf. the paper's backoff
-	// discussion). The wait is adaptive: it grows only while other threads are
-	// demonstrably competing AND observed rounds are still small relative to
-	// the thread count, and shrinks back otherwise, so an uncontended instance
-	// degenerates to the fixed wait — PWFcomb's seeded backoff, or a bare
-	// yield. (Spelled out here and in runVec rather than behind a helper or
-	// the rounds interface: every frame between an entry point and the yield
-	// costs a single-threaded Invoke some 30 ns.)
-	switch {
-	case c.n > 1:
-		c.announceWait(tid, seq&1)
-	case c.backoffs != nil:
-		c.backoffs[tid].Wait()
-	default:
-		prim.Pause()
-	}
-	if c.spans != nil {
-		c.spans.Record(tid, obs.PhaseBackoff, t1, obs.Now(), 0)
-	}
-	ret := c.p.perform(tid)
-	c.clearAnnounce(tid)
-	return ret
+	t0 := c.spanStart()
+	c.storeEnt(tid, 0, op, a0, a1, tid, seq)
+	return c.runVec(tid, 1, seq, nil, t0, true)
 }
 
 // announceWait adapts and applies thread tid's announce backoff. The wait is
@@ -464,7 +440,7 @@ func (c *comb) noteContention(tid int) {
 
 // wonRound reports a round that became current: degree operations served for
 // anns announcements. The combining-degree EMA feeding announceWait counts
-// announcements (slot toggles gathered), not operations: a vectorized
+// announcements (activate toggles gathered), not operations: a vectorized
 // announcement carries up to VecCap ops, and measuring ops would tell the
 // backoff a round of a few fat vectors is "already large" while most threads'
 // slots went unserved — exactly the piling the wait exists to create. The
@@ -477,37 +453,25 @@ func (c *comb) wonRound(tid, degree, anns int) {
 	c.degEMA.Store(old - old/emaAlpha + (uint64(anns)<<emaShift)/emaAlpha)
 }
 
-// clearAnnounce retires tid's completed announcement from its slot. A
+// clearAnnounce retires tid's completed announcement from its block. A
 // delegated vector (InvokeDelegated) flips a thread's deactivate bit without
 // the thread ever re-announcing, which would make a completed-but-still-valid
-// slot look active again to a later round and re-execute it; retiring the
+// block look active again to a later round and re-execute it; retiring the
 // control word closes that resurrection window. Volatile-only and race-free:
 // any round that gathered this announcement against the old deactivate bit
 // either became current before the owning thread returned, or (PWFcomb) fails
 // its SC/validation and discards its copy.
 func (c *comb) clearAnnounce(tid int) {
-	c.req[tid].ctl.Store(0)
+	c.ann[c.annBase(tid)].Store(0)
 }
 
 // Recover is the recovery function for thread tid's interrupted operation:
 // the system re-invokes it after a crash with the same arguments and seq as
-// the original invocation.
+// the original invocation. It is RecoverVec with a vector of one.
 func (c *comb) Recover(tid int, op, a0, a1, seq uint64) uint64 {
-	if recoverSabotage.Load() {
-		// Mutation-test bug: skip the republish and hand back the (possibly
-		// stale) return slot unconditionally.
-		return c.recWord(c.retSlot(tid))
-	}
-	// Re-announce with the original toggle so a combiner neither re-executes
-	// a request that took effect nor skips one that did not.
-	c.req[tid].announce(op, a0, a1, seq&1)
-	if c.recWord(c.deactOff+tid) != seq&1 {
-		ret := c.p.perform(tid)
-		c.clearAnnounce(tid)
-		return ret
-	}
-	c.clearAnnounce(tid)
-	return c.recWord(c.retSlot(tid))
+	var ret [1]uint64
+	c.RecoverVec(tid, []VecOp{{Op: op, A0: a0, A1: a1}}, seq, ret[:])
+	return ret[0]
 }
 
 // env readies tid's combiner environment for a round on the record at dst;
@@ -518,17 +482,25 @@ func (c *comb) env(tid, dst int, dirty *dirtySet) *Env {
 	return env
 }
 
-// gather scans the announcement array against the Deactivate words of the
-// record at dst and returns every active request, the deferred toggles of
-// vector announcers (packed q<<1|act) and the number of announcements they
-// came from.
+// gather scans the announcement blocks against the Deactivate words of the
+// record at dst and returns every active request, the toggles owed to
+// announcers none of whose entries carries their own (packed q<<1|act), and
+// the number of announcements they came from.
+//
+// Each active block yields one Request per entry, in entry order, so each
+// originator's program order is preserved within the round. Each entry names
+// its originator: responses and deactivate toggles are credited to it (q
+// itself, unless q delegates), and the announcer's own toggle goes to the
+// side list only when no entry of q's carries it, so a completed delegating
+// announcement never clobbers an originator's response slot. Under PWFcomb q
+// may be rewriting its block concurrently (possible only after its current
+// announcement completed); then this round's validation is already doomed and
+// its writes stay in the private buffer, so a torn read here is harmless.
 func (c *comb) gather(tid, dst int) (batch []Request, togs []uint64, anns int) {
-	batch = c.scratch[tid][:0]
-	if c.vec != nil {
-		togs = c.vecTogs[tid][:0]
-	}
+	batch, togs, occ := c.scratch[tid][:0], c.togs[tid][:0], c.occ[tid]
 	for q := 0; q < c.n; q++ {
-		ctl := c.req[q].ctl.Load()
+		b := c.annBase(q)
+		ctl := c.ann[b].Load()
 		c.onReqRead(tid, q)
 		if !ctlValid(ctl) {
 			continue
@@ -539,42 +511,21 @@ func (c *comb) gather(tid, dst int) (batch []Request, togs []uint64, anns int) {
 		}
 		anns++
 		c.h.Touch(&c.hotReq[q], tid)
-		cnt := ctlCount(ctl)
-		if cnt == 0 {
-			batch = append(batch, Request{
-				Tid: uint64(q),
-				Op:  c.req[q].op.Load(),
-				A0:  c.req[q].a0.Load(),
-				A1:  c.req[q].a1.Load(),
-				act: act,
-			})
-			continue
-		}
-		// Vectorized announcement: one Request per ring entry, served in ring
-		// order so each originator's program order is preserved within the
-		// round. Each entry names its originator: responses and deactivate
-		// toggles are credited to it (q itself, unless q delegates), and q's
-		// own toggle is deferred to the side list so a completed delegating
-		// announcement never clobbers an originator's response slot. Under
-		// PWFcomb q may be rewriting its ring concurrently (possible only after
-		// its current vector completed); then this round's validation is
-		// already doomed and its writes stay in the private buffer, so a torn
-		// read here is harmless.
-		vb, occ, start := c.vecBase(q), c.occ[tid], len(batch)
-		for i := 0; i < cnt; i++ {
-			e := vb + ringEnt*i
-			ot, par := unpackDelMeta(c.vec[e+3].Load())
+		start, self := len(batch), false
+		for i, e := 0, b+1; i < ctlCount(ctl); i, e = i+1, e+entWords {
+			ot, par := unpackDelMeta(c.ann[e+3].Load())
 			if ot < 0 || ot >= c.n {
 				continue // torn meta from a doomed rewrite
 			}
 			if par == c.state.Load(dst+c.deactOff+ot) {
 				continue // originator already served (recovery replay)
 			}
+			self = self || (ot == q && par == act)
 			batch = append(batch, Request{
 				Tid: uint64(ot),
-				Op:  c.vec[e].Load(),
-				A0:  c.vec[e+1].Load(),
-				A1:  c.vec[e+2].Load(),
+				Op:  c.ann[e].Load(),
+				A0:  c.ann[e+1].Load(),
+				A1:  c.ann[e+2].Load(),
 				act: par,
 				vi:  occ[ot],
 			})
@@ -583,12 +534,12 @@ func (c *comb) gather(tid, dst int) (batch []Request, togs []uint64, anns int) {
 		for j := start; j < len(batch); j++ {
 			occ[batch[j].Tid] = 0
 		}
-		togs = append(togs, uint64(q)<<1|act)
+		if !self {
+			togs = append(togs, uint64(q)<<1|act)
+		}
 	}
-	c.scratch[tid] = batch
-	if c.vec != nil {
-		c.vecTogs[tid] = togs
-	}
+	// No write-back: a round appends at most vcap entries and one toggle per
+	// thread, within the capacities init gave, so the arrays are the same.
 	return batch, togs, anns
 }
 
@@ -615,8 +566,8 @@ func (c *comb) serve(tid int, env *Env, batch []Request, togs []uint64) {
 		}
 		c.onStateWrite(tid, dst+ret)
 	}
-	// Deactivate the vector announcers themselves: toggle only, no response —
-	// their entries' responses went to the originators above.
+	// Deactivate the delegating announcers themselves: toggle only, no
+	// response — their entries' responses went to the originators above.
 	for _, t := range togs {
 		q := int(t >> 1)
 		c.state.Store(dst+c.deactOff+q, t&1)

@@ -5,17 +5,7 @@ import (
 
 	"pcomb/internal/memmodel"
 	"pcomb/internal/obs"
-	"pcomb/internal/pmem"
 )
-
-// EpochCapable is implemented by protocols that support epoch-mode relaxed
-// durability (PBComb and PWFComb): the wrapper attaches one shared
-// pmem.Epoch per structure and uses the deactivate parity to classify
-// in-flight operations during epoch-aware recovery.
-type EpochCapable interface {
-	AttachEpoch(e *pmem.Epoch)
-	DeactParity(tid int) uint64
-}
 
 // recoverSabotage, when set, makes Recover/RecoverVec skip the re-announce
 // and conditional re-perform and hand back whatever the return slot holds —
@@ -85,7 +75,7 @@ type CombTracker interface {
 func (c *comb) SetProbe(p Probe) {
 	c.mem = nil
 	if p.Mem != nil {
-		c.mem = memmodel.NewHooks(p.Mem, c.n, c.stWords, c.recWords, len(c.req))
+		c.mem = memmodel.NewHooks(p.Mem, c.n, c.stWords, c.recWords, c.n)
 	}
 	c.cstat, c.spans = p.Comb, p.Spans
 }

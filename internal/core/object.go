@@ -13,11 +13,7 @@
 // ranged pwb over consecutive addresses.
 package core
 
-import (
-	"sync/atomic"
-
-	"pcomb/internal/pmem"
-)
+import "pcomb/internal/pmem"
 
 // State is a view of an object's state words inside a StateRec. All access
 // is word-atomic so that PWFcomb's optimistic copies are race-free.
@@ -55,19 +51,19 @@ type Request struct {
 	Ret uint64 // response, filled in by Apply/ApplyBatch
 
 	act uint64 // captured activate bit; consumed by the combiner
-	vi  int    // index within the announcing thread's vector (0 for scalars)
+	vi  int    // index among its announcement's entries of the same Tid
 }
 
-// VecIndex returns the request's position within its thread's vectorized
-// announcement (0 for scalar invocations). BatchObjects that reorder or pair
-// requests across the batch — the stack's elimination, say — must preserve
-// the relative order of requests sharing a Tid, because a vector's ops carry
-// the announcing thread's program order.
+// VecIndex returns the request's position among the entries of one
+// announcement credited to its Tid (0 for a vector of one — an Invoke).
+// BatchObjects that reorder or pair requests across the batch — the stack's
+// elimination, say — must preserve the relative order of requests sharing a
+// Tid, because a vector's ops carry the announcing thread's program order.
 func (r *Request) VecIndex() int { return r.vi }
 
-// VecOp is one operation of a vectorized announcement (see InvokeVec): up to
-// VecCap of them are written into the announcing thread's volatile argument
-// ring and served with a single slot toggle.
+// VecOp is one operation of an announcement (see InvokeVec): up to VecCap of
+// them are written into the announcing thread's volatile announcement block
+// and served with a single activate toggle.
 type VecOp struct {
 	Op uint64
 	A0 uint64
@@ -80,8 +76,8 @@ type VecOp struct {
 // StateWords).
 type CombOpts struct {
 	// VecCap is the maximum number of operations a thread can publish in one
-	// vectorized announcement; 0 or 1 builds a scalar-only instance with the
-	// classic record layout.
+	// announcement, and the width of its ReturnVal block; 0 and 1 both mean
+	// one, the paper's record layout.
 	VecCap int
 }
 
@@ -99,43 +95,12 @@ type DelOp struct {
 	Seq uint64
 }
 
-// packDelMeta packs a ring entry's originating thread and activate parity
-// into the entry's meta word.
+// packDelMeta packs an announcement entry's originating thread and activate
+// parity into the entry's meta word.
 func packDelMeta(tid int, seq uint64) uint64 { return uint64(tid)<<1 | seq&1 }
 
 // unpackDelMeta splits a meta word into originating thread and parity.
 func unpackDelMeta(m uint64) (int, uint64) { return int(m >> 1), m & 1 }
-
-// VecProtocol is satisfied by protocol instances built with CombOpts.VecCap
-// > 1: they accept vectorized announcements of up to VecCap operations per
-// slot toggle — the thread's own, or operations delegated by other threads —
-// amortizing the announce handshake and the combining round over the whole
-// vector.
-type VecProtocol interface {
-	Protocol
-	// VecCap returns the instance's vector capacity (1 for scalar-only).
-	VecCap() int
-	// InvokeVec writes ops into tid's volatile argument ring, announces them
-	// with one slot toggle, waits until a combiner has served the whole
-	// vector, and copies the per-op responses into rets[:len(ops)]. It
-	// persists nothing beyond the serving round's own record. seq follows the
-	// same per-thread contract as Invoke (one number per announcement, not per
-	// op).
-	InvokeVec(tid int, ops []VecOp, seq uint64, rets []uint64)
-	// InvokeDelegated announces dops as one vector under ctid's slot — seq is
-	// ctid's own per-announcement sequence number — waits until a combining
-	// round has served the whole vector, and copies each operation's response
-	// into rets[i]. Each originator's deactivate bit flips to dop.Seq&1 in the
-	// same durable round, so its op stays exactly-once recoverable through the
-	// ordinary scalar Recover path. InvokeVec is InvokeDelegated with every
-	// originator equal to tid.
-	InvokeDelegated(ctid int, seq uint64, dops []DelOp, rets []uint64)
-	// RecoverVec is the recovery function for tid's interrupted vector: the
-	// caller re-supplies the original ops and seq from its own durable copy
-	// (the ring is volatile), and RecoverVec re-executes the vector or
-	// fetches its responses — never both.
-	RecoverVec(tid int, ops []VecOp, seq uint64, rets []uint64)
-}
 
 // Env is the execution environment a combiner passes to the object while
 // serving a batch of requests.
@@ -269,17 +234,49 @@ const (
 type Protocol interface {
 	// Invoke announces and executes one operation for thread tid; seq is the
 	// per-thread sequence number the system model provides (starts at 1,
-	// +1 per invocation).
+	// +1 per invocation). It is InvokeVec with a vector of one.
 	Invoke(tid int, op, a0, a1, seq uint64) uint64
 	// Recover is the recovery function for tid's interrupted operation,
-	// called with the same arguments and seq as the original invocation.
+	// called with the same arguments and seq as the original invocation. It
+	// is RecoverVec with a vector of one.
 	Recover(tid int, op, a0, a1, seq uint64) uint64
+	// VecCap returns the most operations one announcement carries:
+	// CombOpts.VecCap, at least 1.
+	VecCap() int
+	// InvokeVec writes ops into tid's announcement block, announces them
+	// with one activate toggle, waits until a combiner has served the whole
+	// vector, and copies the per-op responses into rets[:len(ops)]. It
+	// persists nothing beyond the serving round's own record. seq follows the
+	// same per-thread contract as Invoke (one number per announcement, not per
+	// op).
+	InvokeVec(tid int, ops []VecOp, seq uint64, rets []uint64)
+	// InvokeDelegated announces dops as one vector under ctid's block — seq
+	// is ctid's own per-announcement sequence number — waits until a
+	// combining round has served the whole vector, and copies each
+	// operation's response into rets[i]. Each originator's deactivate bit
+	// flips to dop.Seq&1 in the same durable round, so its op stays
+	// exactly-once recoverable through the originator's own Recover.
+	// InvokeVec is InvokeDelegated with every originator equal to tid.
+	InvokeDelegated(ctid int, seq uint64, dops []DelOp, rets []uint64)
+	// RecoverVec is the recovery function for tid's interrupted vector: the
+	// caller re-supplies the original ops and seq from its own durable copy
+	// (the announcement block is volatile), and RecoverVec re-executes the
+	// vector or fetches its responses — never both.
+	RecoverVec(tid int, ops []VecOp, seq uint64, rets []uint64)
 	// Read answers a read-only operation of a Reader object from the last
 	// durable record, announcing nothing; ok=false asks the caller to Invoke
 	// it instead. Peek is Read for callers that are not a thread of the
 	// instance: uncharged, and retried until it validates.
 	Read(tid int, op, a0, a1 uint64) (ret uint64, ok bool)
 	Peek(op, a0, a1 uint64) uint64
+	// AttachEpoch switches the instance to epoch-mode relaxed durability;
+	// DeactParity returns tid's deactivate bit in the current record, which
+	// epoch-mode recovery compares with an in-flight sequence number.
+	AttachEpoch(e *pmem.Epoch)
+	DeactParity(tid int) uint64
+	// SetCommit installs the hook that commits a round's side effects (nil
+	// uninstalls it); see comb.commit for when it runs.
+	SetCommit(f func(env *Env, won bool))
 	// CurrentState views the currently valid object state (quiescent use).
 	CurrentState() State
 	// Ctx returns tid's persistence context.
@@ -292,56 +289,20 @@ type Protocol interface {
 	SetProbe(Probe)
 }
 
-// reqSlot is one entry of the volatile Request announcement array. Arguments
-// are published before the control word; the control word's atomic store /
-// load pair transfers them to the combiner.
-type reqSlot struct {
-	op  atomic.Uint64
-	a0  atomic.Uint64
-	a1  atomic.Uint64
-	ctl atomic.Uint64
-	_   [4]uint64 // pad to a full cache line (8 words total)
-}
-
+// An announcement block's control word: the activate bit, the valid bit, and
+// above ctlCountShift the number of entries announced.
 const (
-	ctlActivateBit = 1 << 0
-	ctlValidBit    = 1 << 1
-	// Bits above ctlCountShift carry the vector length of a vectorized
-	// announcement; 0 marks a scalar announcement whose arguments live in
-	// the slot itself rather than the argument ring.
+	ctlValidBit   = 1 << 1
 	ctlCountShift = 2
 )
 
-func packCtl(activate uint64, valid bool) uint64 {
-	v := activate & 1
-	if valid {
-		v |= ctlValidBit
-	}
-	return v
+func packCtl(activate uint64, cnt int) uint64 {
+	return activate&1 | ctlValidBit | uint64(cnt)<<ctlCountShift
 }
 
 func ctlActivate(ctl uint64) uint64 { return ctl & 1 }
 func ctlValid(ctl uint64) bool      { return ctl&ctlValidBit != 0 }
-
-// ctlCount returns the announced vector length, or 0 for a scalar
-// announcement.
-func ctlCount(ctl uint64) int { return int(ctl >> ctlCountShift) }
-
-// announce publishes a request in the slot.
-func (s *reqSlot) announce(op, a0, a1, activate uint64) {
-	s.op.Store(op)
-	s.a0.Store(a0)
-	s.a1.Store(a1)
-	s.ctl.Store(packCtl(activate, true))
-}
-
-// announceVec publishes a vectorized announcement: the arguments are already
-// in the thread's ring, so only the control word is written. The single
-// atomic store transfers (activate, count) consistently to combiners, and
-// with them the ring entries stored before it.
-func (s *reqSlot) announceVec(cnt int, activate uint64) {
-	s.ctl.Store(packCtl(activate, true) | uint64(cnt)<<ctlCountShift)
-}
+func ctlCount(ctl uint64) int       { return int(ctl >> ctlCountShift) }
 
 // initMagic marks a protocol instance's persistent header as initialized.
 const initMagic = 0x9b9bc0b1_0001_0001 // arbitrary non-zero tag

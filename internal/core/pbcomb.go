@@ -30,11 +30,6 @@ type PBComb struct {
 	hotMeta pmem.HotWord
 	hotRec  [2]pmem.HotWord
 
-	// PostSync, when non-nil, runs on the combiner after the psync that
-	// makes its round durable and before the lock is released. PBqueue uses
-	// it to advance oldTail (Section 5).
-	PostSync func(env *Env)
-
 	// Sparse state persistence (comb.sparse): the combiner persists only the
 	// state lines dirtied during the current and previous rounds (plus the
 	// ReturnVal/Deactivate tail) instead of the whole record. Sound because a
@@ -80,7 +75,7 @@ func (c *PBComb) perform(tid int) uint64 {
 	if c.spans != nil {
 		tw = obs.Now()
 	}
-	myActivate := ctlActivate(c.req[tid].ctl.Load())
+	myActivate := ctlActivate(c.ann[c.annBase(tid)].Load())
 	for {
 		// Leave without ever acquiring the lock if a combiner has already
 		// served the announced request. The paper's listing performs this
@@ -186,8 +181,8 @@ func (c *PBComb) combine(tid int) uint64 {
 	c.serve(tid, env, batch, togs)
 
 	// Span boundary: combine covers copy+gather+serve, persist covers the
-	// write-backs through the psync (PostSync included — it is durability
-	// work), with the pwb counter delta as attribution.
+	// write-backs through the psync (the round hook included — it is
+	// durability work), with the pwb counter delta as attribution.
 	var tp int64
 	var pwb0 uint64
 	if c.spans != nil {
@@ -209,8 +204,8 @@ func (c *PBComb) combine(tid int) uint64 {
 	// Readers may follow MIndex only once it is durable, and every thread this
 	// round served leaves through the lock release below.
 	c.psyncPublish(tid, ind, c.durVer()+1)
-	if c.PostSync != nil {
-		c.PostSync(env)
+	if c.commit != nil {
+		c.commit(env, true)
 	}
 	if c.spans != nil {
 		c.spans.Record(tid, obs.PhasePersist, tp, obs.Now(), ctx.Pwbs()-pwb0)

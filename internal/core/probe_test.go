@@ -30,12 +30,12 @@ const mulOne = 0x3FF0000000000000
 // protocols is the table every test here ranges over.
 var protocols = []struct {
 	name  string
-	build func(h *pmem.Heap, name string, n int, obj core.Object, o core.CombOpts) core.VecProtocol
+	build func(h *pmem.Heap, name string, n int, obj core.Object, o core.CombOpts) core.Protocol
 }{
-	{"PBComb", func(h *pmem.Heap, name string, n int, obj core.Object, o core.CombOpts) core.VecProtocol {
+	{"PBComb", func(h *pmem.Heap, name string, n int, obj core.Object, o core.CombOpts) core.Protocol {
 		return core.NewPBCombWith(h, name, n, obj, o)
 	}},
-	{"PWFComb", func(h *pmem.Heap, name string, n int, obj core.Object, o core.CombOpts) core.VecProtocol {
+	{"PWFComb", func(h *pmem.Heap, name string, n int, obj core.Object, o core.CombOpts) core.Protocol {
 		return core.NewPWFCombWith(h, name, n, obj, o)
 	}},
 }
@@ -281,7 +281,7 @@ func BenchmarkInvokeNoProbe(b *testing.B) {
 // benchInvoke times Invoke (or, with vec, a 16-op InvokeVec) on a one-thread
 // counter with probe installed — a probe carrying a Mem tracker is installed
 // and then uninstalled before the loop.
-func benchInvoke(b *testing.B, build func(*pmem.Heap, string, int, core.Object, core.CombOpts) core.VecProtocol, probe core.Probe, vec bool) {
+func benchInvoke(b *testing.B, build func(*pmem.Heap, string, int, core.Object, core.CombOpts) core.Protocol, probe core.Probe, vec bool) {
 	h := pmem.NewHeap(pmem.Config{Mode: pmem.ModeCount, NoCost: true})
 	c := build(h, "b", 1, core.Counter{}, core.CombOpts{VecCap: 16})
 	c.SetProbe(probe)
@@ -297,5 +297,57 @@ func benchInvoke(b *testing.B, build func(*pmem.Heap, string, int, core.Object, 
 		} else {
 			c.Invoke(0, core.OpCounterAdd, 1, 0, uint64(i)+1)
 		}
+	}
+}
+
+// TestScalarInvokeCounts pins what one thread's Invoke costs on each
+// protocol, exactly: the Mem tracker's counters (Table 1's misses, state
+// reads and state stores, and the metadata accesses beside them) and the
+// pwbs, pfences and psyncs, per Invoke of the paper's AtomicFloat after
+// warm-up. One thread never misses: no other thread takes its lines away.
+func TestScalarInvokeCounts(t *testing.T) {
+	const warm, ops = 8, 64
+	type counts struct {
+		mem                   memmodel.Totals
+		pwbs, pfences, psyncs uint64
+	}
+	// Per op. PBcomb: the served check, the record's state and tail, the
+	// lock read and CAS, MIndex; PWFcomb: the same without the lock.
+	want := map[string]counts{
+		"PBComb":  {memmodel.Totals{StateReads: 1, StateStores: 1, MetaReads: 2, MetaStores: 5}, 2, 1, 1},
+		"PWFComb": {memmodel.Totals{StateReads: 1, StateStores: 1, MetaReads: 1, MetaStores: 3}, 2, 1, 1},
+	}
+	for _, p := range protocols {
+		t.Run(p.name, func(t *testing.T) {
+			h := pmem.NewHeap(pmem.Config{Mode: pmem.ModeCount, NoCost: true})
+			c := p.build(h, "t1", 1, core.AtomicFloat{Initial: 1}, core.CombOpts{})
+			mem := memmodel.New(1)
+			c.SetProbe(core.Probe{Mem: mem})
+			seq := uint64(0)
+			for ; seq < warm; seq++ {
+				c.Invoke(0, core.OpAtomicFloatMul, mulOne, 0, seq+1)
+			}
+			m0, s0 := mem.Totals(), h.Stats()
+			for ; seq < warm+ops; seq++ {
+				c.Invoke(0, core.OpAtomicFloatMul, mulOne, 0, seq+1)
+			}
+			m1, s1 := mem.Totals(), h.Stats()
+			got := counts{
+				mem: memmodel.Totals{
+					Misses:      (m1.Misses - m0.Misses) / ops,
+					StateReads:  (m1.StateReads - m0.StateReads) / ops,
+					StateStores: (m1.StateStores - m0.StateStores) / ops,
+					MetaReads:   (m1.MetaReads - m0.MetaReads) / ops,
+					MetaStores:  (m1.MetaStores - m0.MetaStores) / ops,
+				},
+				pwbs: (s1.Pwbs - s0.Pwbs) / ops, pfences: (s1.Pfences - s0.Pfences) / ops, psyncs: (s1.Psyncs - s0.Psyncs) / ops,
+			}
+			if s1.Pwbs-s0.Pwbs != got.pwbs*ops || m1.MetaStores-m0.MetaStores != got.mem.MetaStores*ops {
+				t.Fatalf("the %d Invokes did not cost the same each", ops)
+			}
+			if got != want[p.name] {
+				t.Fatalf("an Invoke costs %+v, want %+v", got, want[p.name])
+			}
+		})
 	}
 }

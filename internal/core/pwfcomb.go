@@ -20,11 +20,10 @@ import (
 // shared skeleton's (comb); this file is what LL/SC on S adds.
 type PWFComb struct {
 	// state holds 2n+1 records: slots p*2, p*2+1 per thread, slot 2n the
-	// initial dummy; idx word 0 is the versioned S. Combiners read the argument
-	// ring only for announcements whose ctl carries a count; a stale read (the
-	// owner rewriting it for its next vector) can only happen in a round whose
-	// SC/validation is already doomed, and such a round's writes stay in the
-	// loser's private buffer.
+	// initial dummy; idx word 0 is the versioned S. A combiner's stale read
+	// of an announcement block (the owner rewriting it for its next
+	// announcement) can only happen in a round whose SC/validation is already
+	// doomed, and such a round's writes stay in the loser's private buffer.
 	comb
 	idxOff int // record tail: Index[0..n-1], then pid
 	pidOff int
@@ -76,13 +75,9 @@ type PWFComb struct {
 	unFenced []*dirtySet
 
 	// PreServe, when non-nil, runs after a thread has validated its private
-	// copy and before it serves requests on it. PWFqueue uses it to link the
-	// two parts of its list (Section 5).
+	// copy and before it serves requests on it: a test's hook for preempting
+	// a thread at that point (sparsewf_test.go).
 	PreServe func(env *Env)
-	// PostSC, when non-nil, runs after every SC attempt with its outcome.
-	// Data structures use it to commit side effects (node recycling) only
-	// for the winning combiner.
-	PostSC func(env *Env, success bool)
 }
 
 // NewPWFComb creates (or re-opens after a crash) a PWFComb instance for n
@@ -170,7 +165,7 @@ func (c *PWFComb) perform(tid int) uint64 {
 	if c.spans != nil {
 		tw = obs.Now()
 	}
-	myActivate := ctlActivate(c.req[tid].ctl.Load())
+	myActivate := ctlActivate(c.ann[c.annBase(tid)].Load())
 	served := c.recWord(c.deactOff+tid) == myActivate
 	for l := 0; l < 2 && !served; l++ {
 		if c.spans != nil {
@@ -285,8 +280,8 @@ func (c *PWFComb) perform(tid int) uint64 {
 				// finds Flush even leaves without looking further.
 				c.psyncPublish(tid, my, stamp+1)
 				c.flush[tid].V.CompareAndSwap(lval, lval+1)
-				if c.PostSC != nil {
-					c.PostSC(env, true)
+				if c.commit != nil {
+					c.commit(env, true)
 				}
 				if c.spans != nil {
 					c.spans.Record(tid, obs.PhasePersist, tp, obs.Now(), ctx.Pwbs()-pwb0)
@@ -345,8 +340,8 @@ func (c *PWFComb) perform(tid int) uint64 {
 func (c *PWFComb) lostRound(tid int, env *Env, phase obs.Phase, from int64, arg uint64) (now int64) {
 	c.onSCFail(tid)
 	c.noteContention(tid)
-	if env != nil && c.PostSC != nil {
-		c.PostSC(env, false)
+	if env != nil && c.commit != nil {
+		c.commit(env, false)
 	}
 	if c.spans != nil {
 		now = obs.Now()

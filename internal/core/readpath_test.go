@@ -111,7 +111,9 @@ func crashed(f func()) (hit bool) {
 func TestReadPathLitmus(t *testing.T) {
 	const B, A, R, k = 0, 1, 2, 0
 	round := func(c Protocol) {
-		combOf(c).req[A].announce(opCellAdd, k, 1, 1)
+		cb := combOf(c)
+		cb.storeEnt(A, 0, opCellAdd, k, 1, A, 1)
+		cb.announce(A, 1, 1)
 		c.Invoke(B, opCellPut, k, 10, 1)
 	}
 	for _, kind := range readKinds[:2] {

@@ -9,8 +9,8 @@ import (
 )
 
 // vecProto builds one protocol instance with vector capacity k.
-func vecProtos(h *pmem.Heap, n, k int) map[string]VecProtocol {
-	return map[string]VecProtocol{
+func vecProtos(h *pmem.Heap, n, k int) map[string]Protocol {
+	return map[string]Protocol{
 		"PB":  NewPBCombWith(h, "vpb", n, Counter{}, CombOpts{VecCap: k}),
 		"PWF": NewPWFCombWith(h, "vwf", n, Counter{}, CombOpts{VecCap: k}),
 	}
@@ -157,38 +157,40 @@ func TestVecVariableLengths(t *testing.T) {
 	}
 }
 
+// TestVecCapEnforced: every instance takes vectors of up to max(VecCap, 1)
+// operations — VecCap 0 and 1 both mean one — and panics on a longer one.
 func TestVecCapEnforced(t *testing.T) {
-	h := shadowHeap()
-	c := NewPBCombWith(h, "vpb", 1, Counter{}, CombOpts{VecCap: 2})
-	defer func() {
-		if recover() == nil {
-			t.Fatal("oversized vector did not panic")
+	for _, k := range []int{0, 1, 2} {
+		for name, c := range vecProtos(shadowHeap(), 1, k) {
+			t.Run(fmt.Sprintf("%s/VecCap=%d", name, k), func(t *testing.T) {
+				limit := max(k, 1)
+				if c.VecCap() != limit {
+					t.Fatalf("VecCap() = %d, want %d", c.VecCap(), limit)
+				}
+				ops := make([]VecOp, limit+1)
+				for i := range ops {
+					ops[i] = VecOp{Op: OpCounterAdd, A0: 1}
+				}
+				rets := make([]uint64, limit+1)
+				c.InvokeVec(0, ops[:limit], 1, rets)
+				defer func() {
+					if recover() == nil {
+						t.Fatal("oversized vector did not panic")
+					}
+				}()
+				c.InvokeVec(0, ops, 2, rets)
+			})
 		}
-	}()
-	c.InvokeVec(0, make([]VecOp, 3), 1, make([]uint64, 3))
-}
-
-func TestScalarInstanceRejectsVec(t *testing.T) {
-	h := shadowHeap()
-	c := NewPBComb(h, "s", 1, Counter{})
-	if c.VecCap() != 1 {
-		t.Fatalf("scalar VecCap = %d", c.VecCap())
 	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("vector on scalar instance did not panic")
-		}
-	}()
-	c.InvokeVec(0, make([]VecOp, 1), 1, make([]uint64, 1))
 }
 
 func TestRecoverVecCompleted(t *testing.T) {
 	// Crash after a vector fully completed: RecoverVec must report every
 	// per-op return without re-executing any of them.
 	const k = 4
-	mk := map[string]func(h *pmem.Heap) VecProtocol{
-		"PB":  func(h *pmem.Heap) VecProtocol { return NewPBCombWith(h, "vpb", 1, Counter{}, CombOpts{VecCap: k}) },
-		"PWF": func(h *pmem.Heap) VecProtocol { return NewPWFCombWith(h, "vwf", 1, Counter{}, CombOpts{VecCap: k}) },
+	mk := map[string]func(h *pmem.Heap) Protocol{
+		"PB":  func(h *pmem.Heap) Protocol { return NewPBCombWith(h, "vpb", 1, Counter{}, CombOpts{VecCap: k}) },
+		"PWF": func(h *pmem.Heap) Protocol { return NewPWFCombWith(h, "vwf", 1, Counter{}, CombOpts{VecCap: k}) },
 	}
 	for name, f := range mk {
 		t.Run(name, func(t *testing.T) {
@@ -221,9 +223,9 @@ func TestRecoverVecUnapplied(t *testing.T) {
 	// Crash before the vector took effect (e.g. mid-publish): RecoverVec must
 	// execute the whole vector exactly once.
 	const k = 4
-	mk := map[string]func(h *pmem.Heap) VecProtocol{
-		"PB":  func(h *pmem.Heap) VecProtocol { return NewPBCombWith(h, "vpb", 1, Counter{}, CombOpts{VecCap: k}) },
-		"PWF": func(h *pmem.Heap) VecProtocol { return NewPWFCombWith(h, "vwf", 1, Counter{}, CombOpts{VecCap: k}) },
+	mk := map[string]func(h *pmem.Heap) Protocol{
+		"PB":  func(h *pmem.Heap) Protocol { return NewPBCombWith(h, "vpb", 1, Counter{}, CombOpts{VecCap: k}) },
+		"PWF": func(h *pmem.Heap) Protocol { return NewPWFCombWith(h, "vwf", 1, Counter{}, CombOpts{VecCap: k}) },
 	}
 	for name, f := range mk {
 		t.Run(name, func(t *testing.T) {
@@ -256,9 +258,9 @@ func TestVecCrashPointSweep(t *testing.T) {
 	// Crash at every persistence event inside an InvokeVec; RecoverVec must
 	// make the vector exactly-once and report all k per-op returns.
 	const k, before = 3, 2
-	mk := map[string]func(h *pmem.Heap) VecProtocol{
-		"PB":  func(h *pmem.Heap) VecProtocol { return NewPBCombWith(h, "vpb", 1, Counter{}, CombOpts{VecCap: k}) },
-		"PWF": func(h *pmem.Heap) VecProtocol { return NewPWFCombWith(h, "vwf", 1, Counter{}, CombOpts{VecCap: k}) },
+	mk := map[string]func(h *pmem.Heap) Protocol{
+		"PB":  func(h *pmem.Heap) Protocol { return NewPBCombWith(h, "vpb", 1, Counter{}, CombOpts{VecCap: k}) },
+		"PWF": func(h *pmem.Heap) Protocol { return NewPWFCombWith(h, "vwf", 1, Counter{}, CombOpts{VecCap: k}) },
 	}
 	ops := make([]VecOp, k)
 	for i := range ops {
@@ -327,7 +329,7 @@ func TestVecSparseMatchesDense(t *testing.T) {
 		}
 		hist = append(hist, v)
 	}
-	run := func(c VecProtocol) ([]uint64, uint64) {
+	run := func(c Protocol) ([]uint64, uint64) {
 		var all []uint64
 		for r, v := range hist {
 			rets := make([]uint64, len(v))
@@ -338,17 +340,17 @@ func TestVecSparseMatchesDense(t *testing.T) {
 	}
 	type mk struct {
 		name string
-		f    func(h *pmem.Heap) VecProtocol
+		f    func(h *pmem.Heap) Protocol
 	}
 	pairs := [][2]mk{
-		{{"PBdense", func(h *pmem.Heap) VecProtocol {
+		{{"PBdense", func(h *pmem.Heap) Protocol {
 			return NewPBCombWith(h, "d", n, Counter{}, CombOpts{VecCap: k})
-		}}, {"PBsparse", func(h *pmem.Heap) VecProtocol {
+		}}, {"PBsparse", func(h *pmem.Heap) Protocol {
 			return NewPBCombWith(h, "s", n, markedCounter{}, CombOpts{VecCap: k})
 		}}},
-		{{"PWFdense", func(h *pmem.Heap) VecProtocol {
+		{{"PWFdense", func(h *pmem.Heap) Protocol {
 			return NewPWFCombWith(h, "d", n, Counter{}, CombOpts{VecCap: k})
-		}}, {"PWFsparse", func(h *pmem.Heap) VecProtocol {
+		}}, {"PWFsparse", func(h *pmem.Heap) Protocol {
 			return NewPWFCombWith(h, "s", n, markedCounter{}, CombOpts{VecCap: k})
 		}}},
 	}
@@ -368,12 +370,13 @@ func TestVecSparseMatchesDense(t *testing.T) {
 	}
 }
 
-// TestVecCostsOneRound: the argument ring is volatile, so a vector costs the
-// round that serves it and nothing more — after warm-up, one InvokeVec of d
-// ops issues exactly the pwbs, pfences and psyncs of one scalar Invoke on the
-// same dense single-thread instance, whatever d.
+// TestVecCostsOneRound: the announcement block is volatile, so a vector
+// costs the round that serves it and nothing more — after warm-up, one
+// InvokeVec of d ops issues exactly the pwbs, pfences and psyncs of one scalar
+// Invoke on the same dense single-thread instance, whatever d. On instances
+// built with VecCap 0 and 1 a one-op InvokeVec and RecoverVec cost exactly an
+// Invoke too: every instance takes vectors.
 func TestVecCostsOneRound(t *testing.T) {
-	const k = 16
 	type cost struct{ pwbs, pfences, psyncs uint64 }
 	measure := func(h *pmem.Heap, f func()) cost {
 		before := h.Stats()
@@ -382,28 +385,41 @@ func TestVecCostsOneRound(t *testing.T) {
 		return cost{after.Pwbs - before.Pwbs, after.Pfences - before.Pfences, after.Psyncs - before.Psyncs}
 	}
 	for _, name := range []string{"PB", "PWF"} {
-		for _, d := range []int{1, 4, 16} {
-			t.Run(fmt.Sprintf("%s/d=%d", name, d), func(t *testing.T) {
+		for _, c := range []struct{ k, d int }{{16, 1}, {16, 4}, {16, 16}, {0, 1}, {1, 1}} {
+			sub := fmt.Sprintf("%s/d=%d", name, c.d)
+			if c.k != 16 {
+				sub = fmt.Sprintf("%s/VecCap=%d/d=%d", name, c.k, c.d)
+			}
+			t.Run(sub, func(t *testing.T) {
 				h := pmem.NewHeap(pmem.Config{Mode: pmem.ModeCount, NoCost: true})
-				c := vecProtos(h, 1, k)[name]
-				ops := make([]VecOp, d)
+				p := vecProtos(h, 1, c.k)[name]
+				ops := make([]VecOp, c.d)
 				for i := range ops {
 					ops[i] = VecOp{Op: OpCounterAdd, A0: 1}
 				}
-				rets := make([]uint64, d)
+				rets := make([]uint64, c.d)
 				seq := uint64(0)
 				for i := 0; i < 4; i++ { // warm-up: both record slots written
 					seq++
-					c.Invoke(0, OpCounterAdd, 1, 0, seq)
+					p.Invoke(0, OpCounterAdd, 1, 0, seq)
 					seq++
-					c.InvokeVec(0, ops, seq, rets)
+					p.InvokeVec(0, ops, seq, rets)
 				}
 				seq++
-				scalar := measure(h, func() { c.Invoke(0, OpCounterAdd, 1, 0, seq) })
+				scalar := measure(h, func() { p.Invoke(0, OpCounterAdd, 1, 0, seq) })
 				seq++
-				vec := measure(h, func() { c.InvokeVec(0, ops, seq, rets) })
+				vec := measure(h, func() { p.InvokeVec(0, ops, seq, rets) })
 				if vec != scalar {
-					t.Fatalf("a %d-op vector cost %+v, a scalar round %+v", d, vec, scalar)
+					t.Fatalf("a %d-op vector cost %+v, a scalar round %+v", c.d, vec, scalar)
+				}
+				if c.d != 1 {
+					return
+				}
+				// A vector of one that never announced: RecoverVec runs it.
+				seq++
+				rec := measure(h, func() { p.RecoverVec(0, ops, seq, rets) })
+				if rec != scalar {
+					t.Fatalf("a one-op RecoverVec cost %+v, a scalar round %+v", rec, scalar)
 				}
 			})
 		}

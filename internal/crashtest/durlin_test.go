@@ -135,7 +135,7 @@ func TestDurLinEnumerate(t *testing.T) {
 // epoch mode with the async flush window — under the durable-linearizability
 // checker: a crash can drop a window's round with the epoch while its record
 // stays open, and recovery must take the window's ops from the record's
-// payload (the argument ring is volatile) and settle each op exactly once.
+// payload (the announcement block is volatile) and settle each op exactly once.
 func TestDurLinMapEpochWindow(t *testing.T) {
 	for _, kind := range []pcomb.Kind{pcomb.Blocking, pcomb.WaitFree} {
 		sp := func() *Spec { return mapSpec(kind, pcomb.MapOptions{Epoch: true, VecCap: specVecCap}) }

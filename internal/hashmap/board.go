@@ -15,7 +15,7 @@ import (
 // shard's volatile posting board and then tries to become the board's
 // sweeper — one try-lock word. Whoever wins claims every posted request, its
 // own among them, and announces them to the shard as a single *delegated*
-// vector (core.VecProtocol's InvokeDelegated) under the shard's extra thread;
+// vector (core.Protocol's InvokeDelegated) under the shard's extra thread;
 // the others wait for their slot to be served. This is the paper's combiner —
 // announce, try to take the role, serve everyone announced — one level up,
 // not a server thread: the map starts no goroutine, and a batch forms the way
@@ -26,8 +26,9 @@ import (
 // combining degrades to degree 1. Responses and deactivate bits are credited
 // to the originating threads, so every operation stays detectably recoverable
 // through the ordinary per-thread Recover path. Nothing on the way persists:
-// the board and the shard's argument ring are volatile, and the swept
-// vector's only durable trace is the round's record.
+// the board and the sweeper's announcement block — the same block a scalar
+// Invoke uses, its entries naming the originating threads — are volatile, and
+// the swept vector's only durable trace is the round's record.
 
 // Board slot states.
 const (
@@ -58,7 +59,7 @@ type bslot struct {
 // the role announces under that extra tid (ctid = n); seq is ctid's
 // announcement sequence number.
 type board struct {
-	inst    core.VecProtocol
+	inst    core.Protocol
 	slots   []bslot
 	sweeper prim.PaddedInt32
 	// Owned by the thread holding the role.
@@ -71,11 +72,11 @@ func newBoards(shards []core.Protocol, n, vcap int) []board {
 	bs := make([]board, len(shards))
 	for s, sh := range shards {
 		bs[s] = board{
-			inst:  sh.(core.VecProtocol),
+			inst:  sh,
 			slots: make([]bslot, n),
 			// ctid's announcement parity chain must survive re-open: seed from
 			// the durable deactivate bit so the first sweep flips it.
-			seq:  sh.(core.EpochCapable).DeactParity(n),
+			seq:  sh.DeactParity(n),
 			dops: make([]core.DelOp, 0, vcap),
 			rets: make([]uint64, vcap),
 		}

@@ -289,7 +289,7 @@ func NewOn(h *pmem.Heap, name string, n int, kind Kind, o Options, sys *sysarea.
 		// all shards defer into one shared buffer, so one close covers the
 		// whole map.
 		for _, sh := range m.shards {
-			sh.(core.EpochCapable).AttachEpoch(ep)
+			sh.AttachEpoch(ep)
 		}
 	}
 	if sys == nil {

@@ -83,7 +83,7 @@ func Check(m Model, history []Op) bool {
 // CheckOrdered is Check for histories in which a thread has several
 // operations outstanding at once — a staged vector, whose operations all
 // overlap each other — and the structure promises to apply them in the order
-// the thread invoked them (the ring-order promise of the vector API). On top
+// the thread invoked them (the entry-order promise of the vector API). On top
 // of Check's real-time order it requires each thread's operations to
 // linearize in Call order. That is the stronger specification, and it is also
 // what keeps the search small: without it every permutation of a batch is a

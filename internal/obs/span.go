@@ -22,8 +22,8 @@ type Phase uint8
 const (
 	// PhaseOp spans the whole operation, invocation to response.
 	PhaseOp Phase = iota
-	// PhasePublish is the announce/publish step: writing the request slot, or
-	// the volatile argument ring and the slot's control word. Arg carries the
+	// PhasePublish is the announce/publish step: writing the entries and the
+	// control word of the volatile announcement block. Arg carries the
 	// announced vector length (1 for scalars).
 	PhasePublish
 	// PhaseBackoff is the adaptive announce backoff between publishing and

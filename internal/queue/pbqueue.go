@@ -10,7 +10,7 @@ import (
 // the shared linked list and persists every node it wrote (new nodes plus
 // the old tail whose next pointer changed) before the protocol persists the
 // record; dequeuers cannot observe the splice until oldTail advances in
-// PostSync.
+// its round hook (core.Protocol's SetCommit).
 type pbEnqObj struct {
 	q     *Queue
 	dummy uint64
@@ -97,7 +97,7 @@ func (o *pbDeqObj) ApplyBatch(env *core.Env, reqs []core.Request) {
 }
 
 // commit reclaims the round's removed nodes once their removal is durable
-// (PostSync), onto the combiner's private free list — the paper's PBqueue
+// (the round hook), onto the combiner's private free list — the paper's PBqueue
 // scheme, which does not preserve chunk adjacency and is therefore the
 // "simple recycling" whose cost Figure 2a shows.
 func (o *pbDeqObj) commit(tid int) {

@@ -151,12 +151,12 @@ func NewOn(h *pmem.Heap, name string, n int, kind Kind, opt Options, sys *sysare
 		co := core.CombOpts{VecCap: opt.VecCap}
 		ie := core.NewPBCombWith(h, name+"/enq", n, eo, co)
 		id := core.NewPBCombWith(h, name+"/deq", n, do, co)
-		ie.PostSync = func(env *core.Env) {
+		ie.SetCommit(func(env *core.Env, _ bool) {
 			// The round's nodes are durable: expose them to dequeuers.
 			q.oldTail.Store(env.State.Load(0))
-		}
+		})
 		if opt.Recycling {
-			id.PostSync = func(env *core.Env) { do.commit(env.Combiner) }
+			id.SetCommit(func(env *core.Env, _ bool) { do.commit(env.Combiner) })
 		}
 		q.enq, q.deq = ie, id
 	case WaitFree:
@@ -165,7 +165,7 @@ func NewOn(h *pmem.Heap, name string, n int, kind Kind, opt Options, sys *sysare
 		co := core.CombOpts{VecCap: opt.VecCap}
 		ie := core.NewPWFCombWith(h, name+"/enq", n, eo, co)
 		id := core.NewPWFCombWith(h, name+"/deq", n, do, co)
-		ie.PostSC = func(env *core.Env, ok bool) { eo.commit(env.Combiner, ok) }
+		ie.SetCommit(func(env *core.Env, won bool) { eo.commit(env.Combiner, won) })
 		do.ie = ie
 		q.enq, q.deq = ie, id
 		// Recovery: if a pending part was published but the splice did not
@@ -208,8 +208,8 @@ func NewOn(h *pmem.Heap, name string, n int, kind Kind, opt Options, sys *sysare
 		// Attach after construction so boot-time persistence stays strict;
 		// both instances defer into one shared buffer, so a single close
 		// covers every round of the whole queue.
-		q.enq.(core.EpochCapable).AttachEpoch(ep)
-		q.deq.(core.EpochCapable).AttachEpoch(ep)
+		q.enq.AttachEpoch(ep)
+		q.deq.AttachEpoch(ep)
 	}
 	if sys == nil {
 		sys, base = sysarea.New(h, name+"/sysarea", n, []core.Protocol{q.enq, q.deq}, ep, opt.VecCap), 0
@@ -256,8 +256,8 @@ func (q *Queue) Dequeue(tid int) (v uint64, ok bool) {
 // staged op is lost wholesale by a crash: pipelining trades per-op commit for
 // per-batch commit. A flushed batch is one system-area record that carries
 // its operations, announced as one vector, so Recover resolves an interrupted
-// one as a whole — from the record, not the argument ring — one Resolved per
-// op in submission order.
+// one as a whole — from the record, not the announcement block — one Resolved
+// per op in submission order.
 func (q *Queue) SubmitEnqueue(tid int, v uint64) vecbatch.Future {
 	if q.deqPipe.Pending(tid) > 0 {
 		q.deqPipe.Flush(tid)

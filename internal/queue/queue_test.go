@@ -354,7 +354,7 @@ func TestRecyclingBoundsArena(t *testing.T) {
 }
 
 func TestOldTailBoundsDequeuers(t *testing.T) {
-	// Until an enqueue combiner's PostSync runs, dequeuers must treat the
+	// Until an enqueue combiner's round hook runs, dequeuers must treat the
 	// queue as empty. Simulate by checking oldTail only moves after a full
 	// enqueue (which, single-threaded, completes synchronously).
 	h := newHeap()

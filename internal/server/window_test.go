@@ -116,8 +116,8 @@ func TestWindowGetReadsDurableState(t *testing.T) {
 // TestWindowIsOneRound: the store's map is one combining instance, so a full
 // window of SETs on distinct keys is one vectorized announcement and one
 // round, wherever its keys hash: one psync and one pfence, both the round's.
-// The system-area record is written with DirectStore and the argument ring is
-// volatile, so neither adds an instruction. The second window is measured, so
+// The system-area record is written with DirectStore and the announcement
+// block is volatile, so neither adds an instruction. The second window is measured, so
 // nothing a thread's first commit sets up is counted.
 func TestWindowIsOneRound(t *testing.T) {
 	for _, tc := range []struct {

@@ -281,16 +281,13 @@ func New(h *pmem.Heap, name string, n int, kind Kind, opt Options) *Stack {
 	co := core.CombOpts{VecCap: opt.VecCap}
 	switch kind {
 	case Blocking:
-		c := core.NewPBCombWith(h, name, n, o, co)
-		c.PostSync = func(env *core.Env) { o.commit(env.Combiner, true) }
-		s.comb = c
+		s.comb = core.NewPBCombWith(h, name, n, o, co)
 	case WaitFree:
-		c := core.NewPWFCombWith(h, name, n, o, co)
-		c.PostSC = func(env *core.Env, ok bool) { o.commit(env.Combiner, ok) }
-		s.comb = c
+		s.comb = core.NewPWFCombWith(h, name, n, o, co)
 	default:
 		panic("stack: unknown kind")
 	}
+	s.comb.SetCommit(func(env *core.Env, won bool) { o.commit(env.Combiner, won) })
 	s.sys = sysarea.New(h, name+"/sysarea", n, []core.Protocol{s.comb}, nil, opt.VecCap)
 	if opt.VecCap > 1 {
 		s.pipe = vecbatch.New(n, opt.VecCap, s.sys.Flusher(0))

@@ -15,8 +15,8 @@ import (
 // flushes a second and dies before End; the power cut then drops the open
 // epoch. Recovery must settle the second vector and never re-perform the
 // first, whose one acknowledged effect must be there exactly once: it takes
-// the ops from the record's payload (the argument ring is volatile and holds
-// nothing after the crash), so only the open record's vector is settled.
+// the ops from the record's payload (the announcement block is volatile and
+// holds nothing after the crash), so only the open record's vector is settled.
 
 var protocols = []struct {
 	name string

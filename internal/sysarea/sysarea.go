@@ -381,10 +381,10 @@ func (a *Area) InvokeGrouped(tid int, ops []core.VecOp, rets []uint64, classOf f
 		a.r.DirectStore(s.i, s.v)
 	}
 	// Each group runs as one InvokeVec after the record. The instances'
-	// argument rings are volatile: recovery re-supplies the ops from the
+	// announcement blocks are volatile: recovery re-supplies the ops from the
 	// payload.
 	for _, g := range grps {
-		a.insts[g.class].(core.VecProtocol).InvokeVec(tid, gops[g.off:g.off+g.cnt], g.seq, grets[g.off:g.off+g.cnt])
+		a.insts[g.class].InvokeVec(tid, gops[g.off:g.off+g.cnt], g.seq, grets[g.off:g.off+g.cnt])
 	}
 	a.close(tid)
 	// Ends in Begin (= group) order, and only after the record closed, past
@@ -422,38 +422,31 @@ func (a *Area) realign(tid int) {
 		return
 	}
 	for class, inst := range a.insts {
-		if cnt := a.counter(tid, class); (cnt+1)&1 == inst.(core.EpochCapable).DeactParity(tid) {
+		if cnt := a.counter(tid, class); (cnt+1)&1 == inst.DeactParity(tid) {
 			a.r.DirectStore(tid*a.stride+class, cnt+1)
 		}
 	}
 }
 
 // settle resolves one group of tid's open record — ops, run on class under
-// seq, as a vector when vec is set — and reports its operations. Under an
-// epoch a deactivate parity equal to seq's low bit cannot tell "durably
-// served" from "an earlier op of that parity was", so the group is left
-// untouched and reported uncertain.
-func (a *Area) settle(tid, class int, seq uint64, vec bool, ops []core.VecOp) []Resolved {
+// seq as one announcement — and reports its operations. Under an epoch a
+// deactivate parity equal to seq's low bit cannot tell "durably served" from
+// "an earlier op of that parity was", so the group is left untouched and
+// reported uncertain.
+func (a *Area) settle(tid, class int, seq uint64, ops []core.VecOp) []Resolved {
 	a.rollSeq(tid, class, seq)
 	inst := a.insts[class]
 	out := make([]Resolved, len(ops))
 	for i, o := range ops {
 		out[i] = Resolved{Class: class, Op: o.Op, A0: o.A0, A1: o.A1}
 	}
-	if a.epoch != nil && inst.(core.EpochCapable).DeactParity(tid) == seq&1 {
+	if a.epoch != nil && inst.DeactParity(tid) == seq&1 {
 		return out
 	}
-	if vec {
-		rets := make([]uint64, len(ops))
-		inst.(core.VecProtocol).RecoverVec(tid, ops, seq, rets)
-		for i, r := range rets {
-			out[i].Result = r
-		}
-	} else {
-		out[0].Result = inst.Recover(tid, ops[0].Op, ops[0].A0, ops[0].A1, seq)
-	}
-	for i := range out {
-		out[i].Certain = true
+	rets := make([]uint64, len(ops))
+	inst.RecoverVec(tid, ops, seq, rets)
+	for i, r := range rets {
+		out[i].Result, out[i].Certain = r, true
 	}
 	return out
 }
@@ -482,7 +475,7 @@ func (a *Area) Recover(tid int) []Resolved {
 	var out []Resolved
 	if op&vecMark == 0 {
 		one := []core.VecOp{{Op: op, A0: a.r.Load(rec + recA0), A1: a.r.Load(rec + recA1)}}
-		out = a.settle(tid, int(a.r.Load(rec+recClass)), a.r.Load(rec+recSeq), false, one)
+		out = a.settle(tid, int(a.r.Load(rec+recClass)), a.r.Load(rec+recSeq), one)
 	} else {
 		p := b + a.payOff
 		for gi := 0; gi < int(op&^vecMark); gi++ {
@@ -492,7 +485,7 @@ func (a *Area) Recover(tid int) []Resolved {
 				ops[i] = core.VecOp{Op: a.r.Load(p), A0: a.r.Load(p + 1), A1: a.r.Load(p + 2)}
 				p += 3
 			}
-			out = append(out, a.settle(tid, int(a.r.Load(gb)), a.r.Load(gb+1), true, ops)...)
+			out = append(out, a.settle(tid, int(a.r.Load(gb)), a.r.Load(gb+1), ops)...)
 		}
 	}
 	if a.epoch != nil {

@@ -1,8 +1,8 @@
 // Package vecbatch is the volatile half of the async pipelined submission
 // API: a per-thread staging buffer that accumulates operations into vectors
 // and hands each full (or explicitly flushed) vector to a structure-specific
-// commit function, which announces it through a core.VecProtocol and fills
-// in the per-op responses.
+// commit function, which announces it as one vector through a
+// core.Protocol's InvokeVec and fills in the per-op responses.
 //
 // The pipe itself holds no persistent state — an operation is guaranteed
 // exactly-once only from the moment its batch's Flush records it durably
