@@ -59,18 +59,16 @@ type comb struct {
 	// line. Volatile: recovery re-supplies an announcement's operations (see
 	// RecoverVec). The ReturnVal block is vcap words per thread so every op of
 	// a served vector has a persistent response slot. Per-thread combiner
-	// scratch: togs holds the toggles a round owes to announcers none of whose
-	// entries carries their own, packed q<<1|act; occ counts an
-	// announcement's entries per originator (all zero between uses).
+	// scratch: occ counts an announcement's entries per originator (all zero
+	// between uses).
 	vcap      int // max ops per announcement, at least 1
 	ann       []atomic.Uint64
 	annStride int
-	togs      [][]uint64
 	occ       [][]int
 
 	ctxs    []*pmem.Ctx
 	scratch [][]Request
-	envs    []Env // per-thread combiner environment, reused from round to round
+	envs    []paddedEnv // per-thread combiner environment, reused from round to round
 
 	// Adaptive announce backoff (see runVec): per-thread bounded exponential
 	// waits between announcing and competing, tuned by the observed combining
@@ -82,7 +80,7 @@ type comb struct {
 	// sparse fill and persist sets.
 	annSteps []prim.PaddedUint64 // per-thread announce-wait length, in Spin steps (own thread only)
 	annHot   []prim.PaddedUint64 // per-thread contention flag (own thread only)
-	degEMA   atomic.Uint64       // combining-degree EMA, fixed-point <<emaShift
+	degEMA   prim.PaddedUint64   // combining-degree EMA, fixed-point <<emaShift; written by every winning round
 
 	// spin says whether the instance's wait loops spin before they yield
 	// (prim.NewSpin): set when every thread can have a processor of its own,
@@ -148,21 +146,20 @@ func (c *comb) init(p rounds, h *pmem.Heap, name, proto, idxName string, n int, 
 
 	c.annStride = pmem.RoundUpLine(1 + entWords*c.vcap)
 	c.ann = make([]atomic.Uint64, n*c.annStride)
-	c.togs = make([][]uint64, n)
 	c.occ = make([][]int, n)
 	c.hotReq = make([]pmem.HotWord, n)
 	c.ctxs = make([]*pmem.Ctx, n)
 	c.scratch = make([][]Request, n)
-	c.envs = make([]Env, n)
+	c.envs = make([]paddedEnv, n)
 	c.seen = make([]prim.PaddedUint64, n)
 	c.annSteps = make([]prim.PaddedUint64, n)
 	c.annHot = make([]prim.PaddedUint64, n)
 	for i := range c.ctxs {
 		c.ctxs[i] = h.NewCtx()
-		c.scratch[i] = make([]Request, 0, n*c.vcap)
-		// A line of slack after each thread's words keeps neighbouring
-		// threads' scratch, which every round writes, off one cache line.
-		c.togs[i] = make([]uint64, 0, n+pmem.LineWords)
+		// At least a line of slack after each thread's words keeps
+		// neighbouring threads' scratch, which every round writes, off one
+		// cache line.
+		c.scratch[i] = make([]Request, 0, n*c.vcap+pmem.LineWords)
 		c.occ[i] = make([]int, n, n+pmem.LineWords)
 		c.annSteps[i].V.Store(annStepMin)
 	}
@@ -412,7 +409,7 @@ func (c *comb) announceWait(tid int, myActivate uint64) {
 		target = annDegreeCap
 	}
 	n := c.annSteps[tid].V.Load()
-	if c.annHot[tid].V.Load() != 0 && c.degEMA.Load() < (target<<emaShift)*7/8 {
+	if c.annHot[tid].V.Load() != 0 && c.degEMA.V.Load() < (target<<emaShift)*7/8 {
 		if n*2 <= 4*target {
 			n *= 2
 		}
@@ -449,8 +446,8 @@ func (c *comb) noteContention(tid int) {
 // the EMA by one round), so a plain load/store pair suffices.
 func (c *comb) wonRound(tid, degree, anns int) {
 	c.onRound(tid, degree)
-	old := c.degEMA.Load()
-	c.degEMA.Store(old - old/emaAlpha + (uint64(anns)<<emaShift)/emaAlpha)
+	old := c.degEMA.V.Load()
+	c.degEMA.V.Store(old - old/emaAlpha + (uint64(anns)<<emaShift)/emaAlpha)
 }
 
 // clearAnnounce retires tid's completed announcement from its block. A
@@ -474,30 +471,38 @@ func (c *comb) Recover(tid int, op, a0, a1, seq uint64) uint64 {
 	return ret[0]
 }
 
+// paddedEnv is one thread's Env with a line of slack after it: every
+// combining attempt rewrites it, and neighbouring threads' Envs must not share
+// a cache line.
+type paddedEnv struct {
+	Env
+	_ [pmem.LineWords]uint64
+}
+
 // env readies tid's combiner environment for a round on the record at dst;
 // dirty is the set the round's writes are marked in (nil unless sparse).
 func (c *comb) env(tid, dst int, dirty *dirtySet) *Env {
-	env := &c.envs[tid]
+	env := &c.envs[tid].Env
 	*env = Env{Ctx: c.ctxs[tid], State: State{r: c.state, off: dst, n: c.stWords}, Combiner: tid, dirty: dirty}
 	return env
 }
 
 // gather scans the announcement blocks against the Deactivate words of the
-// record at dst and returns every active request, the toggles owed to
-// announcers none of whose entries carries their own (packed q<<1|act), and
-// the number of announcements they came from.
+// record at dst and returns every active request and the number of
+// announcements they came from.
 //
 // Each active block yields one Request per entry, in entry order, so each
 // originator's program order is preserved within the round. Each entry names
-// its originator: responses and deactivate toggles are credited to it (q
-// itself, unless q delegates), and the announcer's own toggle goes to the
-// side list only when no entry of q's carries it, so a completed delegating
-// announcement never clobbers an originator's response slot. Under PWFcomb q
-// may be rewriting its block concurrently (possible only after its current
-// announcement completed); then this round's validation is already doomed and
-// its writes stay in the private buffer, so a torn read here is harmless.
-func (c *comb) gather(tid, dst int) (batch []Request, togs []uint64, anns int) {
-	batch, togs, occ := c.scratch[tid][:0], c.togs[tid][:0], c.occ[tid]
+// its originator, and its response and deactivate bit are credited to it (q
+// itself, unless q delegates). Every announcement carries an entry of its
+// announcer's own whose parity is the block's activate bit (InvokeDelegated
+// insists on it), so serving the entries also retires the announcement. Under
+// PWFcomb q may be rewriting its block concurrently (possible only after its
+// current announcement completed); then this round's validation is already
+// doomed and its writes stay in the private buffer, so a torn read here is
+// harmless.
+func (c *comb) gather(tid, dst int) (batch []Request, anns int) {
+	batch, occ := c.scratch[tid][:0], c.occ[tid]
 	for q := 0; q < c.n; q++ {
 		b := c.annBase(q)
 		ctl := c.ann[b].Load()
@@ -505,13 +510,12 @@ func (c *comb) gather(tid, dst int) (batch []Request, togs []uint64, anns int) {
 		if !ctlValid(ctl) {
 			continue
 		}
-		act := ctlActivate(ctl)
-		if act == c.state.Load(dst+c.deactOff+q) {
+		if ctlActivate(ctl) == c.state.Load(dst+c.deactOff+q) {
 			continue
 		}
 		anns++
 		c.h.Touch(&c.hotReq[q], tid)
-		start, self := len(batch), false
+		start := len(batch)
 		for i, e := 0, b+1; i < ctlCount(ctl); i, e = i+1, e+entWords {
 			ot, par := unpackDelMeta(c.ann[e+3].Load())
 			if ot < 0 || ot >= c.n {
@@ -520,7 +524,6 @@ func (c *comb) gather(tid, dst int) (batch []Request, togs []uint64, anns int) {
 			if par == c.state.Load(dst+c.deactOff+ot) {
 				continue // originator already served (recovery replay)
 			}
-			self = self || (ot == q && par == act)
 			batch = append(batch, Request{
 				Tid: uint64(ot),
 				Op:  c.ann[e].Load(),
@@ -534,19 +537,16 @@ func (c *comb) gather(tid, dst int) (batch []Request, togs []uint64, anns int) {
 		for j := start; j < len(batch); j++ {
 			occ[batch[j].Tid] = 0
 		}
-		if !self {
-			togs = append(togs, uint64(q)<<1|act)
-		}
 	}
-	// No write-back: a round appends at most vcap entries and one toggle per
-	// thread, within the capacities init gave, so the arrays are the same.
-	return batch, togs, anns
+	// No write-back: a round appends at most vcap entries per thread, within
+	// the capacity init gave, so the array is the same.
+	return batch, anns
 }
 
 // serve applies the gathered batch to the record env views and writes each
 // request's ReturnVal and Deactivate words there, marking the tail lines it
 // touches in the round's dirty set.
-func (c *comb) serve(tid int, env *Env, batch []Request, togs []uint64) {
+func (c *comb) serve(tid int, env *Env, batch []Request) {
 	if c.bobj != nil {
 		c.bobj.ApplyBatch(env, batch)
 	} else {
@@ -565,15 +565,5 @@ func (c *comb) serve(tid int, env *Env, batch []Request, togs []uint64) {
 			env.dirty.addLine((c.deactOff + q) / pmem.LineWords)
 		}
 		c.onStateWrite(tid, dst+ret)
-	}
-	// Deactivate the delegating announcers themselves: toggle only, no
-	// response — their entries' responses went to the originators above.
-	for _, t := range togs {
-		q := int(t >> 1)
-		c.state.Store(dst+c.deactOff+q, t&1)
-		if env.dirty != nil {
-			env.dirty.addLine((c.deactOff + q) / pmem.LineWords)
-		}
-		c.onStateWrite(tid, dst+c.deactOff+q)
 	}
 }

@@ -250,14 +250,15 @@ type Protocol interface {
 	// same per-thread contract as Invoke (one number per announcement, not per
 	// op).
 	InvokeVec(tid int, ops []VecOp, seq uint64, rets []uint64)
-	// InvokeDelegated announces dops as one vector under ctid's block — seq
-	// is ctid's own per-announcement sequence number — waits until a
-	// combining round has served the whole vector, and copies each
-	// operation's response into rets[i]. Each originator's deactivate bit
-	// flips to dop.Seq&1 in the same durable round, so its op stays
-	// exactly-once recoverable through the originator's own Recover.
-	// InvokeVec is InvokeDelegated with every originator equal to tid.
-	InvokeDelegated(ctid int, seq uint64, dops []DelOp, rets []uint64)
+	// InvokeDelegated announces dops as one vector under tid's block, waits
+	// until a combining round has served the whole vector, and copies each
+	// operation's response into rets[i]. One dop must be tid's own: its Seq
+	// is the announcement's activate bit, and a vector without one panics.
+	// Each originator's deactivate bit flips to dop.Seq&1 in the same
+	// durable round, so its op stays exactly-once recoverable through the
+	// originator's own Recover. InvokeVec is InvokeDelegated with every
+	// originator equal to tid.
+	InvokeDelegated(tid int, dops []DelOp, rets []uint64)
 	// RecoverVec is the recovery function for tid's interrupted vector: the
 	// caller re-supplies the original ops and seq from its own durable copy
 	// (the announcement block is volatile), and RecoverVec re-executes the

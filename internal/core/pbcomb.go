@@ -175,10 +175,10 @@ func (c *PBComb) combine(tid int) uint64 {
 	c.onRecCopy(tid, mi, ind)
 	c.onCopied(tid, copied)
 
-	batch, togs, anns := c.gather(tid, dst)
+	batch, anns := c.gather(tid, dst)
 	c.wonRound(tid, len(batch), anns) // rounds are serialized by the lock: this one will install
 	env := c.env(tid, dst, c.dirtyCur)
-	c.serve(tid, env, batch, togs)
+	c.serve(tid, env, batch)
 
 	// Span boundary: combine covers copy+gather+serve, persist covers the
 	// write-backs through the psync (the round hook included — it is

@@ -74,10 +74,10 @@ type PWFComb struct {
 	bufDirty []*dirtySet
 	unFenced []*dirtySet
 
-	// PreServe, when non-nil, runs after a thread has validated its private
+	// preServe, when non-nil, runs after a thread has validated its private
 	// copy and before it serves requests on it: a test's hook for preempting
 	// a thread at that point (sparsewf_test.go).
-	PreServe func(env *Env)
+	preServe func(env *Env)
 }
 
 // NewPWFComb creates (or re-opens after a crash) a PWFComb instance for n
@@ -217,17 +217,14 @@ func (c *PWFComb) perform(tid int) uint64 {
 			dirty.addLine(c.pidOff / pmem.LineWords)
 		}
 		env := c.env(tid, dst, dirty)
-		if c.PreServe != nil {
-			c.PreServe(env)
+		if c.preServe != nil {
+			c.preServe(env)
 		}
 
-		batch, togs, anns := c.gather(tid, dst)
-		c.serve(tid, env, batch, togs)
+		batch, anns := c.gather(tid, dst)
+		c.serve(tid, env, batch)
 		for i := range batch {
 			atomic.StoreUint64(&c.combRound[tid*c.n+int(batch[i].Tid)], lval)
-		}
-		for _, t := range togs {
-			atomic.StoreUint64(&c.combRound[tid*c.n+int(t>>1)], lval)
 		}
 
 		if !c.sv.VL(sv) {

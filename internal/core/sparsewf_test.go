@@ -280,7 +280,7 @@ func (o *fillOracle) ReadFallback(int)   {}
 // fillSchedule interleaves the threads of one PWFComb on a single goroutine:
 // at a hook inside one thread's attempt it runs another thread's whole
 // operation, nested, so S moves under the interrupted attempt exactly there.
-// The hooks are the oracle's (after a fill: the validation fails), PreServe
+// The hooks are the oracle's (after a fill: the validation fails), preServe
 // (the validation after serving fails) and the heap's kill hook, which fires
 // at persistence events, the write-backs between that validation and the SC
 // among them (the SC is lost). One goroutine makes every interleaving
@@ -363,7 +363,7 @@ func TestSparseWFFillMatchesScan(t *testing.T) {
 			o.snapshot(tid)
 		}
 		c.SetProbe(Probe{Comb: o})
-		c.PreServe = func(*Env) { s.preempt(4) }
+		c.preServe = func(*Env) { s.preempt(4) }
 		s.armKill()
 		for i := 0; i < 300; i++ {
 			s.op(s.rng.Intn(n))

@@ -5,12 +5,14 @@
 // the control word's cache line, so a one-entry announcement, an Invoke,
 // touches one line. A combiner drains an announcement through ApplyBatch in
 // entry order (program order per originator), writes one response per entry
-// into its originator's ReturnVal block, and deactivates the announcement
-// with one toggle — so the announce handshake, the combining round, and the
+// into its originator's ReturnVal block and flips its originator's
+// deactivate bit — so the announce handshake, the combining round, and the
 // record persist all amortize over the vector. Every entry names its
 // originator: Invoke's and InvokeVec's entries are all the announcer's own,
-// InvokeDelegated's belong to threads the announcer serves (a board sweep),
-// and all three run through one body, runVec.
+// InvokeDelegated's are the announcer's own op and those of the threads it
+// serves (a board sweep), and all three run through one body, runVec. Every
+// announcement thus carries an entry of its announcer's own, whose
+// deactivate bit is the one that retires the announcement.
 //
 // The block is volatile, like the paper's Request array: it is never written
 // back. After a crash the caller re-supplies an announcement's operations
@@ -93,28 +95,36 @@ func (c *comb) InvokeVec(tid int, ops []VecOp, seq uint64, rets []uint64) {
 	c.runVec(tid, len(ops), seq, rets, t0, true)
 }
 
-// InvokeDelegated announces dops — operations originated by *other* threads —
-// as one vector under ctid's announcement block; seq is ctid's own
-// per-announcement sequence number (one per call, low bit driving ctid's
-// toggle). A combining round executes each op, writes its response into the
-// originator's ReturnVal slot, and flips the originator's deactivate bit to
-// dop.Seq&1 in the same durable record — so every delegated op remains
+// InvokeDelegated announces dops as one vector under tid's announcement
+// block: tid's own operation and operations originated by *other* threads
+// (a board sweep). One dop must be tid's own: its Seq is the block's
+// activate bit, and the round that serves it deactivates tid through that
+// entry; a vector without one panics. A combining round executes each op, writes its response
+// into the originator's ReturnVal slot, and flips the originator's deactivate
+// bit to dop.Seq&1 in the same durable record — so every delegated op remains
 // exactly-once recoverable through the originator's own Recover.
 //
-// rets[i] receives dops[i]'s response. The originators must be parked (they
-// are waiting for ctid to hand the response back), so their ReturnVal slots
-// cannot be overwritten between the serving round and the collection.
-func (c *comb) InvokeDelegated(ctid int, seq uint64, dops []DelOp, rets []uint64) {
+// rets[i] receives dops[i]'s response. The other originators must be parked
+// (they are waiting for tid to hand the response back), so their ReturnVal
+// slots cannot be overwritten between the serving round and the collection.
+func (c *comb) InvokeDelegated(tid int, dops []DelOp, rets []uint64) {
 	if len(dops) == 0 {
 		return
 	}
 	t0 := c.spanStart()
 	c.checkVec(len(dops), rets)
-	c.onBatchSize(ctid, len(dops))
+	c.onBatchSize(tid, len(dops))
+	seq, own := uint64(0), false
 	for i, d := range dops {
-		c.storeEnt(ctid, i, d.Op, d.A0, d.A1, d.Tid, d.Seq)
+		if d.Tid == tid {
+			seq, own = d.Seq, true
+		}
+		c.storeEnt(tid, i, d.Op, d.A0, d.A1, d.Tid, d.Seq)
 	}
-	c.runVec(ctid, len(dops), seq, rets, t0, false)
+	if !own {
+		panic("core: delegated vector carries no entry of its announcer")
+	}
+	c.runVec(tid, len(dops), seq, rets, t0, false)
 }
 
 // runVec is the one body of Invoke, InvokeVec and InvokeDelegated once tid's

@@ -11,10 +11,11 @@ import (
 	"pcomb/internal/pmem"
 )
 
-// batchSpy is a CombTracker that keeps only the delegated vector sizes: one
-// BatchSize event per board sweep, none for a self-served or flat operation.
+// batchSpy is a CombTracker that keeps only the delegated vector sizes and
+// the tids that announced them: one BatchSize event per board sweep, none for
+// a self-served or flat operation.
 type batchSpy struct {
-	sweeps, largest atomic.Int64
+	sweeps, largest, maxTid atomic.Int64
 }
 
 func (s *batchSpy) Round(int, int)   {}
@@ -23,11 +24,17 @@ func (s *batchSpy) LockFail(int)     {}
 func (s *batchSpy) SCFail(int)       {}
 func (s *batchSpy) Copied(int, int)  {}
 func (s *batchSpy) ReadFallback(int) {}
-func (s *batchSpy) BatchSize(_, sz int) {
+func (s *batchSpy) BatchSize(tid, sz int) {
 	s.sweeps.Add(1)
+	raise(&s.largest, int64(sz))
+	raise(&s.maxTid, int64(tid))
+}
+
+// raise stores v in w if it exceeds w's value.
+func raise(w *atomic.Int64, v int64) {
 	for {
-		l := s.largest.Load()
-		if int64(sz) <= l || s.largest.CompareAndSwap(l, int64(sz)) {
+		l := w.Load()
+		if v <= l || w.CompareAndSwap(l, v) {
 			return
 		}
 	}
@@ -108,6 +115,37 @@ func TestSelfServeBehindHeldRole(t *testing.T) {
 	}
 }
 
+// parkThenSweep holds b's sweeper role by hand while threads 0..len(keys)-1
+// each post an Add of 1 to their key, releases it once all of them are
+// parked, and reports whether one sweep then served them all. A poster that
+// starts late could find an early one already past selfServeSpins; such an
+// attempt proves nothing and reports false.
+func parkThenSweep(m *Map, b *board, spy *batchSpy, keys []uint64) bool {
+	b.sweeper.V.Store(1)
+	sweeps := spy.sweeps.Load()
+	var wg sync.WaitGroup
+	var finished atomic.Int32
+	for tid := range keys {
+		wg.Add(1)
+		go func(tid int) {
+			defer wg.Done()
+			m.Add(tid, keys[tid], 1)
+			finished.Add(1)
+		}(tid)
+	}
+	for parked := 0; parked < len(keys) && finished.Load() == 0; runtime.Gosched() {
+		parked = 0
+		for tid := range keys {
+			if b.slots[tid].status.Load() == slotPosted {
+				parked++
+			}
+		}
+	}
+	b.sweeper.V.Store(0)
+	wg.Wait()
+	return spy.sweeps.Load() == sweeps+1 && spy.largest.Load() == int64(len(keys))
+}
+
 // TestParkedPostersServedByOneRound is how a batch forms: every request
 // posted while the role is taken belongs to the next sweeper. With the role
 // held by hand, n-1 threads post to one shard; on release one of them must
@@ -124,32 +162,9 @@ func TestParkedPostersServedByOneRound(t *testing.T) {
 			keys := keysOnShard(m, sh, n-1)
 			b := &m.boards[sh]
 
-			// A poster that starts late could find an early one already past
-			// selfServeSpins; that attempt proves nothing and is repeated.
 			for attempt := 0; attempt < 20; attempt++ {
-				b.sweeper.V.Store(1)
-				before, sweeps := h.Stats().Psyncs, spy.sweeps.Load()
-				var wg sync.WaitGroup
-				var finished atomic.Int32
-				for tid := 0; tid < n-1; tid++ {
-					wg.Add(1)
-					go func(tid int) {
-						defer wg.Done()
-						m.Add(tid, keys[tid], 1)
-						finished.Add(1)
-					}(tid)
-				}
-				for parked := 0; parked < n-1 && finished.Load() == 0; runtime.Gosched() {
-					parked = 0
-					for tid := 0; tid < n-1; tid++ {
-						if b.slots[tid].status.Load() == slotPosted {
-							parked++
-						}
-					}
-				}
-				b.sweeper.V.Store(0)
-				wg.Wait()
-				if spy.sweeps.Load() != sweeps+1 || spy.largest.Load() != n-1 {
+				before := h.Stats().Psyncs
+				if !parkThenSweep(m, b, spy, keys) {
 					continue
 				}
 				psyncs := h.Stats().Psyncs - before
@@ -164,6 +179,50 @@ func TestParkedPostersServedByOneRound(t *testing.T) {
 				return
 			}
 			t.Fatal("n-1 parked posters were never served by one round")
+		})
+	}
+}
+
+// TestSweepAnnouncesAsSweeper: the thread that takes the role announces the
+// sweep under its own tid, its own op among the entries, so the shard's
+// reserved last thread slot is never announced. With the role held by hand,
+// n-1 threads post to one shard; on release one of them must serve all n-1
+// in one round announced under a client tid, and the reserved slot's
+// deactivate bit must stay as it was through 100 more sweeps.
+func TestSweepAnnouncesAsSweeper(t *testing.T) {
+	const n = 5
+	for _, v := range hierKinds {
+		t.Run(v.name, func(t *testing.T) {
+			m := newSharded(newHeap(), "m", n, shardedOpts{Shards: 4, Kind: v.kind})
+			spy := &batchSpy{}
+			m.SetProbe(core.Probe{Comb: spy})
+			const sh = 1
+			keys := keysOnShard(m, sh, n-1)
+			b := &m.boards[sh]
+			reserved := b.inst.DeactParity(n)
+
+			served := false
+			for attempt := 0; attempt < 20 && !served; attempt++ {
+				served = parkThenSweep(m, b, spy, keys)
+			}
+			if !served {
+				t.Fatal("n-1 parked posters were never served by one round")
+			}
+			if tid := spy.maxTid.Load(); tid >= n-1 {
+				t.Fatalf("a sweep was announced under tid %d, want a poster's (< %d)", tid, n-1)
+			}
+			if p := b.inst.DeactParity(n); p != reserved {
+				t.Fatalf("the parked round flipped the reserved slot's deactivate bit to %d", p)
+			}
+			for i := 0; i < 100; i++ {
+				m.Add(i%(n-1), keys[0], 1)
+				if p := b.inst.DeactParity(n); p != reserved {
+					t.Fatalf("sweep %d flipped the reserved slot's deactivate bit to %d", i, p)
+				}
+			}
+			if tid := spy.maxTid.Load(); tid >= n-1 {
+				t.Fatalf("a sweep was announced under tid %d, want a poster's (< %d)", tid, n-1)
+			}
 		})
 	}
 }

@@ -223,10 +223,11 @@ type Options struct {
 	// Board routes scalar updates through each shard's posting board
 	// (hierarchical combining): a thread posts its request and tries to take
 	// the board's sweeper role, and whoever holds it announces every posted
-	// request as one delegated vector. Zero value: threads invoke their key's
-	// shard directly. The shards of a board map are built one thread wider
-	// (the sweeper's tid) and with VecCap at least 2. Part of the persistent
-	// layout.
+	// request, its own included, as one delegated vector under its own tid.
+	// Zero value: threads invoke their key's shard directly. The shards of a
+	// board map are built with VecCap at least 2 and one thread slot more
+	// than the map has threads; that last slot is reserved and never
+	// announced. Part of the persistent layout.
 	Board bool
 	// Epoch switches the map to epoch-mode relaxed durability: shard rounds
 	// apply and return volatile-fast, one shared epoch closer persists them
@@ -266,7 +267,8 @@ func NewOn(h *pmem.Heap, name string, n int, kind Kind, o Options, sys *sysarea.
 	co := core.CombOpts{VecCap: o.VecCap}
 	width := n
 	if o.Board {
-		// The extra thread is the board's sweeper tid (see board).
+		// The extra thread slot is reserved: no thread announces in it (see
+		// board.go).
 		co.VecCap = max(o.VecCap, 2)
 		width = n + 1
 	}

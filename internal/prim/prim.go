@@ -36,7 +36,6 @@ func UnpackVersioned(v uint64) (slot int, stamp uint64) {
 type Backoff struct {
 	rng   rand.Source64
 	limit uint64
-	min   uint64
 	max   uint64
 	sink  uint64 // defeats dead-code elimination of the spin loop
 }
@@ -50,7 +49,7 @@ func NewBackoff(min, max uint64, seed int64) *Backoff {
 	if max < min {
 		max = min
 	}
-	return &Backoff{rng: rand.NewSource(seed).(rand.Source64), limit: min, min: min, max: max}
+	return &Backoff{rng: rand.NewSource(seed).(rand.Source64), limit: min, max: max}
 }
 
 // Wait spins for a random number of iterations up to the current limit,
@@ -69,13 +68,6 @@ func (b *Backoff) Wait() {
 func (b *Backoff) Grow() {
 	if b.limit*2 <= b.max {
 		b.limit *= 2
-	}
-}
-
-// Shrink halves the backoff limit down to min (called after success).
-func (b *Backoff) Shrink() {
-	if b.limit/2 >= b.min {
-		b.limit /= 2
 	}
 }
 

@@ -31,19 +31,13 @@ func TestBackoffBounds(t *testing.T) {
 	if b.limit != 64 {
 		t.Fatalf("limit after growth = %d, want 64", b.limit)
 	}
-	for i := 0; i < 10; i++ {
-		b.Shrink()
-	}
-	if b.limit != 8 {
-		t.Fatalf("limit after shrink = %d, want 8", b.limit)
-	}
 	b.Wait() // must not hang or panic
 }
 
 func TestBackoffDefaults(t *testing.T) {
 	b := NewBackoff(0, 0, 1)
-	if b.min == 0 || b.max < b.min {
-		t.Fatalf("defaults not applied: min=%d max=%d", b.min, b.max)
+	if b.limit == 0 || b.max < b.limit {
+		t.Fatalf("defaults not applied: limit=%d max=%d", b.limit, b.max)
 	}
 }
 

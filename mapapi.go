@@ -6,9 +6,8 @@ import "pcomb/internal/hashmap"
 // combining instance per shard — the sharded-combining construction the
 // paper's Section 8 poses as an open problem. It is hashmap.Map itself: `go
 // doc pcomb/internal/hashmap.Map` lists its own methods (Put, Get, Delete,
-// Add, SetProbe, the Submit family and the transactions), and Recover,
-// SetHistory, Flush, Pending and the epoch accessors are
-// sysarea.EpochFront's.
+// Add, the Submit family and the transactions), and Recover, SetHistory,
+// SetProbe, Flush, Pending and the epoch accessors are sysarea.EpochFront's.
 type Map = hashmap.Map
 
 // MapOptions tunes a map instance; the zero value is sensible. Its fields are

@@ -113,20 +113,16 @@ func TestProbeReachesEveryInstance(t *testing.T) {
 			for k := uint64(1); k <= keys; k++ {
 				m.Put(int(k)%threads, k, k)
 			}
-			// Hierarchical shards are driven by a sweeping client under tid n,
-			// which has no track in a client-sized span log: no shard-level
-			// spans there.
-			publishes := uint64(keys)
-			if !flat {
-				publishes = 0
-			}
-			check(t, st, spans, keys, publishes)
+			// A sweeping client announces under its own tid, so hierarchical
+			// shards record one publish per announcement like flat ones: each
+			// Put here runs alone, so its sweep carries only itself.
+			check(t, st, spans, keys, keys)
 			// A second SetProbe replaces the first probe's sinks.
 			p2, st2, spans2 := newProbe()
 			m.SetProbe(p2)
 			m.Put(0, 1, 1) // an update: a Get announces nothing for a probe to see
-			check(t, st2, spans2, 1, publishes/keys)
-			check(t, st, spans, keys, publishes)
+			check(t, st2, spans2, 1, 1)
+			check(t, st, spans, keys, keys)
 		})
 	}
 }
