@@ -46,7 +46,6 @@ func main() {
 		noCost   = flag.Bool("no-cost", false, "disable simulated persistence costs (counters only)")
 		metrics  = flag.Bool("metrics", false, "collect per-op latency histograms and combining stats")
 		jsonOut  = flag.String("json", "", "append one JSONL record per measured point to this file ('-' for stdout)")
-		expvarAt = flag.String("expvar", "", "serve /debug/vars on this address (e.g. :8090) with the run's records")
 		serveAt  = flag.String("serve", "", "serve live telemetry on this address: Prometheus text on /metrics, plus /debug/vars and /debug/pprof (implies -metrics and span tracing)")
 		spanCap  = flag.Int("span-cap", 0, "per-thread span-ring capacity for lifecycle tracing (0 = off, <0 = default)")
 		traceOut = flag.String("trace", "", "write per-op lifecycle spans as a Chrome/Perfetto trace to this file (enables span tracing)")
@@ -99,8 +98,8 @@ func main() {
 	}
 
 	// Streaming export: every measured point becomes one JSONL record the
-	// moment it completes, and the accumulated records back the expvar
-	// endpoint for long-running sweeps.
+	// moment it completes, and the accumulated records back -serve's
+	// /debug/vars for long-running sweeps.
 	var (
 		jsonW   *os.File
 		recMu   sync.Mutex
@@ -144,7 +143,7 @@ func main() {
 		tel = obs.NewTelemetry()
 		cfg.OnStart = tel.StartPoint
 	}
-	if jsonW != nil || *expvarAt != "" || tel != nil {
+	if jsonW != nil || tel != nil {
 		cfg.OnPoint = func(r harness.Result) {
 			rec := r.Record(curFig)
 			recMu.Lock()
@@ -161,14 +160,12 @@ func main() {
 			}
 		}
 	}
-	if *expvarAt != "" || tel != nil {
+	if tel != nil {
 		obs.Publish("pcomb-bench", func() any {
 			recMu.Lock()
 			defer recMu.Unlock()
 			return append([]obs.RunRecord(nil), records...)
 		})
-	}
-	if tel != nil {
 		obs.Publish("pcomb-telemetry", tel.Expvar)
 		http.Handle("/metrics", tel)
 		ln, err := obs.Serve(*serveAt)
@@ -177,13 +174,6 @@ func main() {
 			os.Exit(2)
 		}
 		fmt.Fprintf(os.Stderr, "telemetry: serving http://%s/metrics (plus /debug/vars, /debug/pprof)\n", ln.Addr())
-	} else if *expvarAt != "" {
-		ln, err := obs.Serve(*expvarAt)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "expvar: %v\n", err)
-			os.Exit(2)
-		}
-		fmt.Fprintf(os.Stderr, "expvar: serving http://%s/debug/vars\n", ln.Addr())
 	}
 
 	// Trace export: each instrumented point contributes one named process to

@@ -30,10 +30,6 @@ import (
 // announcement block — the same block a scalar Invoke uses, its entries
 // naming the originating threads — are volatile, and the swept vector's only
 // durable trace is the round's record.
-//
-// The shard instances keep one thread slot more than the map has threads, a
-// reserved slot that is never announced: it is part of the persistent layout
-// of board maps (Options.Board).
 
 // Board slot states.
 const (

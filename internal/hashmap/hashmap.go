@@ -202,9 +202,6 @@ type Map struct {
 	// record every operation, flush window and transaction commits through.
 	sys *sysarea.Area
 
-	// pipe stages Submit-ed operations (nil unless built with VecCap > 1).
-	pipe *vecbatch.Pipe
-
 	// boards are the shards' posting boards (nil unless Options.Board).
 	boards []board
 }
@@ -225,9 +222,8 @@ type Options struct {
 	// the board's sweeper role, and whoever holds it announces every posted
 	// request, its own included, as one delegated vector under its own tid.
 	// Zero value: threads invoke their key's shard directly. The shards of a
-	// board map are built with VecCap at least 2 and one thread slot more
-	// than the map has threads; that last slot is reserved and never
-	// announced. Part of the persistent layout.
+	// board map are built with VecCap at least 2. Part of the persistent
+	// layout.
 	Board bool
 	// Epoch switches the map to epoch-mode relaxed durability: shard rounds
 	// apply and return volatile-fast, one shared epoch closer persists them
@@ -252,8 +248,8 @@ func NewWith(h *pmem.Heap, name string, n int, kind Kind, o Options) *Map {
 // NewOn is NewWith on a caller-built system area sys, shared with other
 // structures (nil: the map builds its own). The map's shards become sys's
 // classes [0, Shards), defer into sys's epoch in place of Options.Epoch and
-// EpochInterval, and commit through it; the map has no Submit pipe of its own,
-// since the caller stages — and Recover resolves sys's whole record.
+// EpochInterval, and commit and stage through it: Recover resolves sys's whole
+// record, and Flush commits sys's whole window.
 func NewOn(h *pmem.Heap, name string, n int, kind Kind, o Options, sys *sysarea.Area) *Map {
 	nshards, capacity := o.Shards, o.Capacity
 	if nshards <= 0 {
@@ -265,19 +261,15 @@ func NewOn(h *pmem.Heap, name string, n int, kind Kind, o Options, sys *sysarea.
 	m := &Map{h: h, nsh: nshards, slots: (capacity + nshards - 1) / nshards, n: n}
 	obj := shardObj{slots: m.slots}
 	co := core.CombOpts{VecCap: o.VecCap}
-	width := n
 	if o.Board {
-		// The extra thread slot is reserved: no thread announces in it (see
-		// board.go).
 		co.VecCap = max(o.VecCap, 2)
-		width = n + 1
 	}
 	for s := 0; s < nshards; s++ {
 		sname := fmt.Sprintf("%s/shard%d", name, s)
 		if kind == WaitFree {
-			m.shards = append(m.shards, core.NewPWFCombWith(h, sname, width, obj, co))
+			m.shards = append(m.shards, core.NewPWFCombWith(h, sname, n, obj, co))
 		} else {
-			m.shards = append(m.shards, core.NewPBCombWith(h, sname, width, obj, co))
+			m.shards = append(m.shards, core.NewPBCombWith(h, sname, n, obj, co))
 		}
 	}
 	var ep *pmem.Epoch // non-nil in epoch-mode relaxed durability
@@ -296,15 +288,12 @@ func NewOn(h *pmem.Heap, name string, n int, kind Kind, o Options, sys *sysarea.
 	}
 	if sys == nil {
 		sys = sysarea.New(h, name+"/hashmap.sys", n, m.shards, ep, co.VecCap)
-		if co.VecCap > 1 {
-			m.pipe = vecbatch.New(n, co.VecCap, m.commit)
-		}
 	}
 	for s, sh := range m.shards {
 		sys.Bind(s, sh)
 	}
 	m.sys = sys
-	m.EpochFront = sysarea.EpochFront{Front: sys.Front(0, nshards, m.pipe)}
+	m.EpochFront = sysarea.EpochFront{Front: sys.Front(0, nshards)}
 	if o.Board {
 		m.boards = newBoards(m.shards, n, co.VecCap)
 	}
@@ -384,34 +373,33 @@ func (m *Map) Add(tid int, key, delta uint64) uint64 {
 // Future's Wait, or when it reaches VecCap ops; a crash before that loses it
 // wholesale — pipelining trades per-op commit for per-window commit.
 func (m *Map) SubmitPut(tid int, key, val uint64) vecbatch.Future {
-	return m.pipe.Submit(tid, core.VecOp{Op: OpPut, A0: key, A1: val})
+	return m.sys.Submit(tid, m.shardOf(key), OpPut, key, val)
 }
 
 // SubmitGet stages a Get (requires VecCap > 1).
 func (m *Map) SubmitGet(tid int, key uint64) vecbatch.Future {
-	return m.pipe.Submit(tid, core.VecOp{Op: OpGet, A0: key})
+	return m.sys.Submit(tid, m.shardOf(key), OpGet, key, 0)
 }
 
 // SubmitDelete stages a Delete (requires VecCap > 1).
 func (m *Map) SubmitDelete(tid int, key uint64) vecbatch.Future {
-	return m.pipe.Submit(tid, core.VecOp{Op: OpDel, A0: key})
+	return m.sys.Submit(tid, m.shardOf(key), OpDel, key, 0)
 }
 
 // SubmitAdd stages an Add (requires VecCap > 1); the Future's Wait returns
 // the new value, as Add.
 func (m *Map) SubmitAdd(tid int, key, delta uint64) vecbatch.Future {
-	return m.pipe.Submit(tid, core.VecOp{Op: OpAdd, A0: key, A1: delta})
+	return m.sys.Submit(tid, m.shardOf(key), OpAdd, key, delta)
 }
 
-// commit is the pipe's commit function: one staged window, grouped by shard
-// (submission order kept within a shard — the intra-thread reordering across
-// shards is unobservable, as the ops commute) under one system-area record.
-// A transaction is the same commit (Txn).
+// commit runs ops as one system-area commit grouped by shard (program order
+// kept within a shard — the reordering across shards is unobservable, as the
+// ops commute): a transaction (Txn), the same commit a flushed window is.
 func (m *Map) commit(tid int, ops []core.VecOp, rets []uint64) {
 	m.sys.InvokeGrouped(tid, ops, rets, m.classOf)
 }
 
-// classOf is the system-area class — the shard — of a staged op.
+// classOf is the system-area class — the shard — of a transaction's op.
 func (m *Map) classOf(_ int, o core.VecOp) int { return m.shardOf(o.A0) }
 
 // Len returns the number of live keys: each shard's count is a validated read

@@ -133,8 +133,7 @@ func (o obj) swap(s core.State, i, j int) {
 // exports it as pcomb.Heap.
 type Heap struct {
 	sysarea.Front
-	sys  *sysarea.Area
-	pipe *vecbatch.Pipe // nil unless built with vecCap > 1
+	sys *sysarea.Area
 
 	comb  core.Protocol
 	bound int
@@ -160,10 +159,7 @@ func New(h *pmem.Heap, name string, n int, kind Kind, bound, vecCap int) *Heap {
 		panic("heap: unknown kind")
 	}
 	hp.sys = sysarea.New(h, name+"/sysarea", n, []core.Protocol{hp.comb}, nil, vecCap)
-	if vecCap > 1 {
-		hp.pipe = vecbatch.New(n, vecCap, hp.sys.Flusher(0))
-	}
-	hp.Front = hp.sys.Front(0, 1, hp.pipe)
+	hp.Front = hp.sys.Front(0, 1)
 	return hp
 }
 
@@ -206,17 +202,17 @@ func (h *Heap) GetMin(tid int) (key uint64, ok bool) {
 // commits when it reaches vecCap operations or on Flush or a Future's Wait;
 // until then a crash loses it wholesale.
 func (h *Heap) SubmitInsert(tid int, key uint64) vecbatch.Future {
-	return h.pipe.Submit(tid, core.VecOp{Op: OpInsert, A0: key})
+	return h.sys.Submit(tid, 0, OpInsert, key, 0)
 }
 
 // SubmitDeleteMin stages a delete-min; Wait returns the key or Empty.
 func (h *Heap) SubmitDeleteMin(tid int) vecbatch.Future {
-	return h.pipe.Submit(tid, core.VecOp{Op: OpDeleteMin})
+	return h.sys.Submit(tid, 0, OpDeleteMin, 0, 0)
 }
 
 // SubmitGetMin stages a get-min; Wait returns the key or Empty.
 func (h *Heap) SubmitGetMin(tid int) vecbatch.Future {
-	return h.pipe.Submit(tid, core.VecOp{Op: OpGetMin})
+	return h.sys.Submit(tid, 0, OpGetMin, 0, 0)
 }
 
 // Len returns the number of keys: a validated read of the last durable

@@ -183,13 +183,6 @@ var epochSabotage atomic.Bool
 // SetEpochSabotage switches the deliberate epoch-close bug on or off.
 func SetEpochSabotage(on bool) { epochSabotage.Store(on) }
 
-// EpochClose describes one completed close (CloseTimes).
-type EpochClose struct {
-	Epoch uint64
-	At    time.Time
-	Lines int // write-backs replayed (coalesced lines in ModeCount)
-}
-
 // EpochOpts configures NewEpoch.
 type EpochOpts struct {
 	// Interval starts a background ticker closing every Interval (0 = no
@@ -199,9 +192,6 @@ type EpochOpts struct {
 	// Closing the channel stops the goroutine.
 	Tick <-chan struct{}
 }
-
-// epochCloseCap bounds the CloseTimes ring.
-const epochCloseCap = 1 << 16
 
 // Epoch is one structure's group-commit state: the shared deferral buffer
 // its contexts feed, the strict closer context that replays it, and the
@@ -218,10 +208,6 @@ type Epoch struct {
 	closeMu sync.Mutex // serializes closePass
 	waitMu  sync.Mutex
 	waitC   *sync.Cond
-
-	closesMu sync.Mutex
-	closes   []EpochClose // ring of the most recent closes
-	ncloses  uint64
 
 	stop chan struct{}
 	done chan struct{}
@@ -333,20 +319,6 @@ func (e *Epoch) Stop() {
 	e.closePass()
 }
 
-// CloseTimes returns the recorded closes, oldest first (a bounded ring:
-// only the most recent epochCloseCap closes are kept).
-func (e *Epoch) CloseTimes() []EpochClose {
-	e.closesMu.Lock()
-	defer e.closesMu.Unlock()
-	if e.ncloses <= uint64(len(e.closes)) {
-		return append([]EpochClose(nil), e.closes...)
-	}
-	head := int(e.ncloses % uint64(len(e.closes)))
-	out := make([]EpochClose, 0, len(e.closes))
-	out = append(out, e.closes[head:]...)
-	return append(out, e.closes[:head]...)
-}
-
 func (e *Epoch) run(interval time.Duration, tick <-chan struct{}) {
 	defer close(e.done)
 	defer func() {
@@ -394,7 +366,6 @@ func (e *Epoch) closePass() {
 	}
 	ec := e.openE.Add(1) - 1
 	recs, dirty := e.buf.take()
-	lines := 0
 	ctx := e.ctx
 	if epochSabotage.Load() {
 		// Mutant: acknowledge the close durably without persisting the
@@ -405,7 +376,6 @@ func (e *Epoch) closePass() {
 		if e.buf.count {
 			for _, dl := range dirty {
 				ctx.PWBLine(dl.r, dl.line*LineWords)
-				lines++
 			}
 		} else {
 			// Replay in issue order. Fence markers matter: without them the
@@ -423,7 +393,6 @@ func (e *Epoch) closePass() {
 					ctx.pwbs++
 					ctx.pending = append(ctx.pending, rec.flushRec)
 					ctx.charge(e.h.pwbCost, 1)
-					lines++
 				}
 			}
 		}
@@ -436,13 +405,4 @@ func (e *Epoch) closePass() {
 	e.closedE.Store(ec)
 	e.waitMu.Unlock()
 	e.waitC.Broadcast()
-
-	e.closesMu.Lock()
-	if len(e.closes) < epochCloseCap {
-		e.closes = append(e.closes, EpochClose{Epoch: ec, At: time.Now(), Lines: lines})
-	} else {
-		e.closes[e.ncloses%epochCloseCap] = EpochClose{Epoch: ec, At: time.Now(), Lines: lines}
-	}
-	e.ncloses++
-	e.closesMu.Unlock()
 }

@@ -95,9 +95,11 @@ const (
 	// 6 = the server store stages through windows in epoch mode too, so an
 	// epoch-mode server file has vector rings and system-area payloads; 7 =
 	// the server store's map and queue share one system area (srv/sysarea)
-	// and one epoch stamp (srv/epoch.stamp). A file of another version is
-	// refused, never reinterpreted.
-	fileVersion    = 7
+	// and one epoch stamp (srv/epoch.stamp); 8 = one system-area record format
+	// (a scalar operation is a one-op commit: payload, group table, group
+	// count), and board maps' shards are as wide as the map's thread count. A
+	// file of another version is refused, never reinterpreted.
+	fileVersion    = 8
 	fileSlotA      = 8  // header slot A word offset
 	fileSlotB      = 16 // header slot B word offset
 	fileCatStart   = 64

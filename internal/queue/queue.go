@@ -92,12 +92,6 @@ type Queue struct {
 	sys  *sysarea.Area
 	base int // class of enqueues; dequeues are base+1
 
-	// Submit pipes (nil unless built with VecCap > 1 on an area of its own).
-	// Enqueues and dequeues stage separately — they run on separate
-	// combining instances — but never pend simultaneously: submitting one
-	// class flushes the other, preserving per-thread program order.
-	enqPipe, deqPipe *vecbatch.Pipe
-
 	kind Kind
 	p    *pool.Pool
 	meta *pmem.Region // word 0: dummy node index; word LineWords: magic
@@ -113,11 +107,11 @@ const queueMagic = 0x71c0_0001_beef_0001
 // NewOn creates (or re-opens after a crash) a recoverable queue for n
 // threads. Its enqueue and dequeue instances become classes base and base+1
 // of the caller's system area sys, defer into sys's epoch in place of
-// opt.Epoch, and commit through it; the queue then has no Submit pipe of its
-// own, since the caller stages, and Recover resolves sys's whole record. With
-// sys nil the queue builds an area of its own, named name+"/sysarea", with
-// classes 0 and 1 (base is then 0). Re-open with the same options and call
-// Recover for every thread before new operations.
+// opt.Epoch, and commit and stage through it: Recover resolves sys's whole
+// record, and Flush commits sys's whole window. With sys nil the queue builds
+// an area of its own, named name+"/sysarea", with classes 0 and 1 (base is
+// then 0). Re-open with the same options and call Recover for every thread
+// before new operations.
 func NewOn(h *pmem.Heap, name string, n int, kind Kind, opt Options, sys *sysarea.Area, base int) *Queue {
 	if opt.Capacity == 0 {
 		opt.Capacity = defaultCapacity
@@ -213,16 +207,12 @@ func NewOn(h *pmem.Heap, name string, n int, kind Kind, opt Options, sys *sysare
 	}
 	if sys == nil {
 		sys, base = sysarea.New(h, name+"/sysarea", n, []core.Protocol{q.enq, q.deq}, ep, opt.VecCap), 0
-		if opt.VecCap > 1 {
-			q.enqPipe = vecbatch.New(n, opt.VecCap, sys.Flusher(0))
-			q.deqPipe = vecbatch.New(n, opt.VecCap, sys.Flusher(1))
-		}
 	} else {
 		sys.Bind(base, q.enq)
 		sys.Bind(base+1, q.deq)
 	}
 	q.sys, q.base = sys, base
-	q.EpochFront = sysarea.EpochFront{Front: sys.Front(base, base+2, q.enqPipe, q.deqPipe)}
+	q.EpochFront = sysarea.EpochFront{Front: sys.Front(base, base+2)}
 	return q
 }
 
@@ -249,30 +239,31 @@ func (q *Queue) Dequeue(tid int) (v uint64, ok bool) {
 	return 0, false
 }
 
-// SubmitEnqueue stages an enqueue of v on the async pipelined path (requires
+// SubmitEnqueue stages an enqueue of v on the system area's window (requires
 // VecCap > 1). The staged batch commits when it reaches VecCap operations, on
-// Flush or a Future's Wait, or — to preserve the thread's program order — when
-// a dequeue is submitted. Until its batch's Flush has recorded it durably, a
-// staged op is lost wholesale by a crash: pipelining trades per-op commit for
-// per-batch commit. A flushed batch is one system-area record that carries
-// its operations, announced as one vector, so Recover resolves an interrupted
-// one as a whole — from the record, not the announcement block — one Resolved
-// per op in submission order.
+// Flush or a Future's Wait, or — to preserve the thread's program order, as
+// enqueues and dequeues do not commute — when a dequeue is submitted. Until
+// its batch's Flush has recorded it durably, a staged op is lost wholesale by
+// a crash: pipelining trades per-op commit for per-batch commit. A flushed
+// batch is one system-area record that carries its operations, announced as
+// one vector, so Recover resolves an interrupted one as a whole — from the
+// record, not the announcement block — one Resolved per op in submission
+// order.
 func (q *Queue) SubmitEnqueue(tid int, v uint64) vecbatch.Future {
-	if q.deqPipe.Pending(tid) > 0 {
-		q.deqPipe.Flush(tid)
+	if q.sys.Staged(tid, q.base+1) {
+		q.sys.Flush(tid)
 	}
-	return q.enqPipe.Submit(tid, core.VecOp{Op: OpEnq, A0: v})
+	return q.sys.Submit(tid, q.base, OpEnq, v, 0)
 }
 
 // SubmitDequeue stages a dequeue (requires VecCap > 1); the Future's Wait
 // returns the dequeued value or Empty. Any staged enqueues flush first,
 // preserving the thread's program order.
 func (q *Queue) SubmitDequeue(tid int) vecbatch.Future {
-	if q.enqPipe.Pending(tid) > 0 {
-		q.enqPipe.Flush(tid)
+	if q.sys.Staged(tid, q.base) {
+		q.sys.Flush(tid)
 	}
-	return q.deqPipe.Submit(tid, core.VecOp{Op: OpDeq})
+	return q.sys.Submit(tid, q.base+1, OpDeq, 0, 0)
 }
 
 // Snapshot walks the queue head-to-tail. Quiescent use only.

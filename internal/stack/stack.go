@@ -255,8 +255,7 @@ func (o *obj) eliminateOrdered(sc *roundScratch, reqs []core.Request) []bool {
 // pcomb.Stack.
 type Stack struct {
 	sysarea.Front
-	sys  *sysarea.Area
-	pipe *vecbatch.Pipe // nil unless built with VecCap > 1
+	sys *sysarea.Area
 
 	comb core.Protocol
 	o    *obj
@@ -289,10 +288,7 @@ func New(h *pmem.Heap, name string, n int, kind Kind, opt Options) *Stack {
 	}
 	s.comb.SetCommit(func(env *core.Env, won bool) { o.commit(env.Combiner, won) })
 	s.sys = sysarea.New(h, name+"/sysarea", n, []core.Protocol{s.comb}, nil, opt.VecCap)
-	if opt.VecCap > 1 {
-		s.pipe = vecbatch.New(n, opt.VecCap, s.sys.Flusher(0))
-	}
-	s.Front = s.sys.Front(0, 1, s.pipe)
+	s.Front = s.sys.Front(0, 1)
 	return s
 }
 
@@ -333,14 +329,14 @@ func (s *Stack) Pop(tid int) (v uint64, ok bool) {
 // batch is one system-area record, so Recover resolves an interrupted one as
 // a whole.
 func (s *Stack) SubmitPush(tid int, v uint64) vecbatch.Future {
-	return s.pipe.Submit(tid, core.VecOp{Op: OpPush, A0: v})
+	return s.sys.Submit(tid, 0, OpPush, v, 0)
 }
 
 // SubmitPop stages a pop; the Future's Wait returns the popped value or
 // Empty. Pushes and pops share one staged vector, so the combiner can run
 // elimination inside the batch.
 func (s *Stack) SubmitPop(tid int) vecbatch.Future {
-	return s.pipe.Submit(tid, core.VecOp{Op: OpPop})
+	return s.sys.Submit(tid, 0, OpPop, 0, 0)
 }
 
 // Snapshot walks the stack top-to-bottom. Quiescent use only.

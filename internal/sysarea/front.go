@@ -1,8 +1,6 @@
 package sysarea
 
 import (
-	"fmt"
-
 	"pcomb/internal/core"
 	"pcomb/internal/pmem"
 	"pcomb/internal/vecbatch"
@@ -10,19 +8,17 @@ import (
 
 // Front is what a structure built on an area exposes of it, written once and
 // embedded by every structure: recovery, the history log, the probe, and
-// Flush/Pending over the structure's Submit pipes. It covers the structure's
-// own classes of the area, so structures sharing an area keep logs and probes
-// of their own.
+// Flush/Pending over the area's staging window. Its log and probe cover the
+// structure's own classes of the area, so structures sharing an area keep
+// logs and probes of their own.
 type Front struct {
 	a       *Area
 	classes []int
-	pipes   []*vecbatch.Pipe // nil entries: built without VecCap > 1
 }
 
-// Front returns the front of the structure that owns classes [lo, hi) of a
-// and stages on pipes (none when the structure's caller stages for it).
-func (a *Area) Front(lo, hi int, pipes ...*vecbatch.Pipe) Front {
-	f := Front{a: a, pipes: pipes}
+// Front returns the front of the structure that owns classes [lo, hi) of a.
+func (a *Area) Front(lo, hi int) Front {
+	f := Front{a: a}
 	for c := lo; c < hi; c++ {
 		f.classes = append(f.classes, c)
 	}
@@ -46,35 +42,26 @@ func (f *Front) Recover(tid int) []Resolved { return f.a.Recover(tid) }
 func (f *Front) SetHistory(h Log) { f.a.SetHistory(h, f.classes...) }
 
 // SetProbe installs p on every combining instance the structure is built
-// from and on its Submit pipes (they share p's sinks, so stats aggregate
-// across instances and a thread's span track interleaves their spans); the
-// zero Probe uninstalls it.
+// from and on the area's staging window (they share p's sinks, so stats
+// aggregate across instances and a thread's span track interleaves their
+// spans); the zero Probe uninstalls it. On an area shared with other
+// structures the window is shared too, and takes the last probe installed.
 func (f *Front) SetProbe(p core.Probe) {
 	for _, c := range f.classes {
 		f.a.insts[c].SetProbe(p)
 	}
-	for _, pp := range f.pipes {
-		if pp != nil {
-			pp.SetProbe(p)
-		}
+	if f.a.win != nil {
+		f.a.win.SetProbe(p)
 	}
 }
 
-// Flush commits thread tid's staged operations durably.
-func (f *Front) Flush(tid int) {
-	for _, p := range f.pipes {
-		p.Flush(tid)
-	}
-}
+// Flush commits thread tid's staged operations durably — on an area shared
+// with other structures, the area's whole window.
+func (f *Front) Flush(tid int) { f.a.Flush(tid) }
 
-// Pending returns the number of staged, unflushed operations of tid.
-func (f *Front) Pending(tid int) int {
-	n := 0
-	for _, p := range f.pipes {
-		n += p.Pending(tid)
-	}
-	return n
-}
+// Pending returns the number of staged, unflushed operations of tid on the
+// area's window.
+func (f *Front) Pending(tid int) int { return f.a.Pending(tid) }
 
 // EpochFront is Front plus the epoch accessors, for the structures that can
 // run under epoch-mode relaxed durability. On a strict structure they are
@@ -110,7 +97,6 @@ func (f *EpochFront) Close() { f.a.epoch.Stop() }
 type Recoverable struct {
 	Front
 	inst core.Protocol
-	pipe *vecbatch.Pipe // nil unless built with vecCap > 1
 }
 
 // NewRecoverable creates — or re-opens after a crash — a recoverable version
@@ -126,36 +112,20 @@ func NewRecoverable(h *pmem.Heap, name string, n int, kind core.Kind, obj core.O
 		inst = core.NewPBCombWith(h, name, n, obj, co)
 	}
 	a := New(h, name+"/sysarea", n, []core.Protocol{inst}, nil, vecCap)
-	r := &Recoverable{inst: inst}
-	if vecCap > 1 {
-		r.pipe = vecbatch.New(n, vecCap, a.Flusher(0))
-	}
-	r.Front = a.Front(0, 1, r.pipe)
-	return r
+	return &Recoverable{Front: a.Front(0, 1), inst: inst}
 }
 
-// checkOp rejects an op code the record cannot hold: 0 reads as "no record"
-// and bit 63 marks a multi-op commit.
-func checkOp(op uint64) {
-	if op == 0 || op&vecMark != 0 {
-		panic(fmt.Sprintf("sysarea: op code %#x outside [1, 2^63)", op))
-	}
-}
-
-// Invoke runs one operation; op, a0 and a1 are interpreted by the Object, and
-// op must be in [1, 2^63).
+// Invoke runs one operation; op, a0 and a1 — any values — are interpreted by
+// the Object.
 func (r *Recoverable) Invoke(tid int, op, a0, a1 uint64) uint64 {
-	checkOp(op)
 	return r.a.Invoke(tid, 0, op, a0, a1)
 }
 
 // Submit stages one operation on the async pipelined path (requires vecCap
-// > 1; op must be in [1, 2^63)). The staged batch commits when it reaches
-// vecCap operations or on Flush or a Future's Wait; until then a crash loses
-// it wholesale.
+// > 1). The staged batch commits when it reaches vecCap operations or on
+// Flush or a Future's Wait; until then a crash loses it wholesale.
 func (r *Recoverable) Submit(tid int, op, a0, a1 uint64) vecbatch.Future {
-	checkOp(op)
-	return r.pipe.Submit(tid, core.VecOp{Op: op, A0: a0, A1: a1})
+	return r.a.Submit(tid, 0, op, a0, a1)
 }
 
 // State views the current object state (quiescent use only).

@@ -1,10 +1,10 @@
 // Package sysarea is the system support the paper assumes for detectable
 // recoverability and every structure in this repository shares: for each
-// thread, a durable sequence counter per combining instance (class) and one
-// durable record of the commit in progress, plus the single routine that
-// resolves an interrupted commit after a crash. Structures that share an area
-// (the server store's map and queue) share its record too, so one commit can
-// span them.
+// thread, a durable sequence counter per combining instance (class), one
+// durable record of the commit in progress, and one volatile staging window,
+// plus the single routine that resolves an interrupted commit after a crash.
+// Structures that share an area (the server store's map and queue) share its
+// record and window too, so one commit can span them.
 //
 // Stores bypass the instruction pipeline (DirectStore): this state is
 // persisted by the system, not by the algorithm, and its cost is deliberately
@@ -12,31 +12,27 @@
 // where seq is an input.
 //
 // Per-thread layout (stride words, a whole number of cache lines), for K
-// classes and a payload of P operations (0 on a structure that commits one
-// operation at a time):
+// classes and a payload of P operations (at least 1):
 //
-//	[0,K)  seq    — one sequence counter per class
-//	K+0    op     — operation code in progress (vecMark|groups: a multi-op commit)
-//	K+1    a0     — first argument
-//	K+2    a1     — second argument
-//	K+3    class  — combining instance the op runs on
-//	K+4    seq    — sequence number passed to the op
-//	K+5    done   — 1 once the response was delivered
-//	K+6    groups — (class, seq, cnt) per participating class, min(K, P) of them
+//	[0,K)  seq     — one sequence counter per class
+//	K+0    groups  — group count of the commit in progress (0: none yet)
+//	K+1    done    — 1 once the commit's responses were delivered
+//	K+2    table   — (class, seq, cnt) per participating class, min(K, P) of them
 //	…      payload — (op, a0, a1) x P, the commit's operations group by group
 //
-// A scalar operation fills the words K+1..K+4; a multi-op commit — a vector,
-// a map's flush window, a cross-shard transaction — fills the group table and
-// the payload. Both store everything the record describes first, then op,
-// then done=0 (the commit point), and every participating class counter LAST
-// (beginStores, commitStores). Every prefix of either sequence reads
-// correctly: up to done=0 the record is closed (or, on a fresh area, op is
+// Every commit fills this one record: a scalar operation is a one-group,
+// one-op commit; a vector, a map's flush window and a cross-shard transaction
+// carry more. A commit stores the payload and the group table first, then the
+// group count, then done=0 (the commit point), and every participating class
+// counter LAST (commitStores). Every prefix of the sequence reads correctly:
+// up to done=0 the record is closed (or, on a fresh area, its group count is
 // still 0) and no counter has moved, so the commit simply never started; from
 // done=0 on the record is open and complete, and Recover rolls the counters
 // forward from it. A counter can therefore never run ahead of a record
 // recovery cannot see — the state in which the next operation would draw a
 // sequence number whose parity matches the durable deactivate bit and be
-// silently dropped as "already applied".
+// silently dropped as "already applied". Operation codes are the Object's:
+// the record gives none of them a meaning of its own.
 package sysarea
 
 import (
@@ -46,6 +42,7 @@ import (
 	"pcomb/internal/core"
 	"pcomb/internal/history"
 	"pcomb/internal/pmem"
+	"pcomb/internal/vecbatch"
 )
 
 // Log is an operation history the area reports to, for durable-linearizability
@@ -62,18 +59,9 @@ type Log interface {
 	SetEpochClock(clock func() uint64)
 }
 
-// vecMark in the op word flags a multi-op commit; the low bits carry its group
-// count. Scalar op codes must therefore stay below 2^63 (and above 0, which
-// reads as "no record").
-const vecMark = uint64(1) << 63
-
 // Record words, after the K class counters.
 const (
-	recOp = iota
-	recA0
-	recA1
-	recClass
-	recSeq
+	recGroups = iota
 	recDone
 	recWords
 )
@@ -100,15 +88,16 @@ type Area struct {
 	stride  int
 	grpOff  int             // group table offset within a thread's block
 	payOff  int             // payload offset within a thread's block
-	payload int             // operations one multi-op commit may carry
+	payload int             // operations one commit may carry
 	insts   []core.Protocol // class -> combining instance
 	epoch   *pmem.Epoch     // non-nil under epoch-mode relaxed durability
 	hist    []Log           // class -> optional durable-linearizability log
-	scratch []scratch       // per thread, when payload > 0
+	scratch []scratch       // per thread
+	win     *vecbatch.Pipe  // per-thread staging windows; nil unless payload > 1
 }
 
-// group is one class's share of a multi-op commit: ops[off:off+cnt] of the
-// thread's scratch, announced as one vector under sequence number seq.
+// group is one class's share of a commit: ops[off:off+cnt] of the thread's
+// scratch, announced as one vector under sequence number seq.
 type group struct {
 	class    int
 	seq      uint64
@@ -119,42 +108,48 @@ type group struct {
 // so that a commit allocates nothing, and padded so neighbouring threads'
 // slice headers never share a cache line.
 type scratch struct {
-	grps   []group      // participating classes, in first-appearance order
-	pos    []int        // op i's group while grouping, then its index in ops
-	ops    []core.VecOp // the operations in durable order: group by group
-	rets   []uint64     // their results, in the same order
-	stores []store      // the record's store sequence (commitStores)
-	_      [8]byte
+	grps     []group      // participating classes, in first-appearance order
+	pos      []int        // op i's group while grouping, then its index in ops
+	ops      []core.VecOp // the operations in durable order: group by group
+	rets     []uint64     // their results, in the same order
+	stores   []store      // the record's store sequence (commitStores)
+	staged   []int        // the class of each op staged on the window
+	stagedOf func(int, core.VecOp) int
+	_        [40]byte
 }
 
 // New creates — or re-attaches after a crash — the system area named name
 // for n threads over the combining instances insts (one class each; a nil
 // entry is bound later, see Bind). epoch is the epoch state every class defers
-// into, nil in strict mode. payload is the most operations one multi-op
-// commit may carry — the structure's VecCap; below 2 the structure commits
-// one operation at a time and its record has no payload. Part of the
-// persistent layout: re-attach with the same value.
+// into, nil in strict mode. payload is the most operations one commit may
+// carry — the structure's VecCap (at least 1); above 1 the area also stages
+// operations on a window per thread (Submit). Part of the persistent layout:
+// re-attach with the same value.
 func New(h *pmem.Heap, name string, n int, insts []core.Protocol, epoch *pmem.Epoch, payload int) *Area {
 	k := len(insts)
-	if payload < 2 {
-		payload = 0
-	}
+	payload = max(payload, 1)
 	grps := min(k, payload)
 	a := &Area{k: k, grpOff: k + recWords, payload: payload, insts: insts, epoch: epoch, hist: make([]Log, k)}
 	a.payOff = a.grpOff + 3*grps
 	a.stride = pmem.RoundUpLine(a.payOff + 3*payload)
 	a.r = h.AllocOrGet(name, n*a.stride)
-	if payload > 0 {
-		a.scratch = make([]scratch, n)
-		for t := range a.scratch {
-			a.scratch[t] = scratch{
-				grps:   make([]group, 0, grps),
-				pos:    make([]int, payload),
-				ops:    make([]core.VecOp, payload),
-				rets:   make([]uint64, payload),
-				stores: make([]store, 0, 3*payload+4*grps+2),
-			}
+	a.scratch = make([]scratch, n)
+	for t := range a.scratch {
+		staged := make([]int, payload)
+		a.scratch[t] = scratch{
+			grps:     make([]group, 0, grps),
+			pos:      make([]int, payload),
+			ops:      make([]core.VecOp, payload),
+			rets:     make([]uint64, payload),
+			stores:   make([]store, 0, 3*payload+4*grps+2),
+			staged:   staged,
+			stagedOf: func(i int, _ core.VecOp) int { return staged[i] },
 		}
+	}
+	if payload > 1 {
+		a.win = vecbatch.New(n, payload, func(tid int, ops []core.VecOp, rets []uint64) {
+			a.InvokeGrouped(tid, ops, rets, a.scratch[tid].stagedOf)
+		})
 	}
 	return a
 }
@@ -203,28 +198,15 @@ type store struct {
 	v uint64
 }
 
-// beginStores is the ordered store sequence that opens tid's record for one
-// scalar operation (see the package comment for why this order).
-func (a *Area) beginStores(tid, class int, op, a0, a1, seq uint64) [7]store {
-	b := tid * a.stride
-	rec := b + a.k
-	return [7]store{
-		{rec + recA0, a0},
-		{rec + recA1, a1},
-		{rec + recClass, uint64(class)},
-		{rec + recSeq, seq},
-		{rec + recOp, op},
-		{rec + recDone, 0},
-		{b + class, seq},
-	}
-}
-
+// open records tid's one-op commit of op on class and returns the sequence
+// number to run it with.
 func (a *Area) open(tid, class int, op, a0, a1 uint64) uint64 {
-	seq := a.counter(tid, class) + 1
-	for _, s := range a.beginStores(tid, class, op, a0, a1, seq) {
+	one := [1]core.VecOp{{Op: op, A0: a0, A1: a1}}
+	g := [1]group{{class: class, seq: a.counter(tid, class) + 1, cnt: 1}}
+	for _, s := range a.commitStores(tid, g[:], one[:]) {
 		a.r.DirectStore(s.i, s.v)
 	}
-	return seq
+	return g[0].seq
 }
 
 func (a *Area) close(tid int) { a.r.DirectStore(tid*a.stride+a.k+recDone, 1) }
@@ -268,8 +250,8 @@ func (a *Area) group(tid int, ops []core.VecOp, classOf func(int, core.VecOp) in
 }
 
 // commitStores is the ordered store sequence, built in tid's scratch, that
-// opens tid's record for the multi-op commit grps over ops (laid out by
-// group): the payload and the group table, then op, then done=0, then every
+// opens tid's record for the commit grps over ops (laid out by group): the
+// payload and the group table, then the group count, then done=0, then every
 // group's class counter (see the package comment for why this order).
 func (a *Area) commitStores(tid int, grps []group, ops []core.VecOp) []store {
 	b := tid * a.stride
@@ -283,7 +265,7 @@ func (a *Area) commitStores(tid int, grps []group, ops []core.VecOp) []store {
 		gb := b + a.grpOff + 3*gi
 		st = append(st, store{gb, uint64(g.class)}, store{gb + 1, g.seq}, store{gb + 2, uint64(g.cnt)})
 	}
-	st = append(st, store{b + a.k + recOp, vecMark | uint64(len(grps))}, store{b + a.k + recDone, 0})
+	st = append(st, store{b + a.k + recGroups, uint64(len(grps))}, store{b + a.k + recDone, 0})
 	for _, g := range grps {
 		st = append(st, store{b + g.class, g.seq})
 	}
@@ -359,7 +341,8 @@ func (a *Area) Read(tid, class int, op, a0, a1 uint64) uint64 {
 // classes are not mutually ordered: use ops that commute across classes. A
 // map's shards commute with each other and with a queue, so a window may mix
 // them freely; a queue's enqueues and dequeues do not commute, so a window
-// holds one of the two (the server commits its window on a switch).
+// holds one of the two (the queue and the server commit the window before
+// staging the other).
 func (a *Area) InvokeGrouped(tid int, ops []core.VecOp, rets []uint64, classOf func(int, core.VecOp) int) {
 	if len(ops) == 0 {
 		return
@@ -403,11 +386,24 @@ func (a *Area) InvokeGrouped(tid int, ops []core.VecOp, rets []uint64, classOf f
 	}
 }
 
-// Flusher returns InvokeGrouped bound to the single class class — a vector
-// is the one-group commit — in the shape of a vecbatch pipe's commit function.
-func (a *Area) Flusher(class int) func(tid int, ops []core.VecOp, rets []uint64) {
-	one := func(int, core.VecOp) int { return class }
-	return func(tid int, ops []core.VecOp, rets []uint64) { a.InvokeGrouped(tid, ops, rets, one) }
+// Submit stages op(a0, a1) on class in tid's window (the area must have a
+// payload above 1). The window commits as one InvokeGrouped when it reaches
+// the payload, on Flush, or on a Future's Wait; until then a crash loses it
+// wholesale — staging trades per-op commit for per-window commit.
+func (a *Area) Submit(tid, class int, op, a0, a1 uint64) vecbatch.Future {
+	a.scratch[tid].staged[a.win.Pending(tid)] = class
+	return a.win.Submit(tid, core.VecOp{Op: op, A0: a0, A1: a1})
+}
+
+// Flush commits tid's window (nothing to do when it is empty).
+func (a *Area) Flush(tid int) { a.win.Flush(tid) }
+
+// Pending returns the number of operations staged on tid's window.
+func (a *Area) Pending(tid int) int { return a.win.Pending(tid) }
+
+// Staged reports whether tid's window holds an operation of class.
+func (a *Area) Staged(tid, class int) bool {
+	return slices.Contains(a.scratch[tid].staged[:a.Pending(tid)], class)
 }
 
 // realign bumps tid's counters past parity collisions with the durable
@@ -453,10 +449,9 @@ func (a *Area) settle(tid, class int, seq uint64, ops []core.VecOp) []Resolved {
 
 // Recover resolves tid's interrupted commit after a crash — re-runs each
 // operation or fetches its response, never both — and returns what it
-// settled: nothing when tid had nothing in flight, one entry for a scalar
-// operation, one per operation (in group order) for a multi-op commit, whose
-// operations come from the record's payload. Call it for every thread after
-// re-opening, before new operations.
+// settled: nothing when tid had nothing in flight, else one entry per
+// operation of the record's payload, in group order. Call it for every thread
+// after re-opening, before new operations.
 //
 // Each group is settled on its own (settle): applied groups only fetch their
 // responses, since RecoverVec is parity-gated. Under an epoch a group whose
@@ -466,27 +461,21 @@ func (a *Area) settle(tid, class int, seq uint64, ops []core.VecOp) []Resolved {
 // doubled.
 func (a *Area) Recover(tid int) []Resolved {
 	b := tid * a.stride
-	rec := b + a.k
-	op := a.r.Load(rec + recOp)
-	if op == 0 || a.r.Load(rec+recDone) == 1 {
+	ngrps := int(a.r.Load(b + a.k + recGroups))
+	if ngrps == 0 || a.r.Load(b+a.k+recDone) == 1 {
 		a.realign(tid)
 		return nil
 	}
 	var out []Resolved
-	if op&vecMark == 0 {
-		one := []core.VecOp{{Op: op, A0: a.r.Load(rec + recA0), A1: a.r.Load(rec + recA1)}}
-		out = a.settle(tid, int(a.r.Load(rec+recClass)), a.r.Load(rec+recSeq), one)
-	} else {
-		p := b + a.payOff
-		for gi := 0; gi < int(op&^vecMark); gi++ {
-			gb := b + a.grpOff + 3*gi
-			ops := make([]core.VecOp, a.r.Load(gb+2))
-			for i := range ops {
-				ops[i] = core.VecOp{Op: a.r.Load(p), A0: a.r.Load(p + 1), A1: a.r.Load(p + 2)}
-				p += 3
-			}
-			out = append(out, a.settle(tid, int(a.r.Load(gb)), a.r.Load(gb+1), ops)...)
+	p := b + a.payOff
+	for gi := 0; gi < ngrps; gi++ {
+		gb := b + a.grpOff + 3*gi
+		ops := make([]core.VecOp, a.r.Load(gb+2))
+		for i := range ops {
+			ops[i] = core.VecOp{Op: a.r.Load(p), A0: a.r.Load(p + 1), A1: a.r.Load(p + 2)}
+			p += 3
 		}
+		out = append(out, a.settle(tid, int(a.r.Load(gb)), a.r.Load(gb+1), ops)...)
 	}
 	if a.epoch != nil {
 		for _, r := range out {

@@ -21,7 +21,7 @@ type subject struct {
 	threads int
 	classes int
 	region  string // the system area's region name
-	payload int    // the system area's payload (0: scalar records only)
+	payload int    // the system area's payload: the structure's VecCap
 	open    func(*pcomb.System) handle
 }
 
@@ -34,10 +34,10 @@ type handle struct {
 	recover func(tid int) []sysarea.Resolved
 	close   func() // before the heap crashes under the structure
 
-	// A multi-op commit by thread 0, on subjects with a payload: the ops it
-	// records (in group order) and their classes, how to run it through the
-	// structure's API (its responses, in group order), and how it moves
-	// total().
+	// A multi-op commit by thread 0, on subjects with a payload above 1: the
+	// ops it records (in group order) and their classes, how to run it
+	// through the structure's API (its responses, in group order), and how it
+	// moves total().
 	vops    []core.VecOp
 	classOf func(int, core.VecOp) int
 	commit  func() []uint64
@@ -289,48 +289,97 @@ func (r *run) finish() {
 	r.h.close()
 }
 
-// TestTornPrefix leaves the system area in every state a process death can:
-// after k of the n stores of Begin (the operation never ran), and after the
-// operation ran but before End's one store. It re-opens, recovers, runs one
-// more operation per class, and checks nothing acknowledged was lost or
-// applied twice.
+// input is one commit tearEveryPrefix tears: thread tid's next commit of
+// ops (in group order) and their classes, how to run it through the
+// structure's API (its responses, in group order), and how it moves total().
+type input struct {
+	tid     int
+	ops     []core.VecOp
+	classOf func(int, core.VecOp) int
+	run     func() []uint64
+	delta   int
+}
+
+// scalar is class's operation: a one-op commit.
+func (r *run) scalar(class int) input {
+	op, a0, a1 := r.h.rec(class)
+	return input{
+		tid:     r.h.tid(class),
+		ops:     []core.VecOp{{Op: op, A0: a0, A1: a1}},
+		classOf: func(int, core.VecOp) int { return class },
+		run:     func() []uint64 { return []uint64{r.h.run(class)} },
+		delta:   r.h.delta(class),
+	}
+}
+
+// vector is thread 0's multi-op commit.
+func (r *run) vector() input {
+	return input{tid: 0, ops: r.h.vops, classOf: r.h.classOf, run: r.h.commit, delta: r.h.vdelta}
+}
+
+// tearEveryPrefix leaves the system area in every state a process death can
+// while the commit in(r) is made: after each prefix of its store sequence
+// (name/stepK), and after it ran but before End's one store (name/end0). It
+// re-opens, recovers, runs one more operation per class, and checks that the
+// commit came back whole or not at all, exactly once, and that nothing
+// acknowledged was lost or applied twice.
+func tearEveryPrefix(t *testing.T, sub subject, name, step string, in func(*run) input) {
+	probe := start(t, sub)
+	x := in(probe)
+	n := probe.view().CommitPrefix(x.tid, x.ops, x.classOf, 0)
+	probe.h.close()
+	for k := 0; k <= n; k++ {
+		t.Run(fmt.Sprintf("%s/%s%d", name, step, k), func(t *testing.T) {
+			r := start(t, sub)
+			x := in(r)
+			r.view().CommitPrefix(x.tid, x.ops, x.classOf, k)
+			rs := r.reopen()
+			switch len(rs) {
+			case 0: // the record never reached its commit point
+			case len(x.ops): // it did: recovery ran every group, once
+				for i, o := range x.ops {
+					if rs[i].Class != x.classOf(i, o) || rs[i].Op != o.Op || rs[i].A0 != o.A0 || rs[i].A1 != o.A1 || !rs[i].Certain {
+						t.Fatalf("recovered %+v, want %+v", rs, x.ops)
+					}
+				}
+				r.want += x.delta
+			default:
+				t.Fatalf("recovered %d of the commit's %d operations: %+v", len(rs), len(x.ops), rs)
+			}
+			if again := r.reopen(); again != nil {
+				t.Fatalf("second recovery resolved %+v again", again)
+			}
+			r.finish()
+		})
+	}
+	t.Run(name+"/end0", func(t *testing.T) {
+		r := start(t, sub)
+		x := in(r)
+		rets := x.run()
+		r.want += x.delta
+		r.view().Reopen(x.tid)
+		var want []sysarea.Resolved
+		for i, o := range x.ops {
+			want = append(want, sysarea.Resolved{Class: x.classOf(i, o), Op: o.Op, A0: o.A0, A1: o.A1, Result: rets[i], Certain: true})
+		}
+		if rs := r.reopen(); !reflect.DeepEqual(rs, want) {
+			t.Fatalf("recovered %+v, want the acknowledged responses %+v", rs, want)
+		}
+		if again := r.reopen(); again != nil {
+			t.Fatalf("second recovery resolved %+v again", again)
+		}
+		r.finish()
+	})
+}
+
+// TestTornPrefix is TestTornCommitPrefix's one-op input: every class's scalar
+// operation, torn after each prefix of its record (beginK) and before End's
+// one store (end0).
 func TestTornPrefix(t *testing.T) {
 	for _, sub := range subjects {
 		for class := 0; class < sub.classes; class++ {
-			for k := 0; k <= sysarea.BeginStores; k++ {
-				t.Run(fmt.Sprintf("%s/class%d/begin%d", sub.name, class, k), func(t *testing.T) {
-					r := start(t, sub)
-					op, a0, a1 := r.h.rec(class)
-					r.view().BeginPrefix(r.h.tid(class), class, op, a0, a1, k)
-					rs := r.reopen()
-					switch len(rs) {
-					case 0: // the record never opened: the operation never started
-					case 1: // it opened: recovery ran the operation, once
-						if rs[0].Op != op || rs[0].A0 != a0 || rs[0].A1 != a1 || !rs[0].Certain {
-							t.Fatalf("recovered %+v, want op %d(%d,%d)", rs[0], op, a0, a1)
-						}
-						r.want += r.h.delta(class)
-					default:
-						t.Fatalf("recovered %d operations from one record: %+v", len(rs), rs)
-					}
-					if again := r.reopen(); again != nil {
-						t.Fatalf("second recovery resolved %+v again", again)
-					}
-					r.finish()
-				})
-			}
-			t.Run(fmt.Sprintf("%s/class%d/end0", sub.name, class), func(t *testing.T) {
-				r := start(t, sub)
-				op, a0, a1 := r.h.rec(class)
-				r.ackUpTo(class)
-				ret := r.ack(class)
-				r.view().Reopen(r.h.tid(class))
-				want := []sysarea.Resolved{{Class: class, Op: op, A0: a0, A1: a1, Result: ret, Certain: true}}
-				if rs := r.reopen(); !reflect.DeepEqual(rs, want) {
-					t.Fatalf("recovered %+v, want the acknowledged response %+v", rs, want)
-				}
-				r.finish()
-			})
+			name := fmt.Sprintf("%s/class%d", sub.name, class)
+			tearEveryPrefix(t, sub, name, "begin", func(r *run) input { return r.scalar(class) })
 		}
 	}
 }
@@ -346,55 +395,11 @@ var commitSubjects = []subject{
 	storeSubject("ServerStore/window/PWF", pcomb.WaitFree),
 }
 
-// TestTornCommitPrefix is TestTornPrefix for the multi-op record: thread 0's
-// next commit is left after each prefix of its store sequence (commitK), and
-// after it ran but before End's one store (end0). The commit must come back
-// whole or not at all, exactly once.
+// TestTornCommitPrefix tears thread 0's next multi-op commit after each
+// prefix of its record (commitK) and before End's one store (end0).
 func TestTornCommitPrefix(t *testing.T) {
 	for _, sub := range commitSubjects {
-		probe := start(t, sub)
-		n := probe.view().CommitPrefix(0, probe.h.vops, probe.h.classOf, 0)
-		probe.h.close()
-		for k := 0; k <= n; k++ {
-			t.Run(fmt.Sprintf("%s/commit%d", sub.name, k), func(t *testing.T) {
-				r := start(t, sub)
-				r.view().CommitPrefix(0, r.h.vops, r.h.classOf, k)
-				rs := r.reopen()
-				switch len(rs) {
-				case 0: // the record never reached its commit point
-				case len(r.h.vops): // it did: recovery ran every group, once
-					for i, o := range r.h.vops {
-						if rs[i].Class != r.h.classOf(i, o) || rs[i].Op != o.Op || rs[i].A0 != o.A0 || rs[i].A1 != o.A1 || !rs[i].Certain {
-							t.Fatalf("recovered %+v, want %+v", rs, r.h.vops)
-						}
-					}
-					r.want += r.h.vdelta
-				default:
-					t.Fatalf("recovered %d of the commit's %d operations: %+v", len(rs), len(r.h.vops), rs)
-				}
-				if again := r.reopen(); again != nil {
-					t.Fatalf("second recovery resolved %+v again", again)
-				}
-				r.finish()
-			})
-		}
-		t.Run(sub.name+"/end0", func(t *testing.T) {
-			r := start(t, sub)
-			rets := r.h.commit()
-			r.want += r.h.vdelta
-			r.view().Reopen(0)
-			var want []sysarea.Resolved
-			for i, o := range r.h.vops {
-				want = append(want, sysarea.Resolved{Class: r.h.classOf(i, o), Op: o.Op, A0: o.A0, A1: o.A1, Result: rets[i], Certain: true})
-			}
-			if rs := r.reopen(); !reflect.DeepEqual(rs, want) {
-				t.Fatalf("recovered %+v, want the acknowledged responses %+v", rs, want)
-			}
-			if again := r.reopen(); again != nil {
-				t.Fatalf("second recovery resolved %+v again", again)
-			}
-			r.finish()
-		})
+		tearEveryPrefix(t, sub, sub.name, "commit", (*run).vector)
 	}
 }
 
@@ -404,12 +409,18 @@ func TestTornCommitPrefix(t *testing.T) {
 // recovery saw nothing pending, the next operation drew a sequence number of
 // the already-served parity, returned normally, and was silently dropped.
 
+// firstStore applies the first store of thread 0's one-op commit of o on
+// class of the system area named region, built with classes classes.
+func firstStore(sys *pcomb.System, region string, classes, class int, o core.VecOp) {
+	sysarea.New(sys.Heap(), region, 1, make([]core.Protocol, classes), nil, 0).
+		CommitPrefix(0, []core.VecOp{o}, func(int, core.VecOp) int { return class }, 1)
+}
+
 func TestTornFirstStoreThenEnqueue(t *testing.T) {
 	sys := pcomb.New(pcomb.Options{CrashTesting: true, NoCost: true})
 	q := sys.NewQueue("q", 1, pcomb.Blocking)
 	q.Enqueue(0, 11)
-	sysarea.New(sys.Heap(), "q/sysarea", 1, make([]core.Protocol, 2), nil, 0).
-		BeginPrefix(0, 0, pcomb.OpEnqueue, 22, 0, 1)
+	firstStore(sys, "q/sysarea", 2, 0, core.VecOp{Op: pcomb.OpEnqueue, A0: 22})
 	sys.Crash(pcomb.DropUnfenced, 1)
 
 	q = sys.NewQueue("q", 1, pcomb.Blocking)
@@ -427,8 +438,7 @@ func TestTornFirstStoreThenPut(t *testing.T) {
 	o := pcomb.MapOptions{Shards: 1}
 	m := sys.NewMap("m", 1, pcomb.Blocking, o)
 	m.Put(0, 1, 11)
-	sysarea.New(sys.Heap(), "m/hashmap.sys", 1, make([]core.Protocol, 1), nil, 0).
-		BeginPrefix(0, 0, pcomb.OpPut, 2, 22, 1)
+	firstStore(sys, "m/hashmap.sys", 1, 0, core.VecOp{Op: pcomb.OpPut, A0: 2, A1: 22})
 	sys.Crash(pcomb.DropUnfenced, 1)
 
 	m = sys.NewMap("m", 1, pcomb.Blocking, o)

@@ -1,8 +1,8 @@
 // Package vecbatch is the volatile half of the async pipelined submission
 // API: a per-thread staging buffer that accumulates operations into vectors
-// and hands each full (or explicitly flushed) vector to a structure-specific
-// commit function, which announces it as one vector through a
-// core.Protocol's InvokeVec and fills in the per-op responses.
+// and hands each full (or explicitly flushed) vector to a commit function —
+// the system area's (internal/sysarea), which records it and announces it
+// through core.Protocol's InvokeVec — that fills in the per-op responses.
 //
 // The pipe itself holds no persistent state — an operation is guaranteed
 // exactly-once only from the moment its batch's Flush records it durably
@@ -27,9 +27,9 @@ import (
 type Flusher func(tid int, ops []core.VecOp, rets []uint64)
 
 // Pipe stages operations per thread and flushes them in vectors of up to
-// cap operations. The nil *Pipe is the pipe of a structure built without
-// VecCap > 1: nothing is ever staged on it, so Pending is 0 and Flush a
-// no-op, and Submit panics.
+// cap operations. The nil *Pipe is the window of a system area built without
+// a payload above 1: nothing is ever staged on it, so Pending is 0 and Flush
+// a no-op, and Submit panics.
 type Pipe struct {
 	cap   int
 	flush Flusher
@@ -44,15 +44,19 @@ type Pipe struct {
 // records inside the same interval.
 func (p *Pipe) SetProbe(pr core.Probe) { p.spans = pr.Spans }
 
-// pthread is one thread's staging state. Responses are double-buffered by
-// flush generation so the results of the previous flush stay readable while
-// the next batch is staged and flushed — a Future therefore expires once
-// two further flushes have completed.
+// pthread is one thread's staging state. Responses are kept by operation
+// number in a ring of two full vectors' worth, so the results of the previous
+// vector stay readable while the next is staged and flushed, and a vector
+// flushed early — by Flush, Wait, or a caller committing before it stages an
+// operation that does not commute — uses no more of the ring than it holds. A
+// Future therefore expires once 2·cap further operations of its thread have
+// been flushed.
 type pthread struct {
 	ops  []core.VecOp
-	rets [2][]uint64
-	gen  uint64 // completed flushes; the staged batch will be generation gen
-	_    [4]uint64
+	out  []uint64 // the flushing vector's responses, before they enter ring
+	ring []uint64
+	done uint64 // operations flushed; the next staged one is number done+len(ops)
+	_    [6]uint64
 }
 
 // New creates a pipe for n threads with vector capacity cap (≥ 1).
@@ -63,8 +67,8 @@ func New(n, cap int, f Flusher) *Pipe {
 	p := &Pipe{cap: cap, flush: f, th: make([]pthread, n)}
 	for i := range p.th {
 		p.th[i].ops = make([]core.VecOp, 0, cap)
-		p.th[i].rets[0] = make([]uint64, cap)
-		p.th[i].rets[1] = make([]uint64, cap)
+		p.th[i].out = make([]uint64, cap)
+		p.th[i].ring = make([]uint64, 2*cap)
 	}
 	return p
 }
@@ -92,7 +96,7 @@ func (p *Pipe) Submit(tid int, op core.VecOp) Future {
 		panic("vecbatch: Submit on a structure built without VecCap > 1")
 	}
 	t := &p.th[tid]
-	f := Future{p: p, tid: tid, gen: t.gen, idx: len(t.ops)}
+	f := Future{p: p, tid: tid, n: t.done + uint64(len(t.ops))}
 	t.ops = append(t.ops, op)
 	if len(t.ops) >= p.cap {
 		p.Flush(tid)
@@ -112,38 +116,40 @@ func (p *Pipe) Flush(tid int) {
 	if p.spans != nil {
 		t0 = obs.Now()
 	}
-	p.flush(tid, t.ops, t.rets[t.gen%2][:len(t.ops)])
+	out := t.out[:len(t.ops)]
+	p.flush(tid, t.ops, out)
+	k := copy(t.ring[t.done%uint64(len(t.ring)):], out)
+	copy(t.ring, out[k:])
 	if p.spans != nil {
 		p.spans.Record(tid, obs.PhaseResolve, t0, obs.Now(), uint64(len(t.ops)))
 	}
+	t.done += uint64(len(t.ops))
 	t.ops = t.ops[:0]
-	t.gen++
 }
 
 // Future is the handle of one submitted operation. The zero Future is
-// invalid. A Future expires — Wait panics — once two flushes have completed
-// after the one that resolved it (its response buffer has been reused).
+// invalid. A Future expires — Wait panics — once 2·cap further operations of
+// its thread have been flushed after it (its response slot has been reused).
 type Future struct {
 	p   *Pipe
 	tid int
-	gen uint64
-	idx int
+	n   uint64 // the operation's number among its thread's
 }
 
 // Done reports whether the future's batch has been flushed (its response is
 // available without blocking).
-func (f Future) Done() bool { return f.p.th[f.tid].gen > f.gen }
+func (f Future) Done() bool { return f.p.th[f.tid].done > f.n }
 
 // Wait returns the operation's response, flushing the owning thread's
 // staged batch first if it is still pending. Must be called by the
 // submitting thread.
 func (f Future) Wait() uint64 {
 	t := &f.p.th[f.tid]
-	if t.gen == f.gen {
+	if t.done <= f.n {
 		f.p.Flush(f.tid)
 	}
-	if t.gen > f.gen+2 {
+	if t.done > f.n+uint64(len(t.ring)) {
 		panic("vecbatch: Future expired (its response buffer has been reused)")
 	}
-	return t.rets[f.gen%2][f.idx]
+	return t.ring[f.n%uint64(len(t.ring))]
 }

@@ -56,34 +56,39 @@ func flushOne(p *Pipe, a0 uint64) Future {
 
 func TestDoubleBufferReuse(t *testing.T) {
 	flushes := 0
-	p := echoPipe(4, &flushes)
-	f0 := flushOne(p, 10) // generation 0 -> rets[0]
-	f1 := flushOne(p, 11) // generation 1 -> rets[1]
-	// One further flush has completed since f0's: its buffer is untouched.
+	p := echoPipe(4, &flushes) // a ring of 8 responses: two full vectors
+	f0 := flushOne(p, 10)      // op 0 -> ring[0]
+	f1 := flushOne(p, 11)      // op 1 -> ring[1]
+	for a0 := uint64(12); a0 < 18; a0++ {
+		flushOne(p, a0) // ops 2..7: six one-op flushes fill the ring
+	}
+	// Seven further flushes, but fewer than 8 further ops: f0 is intact.
 	if got := f0.Wait(); got != 0<<8|10 {
-		t.Fatalf("f0 after one more flush = %#x, want %#x", got, 10)
+		t.Fatalf("f0 after 7 more ops = %#x, want %#x", got, 10)
 	}
-	f2 := flushOne(p, 12) // generation 2 -> rets[0] again, over f0's response
+	f8 := flushOne(p, 18) // op 8 -> ring[0] again, over f0's response
 	if got := f1.Wait(); got != 1<<8|11 {
-		t.Fatalf("f1 = %#x, want %#x: generation 2 must not touch rets[1]", got, 1<<8|11)
+		t.Fatalf("f1 = %#x, want %#x: op 8 must not touch ring[1]", got, 1<<8|11)
 	}
-	if got := f2.Wait(); got != 2<<8|12 {
-		t.Fatalf("f2 = %#x, want %#x", got, 2<<8|12)
+	if got := f8.Wait(); got != 8<<8|18 {
+		t.Fatalf("f8 = %#x, want %#x", got, 8<<8|18)
 	}
-	if got := p.th[0].rets[0][0]; got != 2<<8|12 {
-		t.Fatalf("rets[0][0] = %#x: generation 2 did not reuse generation 0's buffer", got)
+	if got := p.th[0].ring[0]; got != 8<<8|18 {
+		t.Fatalf("ring[0] = %#x: op 8 did not reuse op 0's slot", got)
 	}
 }
 
 func TestFutureExpires(t *testing.T) {
 	flushes := 0
-	p := echoPipe(2, &flushes)
+	p := echoPipe(2, &flushes) // a ring of 4 responses
 	old := flushOne(p, 1)
-	flushOne(p, 9)
-	if got := old.Wait(); got != 1 {
-		t.Fatalf("one further flush: Wait = %#x, want 1", got)
+	for i := 0; i < 3; i++ {
+		flushOne(p, 9)
 	}
-	flushOne(p, 9) // the second further flush overwrote old's buffer
+	if got := old.Wait(); got != 1 {
+		t.Fatalf("three further ops: Wait = %#x, want 1", got)
+	}
+	flushOne(p, 9) // the fourth further op overwrote old's slot
 	defer func() {
 		const want = "vecbatch: Future expired (its response buffer has been reused)"
 		if r := recover(); r != want {

@@ -273,7 +273,9 @@ type ObjectOptions struct {
 	VecCap int
 }
 
-// NewObject creates — or re-opens — a recoverable version of obj.
+// NewObject creates — or re-opens — a recoverable version of obj. obj alone
+// interprets the op codes and arguments its Recoverable is invoked with: the
+// system area reserves no code, so any uint64 is one.
 func (s *System) NewObject(name string, threads int, kind Kind, obj Object, opts ...ObjectOptions) *Recoverable {
 	return sysarea.NewRecoverable(s.heap, name, threads, kind, obj, first(opts).VecCap)
 }
@@ -282,7 +284,8 @@ func (s *System) NewObject(name string, threads int, kind Kind, obj Object, opts
 // pipelined API (Submit*). Wait returns the operation's response, flushing
 // the submitting thread's staged batch first if necessary; Done reports
 // whether the response is already available. Futures must be used by the
-// submitting thread and expire once two further flushes have completed.
+// submitting thread and expire once the thread has flushed 2·VecCap further
+// operations.
 type Future = vecbatch.Future
 
 // History is a per-thread operation recorder for durable-linearizability

@@ -2,7 +2,7 @@ package pcomb
 
 import (
 	"fmt"
-	"strings"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -196,55 +196,46 @@ func TestPublicMap(t *testing.T) {
 	}
 }
 
-// A Recoverable's op code must fit the system-area record, which reads 0 as
-// "no record" and bit 63 as a multi-op commit: Invoke and Submit reject any
-// other code before the first durable store, so nothing is recorded, applied
-// or left for Recover — an interrupted op 0 used to vanish unreported, and an
-// interrupted op with bit 63 set made Recover index out of range.
-func TestRecoverableRejectsOutOfRangeOps(t *testing.T) {
+// A Recoverable's op code is the Object's alone: the system-area record
+// gives no code a meaning of its own, so even 0 and codes with bit 63 set —
+// the values a record marker would take — run, and a crash at any persistence
+// event of their Invoke or of their Submit+Flush leaves them for Recover to
+// resolve exactly once.
+func TestRecoverableRecoversAnyOpCode(t *testing.T) {
 	for _, op := range []uint64{0, 1 << 63, 1<<63 | 1000, ^uint64(0)} {
 		for _, path := range []string{"Invoke", "Submit"} {
 			t.Run(fmt.Sprintf("%s/%#x", path, op), func(t *testing.T) {
-				sys := New(Options{CrashTesting: true, NoCost: true})
 				oo := ObjectOptions{VecCap: 4}
-				r := sys.NewObject("o", 1, Blocking, core.Counter{}, oo)
-				r.Invoke(0, core.OpCounterAdd, 5, 0)
-				words := func() []uint64 {
-					reg := sys.Heap().Region("o/sysarea")
-					w := make([]uint64, reg.Len())
-					reg.Snapshot(w, 0, len(w))
-					return w
-				}
-				before := words()
-				func() {
-					defer func() {
-						if msg := fmt.Sprint(recover()); !strings.Contains(msg, "[1, 2^63)") {
-							t.Fatalf("%s(op %#x) panicked with %q, want a message naming [1, 2^63)", path, op, msg)
+				crashes := 0
+				for k := int64(1); ; k++ {
+					sys := New(Options{CrashTesting: true, NoCost: true})
+					r := sys.NewObject("o", 1, Blocking, counterObj{}, oo)
+					r.Invoke(0, 1, 5, 0)
+					if !crashIn(sys, k, DropUnfenced, func() {
+						if path == "Invoke" {
+							r.Invoke(0, op, 7, 0)
+						} else {
+							r.Submit(0, op, 7, 0)
+							r.Flush(0)
 						}
-					}()
-					if path == "Invoke" {
-						r.Invoke(0, op, 5, 0)
-					} else {
-						r.Submit(0, op, 5, 0)
-						r.Flush(0)
+					}) {
+						break
 					}
-					t.Fatalf("%s(op %#x) returned", path, op)
-				}()
-				for i, w := range words() {
-					if w != before[i] {
-						t.Fatalf("system-area word %d went from %#x to %#x", i, before[i], w)
+					crashes++
+					r = sys.NewObject("o", 1, Blocking, counterObj{}, oo)
+					want := []Resolved{{Op: op, A0: 7, Result: 5, Certain: true}}
+					if out := r.Recover(0); !reflect.DeepEqual(out, want) {
+						t.Fatalf("crash at event %d: Recover = %+v, want %+v", k, out, want)
+					}
+					if again := r.Recover(0); again != nil {
+						t.Fatalf("crash at event %d: second Recover = %+v", k, again)
+					}
+					if got := r.Invoke(0, op, 1, 0); got != 12 {
+						t.Fatalf("crash at event %d: counter = %d after recovery, want 12", k, got)
 					}
 				}
-				if r.Pending(0) != 0 {
-					t.Fatalf("%d ops staged", r.Pending(0))
-				}
-				sys.Crash(DropUnfenced, 1)
-				r = sys.NewObject("o", 1, Blocking, core.Counter{}, oo)
-				if out := r.Recover(0); out != nil {
-					t.Fatalf("Recover = %+v, want nothing", out)
-				}
-				if got := r.State().Load(0); got != 5 {
-					t.Fatalf("counter = %d, want 5", got)
+				if crashes == 0 {
+					t.Fatalf("%s(op %#x) issued no persistence event", path, op)
 				}
 			})
 		}

@@ -9,7 +9,6 @@ import (
 	"pcomb/internal/queue"
 	"pcomb/internal/server"
 	"pcomb/internal/sysarea"
-	"pcomb/internal/vecbatch"
 )
 
 // SyncMode selects how a file-backed store's fence-ordered write-backs
@@ -99,8 +98,8 @@ const (
 
 // ServerStore is the RESP server's durable store (internal/server's Store
 // contract): a recoverable hash map and FIFO queue on one system area and, in
-// epoch mode, one epoch. Every command is staged on one pipe, and Flush
-// commits the connection's window as one record whatever it touches: one
+// epoch mode, one epoch. Every command is staged on the area's window, and
+// Flush commits the connection's window as one record whatever it touches: one
 // vectorized round per instance, all or nothing after a crash. A GET with
 // nothing staged is a validated read of the durable state. A committed window
 // is durable at its Flush (strict), or at the next close of the one epoch,
@@ -108,8 +107,6 @@ const (
 // windows, map and queue alike.
 type ServerStore struct {
 	sys   *sysarea.Area // classes srvMap, srvEnq, srvDeq; its epoch is nil in strict mode
-	pipe  *vecbatch.Pipe
-	class [][]uint8 // per tid: each staged op's class, in staging order
 	m     *Map
 	q     *Queue
 	h     *pmem.Heap
@@ -138,22 +135,7 @@ func NewServerStoreOn(h *pmem.Heap, o ServerOptions) *ServerStore {
 		queue.Options{Recycling: o.Kind == Blocking, Capacity: o.QueueCapacity, VecCap: vcap}, sys, srvEnq)
 	m := hashmap.NewOn(h, "srv/map", o.Threads, o.Kind,
 		hashmap.Options{Shards: 1, Capacity: o.MapCapacity, VecCap: vcap}, sys)
-	s := &ServerStore{
-		sys: sys, m: m, q: q, h: h, opts: o,
-		class: make([][]uint8, o.Threads),
-	}
-	for tid := range s.class {
-		s.class[tid] = make([]uint8, vcap)
-	}
-	s.pipe = vecbatch.New(o.Threads, vcap, s.commit)
-	return s
-}
-
-// commit is the pipe's commit function: tid's window as one system-area
-// record, each op on the class it was staged for.
-func (s *ServerStore) commit(tid int, ops []core.VecOp, rets []uint64) {
-	class := s.class[tid]
-	s.sys.InvokeGrouped(tid, ops, rets, func(i int, _ core.VecOp) int { return int(class[i]) })
+	return &ServerStore{sys: sys, m: m, q: q, h: h, opts: o}
 }
 
 // OpenServerStore opens (creating if absent) a file-backed server store and
@@ -215,8 +197,7 @@ func (s *ServerStore) Close() error {
 
 // stage puts one operation of class on tid's window.
 func (s *ServerStore) stage(tid, class int, op, a0, a1 uint64) server.Result {
-	s.class[tid][s.pipe.Pending(tid)] = uint8(class)
-	return server.Result{Fut: s.pipe.Submit(tid, core.VecOp{Op: op, A0: a0, A1: a1}), HasFut: true}
+	return server.Result{Fut: s.sys.Submit(tid, class, op, a0, a1), HasFut: true}
 }
 
 // Get answers a map read. With nothing of tid's staged it is the map's
@@ -224,7 +205,7 @@ func (s *ServerStore) stage(tid, class int, op, a0, a1 uint64) server.Result {
 // otherwise it is staged behind the window's writes, so a window reads its own
 // writes.
 func (s *ServerStore) Get(tid int, key uint64) server.Result {
-	if s.pipe.Pending(tid) == 0 {
+	if s.sys.Pending(tid) == 0 {
 		v, ok := s.m.Get(tid, key)
 		if !ok {
 			v = server.NotFound
@@ -264,7 +245,7 @@ func (s *ServerStore) RPop(tid int) server.Result {
 // vectorized round per instance it touched. In strict mode the window is
 // durable when Flush returns; in epoch mode it is applied, and durable at the
 // next epoch close.
-func (s *ServerStore) Flush(tid int) { s.pipe.Flush(tid) }
+func (s *ServerStore) Flush(tid int) { s.sys.Flush(tid) }
 
 // Barrier is the WAIT durability point: the window's flush, then one close of
 // the store's epoch (a no-op in strict mode, where the flush already made
