@@ -236,13 +236,6 @@ type Protocol interface {
 	// per-thread sequence number the system model provides (starts at 1,
 	// +1 per invocation). It is InvokeVec with a vector of one.
 	Invoke(tid int, op, a0, a1, seq uint64) uint64
-	// Recover is the recovery function for tid's interrupted operation,
-	// called with the same arguments and seq as the original invocation. It
-	// is RecoverVec with a vector of one.
-	Recover(tid int, op, a0, a1, seq uint64) uint64
-	// VecCap returns the most operations one announcement carries:
-	// CombOpts.VecCap, at least 1.
-	VecCap() int
 	// InvokeVec writes ops into tid's announcement block, announces them
 	// with one activate toggle, waits until a combiner has served the whole
 	// vector, and copies the per-op responses into rets[:len(ops)]. It
@@ -270,22 +263,14 @@ type Protocol interface {
 	// instance: uncharged, and retried until it validates.
 	Read(tid int, op, a0, a1 uint64) (ret uint64, ok bool)
 	Peek(op, a0, a1 uint64) uint64
-	// AttachEpoch switches the instance to epoch-mode relaxed durability;
 	// DeactParity returns tid's deactivate bit in the current record, which
 	// epoch-mode recovery compares with an in-flight sequence number.
-	AttachEpoch(e *pmem.Epoch)
 	DeactParity(tid int) uint64
 	// SetCommit installs the hook that commits a round's side effects (nil
 	// uninstalls it); see comb.commit for when it runs.
 	SetCommit(f func(env *Env, won bool))
 	// CurrentState views the currently valid object state (quiescent use).
 	CurrentState() State
-	// Ctx returns tid's persistence context.
-	Ctx(tid int) *pmem.Ctx
-	// Threads returns the number of threads.
-	Threads() int
-	// Name returns the instance's persistent name.
-	Name() string
 	// SetProbe installs instrumentation (the zero Probe uninstalls it).
 	SetProbe(Probe)
 }

@@ -40,10 +40,10 @@ var protocols = []struct {
 	}},
 }
 
-// runThreads has every thread of c invoke op(a0) per times.
-func runThreads(c core.Protocol, per, op, a0 uint64) {
+// runThreads has each of c's n threads invoke op(a0) per times.
+func runThreads(c core.Protocol, n int, per, op, a0 uint64) {
 	var wg sync.WaitGroup
-	for tid := 0; tid < c.Threads(); tid++ {
+	for tid := 0; tid < n; tid++ {
 		wg.Add(1)
 		go func(tid int) {
 			defer wg.Done()
@@ -63,7 +63,7 @@ func TestProbeAccounting(t *testing.T) {
 			c := p.build(h, "c", threads, core.AtomicFloat{Initial: 1}, core.CombOpts{})
 			st := obs.NewCombStats(threads)
 			c.SetProbe(core.Probe{Comb: st})
-			runThreads(c, per, core.OpAtomicFloatMul, mulOne)
+			runThreads(c, threads, per, core.OpAtomicFloatMul, mulOne)
 			cs := st.Snapshot()
 			// Every operation is served by exactly one successful round.
 			if cs.CombinedOps != total {
@@ -113,7 +113,7 @@ func TestProbeSpanLifecycle(t *testing.T) {
 			// the combiner-side spans all stay readable for exact accounting.
 			spans := obs.NewSpanLog(threads, 1<<13)
 			c.SetProbe(core.Probe{Spans: spans})
-			runThreads(c, per, core.OpCounterAdd, 1)
+			runThreads(c, threads, per, core.OpCounterAdd, 1)
 			if got := c.CurrentState().Load(0); got != ops {
 				t.Fatalf("counter = %d, want %d", got, ops)
 			}

@@ -77,12 +77,12 @@ func combOf(p Protocol) *comb {
 
 var readKinds = []struct {
 	name string
-	mk   func(h *pmem.Heap, n int, obj Object) Protocol
+	mk   func(h *pmem.Heap, n int, obj Object) instance
 }{
-	{"PBcomb", func(h *pmem.Heap, n int, obj Object) Protocol { return NewPBComb(h, "c", n, obj) }},
-	{"PWFcomb", func(h *pmem.Heap, n int, obj Object) Protocol { return NewPWFComb(h, "c", n, obj) }},
-	{"PBcomb-sparse", func(h *pmem.Heap, n int, obj Object) Protocol { return NewPBComb(h, "c", n, sparseCells{obj.(cells)}) }},
-	{"PWFcomb-sparse", func(h *pmem.Heap, n int, obj Object) Protocol { return NewPWFComb(h, "c", n, sparseCells{obj.(cells)}) }},
+	{"PBcomb", func(h *pmem.Heap, n int, obj Object) instance { return NewPBComb(h, "c", n, obj) }},
+	{"PWFcomb", func(h *pmem.Heap, n int, obj Object) instance { return NewPWFComb(h, "c", n, obj) }},
+	{"PBcomb-sparse", func(h *pmem.Heap, n int, obj Object) instance { return NewPBComb(h, "c", n, sparseCells{obj.(cells)}) }},
+	{"PWFcomb-sparse", func(h *pmem.Heap, n int, obj Object) instance { return NewPWFComb(h, "c", n, sparseCells{obj.(cells)}) }},
 }
 
 // crashed runs f and reports whether a simulated crash unwound it.

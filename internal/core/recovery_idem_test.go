@@ -12,7 +12,7 @@ import (
 // crash-during-recovery campaigns in internal/crashtest sound: a second
 // crash can force recovery to be re-run from scratch.
 
-func recoverTwiceCounter(t *testing.T, mk func(h *pmem.Heap) Protocol) {
+func recoverTwiceCounter(t *testing.T, mk func(h *pmem.Heap) instance) {
 	t.Helper()
 	const opsBefore = 3
 	crashedOnce := false
@@ -65,11 +65,11 @@ func recoverTwiceCounter(t *testing.T, mk func(h *pmem.Heap) Protocol) {
 }
 
 func TestPBCombRecoverIdempotent(t *testing.T) {
-	recoverTwiceCounter(t, func(h *pmem.Heap) Protocol { return NewPBComb(h, "cnt", 1, Counter{}) })
+	recoverTwiceCounter(t, func(h *pmem.Heap) instance { return NewPBComb(h, "cnt", 1, Counter{}) })
 }
 
 func TestPWFCombRecoverIdempotent(t *testing.T) {
-	recoverTwiceCounter(t, func(h *pmem.Heap) Protocol { return NewPWFComb(h, "cnt", 1, Counter{}) })
+	recoverTwiceCounter(t, func(h *pmem.Heap) instance { return NewPWFComb(h, "cnt", 1, Counter{}) })
 }
 
 // Re-opening an uncrashed heap must preserve the durable state and keep
@@ -78,7 +78,7 @@ func TestPWFCombRecoverIdempotent(t *testing.T) {
 func TestReopenUncrashedHeap(t *testing.T) {
 	for _, waitFree := range []bool{false, true} {
 		h := pmem.NewHeap(pmem.Config{Mode: pmem.ModeShadow, NoCost: true})
-		mk := func() Protocol {
+		mk := func() instance {
 			if waitFree {
 				return NewPWFComb(h, "cnt", 1, Counter{})
 			}

@@ -8,9 +8,18 @@ import (
 	"pcomb/internal/pmem"
 )
 
+// instance is Protocol plus the concrete methods tests call on either
+// protocol.
+type instance interface {
+	Protocol
+	Recover(tid int, op, a0, a1, seq uint64) uint64
+	VecCap() int
+	Ctx(tid int) *pmem.Ctx
+}
+
 // vecProto builds one protocol instance with vector capacity k.
-func vecProtos(h *pmem.Heap, n, k int) map[string]Protocol {
-	return map[string]Protocol{
+func vecProtos(h *pmem.Heap, n, k int) map[string]instance {
+	return map[string]instance{
 		"PB":  NewPBCombWith(h, "vpb", n, Counter{}, CombOpts{VecCap: k}),
 		"PWF": NewPWFCombWith(h, "vwf", n, Counter{}, CombOpts{VecCap: k}),
 	}
@@ -258,9 +267,9 @@ func TestVecCrashPointSweep(t *testing.T) {
 	// Crash at every persistence event inside an InvokeVec; RecoverVec must
 	// make the vector exactly-once and report all k per-op returns.
 	const k, before = 3, 2
-	mk := map[string]func(h *pmem.Heap) Protocol{
-		"PB":  func(h *pmem.Heap) Protocol { return NewPBCombWith(h, "vpb", 1, Counter{}, CombOpts{VecCap: k}) },
-		"PWF": func(h *pmem.Heap) Protocol { return NewPWFCombWith(h, "vwf", 1, Counter{}, CombOpts{VecCap: k}) },
+	mk := map[string]func(h *pmem.Heap) instance{
+		"PB":  func(h *pmem.Heap) instance { return NewPBCombWith(h, "vpb", 1, Counter{}, CombOpts{VecCap: k}) },
+		"PWF": func(h *pmem.Heap) instance { return NewPWFCombWith(h, "vwf", 1, Counter{}, CombOpts{VecCap: k}) },
 	}
 	ops := make([]VecOp, k)
 	for i := range ops {

@@ -247,9 +247,10 @@ func NewWith(h *pmem.Heap, name string, n int, kind Kind, o Options) *Map {
 
 // NewOn is NewWith on a caller-built system area sys, shared with other
 // structures (nil: the map builds its own). The map's shards become sys's
-// classes [0, Shards), defer into sys's epoch in place of Options.Epoch and
-// EpochInterval, and commit and stage through it: Recover resolves sys's whole
-// record, and Flush commits sys's whole window.
+// classes [0, Shards), built on sys's protocol, vector capacity and epoch in
+// place of kind, Options.VecCap, Epoch and EpochInterval, and commit and
+// stage through it: Recover resolves sys's whole record, and Flush commits
+// sys's whole window.
 func NewOn(h *pmem.Heap, name string, n int, kind Kind, o Options, sys *sysarea.Area) *Map {
 	nshards, capacity := o.Shards, o.Capacity
 	if nshards <= 0 {
@@ -259,43 +260,25 @@ func NewOn(h *pmem.Heap, name string, n int, kind Kind, o Options, sys *sysarea.
 		capacity = nshards * 64
 	}
 	m := &Map{h: h, nsh: nshards, slots: (capacity + nshards - 1) / nshards, n: n}
-	obj := shardObj{slots: m.slots}
-	co := core.CombOpts{VecCap: o.VecCap}
-	if o.Board {
-		co.VecCap = max(o.VecCap, 2)
-	}
-	for s := 0; s < nshards; s++ {
-		sname := fmt.Sprintf("%s/shard%d", name, s)
-		if kind == WaitFree {
-			m.shards = append(m.shards, core.NewPWFCombWith(h, sname, n, obj, co))
-		} else {
-			m.shards = append(m.shards, core.NewPBCombWith(h, sname, n, obj, co))
-		}
-	}
-	var ep *pmem.Epoch // non-nil in epoch-mode relaxed durability
-	if sys != nil {
-		ep = sys.Epoch()
-	} else if o.Epoch {
-		ep = pmem.NewEpoch(h, name, pmem.EpochOpts{Interval: o.EpochInterval})
-	}
-	if ep != nil {
-		// Attach after construction so shard boot persistence stays strict;
-		// all shards defer into one shared buffer, so one close covers the
-		// whole map.
-		for _, sh := range m.shards {
-			sh.AttachEpoch(ep)
-		}
-	}
 	if sys == nil {
-		sys = sysarea.New(h, name+"/hashmap.sys", n, m.shards, ep, co.VecCap)
+		var ep *pmem.Epoch // non-nil in epoch-mode relaxed durability
+		if o.Epoch {
+			ep = pmem.NewEpoch(h, name, pmem.EpochOpts{Interval: o.EpochInterval})
+		}
+		vcap := o.VecCap
+		if o.Board {
+			vcap = max(vcap, 2)
+		}
+		sys = sysarea.New(h, name+"/hashmap.sys", n, nshards, kind, ep, vcap)
 	}
-	for s, sh := range m.shards {
-		sys.Bind(s, sh)
+	obj := shardObj{slots: m.slots}
+	for s := 0; s < nshards; s++ {
+		m.shards = append(m.shards, sys.Build(s, fmt.Sprintf("%s/shard%d", name, s), obj))
 	}
 	m.sys = sys
 	m.EpochFront = sysarea.EpochFront{Front: sys.Front(0, nshards)}
 	if o.Board {
-		m.boards = newBoards(m.shards, n, co.VecCap)
+		m.boards = newBoards(m.shards, n, sys.Payload())
 	}
 	return m
 }

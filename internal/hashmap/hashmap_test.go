@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"pcomb/internal/pmem"
+	"pcomb/internal/testutil"
 )
 
 // newMap builds a map with shards combining instances sharing capacity slots.
@@ -275,7 +276,7 @@ func TestCrashPointSweepPut(t *testing.T) {
 		m := newMap(h, "m", 1, Blocking, 2, 64)
 		m.Put(0, 5, 50)
 		sh := m.shardOf(9)
-		ctx := m.shards[sh].Ctx(0)
+		ctx := m.shards[sh].(testutil.Instance).Ctx(0)
 		ctx.SetCrashAt(kk)
 		crashed := false
 		func() {
@@ -335,7 +336,7 @@ func TestRecoverIdempotent(t *testing.T) {
 		m := newMap(h, "m", 1, Blocking, 2, 64)
 		m.Put(0, 5, 50)
 		sh := m.shardOf(9)
-		ctx := m.shards[sh].Ctx(0)
+		ctx := m.shards[sh].(testutil.Instance).Ctx(0)
 		ctx.SetCrashAt(kk)
 		crashed := false
 		func() {

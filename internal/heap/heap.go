@@ -148,17 +148,8 @@ func New(h *pmem.Heap, name string, n int, kind Kind, bound, vecCap int) *Heap {
 	if bound <= 0 {
 		panic("heap: bound must be positive")
 	}
-	hp := &Heap{bound: bound}
-	co := core.CombOpts{VecCap: vecCap}
-	switch kind {
-	case Blocking:
-		hp.comb = core.NewPBCombWith(h, name, n, obj{bound: bound}, co)
-	case WaitFree:
-		hp.comb = core.NewPWFCombWith(h, name, n, obj{bound: bound}, co)
-	default:
-		panic("heap: unknown kind")
-	}
-	hp.sys = sysarea.New(h, name+"/sysarea", n, []core.Protocol{hp.comb}, nil, vecCap)
+	hp := &Heap{bound: bound, sys: sysarea.New(h, name+"/sysarea", n, 1, kind, nil, vecCap)}
+	hp.comb = hp.sys.Build(0, name, obj{bound: bound})
 	hp.Front = hp.sys.Front(0, 1)
 	return hp
 }

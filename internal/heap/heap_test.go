@@ -8,6 +8,7 @@ import (
 	"testing/quick"
 
 	"pcomb/internal/pmem"
+	"pcomb/internal/testutil"
 )
 
 func newHeap() *pmem.Heap {
@@ -199,7 +200,7 @@ func TestDurabilityAfterCrash(t *testing.T) {
 			if !heapInvariant(hp2.Keys()) {
 				t.Fatal("recovered heap violates invariant")
 			}
-			if got := hp2.comb.Recover(0, OpDeleteMin, 0, 0, 11); got != 90 {
+			if got := hp2.comb.(testutil.Instance).Recover(0, OpDeleteMin, 0, 0, 11); got != 90 {
 				t.Fatalf("Recover(DeleteMin) = %d, want 90", got)
 			}
 			if hp2.Len() != 9 {
@@ -218,7 +219,7 @@ func TestCrashPointSweepInsert(t *testing.T) {
 				for i := uint64(1); i <= 3; i++ {
 					hp.Insert(0, i*10)
 				}
-				ctx := hp.comb.Ctx(0)
+				ctx := hp.comb.(testutil.Instance).Ctx(0)
 				ctx.SetCrashAt(kk)
 				crashed := false
 				func() {
@@ -237,7 +238,7 @@ func TestCrashPointSweepInsert(t *testing.T) {
 				}
 				h.Crash(pmem.DropUnfenced, kk)
 				hp2 := New(h, "h", 1, k.kind, 64, 0)
-				if got := hp2.comb.Recover(0, OpInsert, 5, 0, 4); got != InsertOK {
+				if got := hp2.comb.(testutil.Instance).Recover(0, OpInsert, 5, 0, 4); got != InsertOK {
 					t.Fatalf("crash@%d: Recover(Insert) = %d", kk, got)
 				}
 				if hp2.Len() != 4 {
@@ -263,7 +264,7 @@ func TestRecoverIdempotent(t *testing.T) {
 				for i := uint64(1); i <= 3; i++ {
 					hp.Insert(0, i*10)
 				}
-				ctx := hp.comb.Ctx(0)
+				ctx := hp.comb.(testutil.Instance).Ctx(0)
 				ctx.SetCrashAt(kk)
 				crashed := false
 				func() {
@@ -282,8 +283,8 @@ func TestRecoverIdempotent(t *testing.T) {
 				}
 				h.Crash(pmem.DropUnfenced, kk)
 				hp2 := New(h, "h", 1, k.kind, 64, 0)
-				r1 := hp2.comb.Recover(0, OpInsert, 5, 0, 4)
-				r2 := hp2.comb.Recover(0, OpInsert, 5, 0, 4)
+				r1 := hp2.comb.(testutil.Instance).Recover(0, OpInsert, 5, 0, 4)
+				r2 := hp2.comb.(testutil.Instance).Recover(0, OpInsert, 5, 0, 4)
 				if r1 != r2 || r1 != InsertOK {
 					t.Fatalf("crash@%d: Recover returned %d then %d", kk, r1, r2)
 				}
@@ -291,7 +292,7 @@ func TestRecoverIdempotent(t *testing.T) {
 					t.Fatalf("crash@%d: double recovery broke the heap: %v", kk, hp2.Keys())
 				}
 				hp3 := New(h, "h", 1, k.kind, 64, 0)
-				if r3 := hp3.comb.Recover(0, OpInsert, 5, 0, 4); r3 != r1 {
+				if r3 := hp3.comb.(testutil.Instance).Recover(0, OpInsert, 5, 0, 4); r3 != r1 {
 					t.Fatalf("crash@%d: re-opened Recover returned %d", kk, r3)
 				}
 				if hp3.Len() != 4 || !heapInvariant(hp3.Keys()) {

@@ -17,8 +17,10 @@ func TestJSONLRoundTrip(t *testing.T) {
 		{Figure: "1a", Algorithm: "Redo", Threads: 8, Ops: 1000, Mops: 0.9},
 	}
 	var buf bytes.Buffer
-	if err := WriteJSONL(&buf, recs); err != nil {
-		t.Fatal(err)
+	for _, r := range recs {
+		if err := AppendJSONL(&buf, r); err != nil {
+			t.Fatal(err)
+		}
 	}
 	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
 	if len(lines) != 2 {

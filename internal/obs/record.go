@@ -29,14 +29,3 @@ type RunRecord struct {
 func AppendJSONL(w io.Writer, v any) error {
 	return json.NewEncoder(w).Encode(v)
 }
-
-// WriteJSONL writes each record as one JSON line.
-func WriteJSONL(w io.Writer, recs []RunRecord) error {
-	enc := json.NewEncoder(w)
-	for i := range recs {
-		if err := enc.Encode(&recs[i]); err != nil {
-			return err
-		}
-	}
-	return nil
-}

@@ -97,9 +97,11 @@ const (
 	// the server store's map and queue share one system area (srv/sysarea)
 	// and one epoch stamp (srv/epoch.stamp); 8 = one system-area record format
 	// (a scalar operation is a one-op commit: payload, group table, group
-	// count), and board maps' shards are as wide as the map's thread count. A
+	// count), and board maps' shards are as wide as the map's thread count; 9
+	// = packed system-area records (group count with done, each group's class
+	// with its count) and areas allocated before the instances they build. A
 	// file of another version is refused, never reinterpreted.
-	fileVersion    = 8
+	fileVersion    = 9
 	fileSlotA      = 8  // header slot A word offset
 	fileSlotB      = 16 // header slot B word offset
 	fileCatStart   = 64

@@ -170,10 +170,11 @@ func corruptByteOnDisk(t *testing.T, path string, off int64) {
 // ran scalar, with no vector rings or system-area payloads; 6, the one whose
 // server map and queue kept a system area and an epoch each; 7, the one whose
 // system-area records were scalar or grouped and whose board shards kept a
-// reserved thread slot — must be refused with ErrBadFile, not attached and
-// misread.
+// reserved thread slot; 8, the one whose system-area records kept the group
+// count, done and each group's class and count in words of their own — must
+// be refused with ErrBadFile, not attached and misread.
 func TestFileOldVersionRefused(t *testing.T) {
-	for _, old := range []uint64{1, 2, 3, 4, 5, 6, 7} {
+	for _, old := range []uint64{1, 2, 3, 4, 5, 6, 7, 8} {
 		path := tmpHeapPath(t)
 		h, _, err := OpenFile(path, FileOpts{Cfg: Config{NoCost: true}})
 		if err != nil {

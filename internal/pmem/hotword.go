@@ -25,14 +25,6 @@ func (h *Heap) Touch(w *HotWord, tid int) {
 	w.Touch(h.missCost, tid)
 }
 
-// TouchN charges tid a transfer on each of n consecutive hot words (e.g. a
-// multi-line record).
-func (h *Heap) TouchN(ws []HotWord, tid int) {
-	for i := range ws {
-		ws[i].Touch(h.missCost, tid)
-	}
-}
-
 // MissCost exposes the calibrated transfer cost (for code that records the
 // true line producer out of band; see prim.TouchOther).
 func (h *Heap) MissCost() prim.Cost { return h.missCost }

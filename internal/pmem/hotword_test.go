@@ -43,12 +43,6 @@ func TestTouchEnabledInVolatileMode(t *testing.T) {
 	}
 }
 
-func TestTouchN(t *testing.T) {
-	h := NewHeap(Config{Mode: ModeCount, NoCost: true})
-	ws := make([]HotWord, 4)
-	h.TouchN(ws, 2) // smoke: covers the slice path
-}
-
 func TestTouchOther(t *testing.T) {
 	prim.TouchOther(prim.CostForNs(10), 1, 1) // same owner: free
 	prim.TouchOther(prim.CostForNs(10), 1, 2) // transfer: burns, must return

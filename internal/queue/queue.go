@@ -18,8 +18,9 @@
 // A Queue is built as the paper builds it: the two combining instances plus
 // the per-thread sequence numbers and commit record its system model
 // persists, which live in a system area (internal/sysarea) every operation
-// runs through. NewOn builds the queue's own area, or binds two classes of
-// an area the caller shares with other structures (the server store's map).
+// runs through, and which builds the two instances. NewOn builds the queue's
+// own area, or builds two classes of an area the caller shares with other
+// structures (the server store's map).
 package queue
 
 import (
@@ -106,12 +107,12 @@ const queueMagic = 0x71c0_0001_beef_0001
 
 // NewOn creates (or re-opens after a crash) a recoverable queue for n
 // threads. Its enqueue and dequeue instances become classes base and base+1
-// of the caller's system area sys, defer into sys's epoch in place of
-// opt.Epoch, and commit and stage through it: Recover resolves sys's whole
-// record, and Flush commits sys's whole window. With sys nil the queue builds
-// an area of its own, named name+"/sysarea", with classes 0 and 1 (base is
-// then 0). Re-open with the same options and call Recover for every thread
-// before new operations.
+// of the caller's system area sys — built on sys's protocol, vector capacity
+// and epoch in place of kind, opt.VecCap and opt.Epoch — and commit and stage
+// through it: Recover resolves sys's whole record, and Flush commits sys's
+// whole window. With sys nil the queue builds an area of its own, named
+// name+"/sysarea", with classes 0 and 1 (base is then 0). Re-open with the
+// same options and call Recover for every thread before new operations.
 func NewOn(h *pmem.Heap, name string, n int, kind Kind, opt Options, sys *sysarea.Area, base int) *Queue {
 	if opt.Capacity == 0 {
 		opt.Capacity = defaultCapacity
@@ -120,7 +121,6 @@ func NewOn(h *pmem.Heap, name string, n int, kind Kind, opt Options, sys *sysare
 		opt.ChunkSize = defaultChunkSize
 	}
 	q := &Queue{
-		kind: kind,
 		p:    pool.New(h, name, n, nodeWords, opt.Capacity, opt.ChunkSize),
 		meta: h.AllocOrGet(name+"/queue.meta", 2*pmem.LineWords),
 	}
@@ -138,33 +138,33 @@ func NewOn(h *pmem.Heap, name string, n int, kind Kind, opt Options, sys *sysare
 	}
 	dummy := q.meta.Load(0)
 
-	switch kind {
+	if sys == nil {
+		sys, base = sysarea.New(h, name+"/sysarea", n, 2, kind, opt.Epoch, opt.VecCap), 0
+	}
+	q.sys, q.base, q.kind = sys, base, sys.Kind()
+	switch q.kind {
 	case Blocking:
 		eo := &pbEnqObj{q: q, dummy: dummy, per: make([]roundScratch, n)}
 		do := &pbDeqObj{q: q, dummy: dummy, recycle: opt.Recycling, per: make([]roundScratch, n)}
-		co := core.CombOpts{VecCap: opt.VecCap}
-		ie := core.NewPBCombWith(h, name+"/enq", n, eo, co)
-		id := core.NewPBCombWith(h, name+"/deq", n, do, co)
-		ie.SetCommit(func(env *core.Env, _ bool) {
+		q.enq = sys.Build(base, name+"/enq", eo)
+		q.deq = sys.Build(base+1, name+"/deq", do)
+		q.enq.SetCommit(func(env *core.Env, _ bool) {
 			// The round's nodes are durable: expose them to dequeuers.
 			q.oldTail.Store(env.State.Load(0))
 		})
 		if opt.Recycling {
-			id.SetCommit(func(env *core.Env, _ bool) { do.commit(env.Combiner) })
+			q.deq.SetCommit(func(env *core.Env, _ bool) { do.commit(env.Combiner) })
 		}
-		q.enq, q.deq = ie, id
 	case WaitFree:
 		eo := &wfEnqObj{q: q, dummy: dummy, per: make([]roundScratch, n)}
 		do := &wfDeqObj{q: q, dummy: dummy}
-		co := core.CombOpts{VecCap: opt.VecCap}
-		ie := core.NewPWFCombWith(h, name+"/enq", n, eo, co)
-		id := core.NewPWFCombWith(h, name+"/deq", n, do, co)
-		ie.SetCommit(func(env *core.Env, won bool) { eo.commit(env.Combiner, won) })
-		do.ie = ie
-		q.enq, q.deq = ie, id
+		q.enq = sys.Build(base, name+"/enq", eo)
+		q.deq = sys.Build(base+1, name+"/deq", do)
+		q.enq.SetCommit(func(env *core.Env, won bool) { eo.commit(env.Combiner, won) })
+		do.ie = q.enq.(*core.PWFComb)
 		// Recovery: if a pending part was published but the splice did not
 		// persist before the crash, re-perform it (idempotent).
-		st := ie.CurrentState()
+		st := q.enq.CurrentState()
 		if pendH := st.Load(1); pendH != pool.Nil {
 			tail := st.Load(0)
 			q.p.Store(tail, 1, pendH)
@@ -179,11 +179,7 @@ func NewOn(h *pmem.Heap, name string, n int, kind Kind, opt Options, sys *sysare
 	// what dequeuers may remove.
 	q.oldTail.Store(q.tailForDequeuers())
 
-	ep := opt.Epoch
-	if sys != nil {
-		ep = sys.Epoch()
-	}
-	if ep != nil {
+	if sys.Epoch() != nil {
 		// A crash can leave node linkage persisted PAST the durable tail: an
 		// epoch that never closed spliced its nodes (the line write-backs
 		// landed under a partial close) while the combiner record holding the
@@ -199,19 +195,7 @@ func NewOn(h *pmem.Heap, name string, n int, kind Kind, opt Options, sys *sysare
 			bootCtx.PWB(q.p.Region(), q.p.Offset(tail), nodeWords)
 			bootCtx.PFence()
 		}
-		// Attach after construction so boot-time persistence stays strict;
-		// both instances defer into one shared buffer, so a single close
-		// covers every round of the whole queue.
-		q.enq.AttachEpoch(ep)
-		q.deq.AttachEpoch(ep)
 	}
-	if sys == nil {
-		sys, base = sysarea.New(h, name+"/sysarea", n, []core.Protocol{q.enq, q.deq}, ep, opt.VecCap), 0
-	} else {
-		sys.Bind(base, q.enq)
-		sys.Bind(base+1, q.deq)
-	}
-	q.sys, q.base = sys, base
 	q.EpochFront = sysarea.EpochFront{Front: sys.Front(base, base+2)}
 	return q
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"pcomb/internal/pmem"
+	"pcomb/internal/testutil"
 )
 
 func newHeap() *pmem.Heap {
@@ -15,11 +16,11 @@ func newHeap() *pmem.Heap {
 // recoverEnq and recoverDeq call the instances' recovery functions with the
 // interrupted operation's own arguments, as the system area does.
 func recoverEnq(q *Queue, tid int, v, seq uint64) uint64 {
-	return q.enq.Recover(tid, OpEnq, v, 0, seq)
+	return q.enq.(testutil.Instance).Recover(tid, OpEnq, v, 0, seq)
 }
 
 func recoverDeq(q *Queue, tid int, seq uint64) (uint64, bool) {
-	r := q.deq.Recover(tid, OpDeq, 0, 0, seq)
+	r := q.deq.(testutil.Instance).Recover(tid, OpDeq, 0, 0, seq)
 	return r, r != Empty
 }
 
@@ -259,7 +260,7 @@ func TestCrashPointSweepEnqueue(t *testing.T) {
 				for i := uint64(1); i <= 3; i++ {
 					q.Enqueue(0, i)
 				}
-				ctx := q.enq.Ctx(0)
+				ctx := q.enq.(testutil.Instance).Ctx(0)
 				ctx.SetCrashAt(k)
 				crashed := false
 				func() {
@@ -307,7 +308,7 @@ func TestCrashPointSweepDequeue(t *testing.T) {
 				for i := uint64(1); i <= 4; i++ {
 					q.Enqueue(0, i)
 				}
-				ctx := q.deq.Ctx(0)
+				ctx := q.deq.(testutil.Instance).Ctx(0)
 				ctx.SetCrashAt(k)
 				crashed := false
 				func() {
@@ -378,7 +379,7 @@ func TestPWFPendingSpliceRecovery(t *testing.T) {
 		// Two enqueues: the second leaves a pending part behind.
 		q.Enqueue(0, 1)
 		q.Enqueue(0, 2)
-		ctx := q.enq.Ctx(0)
+		ctx := q.enq.(testutil.Instance).Ctx(0)
 		ctx.SetCrashAt(k)
 		crashed := false
 		func() {
@@ -420,7 +421,7 @@ func TestCrashSweepAllPolicies(t *testing.T) {
 				for i := uint64(1); i <= 3; i++ {
 					q.Enqueue(0, i)
 				}
-				ctx := q.enq.Ctx(0)
+				ctx := q.enq.(testutil.Instance).Ctx(0)
 				ctx.SetCrashAt(k)
 				crashed := false
 				func() {
@@ -469,7 +470,7 @@ func TestRecoverIdempotent(t *testing.T) {
 				for i := uint64(1); i <= 3; i++ {
 					q.Enqueue(0, i)
 				}
-				ctx := q.enq.Ctx(0)
+				ctx := q.enq.(testutil.Instance).Ctx(0)
 				ctx.SetCrashAt(k)
 				crashed := false
 				func() {
@@ -511,7 +512,7 @@ func TestRecoverIdempotent(t *testing.T) {
 				for i := uint64(1); i <= 4; i++ {
 					q.Enqueue(0, i)
 				}
-				ctx := q.deq.Ctx(0)
+				ctx := q.deq.(testutil.Instance).Ctx(0)
 				ctx.SetCrashAt(k)
 				crashed := false
 				func() {

@@ -276,18 +276,9 @@ func New(h *pmem.Heap, name string, n int, kind Kind, opt Options) *Stack {
 		opt: opt,
 		per: make([]roundScratch, n),
 	}
-	s := &Stack{o: o}
-	co := core.CombOpts{VecCap: opt.VecCap}
-	switch kind {
-	case Blocking:
-		s.comb = core.NewPBCombWith(h, name, n, o, co)
-	case WaitFree:
-		s.comb = core.NewPWFCombWith(h, name, n, o, co)
-	default:
-		panic("stack: unknown kind")
-	}
+	s := &Stack{o: o, sys: sysarea.New(h, name+"/sysarea", n, 1, kind, nil, opt.VecCap)}
+	s.comb = s.sys.Build(0, name, o)
 	s.comb.SetCommit(func(env *core.Env, won bool) { o.commit(env.Combiner, won) })
-	s.sys = sysarea.New(h, name+"/sysarea", n, []core.Protocol{s.comb}, nil, opt.VecCap)
 	s.Front = s.sys.Front(0, 1)
 	return s
 }

@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"pcomb/internal/pmem"
+	"pcomb/internal/testutil"
 )
 
 func newHeap() *pmem.Heap {
@@ -159,7 +160,7 @@ func TestDurabilityAfterCrash(t *testing.T) {
 			}
 			// Detectability of the last completed pop, the thread's 25th
 			// operation.
-			if got := s2.comb.Recover(0, OpPop, 0, 0, 25); got != 16 {
+			if got := s2.comb.(testutil.Instance).Recover(0, OpPop, 0, 0, 25); got != 16 {
 				t.Fatalf("Recover(pop) = %d, want 16", got)
 			}
 			if got := s2.Len(); got != 15 {
@@ -183,7 +184,7 @@ func TestCrashPointSweepPush(t *testing.T) {
 				for i := uint64(1); i <= 3; i++ {
 					s.Push(0, i)
 				}
-				ctx := s.comb.Ctx(0)
+				ctx := s.comb.(testutil.Instance).Ctx(0)
 				ctx.SetCrashAt(k)
 				crashed := false
 				func() {
@@ -205,7 +206,7 @@ func TestCrashPointSweepPush(t *testing.T) {
 				}
 				h.Crash(pmem.DropUnfenced, k)
 				s2 := New(h, "s", 1, kindName.kind, Options{Capacity: 256, ChunkSize: 8})
-				if got := s2.comb.Recover(0, OpPush, 4, 0, 4); got != PushOK {
+				if got := s2.comb.(testutil.Instance).Recover(0, OpPush, 4, 0, 4); got != PushOK {
 					t.Fatalf("crash@%d: Recover(push) = %d", k, got)
 				}
 				snap := s2.Snapshot()
@@ -300,7 +301,7 @@ func TestRecoverIdempotent(t *testing.T) {
 				for i := uint64(1); i <= 3; i++ {
 					s.Push(0, i*10)
 				}
-				ctx := s.comb.Ctx(0)
+				ctx := s.comb.(testutil.Instance).Ctx(0)
 				ctx.SetCrashAt(k)
 				crashed := false
 				func() {
@@ -319,8 +320,8 @@ func TestRecoverIdempotent(t *testing.T) {
 				}
 				h.Crash(pmem.DropUnfenced, k)
 				s2 := New(h, "s", 1, v.kind, v.opt)
-				r1 := s2.comb.Recover(0, OpPush, 40, 0, 4)
-				r2 := s2.comb.Recover(0, OpPush, 40, 0, 4)
+				r1 := s2.comb.(testutil.Instance).Recover(0, OpPush, 40, 0, 4)
+				r2 := s2.comb.(testutil.Instance).Recover(0, OpPush, 40, 0, 4)
 				if r1 != r2 {
 					t.Fatalf("crash@%d: Recover returned %d then %d", k, r1, r2)
 				}
@@ -328,7 +329,7 @@ func TestRecoverIdempotent(t *testing.T) {
 					t.Fatalf("crash@%d: double recovery changed the stack: %v", k, snap)
 				}
 				s3 := New(h, "s", 1, v.kind, v.opt)
-				if r3 := s3.comb.Recover(0, OpPush, 40, 0, 4); r3 != r1 {
+				if r3 := s3.comb.(testutil.Instance).Recover(0, OpPush, 40, 0, 4); r3 != r1 {
 					t.Fatalf("crash@%d: re-opened Recover returned %d, want %d", k, r3, r1)
 				}
 				if snap := s3.Snapshot(); len(snap) != 4 {

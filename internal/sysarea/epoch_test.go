@@ -27,7 +27,7 @@ var protocols = []struct {
 // dieBeforeEnd leaves thread 0's last commit performed but its record open,
 // then cuts the power: the open epoch is lost.
 func dieBeforeEnd(sys *pcomb.System, region string, classes int) {
-	sysarea.New(sys.Heap(), region, 1, make([]core.Protocol, classes), nil, 4).Reopen(0)
+	sysarea.New(sys.Heap(), region, 1, classes, core.Blocking, nil, 4).Reopen(0)
 	sys.Crash(pcomb.DropUnfenced, 1)
 }
 

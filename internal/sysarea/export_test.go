@@ -18,4 +18,7 @@ func (a *Area) CommitPrefix(tid int, ops []core.VecOp, classOf func(int, core.Ve
 
 // Reopen undoes End's one store: the state of an operation that was performed
 // but whose record never closed.
-func (a *Area) Reopen(tid int) { a.r.DirectStore(tid*a.stride+a.k+recDone, 0) }
+func (a *Area) Reopen(tid int) {
+	i := tid*a.stride + a.k
+	a.r.DirectStore(i, a.r.Load(i)&^1)
+}

@@ -41,19 +41,10 @@ func (f *Front) Recover(tid int) []Resolved { return f.a.Recover(tid) }
 // its operations is reported to it. Install while quiescent.
 func (f *Front) SetHistory(h Log) { f.a.SetHistory(h, f.classes...) }
 
-// SetProbe installs p on every combining instance the structure is built
-// from and on the area's staging window (they share p's sinks, so stats
-// aggregate across instances and a thread's span track interleaves their
-// spans); the zero Probe uninstalls it. On an area shared with other
-// structures the window is shared too, and takes the last probe installed.
-func (f *Front) SetProbe(p core.Probe) {
-	for _, c := range f.classes {
-		f.a.insts[c].SetProbe(p)
-	}
-	if f.a.win != nil {
-		f.a.win.SetProbe(p)
-	}
-}
+// SetProbe installs p on the structure's combining instances and the area's
+// staging window; the zero Probe uninstalls it. Area.SetProbe has the
+// contract.
+func (f *Front) SetProbe(p core.Probe) { f.a.SetProbe(p, f.classes...) }
 
 // Flush commits thread tid's staged operations durably — on an area shared
 // with other structures, the area's whole window.
@@ -104,15 +95,8 @@ type Recoverable struct {
 // above 1 enables Submit with up to vecCap operations per flush; it is part of
 // the persistent layout — re-open with the same value.
 func NewRecoverable(h *pmem.Heap, name string, n int, kind core.Kind, obj core.Object, vecCap int) *Recoverable {
-	co := core.CombOpts{VecCap: vecCap}
-	var inst core.Protocol
-	if kind == core.WaitFree {
-		inst = core.NewPWFCombWith(h, name, n, obj, co)
-	} else {
-		inst = core.NewPBCombWith(h, name, n, obj, co)
-	}
-	a := New(h, name+"/sysarea", n, []core.Protocol{inst}, nil, vecCap)
-	return &Recoverable{Front: a.Front(0, 1), inst: inst}
+	a := New(h, name+"/sysarea", n, 1, kind, nil, vecCap)
+	return &Recoverable{Front: a.Front(0, 1), inst: a.Build(0, name, obj)}
 }
 
 // Invoke runs one operation; op, a0 and a1 — any values — are interpreted by

@@ -70,13 +70,12 @@ func TestReadStoresNothingUntilItMustAnnounce(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			h := pmem.NewHeap(pmem.Config{Mode: pmem.ModeShadow, NoCost: true})
 			var storm func()
-			var inst core.Protocol
+			kind := core.Blocking
 			if waitFree {
-				inst = core.NewPWFComb(h, "w", 2, word{&storm})
-			} else {
-				inst = core.NewPBComb(h, "w", 2, word{&storm})
+				kind = core.WaitFree
 			}
-			area := sysarea.New(h, "w/sys", 2, []core.Protocol{inst}, nil, 0)
+			area := sysarea.New(h, "w/sys", 2, 1, kind, nil, 0)
+			area.Build(0, "w", word{&storm})
 			rec := history.New(2)
 			area.SetHistory(rec)
 			area.Invoke(0, 0, opBump, 5, 0)

@@ -11,27 +11,37 @@
 // not charged to the algorithms — matching the paper's experimental setup,
 // where seq is an input.
 //
+// Each class is one combining instance, and the area builds it (Build): on
+// the area's protocol, with the area's payload as its vector capacity, and
+// deferring into the area's epoch. A structure hands the area its objects and
+// keeps what Build returns.
+//
 // Per-thread layout (stride words, a whole number of cache lines), for K
 // classes and a payload of P operations (at least 1):
 //
 //	[0,K)  seq     — one sequence counter per class
-//	K+0    groups  — group count of the commit in progress (0: none yet)
-//	K+1    done    — 1 once the commit's responses were delivered
-//	K+2    table   — (class, seq, cnt) per participating class, min(K, P) of them
+//	K      head    — groups<<1 | done: the group count of the commit in
+//	                 progress (0: none yet) and 1 once its responses were
+//	                 delivered
+//	K+1    table   — (class<<32 | cnt, seq) per participating class, min(K, P)
+//	                 of them
 //	…      payload — (op, a0, a1) x P, the commit's operations group by group
+//
+// A scalar operation's block is K+6 words: one cache line for the queue's
+// two classes and for every one-class structure.
 //
 // Every commit fills this one record: a scalar operation is a one-group,
 // one-op commit; a vector, a map's flush window and a cross-shard transaction
 // carry more. A commit stores the payload and the group table first, then the
-// group count, then done=0 (the commit point), and every participating class
-// counter LAST (commitStores). Every prefix of the sequence reads correctly:
-// up to done=0 the record is closed (or, on a fresh area, its group count is
-// still 0) and no counter has moved, so the commit simply never started; from
-// done=0 on the record is open and complete, and Recover rolls the counters
-// forward from it. A counter can therefore never run ahead of a record
-// recovery cannot see — the state in which the next operation would draw a
-// sequence number whose parity matches the durable deactivate bit and be
-// silently dropped as "already applied". Operation codes are the Object's:
+// head with done=0 (the commit point), and every participating class counter
+// LAST (commitStores). Every prefix of the sequence reads correctly: before
+// the head store the head still shows the previous record closed (or, on a
+// fresh area, no groups) and no counter has moved, so the commit simply never
+// started; from it on the record is open and complete, and Recover rolls the
+// counters forward from it. A counter can therefore never run ahead of a
+// record recovery cannot see — the state in which the next operation would
+// draw a sequence number whose parity matches the durable deactivate bit and
+// be silently dropped as "already applied". Operation codes are the Object's:
 // the record gives none of them a meaning of its own.
 package sysarea
 
@@ -41,6 +51,7 @@ import (
 
 	"pcomb/internal/core"
 	"pcomb/internal/history"
+	"pcomb/internal/obs"
 	"pcomb/internal/pmem"
 	"pcomb/internal/vecbatch"
 )
@@ -59,12 +70,11 @@ type Log interface {
 	SetEpochClock(clock func() uint64)
 }
 
-// Record words, after the K class counters.
-const (
-	recGroups = iota
-	recDone
-	recWords
-)
+// packHead is the head word of a record of groups groups, closed or not.
+func packHead(groups int, done uint64) uint64 { return uint64(groups)<<1 | done }
+
+// packGroup is a group table entry's first word.
+func packGroup(class, cnt int) uint64 { return uint64(class)<<32 | uint64(cnt) }
 
 // Resolved is one operation Recover settled: the class it ran on (which tells
 // apart structures sharing an area, whose op codes may coincide), its code and
@@ -83,17 +93,21 @@ type Resolved struct {
 // Area is one structure's system area — or one store's, when several
 // structures share it and each owns some of its classes.
 type Area struct {
+	h       *pmem.Heap
 	r       *pmem.Region
+	n       int
 	k       int
+	kind    core.Kind // every class's protocol
 	stride  int
 	grpOff  int             // group table offset within a thread's block
 	payOff  int             // payload offset within a thread's block
 	payload int             // operations one commit may carry
-	insts   []core.Protocol // class -> combining instance
+	insts   []core.Protocol // class -> combining instance (Build)
 	epoch   *pmem.Epoch     // non-nil under epoch-mode relaxed durability
 	hist    []Log           // class -> optional durable-linearizability log
 	scratch []scratch       // per thread
 	win     *vecbatch.Pipe  // per-thread staging windows; nil unless payload > 1
+	spans   *obs.SpanLog    // the window's resolve spans; nil = not traced
 }
 
 // group is one class's share of a commit: ops[off:off+cnt] of the thread's
@@ -119,18 +133,19 @@ type scratch struct {
 }
 
 // New creates — or re-attaches after a crash — the system area named name
-// for n threads over the combining instances insts (one class each; a nil
-// entry is bound later, see Bind). epoch is the epoch state every class defers
-// into, nil in strict mode. payload is the most operations one commit may
-// carry — the structure's VecCap (at least 1); above 1 the area also stages
-// operations on a window per thread (Submit). Part of the persistent layout:
-// re-attach with the same value.
-func New(h *pmem.Heap, name string, n int, insts []core.Protocol, epoch *pmem.Epoch, payload int) *Area {
-	k := len(insts)
+// for n threads and classes classes, each a combining instance of kind that
+// Build makes. epoch is the epoch state every class defers into, nil in
+// strict mode. payload is the most operations one commit may carry — the
+// structure's VecCap (at least 1), and every instance's; above 1 the area
+// also stages operations on a window per thread (Submit). Part of the
+// persistent layout: re-attach with the same value.
+func New(h *pmem.Heap, name string, n, classes int, kind core.Kind, epoch *pmem.Epoch, payload int) *Area {
+	k := classes
 	payload = max(payload, 1)
 	grps := min(k, payload)
-	a := &Area{k: k, grpOff: k + recWords, payload: payload, insts: insts, epoch: epoch, hist: make([]Log, k)}
-	a.payOff = a.grpOff + 3*grps
+	a := &Area{h: h, n: n, k: k, kind: kind, grpOff: k + 1, payload: payload,
+		insts: make([]core.Protocol, k), epoch: epoch, hist: make([]Log, k)}
+	a.payOff = a.grpOff + 2*grps
 	a.stride = pmem.RoundUpLine(a.payOff + 3*payload)
 	a.r = h.AllocOrGet(name, n*a.stride)
 	a.scratch = make([]scratch, n)
@@ -141,25 +156,74 @@ func New(h *pmem.Heap, name string, n int, insts []core.Protocol, epoch *pmem.Ep
 			pos:      make([]int, payload),
 			ops:      make([]core.VecOp, payload),
 			rets:     make([]uint64, payload),
-			stores:   make([]store, 0, 3*payload+4*grps+2),
+			stores:   make([]store, 0, 3*payload+3*grps+1),
 			staged:   staged,
 			stagedOf: func(i int, _ core.VecOp) int { return staged[i] },
 		}
 	}
 	if payload > 1 {
 		a.win = vecbatch.New(n, payload, func(tid int, ops []core.VecOp, rets []uint64) {
+			var t0 int64
+			if a.spans != nil {
+				t0 = obs.Now()
+			}
 			a.InvokeGrouped(tid, ops, rets, a.scratch[tid].stagedOf)
+			if a.spans != nil {
+				a.spans.Record(tid, obs.PhaseResolve, t0, obs.Now(), uint64(len(ops)))
+			}
 		})
 	}
 	return a
 }
 
-// Bind installs class's combining instance on an area built before it: a
-// structure built on a caller's area binds its own classes.
-func (a *Area) Bind(class int, inst core.Protocol) { a.insts[class] = inst }
+// Build creates — or re-opens after a crash — class's combining instance,
+// named name, over obj: on the area's protocol, for its threads, with its
+// payload as the vector capacity, deferring into its epoch. The epoch is
+// attached after the instance boots, so boot-time persistence stays strict.
+// Build each class once, before concurrent use.
+func (a *Area) Build(class int, name string, obj core.Object) core.Protocol {
+	o := core.CombOpts{VecCap: a.payload}
+	var inst interface {
+		core.Protocol
+		AttachEpoch(*pmem.Epoch)
+	}
+	if a.kind == core.WaitFree {
+		inst = core.NewPWFCombWith(a.h, name, a.n, obj, o)
+	} else {
+		inst = core.NewPBCombWith(a.h, name, a.n, obj, o)
+	}
+	if a.epoch != nil {
+		inst.AttachEpoch(a.epoch)
+	}
+	a.insts[class] = inst
+	return inst
+}
+
+// Kind returns the protocol every class is built on.
+func (a *Area) Kind() core.Kind { return a.kind }
+
+// Payload returns the most operations one commit may carry: every class's
+// vector capacity.
+func (a *Area) Payload() int { return a.payload }
 
 // Epoch returns the epoch state every class defers into (nil in strict mode).
 func (a *Area) Epoch() *pmem.Epoch { return a.epoch }
+
+// SetProbe installs p on the instances of classes, or of every class when
+// none are named, and records the window's resolve spans — the time a staged
+// window took to commit — to p's span log; the zero Probe uninstalls both.
+// The instances share p's sinks, so stats aggregate across them and a
+// thread's span track interleaves their spans. The window is the area's, so
+// on an area shared by several structures it takes the last probe installed.
+// Install while quiescent.
+func (a *Area) SetProbe(p core.Probe, classes ...int) {
+	for c, inst := range a.insts {
+		if len(classes) == 0 || slices.Contains(classes, c) {
+			inst.SetProbe(p)
+		}
+	}
+	a.spans = p.Spans
+}
 
 // SetHistory installs (or, with nil, removes) an operation log on the
 // invocation, vector and recovery paths of classes, or of every class when
@@ -209,7 +273,8 @@ func (a *Area) open(tid, class int, op, a0, a1 uint64) uint64 {
 	return g[0].seq
 }
 
-func (a *Area) close(tid int) { a.r.DirectStore(tid*a.stride+a.k+recDone, 1) }
+// close marks tid's record of groups groups delivered.
+func (a *Area) close(tid, groups int) { a.r.DirectStore(tid*a.stride+a.k, packHead(groups, 1)) }
 
 // group lays ops out in tid's scratch by class in first-appearance order,
 // preserving program order within a class — count each group, place the
@@ -251,8 +316,8 @@ func (a *Area) group(tid int, ops []core.VecOp, classOf func(int, core.VecOp) in
 
 // commitStores is the ordered store sequence, built in tid's scratch, that
 // opens tid's record for the commit grps over ops (laid out by group): the
-// payload and the group table, then the group count, then done=0, then every
-// group's class counter (see the package comment for why this order).
+// payload and the group table, then the head with done=0, then every group's
+// class counter (see the package comment for why this order).
 func (a *Area) commitStores(tid int, grps []group, ops []core.VecOp) []store {
 	b := tid * a.stride
 	st := a.scratch[tid].stores[:0]
@@ -262,10 +327,10 @@ func (a *Area) commitStores(tid int, grps []group, ops []core.VecOp) []store {
 		p += 3
 	}
 	for gi, g := range grps {
-		gb := b + a.grpOff + 3*gi
-		st = append(st, store{gb, uint64(g.class)}, store{gb + 1, g.seq}, store{gb + 2, uint64(g.cnt)})
+		gb := b + a.grpOff + 2*gi
+		st = append(st, store{gb, packGroup(g.class, g.cnt)}, store{gb + 1, g.seq})
 	}
-	st = append(st, store{b + a.k + recGroups, uint64(len(grps))}, store{b + a.k + recDone, 0})
+	st = append(st, store{b + a.k, packHead(len(grps), 0)})
 	for _, g := range grps {
 		st = append(st, store{b + g.class, g.seq})
 	}
@@ -287,7 +352,7 @@ func (a *Area) Begin(tid, class int, op, a0, a1 uint64) uint64 {
 
 // End durably marks tid's operation on class completed with response ret.
 func (a *Area) End(tid, class int, ret uint64) {
-	a.close(tid)
+	a.close(tid, 1)
 	if h := a.hist[class]; h != nil {
 		h.End(tid, ret)
 	}
@@ -318,7 +383,7 @@ func (a *Area) Read(tid, class int, op, a0, a1 uint64) uint64 {
 	if !ok {
 		seq := a.open(tid, class, op, a0, a1)
 		ret = a.insts[class].Invoke(tid, op, a0, a1, seq)
-		a.close(tid)
+		a.close(tid, 1)
 	}
 	if h != nil {
 		h.End(tid, ret)
@@ -369,7 +434,7 @@ func (a *Area) InvokeGrouped(tid int, ops []core.VecOp, rets []uint64, classOf f
 	for _, g := range grps {
 		a.insts[g.class].InvokeVec(tid, gops[g.off:g.off+g.cnt], g.seq, grets[g.off:g.off+g.cnt])
 	}
-	a.close(tid)
+	a.close(tid, len(grps))
 	// Ends in Begin (= group) order, and only after the record closed, past
 	// the last crashable point: a crash between two groups must leave EVERY
 	// op pending, so the restarted recovery's Resolves meet an all-pending
@@ -461,21 +526,23 @@ func (a *Area) settle(tid, class int, seq uint64, ops []core.VecOp) []Resolved {
 // doubled.
 func (a *Area) Recover(tid int) []Resolved {
 	b := tid * a.stride
-	ngrps := int(a.r.Load(b + a.k + recGroups))
-	if ngrps == 0 || a.r.Load(b+a.k+recDone) == 1 {
+	head := a.r.Load(b + a.k)
+	ngrps := int(head >> 1)
+	if ngrps == 0 || head&1 == 1 {
 		a.realign(tid)
 		return nil
 	}
 	var out []Resolved
 	p := b + a.payOff
 	for gi := 0; gi < ngrps; gi++ {
-		gb := b + a.grpOff + 3*gi
-		ops := make([]core.VecOp, a.r.Load(gb+2))
+		gb := b + a.grpOff + 2*gi
+		cg := a.r.Load(gb)
+		ops := make([]core.VecOp, uint32(cg))
 		for i := range ops {
 			ops[i] = core.VecOp{Op: a.r.Load(p), A0: a.r.Load(p + 1), A1: a.r.Load(p + 2)}
 			p += 3
 		}
-		out = append(out, a.settle(tid, int(a.r.Load(gb)), a.r.Load(gb+1), ops)...)
+		out = append(out, a.settle(tid, int(cg>>32), a.r.Load(gb+1), ops)...)
 	}
 	if a.epoch != nil {
 		for _, r := range out {
@@ -485,7 +552,7 @@ func (a *Area) Recover(tid int) []Resolved {
 			}
 		}
 	}
-	a.close(tid)
+	a.close(tid, ngrps)
 	// Realignment writes durable words and must not run against mid-crash
 	// state, so it comes after the last point a nested crash can unwind from.
 	a.realign(tid)

@@ -249,7 +249,7 @@ func (r *run) ackUpTo(n int) {
 
 // view is the test's own window on the subject's system area.
 func (r *run) view() *sysarea.Area {
-	return sysarea.New(r.sys.Heap(), r.sub.region, r.sub.threads, make([]core.Protocol, r.sub.classes), nil, r.sub.payload)
+	return sysarea.New(r.sys.Heap(), r.sub.region, r.sub.threads, r.sub.classes, core.Blocking, nil, r.sub.payload)
 }
 
 // ack runs class's operation to completion: it is acknowledged, so its effect
@@ -412,7 +412,7 @@ func TestTornCommitPrefix(t *testing.T) {
 // firstStore applies the first store of thread 0's one-op commit of o on
 // class of the system area named region, built with classes classes.
 func firstStore(sys *pcomb.System, region string, classes, class int, o core.VecOp) {
-	sysarea.New(sys.Heap(), region, 1, make([]core.Protocol, classes), nil, 0).
+	sysarea.New(sys.Heap(), region, 1, classes, core.Blocking, nil, 0).
 		CommitPrefix(0, []core.VecOp{o}, func(int, core.VecOp) int { return class }, 1)
 }
 

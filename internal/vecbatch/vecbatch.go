@@ -16,10 +16,7 @@
 // contend.
 package vecbatch
 
-import (
-	"pcomb/internal/core"
-	"pcomb/internal/obs"
-)
+import "pcomb/internal/core"
 
 // Flusher commits one staged vector for thread tid and writes the per-op
 // responses into rets (len(rets) == len(ops)). It is called synchronously
@@ -34,15 +31,7 @@ type Pipe struct {
 	cap   int
 	flush Flusher
 	th    []pthread
-	spans *obs.SpanLog // per-op lifecycle spans; nil = tracing disabled
 }
-
-// SetProbe installs pr's span log on the pipe (the pipe reports to nothing
-// else). While one is installed, every flush records a resolve span — the
-// time one staged vector took to commit durably and resolve its futures —
-// complementing the publish/combine/persist spans the underlying protocol
-// records inside the same interval.
-func (p *Pipe) SetProbe(pr core.Probe) { p.spans = pr.Spans }
 
 // pthread is one thread's staging state. Responses are kept by operation
 // number in a ring of two full vectors' worth, so the results of the previous
@@ -112,17 +101,10 @@ func (p *Pipe) Flush(tid int) {
 		return
 	}
 	t := &p.th[tid]
-	var t0 int64
-	if p.spans != nil {
-		t0 = obs.Now()
-	}
 	out := t.out[:len(t.ops)]
 	p.flush(tid, t.ops, out)
 	k := copy(t.ring[t.done%uint64(len(t.ring)):], out)
 	copy(t.ring, out[k:])
-	if p.spans != nil {
-		p.spans.Record(tid, obs.PhaseResolve, t0, obs.Now(), uint64(len(t.ops)))
-	}
 	t.done += uint64(len(t.ops))
 	t.ops = t.ops[:0]
 }

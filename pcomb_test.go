@@ -6,7 +6,6 @@ import (
 	"sync"
 	"testing"
 
-	"pcomb/internal/core"
 	"pcomb/internal/pmem"
 	"pcomb/internal/sysarea"
 )
@@ -118,7 +117,7 @@ func (counterObj) Apply(env *Env, r *Request) {
 // structure built it with — and runs nothing: the state a crash leaves right
 // after the system recorded the invocation.
 func beginOnly(sys *System, region string, classes, payload, class int, op, a0 uint64) {
-	sysarea.New(sys.Heap(), region, 1, make([]core.Protocol, classes), nil, payload).Begin(0, class, op, a0, 0)
+	sysarea.New(sys.Heap(), region, 1, classes, Blocking, nil, payload).Begin(0, class, op, a0, 0)
 }
 
 func TestSysAreaDetectsInterruptedOp(t *testing.T) {

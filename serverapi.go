@@ -3,7 +3,6 @@ package pcomb
 import (
 	"time"
 
-	"pcomb/internal/core"
 	"pcomb/internal/hashmap"
 	"pcomb/internal/pmem"
 	"pcomb/internal/queue"
@@ -130,11 +129,11 @@ func NewServerStoreOn(h *pmem.Heap, o ServerOptions) *ServerStore {
 	// One extra slot keeps a full window from auto-flushing before the
 	// server's own commit point, so each window is one record.
 	vcap := o.FlushOps + 1
-	sys := sysarea.New(h, "srv/sysarea", o.Threads, make([]core.Protocol, 3), ep, vcap)
+	sys := sysarea.New(h, "srv/sysarea", o.Threads, 3, o.Kind, ep, vcap)
 	q := queue.NewOn(h, "srv/q", o.Threads, o.Kind,
-		queue.Options{Recycling: o.Kind == Blocking, Capacity: o.QueueCapacity, VecCap: vcap}, sys, srvEnq)
+		queue.Options{Recycling: o.Kind == Blocking, Capacity: o.QueueCapacity}, sys, srvEnq)
 	m := hashmap.NewOn(h, "srv/map", o.Threads, o.Kind,
-		hashmap.Options{Shards: 1, Capacity: o.MapCapacity, VecCap: vcap}, sys)
+		hashmap.Options{Shards: 1, Capacity: o.MapCapacity}, sys)
 	return &ServerStore{sys: sys, m: m, q: q, h: h, opts: o}
 }
 
