@@ -3,6 +3,7 @@ package sysarea_test
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"pcomb"
@@ -318,28 +319,68 @@ func (r *run) vector() input {
 }
 
 // tearEveryPrefix leaves the system area in every state a process death can
-// while the commit in(r) is made: after each prefix of its store sequence
-// (name/stepK), and after it ran but before End's one store (name/end0). It
-// re-opens, recovers, runs one more operation per class, and checks that the
-// commit came back whole or not at all, exactly once, and that nothing
-// acknowledged was lost or applied twice.
+// while the commit in(r) is made, in the order the commit reaches them
+// (name/stepK): after each prefix of its record's n stores (K = 0..n), after
+// the record and the announcements of its first g of G groups (K = n+g), and
+// after End's one store too (K = n+G+1); and once more after the structure's
+// API ran it but before End (name/end0). It re-opens, recovers, runs one more
+// operation per class, and checks that the commit came back whole or not at
+// all, exactly once, that a group which had run was only asked for its
+// responses, and that nothing acknowledged was lost or applied twice.
 func tearEveryPrefix(t *testing.T, sub subject, name, step string, in func(*run) input) {
 	probe := start(t, sub)
 	x := in(probe)
 	n := probe.view().CommitPrefix(x.tid, x.ops, x.classOf, 0)
 	probe.h.close()
-	for k := 0; k <= n; k++ {
+	// classes are the groups' classes in group order, and upTo[g] is how
+	// many of x.ops (laid out in group order) the first g groups hold.
+	var classes, upTo []int
+	for i, o := range x.ops {
+		if c := x.classOf(i, o); !slices.Contains(classes, c) {
+			classes = append(classes, c)
+			upTo = append(upTo, i)
+		}
+	}
+	upTo = append(upTo, len(x.ops))
+	groups := len(classes)
+	for k := 0; k <= n+groups+1; k++ {
 		t.Run(fmt.Sprintf("%s/%s%d", name, step, k), func(t *testing.T) {
 			r := start(t, sub)
 			x := in(r)
-			r.view().CommitPrefix(x.tid, x.ops, x.classOf, k)
+			var ran []sysarea.Resolved // the responses of the groups that ran
+			switch g := k - n; {
+			case g <= 0:
+				r.view().CommitPrefix(x.tid, x.ops, x.classOf, k)
+			case g <= groups:
+				// The first g groups run on their own and are recovered,
+				// then their counters go back so that the whole record is
+				// committed under the sequence numbers they ran with.
+				r.view().CommitPrefix(x.tid, x.ops[:upTo[g]], x.classOf, n)
+				if ran = r.reopen(); len(ran) != upTo[g] {
+					t.Fatalf("the first %d groups recovered as %+v", g, ran)
+				}
+				v := r.view()
+				for _, c := range classes[:g] {
+					v.Rewind(x.tid, c)
+				}
+				v.CommitPrefix(x.tid, x.ops, x.classOf, n)
+			default:
+				x.run()
+				r.want += x.delta
+			}
 			rs := r.reopen()
-			switch len(rs) {
-			case 0: // the record never reached its commit point
-			case len(x.ops): // it did: recovery ran every group, once
+			switch {
+			case len(rs) == 0 && k <= n: // the record never reached its commit point
+			case len(rs) == 0 && k > n+groups: // it closed: nothing to resolve
+			case len(rs) == len(x.ops) && k <= n+groups: // it is open: recovery ran every group, once
 				for i, o := range x.ops {
 					if rs[i].Class != x.classOf(i, o) || rs[i].Op != o.Op || rs[i].A0 != o.A0 || rs[i].A1 != o.A1 || !rs[i].Certain {
 						t.Fatalf("recovered %+v, want %+v", rs, x.ops)
+					}
+				}
+				for i, o := range ran {
+					if rs[i].Result != o.Result {
+						t.Fatalf("recovered %+v, want the responses %+v of the groups that ran", rs, ran)
 					}
 				}
 				r.want += x.delta
