@@ -15,7 +15,7 @@
 //     durable linearizability (linux only; see -kill-* and -file flags).
 //
 // Adversaries are opt-in: -torn adds the torn-line policy (partial cache
-// lines persist), -corrupt injects manifest corruption every round and
+// lines persist), -corrupt injects region-catalog corruption every round and
 // requires typed detection; -double (on by default) fires second crashes
 // while recovery itself is replaying.
 //
@@ -66,7 +66,7 @@ func main() {
 		rounds   = flag.Int("rounds", 3, "crash rounds per seed (fuzz mode)")
 		tgt      = flag.String("target", "all", "target: a structure (counter queue stack heap map register), a full name like queue/PBqueue, or all")
 		torn     = flag.Bool("torn", false, "add the torn-line adversary (partial cache lines persist)")
-		corrupt  = flag.Bool("corrupt", false, "inject manifest corruption every round and require detection")
+		corrupt  = flag.Bool("corrupt", false, "inject region-catalog corruption every round and require typed detection")
 		double   = flag.Bool("double", true, "fire second crashes while recovery is replaying")
 		budget   = flag.Int("budget", 0, "enumerate: max crash points per run (0 = all)")
 		replay   = flag.String("replay", "", "re-execute one failing schedule (seed:round:point:policy; needs a single -target)")

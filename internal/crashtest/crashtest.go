@@ -30,8 +30,8 @@
 //
 // Both simulated engines optionally trigger a second crash while the recovery
 // functions themselves are replaying (proving recovery idempotence), and
-// inject corruption into the heap's durable region manifest (which must be
-// detected as pmem.ErrCorruptManifest, never served as garbage). Any
+// inject corruption into the heap's region catalog (which must be detected
+// as pmem.ErrCorruptCatalog, never served as garbage). Any
 // failing schedule is shrunk to a minimal reproducer and printed as a
 // one-line seed:round:point:policy token that Replay re-executes.
 //
@@ -145,7 +145,7 @@ type Config struct {
 	Seed    int64 // campaign seed; the entire schedule derives from it
 
 	Torn        bool // include the torn-line adversary in the policy pool
-	Corrupt     bool // inject manifest corruption each round and require detection
+	Corrupt     bool // inject catalog corruption each round and require detection
 	DoubleCrash bool // trigger second crashes while recovery replays
 
 	Budget   int       // enumerate: max crash points per campaign (0 = all)

@@ -143,25 +143,25 @@ func attemptRecovery(h *pmem.Heap, d Driver) (n int, crashed bool) {
 	return n, crashed
 }
 
-// corruptionProbe flips words in the durable region manifest and demands
-// the damage be detected as pmem.ErrCorruptManifest — never served — then
-// reverts the flips and demands the manifest verify clean again.
+// corruptionProbe flips words in the heap's region catalog and demands the
+// damage be detected as pmem.ErrCorruptCatalog — never served — then
+// reverts the flips and demands the catalog verify clean again.
 func corruptionProbe(h *pmem.Heap, cfg Config, round int) error {
 	seed := crashSeed(cfg.Seed, round) ^ 0x0bad
-	flips := h.CorruptManifest(seed, 1+int(uint64(seed)%2))
+	flips := h.CorruptCatalog(seed, 1+int(uint64(seed)%2))
 	if cfg.Faults != nil {
 		cfg.Faults.Corruptions.Add(uint64(len(flips)))
 	}
-	err := h.VerifyManifest()
-	if !errors.Is(err, pmem.ErrCorruptManifest) {
-		return fmt.Errorf("injected manifest corruption went undetected (VerifyManifest: %v)", err)
+	err := h.VerifyCatalog()
+	if !errors.Is(err, pmem.ErrCorruptCatalog) {
+		return fmt.Errorf("injected catalog corruption went undetected (VerifyCatalog: %v)", err)
 	}
 	if cfg.Faults != nil {
 		cfg.Faults.CorruptCaught.Add(uint64(len(flips)))
 	}
 	h.XorFlips(flips)
-	if err := h.VerifyManifest(); err != nil {
-		return fmt.Errorf("manifest dirty after reverting injected corruption: %w", err)
+	if err := h.VerifyCatalog(); err != nil {
+		return fmt.Errorf("catalog dirty after reverting injected corruption: %w", err)
 	}
 	return nil
 }

@@ -42,7 +42,7 @@ func enumTargets(n int) map[string]func(seed int64) Driver {
 
 // TestEnumerateAllTargets replays every persistence-event index of a short
 // run for all ten structure/protocol targets, with the torn-line adversary
-// in the policy pool, manifest-corruption probes each round, and nested
+// in the policy pool, catalog-corruption probes each round, and nested
 // crash-during-recovery armed.
 func TestEnumerateAllTargets(t *testing.T) {
 	for name, mk := range enumTargets(2) {

@@ -18,7 +18,7 @@ type FaultStats struct {
 	TornLines      atomic.Uint64 // cache lines persisted partially (torn)
 	DoubleCrashes  atomic.Uint64 // second crashes fired during recovery
 	Corruptions    atomic.Uint64 // corruption injections into durable state
-	CorruptCaught  atomic.Uint64 // corruptions detected by manifest checks
+	CorruptCaught  atomic.Uint64 // corruptions detected by region-catalog checks
 	ShrinkSteps    atomic.Uint64 // replays spent shrinking failing schedules
 }
 

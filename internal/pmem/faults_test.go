@@ -124,40 +124,40 @@ func TestTornLineNeverTouchesFencedData(t *testing.T) {
 	}
 }
 
-func TestManifestDetectsCorruption(t *testing.T) {
-	// Single region, so every live manifest word is either the header or
-	// the entry OpenChecked("x") must validate.
+func TestCatalogDetectsCorruption(t *testing.T) {
+	// Single region, so every live catalog word is either the committed
+	// header slot or the entry OpenChecked("x") must validate.
 	h := shadowHeap()
 	h.Alloc("x", 32)
-	if err := h.VerifyManifest(); err != nil {
-		t.Fatalf("clean manifest rejected: %v", err)
+	if err := h.VerifyCatalog(); err != nil {
+		t.Fatalf("clean catalog rejected: %v", err)
 	}
-	flips := h.CorruptManifest(42, 2)
+	flips := h.CorruptCatalog(42, 2)
 	if len(flips) != 2 {
 		t.Fatalf("wanted 2 flips, got %d", len(flips))
 	}
-	err := h.VerifyManifest()
-	if !errors.Is(err, ErrCorruptManifest) {
-		t.Fatalf("corrupted manifest verified: %v", err)
+	err := h.VerifyCatalog()
+	if !errors.Is(err, ErrCorruptCatalog) {
+		t.Fatalf("corrupted catalog verified: %v", err)
 	}
-	if _, err := h.OpenChecked("x", 32); !errors.Is(err, ErrCorruptManifest) {
-		t.Fatalf("OpenChecked served a region from a corrupt manifest: %v", err)
+	if _, err := h.OpenChecked("x", 32); !errors.Is(err, ErrCorruptCatalog) {
+		t.Fatalf("OpenChecked served a region from a corrupt catalog: %v", err)
 	}
 	h.XorFlips(flips) // revert
-	if err := h.VerifyManifest(); err != nil {
-		t.Fatalf("reverted manifest still rejected: %v", err)
+	if err := h.VerifyCatalog(); err != nil {
+		t.Fatalf("reverted catalog still rejected: %v", err)
 	}
 	if _, err := h.OpenChecked("x", 32); err != nil {
 		t.Fatalf("reopen after revert: %v", err)
 	}
 }
 
-func TestManifestCorruptionSurvivesCrash(t *testing.T) {
+func TestCatalogCorruptionSurvivesCrash(t *testing.T) {
 	h := shadowHeap()
 	h.Alloc("x", 32)
-	h.CorruptManifest(7, 1)
-	h.Crash(DropUnfenced, 1) // corruption lives in the durable shadow
-	if err := h.VerifyManifest(); !errors.Is(err, ErrCorruptManifest) {
+	h.CorruptCatalog(7, 1)
+	h.Crash(DropUnfenced, 1) // the catalog is system-persisted: a crash keeps it
+	if err := h.VerifyCatalog(); !errors.Is(err, ErrCorruptCatalog) {
 		t.Fatalf("corruption did not survive the crash: %v", err)
 	}
 }
@@ -167,15 +167,8 @@ func TestOpenCheckedSizeMismatch(t *testing.T) {
 	h.Alloc("x", 32)
 	if _, err := h.OpenChecked("x", 64); err == nil {
 		t.Fatal("size mismatch not reported")
-	} else if errors.Is(err, ErrCorruptManifest) {
+	} else if errors.Is(err, ErrCorruptCatalog) {
 		t.Fatalf("size mismatch misreported as corruption: %v", err)
-	}
-}
-
-func TestManifestNameReserved(t *testing.T) {
-	h := shadowHeap()
-	if _, err := h.OpenChecked(ManifestRegion, 8); err == nil {
-		t.Fatal("reserved name served")
 	}
 }
 

@@ -55,9 +55,12 @@ func TestFileHeapCreateReattach(t *testing.T) {
 	if !restart {
 		t.Fatalf("existing file did not report restart")
 	}
-	a2, err := h2.RegionChecked("t/a")
-	if err != nil {
-		t.Fatalf("RegionChecked(t/a): %v", err)
+	a2 := h2.Region("t/a")
+	if a2 == nil {
+		t.Fatalf("Region(t/a) = nil after reattach")
+	}
+	if h2.Region("t/none") != nil {
+		t.Fatalf("Region served a name never allocated")
 	}
 	for i := 0; i < 2*LineWords; i++ {
 		if got := a2.Load(i); got != uint64(100+i) {
@@ -71,8 +74,8 @@ func TestFileHeapCreateReattach(t *testing.T) {
 	if got := b2.Load(4); got != 0 {
 		t.Fatalf("unfenced write survived restart: got %d", got)
 	}
-	if err := h2.VerifyManifest(); err != nil {
-		t.Fatalf("VerifyManifest after reattach: %v", err)
+	if err := h2.VerifyCatalog(); err != nil {
+		t.Fatalf("VerifyCatalog after reattach: %v", err)
 	}
 }
 
@@ -119,14 +122,20 @@ func TestFilePersistAllocFree(t *testing.T) {
 	}
 }
 
+// TestRegionCheckedNotFound: a lookup of a name never allocated misses
+// (nil) rather than serving some other region, and an allocated name is
+// found as the very region Alloc returned.
 func TestRegionCheckedNotFound(t *testing.T) {
 	h := NewHeap(Config{Mode: ModeShadow, NoCost: true})
-	if _, err := h.RegionChecked("nope"); !errors.Is(err, ErrRegionNotFound) {
-		t.Fatalf("err = %v, want ErrRegionNotFound", err)
+	if r := h.Region("nope"); r != nil {
+		t.Fatalf("Region(nope) = %v, want nil", r)
 	}
-	h.Alloc("yes", LineWords)
-	if _, err := h.RegionChecked("yes"); err != nil {
-		t.Fatalf("existing region: %v", err)
+	yes := h.Alloc("yes", LineWords)
+	if r := h.Region("yes"); r != yes {
+		t.Fatalf("Region(yes) = %v, want the allocated region %v", r, yes)
+	}
+	if r := h.Region("nope"); r != nil {
+		t.Fatalf("Region(nope) after another alloc = %v, want nil", r)
 	}
 }
 
@@ -139,7 +148,7 @@ func TestOpenCheckedSizeMismatchTyped(t *testing.T) {
 	if !errors.Is(err, ErrSizeMismatch) {
 		t.Fatalf("err = %v, want ErrSizeMismatch", err)
 	}
-	if errors.Is(err, ErrCorruptManifest) {
+	if errors.Is(err, ErrCorruptCatalog) {
 		t.Fatalf("size mismatch wrongly reported as corruption: %v", err)
 	}
 }
@@ -202,9 +211,9 @@ func TestFileOldVersionRefused(t *testing.T) {
 	}
 }
 
-// TestFileCorruptionDetected is the on-disk manifest round-trip: write a
+// TestFileCorruptionDetected is the on-disk catalog round-trip: write a
 // heap file, corrupt one byte, reopen — the open must fail with
-// ErrCorruptManifest rather than serve damaged metadata.
+// ErrCorruptCatalog rather than serve damaged metadata.
 func TestFileCorruptionDetected(t *testing.T) {
 	mk := func(t *testing.T) string {
 		path := tmpHeapPath(t)
@@ -223,24 +232,12 @@ func TestFileCorruptionDetected(t *testing.T) {
 
 	t.Run("catalog-entry", func(t *testing.T) {
 		path := mk(t)
-		// Entry 0 is the manifest region; flip a byte of its checksum word.
-		off := int64((fileCatStart+fileEntryWords-1)*8 + 2)
+		// Flip a byte of entry 0's checksum word.
+		off := int64((catStart+catEntryWords-1)*8 + 2)
 		corruptByteOnDisk(t, path, off)
 		_, _, err := OpenFile(path, FileOpts{Cfg: Config{NoCost: true}})
-		if !errors.Is(err, ErrCorruptManifest) {
-			t.Fatalf("err = %v, want ErrCorruptManifest", err)
-		}
-	})
-
-	t.Run("manifest-region", func(t *testing.T) {
-		path := mk(t)
-		// The manifest is the first region allocated, so its shadow starts
-		// at the data area; flip a byte of its header checksum (word 2).
-		off := int64((fileDataStart()+2)*8 + 1)
-		corruptByteOnDisk(t, path, off)
-		_, _, err := OpenFile(path, FileOpts{Cfg: Config{NoCost: true}})
-		if !errors.Is(err, ErrCorruptManifest) {
-			t.Fatalf("err = %v, want ErrCorruptManifest", err)
+		if !errors.Is(err, ErrCorruptCatalog) {
+			t.Fatalf("err = %v, want ErrCorruptCatalog", err)
 		}
 	})
 
@@ -248,16 +245,70 @@ func TestFileCorruptionDetected(t *testing.T) {
 		path := mk(t)
 		// Damage the ACTIVE header slot: the double-buffered commit means a
 		// torn header write must fall back to the other slot, not fail —
-		// but with only one generation ever committed per slot here, slot A
-		// holds gen>=2 (manifest + regions) and slot B the previous one, so
-		// corrupting both must fail with ErrCorruptManifest.
-		corruptByteOnDisk(t, path, int64(fileSlotA*8+3))
-		corruptByteOnDisk(t, path, int64(fileSlotB*8+3))
+		// but with only one generation ever committed per slot here, slot B
+		// holds the region's commit and slot A the empty catalog, so
+		// corrupting both must fail with ErrCorruptCatalog.
+		corruptByteOnDisk(t, path, int64(catSlotA*8+3))
+		corruptByteOnDisk(t, path, int64(catSlotB*8+3))
 		_, _, err := OpenFile(path, FileOpts{Cfg: Config{NoCost: true}})
-		if !errors.Is(err, ErrCorruptManifest) {
-			t.Fatalf("err = %v, want ErrCorruptManifest", err)
+		if !errors.Is(err, ErrCorruptCatalog) {
+			t.Fatalf("err = %v, want ErrCorruptCatalog", err)
 		}
 	})
+}
+
+// TestFileCatalogOverlapRefused: catalog entries whose checksums hold but
+// whose extents share words, or whose names repeat, must fail the open with
+// a typed error. Entries are bump-allocated, so a valid catalog's entries
+// tile the data area in order; served as they are, a store to one region
+// would read back through the other.
+func TestFileCatalogOverlapRefused(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		patch func(a, b []uint64)
+	}{
+		{"overlap", func(a, b []uint64) { b[0] = a[0] }},
+		{"repeated-name", func(a, b []uint64) { copy(b[2:catEntryWords-1], a[2:catEntryWords-1]) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			path := tmpHeapPath(t)
+			h, _, err := OpenFile(path, FileOpts{Cfg: Config{NoCost: true}})
+			if err != nil {
+				t.Fatalf("OpenFile: %v", err)
+			}
+			h.Alloc("o/a", LineWords)
+			h.Alloc("o/b", LineWords)
+			if err := h.Close(); err != nil {
+				t.Fatal(err)
+			}
+			f, err := os.OpenFile(path, os.O_RDWR, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			buf := make([]byte, 2*catEntryWords*8)
+			if _, err := f.ReadAt(buf, catStart*8); err != nil {
+				t.Fatal(err)
+			}
+			e := make([]uint64, 2*catEntryWords)
+			for i := range e {
+				e[i] = binary.LittleEndian.Uint64(buf[8*i:])
+			}
+			a, b := e[:catEntryWords], e[catEntryWords:]
+			tc.patch(a, b)
+			b[catEntryWords-1] = entrySum(b)
+			for i, w := range e {
+				binary.LittleEndian.PutUint64(buf[8*i:], w)
+			}
+			if _, err := f.WriteAt(buf, catStart*8); err != nil {
+				t.Fatal(err)
+			}
+			f.Close()
+			_, _, err = OpenFile(path, FileOpts{Cfg: Config{NoCost: true}})
+			if !errors.Is(err, ErrBadFile) || !errors.Is(err, ErrCorruptCatalog) {
+				t.Fatalf("err = %v, want ErrBadFile and ErrCorruptCatalog", err)
+			}
+		})
+	}
 }
 
 // TestFileHeaderSlotFallback simulates a commit cut off mid-header-write:
@@ -276,30 +327,34 @@ func TestFileHeaderSlotFallback(t *testing.T) {
 	ctx.PSync()
 	h.Close()
 
-	// Find the inactive slot (the one whose checksum does not validate as
-	// the current generation is in the other) and scribble over it.
+	// Scribble over the checksum of the stale slot, the one of the lower
+	// generation: a commit cut off while writing it leaves it so.
 	f, err := os.OpenFile(path, os.O_RDWR, 0)
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
-	// Corrupt slot B's checksum byte: with two allocations (manifest, f/r)
-	// the active slot alternated, but whichever slot is stale, damaging
-	// exactly one slot must leave the file openable.
+	var gens [2][8]byte
+	for i, base := range []int{catSlotA, catSlotB} {
+		if _, err := f.ReadAt(gens[i][:], int64(base*8)); err != nil {
+			t.Fatalf("read: %v", err)
+		}
+	}
+	stale := catSlotA
+	if binary.LittleEndian.Uint64(gens[1][:]) < binary.LittleEndian.Uint64(gens[0][:]) {
+		stale = catSlotB
+	}
 	var b [1]byte
-	if _, err := f.ReadAt(b[:], int64((fileSlotB+3)*8)); err != nil {
+	if _, err := f.ReadAt(b[:], int64((stale+3)*8)); err != nil {
 		t.Fatalf("read: %v", err)
 	}
 	b[0] ^= 0xff
-	if _, err := f.WriteAt(b[:], int64((fileSlotB+3)*8)); err != nil {
+	if _, err := f.WriteAt(b[:], int64((stale+3)*8)); err != nil {
 		t.Fatalf("write: %v", err)
 	}
 	f.Close()
 
 	h2, restart, err := OpenFile(path, FileOpts{Cfg: Config{NoCost: true}})
 	if err != nil {
-		// Slot B may have been the active one; then corruption must be
-		// reported, which is also correct. But with 3 commits (create,
-		// manifest, f/r) the active slot is A (odd number of flips from A).
 		t.Fatalf("reopen with one damaged slot: %v", err)
 	}
 	defer h2.Close()

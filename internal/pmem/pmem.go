@@ -32,6 +32,7 @@ package pmem
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 )
@@ -97,11 +98,12 @@ const (
 type Heap struct {
 	cfg Config
 
-	mu       sync.Mutex
-	regions  map[string]*Region
-	byID     []*Region
-	ctxs     []*Ctx
-	manifest *Region
+	mu      sync.Mutex
+	regions map[string]*Region
+	byID    []*Region
+	ctxs    []*Ctx
+	// cat is the region table (catalog.go); byID[i] is its entry i.
+	cat catalog
 
 	// fs, when non-nil, is the mmap file store backing every region's
 	// durable shadow (see filestore.go).
@@ -132,16 +134,8 @@ type Heap struct {
 	missCost   spinCost
 }
 
-// NewHeap creates a simulated NVMM heap.
+// NewHeap creates a simulated NVMM heap whose catalog is in memory.
 func NewHeap(cfg Config) *Heap {
-	h := newHeapBare(cfg)
-	h.initManifestLocked()
-	return h
-}
-
-// newHeapBare builds a heap without its region manifest — OpenFile's
-// reattach path recovers the manifest from the file instead of creating it.
-func newHeapBare(cfg Config) *Heap {
 	if cfg.PwbNs == 0 {
 		cfg.PwbNs = DefaultPwbNs
 	}
@@ -155,6 +149,8 @@ func newHeapBare(cfg Config) *Heap {
 		cfg.MissNs = DefaultMissNs
 	}
 	h := &Heap{cfg: cfg, regions: make(map[string]*Region)}
+	h.cat = catalog{words: make([]uint64, catStart), hi: math.MaxInt}
+	h.cat.init()
 	if !cfg.NoCost && cfg.Mode != ModeVolatile {
 		h.pwbCost = costForNs(cfg.PwbNs)
 		h.pfenceCost = costForNs(cfg.PfenceNs)
@@ -183,9 +179,9 @@ func (h *Heap) Alloc(name string, words int) *Region {
 
 // AllocOrGet returns the region with the given name, allocating it if it
 // does not exist. Re-opening after Crash+Recover returns the recovered
-// region, after validating the region's checksummed manifest entry. It
+// region, after validating the region's checksummed catalog entry. It
 // panics if an existing region has a different size, or with an error
-// wrapping ErrCorruptManifest if the manifest is damaged (use OpenChecked
+// wrapping ErrCorruptCatalog if the catalog is damaged (use OpenChecked
 // to receive the error instead).
 func (h *Heap) AllocOrGet(name string, words int) *Region {
 	r, err := h.OpenChecked(name, words)
@@ -196,17 +192,14 @@ func (h *Heap) AllocOrGet(name string, words int) *Region {
 }
 
 // OpenChecked is AllocOrGet with typed errors instead of panics: re-opening
-// an existing region validates its manifest entry and returns an error
-// wrapping ErrCorruptManifest if the durable catalogue was damaged, rather
+// an existing region validates its catalog entry and returns an error
+// wrapping ErrCorruptCatalog if the durable catalog was damaged, rather
 // than silently serving a region whose metadata cannot be trusted.
 func (h *Heap) OpenChecked(name string, words int) (*Region, error) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if name == ManifestRegion {
-		return nil, fmt.Errorf("pmem: region name %q is reserved", name)
-	}
 	if r, ok := h.regions[name]; ok {
-		if err := h.manifestVerifyEntryLocked(name, words); err != nil {
+		if err := h.checkEntryLocked(r); err != nil {
 			return nil, err
 		}
 		if len(r.words) != words {
@@ -219,65 +212,43 @@ func (h *Heap) OpenChecked(name string, words int) (*Region, error) {
 }
 
 func (h *Heap) allocLocked(name string, words int) *Region {
+	off, err := h.cat.add(name, words)
+	if err != nil {
+		panic(err)
+	}
 	r := &Region{
 		h:     h,
 		name:  name,
 		id:    len(h.byID),
 		words: make([]uint64, words),
 	}
-	if h.cfg.Mode == ModeShadow {
-		if h.fs != nil {
-			off, err := h.fs.addEntry(name, words)
-			if err != nil {
-				panic(err)
-			}
-			r.attachShadow(h.fs.words[off : off+words : off+words])
-			r.fileOff = off
-			// The file is zero-filled at creation, but a slot abandoned by a
-			// killed, uncommitted allocation may hold stale bytes: a fresh
-			// region's durable contents must be zero either way.
-			for i := range r.shadow {
-				r.shadow[i] = 0
-			}
-		} else {
-			r.attachShadow(make([]uint64, words))
-		}
+	switch {
+	case h.fs != nil:
+		h.fs.syncMeta()
+		r.attachShadow(h.fs.words[off : off+words : off+words])
+		r.fileOff = off
+		// The file is zero-filled at creation, but a slot abandoned by a
+		// killed, uncommitted allocation may hold stale bytes: a fresh
+		// region's durable contents must be zero either way.
+		clear(r.shadow)
+	case h.cfg.Mode == ModeShadow:
+		r.attachShadow(make([]uint64, words))
 	}
 	h.regions[name] = r
 	h.byID = append(h.byID, r)
-	if h.manifest != nil && name != ManifestRegion {
-		h.manifestAddLocked(name, words)
-	}
 	return r
 }
 
-// ErrRegionNotFound reports a lookup of a region name the heap has never
-// allocated.
-var ErrRegionNotFound = errors.New("pmem: region not found")
-
 // ErrSizeMismatch reports that a region was re-opened with a size different
-// from the one it was allocated (or the manifest records) — a caller bug or
-// layout-version skew, distinct from checksum corruption
-// (ErrCorruptManifest).
+// from the one it was allocated with — a caller bug or layout-version skew,
+// distinct from checksum corruption (ErrCorruptCatalog).
 var ErrSizeMismatch = errors.New("pmem: region size mismatch")
 
-// Region looks up a region by name, returning nil if absent. Prefer
-// RegionChecked in code that cannot prove the region exists.
+// Region looks up a region by name, returning nil if absent.
 func (h *Heap) Region(name string) *Region {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	return h.regions[name]
-}
-
-// RegionChecked looks up a region by name, returning an error wrapping
-// ErrRegionNotFound if the heap has no such region.
-func (h *Heap) RegionChecked(name string) (*Region, error) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if r, ok := h.regions[name]; ok {
-		return r, nil
-	}
-	return nil, fmt.Errorf("%w: %q", ErrRegionNotFound, name)
 }
 
 // NewCtx returns a fresh per-thread persistence context. Each simulated

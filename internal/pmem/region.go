@@ -9,7 +9,7 @@ import "sync/atomic"
 type Region struct {
 	h      *Heap
 	name   string
-	id     int
+	id     int // index of its catalog entry
 	words  []uint64
 	shadow []uint64 // durable contents; present only in ModeShadow
 	shadMu sync64   // guards shadow and the seq chunks' durable numbers
@@ -200,22 +200,6 @@ func (r *Region) applyShadowWords(li int, data []uint64, mask, seq uint64) {
 		}
 	}
 	r.shadMu.unlock()
-}
-
-// xorWord flips bits of word i in both the volatile contents and the
-// durable shadow (corruption injection; see Heap.CorruptManifest).
-func (r *Region) xorWord(i int, mask uint64) {
-	for {
-		old := atomic.LoadUint64(&r.words[i])
-		if atomic.CompareAndSwapUint64(&r.words[i], old, old^mask) {
-			break
-		}
-	}
-	if r.shadow != nil {
-		r.shadMu.lock()
-		r.shadow[i] ^= mask
-		r.shadMu.unlock()
-	}
 }
 
 // restoreFromShadow overwrites the volatile contents with the durable shadow,

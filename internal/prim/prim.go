@@ -123,7 +123,7 @@ func (s *Spin) Wait() {
 // keys over shards and probe starts. It is the one key-hashing function of
 // the repository — the hash map's shard router and each shard's probe start
 // both use it, so a key's shard and its probe sequence stay stable across
-// layers.
+// layers. The pmem region catalog's checksums are built from it too.
 func Mix(x uint64) uint64 {
 	x ^= x >> 30
 	x *= 0xbf58476d1ce4e5b9
