@@ -130,7 +130,7 @@ func (h *Heap) FinishCrash(policy CrashPolicy, seed int64) CrashOutcome {
 		c.crashAt = 0
 	}
 	for _, r := range h.byID {
-		r.restoreFromShadow()
+		r.restoreFromShadow(0, len(r.words))
 	}
 	h.crashAtEvent.Store(0)
 	h.crashedFlag.Store(false)

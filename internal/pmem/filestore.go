@@ -78,8 +78,10 @@ const (
 	filePageBytes = 4096
 
 	// DefaultFileCapacityWords sizes a newly created file's data area when
-	// FileOpts.CapacityWords is zero: 8M words = 64 MiB (sparse on disk
-	// until touched).
+	// FileOpts.CapacityWords is zero: 8M words = 64 MiB. The file is sparse
+	// on disk: it is created as one hole, a region allocated on it is not
+	// zero-written, so its blocks follow the lines written back, and a
+	// reopen reads only its data extents.
 	DefaultFileCapacityWords = 1 << 23
 )
 
@@ -102,6 +104,10 @@ type fileStore struct {
 
 	capWords  int // data area capacity in words
 	dataStart int // first data word
+
+	// created reports that this heap created the file, so every data word
+	// past the catalog's next free word is still a hole (zero).
+	created bool
 }
 
 // catalog returns the catalog laid over the file's header pages; init or
@@ -127,7 +133,7 @@ func fsCreate(path string, capWords int, sync SyncMode) (*fileStore, error) {
 		f.Close()
 		return nil, err
 	}
-	fs := &fileStore{f: f, data: data, words: wordsOf(data), sync: sync, capWords: capWords, dataStart: ds}
+	fs := &fileStore{f: f, data: data, words: wordsOf(data), sync: sync, capWords: capWords, dataStart: ds, created: true}
 	w := fs.words
 	w[0] = fileMagic
 	w[1] = fileVersion
@@ -177,6 +183,30 @@ func fsOpen(path string, sync SyncMode) (*fileStore, error) {
 		return nil, fmt.Errorf("%w: geometry disagrees with file size", ErrBadFile)
 	}
 	return fs, nil
+}
+
+// eachData calls fn(a, b) for each run [a, b) of file words within [lo, hi)
+// that the file holds data for, in order; every word outside those runs is
+// in a hole and reads zero. Where the filesystem cannot report its extents
+// the one run is [lo, hi).
+func (fs *fileStore) eachData(lo, hi int, fn func(a, b int)) {
+	for lo < hi {
+		start, end, err := dataExtent(fs.f, int64(lo)*8)
+		switch {
+		case err != nil:
+			fn(lo, hi)
+			return
+		case start < 0:
+			return
+		}
+		a := max(lo, int(start/8))
+		b := min(hi, int((end+7)/8))
+		if a >= b {
+			return
+		}
+		fn(a, b)
+		lo = b
+	}
 }
 
 // syncMeta msyncs the header+catalog pages when a sync mode is active.
@@ -267,7 +297,9 @@ func OpenFile(path string, o FileOpts) (*Heap, bool, error) {
 				fileOff: e.off,
 			}
 			r.attachShadow(fs.words[e.off : e.off+e.len : e.off+e.len])
-			r.restoreFromShadow()
+			fs.eachData(e.off, e.off+e.len, func(lo, hi int) {
+				r.restoreFromShadow(lo-e.off, hi-e.off)
+			})
 			h.regions[e.name] = r
 			h.byID = append(h.byID, r)
 		}

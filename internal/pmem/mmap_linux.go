@@ -39,6 +39,30 @@ func msyncRange(b []byte, async bool) error {
 	return nil
 }
 
+// lseek whence values that report a file's extents (linux/fs.h).
+const (
+	seekData = 3
+	seekHole = 4
+)
+
+// dataExtent returns the first extent [start, end) of f at or after byte off
+// that holds data; start is -1 when none does. Pages dirtied through the
+// mapping count as data before they are written back. An error (EINVAL from
+// a filesystem that cannot report extents) leaves the caller to treat the
+// rest of the file as data.
+func dataExtent(f *os.File, off int64) (start, end int64, err error) {
+	fd := int(f.Fd())
+	start, err = syscall.Seek(fd, off, seekData)
+	if err == syscall.ENXIO {
+		return -1, -1, nil
+	}
+	if err != nil {
+		return 0, 0, err
+	}
+	end, err = syscall.Seek(fd, start, seekHole)
+	return start, end, err
+}
+
 // wordsOf views a page-aligned byte mapping as a []uint64.
 func wordsOf(b []byte) []uint64 {
 	if len(b) == 0 {

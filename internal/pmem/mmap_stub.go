@@ -17,3 +17,7 @@ func mmapFile(f *os.File, size int) ([]byte, error) { return nil, errMmapUnsuppo
 func munmapFile(b []byte) error                     { return errMmapUnsupported }
 func msyncRange(b []byte, async bool) error         { return errMmapUnsupported }
 func wordsOf(b []byte) []uint64                     { return nil }
+
+func dataExtent(f *os.File, off int64) (start, end int64, err error) {
+	return 0, 0, errMmapUnsupported
+}

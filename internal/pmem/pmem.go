@@ -227,10 +227,15 @@ func (h *Heap) allocLocked(name string, words int) *Region {
 		h.fs.syncMeta()
 		r.attachShadow(h.fs.words[off : off+words : off+words])
 		r.fileOff = off
-		// The file is zero-filled at creation, but a slot abandoned by a
-		// killed, uncommitted allocation may hold stale bytes: a fresh
-		// region's durable contents must be zero either way.
-		clear(r.shadow)
+		// A fresh region's durable contents must be zero. On a file this
+		// heap created they are: the file began as a hole, and only regions
+		// whose entries were already committed have been written. On a
+		// reattached file a slot abandoned by a killed, uncommitted
+		// allocation may hold stale bytes, so only there is it cleared
+		// (which allocates the slot's blocks).
+		if !h.fs.created {
+			clear(r.shadow)
+		}
 	case h.cfg.Mode == ModeShadow:
 		r.attachShadow(make([]uint64, words))
 	}

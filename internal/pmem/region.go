@@ -202,16 +202,19 @@ func (r *Region) applyShadowWords(li int, data []uint64, mask, seq uint64) {
 	r.shadMu.unlock()
 }
 
-// restoreFromShadow overwrites the volatile contents with the durable shadow,
-// simulating the state visible after a power failure. Only words that differ
-// are stored: a region freshly allocated on reopen is zero, so the pages of
-// its unused capacity (most of a queue's node arena) are never written and
-// the reopen's resident memory follows the data, not the capacity.
-func (r *Region) restoreFromShadow() {
+// restoreFromShadow overwrites volatile words [lo, hi) with the durable
+// shadow, simulating the state visible after a power failure. A crash
+// restores every word. A reopen restores only the file's data extents
+// (fileStore.eachData): the region's volatile words start at zero and a
+// hole reads zero, so the words outside them already agree, and neither the
+// file's holes nor the volatile pages behind them are touched. Within the
+// range only words that differ are stored, so the zero pages of unused
+// capacity that the file does hold stay non-resident too.
+func (r *Region) restoreFromShadow(lo, hi int) {
 	r.shadMu.lock()
-	for i, v := range r.shadow {
-		if atomic.LoadUint64(&r.words[i]) != v {
-			atomic.StoreUint64(&r.words[i], v)
+	for i, v := range r.shadow[lo:hi] {
+		if atomic.LoadUint64(&r.words[lo+i]) != v {
+			atomic.StoreUint64(&r.words[lo+i], v)
 		}
 	}
 	r.shadMu.unlock()

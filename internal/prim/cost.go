@@ -18,20 +18,29 @@ var (
 	calibSink  uint64
 )
 
+// calibrate measures the host's loop rate as the best of calibRuns short
+// runs. One long run would absorb every preemption and interrupt inside its
+// window and read the rate low, and every charge of the process would then
+// be too cheap; a short run that is interrupted only loses to another run.
 func calibrate() {
-	const n = 4_000_000
-	var s uint64
-	start := time.Now()
-	for i := uint64(0); i < n; i++ {
-		s += i ^ (s >> 3)
+	const calibRuns, calibIters = 8, 100_000
+	best := 0.0
+	for range calibRuns {
+		var s uint64
+		start := time.Now()
+		for i := uint64(0); i < calibIters; i++ {
+			s += i ^ (s >> 3)
+		}
+		elapsed := time.Since(start)
+		calibSink += s
+		if ns := elapsed.Nanoseconds(); ns > 0 {
+			best = max(best, float64(calibIters)/float64(ns))
+		}
 	}
-	elapsed := time.Since(start)
-	calibSink = s
-	if elapsed <= 0 || float64(n)/float64(elapsed.Nanoseconds()) <= 0 {
-		itersPerNs = 1
-		return
+	if best <= 0 {
+		best = 1
 	}
-	itersPerNs = float64(n) / float64(elapsed.Nanoseconds())
+	itersPerNs = best
 }
 
 // CostForNs converts a nanosecond target into loop iterations.

@@ -69,3 +69,67 @@ func TestStoreOneCloser(t *testing.T) {
 		}
 	}
 }
+
+// TestServerCommandLedger pins what the server's commands cost in persistence
+// instructions: one connection, no contention, a fresh count-mode store per
+// case, and the pwbs, pfences and psyncs of 16 windows measured after 8
+// warm-up ones. Every count is exact: the run is one goroutine and the keys
+// are fixed, so the same lines are written back every time. LPUSH and RPOP
+// cost six times a SET because each round writes back the queue's whole
+// enqueue or dequeue record: the queue's objects are not sparse, so every
+// thread's return-value block is copied and persisted whether or not it
+// changed.
+func TestServerCommandLedger(t *testing.T) {
+	type ledger struct{ pwbs, pfences, psyncs uint64 }
+	cases := []struct {
+		name string
+		win  func(st *ServerStore, i uint64)
+		want map[Kind]ledger // per 16 windows
+	}{
+		{"SET", func(st *ServerStore, i uint64) { st.Set(0, i%16+1, i) },
+			map[Kind]ledger{Blocking: {90, 16, 16}, WaitFree: {122, 16, 16}}},
+		{"INCRBY", func(st *ServerStore, i uint64) { st.IncrBy(0, 7, 1) },
+			map[Kind]ledger{Blocking: {64, 16, 16}, WaitFree: {96, 16, 16}}},
+		{"LPUSH", func(st *ServerStore, i uint64) { st.LPush(0, i) },
+			map[Kind]ledger{Blocking: {628, 16, 16}, WaitFree: {664, 16, 16}}},
+		{"RPOP", func(st *ServerStore, i uint64) { st.RPop(0) },
+			map[Kind]ledger{Blocking: {608, 16, 16}, WaitFree: {640, 16, 16}}},
+		{"SETx16", func(st *ServerStore, i uint64) {
+			for k := uint64(1); k <= 16; k++ {
+				st.Set(0, k, i)
+			}
+		}, map[Kind]ledger{Blocking: {304, 16, 16}, WaitFree: {336, 16, 16}}},
+	}
+	for _, kind := range []Kind{Blocking, WaitFree} {
+		for _, c := range cases {
+			t.Run(fmt.Sprintf("%s/%s", map[Kind]string{Blocking: "PB", WaitFree: "PWF"}[kind], c.name), func(t *testing.T) {
+				sys := New(Options{NoCost: true})
+				st := NewServerStoreOn(sys.Heap(), ServerOptions{Kind: kind, QueueCapacity: 1 << 10})
+				for i := uint64(0); i < 32; i++ {
+					st.LPush(0, 1000+i) // RPOP's windows pop a value each
+				}
+				st.Flush(0)
+				i := uint64(1)
+				window := func() {
+					c.win(st, i)
+					st.Flush(0)
+					i++
+				}
+				for range 8 {
+					window()
+				}
+				before := sys.Stats()
+				for range 16 {
+					window()
+				}
+				after := sys.Stats()
+				got := ledger{after.Pwbs - before.Pwbs, after.Pfences - before.Pfences, after.Psyncs - before.Psyncs}
+				t.Logf("16 %s windows: %d pwbs, %d pfences, %d psyncs (%.2f pwbs per window)",
+					c.name, got.pwbs, got.pfences, got.psyncs, float64(got.pwbs)/16)
+				if got != c.want[kind] {
+					t.Fatalf("16 %s windows cost %+v, want %+v", c.name, got, c.want[kind])
+				}
+			})
+		}
+	}
+}
