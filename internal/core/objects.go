@@ -60,7 +60,8 @@ func (Counter) Apply(env *Env, r *Request) {
 
 // RegisterFile is an array of words supporting read/write/transfer; it
 // stands in for "any object" in tests and the bank-transfer example. It marks
-// every store, so the protocols persist it sparsely (SparseObject).
+// every store (SparseObject), so a round on a wide register file copies and
+// persists only the state lines it wrote.
 type RegisterFile struct {
 	Words   int
 	Initial uint64
