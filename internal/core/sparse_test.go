@@ -15,9 +15,11 @@ type sparseArray struct{ words int }
 
 func (sparseArray) MarksDirty() {}
 
-// dense hides an object's SparseObject extension (and any other), so the
-// protocols copy and persist its whole record: the reference the sparse
-// tests compare against.
+// dense hides an object's SparseObject extension (and any other). On one
+// thread a dense sparseArray's record is mostly state that serve would mark
+// whole every round, so the protocols copy and persist it whole: the
+// whole-record side the sparse tests compare against, which each asserts is
+// not line-tracked.
 type dense struct{ Object }
 
 // markedCounter is Counter as a SparseObject.
@@ -50,30 +52,47 @@ func (a sparseArray) Apply(env *Env, r *Request) {
 	}
 }
 
+// sameAsModel runs ops on a line-tracked sparseArray{64} instance a and a
+// whole-record one b, and checks both against a plain array, op by op and in
+// their final state: the reference shares no code with either protocol path.
+// An op o reads word o%64 when o%3 == 0 and otherwise writes o there.
+func sameAsModel(t *testing.T, a, b instance, ops []uint16) bool {
+	t.Helper()
+	if !tracked(a) || tracked(b) {
+		t.Fatalf("line-tracked: sparse side %v, dense side %v; want true, false", tracked(a), tracked(b))
+	}
+	var model [64]uint64
+	for i, o := range ops {
+		op, w := OpRegWrite, o%64
+		if o%3 == 0 {
+			op = OpRegRead
+		}
+		want := model[w]
+		if op == OpRegWrite {
+			model[w] = uint64(o)
+		}
+		ra := a.Invoke(0, op, uint64(w), uint64(o), uint64(i)+1)
+		rb := b.Invoke(0, op, uint64(w), uint64(o), uint64(i)+1)
+		if ra != want || rb != want {
+			return false
+		}
+	}
+	for i, w := range model {
+		if a.CurrentState().Load(i) != w || b.CurrentState().Load(i) != w {
+			return false
+		}
+	}
+	return true
+}
+
 func TestSparseMatchesDense(t *testing.T) {
-	// Property: a random op sequence produces identical state and returns
-	// under sparse and whole-record persistence.
+	// Property: a random op sequence produces the sequential model's state
+	// and returns under sparse and whole-record persistence.
 	f := func(ops []uint16) bool {
 		h1, h2 := shadowHeap(), shadowHeap()
 		a := NewPBComb(h1, "a", 1, sparseArray{64})
 		b := NewPBComb(h2, "b", 1, dense{sparseArray{64}})
-		for i, o := range ops {
-			op := OpRegWrite
-			if o%3 == 0 {
-				op = OpRegRead
-			}
-			ra := a.Invoke(0, op, uint64(o%64), uint64(o), uint64(i)+1)
-			rb := b.Invoke(0, op, uint64(o%64), uint64(o), uint64(i)+1)
-			if ra != rb {
-				return false
-			}
-		}
-		for i := 0; i < 64; i++ {
-			if a.CurrentState().Load(i) != b.CurrentState().Load(i) {
-				return false
-			}
-		}
-		return true
+		return sameAsModel(t, a, b, ops)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 80, Rand: rand.New(rand.NewSource(21))}); err != nil {
 		t.Fatal(err)
@@ -89,6 +108,9 @@ func TestSparseFewerPwbsOnWideState(t *testing.T) {
 			obj = dense{obj}
 		}
 		c := NewPBComb(h, "a", 1, obj)
+		if tracked(c) != sparse {
+			t.Fatalf("line-tracked = %v, want %v", tracked(c), sparse)
+		}
 		h.ResetStats()
 		for i := uint64(1); i <= ops; i++ {
 			c.Invoke(0, OpRegWrite, i%words, i, i)

@@ -11,29 +11,13 @@ import (
 )
 
 func TestSparseWFMatchesDense(t *testing.T) {
-	// Property: a random op sequence produces identical state and returns
-	// under sparse and whole-record PWFcomb.
+	// Property: a random op sequence produces the sequential model's state
+	// and returns under sparse and whole-record PWFcomb.
 	f := func(ops []uint16) bool {
 		h1, h2 := shadowHeap(), shadowHeap()
 		a := NewPWFComb(h1, "a", 1, sparseArray{64})
 		b := NewPWFComb(h2, "b", 1, dense{sparseArray{64}})
-		for i, o := range ops {
-			op := OpRegWrite
-			if o%3 == 0 {
-				op = OpRegRead
-			}
-			ra := a.Invoke(0, op, uint64(o%64), uint64(o), uint64(i)+1)
-			rb := b.Invoke(0, op, uint64(o%64), uint64(o), uint64(i)+1)
-			if ra != rb {
-				return false
-			}
-		}
-		for i := 0; i < 64; i++ {
-			if a.CurrentState().Load(i) != b.CurrentState().Load(i) {
-				return false
-			}
-		}
-		return true
+		return sameAsModel(t, a, b, ops)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 80, Rand: rand.New(rand.NewSource(22))}); err != nil {
 		t.Fatal(err)
@@ -49,6 +33,9 @@ func TestSparseWFFewerPwbsOnWideState(t *testing.T) {
 			obj = dense{obj}
 		}
 		c := NewPWFComb(h, "a", 1, obj)
+		if tracked(c) != sparse {
+			t.Fatalf("line-tracked = %v, want %v", tracked(c), sparse)
+		}
 		// Boot both private buffers (each pays one full-record persist), so
 		// the counted window measures steady state.
 		c.Invoke(0, OpRegWrite, 0, 1, 1)

@@ -326,9 +326,11 @@ func TestVecCrashPointSweep(t *testing.T) {
 }
 
 func TestVecSparseMatchesDense(t *testing.T) {
-	// Same batched history against sparse and dense instances of both
-	// protocols must produce identical per-op returns and final state.
-	const n, k = 1, 6
+	// The same batched history on a whole-record and a line-tracked instance
+	// of each protocol must produce a plain running sum's per-op returns and
+	// final value. The dense side is a Counter at VecCap 4, a one-line
+	// record; the sparse side a markedCounter at VecCap 8, two lines.
+	const n, k = 1, 4
 	hist := [][]VecOp{}
 	for r := 0; r < 10; r++ {
 		l := 1 + r%k
@@ -337,6 +339,14 @@ func TestVecSparseMatchesDense(t *testing.T) {
 			v[i] = VecOp{Op: OpCounterAdd, A0: uint64(r + i + 1)}
 		}
 		hist = append(hist, v)
+	}
+	var want []uint64
+	sum := uint64(0)
+	for _, v := range hist {
+		for _, op := range v {
+			want = append(want, sum)
+			sum += op.A0
+		}
 	}
 	run := func(c Protocol) ([]uint64, uint64) {
 		var all []uint64
@@ -348,31 +358,37 @@ func TestVecSparseMatchesDense(t *testing.T) {
 		return all, c.CurrentState().Load(0)
 	}
 	type mk struct {
-		name string
-		f    func(h *pmem.Heap) Protocol
+		name    string
+		tracked bool
+		f       func(h *pmem.Heap) instance
 	}
 	pairs := [][2]mk{
-		{{"PBdense", func(h *pmem.Heap) Protocol {
+		{{"PBdense", false, func(h *pmem.Heap) instance {
 			return NewPBCombWith(h, "d", n, Counter{}, CombOpts{VecCap: k})
-		}}, {"PBsparse", func(h *pmem.Heap) Protocol {
-			return NewPBCombWith(h, "s", n, markedCounter{}, CombOpts{VecCap: k})
+		}}, {"PBsparse", true, func(h *pmem.Heap) instance {
+			return NewPBCombWith(h, "s", n, markedCounter{}, CombOpts{VecCap: 2 * k})
 		}}},
-		{{"PWFdense", func(h *pmem.Heap) Protocol {
+		{{"PWFdense", false, func(h *pmem.Heap) instance {
 			return NewPWFCombWith(h, "d", n, Counter{}, CombOpts{VecCap: k})
-		}}, {"PWFsparse", func(h *pmem.Heap) Protocol {
-			return NewPWFCombWith(h, "s", n, markedCounter{}, CombOpts{VecCap: k})
+		}}, {"PWFsparse", true, func(h *pmem.Heap) instance {
+			return NewPWFCombWith(h, "s", n, markedCounter{}, CombOpts{VecCap: 2 * k})
 		}}},
 	}
 	for _, p := range pairs {
 		t.Run(p[0].name+"_vs_"+p[1].name, func(t *testing.T) {
-			dr, dv := run(p[0].f(shadowHeap()))
-			sr, sv := run(p[1].f(shadowHeap()))
-			if dv != sv {
-				t.Fatalf("final state differs: dense %d sparse %d", dv, sv)
-			}
-			for i := range dr {
-				if dr[i] != sr[i] {
-					t.Fatalf("ret %d differs: dense %d sparse %d", i, dr[i], sr[i])
+			for _, side := range p {
+				in := side.f(shadowHeap())
+				if tracked(in) != side.tracked {
+					t.Fatalf("%s: line-tracked = %v, want %v", side.name, tracked(in), side.tracked)
+				}
+				rets, v := run(in)
+				if v != sum {
+					t.Fatalf("%s: final counter %d, want %d", side.name, v, sum)
+				}
+				for i := range want {
+					if rets[i] != want[i] {
+						t.Fatalf("%s: ret %d = %d, want %d", side.name, i, rets[i], want[i])
+					}
 				}
 			}
 		})
